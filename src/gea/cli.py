@@ -263,6 +263,14 @@ def cmd_effects(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+def _env_seed() -> int:
+    text = os.environ.get("GEA_SEED", "0")
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"GEA_SEED must be an integer, got {text!r}") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     # The shared flags are accepted both before and after the subcommand;
     # SUPPRESS keeps a post-command occurrence from clobbering a pre-command one.
@@ -331,10 +339,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = int(os.environ.get("GEA_SEED", "0"))
     args.command_echo = "gea " + " ".join(argv)
     try:
+        if args.seed is None:
+            args.seed = _env_seed()
         report, code = args.func(args)
     except InputError as exc:
         _emit({"schema": 1, "command": args.command_echo, "error": str(exc)},

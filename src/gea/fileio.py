@@ -47,17 +47,23 @@ def load_algebra(path: PathLike) -> AlgebraTable:
     """Read an algebra file: elements, zero, optional unit, sum triples."""
     data = _read_json(path)
     try:
-        labels = list(data["elements"])
+        labels = data["elements"]
         zero_label = data["zero"]
         triples = data["sums"]
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from exc
+    if not isinstance(labels, list):
+        raise InputError(f"{path}: \"elements\" must be a list of labels")
+    if not all(isinstance(lab, str) for lab in labels):
+        raise InputError(f"{path}: element labels must be strings")
+    if not isinstance(triples, list):
+        raise InputError(f"{path}: \"sums\" must be a list of [x, y, z] triples")
     if len(set(labels)) != len(labels):
         raise InputError(f"{path}: duplicate element labels")
     index = {lab: i for i, lab in enumerate(labels)}
 
     def resolve(label: object) -> int:
-        if label not in index:
+        if not isinstance(label, str) or label not in index:
             raise InputError(f"{path}: unknown element label {label!r}")
         return index[label]
 

@@ -1,9 +1,19 @@
 """Exact rational feasibility solver for equality systems with sign bounds.
 
 Decides whether {A x = b, x >= 0} has a solution, entirely in Fraction
-arithmetic, via a phase-one primal simplex with Bland's anti-cycling rule.
-A brute-force basic-solution enumerator doubles as an independent oracle for
-small systems.
+arithmetic.  Every call starts with one exact elimination (`Echelon`) over
+the rows.  It keeps the original rows of a maximal independent subset, in
+their original order, and finds an inconsistent system (a row combination y
+with yᵀA = 0 and yᵀb != 0) without any simplex.  Before "inconsistent" is
+returned as None, y is rechecked against the original rows, just as a
+feasible point is rechecked against every row.  Only the kept rows enter a
+phase-one primal simplex with Bland's anti-cycling rule, so redundant rows
+cost no artificial column.
+
+Callers that solve many programs sharing their leading rows factor those
+rows once and pass the factorization in; each call then reduces only the
+rows that follow.  A brute-force basic-solution enumerator, built on the
+same elimination, doubles as an independent oracle for small systems.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError
+from .errors import ContractError, InputError
 
 Row = tuple[tuple[Fraction, ...], Fraction]
 
@@ -39,26 +49,146 @@ class LinearProgram:
     def satisfied_by(self, x: Sequence[Fraction]) -> bool:
         if len(x) != self.n_vars or any(v < 0 for v in x):
             return False
-        return all(sum(c * v for c, v in zip(coeffs, x)) == rhs
+        return all(sum(c * v for c, v in zip(coeffs, x) if c) == rhs
                    for coeffs, rhs in self.rows)
 
+    def refuted_by(self, y: dict[int, Fraction]) -> bool:
+        """True iff the row combination y (row index -> weight) reads
+        0 = c with c != 0, which proves the equalities have no solution."""
+        total = [Fraction(0)] * (self.n_vars + 1)
+        for i, w in y.items():
+            coeffs, rhs = self.rows[i]
+            for j, c in enumerate(coeffs + (rhs,)):
+                if c:
+                    total[j] += w * c
+        return not any(total[:-1]) and total[-1] != 0
 
-def lp_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
+
+def _support(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    return [(j, p) for j, p in enumerate(row) if p]
+
+
+def _sub(v: list[Fraction], f: Fraction, support: list[tuple[int, Fraction]]) -> list[Fraction]:
+    """v - f * p for p given by its nonzero entries: most entries are zero,
+    and each multiply by a zero Fraction still costs a gcd."""
+    out = v[:]
+    for j, p in support:
+        out[j] -= f * p
+    return out
+
+
+def _combine(y: dict[int, Fraction], f: Fraction, z: dict[int, Fraction]) -> None:
+    """y -= f * z on row-combination dicts, in place."""
+    for i, w in z.items():
+        y[i] = y.get(i, 0) - f * w
+
+
+class Echelon:
+    """Reduced row echelon form of a row sequence, built one row at a time.
+
+    kept holds the indices of the rows that are independent of the rows
+    before them: a maximal independent subset, in original order.  Each
+    echelon row is coefficients plus rhs, 1 at its pivot column and 0 at
+    every other pivot column, stored with the combination of original rows
+    that produces it.  A row that reduces to 0 = c with c != 0 stops the
+    elimination and leaves that combination in conflict.
+
+    Echelon rows are replaced, never changed in place, so `extended` can share
+    them with the factorization it starts from.
+    """
+
+    def __init__(self, n_cols: int) -> None:
+        self.n_cols = n_cols
+        self.source: tuple[Row, ...] = ()
+        self.kept: list[int] = []
+        self.pivots: list[int] = []
+        self.rows: list[list[Fraction]] = []
+        self.combos: list[dict[int, Fraction]] = []
+        self.conflict: Optional[dict[int, Fraction]] = None
+
+    @staticmethod
+    def of(rows: Sequence[Row], n_cols: int) -> "Echelon":
+        return Echelon(n_cols).extended(rows)
+
+    @property
+    def rank(self) -> int:
+        return len(self.kept)
+
+    def extended(self, rows: Sequence[Row]) -> "Echelon":
+        """A new factorization of self.source followed by rows."""
+        out = Echelon(self.n_cols)
+        out.kept, out.pivots = self.kept[:], self.pivots[:]
+        out.rows, out.combos = self.rows[:], self.combos[:]
+        out.conflict = self.conflict
+        out.source = self.source + tuple(rows)
+        for index in range(len(self.source), len(out.source)):
+            if out.conflict is not None:
+                break
+            out._add(index)
+        return out
+
+    def _add(self, index: int) -> None:
+        coeffs, rhs = self.source[index]
+        v = list(coeffs) + [rhs]
+        used = [(k, v[p]) for k, p in enumerate(self.pivots) if v[p]]
+        for k, f in used:
+            v = _sub(v, f, _support(self.rows[k]))
+        col = next((j for j in range(self.n_cols) if v[j]), None)
+        if col is None and not v[-1]:
+            return  # a combination of the rows kept so far
+        combo = {index: Fraction(1)}
+        for k, f in used:
+            _combine(combo, f, self.combos[k])
+        if col is None:
+            self.conflict = {i: w for i, w in combo.items() if w}
+            return
+        lead = v[col]
+        v = [a / lead if a else a for a in v]
+        combo = {i: w / lead for i, w in combo.items() if w}
+        support = _support(v)
+        for k, row in enumerate(self.rows):
+            f = row[col]
+            if f:
+                self.rows[k] = _sub(row, f, support)
+                update = dict(self.combos[k])
+                _combine(update, f, combo)
+                self.combos[k] = update
+        self.kept.append(index)
+        self.pivots.append(col)
+        self.rows.append(v)
+        self.combos.append(combo)
+
+
+def lp_feasible(program: LinearProgram,
+                factored: Optional[Echelon] = None) -> Optional[list[Fraction]]:
     """Return an exact feasible point of {rows hold, x >= 0}, or None.
 
-    Phase-one simplex: artificial variables start basic, their sum is driven
-    to zero.  Bland's rule (lowest eligible index for both the entering column
-    and, on ratio ties, the leaving basic variable) guarantees termination on
-    degenerate tableaus.
+    factored, when given, must be the factorization of the program's leading
+    rows; only the rows after them are reduced here.  An inconsistent system
+    returns None after its row combination is rechecked.  Otherwise
+    phase-one simplex runs on the kept rows: artificial variables start basic
+    and their sum is driven to zero.  Bland's rule (lowest eligible index for
+    both the entering column and, on ratio ties, the leaving basic variable)
+    guarantees termination on degenerate tableaus.
     """
     n = program.n_vars
-    m = len(program.rows)
+    if factored is None:
+        factored = Echelon(n)
+    lead = len(factored.source)
+    if factored.n_cols != n or program.rows[:lead] != factored.source:
+        raise ContractError("factorization does not match the program's leading rows")
+    echelon = factored.extended(program.rows[lead:])
+    if echelon.conflict is not None:
+        assert program.refuted_by(echelon.conflict)
+        return None
+    m = echelon.rank
     if m == 0:
         return [Fraction(0)] * n
 
     # Tableau rows: n structural columns, m artificial columns, then the rhs.
     tableau: list[list[Fraction]] = []
-    for i, (coeffs, rhs) in enumerate(program.rows):
+    for i, index in enumerate(echelon.kept):
+        coeffs, rhs = program.rows[index]
         sign = -1 if rhs < 0 else 1
         row = [sign * c for c in coeffs]
         row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
@@ -107,62 +237,14 @@ def lp_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
 def _pivot(tableau: list[list[Fraction]], cost: list[Fraction],
            basis: list[int], row: int, col: int) -> None:
     pivot = tableau[row][col]
-    tableau[row] = [v / pivot for v in tableau[row]]
+    tableau[row] = [v / pivot if v else v for v in tableau[row]]
+    support = _support(tableau[row])
     for i, other in enumerate(tableau):
-        if i != row and other[col] != 0:
-            factor = other[col]
-            tableau[i] = [v - factor * p for v, p in zip(other, tableau[row])]
-    if cost[col] != 0:
-        factor = cost[col]
-        cost[:] = [v - factor * p for v, p in zip(cost, tableau[row])]
+        if i != row and other[col]:
+            tableau[i] = _sub(other, other[col], support)
+    if cost[col]:
+        cost[:] = _sub(cost, cost[col], support)
     basis[row] = col
-
-
-def _rank_and_consistent(rows: Sequence[Row], n: int) -> tuple[int, bool]:
-    """Rank of the coefficient matrix and consistency of the full system,
-    by fraction-exact Gaussian elimination on the augmented matrix."""
-    aug = [list(coeffs) + [rhs] for coeffs, rhs in rows]
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        lead = aug[rank][col]
-        aug[rank] = [v / lead for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * p for v, p in zip(aug[r], aug[rank])]
-        rank += 1
-    consistent = all(any(row[c] != 0 for c in range(n)) or row[-1] == 0 for row in aug)
-    return rank, consistent
-
-
-def _solve_exact(columns: Sequence[int], rows: Sequence[Row]) -> Optional[list[Fraction]]:
-    """Unique exact solution of the system restricted to the given columns,
-    or None when inconsistent or underdetermined on those columns."""
-    k = len(columns)
-    aug = [[coeffs[c] for c in columns] + [rhs] for coeffs, rhs in rows]
-    rank = 0
-    where = []
-    for col in range(k):
-        pivot = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        lead = aug[rank][col]
-        aug[rank] = [v / lead for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * p for v, p in zip(aug[r], aug[rank])]
-        where.append(rank)
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][-1] != 0:
-            return None
-    return [aug[where[i]][-1] for i in range(k)]
 
 
 def basic_solution_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
@@ -173,18 +255,23 @@ def basic_solution_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
     Exponential in the variable count; intended for small cross-checks only.
     """
     n = program.n_vars
-    rank, consistent = _rank_and_consistent(program.rows, n)
-    if not consistent:
+    full = Echelon.of(program.rows, n)
+    if full.conflict is not None:
         return None
-    if rank == 0:
+    if full.rank == 0:
         return [Fraction(0)] * n
-    for columns in itertools.combinations(range(n), rank):
-        solution = _solve_exact(columns, program.rows)
-        if solution is None or any(v < 0 for v in solution):
+    for columns in itertools.combinations(range(n), full.rank):
+        # These columns carry a basic solution iff each one becomes a pivot
+        # and the restricted system stays consistent; it is then unique.
+        restricted = Echelon.of([(tuple(coeffs[c] for c in columns), rhs)
+                                 for coeffs, rhs in program.rows], len(columns))
+        if restricted.conflict is not None or restricted.rank < len(columns):
             continue
         x = [Fraction(0)] * n
-        for c, v in zip(columns, solution):
-            x[c] = v
+        for pivot, row in zip(restricted.pivots, restricted.rows):
+            x[columns[pivot]] = row[-1]
+        if any(v < 0 for v in x):
+            continue
         assert program.satisfied_by(x)
         return x
     return None

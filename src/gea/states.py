@@ -4,6 +4,8 @@ A generalized state assigns a nonnegative rational to every element, is zero
 at zero, and is additive over every defined sum.  States form a cone, so a
 strict inequality s(a) > s(b) can always be normalized to s(a) - s(b) = 1;
 that normalization is what makes each witness search a single feasibility LP.
+A search builds and factors the additivity rows of its table once; each pair
+LP then adds and reduces only its normalization row.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import AlgebraTable, OrderRelation, induced_order, require_gea
+from .algebra import AlgebraTable, induced_order, require_gea
 from .errors import ContractError, InputError
-from .lp import LinearProgram, lp_feasible
+from .lp import Echelon, LinearProgram, lp_feasible
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ def additivity_program(table: AlgebraTable,
                        extra_rows: Sequence[tuple[dict[int, Fraction], Fraction]] = ()) -> LinearProgram:
     """LP over one variable per nonzero element: one additivity row per
     defined sum (deduplicated), plus caller-supplied rows keyed by element."""
-    var_of = {e: i for i, e in enumerate(x for x in range(table.n) if x != table.zero)}
+    var_of = _variables(table)
     n_vars = len(var_of)
     rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
     seen = set()
@@ -87,14 +89,22 @@ def additivity_program(table: AlgebraTable,
         if any(key) and key not in seen:
             seen.add(key)
             rows.append((key, Fraction(0)))
-    for weights, rhs in extra_rows:
-        coeffs = [Fraction(0)] * n_vars
-        for element, w in weights.items():
-            if element == table.zero:
-                continue  # s(0) = 0, the variable is eliminated
-            coeffs[var_of[element]] += Fraction(w)
-        rows.append((tuple(coeffs), Fraction(rhs)))
+    rows.extend(_extra_row(var_of, table.zero, weights, rhs) for weights, rhs in extra_rows)
     return LinearProgram(n_vars, tuple(rows))
+
+
+def _variables(table: AlgebraTable) -> dict[int, int]:
+    return {e: i for i, e in enumerate(x for x in range(table.n) if x != table.zero)}
+
+
+def _extra_row(var_of: dict[int, int], zero: int, weights: dict[int, Fraction],
+               rhs: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
+    coeffs = [Fraction(0)] * len(var_of)
+    for element, w in weights.items():
+        if element == zero:
+            continue  # s(0) = 0, the variable is eliminated
+        coeffs[var_of[element]] += Fraction(w)
+    return tuple(coeffs), Fraction(rhs)
 
 
 def state_from_solution(table: AlgebraTable, x: Sequence[Fraction]) -> GeneralizedState:
@@ -105,14 +115,27 @@ def state_from_solution(table: AlgebraTable, x: Sequence[Fraction]) -> Generaliz
     return GeneralizedState(tuple(values))
 
 
-def _solve_for_state(table: AlgebraTable,
-                     extra_rows: Sequence[tuple[dict[int, Fraction], Fraction]]) -> Optional[GeneralizedState]:
-    solution = lp_feasible(additivity_program(table, extra_rows))
-    if solution is None:
-        return None
-    state = state_from_solution(table, solution)
-    state.validate(table)
-    return state
+class _Additivity:
+    """The additivity rows of one table, built and factored once.  Every
+    witness LP of a search is these rows plus one normalization row."""
+
+    def __init__(self, table: AlgebraTable) -> None:
+        self.table = table
+        self.var_of = _variables(table)
+        self.program = additivity_program(table)
+        self.echelon = Echelon.of(self.program.rows, self.program.n_vars)
+
+    def witness(self, lo: int, hi: int) -> Optional[GeneralizedState]:
+        """A generalized state with s(lo) - s(hi) = 1, or None."""
+        row = _extra_row(self.var_of, self.table.zero,
+                         {lo: Fraction(1), hi: Fraction(-1)}, Fraction(1))
+        program = LinearProgram(self.program.n_vars, self.program.rows + (row,))
+        solution = lp_feasible(program, self.echelon)
+        if solution is None:
+            return None
+        state = state_from_solution(self.table, solution)
+        state.validate(self.table)
+        return state
 
 
 def find_order_witness(a: int, b: int, table: AlgebraTable) -> Optional[GeneralizedState]:
@@ -120,16 +143,10 @@ def find_order_witness(a: int, b: int, table: AlgebraTable) -> Optional[Generali
     s(a) > s(b).  Calling with a <= b is a contract error: additivity forces
     s(a) <= s(b) there, so no witness can exist."""
     require_gea(table)
-    order = induced_order(table, checked=True)
-    return _order_witness(table, order, a, b)
-
-
-def _order_witness(table: AlgebraTable, order: OrderRelation,
-                   a: int, b: int) -> Optional[GeneralizedState]:
-    if order.leq(a, b):
+    if induced_order(table, checked=True).leq(a, b):
         raise ContractError(
             f"{table.elements[a]} <= {table.elements[b]}: order witness impossible")
-    return _solve_for_state(table, [({a: Fraction(1), b: Fraction(-1)}, Fraction(1))])
+    return _Additivity(table).witness(a, b)
 
 
 def find_separating_state(a: int, b: int, table: AlgebraTable) -> Optional[GeneralizedState]:
@@ -139,13 +156,12 @@ def find_separating_state(a: int, b: int, table: AlgebraTable) -> Optional[Gener
     if a == b:
         raise ContractError("separation needs two distinct elements")
     require_gea(table)
-    return _separating_state(table, a, b)
+    return _separating_state(_Additivity(table), a, b)
 
 
-def _separating_state(table: AlgebraTable, a: int, b: int) -> Optional[GeneralizedState]:
+def _separating_state(system: _Additivity, a: int, b: int) -> Optional[GeneralizedState]:
     for lo, hi in ((a, b), (b, a)):
-        witness = _solve_for_state(
-            table, [({lo: Fraction(1), hi: Fraction(-1)}, Fraction(1))])
+        witness = system.witness(lo, hi)
         if witness is not None:
             return witness
     return None
@@ -170,6 +186,7 @@ def order_determining_set(table: AlgebraTable) -> StateWitnessSet:
     """
     require_gea(table)
     order = induced_order(table, checked=True)
+    system = _Additivity(table)
     witnesses = StateWitnessSet(goal="order")
     for a, b in order.pairs_not_leq():
         covering = next((slot for slot, s in enumerate(witnesses.states)
@@ -177,7 +194,7 @@ def order_determining_set(table: AlgebraTable) -> StateWitnessSet:
         if covering is not None:
             witnesses.provenance[(a, b)] = covering
             continue
-        state = _order_witness(table, order, a, b)
+        state = system.witness(a, b)
         if state is None:
             witnesses.failures.append((a, b))
         else:
@@ -188,6 +205,7 @@ def order_determining_set(table: AlgebraTable) -> StateWitnessSet:
 def separating_set(table: AlgebraTable) -> StateWitnessSet:
     """Per-pair separating witnesses over unordered pairs a < b."""
     require_gea(table)
+    system = _Additivity(table)
     witnesses = StateWitnessSet(goal="separate")
     for a in range(table.n):
         for b in range(a + 1, table.n):
@@ -196,7 +214,7 @@ def separating_set(table: AlgebraTable) -> StateWitnessSet:
             if covering is not None:
                 witnesses.provenance[(a, b)] = covering
                 continue
-            state = _separating_state(table, a, b)
+            state = _separating_state(system, a, b)
             if state is None:
                 witnesses.failures.append((a, b))
             else:

@@ -117,6 +117,12 @@ class TestRepresent:
                                "--goal", "order", "--seed", "9")
         assert explicit["representation"]["verification"]["seed"] == 9
 
+    def test_malformed_seed_env_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("GEA_SEED", "abc")
+        code, report = run_json(capsys, "represent", cpath("excd"), "--goal", "order")
+        assert code == 2
+        assert "GEA_SEED" in report["error"]
+
 
 class TestMorphism:
     def test_identity_all_flags(self, capsys):

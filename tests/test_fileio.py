@@ -52,6 +52,18 @@ def test_unknown_label_rejected(tmp_path):
         load_algebra(path)
 
 
+@pytest.mark.parametrize("shape", [
+    {"elements": ["0", "a"], "zero": "0", "sums": 5},
+    {"elements": [["a"], "b"], "zero": "b", "sums": []},
+    {"elements": "0a", "zero": "0", "sums": []},
+], ids=["sums-not-a-list", "label-not-a-string", "elements-not-a-list"])
+def test_malformed_table_shapes_rejected(tmp_path, shape):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(shape))
+    with pytest.raises(InputError):
+        load_algebra(path)
+
+
 def test_morphism_must_be_total(tmp_path, diamond):
     table_path = tmp_path / "t.json"
     save_algebra(diamond, table_path)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from gea import corpus
 from gea.algebra import induced_order
 from gea.errors import ContractError, InputError
+from gea import states
 from gea.generate import random_population
-from gea.states import (GeneralizedState, bound_constant, find_order_witness,
-                        find_separating_state, normalize_state,
-                        order_determining_set, separating_set)
+from gea.lp import lp_feasible
+from gea.states import (GeneralizedState, additivity_program, bound_constant,
+                        find_order_witness, find_separating_state, normalize_state,
+                        order_determining_set, separating_set, state_from_solution)
 
 
 def values(state):
@@ -112,6 +114,32 @@ class TestWitnessSets:
             vectors = [witnesses.value_vector(a) for a in range(table.n)]
             injective = len(set(vectors)) == table.n
             assert witnesses.ok == injective
+
+
+class TestFactoredSearch:
+    def test_factored_search_matches_unfactored_lp(self, valid_corpus, monkeypatch):
+        solved = []
+        witness = states._Additivity.witness
+
+        def recording(system, lo, hi):
+            state = witness(system, lo, hi)
+            solved.append((system.table, lo, hi, state))
+            return state
+
+        monkeypatch.setattr(states._Additivity, "witness", recording)
+        for table in valid_corpus.values():
+            order_determining_set(table)
+            separating_set(table)
+        assert len(solved) > 30
+        assert any(state is None for *_, state in solved)
+        for table, lo, hi, state in solved:
+            program = additivity_program(table, [({lo: Fraction(1), hi: Fraction(-1)},
+                                                   Fraction(1))])
+            solution = lp_feasible(program)
+            if solution is None:
+                assert state is None, (table.elements, lo, hi)
+            else:
+                assert state == state_from_solution(table, solution), (table.elements, lo, hi)
 
 
 class TestStateInvariants:
