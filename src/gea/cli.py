@@ -24,9 +24,8 @@ from . import effects, fileio
 from .algebra import (AlgebraTable, check_ea_axioms, check_gea_axioms,
                       classify_morphism, induced_order)
 from .errors import ContractError, InputError
-from .represent import (bounded_by, build_representation, operator_norm,
-                        random_rational_vector, vector_state, verify_injective,
-                        verify_morphism, verify_order_reflecting)
+from .represent import (build_representation, operator_norm, sampled_check,
+                        verify_injective, verify_morphism, verify_order_reflecting)
 from .states import StateWitnessSet, order_determining_set, separating_set
 
 EXIT_OK = 0
@@ -112,11 +111,10 @@ def _load_checked(path: str) -> tuple[AlgebraTable, dict]:
 
 
 def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
-    table = fileio.load_algebra(args.path)
+    table, stage = _load_checked(args.path)
     report = _base_report(args, args.path)
-    gea = check_gea_axioms(table)
-    report["gea"] = _axiom_stage(gea)
-    failed = not gea.passed
+    report["gea"] = stage
+    failed = not stage["passed"]
     if args.ea:
         ea = check_ea_axioms(table)
         report["ea"] = _axiom_stage(ea)
@@ -165,21 +163,15 @@ def _verified_representation(table: AlgebraTable, witnesses: StateWitnessSet,
     injective, _ = verify_injective(rep)
     order_reflecting, _ = verify_order_reflecting(rep, table)
 
-    rng = random.Random(seed)
-    sampled_ok = True
-    for element in range(table.n):
-        norm = operator_norm(rep, element)
-        for _ in range(SAMPLE_VECTORS):
-            x = random_rational_vector(rng, rep.m)
-            if vector_state(rep, x, element) < 0 or not bounded_by(rep, element, norm, x):
-                sampled_ok = False
+    norms = [operator_norm(rep, a) for a in range(table.n)]
+    sampled_ok = sampled_check(rep, random.Random(seed), SAMPLE_VECTORS, norms)
 
     verification = {
         "morphism": morphism.passed,
         "injective": injective,
         "order_reflecting": order_reflecting,
-        "bounds": {table.elements[a]: fileio.frac_str(operator_norm(rep, a))
-                   for a in range(table.n)},
+        "bounds": {label: fileio.frac_str(norm)
+                   for label, norm in zip(table.elements, norms)},
         "sampled_vectors": SAMPLE_VECTORS,
         "seed": seed,
         "sampled_ok": sampled_ok,

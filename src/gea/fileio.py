@@ -138,16 +138,29 @@ def representation_to_json(rep: DiagonalRep, verification: dict) -> dict:
     }
 
 
+def _float_matrix(path: PathLike, key: str, value: object, dim: int) -> np.ndarray:
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {key!r} must be a {dim}x{dim} array of numbers") from exc
+    if arr.shape != (dim, dim):
+        raise InputError(f"{path}: re/im must be {dim}x{dim}")
+    if not np.isfinite(arr).all():
+        raise InputError(f"{path}: {key!r} has a non-finite entry")
+    return arr
+
+
 def load_matrix(path: PathLike) -> EffectMatrix:
     data = _read_json(path)
     try:
-        dim = int(data["dim"])
-        re = np.array(data["re"], dtype=float)
+        dim = data["dim"]
+        re_data = data["re"]
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from exc
-    im = np.array(data.get("im", np.zeros((dim, dim))), dtype=float)
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise InputError(f"{path}: re/im must be {dim}x{dim}")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise InputError(f"{path}: \"dim\" must be a positive integer, got {dim!r}")
+    re = _float_matrix(path, "re", re_data, dim)
+    im = _float_matrix(path, "im", data["im"], dim) if "im" in data else np.zeros((dim, dim))
     return EffectMatrix(re + 1j * im)
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import lcm
+from typing import Optional, Sequence
 
 from .algebra import AlgebraTable, induced_order, require_gea
 from .errors import InputError
@@ -139,8 +140,8 @@ def operator_norm(rep: DiagonalRep, a: int) -> Fraction:
     """Operator norm of the diagonal phi(a): its largest entry.
 
     The bound ||phi(a) x|| <= norm * ||x|| is attained at the basis vector of
-    an argmax slot, which is asserted here; sampled-vector checks live in the
-    verification helpers.
+    an argmax slot, which is asserted here; sampled_check tests it on
+    sampled vectors.
     """
     entries = rep.operators[a]
     if not entries:
@@ -171,6 +172,36 @@ def vector_state(rep: DiagonalRep, x: FiniteVector, a: int) -> Fraction:
 def bounded_by(rep: DiagonalRep, a: int, norm: Fraction, x: FiniteVector) -> bool:
     """Exact check of ||phi(a) x||^2 <= norm^2 ||x||^2 (squares avoid roots)."""
     return apply_operator(rep, a, x).norm_sq() <= norm * norm * x.norm_sq()
+
+
+def sampled_check(rep: DiagonalRep, rng: random.Random, count: int,
+                  norms: Sequence[Fraction]) -> bool:
+    """For each element a in turn, draw count vectors x exactly as
+    random_rational_vector does and check <x, phi(a) x> >= 0 and
+    ||phi(a) x||^2 <= norms[a]^2 ||x||^2.
+
+    The arithmetic is in integers: x is scaled by 12 and phi(a) and norms[a]
+    by the lcm of their denominators.  Both inequalities are homogeneous, so
+    every vector gets the verdict vector_state and bounded_by would give it.
+    Returns False at the first vector that fails.
+    """
+    randrange = rng.randrange  # randint(a, b) is randrange(a, b + 1)
+    for a, entries in enumerate(rep.operators):
+        norm = norms[a]
+        scale = lcm(norm.denominator, *(e.denominator for e in entries))
+        diagonal = [e.numerator * (scale // e.denominator) for e in entries]
+        bound_sq = (norm.numerator * (scale // norm.denominator)) ** 2
+        for _ in range(count):
+            state = norm_sq = image_sq = 0
+            for e in diagonal:
+                q = randrange(1, 5)
+                c2 = (randrange(-5 * q, 5 * q + 1) * (12 // q)) ** 2  # (12 p/q)^2
+                state += e * c2
+                norm_sq += c2
+                image_sq += e * e * c2
+            if state < 0 or image_sq > bound_sq * norm_sq:
+                return False
+    return True
 
 
 def extract_states(rep: DiagonalRep) -> list[GeneralizedState]:

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gea import corpus
-from gea.algebra import (AlgebraTable, MorphismSpec, check_ea_axioms, check_gea_axioms,
-                         classify_morphism, induced_order, is_sub_gea)
+from gea.algebra import (AlgebraTable, MorphismSpec, Violation, check_ea_axioms,
+                         check_gea_axioms, classify_morphism, induced_order, is_sub_gea)
 from gea.errors import ContractError, InputError
 from gea.generate import random_population
 
@@ -79,6 +81,58 @@ class TestGeaAxioms:
         t = table(["0", "a"], {(0, 0): 0})
         report = check_gea_axioms(t)
         assert "GE5" in report.failed_axioms()
+
+
+def dense_associativity(table, axiom_id):
+    """Reference scan of every triple (x, y, z) in lexicographic order."""
+    out = []
+    lab = table.elements
+    n = table.n
+    for x in range(n):
+        for y in range(n):
+            xy = table.sum_of(x, y)
+            for z in range(n):
+                left = table.sum_of(xy, z) if xy is not None else None
+                yz = table.sum_of(y, z)
+                right = table.sum_of(x, yz) if yz is not None else None
+                left_defined = xy is not None and left is not None
+                right_defined = yz is not None and right is not None
+                if left_defined != right_defined:
+                    side = "left" if left_defined else "right"
+                    out.append(Violation(axiom_id, (x, y, z),
+                                         f"only the {side} side of ({lab[x]}+{lab[y]})+{lab[z]} is defined"))
+                elif left_defined and left != right:
+                    out.append(Violation(axiom_id, (x, y, z),
+                                         f"({lab[x]}+{lab[y]})+{lab[z]}={lab[left]} but "
+                                         f"{lab[x]}+({lab[y]}+{lab[z]})={lab[right]}"))
+    return out
+
+
+@st.composite
+def partial_tables(draw):
+    """Tables on n <= 8 elements with zero 0 and unit n - 1: either a chain
+    with sums dropped (one-sided and half-defined triples) and overwritten
+    (mismatched sides), or an arbitrary partial operation."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    index = st.integers(min_value=0, max_value=n - 1)
+    if draw(st.booleans()):
+        sums = {(i, j): i + j for i in range(n) for j in range(n) if i + j < n}
+        for pair in draw(st.lists(st.sampled_from(sorted(sums)), max_size=4)):
+            sums.pop(pair, None)
+        sums.update(draw(st.dictionaries(st.tuples(index, index), index, max_size=3)))
+    else:
+        sums = draw(st.dictionaries(st.tuples(index, index), index, max_size=n * n))
+    return AlgebraTable(tuple(f"e{i}" for i in range(n)), 0, sums, n - 1)
+
+
+class TestAssociativityScan:
+    @settings(max_examples=300, deadline=None)
+    @given(partial_tables())
+    def test_matches_dense_scan(self, t):
+        gea = [v for v in check_gea_axioms(t).violations if v.axiom == "GE2"]
+        ea = [v for v in check_ea_axioms(t).violations if v.axiom == "E2"]
+        assert gea == dense_associativity(t, "GE2")
+        assert ea == dense_associativity(t, "E2")
 
 
 class TestEaAxioms:

@@ -175,6 +175,22 @@ class TestEffects:
         code, _ = run_json(capsys, "effects", "check", str(bad))
         assert code == 2
 
+    def test_non_integer_dim_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        for dim in ('"x"', "1.5", "true", "[1]", "-1", "0"):
+            bad.write_text(f'{{"dim": {dim}, "re": [[1]]}}')
+            code, report = run_json(capsys, "effects", "check", str(bad))
+            assert code == 2 and "dim" in report["error"], dim
+
+    def test_non_finite_or_non_numeric_entry_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        for body in ('"re": [[NaN]]', '"re": [[Infinity]]',
+                     '"re": [[1]], "im": [[-Infinity]]', '"re": [[null]]',
+                     '"re": [["x"]]', '"re": [[{}]]'):
+            bad.write_text(f'{{"dim": 1, {body}}}')
+            code, report = run_json(capsys, "effects", "check", str(bad))
+            assert code == 2 and "error" in report, body
+
 
 class TestHumanOutput:
     def test_text_report_prints_same_content(self, capsys):

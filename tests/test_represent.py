@@ -6,8 +6,9 @@ import pytest
 from gea.errors import InputError
 from gea.represent import (DiagonalRep, FiniteVector, apply_operator, bounded_by,
                            build_representation, entrywise_leq, extract_states,
-                           operator_norm, random_rational_vector, vector_state,
-                           verify_injective, verify_morphism, verify_order_reflecting)
+                           operator_norm, random_rational_vector, sampled_check,
+                           vector_state, verify_injective, verify_morphism,
+                           verify_order_reflecting)
 from gea.states import (GeneralizedState, StateWitnessSet, order_determining_set,
                         separating_set)
 from gea.lp import lp_feasible
@@ -159,6 +160,60 @@ class TestNormsAndVectorStates:
                 norm = operator_norm(rep, a)
                 for _ in range(25):
                     assert bounded_by(rep, a, norm, random_rational_vector(rng, rep.m))
+
+
+def fraction_sampled_check(rep, rng, count, norms):
+    """Reference for sampled_check in Fractions, over every sampled vector."""
+    ok = True
+    for a in range(len(rep.operators)):
+        for _ in range(count):
+            x = random_rational_vector(rng, rep.m)
+            if vector_state(rep, x, a) < 0 or not bounded_by(rep, a, norms[a], x):
+                ok = False
+    return ok
+
+
+def diagonal_rep(*operators):
+    elements = tuple(f"e{i}" for i in range(len(operators)))
+    slots = tuple(f"s{i}" for i in range(len(operators[0])))
+    return DiagonalRep(elements, 0, slots,
+                       tuple(tuple(map(Fraction, op)) for op in operators))
+
+
+def norms_of(rep):
+    return [operator_norm(rep, a) for a in range(len(rep.operators))]
+
+
+class TestSampledCheck:
+    def agree(self, rep, norms, seed, count=20):
+        expected = fraction_sampled_check(rep, random.Random(seed), count, norms)
+        assert sampled_check(rep, random.Random(seed), count, norms) == expected
+        return expected
+
+    def test_corpus_representations(self, valid_corpus):
+        for table in valid_corpus.values():
+            for search in (order_determining_set, separating_set):
+                rep = build_representation(table, search(table))
+                for seed in (0, 1, 7):
+                    assert self.agree(rep, norms_of(rep), seed)
+
+    def test_fractional_entries(self):
+        rep = diagonal_rep((0, 0, 0), ("1/3", "2/7", "0"), ("2/3", "4/7", "5/11"),
+                           ("1", "6/7", "5/11"))
+        for seed in range(5):
+            assert self.agree(rep, norms_of(rep), seed)
+
+    def test_negative_entry_fails(self):
+        # |-1/3| is below the norm 1/2, so only the positivity test can fail.
+        rep = diagonal_rep((0, 0), ("1/3", "2/7"), ("-1/3", "1/2"))
+        for seed in range(5):
+            assert not self.agree(rep, norms_of(rep), seed)
+
+    def test_norm_below_largest_entry_fails(self):
+        rep = diagonal_rep((0, 0), ("1/3", "2/7"))
+        for seed in range(5):
+            assert not self.agree(rep, [Fraction(0), Fraction(1, 4)], seed)
+            assert self.agree(rep, [Fraction(0), Fraction(3, 8)], seed)
 
 
 class TestRoundTrip:
