@@ -248,10 +248,13 @@ def cmd_effects(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         report["witness"] = {"re": witness.real.tolist(), "im": witness.imag.tolist()}
         report["a_below_b"] = False
-        report["inner_products"] = {
-            "a": effects.generalized_vector_state(witness, a),
-            "b": effects.generalized_vector_state(witness, b),
-        }
+        inner_a = effects.generalized_vector_state(witness, a)
+        inner_b = effects.generalized_vector_state(witness, b)
+        report["inner_products"] = {"a": inner_a, "b": inner_b}
+        if not inner_a - inner_b > 0:
+            report["verdict"] = ("verification failed: <x,Ax> - <x,Bx> = "
+                                 f"{inner_a - inner_b!r} is not positive")
+            return report, EXIT_FAIL
     return report, EXIT_OK
 
 

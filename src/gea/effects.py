@@ -1,15 +1,14 @@
 """Concrete finite-dimensional models: effects and positive operators on C^d.
 
-Positivity and the partial effect sum are decided spectrally.  The
-eigensolver is a cyclic Jacobi iteration run on the real symmetric 2d x 2d
-embedding [[Re A, -Im A], [Im A, Re A]] of a Hermitian matrix; every
-eigenvalue of A shows up twice there and eigenvectors split back into real
-and imaginary parts.
+Positivity and the partial effect sum are decided spectrally, from the
+eigenvalues of the Hermitian matrix as LAPACK computes them through
+``numpy.linalg.eigh``; each eigenvalue appears once, in ascending order.
+Matrix entries must be finite, so an overflowing sum or difference is
+rejected as input out of range instead of yielding a NaN verdict.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +39,9 @@ class EffectMatrix:
         arr = np.asarray(self.mat, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InputError("effect matrices must be square")
+        if not np.isfinite(arr).all():
+            raise InputError("matrix entries must be finite; a sum or difference "
+                             "of finite inputs can overflow double precision")
         object.__setattr__(self, "mat", arr)
 
     @property
@@ -52,7 +54,7 @@ class EffectMatrix:
 
 def _require_hermitian(a: EffectMatrix) -> None:
     defect = a.hermitian_defect()
-    if defect > a.hermitian_tol:
+    if not defect <= a.hermitian_tol:
         raise InputError(f"matrix is not Hermitian (defect {defect:.3e})")
 
 
@@ -61,63 +63,18 @@ def _require_same_dim(a: EffectMatrix, b: EffectMatrix) -> None:
         raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def jacobi_eigh(sym: np.ndarray, sweep_tol: float = 1e-14,
-                max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a real symmetric matrix.
-
-    Returns eigenvalues in ascending order and the matching orthonormal
-    eigenvectors as columns.
-    """
-    a = np.array(sym, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, float(np.sum(a * a) - np.sum(np.diag(a) ** 2))))
-        if off <= sweep_tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for mat, rows in ((a, True), (a, False), (v, False)):
-                    if rows:
-                        col_p, col_q = mat[p, :].copy(), mat[q, :].copy()
-                        mat[p, :] = c * col_p - s * col_q
-                        mat[q, :] = s * col_p + c * col_q
-                    else:
-                        col_p, col_q = mat[:, p].copy(), mat[:, q].copy()
-                        mat[:, p] = c * col_p - s * col_q
-                        mat[:, q] = s * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-    eigvals = np.diag(a).copy()
-    order = np.argsort(eigvals, kind="stable")
-    return eigvals[order], v[:, order]
-
-
-def _real_embedding(mat: np.ndarray) -> np.ndarray:
-    x, y = mat.real, mat.imag
-    return np.block([[x, -y], [y, x]])
-
-
 def hermitian_spectrum(a: EffectMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, each twice) and complex eigenvectors (columns)
-    of a Hermitian matrix, via the real embedding."""
+    """Eigenvalues (ascending, each once) and orthonormal eigenvectors
+    (columns) of a Hermitian matrix, by ``numpy.linalg.eigh``.
+
+    eigh reads one triangle only, so it gets the Hermitian part (A + A^H)/2,
+    halved before the sum so that entries near the float maximum cannot
+    overflow.  A spectrum that overflows is rejected as input out of range.
+    """
     _require_hermitian(a)
-    w, v = jacobi_eigh(_real_embedding(a.mat))
-    d = a.dim
-    vectors = v[:d, :] + 1j * v[d:, :]
+    w, vectors = np.linalg.eigh(a.mat / 2 + a.mat.conj().T / 2)
+    if not np.isfinite(w).all():
+        raise InputError("matrix spectrum overflows double precision")
     return w, vectors
 
 
@@ -158,7 +115,9 @@ def vector_witness(a: EffectMatrix, b: EffectMatrix) -> Optional[np.ndarray]:
     """Unit vector x with <x, A x> > <x, B x> when A is not below B.
 
     Returns None exactly when B - A is positive.  The witness is an
-    eigenvector of B - A for its most negative eigenvalue.
+    eigenvector of B - A for its most negative eigenvalue, in the phase that
+    makes its largest-modulus coordinate (the first, on ties) real and
+    positive, so it does not depend on the LAPACK build's phase convention.
     """
     _require_same_dim(a, b)
     diff = EffectMatrix(b.mat - a.mat, a.hermitian_tol, a.psd_tol)
@@ -166,7 +125,10 @@ def vector_witness(a: EffectMatrix, b: EffectMatrix) -> Optional[np.ndarray]:
     if w[0] >= -diff.psd_tol:
         return None
     x = vectors[:, 0]
-    return x / np.linalg.norm(x)
+    k = int(np.argmax(np.abs(x)))
+    x = x * (abs(x[k]) / x[k])
+    x[k] = abs(x[k])  # the rotation leaves a rounding-level imaginary part
+    return x
 
 
 def generalized_vector_state(x: np.ndarray, a: EffectMatrix) -> float:

@@ -170,7 +170,7 @@ def test_criterion_6_lp_oracle_equivalence(valid_corpus):
 def test_criterion_7_operator_model_consistency():
     start = time.monotonic()
     ok = True
-    for dim in (2, 3, 4):
+    for dim in (2, 3, 4, 8, 16):
         rng = random.Random(1000 + dim)
         for trial in range(200):
             a = random_positive_matrix(rng, dim)
@@ -193,7 +193,7 @@ def test_criterion_7_operator_model_consistency():
             if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs), abs(rhs)):
                 ok = False
     elapsed = time.monotonic() - start
-    _verdict(7, "vector witness and additivity at d in {2,3,4}", ok, elapsed)
+    _verdict(7, "vector witness and additivity at d in {2,3,4,8,16}", ok, elapsed)
     assert ok
 
 

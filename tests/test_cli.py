@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from gea import corpus
 from gea.cli import main
@@ -149,6 +150,32 @@ class TestEffects:
         assert code == 0
         assert abs(report["inner_products"]["a"] - 2.0) < 1e-9
         assert abs(report["inner_products"]["b"] - 1.0) < 1e-9
+        assert report["witness"] == {"re": [1.0, 0.0], "im": [0.0, 0.0]}
+
+    def test_witness_that_fails_its_self_check_exits_one(self, capsys, tmp_path):
+        # At 1e16 the float spacing is 2, so the reported inner products of
+        # the true witness (1, -1)/sqrt(2) round to the same value.
+        path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+        save_matrix(EffectMatrix(np.array([[1e16, 0.0], [0.0, 1e16]])), path_a)
+        save_matrix(EffectMatrix(np.array([[1e16, 1.0], [1.0, 1e16]])), path_b)
+        code, report = run_json(capsys, "effects", "witness", str(path_a), str(path_b))
+        assert code == 1 and report["exit"] == 1
+        assert not report["inner_products"]["a"] - report["inner_products"]["b"] > 0
+        assert report["verdict"].startswith("verification failed")
+
+    def test_overflowing_matrices_exit_two(self, capsys, tmp_path):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"dim": 2, "re": [[1e308, 1e308], [1e308, 1e308]]}')
+        code, report = run_json(capsys, "effects", "check", str(huge))
+        assert code == 2 and "overflows" in report["error"]
+        pos, neg = tmp_path / "pos.json", tmp_path / "neg.json"
+        pos.write_text('{"dim": 1, "re": [[1e308]]}')
+        neg.write_text('{"dim": 1, "re": [[-1e308]]}')
+        for first, second in ((neg, pos), (pos, neg)):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                code, report = run_json(capsys, "effects", "witness",
+                                        str(first), str(second))
+            assert code == 2 and "finite" in report["error"]
 
     def test_witness_none_when_below(self, capsys, tmp_path):
         zero = tmp_path / "zero.json"
