@@ -12,6 +12,7 @@ malformed input, 3 no witness set exists for the requested goal.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -267,8 +268,10 @@ def _env_seed() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # The shared flags are accepted both before and after the subcommand;
-    # SUPPRESS keeps a post-command occurrence from clobbering a pre-command one.
+    # The shared flags are accepted both before and after the subcommand.
+    # Every parser shares the same two actions, so their default must stay
+    # SUPPRESS: any other default would be written by the subcommand's parser
+    # over a pre-command occurrence.  main fills in the defaults.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit the machine-readable report")
@@ -280,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         description="Decide representability of finite generalized effect algebras "
                     "and build verified diagonal operator representations.")
-    parser.set_defaults(json=False, seed=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common], help="verify the axioms of a table file")
@@ -330,13 +332,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: building it costs more
+    than parsing, and parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.command_echo = "gea " + " ".join(argv)
+    args.json = getattr(args, "json", False)
     try:
-        if args.seed is None:
+        if getattr(args, "seed", None) is None:
             args.seed = _env_seed()
         report, code = args.func(args)
     except InputError as exc:

@@ -49,7 +49,10 @@ class EffectMatrix:
         return self.mat.shape[0]
 
     def hermitian_defect(self) -> float:
-        return float(np.max(np.abs(self.mat - self.mat.conj().T)))
+        # Entries of opposite sign near the float maximum give an infinite
+        # defect, which no tolerance accepts.
+        with np.errstate(over="ignore"):
+            return float(np.max(np.abs(self.mat - self.mat.conj().T)))
 
 
 def _require_hermitian(a: EffectMatrix) -> None:
@@ -108,7 +111,9 @@ def gdh_sum(a: EffectMatrix, b: EffectMatrix) -> EffectMatrix:
     _require_same_dim(a, b)
     if not (is_positive(a) and is_positive(b)):
         raise InputError("gdh_sum needs two positive operators")
-    return EffectMatrix(a.mat + b.mat, a.hermitian_tol, a.psd_tol)
+    with np.errstate(over="ignore"):  # an infinite entry is rejected below
+        total = a.mat + b.mat
+    return EffectMatrix(total, a.hermitian_tol, a.psd_tol)
 
 
 def vector_witness(a: EffectMatrix, b: EffectMatrix) -> Optional[np.ndarray]:
@@ -120,7 +125,9 @@ def vector_witness(a: EffectMatrix, b: EffectMatrix) -> Optional[np.ndarray]:
     positive, so it does not depend on the LAPACK build's phase convention.
     """
     _require_same_dim(a, b)
-    diff = EffectMatrix(b.mat - a.mat, a.hermitian_tol, a.psd_tol)
+    with np.errstate(over="ignore"):  # an infinite entry is rejected below
+        diff = b.mat - a.mat
+    diff = EffectMatrix(diff, a.hermitian_tol, a.psd_tol)
     w, vectors = hermitian_spectrum(diff)
     if w[0] >= -diff.psd_tol:
         return None

@@ -56,6 +56,11 @@ def load_algebra(path: PathLike) -> AlgebraTable:
         raise InputError(f"{path}: \"elements\" must be a list of labels")
     if not all(isinstance(lab, str) for lab in labels):
         raise InputError(f"{path}: element labels must be strings")
+    comma = next((lab for lab in labels if "," in lab), None)
+    if comma is not None:
+        # Reports key element pairs as "a,b", which a comma in a label
+        # would make ambiguous.
+        raise InputError(f"{path}: element label {comma!r} contains ','")
     if not isinstance(triples, list):
         raise InputError(f"{path}: \"sums\" must be a list of [x, y, z] triples")
     if len(set(labels)) != len(labels):

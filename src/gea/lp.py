@@ -1,14 +1,27 @@
 """Exact rational feasibility solver for equality systems with sign bounds.
 
-Decides whether {A x = b, x >= 0} has a solution, entirely in Fraction
-arithmetic.  Every call starts with one exact elimination (`Echelon`) over
-the rows.  It keeps the original rows of a maximal independent subset, in
-their original order, and finds an inconsistent system (a row combination y
-with yᵀA = 0 and yᵀb != 0) without any simplex.  Before "inconsistent" is
-returned as None, y is rechecked against the original rows, just as a
-feasible point is rechecked against every row.  Only the kept rows enter a
-phase-one primal simplex with Bland's anti-cycling rule, so redundant rows
-cost no artificial column.
+Decides whether {A x = b, x >= 0} has a solution over the rationals, with
+every elimination and pivot step in Python ints.  Coefficients may be ints
+or Fractions.  Each row is scaled on entry by the lcm of its denominators,
+and every stored integer row (echelon rows, tableau rows, the cost row) is
+a positive multiple of the rational row it stands for.  A step forms
+a*row - f*pivot_row with a > 0 and divides the result by its gcd, so the
+multiple stays positive and the entries stay small.  The rational algorithm
+reads only signs and ratios of such rows: a pivot column is the first
+nonzero entry, the entering column is the first negative reduced cost, and
+the ratio test compares b_i / a_i, here by cross-multiplication.  So the
+integer solver takes the pivot path of the same algorithm run in Fraction
+arithmetic and returns the same point; Fractions are made only for the
+values it returns.
+
+Every call starts with one exact elimination (`Echelon`) over the rows.  It
+keeps the original rows of a maximal independent subset, in their original
+order, and finds an inconsistent system (a row combination y with yᵀA = 0
+and yᵀb != 0) without any simplex.  Before "inconsistent" is returned as
+None, y is rechecked against the original rows, just as a feasible point is
+rechecked against every row.  Only the kept rows enter a phase-one primal
+simplex with Bland's anti-cycling rule, so redundant rows cost no artificial
+column.
 
 Callers that solve many programs sharing their leading rows factor those
 rows once and pass the factorization in; each call then reduces only the
@@ -21,16 +34,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ContractError, InputError
 
-Row = tuple[tuple[Fraction, ...], Fraction]
+Rational = Union[int, Fraction]
+Row = tuple[tuple[Rational, ...], Rational]
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Equalities over nonnegative rational variables, stored exactly."""
+    """Equalities over nonnegative rational variables, stored exactly.
+
+    Coefficients and right-hand sides are ints or Fractions."""
 
     n_vars: int
     rows: tuple[Row, ...]
@@ -47,15 +64,21 @@ class LinearProgram:
         return LinearProgram(n_vars, frozen)
 
     def satisfied_by(self, x: Sequence[Fraction]) -> bool:
-        if len(x) != self.n_vars or any(v < 0 for v in x):
+        if len(x) != self.n_vars:
             return False
-        return all(sum(c * v for c, v in zip(coeffs, x) if c) == rhs
+        # Over a common denominator d of x: sum c * (d x_j) == d * rhs holds
+        # iff sum c x_j == rhs, and stays in ints when the row is integral.
+        d = lcm(*(v.denominator for v in x))
+        scaled = [v.numerator * (d // v.denominator) for v in x]
+        if any(v < 0 for v in scaled):
+            return False
+        return all(sum(c * v for c, v in zip(coeffs, scaled) if c) == d * rhs
                    for coeffs, rhs in self.rows)
 
-    def refuted_by(self, y: dict[int, Fraction]) -> bool:
+    def refuted_by(self, y: dict[int, Rational]) -> bool:
         """True iff the row combination y (row index -> weight) reads
         0 = c with c != 0, which proves the equalities have no solution."""
-        total = [Fraction(0)] * (self.n_vars + 1)
+        total = [0] * (self.n_vars + 1)
         for i, w in y.items():
             coeffs, rhs = self.rows[i]
             for j, c in enumerate(coeffs + (rhs,)):
@@ -64,23 +87,58 @@ class LinearProgram:
         return not any(total[:-1]) and total[-1] != 0
 
 
-def _support(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+def _scale(coeffs: Sequence[Rational], rhs: Rational) -> int:
+    """The lcm of the denominators of one row."""
+    return lcm(rhs.denominator, *(c.denominator for c in coeffs))
+
+
+def _integral(coeffs: Sequence[Rational], rhs: Rational) -> tuple[list[int], int]:
+    """The row (coeffs..., rhs) times the lcm of its denominators, and that lcm."""
+    scale = _scale(coeffs, rhs)
+    return [v.numerator * (scale // v.denominator) for v in (*coeffs, rhs)], scale
+
+
+def _support(row: Sequence[int]) -> list[tuple[int, int]]:
     return [(j, p) for j, p in enumerate(row) if p]
 
 
-def _sub(v: list[Fraction], f: Fraction, support: list[tuple[int, Fraction]]) -> list[Fraction]:
-    """v - f * p for p given by its nonzero entries: most entries are zero,
-    and each multiply by a zero Fraction still costs a gcd."""
-    out = v[:]
+def _factors(d: int, f: int) -> tuple[int, int]:
+    """The multipliers (a, f) for which a * v - f * p clears a column where
+    p holds d > 0 and v holds f: d and f divided by their gcd, so a > 0."""
+    common = gcd(d, f)
+    return d // common, f // common
+
+
+def _cancel(v: list[int], a: int, f: int, support: list[tuple[int, int]]) -> list[int]:
+    """a * v - f * p for p given by its nonzero entries: most entries are
+    zero, and the row is scaled only when a != 1."""
+    out = [a * x for x in v] if a != 1 else v[:]
     for j, p in support:
         out[j] -= f * p
     return out
 
 
-def _combine(y: dict[int, Fraction], f: Fraction, z: dict[int, Fraction]) -> None:
-    """y -= f * z on row-combination dicts, in place."""
+def _primitive(v: list[int]) -> list[int]:
+    """v divided by the gcd of its entries."""
+    common = gcd(*v)
+    return [x // common for x in v] if common > 1 else v
+
+
+def _combine(y: dict[int, int], a: int, f: int, z: dict[int, int]) -> dict[int, int]:
+    """a * y - f * z on row-combination dicts."""
+    out = {i: a * w for i, w in y.items()} if a != 1 else dict(y)
     for i, w in z.items():
-        y[i] = y.get(i, 0) - f * w
+        out[i] = out.get(i, 0) - f * w
+    return out
+
+
+def _jointly_primitive(v: list[int], y: dict[int, int]) -> tuple[list[int], dict[int, int]]:
+    """v and y divided by the gcd of all their entries, zero weights dropped;
+    a row stays the exact combination of the source rows that y names."""
+    common = gcd(*v, *y.values())
+    if common > 1:
+        return [x // common for x in v], {i: w // common for i, w in y.items() if w}
+    return v, {i: w for i, w in y.items() if w}
 
 
 class Echelon:
@@ -88,10 +146,12 @@ class Echelon:
 
     kept holds the indices of the rows that are independent of the rows
     before them: a maximal independent subset, in original order.  Each
-    echelon row is coefficients plus rhs, 1 at its pivot column and 0 at
-    every other pivot column, stored with the combination of original rows
-    that produces it.  A row that reduces to 0 = c with c != 0 stops the
-    elimination and leaves that combination in conflict.
+    echelon row is integer coefficients plus rhs, a positive multiple of the
+    rational reduced row: positive at its pivot column and 0 at every other
+    pivot column.  It is stored with the integer combination of source rows,
+    each scaled by the lcm of its denominators, that gives it exactly.  A row
+    that reduces to 0 = c with c != 0 stops the elimination and leaves in
+    conflict the combination of the original rows that proves it.
 
     Echelon rows are replaced, never changed in place, so `extended` can share
     them with the factorization it starts from.
@@ -102,9 +162,9 @@ class Echelon:
         self.source: tuple[Row, ...] = ()
         self.kept: list[int] = []
         self.pivots: list[int] = []
-        self.rows: list[list[Fraction]] = []
-        self.combos: list[dict[int, Fraction]] = []
-        self.conflict: Optional[dict[int, Fraction]] = None
+        self.rows: list[list[int]] = []
+        self.combos: list[dict[int, int]] = []
+        self.conflict: Optional[dict[int, int]] = None
 
     @staticmethod
     def of(rows: Sequence[Row], n_cols: int) -> "Echelon":
@@ -128,31 +188,33 @@ class Echelon:
         return out
 
     def _add(self, index: int) -> None:
-        coeffs, rhs = self.source[index]
-        v = list(coeffs) + [rhs]
-        used = [(k, v[p]) for k, p in enumerate(self.pivots) if v[p]]
-        for k, f in used:
-            v = _sub(v, f, _support(self.rows[k]))
+        v, _ = _integral(*self.source[index])
+        combo = {index: 1}
+        for k, p in enumerate(self.pivots):
+            if v[p]:
+                row = self.rows[k]
+                a, f = _factors(row[p], v[p])
+                v = _cancel(v, a, f, _support(row))
+                combo = _combine(combo, a, f, self.combos[k])
         col = next((j for j in range(self.n_cols) if v[j]), None)
         if col is None and not v[-1]:
             return  # a combination of the rows kept so far
-        combo = {index: Fraction(1)}
-        for k, f in used:
-            _combine(combo, f, self.combos[k])
         if col is None:
-            self.conflict = {i: w for i, w in combo.items() if w}
+            # The combination is over scaled rows; fold each scale into its
+            # weight so that it reads on the original rows.
+            self.conflict = {i: w * _scale(*self.source[i])
+                             for i, w in combo.items() if w}
             return
-        lead = v[col]
-        v = [a / lead if a else a for a in v]
-        combo = {i: w / lead for i, w in combo.items() if w}
+        if v[col] < 0:
+            v = [-x for x in v]
+            combo = {i: -w for i, w in combo.items()}
+        v, combo = _jointly_primitive(v, combo)
         support = _support(v)
         for k, row in enumerate(self.rows):
-            f = row[col]
-            if f:
-                self.rows[k] = _sub(row, f, support)
-                update = dict(self.combos[k])
-                _combine(update, f, combo)
-                self.combos[k] = update
+            if row[col]:
+                a, f = _factors(v[col], row[col])
+                self.rows[k], self.combos[k] = _jointly_primitive(
+                    _cancel(row, a, f, support), _combine(self.combos[k], a, f, combo))
         self.kept.append(index)
         self.pivots.append(col)
         self.rows.append(v)
@@ -186,64 +248,72 @@ def lp_feasible(program: LinearProgram,
         return [Fraction(0)] * n
 
     # Tableau rows: n structural columns, m artificial columns, then the rhs.
-    tableau: list[list[Fraction]] = []
+    # Row i is its program row times the lcm s_i of its denominators (negated
+    # when the rhs is negative), and its artificial column holds s_i, so it
+    # is s_i times the rational tableau row.
+    tableau: list[list[int]] = []
+    scales: list[int] = []
     for i, index in enumerate(echelon.kept):
-        coeffs, rhs = program.rows[index]
-        sign = -1 if rhs < 0 else 1
-        row = [sign * c for c in coeffs]
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        row.append(sign * rhs)
+        v, scale = _integral(*program.rows[index])
+        if v[-1] < 0:
+            v = [-x for x in v]
+        row = v[:-1] + [0] * m + v[-1:]
+        row[n + i] = scale
         tableau.append(row)
+        scales.append(scale)
     basis = [n + i for i in range(m)]
 
-    # Reduced-cost row for minimizing the artificial sum; its rhs holds the
-    # negated objective value.
-    width = n + m + 1
-    cost = [Fraction(0)] * width
-    for j in range(width):
-        if n <= j < n + m:
-            continue
-        cost[j] = -sum(tableau[i][j] for i in range(m))
+    # Reduced-cost row for minimizing the artificial sum, times lcm(s_i); its
+    # rhs holds the negated objective value.
+    common = lcm(*scales)
+    weights = [common // s for s in scales]
+    cost = [0 if n <= j < n + m else -sum(w * row[j] for w, row in zip(weights, tableau))
+            for j in range(n + m + 1)]
 
     while True:
         entering = next((j for j in range(n + m) if cost[j] < 0), None)
         if entering is None:
             break
         pivot_row = None
-        best_ratio = None
         for i in range(m):
             coeff = tableau[i][entering]
             if coeff <= 0:
                 continue
-            ratio = tableau[i][-1] / coeff
-            if best_ratio is None or ratio < best_ratio or \
-                    (ratio == best_ratio and basis[i] < basis[pivot_row]):
-                best_ratio = ratio
+            if pivot_row is None:
+                pivot_row = i
+                continue
+            best = tableau[pivot_row]
+            # rhs_i / coeff against the best ratio; both denominators are > 0.
+            left, right = tableau[i][-1] * best[entering], best[-1] * coeff
+            if left < right or (left == right and basis[i] < basis[pivot_row]):
                 pivot_row = i
         if pivot_row is None:
             raise AssertionError("phase-one objective cannot be unbounded")
         _pivot(tableau, cost, basis, pivot_row, entering)
 
-    if -cost[-1] != 0:
+    if cost[-1] != 0:
         return None
     x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
+    for row, var in zip(tableau, basis):
         if var < n:
-            x[var] = tableau[i][-1]
+            x[var] = Fraction(row[-1], row[var])
     assert program.satisfied_by(x)
     return x
 
 
-def _pivot(tableau: list[list[Fraction]], cost: list[Fraction],
+def _pivot(tableau: list[list[int]], cost: list[int],
            basis: list[int], row: int, col: int) -> None:
-    pivot = tableau[row][col]
-    tableau[row] = [v / pivot if v else v for v in tableau[row]]
+    """Clear col outside the pivot row.  The pivot row keeps its scale: it is
+    already a positive multiple of itself divided by its positive pivot."""
+    d = tableau[row][col]
     support = _support(tableau[row])
     for i, other in enumerate(tableau):
         if i != row and other[col]:
-            tableau[i] = _sub(other, other[col], support)
+            a, f = _factors(d, other[col])
+            tableau[i] = _primitive(_cancel(other, a, f, support))
     if cost[col]:
-        cost[:] = _sub(cost, cost[col], support)
+        a, f = _factors(d, cost[col])
+        cost[:] = _primitive(_cancel(cost, a, f, support))
     basis[row] = col
 
 
@@ -269,7 +339,7 @@ def basic_solution_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
             continue
         x = [Fraction(0)] * n
         for pivot, row in zip(restricted.pivots, restricted.rows):
-            x[columns[pivot]] = row[-1]
+            x[columns[pivot]] = Fraction(row[-1], row[pivot])
         if any(v < 0 for v in x):
             continue
         assert program.satisfied_by(x)

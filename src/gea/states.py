@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .algebra import AlgebraTable, induced_order, require_gea
 from .errors import ContractError, InputError
-from .lp import Echelon, LinearProgram, lp_feasible
+from .lp import Echelon, LinearProgram, Rational, Row, lp_feasible
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,11 @@ class GeneralizedState:
             raise InputError("state values must be nonnegative")
         if self.values[table.zero] != 0:
             raise InputError("state must vanish at zero")
+        # Over a common denominator d > 0 the additivity test runs in ints.
+        d = lcm(*(v.denominator for v in self.values))
+        scaled = [v.numerator * (d // v.denominator) for v in self.values]
         for i, j, k in table.defined_sums():
-            if self.values[i] + self.values[j] != self.values[k]:
+            if scaled[i] + scaled[j] != scaled[k]:
                 raise InputError(
                     f"state is not additive on {table.elements[i]}+{table.elements[j]}")
 
@@ -73,22 +77,23 @@ class StateWitnessSet:
 
 
 def additivity_program(table: AlgebraTable,
-                       extra_rows: Sequence[tuple[dict[int, Fraction], Fraction]] = ()) -> LinearProgram:
+                       extra_rows: Sequence[tuple[dict[int, Rational], Rational]] = ()) -> LinearProgram:
     """LP over one variable per nonzero element: one additivity row per
-    defined sum (deduplicated), plus caller-supplied rows keyed by element."""
+    defined sum (deduplicated, int coefficients), plus caller-supplied rows
+    keyed by element."""
     var_of = _variables(table)
     n_vars = len(var_of)
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    rows: list[Row] = []
     seen = set()
     for i, j, k in table.defined_sums():
-        coeffs = [Fraction(0)] * n_vars
+        coeffs = [0] * n_vars
         for element, delta in ((i, 1), (j, 1), (k, -1)):
             if element != table.zero:
                 coeffs[var_of[element]] += delta
         key = tuple(coeffs)
         if any(key) and key not in seen:
             seen.add(key)
-            rows.append((key, Fraction(0)))
+            rows.append((key, 0))
     rows.extend(_extra_row(var_of, table.zero, weights, rhs) for weights, rhs in extra_rows)
     return LinearProgram(n_vars, tuple(rows))
 
@@ -97,14 +102,18 @@ def _variables(table: AlgebraTable) -> dict[int, int]:
     return {e: i for i, e in enumerate(x for x in range(table.n) if x != table.zero)}
 
 
-def _extra_row(var_of: dict[int, int], zero: int, weights: dict[int, Fraction],
-               rhs: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
-    coeffs = [Fraction(0)] * len(var_of)
+def _exact(value) -> Rational:
+    return value if isinstance(value, int) else Fraction(value)
+
+
+def _extra_row(var_of: dict[int, int], zero: int, weights: dict[int, Rational],
+               rhs: Rational) -> Row:
+    coeffs: list[Rational] = [0] * len(var_of)
     for element, w in weights.items():
         if element == zero:
             continue  # s(0) = 0, the variable is eliminated
-        coeffs[var_of[element]] += Fraction(w)
-    return tuple(coeffs), Fraction(rhs)
+        coeffs[var_of[element]] += _exact(w)
+    return tuple(coeffs), _exact(rhs)
 
 
 def state_from_solution(table: AlgebraTable, x: Sequence[Fraction]) -> GeneralizedState:
@@ -127,8 +136,7 @@ class _Additivity:
 
     def witness(self, lo: int, hi: int) -> Optional[GeneralizedState]:
         """A generalized state with s(lo) - s(hi) = 1, or None."""
-        row = _extra_row(self.var_of, self.table.zero,
-                         {lo: Fraction(1), hi: Fraction(-1)}, Fraction(1))
+        row = _extra_row(self.var_of, self.table.zero, {lo: 1, hi: -1}, 1)
         program = LinearProgram(self.program.n_vars, self.program.rows + (row,))
         solution = lp_feasible(program, self.echelon)
         if solution is None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gea import corpus
+from gea import cli
 from gea.cli import main
 from gea.effects import EffectMatrix
 from gea.fileio import save_matrix
@@ -52,6 +53,14 @@ class TestCheck:
     def test_ea_flag_without_unit_is_input_error(self, capsys):
         code, _ = run_json(capsys, "check", cpath("excd"), "--ea")
         assert code == 2
+
+    def test_label_with_comma_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "comma.json"
+        path.write_text(json.dumps({"elements": ["0", "a,b"], "zero": "0",
+                                    "sums": [["0", "a,b", "a,b"]]}))
+        for command in ("check", "order", "states", "represent"):
+            code, report = run_json(capsys, command, str(path))
+            assert code == 2 and "','" in report["error"], command
 
 
 class TestOrder:
@@ -172,10 +181,19 @@ class TestEffects:
         pos.write_text('{"dim": 1, "re": [[1e308]]}')
         neg.write_text('{"dim": 1, "re": [[-1e308]]}')
         for first, second in ((neg, pos), (pos, neg)):
-            with pytest.warns(RuntimeWarning, match="overflow"):
-                code, report = run_json(capsys, "effects", "witness",
-                                        str(first), str(second))
+            code, report = run_json(capsys, "effects", "witness", str(first), str(second))
             assert code == 2 and "finite" in report["error"]
+
+    def test_overflow_prints_nothing_on_stderr(self, capfd, tmp_path):
+        big, neg, skew = (tmp_path / f"{name}.json" for name in ("big", "neg", "skew"))
+        big.write_text('{"dim": 2, "re": [[1e308, 0], [0, 1e308]]}')
+        neg.write_text('{"dim": 2, "re": [[-1e308, 0], [0, -1e308]]}')
+        skew.write_text('{"dim": 2, "re": [[0, 1e308], [-1e308, 0]]}')
+        for argv in (("witness", big, neg), ("witness", neg, big), ("check", skew)):
+            code = main(["effects", *map(str, argv), "--json"])
+            out, err = capfd.readouterr()
+            assert code == 2 and "error" in json.loads(out), argv
+            assert err == "", argv
 
     def test_witness_none_when_below(self, capsys, tmp_path):
         zero = tmp_path / "zero.json"
@@ -217,6 +235,30 @@ class TestEffects:
             bad.write_text(f'{{"dim": 1, {body}}}')
             code, report = run_json(capsys, "effects", "check", str(bad))
             assert code == 2 and "error" in report, body
+
+
+class TestParserReuse:
+    def test_calls_in_a_row_match_fresh_calls(self, capsys):
+        # The parser is built once per process; flags of one call must not
+        # leak into the next (--seed, --json and --goal in both positions).
+        calls = [
+            ["--seed", "5", "represent", cpath("excd"), "--goal", "separate", "--json"],
+            ["represent", cpath("excd"), "--json"],
+            ["check", cpath("diamond"), "--ea", "--seed", "3", "--json"],
+            ["--json", "check", cpath("diamond")],
+            ["states", cpath("excd")],
+            ["represent", cpath("diamond"), "--json", "--seed", "7"],
+        ]
+        in_a_row = [run(capsys, *argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert in_a_row == fresh
+        assert json.loads(in_a_row[0][1])["representation"]["verification"]["seed"] == 5
+        assert json.loads(in_a_row[1][1])["representation"]["verification"]["seed"] == 0
+        assert "ea" in json.loads(in_a_row[2][1]) and "ea" not in json.loads(in_a_row[3][1])
+        assert not in_a_row[4][1].startswith("{")
 
 
 class TestHumanOutput:

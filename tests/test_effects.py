@@ -253,7 +253,7 @@ class TestGdhSum:
 
     def test_overflowing_sum_rejected(self):
         huge = diag(1e308, 1e308)
-        with pytest.warns(RuntimeWarning), pytest.raises(InputError, match="finite"):
+        with pytest.raises(InputError, match="finite"):
             gdh_sum(huge, huge)
 
     def test_diagonal_sum(self):
@@ -278,7 +278,7 @@ class TestVectorWitness:
     def test_overflowing_difference_rejected(self):
         # At entries near the float maximum B - A overflows; a NaN spectrum
         # must not pass for a witness.
-        with pytest.warns(RuntimeWarning), pytest.raises(InputError, match="finite"):
+        with pytest.raises(InputError, match="finite"):
             vector_witness(diag(1e308, 0.0), diag(-1e308, 0.0))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])

@@ -64,6 +64,18 @@ def test_malformed_table_shapes_rejected(tmp_path, shape):
         load_algebra(path)
 
 
+def test_label_with_comma_rejected(tmp_path):
+    # "a,b" would read as the pair key of a and b in a report.
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps({
+        "elements": ["0", "a", "b", "a,b"],
+        "zero": "0",
+        "sums": [["0", "a", "a"]],
+    }))
+    with pytest.raises(InputError, match="','"):
+        load_algebra(path)
+
+
 def test_morphism_must_be_total(tmp_path, diamond):
     table_path = tmp_path / "t.json"
     save_algebra(diamond, table_path)
