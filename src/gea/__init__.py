@@ -2,9 +2,9 @@
 witnesses via rational linear programming, and verified diagonal operator
 representations, with concrete finite-dimensional Hilbert-space models."""
 
-from .algebra import (AlgebraTable, AxiomReport, MorphismReport, MorphismSpec,
+from .algebra import (AlgebraTable, AxiomReport, CheckedGEA, MorphismReport, MorphismSpec,
                       OrderRelation, Violation, check_ea_axioms, check_gea_axioms,
-                      classify_morphism, induced_order, is_sub_gea)
+                      classify_morphism, induced_order, is_sub_gea, require_gea, scan_gea)
 from .errors import ContractError, InputError
 from .lp import LinearProgram, basic_solution_feasible, lp_feasible
 from .represent import (DiagonalRep, FiniteVector, build_representation,
@@ -17,9 +17,9 @@ from .states import (GeneralizedState, StateWitnessSet, bound_constant,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraTable", "AxiomReport", "MorphismReport", "MorphismSpec",
+    "AlgebraTable", "AxiomReport", "CheckedGEA", "MorphismReport", "MorphismSpec",
     "OrderRelation", "Violation", "check_ea_axioms", "check_gea_axioms",
-    "classify_morphism", "induced_order", "is_sub_gea",
+    "classify_morphism", "induced_order", "is_sub_gea", "require_gea", "scan_gea",
     "ContractError", "InputError",
     "LinearProgram", "basic_solution_feasible", "lp_feasible",
     "DiagonalRep", "FiniteVector", "build_representation", "extract_states",

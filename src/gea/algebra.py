@@ -3,6 +3,11 @@
 The table stores a partial binary operation x + y on indexed elements.  All
 checks are exhaustive scans; the associativity scan costs defined pairs × row
 length, since only triples with a defined side can fail.
+
+A pipeline runs the GEA scan once: scan_gea and require_gea return a
+CheckedGEA, the table with its induced order, and the later stages
+(witness searches, representation, morphism classifier) take that value
+instead of scanning again.
 """
 
 from __future__ import annotations
@@ -232,23 +237,13 @@ class OrderRelation:
                 if a != b and not self.leq_matrix[a][b]]
 
 
-def require_gea(table: AlgebraTable) -> None:
-    """Raise ContractError unless the table satisfies the GEA axioms."""
-    report = check_gea_axioms(table)
-    if not report.passed:
-        first = report.violations[0]
-        raise ContractError(f"table is not a generalized effect algebra: "
-                            f"{first.axiom} fails ({first.message})")
-
-
-def induced_order(table: AlgebraTable, *, checked: bool = False) -> OrderRelation:
+def induced_order(table: AlgebraTable) -> OrderRelation:
     """Compute the induced partial order and the difference map.
 
-    Pass checked=True to skip re-running the axiom scan when the caller has
-    already verified the table.
+    The difference map is well defined only on a table that passed the GEA
+    scan; scan_gea and require_gea build the order once after the scan, and
+    the pipeline reads it from their CheckedGEA.
     """
-    if not checked:
-        require_gea(table)
     n = table.n
     leq = [[False] * n for _ in range(n)]
     diff: dict[tuple[int, int], int] = {}
@@ -257,6 +252,35 @@ def induced_order(table: AlgebraTable, *, checked: bool = False) -> OrderRelatio
         diff[(j, i)] = k
     matrix = tuple(tuple(row) for row in leq)
     return OrderRelation(n, matrix, diff)
+
+
+@dataclass(frozen=True)
+class CheckedGEA:
+    """A table that passed the GEA axiom scan, with its induced order.
+
+    scan_gea and require_gea make it.  The witness searches, the
+    representation and the morphism classifier take one, so a pipeline scans
+    its table once.
+    """
+
+    table: AlgebraTable
+    order: OrderRelation
+
+
+def scan_gea(table: AlgebraTable) -> tuple[AxiomReport, Optional[CheckedGEA]]:
+    """One GEA axiom scan; on a pass, also the table with its induced order."""
+    report = check_gea_axioms(table)
+    return report, CheckedGEA(table, induced_order(table)) if report.passed else None
+
+
+def require_gea(table: AlgebraTable) -> CheckedGEA:
+    """The checked table; ContractError unless it satisfies the GEA axioms."""
+    report, checked = scan_gea(table)
+    if checked is None:
+        first = report.violations[0]
+        raise ContractError(f"table is not a generalized effect algebra: "
+                            f"{first.axiom} fails ({first.message})")
+    return checked
 
 
 def is_sub_gea(subset: Sequence[int], table: AlgebraTable) -> tuple[bool, Optional[tuple[int, int, int]]]:
@@ -281,15 +305,15 @@ def is_sub_gea(subset: Sequence[int], table: AlgebraTable) -> tuple[bool, Option
 
 @dataclass(frozen=True)
 class MorphismSpec:
-    source: AlgebraTable
-    target: AlgebraTable
+    source: CheckedGEA
+    target: CheckedGEA
     map: tuple[int, ...]  # source index -> target index, total
 
     def __post_init__(self) -> None:
-        if len(self.map) != self.source.n:
+        if len(self.map) != self.source.table.n:
             raise InputError("morphism map must be total on the source")
         for image in self.map:
-            if not 0 <= image < self.target.n:
+            if not 0 <= image < self.target.table.n:
                 raise InputError(f"image index {image} out of range")
 
 
@@ -303,16 +327,14 @@ class MorphismReport:
 
 
 def classify_morphism(spec: MorphismSpec) -> MorphismReport:
-    """Classify a total map between two verified tables.
+    """Classify a total map between two checked tables.
 
     Flags: additivity on defined sums, injectivity, order reflection
     (f(a) <= f(b) forces a <= b) and embedding (injective morphism whose
     image is closed under the two-out-of-three rule).
     """
-    require_gea(spec.source)
-    require_gea(spec.target)
     f = spec.map
-    src, tgt = spec.source, spec.target
+    src, tgt = spec.source.table, spec.target.table
 
     is_morphism = True
     failure: Optional[tuple[int, ...]] = None
@@ -325,8 +347,7 @@ def classify_morphism(spec: MorphismSpec) -> MorphismReport:
 
     injective = len(set(f)) == len(f)
 
-    order_src = induced_order(src, checked=True)
-    order_tgt = induced_order(tgt, checked=True)
+    order_src, order_tgt = spec.source.order, spec.target.order
     order_reflecting = True
     for a in range(src.n):
         for b in range(src.n):

@@ -5,6 +5,9 @@ search), represent (witness search plus verified diagonal representation),
 morphism (classify a map between two tables) and effects (finite-dimensional
 matrix demos).
 
+Each pipeline scans its table's axioms once, at load, and hands the
+resulting CheckedGEA to every later stage.
+
 Exit codes: 0 success, 1 a verification stage failed, 2 unreadable or
 malformed input, 3 no witness set exists for the requested goal.
 """
@@ -22,8 +25,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import effects, fileio
-from .algebra import (AlgebraTable, check_ea_axioms, check_gea_axioms,
-                      classify_morphism, induced_order)
+from .algebra import (CheckedGEA, check_ea_axioms, check_gea_axioms, classify_morphism,
+                      scan_gea)
 from .errors import ContractError, InputError
 from .represent import (build_representation, operator_norm, sampled_check,
                         verify_injective, verify_morphism, verify_order_reflecting)
@@ -89,10 +92,13 @@ def _emit(report: dict, as_json: bool, out: Optional[str] = None) -> None:
     payload = json.dumps(report, sort_keys=True, separators=(",", ":"))
     if out:
         Path(out).write_text(payload + "\n", encoding="utf-8")
-    if as_json:
-        print(payload)
-    else:
-        print(_render_text(report))
+    try:
+        print(payload if as_json else _render_text(report), flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early (`gea ... | head`).  Point stdout at
+        # devnull, as the signal module docs advise, so that the flush at
+        # exit cannot fail again; the exit code still reports the pipeline.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _axiom_stage(report_obj) -> dict:
@@ -105,17 +111,21 @@ def _axiom_stage(report_obj) -> dict:
     }
 
 
-def _load_checked(path: str) -> tuple[AlgebraTable, dict]:
-    table = fileio.load_algebra(path)
-    gea = check_gea_axioms(table)
-    return table, _axiom_stage(gea)
+def _load_checked(args: argparse.Namespace) -> tuple[dict, Optional[CheckedGEA]]:
+    """Load the table and run the pipeline's one GEA axiom scan: the report
+    with its gea stage, and the checked table unless the scan failed."""
+    axioms, gea = scan_gea(fileio.load_algebra(args.path))
+    report = _base_report(args, args.path)
+    report["gea"] = _axiom_stage(axioms)
+    return report, gea
 
 
 def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
-    table, stage = _load_checked(args.path)
+    table = fileio.load_algebra(args.path)
+    axioms = check_gea_axioms(table)
     report = _base_report(args, args.path)
-    report["gea"] = stage
-    failed = not stage["passed"]
+    report["gea"] = _axiom_stage(axioms)
+    failed = not axioms.passed
     if args.ea:
         ea = check_ea_axioms(table)
         report["ea"] = _axiom_stage(ea)
@@ -124,16 +134,14 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_order(args: argparse.Namespace) -> tuple[dict, int]:
-    table, stage = _load_checked(args.path)
-    report = _base_report(args, args.path)
-    report["gea"] = stage
-    if not stage["passed"]:
+    report, gea = _load_checked(args)
+    if gea is None:
         return report, EXIT_FAIL
-    order = induced_order(table, checked=True)
-    labels = table.elements
+    order = gea.order
+    labels = gea.table.elements
     report["order"] = {
         "strictly_below": [[labels[i], labels[j]]
-                           for i in range(table.n) for j in range(table.n)
+                           for i in range(order.n) for j in range(order.n)
                            if i != j and order.leq(i, j)],
         "differences": {f"{labels[j]},{labels[i]}": labels[k]
                         for (j, i), k in sorted(order.diff.items())},
@@ -141,28 +149,27 @@ def cmd_order(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _witness_stage(table: AlgebraTable, goal: str) -> tuple[StateWitnessSet, dict]:
-    witnesses = order_determining_set(table) if goal == "order" else separating_set(table)
-    return witnesses, fileio.witness_set_to_json(table, witnesses)
+def _witness_stage(gea: CheckedGEA, goal: str) -> tuple[StateWitnessSet, dict]:
+    witnesses = order_determining_set(gea) if goal == "order" else separating_set(gea)
+    return witnesses, fileio.witness_set_to_json(gea.table, witnesses)
 
 
 def cmd_states(args: argparse.Namespace) -> tuple[dict, int]:
-    table, stage = _load_checked(args.path)
-    report = _base_report(args, args.path)
-    report["gea"] = stage
-    if not stage["passed"]:
+    report, gea = _load_checked(args)
+    if gea is None:
         return report, EXIT_FAIL
-    witnesses, stage_json = _witness_stage(table, args.goal)
+    witnesses, stage_json = _witness_stage(gea, args.goal)
     report["witnesses"] = stage_json
     return report, EXIT_OK if witnesses.ok else EXIT_NO_WITNESS
 
 
-def _verified_representation(table: AlgebraTable, witnesses: StateWitnessSet,
+def _verified_representation(gea: CheckedGEA, witnesses: StateWitnessSet,
                              goal: str, seed: int) -> tuple[dict, bool]:
-    rep = build_representation(table, witnesses)
+    table = gea.table
+    rep = build_representation(gea, witnesses)
     morphism = verify_morphism(rep, table)
     injective, _ = verify_injective(rep)
-    order_reflecting, _ = verify_order_reflecting(rep, table)
+    order_reflecting, _ = verify_order_reflecting(rep, gea)
 
     norms = [operator_norm(rep, a) for a in range(table.n)]
     sampled_ok = sampled_check(rep, random.Random(seed), SAMPLE_VECTORS, norms)
@@ -184,18 +191,16 @@ def _verified_representation(table: AlgebraTable, witnesses: StateWitnessSet,
 
 
 def cmd_represent(args: argparse.Namespace) -> tuple[dict, int]:
-    table, stage = _load_checked(args.path)
-    report = _base_report(args, args.path)
-    report["gea"] = stage
-    if not stage["passed"]:
+    report, gea = _load_checked(args)
+    if gea is None:
         return report, EXIT_FAIL
-    witnesses, stage_json = _witness_stage(table, args.goal)
+    witnesses, stage_json = _witness_stage(gea, args.goal)
     report["witnesses"] = stage_json
     if not witnesses.ok:
         report["verdict"] = (f"no {args.goal} witness set exists; "
                              f"obstructing pairs: {stage_json['failures']}")
         return report, EXIT_NO_WITNESS
-    rep_json, verified = _verified_representation(table, witnesses, args.goal, args.seed)
+    rep_json, verified = _verified_representation(gea, witnesses, args.goal, args.seed)
     report["representation"] = rep_json
     return report, EXIT_OK if verified else EXIT_FAIL
 
@@ -211,7 +216,8 @@ def cmd_morphism(args: argparse.Namespace) -> tuple[dict, int]:
         "embedding": result.embedding,
     }
     if result.failure is not None:
-        report["morphism"]["failure"] = [spec.source.elements[i] for i in result.failure]
+        report["morphism"]["failure"] = [spec.source.table.elements[i]
+                                         for i in result.failure]
     return report, EXIT_OK if result.is_morphism else EXIT_FAIL
 
 
@@ -228,12 +234,12 @@ def cmd_effects(args: argparse.Namespace) -> tuple[dict, int]:
     if args.effects_command == "check":
         matrix = fileio.load_matrix(args.path)
         report = _base_report(args, args.path)
-        positive = effects.is_positive(matrix)
+        positive, effect = effects.spectral_flags(matrix)
         report["matrix"] = {
             "dim": matrix.dim,
             "hermitian_defect": matrix.hermitian_defect(),
             "positive": positive,
-            "effect": effects.is_effect(matrix),
+            "effect": effect,
         }
         return report, EXIT_OK if positive else EXIT_FAIL
 

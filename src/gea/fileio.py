@@ -1,16 +1,20 @@
 """JSON file formats: algebra tables, morphisms, witness sets, representations
-and complex matrices.  Rationals travel as Fraction strings ("3/2", "-1", "0")."""
+and complex matrices.  Rationals travel as Fraction strings ("3/2", "-1", "0").
+
+States and representations hold int numerators over one denominator; their
+strings are made here and read exactly as str(Fraction) does."""
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .algebra import AlgebraTable, MorphismSpec
+from .algebra import AlgebraTable, MorphismSpec, require_gea
 from .effects import EffectMatrix
 from .errors import InputError
 from .represent import DiagonalRep
@@ -21,6 +25,12 @@ PathLike = Union[str, Path]
 
 def frac_str(value: Fraction) -> str:
     return str(Fraction(value))
+
+
+def ratio_str(p: int, q: int) -> str:
+    """The string of p/q (q > 0) in lowest terms, as str(Fraction(p, q))."""
+    common = gcd(p, q)
+    return str(p // common) if common == q else f"{p // common}/{q // common}"
 
 
 def parse_frac(text: str) -> Fraction:
@@ -103,7 +113,9 @@ def save_algebra(table: AlgebraTable, path: PathLike) -> None:
 
 
 def load_morphism(path: PathLike) -> MorphismSpec:
-    """Read a morphism file; source/target paths resolve relative to it."""
+    """Read a morphism file; source/target paths resolve relative to it.
+    Both tables get their one GEA axiom scan here (ContractError if one
+    fails)."""
     data = _read_json(path)
     base = Path(path).parent
     try:
@@ -115,7 +127,7 @@ def load_morphism(path: PathLike) -> MorphismSpec:
     if set(mapping) != set(source.elements):
         raise InputError(f"{path}: map must be total on the source elements")
     images = tuple(target.index(mapping[lab]) for lab in source.elements)
-    return MorphismSpec(source, target, images)
+    return MorphismSpec(require_gea(source), require_gea(target), images)
 
 
 def _pair_key(table: AlgebraTable, pair: tuple[int, int]) -> str:
@@ -125,7 +137,7 @@ def _pair_key(table: AlgebraTable, pair: tuple[int, int]) -> str:
 def witness_set_to_json(table: AlgebraTable, witnesses: StateWitnessSet) -> dict:
     return {
         "goal": witnesses.goal,
-        "states": [[frac_str(v) for v in s.values] for s in witnesses.states],
+        "states": [[ratio_str(p, s.den) for p in s.nums] for s in witnesses.states],
         "provenance": {_pair_key(table, pair): slot
                        for pair, slot in sorted(witnesses.provenance.items())},
         "failures": [[table.elements[a], table.elements[b]]
@@ -137,7 +149,7 @@ def representation_to_json(rep: DiagonalRep, verification: dict) -> dict:
     return {
         "witnesses": rep.m,
         "order": list(rep.slot_labels),
-        "operators": {label: [frac_str(v) for v in rep.operators[i]]
+        "operators": {label: [ratio_str(p, rep.den) for p in rep.diagonals[i]]
                       for i, label in enumerate(rep.elements)},
         "verification": verification,
     }

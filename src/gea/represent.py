@@ -6,6 +6,14 @@ For diagonal operators with nonnegative entries the positivity order is the
 entrywise order: the quadratic form of B - A at x is sum((b_s - a_s) x_s^2),
 nonnegative for every vector iff every entry difference is nonnegative.
 All arithmetic is exact.
+
+The diagonals are stored as ints over one common denominator D, the lcm of
+the witness states' denominators, so the build and every self-check
+(additivity, injectivity, order reflection, norms and the sampled check)
+compare and add ints.  The order check reads the induced order from the
+CheckedGEA of the pipeline's one axiom scan.  The Fraction views
+(operators, operator_norm and the FiniteVector functions) are for callers
+and tests.
 """
 
 from __future__ import annotations
@@ -14,9 +22,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, le
 from typing import Optional, Sequence
 
-from .algebra import AlgebraTable, induced_order, require_gea
+from .algebra import AlgebraTable, CheckedGEA
 from .errors import InputError
 from .states import GeneralizedState, StateWitnessSet
 
@@ -53,39 +62,49 @@ def random_rational_vector(rng: random.Random, m: int) -> FiniteVector:
 
 @dataclass(frozen=True)
 class DiagonalRep:
-    """Element -> diagonal of its operator, one entry per witness slot."""
+    """Element -> diagonal of its operator, one entry per witness slot.
+
+    Entry s of phi(a) is diagonals[a][s] / den, with den > 0.
+    """
 
     elements: tuple[str, ...]
     zero: int
     slot_labels: tuple[str, ...]
-    operators: tuple[tuple[Fraction, ...], ...]
+    diagonals: tuple[tuple[int, ...], ...]
+    den: int = 1
+
+    def __post_init__(self) -> None:
+        if self.den <= 0:
+            raise InputError("representation denominator must be positive")
 
     @property
     def m(self) -> int:
         return len(self.slot_labels)
 
     @property
-    def zero_op(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(0) for _ in range(self.m))
+    def operators(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Every diagonal as Fractions (a read-only view)."""
+        return tuple(self.operator(a) for a in range(len(self.diagonals)))
 
     def operator(self, element: int) -> tuple[Fraction, ...]:
-        return self.operators[element]
+        return tuple(Fraction(p, self.den) for p in self.diagonals[element])
 
 
-def build_representation(table: AlgebraTable, witnesses: StateWitnessSet) -> DiagonalRep:
+def build_representation(gea: CheckedGEA, witnesses: StateWitnessSet) -> DiagonalRep:
     """Assemble the diagonal representation a -> (s(a)) over the witness set.
 
     The construction is unconditional: it needs valid generalized states but
     no separation property.  An empty witness set gives the zero-slot
     representation (every operator is the empty diagonal).
     """
-    require_gea(table)
+    table = gea.table
     for state in witnesses.states:
         state.validate(table)
-    operators = tuple(tuple(s.values[a] for s in witnesses.states)
-                      for a in range(table.n))
+    den = lcm(*(s.den for s in witnesses.states))
+    columns = [[p * (den // s.den) for p in s.nums] for s in witnesses.states]
+    diagonals = tuple(zip(*columns)) if columns else ((),) * table.n
     labels = tuple(f"s{i}" for i in range(len(witnesses.states)))
-    return DiagonalRep(table.elements, table.zero, labels, operators)
+    return DiagonalRep(table.elements, table.zero, labels, diagonals, den)
 
 
 @dataclass(frozen=True)
@@ -98,41 +117,44 @@ def verify_morphism(rep: DiagonalRep, table: AlgebraTable) -> MorphismCheck:
     """Self-check of the build: the zero operator at zero and entrywise
     additivity over every defined sum."""
     violations = []
-    if rep.operators[rep.zero] != rep.zero_op:
+    diagonals = rep.diagonals
+    if diagonals[rep.zero] != (0,) * rep.m:
         violations.append((rep.zero, rep.zero, rep.zero))
     for i, j, k in table.defined_sums():
-        summed = tuple(x + y for x, y in zip(rep.operators[i], rep.operators[j]))
-        if summed != rep.operators[k]:
+        if tuple(map(add, diagonals[i], diagonals[j])) != diagonals[k]:
             violations.append((i, j, k))
     return MorphismCheck(not violations, tuple(violations))
 
 
 def verify_injective(rep: DiagonalRep) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff the diagonal vectors are pairwise distinct; on failure the
-    first colliding pair is returned."""
-    n = len(rep.operators)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rep.operators[a] == rep.operators[b]:
-                return False, (a, b)
-    return True, None
+    first colliding pair (a, b), a < b, in lexicographic order is returned."""
+    first: dict[tuple[int, ...], int] = {}
+    partner: dict[int, int] = {}  # first index of a row -> its first repeat
+    for b, row in enumerate(rep.diagonals):
+        a = first.setdefault(row, b)
+        if a != b:
+            partner.setdefault(a, b)
+    if not partner:
+        return True, None
+    a = min(partner)
+    return False, (a, partner[a])
 
 
 def entrywise_leq(rep: DiagonalRep, a: int, b: int) -> bool:
     """Positivity order between two built operators: phi(a) <= phi(b) iff
     every diagonal entry difference is nonnegative."""
-    return all(x <= y for x, y in zip(rep.operators[a], rep.operators[b]))
+    return all(map(le, rep.diagonals[a], rep.diagonals[b]))
 
 
 def verify_order_reflecting(rep: DiagonalRep,
-                            table: AlgebraTable) -> tuple[bool, Optional[tuple[int, int]]]:
+                            gea: CheckedGEA) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff phi(a) <= phi(b) in the operator order forces a <= b in the
-    table order, over all pairs."""
-    order = induced_order(table)
-    for a in range(table.n):
-        for b in range(table.n):
-            if a != b and entrywise_leq(rep, a, b) and not order.leq(a, b):
-                return False, (a, b)
+    table order, over all pairs; on failure the first pair is returned."""
+    diagonals = rep.diagonals
+    for a, b in gea.order.pairs_not_leq():
+        if all(map(le, diagonals[a], diagonals[b])):
+            return False, (a, b)
     return True, None
 
 
@@ -143,20 +165,20 @@ def operator_norm(rep: DiagonalRep, a: int) -> Fraction:
     an argmax slot, which is asserted here; sampled_check tests it on
     sampled vectors.
     """
-    entries = rep.operators[a]
+    entries = rep.diagonals[a]
     if not entries:
         return Fraction(0)
     norm = max(entries)
     argmax = entries.index(norm)
-    image = apply_operator(rep, a, FiniteVector.basis(rep.m, argmax))
-    assert image.norm_sq() == norm * norm
-    return norm
+    image = [e * (s == argmax) for s, e in enumerate(entries)]  # phi(a) e_argmax
+    assert sum(c * c for c in image) == norm * norm
+    return Fraction(norm, rep.den)
 
 
 def apply_operator(rep: DiagonalRep, a: int, x: FiniteVector) -> FiniteVector:
     if len(x) != rep.m:
         raise InputError(f"vector length {len(x)} does not match {rep.m} slots")
-    return FiniteVector(tuple(e * c for e, c in zip(rep.operators[a], x.coords)))
+    return FiniteVector(tuple(e * c for e, c in zip(rep.operator(a), x.coords)))
 
 
 def vector_state(rep: DiagonalRep, x: FiniteVector, a: int) -> Fraction:
@@ -166,7 +188,7 @@ def vector_state(rep: DiagonalRep, x: FiniteVector, a: int) -> Fraction:
     rational coordinates lose no generality."""
     if len(x) != rep.m:
         raise InputError(f"vector length {len(x)} does not match {rep.m} slots")
-    return sum((e * c * c for e, c in zip(rep.operators[a], x.coords)), Fraction(0))
+    return sum((e * c * c for e, c in zip(rep.operator(a), x.coords)), Fraction(0))
 
 
 def bounded_by(rep: DiagonalRep, a: int, norm: Fraction, x: FiniteVector) -> bool:
@@ -180,17 +202,17 @@ def sampled_check(rep: DiagonalRep, rng: random.Random, count: int,
     random_rational_vector does and check <x, phi(a) x> >= 0 and
     ||phi(a) x||^2 <= norms[a]^2 ||x||^2.
 
-    The arithmetic is in integers: x is scaled by 12 and phi(a) and norms[a]
-    by the lcm of their denominators.  Both inequalities are homogeneous, so
-    every vector gets the verdict vector_state and bounded_by would give it.
-    Returns False at the first vector that fails.
+    The arithmetic is in integers: x is scaled by 12, phi(a) is the int
+    diagonal over rep.den, and with norms[a] = p/q the bound reads
+    q^2 ||diagonal x||^2 <= (p den)^2 ||x||^2.  Both inequalities are
+    homogeneous, so every vector gets the verdict vector_state and
+    bounded_by would give it.  Returns False at the first vector that fails.
     """
     randrange = rng.randrange  # randint(a, b) is randrange(a, b + 1)
-    for a, entries in enumerate(rep.operators):
-        norm = norms[a]
-        scale = lcm(norm.denominator, *(e.denominator for e in entries))
-        diagonal = [e.numerator * (scale // e.denominator) for e in entries]
-        bound_sq = (norm.numerator * (scale // norm.denominator)) ** 2
+    for a, diagonal in enumerate(rep.diagonals):
+        norm = Fraction(norms[a])
+        image_scale = norm.denominator ** 2
+        bound_sq = (norm.numerator * rep.den) ** 2
         for _ in range(count):
             state = norm_sq = image_sq = 0
             for e in diagonal:
@@ -199,19 +221,16 @@ def sampled_check(rep: DiagonalRep, rng: random.Random, count: int,
                 state += e * c2
                 norm_sq += c2
                 image_sq += e * e * c2
-            if state < 0 or image_sq > bound_sq * norm_sq:
+            if state < 0 or image_scale * image_sq > bound_sq * norm_sq:
                 return False
     return True
 
 
 def extract_states(rep: DiagonalRep) -> list[GeneralizedState]:
-    """Recover one generalized state per slot as a -> <e_s, phi(a) e_s>.
+    """Recover one generalized state per slot as a -> <e_s, phi(a) e_s>,
+    the slot's column of the diagonals.
 
     Slot by slot this returns exactly the witnesses the representation was
     built from."""
-    recovered = []
-    for slot in range(rep.m):
-        basis = FiniteVector.basis(rep.m, slot)
-        values = tuple(vector_state(rep, basis, a) for a in range(len(rep.operators)))
-        recovered.append(GeneralizedState(values))
-    return recovered
+    return [GeneralizedState(tuple(row[slot] for row in rep.diagonals), rep.den)
+            for slot in range(rep.m)]

@@ -6,52 +6,79 @@ strict inequality s(a) > s(b) can always be normalized to s(a) - s(b) = 1;
 that normalization is what makes each witness search a single feasibility LP.
 A search builds and factors the additivity rows of its table once; each pair
 LP then adds and reduces only its normalization row.
+
+The searches take a CheckedGEA, the table and induced order that one axiom
+scan produced, so they scan nothing themselves.  A state is stored as int
+numerators over one positive denominator, in lowest terms: the LP point's
+denominators are cleared once, and coverage, slot reuse and validation
+compare ints.  Fractions are made only for the public values view.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence
+from math import gcd, lcm
+from typing import Callable, Iterable, Optional, Sequence
 
-from .algebra import AlgebraTable, induced_order, require_gea
+from .algebra import AlgebraTable, CheckedGEA, require_gea
 from .errors import ContractError, InputError
 from .lp import Echelon, LinearProgram, Rational, Row, lp_feasible
 
 
 @dataclass(frozen=True)
 class GeneralizedState:
-    """Exact nonnegative valuation on the elements of one table."""
+    """Exact valuation on the elements of one table: s(i) = nums[i] / den.
 
-    values: tuple[Fraction, ...]
+    den is positive and the vector is kept in lowest terms, so two states are
+    equal iff they agree as rational vectors."""
+
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        if self.den <= 0:
+            raise InputError("state denominator must be positive")
+        common = gcd(self.den, *self.nums)
+        object.__setattr__(self, "nums", tuple(p // common for p in self.nums))
+        object.__setattr__(self, "den", self.den // common)
+
+    @classmethod
+    def of(cls, values: Sequence[Rational | str]) -> "GeneralizedState":
+        """The state with these rational values."""
+        fracs = [Fraction(v) for v in values]
+        den = lcm(*(v.denominator for v in fracs))
+        return cls(tuple(v.numerator * (den // v.denominator) for v in fracs), den)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The values as Fractions (a read-only view)."""
+        return tuple(Fraction(p, self.den) for p in self.nums)
 
     def __call__(self, i: int) -> Fraction:
-        return self.values[i]
+        return Fraction(self.nums[i], self.den)
 
     def validate(self, table: AlgebraTable) -> None:
         """Raise InputError unless this is a generalized state on the table."""
-        if len(self.values) != table.n:
+        nums = self.nums
+        if len(nums) != table.n:
             raise InputError("state length does not match element count")
-        if any(v < 0 for v in self.values):
+        if any(p < 0 for p in nums):
             raise InputError("state values must be nonnegative")
-        if self.values[table.zero] != 0:
+        if nums[table.zero] != 0:
             raise InputError("state must vanish at zero")
-        # Over a common denominator d > 0 the additivity test runs in ints.
-        d = lcm(*(v.denominator for v in self.values))
-        scaled = [v.numerator * (d // v.denominator) for v in self.values]
         for i, j, k in table.defined_sums():
-            if scaled[i] + scaled[j] != scaled[k]:
+            if nums[i] + nums[j] != nums[k]:
                 raise InputError(
                     f"state is not additive on {table.elements[i]}+{table.elements[j]}")
 
     def scaled(self, q: Fraction) -> "GeneralizedState":
+        q = Fraction(q)
         if q < 0:
             raise InputError("states are closed under nonnegative scaling only")
-        return GeneralizedState(tuple(Fraction(q) * v for v in self.values))
+        return GeneralizedState(tuple(p * q.numerator for p in self.nums),
+                                self.den * q.denominator)
 
 
 @dataclass
@@ -73,7 +100,7 @@ class StateWitnessSet:
         return not self.failures
 
     def value_vector(self, element: int) -> tuple[Fraction, ...]:
-        return tuple(s.values[element] for s in self.states)
+        return tuple(s(element) for s in self.states)
 
 
 def additivity_program(table: AlgebraTable,
@@ -117,11 +144,12 @@ def _extra_row(var_of: dict[int, int], zero: int, weights: dict[int, Rational],
 
 
 def state_from_solution(table: AlgebraTable, x: Sequence[Fraction]) -> GeneralizedState:
-    values = []
-    cursor = iter(x)
-    for element in range(table.n):
-        values.append(Fraction(0) if element == table.zero else next(cursor))
-    return GeneralizedState(tuple(values))
+    """The state of an LP point (one value per nonzero element, in index
+    order), its denominators cleared once."""
+    den = lcm(*(v.denominator for v in x))
+    scaled = iter([v.numerator * (den // v.denominator) for v in x])
+    return GeneralizedState(tuple(0 if element == table.zero else next(scaled)
+                                  for element in range(table.n)), den)
 
 
 class _Additivity:
@@ -150,8 +178,7 @@ def find_order_witness(a: int, b: int, table: AlgebraTable) -> Optional[Generali
     """A generalized state with s(a) - s(b) = 1, or None iff none has
     s(a) > s(b).  Calling with a <= b is a contract error: additivity forces
     s(a) <= s(b) there, so no witness can exist."""
-    require_gea(table)
-    if induced_order(table, checked=True).leq(a, b):
+    if require_gea(table).order.leq(a, b):
         raise ContractError(
             f"{table.elements[a]} <= {table.elements[b]}: order witness impossible")
     return _Additivity(table).witness(a, b)
@@ -178,31 +205,30 @@ def _separating_state(system: _Additivity, a: int, b: int) -> Optional[Generaliz
 def _record(witnesses: StateWitnessSet, pair: tuple[int, int],
             state: GeneralizedState) -> None:
     for slot, existing in enumerate(witnesses.states):
-        if existing.values == state.values:
+        if existing == state:
             witnesses.provenance[pair] = slot
             return
     witnesses.states.append(state)
     witnesses.provenance[pair] = len(witnesses.states) - 1
 
 
-def order_determining_set(table: AlgebraTable) -> StateWitnessSet:
-    """Per-pair order witnesses for every (a, b) with a not below b.
+def assign_witnesses(witnesses: StateWitnessSet, pairs: Iterable[tuple[int, int]],
+                     find: Callable[[int, int], Optional[GeneralizedState]]) -> StateWitnessSet:
+    """Give each pair, in turn, the slot of a state that witnesses it.
 
-    A witness already found for an earlier pair is reused when it also covers
-    the current one, so the result stays small; pairs are scanned in index
-    order, which makes the output deterministic.
+    The first state already in the set that covers (a, b) is reused: one
+    with s(a) > s(b) for the order goal, s(a) != s(b) to separate.  Otherwise
+    find(a, b) is asked for a new state, which takes the slot of an equal
+    state when there is one; a pair find cannot witness is a failure.
     """
-    require_gea(table)
-    order = induced_order(table, checked=True)
-    system = _Additivity(table)
-    witnesses = StateWitnessSet(goal="order")
-    for a, b in order.pairs_not_leq():
+    covers = operator.gt if witnesses.goal == "order" else operator.ne
+    for a, b in pairs:
         covering = next((slot for slot, s in enumerate(witnesses.states)
-                         if s.values[a] > s.values[b]), None)
+                         if covers(s.nums[a], s.nums[b])), None)
         if covering is not None:
             witnesses.provenance[(a, b)] = covering
             continue
-        state = system.witness(a, b)
+        state = find(a, b)
         if state is None:
             witnesses.failures.append((a, b))
         else:
@@ -210,34 +236,35 @@ def order_determining_set(table: AlgebraTable) -> StateWitnessSet:
     return witnesses
 
 
-def separating_set(table: AlgebraTable) -> StateWitnessSet:
+def order_determining_set(gea: CheckedGEA) -> StateWitnessSet:
+    """Per-pair order witnesses for every (a, b) with a not below b.
+
+    A witness already found for an earlier pair is reused when it also covers
+    the current one, so the result stays small; pairs are scanned in index
+    order, which makes the output deterministic.
+    """
+    system = _Additivity(gea.table)
+    return assign_witnesses(StateWitnessSet(goal="order"), gea.order.pairs_not_leq(),
+                            system.witness)
+
+
+def separating_set(gea: CheckedGEA) -> StateWitnessSet:
     """Per-pair separating witnesses over unordered pairs a < b."""
-    require_gea(table)
-    system = _Additivity(table)
-    witnesses = StateWitnessSet(goal="separate")
-    for a in range(table.n):
-        for b in range(a + 1, table.n):
-            covering = next((slot for slot, s in enumerate(witnesses.states)
-                             if s.values[a] != s.values[b]), None)
-            if covering is not None:
-                witnesses.provenance[(a, b)] = covering
-                continue
-            state = _separating_state(system, a, b)
-            if state is None:
-                witnesses.failures.append((a, b))
-            else:
-                _record(witnesses, (a, b), state)
-    return witnesses
+    system = _Additivity(gea.table)
+    n = gea.table.n
+    pairs = ((a, b) for a in range(n) for b in range(a + 1, n))
+    return assign_witnesses(StateWitnessSet(goal="separate"), pairs,
+                            lambda a, b: _separating_state(system, a, b))
 
 
 def normalize_state(g: GeneralizedState, table: AlgebraTable) -> GeneralizedState:
     """Rescale a generalized state to value 1 at the unit."""
     if table.unit is None:
         raise ContractError("normalization needs a unit element")
-    total = g.values[table.unit]
+    total = g.nums[table.unit]
     if total == 0:
         raise InputError("state is trivial on the unit; cannot normalize")
-    return g.scaled(Fraction(1, 1) / total)
+    return g.scaled(Fraction(g.den, total))
 
 
 def bound_constant(a: int, witnesses: StateWitnessSet) -> Fraction:
@@ -245,4 +272,4 @@ def bound_constant(a: int, witnesses: StateWitnessSet) -> Fraction:
     generalized states is bounded."""
     if not witnesses.states:
         raise InputError("bound over an empty witness set is undefined")
-    return max(s.values[a] for s in witnesses.states)
+    return max(s(a) for s in witnesses.states)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from gea import corpus
-from gea.algebra import check_ea_axioms, check_gea_axioms, classify_morphism, induced_order
+from gea.algebra import check_ea_axioms, check_gea_axioms, classify_morphism, require_gea
 from gea.effects import (EffectMatrix, demo_excd, gdh_sum, generalized_vector_state,
                          is_positive, random_positive_matrix, random_vector,
                          vector_witness)
@@ -66,9 +66,10 @@ def test_criterion_2_recovery_identity(valid_corpus):
     worst = 0.0
     for name, table in valid_corpus.items():
         start = time.monotonic()
+        gea = require_gea(table)
         for search in (order_determining_set, separating_set):
-            witnesses = search(table)
-            rep = build_representation(table, witnesses)
+            witnesses = search(gea)
+            rep = build_representation(gea, witnesses)
             recovered = extract_states(rep)
             if [s.values for s in recovered] != [s.values for s in witnesses.states]:
                 ok = False
@@ -84,8 +85,9 @@ def test_criterion_3_separation_iff_injective(population):
     start = time.monotonic()
     mismatches = []
     for index, table in enumerate(population):
-        witnesses = separating_set(table)
-        rep = build_representation(table, witnesses)
+        gea = require_gea(table)
+        witnesses = separating_set(gea)
+        rep = build_representation(gea, witnesses)
         injective, _ = verify_injective(rep)
         if witnesses.ok != injective:
             mismatches.append(index)
@@ -99,9 +101,10 @@ def test_criterion_4_order_determining_iff_order_reflecting(population):
     start = time.monotonic()
     mismatches = []
     for index, table in enumerate(population):
-        witnesses = order_determining_set(table)
-        rep = build_representation(table, witnesses)
-        reflecting, _ = verify_order_reflecting(rep, table)
+        gea = require_gea(table)
+        witnesses = order_determining_set(gea)
+        rep = build_representation(gea, witnesses)
+        reflecting, _ = verify_order_reflecting(rep, gea)
         if witnesses.ok != reflecting:
             mismatches.append(index)
     elapsed = time.monotonic() - start + _timings.get("generation", 0.0)
@@ -115,7 +118,8 @@ def test_criterion_5_boundedness(valid_corpus):
     rng = random.Random(VECTOR_SEED)
     ok = True
     for table in valid_corpus.values():
-        rep = build_representation(table, order_determining_set(table))
+        gea = require_gea(table)
+        rep = build_representation(gea, order_determining_set(gea))
         for a in range(table.n):
             norm = operator_norm(rep, a)
             for _ in range(100):
@@ -134,7 +138,7 @@ def test_criterion_5_boundedness(valid_corpus):
 
 
 def _pair_programs(table):
-    order = induced_order(table, checked=True)
+    order = require_gea(table).order
     for a, b in order.pairs_not_leq():
         yield additivity_program(
             table, [({a: Fraction(1), b: Fraction(-1)}, Fraction(1))])

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from gea import corpus
 from gea.algebra import (AlgebraTable, MorphismSpec, Violation, check_ea_axioms,
-                         check_gea_axioms, classify_morphism, induced_order, is_sub_gea)
+                         check_gea_axioms, classify_morphism, induced_order, is_sub_gea,
+                         require_gea)
 from gea.errors import ContractError, InputError
 from gea.generate import random_population
 
@@ -213,12 +214,12 @@ class TestInducedOrder:
     def test_axiom_failing_table_is_contract_error(self):
         t = corpus.load("broken_ge3")
         with pytest.raises(ContractError):
-            induced_order(t)
+            require_gea(t)
 
     @pytest.mark.parametrize("seed", [7, 11])
     def test_partial_order_on_random_tables(self, seed):
         for t in random_population(seed, 40):
-            order = induced_order(t, checked=True)
+            order = require_gea(t).order
             pairs = relation_pairs(order, t.n)
             for i in range(t.n):
                 assert (i, i) in pairs
@@ -259,19 +260,23 @@ class TestSubGea:
         assert not ok
 
 
+def checked_spec(source, target, images):
+    return MorphismSpec(require_gea(source), require_gea(target), images)
+
+
 class TestClassifyMorphism:
     def test_identity_on_diamond(self, diamond):
-        report = classify_morphism(MorphismSpec(diamond, diamond, (0, 1, 2, 3)))
+        report = classify_morphism(checked_spec(diamond, diamond, (0, 1, 2, 3)))
         assert (report.is_morphism, report.injective,
                 report.order_reflecting, report.embedding) == (True, True, True, True)
 
     def test_inclusion_of_excd_is_not_embedding(self, excd, excd_ext):
-        report = classify_morphism(MorphismSpec(excd, excd_ext, (0, 1, 2)))
+        report = classify_morphism(checked_spec(excd, excd_ext, (0, 1, 2)))
         assert report.is_morphism and report.injective and report.order_reflecting
         assert not report.embedding
 
     def test_constant_zero_on_diamond(self, diamond):
-        report = classify_morphism(MorphismSpec(diamond, diamond, (0, 0, 0, 0)))
+        report = classify_morphism(checked_spec(diamond, diamond, (0, 0, 0, 0)))
         assert report.is_morphism
         assert not report.injective
         assert not report.order_reflecting
@@ -279,13 +284,13 @@ class TestClassifyMorphism:
 
     def test_sum_dropping_map_is_not_morphism(self, diamond, excd):
         # a+b is defined in the diamond but images carry no nonzero sum
-        report = classify_morphism(MorphismSpec(diamond, excd, (0, 1, 2, 2)))
+        report = classify_morphism(checked_spec(diamond, excd, (0, 1, 2, 2)))
         assert not report.is_morphism
         assert report.failure is not None
 
     def test_out_of_range_image_rejected(self, diamond, excd):
         with pytest.raises(InputError):
-            MorphismSpec(diamond, excd, (0, 1, 2, 9))
+            checked_spec(diamond, excd, (0, 1, 2, 9))
 
     def test_corpus_morphisms_satisfy_implication_chain(self):
         for name in corpus.MORPHISMS:

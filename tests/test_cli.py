@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gea import corpus
+import gea
+from gea import algebra, corpus
 from gea import cli
 from gea.cli import main
 from gea.effects import EffectMatrix
@@ -266,3 +271,60 @@ class TestHumanOutput:
         code, out = run(capsys, "check", cpath("excd"))
         assert code == 0
         assert '"gea check' in out and "passed: true" in out
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls of fn through every binding of it in the gea modules."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "gea" or name.startswith("gea.")):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestOneScanPerPipeline:
+    @pytest.mark.parametrize("name, goal, exit_code", [
+        ("cube8", "order", 0), ("excd", "separate", 0),
+        ("no_states", "order", 3), ("no_states", "separate", 3)])
+    def test_represent_scans_and_orders_once(self, capsys, monkeypatch, name, goal, exit_code):
+        scans = count_calls(monkeypatch, algebra.check_gea_axioms)
+        orders = count_calls(monkeypatch, algebra.induced_order)
+        code = main(["represent", cpath(name), "--goal", goal, "--json"])
+        capsys.readouterr()
+        assert code == exit_code
+        assert (len(scans), len(orders)) == (1, 1)
+
+    def test_morphism_scans_each_table_once(self, capsys, monkeypatch):
+        scans = count_calls(monkeypatch, algebra.check_gea_axioms)
+        orders = count_calls(monkeypatch, algebra.induced_order)
+        assert main(["morphism", cpath("incl_excd"), "--json"]) == 0
+        capsys.readouterr()
+        assert (len(scans), len(orders)) == (2, 2)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("name, exit_code", [("cube8", 0), ("no_states", 3)])
+    @pytest.mark.parametrize("read_first", [0, 50])
+    def test_reader_closing_early_keeps_exit_code_and_stderr_empty(self, name, exit_code,
+                                                                    read_first):
+        # Like `gea --json represent ... | head -c 50`; with read_first = 0
+        # the read end is closed before the report is printed.
+        src = str(Path(gea.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gea.cli", "--json", "represent", cpath(name)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.read(read_first)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == exit_code
+        assert stderr == b""

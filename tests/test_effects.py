@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from gea import cli, corpus, effects
 from gea.algebra import check_gea_axioms
 from gea.effects import (EffectMatrix, demo_excd, effect_sum, gdh_sum,
                          generalized_vector_state, hermitian_spectrum,
@@ -377,3 +378,34 @@ class TestDemo:
         demo = demo_excd()
         assert demo["representation"] == {
             "morphism": True, "injective": True, "order_reflecting": True}
+
+
+class TestSpectrumCount:
+    @pytest.fixture
+    def spectra(self, monkeypatch):
+        calls = []
+        spectrum = effects.hermitian_spectrum
+
+        def counting(a):
+            calls.append(a.dim)
+            return spectrum(a)
+
+        monkeypatch.setattr(effects, "hermitian_spectrum", counting)
+        return calls
+
+    def test_demo_decides_each_effect_once(self, spectra):
+        demo_excd()
+        # Four matrices decided once each, the sums of the 16 ordered pairs,
+        # then pi1 + pi2 through effect_sum: both operands and the sum.
+        assert len(spectra) == 4 + 16 + 3
+
+    def test_effects_check_takes_one_spectrum(self, spectra, capsys):
+        assert cli.main(["effects", "check", str(corpus.path("mat_a")), "--json"]) == 0
+        assert len(spectra) == 1
+
+    def test_table_from_effects_rejects_a_non_effect_operand(self):
+        mats = projector_demo_matrices()
+        mats["two"] = diag(2.0, 0.0)
+        with pytest.raises(InputError, match="^effect_sum needs two effects between 0 "
+                                             "and the identity$"):
+            table_from_effects(["0", "pi1", "two"], mats)

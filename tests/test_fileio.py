@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gea import corpus
+from gea.algebra import require_gea
 from gea.effects import EffectMatrix
 from gea.errors import InputError
 from gea.fileio import (algebra_to_json, frac_str, load_algebra, load_matrix,
-                        load_morphism, parse_frac, save_algebra, save_matrix,
+                        load_morphism, parse_frac, ratio_str, save_algebra, save_matrix,
                         witness_set_to_json)
 from gea.states import separating_set
 
@@ -89,8 +92,8 @@ def test_morphism_must_be_total(tmp_path, diamond):
 
 def test_corpus_morphism_paths_resolve_relative():
     spec = load_morphism(corpus.path("incl_excd"))
-    assert spec.source.elements == ("0", "pi1", "pi2")
-    assert spec.target.elements == ("0", "pi1", "pi2", "id")
+    assert spec.source.table.elements == ("0", "pi1", "pi2")
+    assert spec.target.table.elements == ("0", "pi1", "pi2", "id")
 
 
 def test_matrix_round_trip(tmp_path):
@@ -115,8 +118,13 @@ def test_frac_codec():
         parse_frac("1/0")
 
 
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
+def test_ratio_str_reads_as_fraction(p, q):
+    assert ratio_str(p, q) == str(Fraction(p, q))
+
+
 def test_witness_json_shape(chain_c3):
-    payload = witness_set_to_json(chain_c3, separating_set(chain_c3))
+    payload = witness_set_to_json(chain_c3, separating_set(require_gea(chain_c3)))
     assert payload["goal"] == "separate"
     assert payload["states"] == [["0", "1", "2"]]
     assert payload["failures"] == []
