@@ -51,7 +51,8 @@ class AlgebraTable:
         for (i, j), k in self.sums.items():
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise InputError(f"sum entry ({i},{j})->{k} out of range")
-        object.__setattr__(self, "sums", dict(self.sums))
+        # Sorted once here, so defined_sums() walks the dict in key order.
+        object.__setattr__(self, "sums", dict(sorted(self.sums.items())))
 
     @property
     def n(self) -> int:
@@ -69,7 +70,7 @@ class AlgebraTable:
 
     def defined_sums(self) -> Iterator[tuple[int, int, int]]:
         """All defined triples (i, j, k) with x_i + x_j = x_k, sorted."""
-        for (i, j), k in sorted(self.sums.items()):
+        for (i, j), k in self.sums.items():
             yield i, j, k
 
 

@@ -119,11 +119,15 @@ def load_morphism(path: PathLike) -> MorphismSpec:
     data = _read_json(path)
     base = Path(path).parent
     try:
-        source = load_algebra(base / data["source"])
-        target = load_algebra(base / data["target"])
-        mapping = data["map"]
+        source_path, target_path, mapping = data["source"], data["target"], data["map"]
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from exc
+    if not (isinstance(source_path, str) and isinstance(target_path, str)):
+        raise InputError(f"{path}: \"source\" and \"target\" must be file names")
+    if not isinstance(mapping, dict):
+        raise InputError(f"{path}: \"map\" must be an object from labels to labels")
+    source = load_algebra(base / source_path)
+    target = load_algebra(base / target_path)
     if set(mapping) != set(source.elements):
         raise InputError(f"{path}: map must be total on the source elements")
     images = tuple(target.index(mapping[lab]) for lab in source.elements)

@@ -19,9 +19,11 @@ keeps the original rows of a maximal independent subset, in their original
 order, and finds an inconsistent system (a row combination y with yᵀA = 0
 and yᵀb != 0) without any simplex.  Before "inconsistent" is returned as
 None, y is rechecked against the original rows, just as a feasible point is
-rechecked against every row.  Only the kept rows enter a phase-one primal
-simplex with Bland's anti-cycling rule, so redundant rows cost no artificial
-column.
+rechecked against every row.  The reduced echelon form is also the start
+basis of phase one, with each pivot variable basic.  One auxiliary variable
+x0 enters every row whose rhs is negative (Chvátal, Linear Programming,
+1983, ch. 3), and Bland's anti-cycling rule minimizes x0 over rank rows and
+n + 2 columns; a basic point that is already nonnegative takes no pivot.
 
 Callers that solve many programs sharing their leading rows factor those
 rows once and pass the factorization in; each call then reduces only the
@@ -92,10 +94,10 @@ def _scale(coeffs: Sequence[Rational], rhs: Rational) -> int:
     return lcm(rhs.denominator, *(c.denominator for c in coeffs))
 
 
-def _integral(coeffs: Sequence[Rational], rhs: Rational) -> tuple[list[int], int]:
-    """The row (coeffs..., rhs) times the lcm of its denominators, and that lcm."""
+def _integral(coeffs: Sequence[Rational], rhs: Rational) -> list[int]:
+    """The row (coeffs..., rhs) times the lcm of its denominators."""
     scale = _scale(coeffs, rhs)
-    return [v.numerator * (scale // v.denominator) for v in (*coeffs, rhs)], scale
+    return [v.numerator * (scale // v.denominator) for v in (*coeffs, rhs)]
 
 
 def _support(row: Sequence[int]) -> list[tuple[int, int]]:
@@ -188,7 +190,7 @@ class Echelon:
         return out
 
     def _add(self, index: int) -> None:
-        v, _ = _integral(*self.source[index])
+        v = _integral(*self.source[index])
         combo = {index: 1}
         for k, p in enumerate(self.pivots):
             if v[p]:
@@ -227,11 +229,11 @@ def lp_feasible(program: LinearProgram,
 
     factored, when given, must be the factorization of the program's leading
     rows; only the rows after them are reduced here.  An inconsistent system
-    returns None after its row combination is rechecked.  Otherwise
-    phase-one simplex runs on the kept rows: artificial variables start basic
-    and their sum is driven to zero.  Bland's rule (lowest eligible index for
-    both the entering column and, on ratio ties, the leaving basic variable)
-    guarantees termination on degenerate tableaus.
+    returns None after its row combination is rechecked.  Otherwise phase one
+    starts from the echelon basis, puts one auxiliary column x0 in every row
+    whose rhs is negative and minimizes x0.  Bland's rule (lowest eligible
+    index for the entering column and, on ratio ties, the leaving basic
+    variable) guarantees termination on degenerate tableaus.
     """
     n = program.n_vars
     if factored is None:
@@ -243,35 +245,33 @@ def lp_feasible(program: LinearProgram,
     if echelon.conflict is not None:
         assert program.refuted_by(echelon.conflict)
         return None
+
+    # Tableau rows: the echelon rows with the x0 column (index n) before the
+    # rhs.  Each is positive in its basic (pivot) column; where the rhs is
+    # negative x0 carries minus that entry, so the row reads x_p + ... - x0 = b.
     m = echelon.rank
-    if m == 0:
-        return [Fraction(0)] * n
-
-    # Tableau rows: n structural columns, m artificial columns, then the rhs.
-    # Row i is its program row times the lcm s_i of its denominators (negated
-    # when the rhs is negative), and its artificial column holds s_i, so it
-    # is s_i times the rational tableau row.
-    tableau: list[list[int]] = []
-    scales: list[int] = []
-    for i, index in enumerate(echelon.kept):
-        v, scale = _integral(*program.rows[index])
-        if v[-1] < 0:
-            v = [-x for x in v]
-        row = v[:-1] + [0] * m + v[-1:]
-        row[n + i] = scale
-        tableau.append(row)
-        scales.append(scale)
-    basis = [n + i for i in range(m)]
-
-    # Reduced-cost row for minimizing the artificial sum, times lcm(s_i); its
-    # rhs holds the negated objective value.
-    common = lcm(*scales)
-    weights = [common // s for s in scales]
-    cost = [0 if n <= j < n + m else -sum(w * row[j] for w, row in zip(weights, tableau))
-            for j in range(n + m + 1)]
+    basis = echelon.pivots[:]
+    tableau = [row[:n] + [-row[p] if row[-1] < 0 else 0, row[-1]]
+               for row, p in zip(echelon.rows, basis)]
+    # Reduced costs of minimizing x0; the rhs holds minus the objective.  With
+    # no negative rhs the basic point is feasible and no pivot is made.
+    cost = [0] * n + [1, 0]
+    infeasible = [i for i in range(m) if tableau[i][-1] < 0]
+    if infeasible:
+        # x0 enters on the most negative rhs / pivot ratio (ties to the
+        # lowest basic index), which makes every rhs nonnegative.  The row
+        # is negated first, so its pivot entry in the x0 column is positive.
+        leaving = infeasible[0]
+        for i in infeasible[1:]:
+            row, best = tableau[i], tableau[leaving]
+            left, right = row[-1] * best[basis[leaving]], best[-1] * row[basis[i]]
+            if left < right or (left == right and basis[i] < basis[leaving]):
+                leaving = i
+        tableau[leaving] = [-v for v in tableau[leaving]]
+        _pivot(tableau, cost, basis, leaving, n)
 
     while True:
-        entering = next((j for j in range(n + m) if cost[j] < 0), None)
+        entering = next((j for j in range(n + 1) if cost[j] < 0), None)
         if entering is None:
             break
         pivot_row = None

@@ -39,6 +39,14 @@ class TestTableValidation:
     def test_singleton_unit_may_be_zero(self):
         AlgebraTable(("0",), 0, {(0, 0): 0}, unit=0)
 
+    def test_defined_sums_sorted_whatever_the_insertion_order(self):
+        sums = with_zero_sums(3, {(1, 1): 2})
+        t = table(["0", "a", "b"], dict(reversed(list(sums.items()))))
+        expected = sorted((i, j, k) for (i, j), k in sums.items())
+        assert list(t.defined_sums()) == expected
+        assert list(t.defined_sums()) == expected
+        assert list(t.sums) == sorted(sums)
+
 
 class TestGeaAxioms:
     def test_excd_passes(self, excd):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gea
 from gea import algebra, corpus
@@ -150,6 +154,25 @@ class TestMorphism:
         code, report = run_json(capsys, "morphism", cpath("incl_excd"))
         assert code == 0
         assert not report["morphism"]["embedding"]
+
+    @pytest.mark.parametrize("change", [
+        {"source": 5},
+        {"source": ["diamond.json"]},
+        {"target": 5},
+        {"map": [["0"]]},
+        {"map": ["0", "a", "b", "1"]},
+        {"map": 7},
+        {"map": None},
+    ])
+    def test_malformed_morphism_exits_two(self, capsys, tmp_path, change):
+        spec = json.loads(corpus.path("id_d4").read_text(encoding="utf-8"))
+        spec.update({"source": cpath("diamond"), "target": cpath("diamond"), **change})
+        path = tmp_path / "morphism.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["morphism", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "error" in json.loads(captured.out)
+        assert captured.err == ""
 
 
 class TestEffects:
@@ -328,3 +351,54 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=60) == exit_code
         assert stderr == b""
+
+
+# Hostile input: arbitrary JSON objects over the keys the loaders read.  Most
+# draws are malformed; some are valid tables, morphisms or matrices.
+LABELS = ("0", "a", "b", "1", "a,b")
+label = st.sampled_from(LABELS)
+leaf = st.one_of(st.none(), st.booleans(), st.integers(min_value=-2, max_value=4),
+                 st.floats(), st.text(alphabet="01ab.", max_size=3))
+anything = st.recursive(leaf, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.dictionaries(st.text(alphabet="01ab", max_size=2), inner, max_size=4)),
+    max_leaves=10)
+FUZZ_KEYS = {
+    "elements": st.lists(label, max_size=5),
+    "zero": label,
+    "unit": label,
+    "sums": st.lists(st.lists(label, min_size=2, max_size=4), max_size=8),
+    "source": st.sampled_from(("hostile.json", "table.json")),
+    "target": st.sampled_from(("hostile.json", "table.json")),
+    "map": st.dictionaries(label, label, max_size=5),
+    "dim": st.integers(min_value=-1, max_value=3),
+    "re": st.lists(st.lists(st.floats(), max_size=3), max_size=3),
+    "im": st.lists(st.lists(st.floats(), max_size=3), max_size=3),
+}
+hostile_objects = st.fixed_dictionaries({}, optional={
+    key: st.one_of(shaped, anything) for key, shaped in FUZZ_KEYS.items()})
+FUZZ_COMMANDS = (["check"], ["order"], ["states"], ["represent"], ["morphism"],
+                 ["effects", "check"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "table.json").write_text(corpus.path("diamond").read_text(encoding="utf-8"),
+                                     encoding="utf-8")
+    return path
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=hostile_objects)
+def test_hostile_json_exits_with_a_documented_code(fuzz_dir, data):
+    path = fuzz_dir / "hostile.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for command in FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, str(path), "--json"])
+        assert code in (0, 1, 2, 3), (command, data)
+        assert err.getvalue() == ""
+        if code == 2:
+            assert "error" in json.loads(out.getvalue())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gea import lp
 from gea.algebra import induced_order
 from gea.errors import ContractError
 from gea.lp import Echelon, LinearProgram, basic_solution_feasible, lp_feasible
@@ -98,8 +99,21 @@ class ReferenceEchelon:
         self.combos.append(combo)
 
 
+def _ref_pivot(tableau, cost, basis, row, col):
+    pivot = tableau[row][col]
+    tableau[row] = [v / pivot for v in tableau[row]]
+    support = _ref_support(tableau[row])
+    for i, other in enumerate(tableau):
+        if i != row and other[col]:
+            tableau[i] = _ref_sub(other, other[col], support)
+    if cost[col]:
+        cost[:] = _ref_sub(cost, cost[col], support)
+    basis[row] = col
+
+
 def reference_lp_feasible(program, factored=None) -> Optional[list]:
-    """Phase-one simplex with Bland's rule on the kept rows, in Fractions."""
+    """Phase one from the echelon basis with one auxiliary variable x0 and
+    Bland's rule, in Fractions."""
     n = program.n_vars
     if factored is None:
         factored = ReferenceEchelon(n)
@@ -107,50 +121,27 @@ def reference_lp_feasible(program, factored=None) -> Optional[list]:
     if echelon.conflict is not None:
         assert program.refuted_by(echelon.conflict)
         return None
-    m = echelon.rank
-    if m == 0:
-        return [Fraction(0)] * n
-    tableau = []
-    for i, index in enumerate(echelon.kept):
-        coeffs, rhs = program.rows[index]
-        sign = -1 if rhs < 0 else 1
-        row = [sign * Fraction(c) for c in coeffs]
-        row += [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        row.append(sign * Fraction(rhs))
-        tableau.append(row)
-    basis = [n + i for i in range(m)]
-    width = n + m + 1
-    cost = [Fraction(0)] * width
-    for j in range(width):
-        if not n <= j < n + m:
-            cost[j] = -sum(tableau[i][j] for i in range(m))
-    while True:
-        entering = next((j for j in range(n + m) if cost[j] < 0), None)
-        if entering is None:
-            break
-        pivot_row = None
-        best_ratio = None
-        for i in range(m):
-            coeff = tableau[i][entering]
-            if coeff <= 0:
-                continue
-            ratio = tableau[i][-1] / coeff
-            if best_ratio is None or ratio < best_ratio or \
-                    (ratio == best_ratio and basis[i] < basis[pivot_row]):
-                best_ratio = ratio
-                pivot_row = i
-        assert pivot_row is not None
-        pivot = tableau[pivot_row][entering]
-        tableau[pivot_row] = [v / pivot for v in tableau[pivot_row]]
-        support = _ref_support(tableau[pivot_row])
-        for i, other in enumerate(tableau):
-            if i != pivot_row and other[entering]:
-                tableau[i] = _ref_sub(other, other[entering], support)
-        if cost[entering]:
-            cost = _ref_sub(cost, cost[entering], support)
-        basis[pivot_row] = entering
-    if cost[-1] != 0:
-        return None
+    # Each echelon row is 1 at its pivot; x0 (column n) enters with -1 every
+    # row whose rhs is negative.
+    basis = echelon.pivots[:]
+    tableau = [row[:-1] + [Fraction(-1 if row[-1] < 0 else 0), row[-1]]
+               for row in echelon.rows]
+    infeasible = [i for i, row in enumerate(tableau) if row[-1] < 0]
+    if infeasible:
+        leaving = min(infeasible, key=lambda i: (tableau[i][-1], basis[i]))
+        cost = [Fraction(0)] * n + [Fraction(1), Fraction(0)]
+        _ref_pivot(tableau, cost, basis, leaving, n)
+        while True:
+            entering = next((j for j in range(n + 1) if cost[j] < 0), None)
+            if entering is None:
+                break
+            eligible = [i for i, row in enumerate(tableau) if row[entering] > 0]
+            assert eligible
+            pivot_row = min(eligible, key=lambda i: (
+                tableau[i][-1] / tableau[i][entering], basis[i]))
+            _ref_pivot(tableau, cost, basis, pivot_row, entering)
+        if cost[-1] != 0:
+            return None
     x = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
@@ -393,7 +384,9 @@ def test_integer_solver_matches_reference_on_wider_programs():
         rows = [([rng.choice(values) if rng.random() < 0.6 else 0 for _ in range(n)],
                  0 if rng.random() < 0.4 else rng.choice(values)) for _ in range(m)]
         program = LinearProgram.build(n, rows)
-        assert lp_feasible(program) == reference_lp_feasible(program), rows
+        x = lp_feasible(program)
+        assert x == reference_lp_feasible(program), rows
+        assert (x is None) == (basic_solution_feasible(program) is None), rows
 
 
 def test_integer_solver_matches_reference_on_corpus_pairs(valid_corpus):
@@ -411,3 +404,44 @@ def test_scaled_rows_carry_their_scale_into_the_certificate():
     assert echelon.conflict is not None
     assert program.refuted_by(echelon.conflict)
     assert lp_feasible(program) is None
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """The list of (row, col) of every phase-one pivot made while it is live."""
+    made = []
+    real = lp._pivot
+
+    def counted(tableau, cost, basis, row, col):
+        made.append((row, col))
+        real(tableau, cost, basis, row, col)
+
+    monkeypatch.setattr(lp, "_pivot", counted)
+    return made
+
+
+def test_nonnegative_echelon_basis_needs_no_pivot(pivots, valid_corpus):
+    # In variables (a, b, c) the reduced form reads a - c = 1, b + c = 1,
+    # whose basic point (1, 1, 0) is already feasible.
+    program = LinearProgram.build(3, [((1, 1, 0), 2), ((0, 1, 1), 1)])
+    assert lp_feasible(program) == [1, 1, 0]
+    for table in valid_corpus.values():
+        assert lp_feasible(additivity_program(table)) is not None
+    assert pivots == []
+
+
+def test_pair_programs_pivot_at_most_the_cone_dimension(pivots, valid_corpus):
+    # d = vars - rank is the dimension of the state cone {x >= 0 : Ax = 0}.
+    most = {}
+    for name, table in valid_corpus.items():
+        cone = additivity_program(table)
+        d = cone.n_vars - Echelon.of(cone.rows, cone.n_vars).rank
+        for program in _pair_programs(table):
+            pivots.clear()
+            feasible = lp_feasible(program) is not None
+            assert len(pivots) <= d, (name, d, pivots)
+            key = name, feasible
+            most[key] = max(most.get(key, 0), len(pivots))
+    # The chain's witnesses are basic solutions of the echelon form itself.
+    assert most["chain_c3", True] == 0
+    assert most["cube8", True] == 3
