@@ -91,7 +91,10 @@ def _render_text(value, indent: int = 0) -> str:
 def _emit(report: dict, as_json: bool, out: Optional[str] = None) -> None:
     payload = json.dumps(report, sort_keys=True, separators=(",", ":"))
     if out:
-        Path(out).write_text(payload + "\n", encoding="utf-8")
+        try:
+            Path(out).write_text(payload + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     try:
         print(payload if as_json else _render_text(report), flush=True)
     except BrokenPipeError:
@@ -354,6 +357,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, "seed", None) is None:
             args.seed = _env_seed()
         report, code = args.func(args)
+        report["exit"] = code
+        _emit(report, args.json, getattr(args, "out", None))
+        return code
     except InputError as exc:
         _emit({"schema": 1, "command": args.command_echo, "error": str(exc)},
               args.json)
@@ -362,9 +368,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         _emit({"schema": 1, "command": args.command_echo, "error": str(exc)},
               args.json)
         return EXIT_FAIL
-    report["exit"] = code
-    _emit(report, args.json, getattr(args, "out", None))
-    return code
 
 
 if __name__ == "__main__":

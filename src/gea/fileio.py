@@ -46,7 +46,10 @@ def _read_json(path: PathLike) -> dict:
             data = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # integer literals past the interpreter's digit limit; deep nesting
+        # exhausts the parser's recursion.
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")

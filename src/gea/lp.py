@@ -16,14 +16,17 @@ values it returns.
 
 Every call starts with one exact elimination (`Echelon`) over the rows.  It
 keeps the original rows of a maximal independent subset, in their original
-order, and finds an inconsistent system (a row combination y with yᵀA = 0
-and yᵀb != 0) without any simplex.  Before "inconsistent" is returned as
-None, y is rechecked against the original rows, just as a feasible point is
-rechecked against every row.  The reduced echelon form is also the start
-basis of phase one, with each pivot variable basic.  One auxiliary variable
-x0 enters every row whose rhs is negative (Chvátal, Linear Programming,
-1983, ch. 3), and Bland's anti-cycling rule minimizes x0 over rank rows and
-n + 2 columns; a basic point that is already nonnegative takes no pivot.
+order, and finds an inconsistent system, a row that reduces to 0 = c with
+c != 0, without any simplex.  Only then is the proof built: a row
+combination y with yᵀA = 0 and yᵀb != 0, in int weights, from one more
+elimination that solves the conflicting row against the kept rows.  Before
+"inconsistent" is returned as None, y is rechecked against the original
+rows, just as a feasible point is rechecked against every row.  The reduced
+echelon form is also the start basis of phase one, with each pivot variable
+basic.  One auxiliary variable x0 enters every row whose rhs is negative
+(Chvátal, Linear Programming, 1983, ch. 3), and Bland's anti-cycling rule
+minimizes x0 over rank rows and n + 2 columns; a basic point that is
+already nonnegative takes no pivot.
 
 Callers that solve many programs sharing their leading rows factor those
 rows once and pass the factorization in; each call then reduces only the
@@ -89,14 +92,9 @@ class LinearProgram:
         return not any(total[:-1]) and total[-1] != 0
 
 
-def _scale(coeffs: Sequence[Rational], rhs: Rational) -> int:
-    """The lcm of the denominators of one row."""
-    return lcm(rhs.denominator, *(c.denominator for c in coeffs))
-
-
 def _integral(coeffs: Sequence[Rational], rhs: Rational) -> list[int]:
     """The row (coeffs..., rhs) times the lcm of its denominators."""
-    scale = _scale(coeffs, rhs)
+    scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
     return [v.numerator * (scale // v.denominator) for v in (*coeffs, rhs)]
 
 
@@ -126,34 +124,16 @@ def _primitive(v: list[int]) -> list[int]:
     return [x // common for x in v] if common > 1 else v
 
 
-def _combine(y: dict[int, int], a: int, f: int, z: dict[int, int]) -> dict[int, int]:
-    """a * y - f * z on row-combination dicts."""
-    out = {i: a * w for i, w in y.items()} if a != 1 else dict(y)
-    for i, w in z.items():
-        out[i] = out.get(i, 0) - f * w
-    return out
-
-
-def _jointly_primitive(v: list[int], y: dict[int, int]) -> tuple[list[int], dict[int, int]]:
-    """v and y divided by the gcd of all their entries, zero weights dropped;
-    a row stays the exact combination of the source rows that y names."""
-    common = gcd(*v, *y.values())
-    if common > 1:
-        return [x // common for x in v], {i: w // common for i, w in y.items() if w}
-    return v, {i: w for i, w in y.items() if w}
-
-
 class Echelon:
     """Reduced row echelon form of a row sequence, built one row at a time.
 
     kept holds the indices of the rows that are independent of the rows
     before them: a maximal independent subset, in original order.  Each
-    echelon row is integer coefficients plus rhs, a positive multiple of the
-    rational reduced row: positive at its pivot column and 0 at every other
-    pivot column.  It is stored with the integer combination of source rows,
-    each scaled by the lcm of its denominators, that gives it exactly.  A row
-    that reduces to 0 = c with c != 0 stops the elimination and leaves in
-    conflict the combination of the original rows that proves it.
+    echelon row is integer coefficients plus rhs, a primitive positive
+    multiple of the rational reduced row: positive at its pivot column and 0
+    at every other pivot column.  A row that reduces to 0 = c with c != 0
+    stops the elimination, and conflict holds its index; `certificate`
+    builds the row combination that proves it only when asked.
 
     Echelon rows are replaced, never changed in place, so `extended` can share
     them with the factorization it starts from.
@@ -165,8 +145,7 @@ class Echelon:
         self.kept: list[int] = []
         self.pivots: list[int] = []
         self.rows: list[list[int]] = []
-        self.combos: list[dict[int, int]] = []
-        self.conflict: Optional[dict[int, int]] = None
+        self.conflict: Optional[int] = None
 
     @staticmethod
     def of(rows: Sequence[Row], n_cols: int) -> "Echelon":
@@ -179,8 +158,7 @@ class Echelon:
     def extended(self, rows: Sequence[Row]) -> "Echelon":
         """A new factorization of self.source followed by rows."""
         out = Echelon(self.n_cols)
-        out.kept, out.pivots = self.kept[:], self.pivots[:]
-        out.rows, out.combos = self.rows[:], self.combos[:]
+        out.kept, out.pivots, out.rows = self.kept[:], self.pivots[:], self.rows[:]
         out.conflict = self.conflict
         out.source = self.source + tuple(rows)
         for index in range(len(self.source), len(out.source)):
@@ -191,36 +169,43 @@ class Echelon:
 
     def _add(self, index: int) -> None:
         v = _integral(*self.source[index])
-        combo = {index: 1}
         for k, p in enumerate(self.pivots):
             if v[p]:
                 row = self.rows[k]
                 a, f = _factors(row[p], v[p])
                 v = _cancel(v, a, f, _support(row))
-                combo = _combine(combo, a, f, self.combos[k])
         col = next((j for j in range(self.n_cols) if v[j]), None)
-        if col is None and not v[-1]:
-            return  # a combination of the rows kept so far
         if col is None:
-            # The combination is over scaled rows; fold each scale into its
-            # weight so that it reads on the original rows.
-            self.conflict = {i: w * _scale(*self.source[i])
-                             for i, w in combo.items() if w}
-            return
-        if v[col] < 0:
-            v = [-x for x in v]
-            combo = {i: -w for i, w in combo.items()}
-        v, combo = _jointly_primitive(v, combo)
+            if v[-1]:
+                self.conflict = index
+            return  # otherwise a combination of the rows kept so far
+        v = _primitive(v if v[col] > 0 else [-x for x in v])
         support = _support(v)
         for k, row in enumerate(self.rows):
             if row[col]:
                 a, f = _factors(v[col], row[col])
-                self.rows[k], self.combos[k] = _jointly_primitive(
-                    _cancel(row, a, f, support), _combine(self.combos[k], a, f, combo))
+                self.rows[k] = _primitive(_cancel(row, a, f, support))
         self.kept.append(index)
         self.pivots.append(col)
         self.rows.append(v)
-        self.combos.append(combo)
+
+    def certificate(self) -> dict[int, int]:
+        """Int weights y on the source rows (index -> weight) with yᵀA = 0
+        and yᵀb != 0, for the row in conflict.
+
+        Its coefficients are a unique combination w of the kept rows, which
+        are independent; w solves the rank × rank system on the pivot
+        columns.  y is w times the lcm L of its denominators, with -L on the
+        conflicting row, so yᵀb is L times the c of its 0 = c."""
+        coeffs = self.source[self.conflict][0]
+        columns = list(zip(*(self.source[i][0] for i in self.kept)))
+        solved = Echelon.of([(columns[p], coeffs[p]) for p in self.pivots], self.rank)
+        w = {self.kept[k]: Fraction(row[-1], row[k])
+             for k, row in zip(solved.pivots, solved.rows) if row[-1]}
+        scale = lcm(*(v.denominator for v in w.values()))
+        y = {i: v.numerator * (scale // v.denominator) for i, v in w.items()}
+        y[self.conflict] = -scale
+        return y
 
 
 def lp_feasible(program: LinearProgram,
@@ -229,9 +214,9 @@ def lp_feasible(program: LinearProgram,
 
     factored, when given, must be the factorization of the program's leading
     rows; only the rows after them are reduced here.  An inconsistent system
-    returns None after its row combination is rechecked.  Otherwise phase one
-    starts from the echelon basis, puts one auxiliary column x0 in every row
-    whose rhs is negative and minimizes x0.  Bland's rule (lowest eligible
+    returns None after its certificate is built and rechecked.  Otherwise
+    phase one starts from the echelon basis, puts one auxiliary column x0 in
+    every row whose rhs is negative and minimizes x0.  Bland's rule (lowest eligible
     index for the entering column and, on ratio ties, the leaving basic
     variable) guarantees termination on degenerate tableaus.
     """
@@ -243,7 +228,7 @@ def lp_feasible(program: LinearProgram,
         raise ContractError("factorization does not match the program's leading rows")
     echelon = factored.extended(program.rows[lead:])
     if echelon.conflict is not None:
-        assert program.refuted_by(echelon.conflict)
+        assert program.refuted_by(echelon.certificate())
         return None
 
     # Tableau rows: the echelon rows with the x0 column (index n) before the

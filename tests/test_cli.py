@@ -265,6 +265,39 @@ class TestEffects:
             assert code == 2 and "error" in report, body
 
 
+# Files that the JSON parser itself rejects, each beyond a plain syntax error.
+MALFORMED_FILES = {
+    "deep": ("[" * 100_000 + "]" * 100_000).encode(),
+    "latin1": '{"elements": ["0", "\u00e9"], "zero": "0", "sums": []}'.encode("latin-1"),
+    "digits": ('{"elements": ["0"], "zero": "0", "sums": [], "dim": '
+               + "7" * 5000 + "}").encode(),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+    @pytest.mark.parametrize("command", [["check"], ["effects", "check"], ["morphism"]])
+    def test_parser_failures_exit_two(self, capsys, tmp_path, name, command):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(MALFORMED_FILES[name])
+        assert main([*command, str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert str(path) in json.loads(captured.out)["error"]
+        assert captured.err == ""
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", ["states", "represent"])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, command):
+        out_file = tmp_path / "missing" / "report.json"
+        code = main([command, cpath("cube8"), "--out", str(out_file), "--json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert str(out_file) in json.loads(captured.out)["error"]
+        assert captured.err == ""
+        assert not out_file.exists()
+
+
 class TestParserReuse:
     def test_calls_in_a_row_match_fresh_calls(self, capsys):
         # The parser is built once per process; flags of one call must not

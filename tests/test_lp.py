@@ -285,7 +285,7 @@ def test_presolve_matches_oracle_on_redundant_rows(case):
     if inconsistent:
         assert echelon.conflict is not None
     if echelon.conflict is not None:
-        assert program.refuted_by(echelon.conflict)
+        assert program.refuted_by(echelon.certificate())
     else:
         kept = [program.rows[i] for i in echelon.kept]
         assert Echelon.of(kept, program.n_vars).rank == len(kept)
@@ -296,7 +296,8 @@ def test_inconsistent_pair_row_settled_by_elimination():
     program = LinearProgram.build(3, [((2, 0, -1), 0), ((0, 2, -1), 0), ((1, -1, 0), 1)])
     echelon = Echelon.of(program.rows, 3)
     assert echelon.kept == [0, 1]
-    assert echelon.conflict is not None and program.refuted_by(echelon.conflict)
+    assert echelon.conflict == 2
+    assert echelon.certificate() == {0: 1, 1: -1, 2: -2}
     assert lp_feasible(program) is None
 
 
@@ -310,7 +311,7 @@ def test_refuted_by_checks_the_combination():
 def test_wrong_inconsistency_claim_is_caught():
     program = LinearProgram.build(2, [((1, 0), 1), ((0, 1), 1)])
     factored = Echelon.of(program.rows[:1], 2)
-    factored.conflict = {0: Fraction(1)}
+    factored.conflict = 0  # row 0 is consistent and kept
     with pytest.raises(AssertionError):
         lp_feasible(program, factored)
 
@@ -361,7 +362,7 @@ def test_integer_solver_takes_the_reference_pivot_path(program, data):
     assert echelon.pivots == reference.pivots
     assert (echelon.conflict is None) == (reference.conflict is None)
     if echelon.conflict is not None:
-        assert program.refuted_by(echelon.conflict)
+        assert program.refuted_by(echelon.certificate())
     for row, ref_row, col in zip(echelon.rows, reference.rows, echelon.pivots):
         assert row[col] > 0
         assert [Fraction(v, row[col]) for v in row] == ref_row
@@ -371,6 +372,10 @@ def test_integer_solver_takes_the_reference_pivot_path(program, data):
     lead = data.draw(st.integers(min_value=0, max_value=len(program.rows)))
     factored = Echelon.of(program.rows[:lead], program.n_vars)
     assert lp_feasible(program, factored) == x
+    extended = factored.extended(program.rows[lead:])
+    assert extended.conflict == echelon.conflict
+    if extended.conflict is not None:
+        assert program.refuted_by(extended.certificate())
 
 
 def test_integer_solver_matches_reference_on_wider_programs():
@@ -396,14 +401,52 @@ def test_integer_solver_matches_reference_on_corpus_pairs(valid_corpus):
 
 
 def test_scaled_rows_carry_their_scale_into_the_certificate():
-    # x = 0 twice, then 2x = 1/2: the third row enters as 4x = 1, so a
-    # combination read on the scaled row must be doubled on the original.
+    # x = 0 twice, then 2x = 1/2: the third row enters the elimination as
+    # 4x = 1, but the certificate weighs the original rows, 2 * (x = 0)
+    # - (2x = 1/2).
     program = LinearProgram.build(1, [((1,), 0), ((1,), 0), ((2,), Fraction(1, 2))])
     echelon = Echelon.of(program.rows, 1)
     assert echelon.kept == [0]
-    assert echelon.conflict is not None
-    assert program.refuted_by(echelon.conflict)
+    assert echelon.conflict == 2
+    assert echelon.certificate() == {0: 2, 2: -1}
+    assert program.refuted_by(echelon.certificate())
     assert lp_feasible(program) is None
+
+
+def test_conflicting_corpus_pairs_get_int_certificates(valid_corpus):
+    conflicts = 0
+    for name, table in valid_corpus.items():
+        for program in _pair_programs(table):
+            echelon = Echelon.of(program.rows, program.n_vars)
+            if echelon.conflict is None:
+                continue
+            y = echelon.certificate()
+            assert all(type(w) is int for w in y.values()), name
+            assert program.refuted_by(y), name
+            conflicts += 1
+            if name == "no_states":
+                # Rows 0 and 1 are a + a = c and b + b = c; row 2 is the
+                # pair row s(a) - s(b) = +-1 or its reverse.
+                assert echelon.conflict == 2
+                assert y[0] == -y[1] != 0 and y[2] != 0 and len(y) == 3
+    assert conflicts >= 2
+
+
+def test_factored_conflict_with_fraction_rows_gets_a_certificate():
+    # The third row is 3/4 of the first minus 5/3 of the second, with its
+    # rhs moved off 0, and is reduced only in the extension.
+    first = (Fraction(1, 3), Fraction(1, 2), 0)
+    second = (0, Fraction(2, 5), Fraction(-1, 7))
+    third = tuple(Fraction(3, 4) * p - Fraction(5, 3) * q for p, q in zip(first, second))
+    program = LinearProgram(3, ((first, 0), (second, 0), (third, Fraction(1, 2))))
+    factored = Echelon.of(program.rows[:2], 3)
+    extended = factored.extended(program.rows[2:])
+    assert factored.conflict is None and extended.conflict == 2
+    y = extended.certificate()
+    assert all(type(w) is int for w in y.values())
+    assert program.refuted_by(y)
+    assert y[0] * 4 == -y[2] * 3 and y[1] * 3 == y[2] * 5
+    assert lp_feasible(program, factored) is None
 
 
 @pytest.fixture
