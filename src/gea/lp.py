@@ -2,17 +2,17 @@
 
 Decides whether {A x = b, x >= 0} has a solution over the rationals, with
 every elimination and pivot step in Python ints.  Coefficients may be ints
-or Fractions.  Each row is scaled on entry by the lcm of its denominators,
-and every stored integer row (echelon rows, tableau rows, the cost row) is
-a positive multiple of the rational row it stands for.  A step forms
-a*row - f*pivot_row with a > 0 and divides the result by its gcd, so the
-multiple stays positive and the entries stay small.  The rational algorithm
-reads only signs and ratios of such rows: a pivot column is the first
-nonzero entry, the entering column is the first negative reduced cost, and
-the ratio test compares b_i / a_i, here by cross-multiplication.  So the
-integer solver takes the pivot path of the same algorithm run in Fraction
-arithmetic and returns the same point; Fractions are made only for the
-values it returns.
+or Fractions.  Each row is scaled on entry by the lcm of its denominators
+(a row of ints enters as it is), and every stored integer row (echelon
+rows, tableau rows, the cost row) is a positive multiple of the rational
+row it stands for.  A step forms a*row - f*pivot_row with a > 0 and divides
+the result by its gcd, so the multiple stays positive and the entries stay
+small.  The rational algorithm reads only signs and ratios of such rows: a
+pivot column is the first nonzero entry, the entering column is the first
+negative reduced cost, and the ratio test compares b_i / a_i, here by
+cross-multiplication.  So the integer solver takes the pivot path of the
+same algorithm run in Fraction arithmetic and returns the same point;
+Fractions are made only for the values it returns.
 
 Every call starts with one exact elimination (`Echelon`) over the rows.  It
 keeps the original rows of a maximal independent subset, in their original
@@ -40,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import ContractError, InputError
 
@@ -61,12 +61,6 @@ class LinearProgram:
         for coeffs, _ in self.rows:
             if len(coeffs) != self.n_vars:
                 raise InputError("coefficient row length does not match variable count")
-
-    @staticmethod
-    def build(n_vars: int, rows: Iterable[tuple[Sequence, object]]) -> "LinearProgram":
-        frozen = tuple((tuple(Fraction(c) for c in coeffs), Fraction(rhs))
-                       for coeffs, rhs in rows)
-        return LinearProgram(n_vars, frozen)
 
     def satisfied_by(self, x: Sequence[Fraction]) -> bool:
         if len(x) != self.n_vars:
@@ -93,9 +87,13 @@ class LinearProgram:
 
 
 def _integral(coeffs: Sequence[Rational], rhs: Rational) -> list[int]:
-    """The row (coeffs..., rhs) times the lcm of its denominators."""
-    scale = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-    return [v.numerator * (scale // v.denominator) for v in (*coeffs, rhs)]
+    """The row (coeffs..., rhs) times the lcm of its denominators.  A row of
+    ints, as every additivity row is, has lcm 1 and comes back as it is."""
+    row = [*coeffs, rhs]
+    if all(type(v) is int for v in row):
+        return row
+    scale = lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
 
 
 def _support(row: Sequence[int]) -> list[tuple[int, int]]:

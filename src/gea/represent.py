@@ -22,8 +22,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, le
-from typing import Optional, Sequence
+from operator import add, le, mul
+from typing import Callable, Optional, Sequence
 
 from .algebra import AlgebraTable, CheckedGEA
 from .errors import InputError
@@ -196,6 +196,51 @@ def bounded_by(rep: DiagonalRep, a: int, norm: Fraction, x: FiniteVector) -> boo
     return apply_operator(rep, a, x).norm_sq() <= norm * norm * x.norm_sq()
 
 
+def _draw_table(n: int, value: Callable[[int], object]) -> tuple:
+    """What one generator word gives randrange(n), read from its top byte:
+    value(r) for the draw r, or None when the word is rejected.
+
+    CPython's _randbelow(n) takes the top n.bit_length() bits of a 32-bit
+    word and draws again while they are >= n; every n here has at most 6
+    bits, so the top byte decides the draw."""
+    shift = 8 - n.bit_length()
+    return tuple(value(b >> shift) if b >> shift < n else None for b in range(256))
+
+
+# The two draws of one coordinate of random_rational_vector as a 5-state
+# table: q = randint(1, 4) picks one of four p tables, and p = randint(-5q, 5q)
+# gives the coordinate's square scaled by 12^2, (12 p / q)^2.
+_P_DRAWS = {q: _draw_table(10 * q + 1, lambda r, q=q: ((r - 5 * q) * (12 // q)) ** 2)
+            for q in range(1, 5)}
+_Q_DRAWS = _draw_table(4, lambda r: _P_DRAWS[r + 1])
+
+
+def _coordinate_squares(rng: random.Random, count: int) -> list[int]:
+    """(12 x_i)^2 for the next count coordinates x_i that
+    random_rational_vector draws from rng, leaving rng where those draws
+    leave it.
+
+    getrandbits(32 k) returns the next k words, the first one least
+    significant, and each coordinate takes at least two words.  So a read
+    of 2 * (coordinates still needed) words, one fewer while a p draw is
+    pending, never passes the last word the draws use."""
+    squares: list[int] = []
+    append = squares.append
+    p_draws = None  # the pending coordinate's p table, None while q is due
+    while len(squares) < count:
+        words = 2 * (count - len(squares)) - (p_draws is not None)
+        chunk = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        for top in chunk[3::4]:
+            if p_draws is None:
+                p_draws = _Q_DRAWS[top]
+            else:
+                square = p_draws[top]
+                if square is not None:
+                    append(square)
+                    p_draws = None
+    return squares
+
+
 def sampled_check(rep: DiagonalRep, rng: random.Random, count: int,
                   norms: Sequence[Fraction]) -> bool:
     """For each element a in turn, draw count vectors x exactly as
@@ -207,21 +252,24 @@ def sampled_check(rep: DiagonalRep, rng: random.Random, count: int,
     q^2 ||diagonal x||^2 <= (p den)^2 ||x||^2.  Both inequalities are
     homogeneous, so every vector gets the verdict vector_state and
     bounded_by would give it.  Returns False at the first vector that fails.
+
+    Every draw is decoded up front from the generator's words, so rng ends
+    where the draws of a passing check leave it; after a failing check it
+    has read further.
     """
-    randrange = rng.randrange  # randint(a, b) is randrange(a, b + 1)
+    m = rep.m
+    squares = _coordinate_squares(rng, len(rep.diagonals) * count * m)
+    start = 0
     for a, diagonal in enumerate(rep.diagonals):
         norm = Fraction(norms[a])
         image_scale = norm.denominator ** 2
         bound_sq = (norm.numerator * rep.den) ** 2
+        diagonal_sq = [e * e for e in diagonal]
         for _ in range(count):
-            state = norm_sq = image_sq = 0
-            for e in diagonal:
-                q = randrange(1, 5)
-                c2 = (randrange(-5 * q, 5 * q + 1) * (12 // q)) ** 2  # (12 p/q)^2
-                state += e * c2
-                norm_sq += c2
-                image_sq += e * e * c2
-            if state < 0 or image_scale * image_sq > bound_sq * norm_sq:
+            x_sq = squares[start:start + m]
+            start += m
+            if (sum(map(mul, diagonal, x_sq)) < 0
+                    or image_scale * sum(map(mul, diagonal_sq, x_sq)) > bound_sq * sum(x_sq)):
                 return False
     return True
 

@@ -13,6 +13,13 @@ from gea.lp import Echelon, LinearProgram, basic_solution_feasible, lp_feasible
 from gea.states import additivity_program
 
 
+def build_program(n_vars, rows):
+    """A LinearProgram whose coefficients and right-hand sides are all
+    Fractions, as the rows of a hand-written program may be."""
+    return LinearProgram(n_vars, tuple((tuple(Fraction(c) for c in coeffs), Fraction(rhs))
+                                       for coeffs, rhs in rows))
+
+
 # Reference solver: the same elimination and phase-one simplex in Fraction
 # arithmetic, with every echelon row normalized to 1 at its pivot and every
 # tableau row to 1 at its basic column.  The integer solver must take the
@@ -151,12 +158,12 @@ def reference_lp_feasible(program, factored=None) -> Optional[list]:
 
 
 def test_single_pinned_variable():
-    program = LinearProgram.build(1, [((1,), 1)])
+    program = build_program(1, [((1,), 1)])
     assert lp_feasible(program) == [Fraction(1)]
 
 
 def test_sign_contradiction_is_infeasible():
-    program = LinearProgram.build(2, [((1, 1), 1), ((1, -1), 3)])
+    program = build_program(2, [((1, 1), 1), ((1, -1), 3)])
     assert lp_feasible(program) is None
     assert basic_solution_feasible(program) is None
 
@@ -170,18 +177,18 @@ def test_excd_normalized_witness_program(excd):
 
 
 def test_empty_program_is_feasible_at_zero():
-    program = LinearProgram.build(3, [])
+    program = build_program(3, [])
     assert lp_feasible(program) == [Fraction(0)] * 3
 
 
 def test_zero_rows_with_nonzero_rhs_infeasible():
-    program = LinearProgram.build(2, [((0, 0), 1)])
+    program = build_program(2, [((0, 0), 1)])
     assert lp_feasible(program) is None
     assert basic_solution_feasible(program) is None
 
 
 def test_solution_is_exact_on_awkward_fractions():
-    program = LinearProgram.build(
+    program = build_program(
         2, [((Fraction(1, 3), Fraction(1, 7)), Fraction(2, 21))])
     solution = lp_feasible(program)
     assert solution is not None
@@ -224,7 +231,7 @@ coeff = st.integers(min_value=-3, max_value=3)
                  min_size=0, max_size=4))))
 def test_simplex_matches_oracle_on_random_programs(case):
     n, rows = case
-    program = LinearProgram.build(n, rows)
+    program = build_program(n, rows)
     simplex = lp_feasible(program)
     oracle = basic_solution_feasible(program)
     assert (simplex is None) == (oracle is None)
@@ -267,7 +274,7 @@ def redundant_programs(draw):
                               draw(st.sampled_from(rows)))
         rows.append((coeffs, rhs + draw(scale)))
     rows = draw(st.permutations(rows))
-    return LinearProgram.build(n, rows), inconsistent
+    return build_program(n, rows), inconsistent
 
 
 @settings(max_examples=200, deadline=None)
@@ -293,7 +300,7 @@ def test_presolve_matches_oracle_on_redundant_rows(case):
 
 def test_inconsistent_pair_row_settled_by_elimination():
     # a + a = c and b + b = c force s(a) = s(b); s(a) - s(b) = 1 contradicts it.
-    program = LinearProgram.build(3, [((2, 0, -1), 0), ((0, 2, -1), 0), ((1, -1, 0), 1)])
+    program = build_program(3, [((2, 0, -1), 0), ((0, 2, -1), 0), ((1, -1, 0), 1)])
     echelon = Echelon.of(program.rows, 3)
     assert echelon.kept == [0, 1]
     assert echelon.conflict == 2
@@ -302,14 +309,14 @@ def test_inconsistent_pair_row_settled_by_elimination():
 
 
 def test_refuted_by_checks_the_combination():
-    program = LinearProgram.build(2, [((1, 1), 1), ((2, 2), 3)])
+    program = build_program(2, [((1, 1), 1), ((2, 2), 3)])
     assert program.refuted_by({0: Fraction(2), 1: Fraction(-1)})
     assert not program.refuted_by({0: Fraction(1)})
     assert not program.refuted_by({0: Fraction(2), 1: Fraction(-2)})
 
 
 def test_wrong_inconsistency_claim_is_caught():
-    program = LinearProgram.build(2, [((1, 0), 1), ((0, 1), 1)])
+    program = build_program(2, [((1, 0), 1), ((0, 1), 1)])
     factored = Echelon.of(program.rows[:1], 2)
     factored.conflict = 0  # row 0 is consistent and kept
     with pytest.raises(AssertionError):
@@ -317,7 +324,7 @@ def test_wrong_inconsistency_claim_is_caught():
 
 
 def test_factored_prefix_gives_the_unfactored_answer():
-    program = LinearProgram.build(3, [((1, 1, -1), 0), ((2, 2, -2), 0), ((1, -1, 0), 1)])
+    program = build_program(3, [((1, 1, -1), 0), ((2, 2, -2), 0), ((1, -1, 0), 1)])
     factored = Echelon.of(program.rows[:2], 3)
     assert factored.kept == [0]
     assert lp_feasible(program, factored) == lp_feasible(program)
@@ -325,7 +332,7 @@ def test_factored_prefix_gives_the_unfactored_answer():
 
 
 def test_factorization_must_match_leading_rows():
-    program = LinearProgram.build(2, [((1, 0), 1), ((0, 1), 1)])
+    program = build_program(2, [((1, 0), 1), ((0, 1), 1)])
     with pytest.raises(ContractError):
         lp_feasible(program, Echelon.of(program.rows[1:], 2))
 
@@ -350,7 +357,7 @@ def rational_programs(draw):
             # Zero right-hand sides make degenerate pivots and ratio ties.
             rhs = draw(st.one_of(st.just(Fraction(0)), rational))
         rows.append((coeffs, rhs))
-    return LinearProgram.build(n, rows)
+    return build_program(n, rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -388,7 +395,7 @@ def test_integer_solver_matches_reference_on_wider_programs():
         n, m = rng.randint(6, 8), rng.randint(3, 5)
         rows = [([rng.choice(values) if rng.random() < 0.6 else 0 for _ in range(n)],
                  0 if rng.random() < 0.4 else rng.choice(values)) for _ in range(m)]
-        program = LinearProgram.build(n, rows)
+        program = build_program(n, rows)
         x = lp_feasible(program)
         assert x == reference_lp_feasible(program), rows
         assert (x is None) == (basic_solution_feasible(program) is None), rows
@@ -404,13 +411,44 @@ def test_scaled_rows_carry_their_scale_into_the_certificate():
     # x = 0 twice, then 2x = 1/2: the third row enters the elimination as
     # 4x = 1, but the certificate weighs the original rows, 2 * (x = 0)
     # - (2x = 1/2).
-    program = LinearProgram.build(1, [((1,), 0), ((1,), 0), ((2,), Fraction(1, 2))])
+    program = build_program(1, [((1,), 0), ((1,), 0), ((2,), Fraction(1, 2))])
     echelon = Echelon.of(program.rows, 1)
     assert echelon.kept == [0]
     assert echelon.conflict == 2
     assert echelon.certificate() == {0: 2, 2: -1}
     assert program.refuted_by(echelon.certificate())
     assert lp_feasible(program) is None
+
+
+def test_int_row_enters_the_elimination_as_it_is():
+    row = lp._integral((2, 0, -4), 6)
+    assert row == [2, 0, -4, 6]
+    assert all(type(v) is int for v in row)
+
+
+def test_mixed_fraction_row_is_scaled_by_the_lcm_of_its_denominators():
+    row = lp._integral((Fraction(1, 2), 3, Fraction(-2, 3)), Fraction(5, 4))
+    assert row == [6, 36, -8, 15]
+    assert all(type(v) is int for v in row)
+
+
+def test_int_and_fraction_rows_share_one_pivot_path():
+    # The same program with int rows and with Fraction rows: the integer
+    # rows are no longer rescaled, and the echelon, the point and the
+    # certificate must not change.
+    rows = [((1, 1, -1, 0), 0), ((0, 2, 1, -1), 0), ((1, -1, 0, 0), 1)]
+    ints = LinearProgram(4, tuple(rows))
+    fractions = build_program(4, rows)
+    for factored_rows in (0, 2):
+        i_echelon = Echelon.of(ints.rows[:factored_rows], 4)
+        f_echelon = Echelon.of(fractions.rows[:factored_rows], 4)
+        assert i_echelon.rows == f_echelon.rows
+        assert lp_feasible(ints, i_echelon) == lp_feasible(fractions, f_echelon)
+    conflict = rows + [((2, 2, -2, 0), 1)]
+    i_echelon = Echelon.of(conflict, 4)
+    f_echelon = Echelon.of(build_program(4, conflict).rows, 4)
+    assert i_echelon.rows == f_echelon.rows and i_echelon.conflict == 3
+    assert i_echelon.certificate() == f_echelon.certificate()
 
 
 def test_conflicting_corpus_pairs_get_int_certificates(valid_corpus):
@@ -466,7 +504,7 @@ def pivots(monkeypatch):
 def test_nonnegative_echelon_basis_needs_no_pivot(pivots, valid_corpus):
     # In variables (a, b, c) the reduced form reads a - c = 1, b + c = 1,
     # whose basic point (1, 1, 0) is already feasible.
-    program = LinearProgram.build(3, [((1, 1, 0), 2), ((0, 1, 1), 1)])
+    program = build_program(3, [((1, 1, 0), 2), ((0, 1, 1), 1)])
     assert lp_feasible(program) == [1, 1, 0]
     for table in valid_corpus.values():
         assert lp_feasible(additivity_program(table)) is not None

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gea import corpus
-from gea.algebra import require_gea
+from gea import corpus, represent
+from gea.algebra import AlgebraTable, require_gea
 from gea.errors import InputError
 from gea.generate import random_population
 from gea.represent import (DiagonalRep, FiniteVector, apply_operator, bounded_by,
@@ -341,11 +341,63 @@ def norms_of(rep):
     return [operator_norm(rep, a) for a in range(len(rep.operators))]
 
 
+def antichain(atoms):
+    """Zero and `atoms` elements with no sum but those with zero."""
+    n = atoms + 1
+    sums = {(0, x): x for x in range(n)} | {(x, 0): x for x in range(n)}
+    return AlgebraTable(("0",) + tuple(f"a{i}" for i in range(atoms)), 0, sums)
+
+
+class TestCoordinateSquares:
+    LENGTHS = (1, 2, 3, 4, 7, 16, 24, 100, 999, 3000)
+
+    def test_squares_are_the_reference_draws(self):
+        for seed in range(200):
+            length = self.LENGTHS[seed % len(self.LENGTHS)]
+            reference = random.Random(seed)
+            x = random_rational_vector(reference, length)
+            rng = random.Random(seed)
+            assert represent._coordinate_squares(rng, length) == [(12 * c) ** 2 for c in x.coords]
+            assert rng.getstate() == reference.getstate(), (seed, length)
+
+
 class TestSampledCheck:
     def agree(self, rep, norms, seed, count=20):
-        expected = fraction_sampled_check(rep, random.Random(seed), count, norms)
-        assert sampled_check(rep, random.Random(seed), count, norms) == expected
+        reference = random.Random(seed)
+        expected = fraction_sampled_check(rep, reference, count, norms)
+        rng = random.Random(seed)
+        assert sampled_check(rep, rng, count, norms) == expected
+        if expected:
+            assert rng.getstate() == reference.getstate()
         return expected
+
+    def test_antichain_representations(self):
+        for atoms, seed in ((16, 0), (24, 1)):
+            rep = search_rep(antichain(atoms))
+            assert rep.m == atoms
+            assert self.agree(rep, norms_of(rep), seed)
+
+    def test_zero_slots_and_zero_vectors(self, singleton, chain_c3):
+        rep = search_rep(singleton)
+        assert rep.m == 0
+        assert self.agree(rep, norms_of(rep), 2)
+        rep = search_rep(chain_c3)
+        assert self.agree(rep, norms_of(rep), 2, count=0)
+
+    def test_entries_above_two_to_the_64(self):
+        big = 2 ** 64
+        rep = diagonal_rep((0, 0, 0), (big + 3, 1, big), (2 * big + 6, 2, 2 * big),
+                           (Fraction(big, 3), Fraction(1, 3), 5))
+        for seed in range(3):
+            assert self.agree(rep, norms_of(rep), seed)
+
+    def test_negative_entry_in_the_last_element_fails(self):
+        # |-1/3| is below the norm 1/2, so only the positivity test can fail,
+        # and only after every earlier element has passed.
+        rep = diagonal_rep((0, 0, 0), ("1/3", "2/7", "1/5"), ("1/2", "1/7", "0"),
+                           ("1/5", "1/2", "-1/3"))
+        for seed in range(5):
+            assert not self.agree(rep, norms_of(rep), seed)
 
     def test_corpus_representations(self, valid_corpus):
         for table in valid_corpus.values():
