@@ -28,11 +28,10 @@ PSD_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EffectMatrix:
-    """Hermitian matrix with the tolerances its positivity checks use."""
+    """Hermitian matrix; its checks use the tolerances HERMITIAN_TOL and
+    PSD_TOL."""
 
     mat: np.ndarray
-    hermitian_tol: float = HERMITIAN_TOL
-    psd_tol: float = PSD_TOL
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.mat, dtype=complex)
@@ -56,7 +55,7 @@ class EffectMatrix:
 
 def _require_hermitian(a: EffectMatrix) -> None:
     defect = a.hermitian_defect()
-    if not defect <= a.hermitian_tol:
+    if not defect <= HERMITIAN_TOL:
         raise InputError(f"matrix is not Hermitian (defect {defect:.3e})")
 
 
@@ -81,16 +80,16 @@ def hermitian_spectrum(a: EffectMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_flags(a: EffectMatrix) -> tuple[bool, bool]:
-    """Whether A is positive (its least eigenvalue clears -psd_tol) and
+    """Whether A is positive (its least eigenvalue clears -PSD_TOL) and
     whether it is an effect, between the null operator and the identity,
     decided from one spectrum."""
     w, _ = hermitian_spectrum(a)
-    positive = bool(w[0] >= -a.psd_tol)
-    return positive, positive and bool(w[-1] <= 1.0 + a.psd_tol)
+    positive = bool(w[0] >= -PSD_TOL)
+    return positive, positive and bool(w[-1] <= 1.0 + PSD_TOL)
 
 
 def is_positive(a: EffectMatrix) -> bool:
-    """Spectral positivity: the least eigenvalue clears -psd_tol."""
+    """Spectral positivity: the least eigenvalue clears -PSD_TOL."""
     return spectral_flags(a)[0]
 
 
@@ -101,7 +100,7 @@ def is_effect(a: EffectMatrix) -> bool:
 
 def effect_sum(a: EffectMatrix, b: EffectMatrix) -> Optional[EffectMatrix]:
     """Partial sum of the effect algebra on C^d: defined iff A + B stays at
-    or below the identity (within psd_tol, boundary counted as defined)."""
+    or below the identity (within PSD_TOL, boundary counted as defined)."""
     _require_same_dim(a, b)
     return _sum_of_effects(a, b, is_effect(a) and is_effect(b))
 
@@ -111,9 +110,9 @@ def _sum_of_effects(a: EffectMatrix, b: EffectMatrix,
     """effect_sum once the caller has decided whether A and B are effects."""
     if not both_effects:
         raise InputError("effect_sum needs two effects between 0 and the identity")
-    total = EffectMatrix(a.mat + b.mat, a.hermitian_tol, a.psd_tol)
+    total = EffectMatrix(a.mat + b.mat)
     w, _ = hermitian_spectrum(total)
-    if w[-1] > 1.0 + a.psd_tol:
+    if w[-1] > 1.0 + PSD_TOL:
         return None
     return total
 
@@ -125,7 +124,7 @@ def gdh_sum(a: EffectMatrix, b: EffectMatrix) -> EffectMatrix:
         raise InputError("gdh_sum needs two positive operators")
     with np.errstate(over="ignore"):  # an infinite entry is rejected below
         total = a.mat + b.mat
-    return EffectMatrix(total, a.hermitian_tol, a.psd_tol)
+    return EffectMatrix(total)
 
 
 def vector_witness(a: EffectMatrix, b: EffectMatrix) -> Optional[np.ndarray]:
@@ -139,9 +138,8 @@ def vector_witness(a: EffectMatrix, b: EffectMatrix) -> Optional[np.ndarray]:
     _require_same_dim(a, b)
     with np.errstate(over="ignore"):  # an infinite entry is rejected below
         diff = b.mat - a.mat
-    diff = EffectMatrix(diff, a.hermitian_tol, a.psd_tol)
-    w, vectors = hermitian_spectrum(diff)
-    if w[0] >= -diff.psd_tol:
+    w, vectors = hermitian_spectrum(EffectMatrix(diff))
+    if w[0] >= -PSD_TOL:
         return None
     x = vectors[:, 0]
     k = int(np.argmax(np.abs(x)))
@@ -155,12 +153,11 @@ def generalized_vector_state(x: np.ndarray, a: EffectMatrix) -> float:
     return float(np.real(np.vdot(x, a.mat @ x)))
 
 
-def random_positive_matrix(rng: random.Random, dim: int,
-                           psd_tol: float = PSD_TOL) -> EffectMatrix:
+def random_positive_matrix(rng: random.Random, dim: int) -> EffectMatrix:
     """Seeded random positive matrix G*G / d, spectral radius at most 2d."""
     g = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                    for _ in range(dim)] for _ in range(dim)])
-    return EffectMatrix((g.conj().T @ g) / dim, psd_tol=psd_tol)
+    return EffectMatrix((g.conj().T @ g) / dim)
 
 
 def random_vector(rng: random.Random, dim: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Iterator
 from .algebra import AlgebraTable, check_gea_axioms
 
 
-def random_gea(rng: random.Random, n: int, attempts: int | None = None) -> AlgebraTable:
+def random_gea(rng: random.Random, n: int) -> AlgebraTable:
     labels = tuple("0" if i == 0 else f"e{i}" for i in range(n))
     sums: dict[tuple[int, int], int] = {(0, 0): 0}
     for x in range(1, n):
@@ -22,9 +22,7 @@ def random_gea(rng: random.Random, n: int, attempts: int | None = None) -> Algeb
         sums[(x, 0)] = x
     if n == 1:
         return AlgebraTable(labels, 0, sums)
-    if attempts is None:
-        attempts = 3 * n * n
-    for _ in range(attempts):
+    for _ in range(3 * n * n):
         x = rng.randrange(1, n)
         y = rng.randrange(1, n)
         z = rng.randrange(1, n)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, le, mul
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import AlgebraTable, CheckedGEA
 from .errors import InputError
@@ -162,17 +162,12 @@ def operator_norm(rep: DiagonalRep, a: int) -> Fraction:
     """Operator norm of the diagonal phi(a): its largest entry.
 
     The bound ||phi(a) x|| <= norm * ||x|| is attained at the basis vector of
-    an argmax slot, which is asserted here; sampled_check tests it on
-    sampled vectors.
+    an argmax slot; sampled_check tests it on sampled vectors.
     """
     entries = rep.diagonals[a]
     if not entries:
         return Fraction(0)
-    norm = max(entries)
-    argmax = entries.index(norm)
-    image = [e * (s == argmax) for s, e in enumerate(entries)]  # phi(a) e_argmax
-    assert sum(c * c for c in image) == norm * norm
-    return Fraction(norm, rep.den)
+    return Fraction(max(entries), rep.den)
 
 
 def apply_operator(rep: DiagonalRep, a: int, x: FiniteVector) -> FiniteVector:
@@ -196,69 +191,23 @@ def bounded_by(rep: DiagonalRep, a: int, norm: Fraction, x: FiniteVector) -> boo
     return apply_operator(rep, a, x).norm_sq() <= norm * norm * x.norm_sq()
 
 
-def _draw_table(n: int, value: Callable[[int], object]) -> tuple:
-    """What one generator word gives randrange(n), read from its top byte:
-    value(r) for the draw r, or None when the word is rejected.
-
-    CPython's _randbelow(n) takes the top n.bit_length() bits of a 32-bit
-    word and draws again while they are >= n; every n here has at most 6
-    bits, so the top byte decides the draw."""
-    shift = 8 - n.bit_length()
-    return tuple(value(b >> shift) if b >> shift < n else None for b in range(256))
-
-
-# The two draws of one coordinate of random_rational_vector as a 5-state
-# table: q = randint(1, 4) picks one of four p tables, and p = randint(-5q, 5q)
-# gives the coordinate's square scaled by 12^2, (12 p / q)^2.
-_P_DRAWS = {q: _draw_table(10 * q + 1, lambda r, q=q: ((r - 5 * q) * (12 // q)) ** 2)
-            for q in range(1, 5)}
-_Q_DRAWS = _draw_table(4, lambda r: _P_DRAWS[r + 1])
-
-
-def _coordinate_squares(rng: random.Random, count: int) -> list[int]:
-    """(12 x_i)^2 for the next count coordinates x_i that
-    random_rational_vector draws from rng, leaving rng where those draws
-    leave it.
-
-    getrandbits(32 k) returns the next k words, the first one least
-    significant, and each coordinate takes at least two words.  So a read
-    of 2 * (coordinates still needed) words, one fewer while a p draw is
-    pending, never passes the last word the draws use."""
-    squares: list[int] = []
-    append = squares.append
-    p_draws = None  # the pending coordinate's p table, None while q is due
-    while len(squares) < count:
-        words = 2 * (count - len(squares)) - (p_draws is not None)
-        chunk = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        for top in chunk[3::4]:
-            if p_draws is None:
-                p_draws = _Q_DRAWS[top]
-            else:
-                square = p_draws[top]
-                if square is not None:
-                    append(square)
-                    p_draws = None
-    return squares
-
-
 def sampled_check(rep: DiagonalRep, rng: random.Random, count: int,
                   norms: Sequence[Fraction]) -> bool:
-    """For each element a in turn, draw count vectors x exactly as
-    random_rational_vector does and check <x, phi(a) x> >= 0 and
-    ||phi(a) x||^2 <= norms[a]^2 ||x||^2.
+    """For each element a in turn, check count seeded vectors x for
+    <x, phi(a) x> >= 0 and ||phi(a) x||^2 <= norms[a]^2 ||x||^2.
 
-    The arithmetic is in integers: x is scaled by 12, phi(a) is the int
-    diagonal over rep.den, and with norms[a] = p/q the bound reads
-    q^2 ||diagonal x||^2 <= (p den)^2 ||x||^2.  Both inequalities are
-    homogeneous, so every vector gets the verdict vector_state and
-    bounded_by would give it.  Returns False at the first vector that fails.
-
-    Every draw is decoded up front from the generator's words, so rng ends
-    where the draws of a passing check leave it; after a failing check it
-    has read further.
+    The vectors come from one rng.randbytes call, element by element, vector
+    by vector and slot by slot: each byte b is one integer coordinate, with
+    square b * b.  The arithmetic is in integers: phi(a) is the int diagonal
+    over rep.den, and with norms[a] = p/q the bound reads
+    q^2 ||diagonal x||^2 <= (p den)^2 ||x||^2, so every vector gets the
+    verdict vector_state and bounded_by would give it.  For a representation
+    built from valid states (every entry nonnegative, each norm the largest
+    entry) the check passes whatever the draws.  Returns False at the first
+    vector that fails.
     """
     m = rep.m
-    squares = _coordinate_squares(rng, len(rep.diagonals) * count * m)
+    squares = [b * b for b in rng.randbytes(len(rep.diagonals) * count * m)]
     start = 0
     for a, diagonal in enumerate(rep.diagonals):
         norm = Fraction(norms[a])

@@ -6,7 +6,7 @@ import pytest
 
 from gea import cli, corpus, effects
 from gea.algebra import check_gea_axioms
-from gea.effects import (EffectMatrix, demo_excd, effect_sum, gdh_sum,
+from gea.effects import (PSD_TOL, EffectMatrix, demo_excd, effect_sum, gdh_sum,
                          generalized_vector_state, hermitian_spectrum,
                          is_positive, projector_demo_matrices,
                          projector_table, random_positive_matrix, random_vector,
@@ -199,7 +199,7 @@ class TestPositivity:
             for _ in range(10):
                 x = random_vector(rng, 3)
                 norm_sq = float(np.real(np.vdot(x, x)))
-                assert generalized_vector_state(x, a) >= -a.psd_tol * norm_sq
+                assert generalized_vector_state(x, a) >= -PSD_TOL * norm_sq
 
 
 class TestEffectSum:
@@ -336,7 +336,7 @@ class TestVectorWitness:
             if witness is not None:
                 gap = (generalized_vector_state(witness, a)
                        - generalized_vector_state(witness, b))
-                assert gap > a.psd_tol
+                assert gap > PSD_TOL
 
     def test_vector_state_additivity(self):
         rng = random.Random(71)
