@@ -101,7 +101,7 @@ class AxiomReport:
         return seen
 
 
-def _two_sided(table: AlgebraTable, left_id: str) -> list[Violation]:
+def _two_sided(table: AlgebraTable) -> list[Violation]:
     """Commutativity with definedness both ways: (i,j) defined forces (j,i)
     defined with the same value."""
     out = []
@@ -109,15 +109,15 @@ def _two_sided(table: AlgebraTable, left_id: str) -> list[Violation]:
         mirror = table.sum_of(j, i)
         lab = table.elements
         if mirror is None:
-            out.append(Violation(left_id, (i, j),
+            out.append(Violation("GE1", (i, j),
                                  f"{lab[i]}+{lab[j]}={lab[k]} defined but {lab[j]}+{lab[i]} is not"))
         elif mirror != k:
-            out.append(Violation(left_id, (i, j),
+            out.append(Violation("GE1", (i, j),
                                  f"{lab[i]}+{lab[j]}={lab[k]} but {lab[j]}+{lab[i]}={lab[mirror]}"))
     return out
 
 
-def _associativity(table: AlgebraTable, axiom_id: str) -> list[Violation]:
+def _associativity(table: AlgebraTable) -> list[Violation]:
     """(x+y)+z = x+(y+z) whenever one side is defined.  A defined side paired
     with an undefined one counts as a violation (biconditional reading).
 
@@ -140,16 +140,16 @@ def _associativity(table: AlgebraTable, axiom_id: str) -> list[Violation]:
         for z, left in rows.get(xy, ()):
             right = sums.get((x, sums.get((y, z))))
             if right is None:
-                out.append(Violation(axiom_id, (x, y, z),
+                out.append(Violation("GE2", (x, y, z),
                                      f"only the left side of ({lab[x]}+{lab[y]})+{lab[z]} is defined"))
             elif left != right:
-                out.append(Violation(axiom_id, (x, y, z),
+                out.append(Violation("GE2", (x, y, z),
                                      f"({lab[x]}+{lab[y]})+{lab[z]}={lab[left]} but "
                                      f"{lab[x]}+({lab[y]}+{lab[z]})={lab[right]}"))
     for (y, z), yz in sums.items():
         for x in cols.get(yz, ()):
             if (sums.get((x, y)), z) not in sums:
-                out.append(Violation(axiom_id, (x, y, z),
+                out.append(Violation("GE2", (x, y, z),
                                      f"only the right side of ({lab[x]}+{lab[y]})+{lab[z]} is defined"))
     out.sort(key=lambda v: v.witness)
     return out
@@ -176,8 +176,8 @@ def check_gea_axioms(table: AlgebraTable) -> AxiomReport:
     """Exhaustively verify the generalized effect algebra axioms GE1..GE5."""
     violations: list[Violation] = []
     lab = table.elements
-    violations += _two_sided(table, "GE1")
-    violations += _associativity(table, "GE2")
+    violations += _two_sided(table)
+    violations += _associativity(table)
     violations += _cancellation(table)
     for i, j, k in table.defined_sums():
         if k == table.zero and not (i == table.zero and j == table.zero):
@@ -192,18 +192,24 @@ def check_gea_axioms(table: AlgebraTable) -> AxiomReport:
     return AxiomReport("GEA", tuple(violations))
 
 
-def check_ea_axioms(table: AlgebraTable) -> AxiomReport:
+def check_ea_axioms(table: AlgebraTable, gea: Optional[AxiomReport] = None) -> AxiomReport:
     """Exhaustively verify the effect algebra axioms E1..E4.
+
+    E1 and E2 are GE1 and GE2 under another label, so their violations are
+    read from the GEA scan: gea, which must be check_gea_axioms(table) when
+    the caller has it, or a scan made here.
 
     Requires a unit element; raises InputError without one.
     """
     if table.unit is None:
         raise InputError("effect algebra check needs a unit element")
+    if gea is None:
+        gea = check_gea_axioms(table)
     one = table.unit
     lab = table.elements
-    violations: list[Violation] = []
-    violations += _two_sided(table, "E1")
-    violations += _associativity(table, "E2")
+    label = {"GE1": "E1", "GE2": "E2"}
+    violations = [Violation(label[v.axiom], v.witness, v.message)
+                  for v in gea.violations if v.axiom in label]
     for x in range(table.n):
         complements = [y for y in range(table.n) if table.sum_of(x, y) == one]
         if len(complements) == 0:

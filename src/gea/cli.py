@@ -130,7 +130,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     report["gea"] = _axiom_stage(axioms)
     failed = not axioms.passed
     if args.ea:
-        ea = check_ea_axioms(table)
+        ea = check_ea_axioms(table, axioms)
         report["ea"] = _axiom_stage(ea)
         failed = failed or not ea.passed
     return report, EXIT_FAIL if failed else EXIT_OK

@@ -18,8 +18,10 @@ Every call starts with one exact elimination (`Echelon`) over the rows.  It
 keeps the original rows of a maximal independent subset, in their original
 order, and finds an inconsistent system, a row that reduces to 0 = c with
 c != 0, without any simplex.  Only then is the proof built: a row
-combination y with yᵀA = 0 and yᵀb != 0, in int weights, from one more
-elimination that solves the conflicting row against the kept rows.  Before
+combination y with yᵀA = 0 and yᵀb != 0, in int weights, that solves the
+conflicting row against the kept rows.  That system changes only in its
+right-hand side from one conflict to the next, so one more elimination
+factors it once for all conflicts over the same kept rows.  Before
 "inconsistent" is returned as None, y is rechecked against the original
 rows, just as a feasible point is rechecked against every row.  The reduced
 echelon form is also the start basis of phase one, with each pivot variable
@@ -134,7 +136,8 @@ class Echelon:
     builds the row combination that proves it only when asked.
 
     Echelon rows are replaced, never changed in place, so `extended` can share
-    them with the factorization it starts from.
+    them with the factorization it starts from.  An extension that keeps no
+    new row also shares the certificate system, factored on first use.
     """
 
     def __init__(self, n_cols: int) -> None:
@@ -144,6 +147,8 @@ class Echelon:
         self.pivots: list[int] = []
         self.rows: list[list[int]] = []
         self.conflict: Optional[int] = None
+        # Holds the factored certificate system of these kept rows once built.
+        self._transposed: list["Echelon"] = []
 
     @staticmethod
     def of(rows: Sequence[Row], n_cols: int) -> "Echelon":
@@ -158,6 +163,7 @@ class Echelon:
         out = Echelon(self.n_cols)
         out.kept, out.pivots, out.rows = self.kept[:], self.pivots[:], self.rows[:]
         out.conflict = self.conflict
+        out._transposed = self._transposed
         out.source = self.source + tuple(rows)
         for index in range(len(self.source), len(out.source)):
             if out.conflict is not None:
@@ -186,24 +192,43 @@ class Echelon:
         self.kept.append(index)
         self.pivots.append(col)
         self.rows.append(v)
+        self._transposed = []
 
     def certificate(self) -> dict[int, int]:
         """Int weights y on the source rows (index -> weight) with yᵀA = 0
         and yᵀb != 0, for the row in conflict.
 
         Its coefficients are a unique combination w of the kept rows, which
-        are independent; w solves the rank × rank system on the pivot
-        columns.  y is w times the lcm L of its denominators, with -L on the
-        conflicting row, so yᵀb is L times the c of its 0 = c."""
+        are independent; w solves the rank × rank system M w = b on the
+        pivot columns, where only b, the conflicting row there, changes from
+        one conflict to the next.  y is w times the lcm L of its
+        denominators, with -L on the conflicting row, so yᵀb is L times the
+        c of its 0 = c."""
         coeffs = self.source[self.conflict][0]
-        columns = list(zip(*(self.source[i][0] for i in self.kept)))
-        solved = Echelon.of([(columns[p], coeffs[p]) for p in self.pivots], self.rank)
-        w = {self.kept[k]: Fraction(row[-1], row[k])
-             for k, row in zip(solved.pivots, solved.rows) if row[-1]}
+        b = [(self.rank + i, coeffs[p]) for i, p in enumerate(self.pivots) if coeffs[p]]
+        solved = self._transposed_system()
+        w = {}
+        for k, row in zip(solved.pivots, solved.rows):
+            total = sum(row[j] * v for j, v in b)
+            if total:
+                w[self.kept[k]] = Fraction(total, row[k])
         scale = lcm(*(v.denominator for v in w.values()))
         y = {i: v.numerator * (scale // v.denominator) for i, v in w.items()}
         y[self.conflict] = -scale
         return y
+
+    def _transposed_system(self) -> "Echelon":
+        """[M | I] reduced once, where M is the kept rows' coefficients on
+        the pivot columns, transposed.  M is invertible, so the reduced row
+        with pivot k reads d w_k = g · b, d at column k and g in the
+        identity block, for every right-hand side b."""
+        if not self._transposed:
+            r = self.rank
+            columns = list(zip(*(self.source[i][0] for i in self.kept)))
+            unit = [(0,) * i + (1,) + (0,) * (r - 1 - i) for i in range(r)]
+            self._transposed.append(Echelon.of(
+                [(columns[p] + unit[i], 0) for i, p in enumerate(self.pivots)], 2 * r))
+        return self._transposed[0]
 
 
 def lp_feasible(program: LinearProgram,

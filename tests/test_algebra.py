@@ -143,6 +143,17 @@ class TestAssociativityScan:
         assert gea == dense_associativity(t, "GE2")
         assert ea == dense_associativity(t, "E2")
 
+    @settings(max_examples=300, deadline=None)
+    @given(partial_tables())
+    def test_e1_and_e2_are_ge1_and_ge2_relabelled(self, t):
+        gea = check_gea_axioms(t)
+        ea = check_ea_axioms(t)
+        assert check_ea_axioms(t, gea) == ea
+        assert [(v.axiom, v.witness, v.message) for v in ea.violations
+                if v.axiom in ("E1", "E2")] == \
+            [("E" + v.axiom[2:], v.witness, v.message) for v in gea.violations
+             if v.axiom in ("GE1", "GE2")]
+
 
 class TestEaAxioms:
     def test_diamond_passes(self, diamond):

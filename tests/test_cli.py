@@ -357,6 +357,16 @@ class TestOneScanPerPipeline:
         assert code == exit_code
         assert (len(scans), len(orders)) == (1, 1)
 
+    @pytest.mark.parametrize("name, exit_code", [
+        ("cube8", 0), ("diamond", 0), ("ea_no_complement", 1)])
+    def test_check_ea_walks_commutativity_and_associativity_once(
+            self, capsys, monkeypatch, name, exit_code):
+        walks = [count_calls(monkeypatch, walk)
+                 for walk in (algebra._two_sided, algebra._associativity)]
+        assert main(["check", cpath(name), "--ea", "--json"]) == exit_code
+        capsys.readouterr()
+        assert [len(calls) for calls in walks] == [1, 1]
+
     def test_morphism_scans_each_table_once(self, capsys, monkeypatch):
         scans = count_calls(monkeypatch, algebra.check_gea_axioms)
         orders = count_calls(monkeypatch, algebra.induced_order)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from gea import lp
 from gea.algebra import induced_order
 from gea.errors import ContractError
+from gea.generate import random_gea
 from gea.lp import Echelon, LinearProgram, basic_solution_feasible, lp_feasible
 from gea.states import additivity_program
 
@@ -485,6 +487,42 @@ def test_factored_conflict_with_fraction_rows_gets_a_certificate():
     assert program.refuted_by(y)
     assert y[0] * 4 == -y[2] * 3 and y[1] * 3 == y[2] * 5
     assert lp_feasible(program, factored) is None
+
+
+def test_conflicts_of_one_base_factor_the_certificate_system_once(monkeypatch):
+    # A generated table with many infeasible pair rows: every conflict over
+    # the one factored cone solves the same transposed kept-row system.
+    table = random_gea(random.Random(0), 12)
+    cone = additivity_program(table)
+    base = Echelon.of(cone.rows, cone.n_vars)
+    reference = ReferenceEchelon.of(cone.rows, cone.n_vars)
+    factorizations = []
+    real_of = Echelon.of
+
+    def counted(rows, n_cols):
+        factorizations.append(n_cols)
+        return real_of(rows, n_cols)
+
+    monkeypatch.setattr(Echelon, "of", staticmethod(counted))
+    conflicts = 0
+    for a in range(table.n):
+        for b in range(table.n):
+            if a == b:
+                continue
+            program = additivity_program(table, [({a: 1, b: -1}, 1)])
+            echelon = base.extended(program.rows[-1:])
+            if echelon.conflict is None:
+                continue
+            y = echelon.certificate()
+            assert program.refuted_by(y)
+            # The reference's combination has weight 1 on the conflicting
+            # row; y is the same combination times -lcm of its denominators.
+            combo = reference.extended(program.rows[-1:]).conflict
+            scale = lcm(*(w.denominator for w in combo.values()))
+            assert y == {i: int(-w * scale) for i, w in combo.items()}
+            conflicts += 1
+    assert conflicts > 50
+    assert factorizations == [2 * base.rank]
 
 
 @pytest.fixture
