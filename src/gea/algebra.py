@@ -372,6 +372,8 @@ def classify_morphism(spec: MorphismSpec) -> MorphismReport:
 
     # Embeddings reflect order and order reflection forces injectivity; a
     # breach here means the classifier itself is inconsistent.
-    assert not (embedding and not order_reflecting), "embedding that does not reflect order"
-    assert not (order_reflecting and not injective), "order reflecting but not injective"
+    if embedding and not order_reflecting:
+        raise AssertionError("embedding that does not reflect order")
+    if order_reflecting and not injective:
+        raise AssertionError("order reflecting but not injective")
     return MorphismReport(is_morphism, injective, order_reflecting, embedding, failure)

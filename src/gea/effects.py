@@ -168,7 +168,8 @@ def random_vector(rng: random.Random, dim: int) -> np.ndarray:
 def _exact_diag_value(mat: np.ndarray, k: int) -> Fraction:
     value = mat[k, k].real
     nearest = round(value)
-    assert abs(value - nearest) < 1e-12
+    if abs(value - nearest) >= 1e-12:
+        raise AssertionError(f"diagonal entry {value!r} is not an integer")
     return Fraction(nearest)
 
 

@@ -32,13 +32,12 @@ already nonnegative takes no pivot.
 
 Callers that solve many programs sharing their leading rows factor those
 rows once and pass the factorization in; each call then reduces only the
-rows that follow.  A brute-force basic-solution enumerator, built on the
-same elimination, doubles as an independent oracle for small systems.
+rows that follow.  The tests check this solver against a brute-force
+basic-solution enumerator in tests/reference.py.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -251,7 +250,8 @@ def lp_feasible(program: LinearProgram,
         raise ContractError("factorization does not match the program's leading rows")
     echelon = factored.extended(program.rows[lead:])
     if echelon.conflict is not None:
-        assert program.refuted_by(echelon.certificate())
+        if not program.refuted_by(echelon.certificate()):
+            raise AssertionError("inconsistency certificate does not refute the program")
         return None
 
     # Tableau rows: the echelon rows with the x0 column (index n) before the
@@ -305,7 +305,8 @@ def lp_feasible(program: LinearProgram,
     for row, var in zip(tableau, basis):
         if var < n:
             x[var] = Fraction(row[-1], row[var])
-    assert program.satisfied_by(x)
+    if not program.satisfied_by(x):
+        raise AssertionError("phase-one point does not satisfy the program")
     return x
 
 
@@ -323,33 +324,3 @@ def _pivot(tableau: list[list[int]], cost: list[int],
         a, f = _factors(d, cost[col])
         cost[:] = _primitive(_cancel(cost, a, f, support))
     basis[row] = col
-
-
-def basic_solution_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
-    """Independent feasibility oracle: enumerate basic solutions.
-
-    A feasible region of this shape is nonempty iff some choice of rank-many
-    linearly independent columns solves the system with nonnegative values.
-    Exponential in the variable count; intended for small cross-checks only.
-    """
-    n = program.n_vars
-    full = Echelon.of(program.rows, n)
-    if full.conflict is not None:
-        return None
-    if full.rank == 0:
-        return [Fraction(0)] * n
-    for columns in itertools.combinations(range(n), full.rank):
-        # These columns carry a basic solution iff each one becomes a pivot
-        # and the restricted system stays consistent; it is then unique.
-        restricted = Echelon.of([(tuple(coeffs[c] for c in columns), rhs)
-                                 for coeffs, rhs in program.rows], len(columns))
-        if restricted.conflict is not None or restricted.rank < len(columns):
-            continue
-        x = [Fraction(0)] * n
-        for pivot, row in zip(restricted.pivots, restricted.rows):
-            x[columns[pivot]] = Fraction(row[-1], row[pivot])
-        if any(v < 0 for v in x):
-            continue
-        assert program.satisfied_by(x)
-        return x
-    return None

@@ -12,8 +12,8 @@ the witness states' denominators, so the build and every self-check
 (additivity, injectivity, order reflection, norms and the sampled check)
 compare and add ints.  The order check reads the induced order from the
 CheckedGEA of the pipeline's one axiom scan.  The Fraction views
-(operators, operator_norm and the FiniteVector functions) are for callers
-and tests.
+(operators, operator_norm) are for callers and reports; the Fraction
+forms of the vector checks are kept in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -28,36 +28,6 @@ from typing import Optional, Sequence
 from .algebra import AlgebraTable, CheckedGEA
 from .errors import InputError
 from .states import GeneralizedState, StateWitnessSet
-
-
-@dataclass(frozen=True)
-class FiniteVector:
-    """Finitely supported rational vector over the witness slots."""
-
-    coords: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def norm_sq(self) -> Fraction:
-        return sum((c * c for c in self.coords), Fraction(0))
-
-    @staticmethod
-    def basis(m: int, slot: int) -> "FiniteVector":
-        return FiniteVector(tuple(Fraction(1 if i == slot else 0) for i in range(m)))
-
-
-def random_rational_vector(rng: random.Random, m: int) -> FiniteVector:
-    """Seeded sample vector: coordinates p/q with q <= 4 and value in [-5, 5]."""
-    coords = []
-    for _ in range(m):
-        q = rng.randint(1, 4)
-        p = rng.randint(-5 * q, 5 * q)
-        coords.append(Fraction(p, q))
-    return FiniteVector(tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -141,12 +111,6 @@ def verify_injective(rep: DiagonalRep) -> tuple[bool, Optional[tuple[int, int]]]
     return False, (a, partner[a])
 
 
-def entrywise_leq(rep: DiagonalRep, a: int, b: int) -> bool:
-    """Positivity order between two built operators: phi(a) <= phi(b) iff
-    every diagonal entry difference is nonnegative."""
-    return all(map(le, rep.diagonals[a], rep.diagonals[b]))
-
-
 def verify_order_reflecting(rep: DiagonalRep,
                             gea: CheckedGEA) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff phi(a) <= phi(b) in the operator order forces a <= b in the
@@ -170,27 +134,6 @@ def operator_norm(rep: DiagonalRep, a: int) -> Fraction:
     return Fraction(max(entries), rep.den)
 
 
-def apply_operator(rep: DiagonalRep, a: int, x: FiniteVector) -> FiniteVector:
-    if len(x) != rep.m:
-        raise InputError(f"vector length {len(x)} does not match {rep.m} slots")
-    return FiniteVector(tuple(e * c for e, c in zip(rep.operator(a), x.coords)))
-
-
-def vector_state(rep: DiagonalRep, x: FiniteVector, a: int) -> Fraction:
-    """The value <x, phi(a) x> = sum of entry * coordinate^2, exactly.
-
-    Complex coordinates would contribute only their squared moduli here, so
-    rational coordinates lose no generality."""
-    if len(x) != rep.m:
-        raise InputError(f"vector length {len(x)} does not match {rep.m} slots")
-    return sum((e * c * c for e, c in zip(rep.operator(a), x.coords)), Fraction(0))
-
-
-def bounded_by(rep: DiagonalRep, a: int, norm: Fraction, x: FiniteVector) -> bool:
-    """Exact check of ||phi(a) x||^2 <= norm^2 ||x||^2 (squares avoid roots)."""
-    return apply_operator(rep, a, x).norm_sq() <= norm * norm * x.norm_sq()
-
-
 def sampled_check(rep: DiagonalRep, rng: random.Random, count: int,
                   norms: Sequence[Fraction]) -> bool:
     """For each element a in turn, check count seeded vectors x for
@@ -201,10 +144,10 @@ def sampled_check(rep: DiagonalRep, rng: random.Random, count: int,
     square b * b.  The arithmetic is in integers: phi(a) is the int diagonal
     over rep.den, and with norms[a] = p/q the bound reads
     q^2 ||diagonal x||^2 <= (p den)^2 ||x||^2, so every vector gets the
-    verdict vector_state and bounded_by would give it.  For a representation
-    built from valid states (every entry nonnegative, each norm the largest
-    entry) the check passes whatever the draws.  Returns False at the first
-    vector that fails.
+    verdict of the Fraction reference in tests/reference.py.  For a
+    representation built from valid states (every entry nonnegative, each
+    norm the largest entry) the check passes whatever the draws.  Returns
+    False at the first vector that fails.
     """
     m = rep.m
     squares = [b * b for b in rng.randbytes(len(rep.diagonals) * count * m)]

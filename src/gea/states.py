@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
-from .algebra import AlgebraTable, CheckedGEA, require_gea
-from .errors import ContractError, InputError
+from .algebra import AlgebraTable, CheckedGEA
+from .errors import InputError
 from .lp import Echelon, LinearProgram, Rational, Row, lp_feasible
 
 
@@ -56,9 +56,6 @@ class GeneralizedState:
         """The values as Fractions (a read-only view)."""
         return tuple(Fraction(p, self.den) for p in self.nums)
 
-    def __call__(self, i: int) -> Fraction:
-        return Fraction(self.nums[i], self.den)
-
     def validate(self, table: AlgebraTable) -> None:
         """Raise InputError unless this is a generalized state on the table."""
         nums = self.nums
@@ -72,13 +69,6 @@ class GeneralizedState:
             if nums[i] + nums[j] != nums[k]:
                 raise InputError(
                     f"state is not additive on {table.elements[i]}+{table.elements[j]}")
-
-    def scaled(self, q: Fraction) -> "GeneralizedState":
-        q = Fraction(q)
-        if q < 0:
-            raise InputError("states are closed under nonnegative scaling only")
-        return GeneralizedState(tuple(p * q.numerator for p in self.nums),
-                                self.den * q.denominator)
 
 
 @dataclass
@@ -98,9 +88,6 @@ class StateWitnessSet:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def value_vector(self, element: int) -> tuple[Fraction, ...]:
-        return tuple(s(element) for s in self.states)
 
 
 def additivity_program(table: AlgebraTable,
@@ -174,34 +161,6 @@ class _Additivity:
         return state
 
 
-def find_order_witness(a: int, b: int, table: AlgebraTable) -> Optional[GeneralizedState]:
-    """A generalized state with s(a) - s(b) = 1, or None iff none has
-    s(a) > s(b).  Calling with a <= b is a contract error: additivity forces
-    s(a) <= s(b) there, so no witness can exist."""
-    if require_gea(table).order.leq(a, b):
-        raise ContractError(
-            f"{table.elements[a]} <= {table.elements[b]}: order witness impossible")
-    return _Additivity(table).witness(a, b)
-
-
-def find_separating_state(a: int, b: int, table: AlgebraTable) -> Optional[GeneralizedState]:
-    """A generalized state with s(a) != s(b): tries s(a) - s(b) = 1, then the
-    reverse normalization.  None means every generalized state agrees on the
-    pair."""
-    if a == b:
-        raise ContractError("separation needs two distinct elements")
-    require_gea(table)
-    return _separating_state(_Additivity(table), a, b)
-
-
-def _separating_state(system: _Additivity, a: int, b: int) -> Optional[GeneralizedState]:
-    for lo, hi in ((a, b), (b, a)):
-        witness = system.witness(lo, hi)
-        if witness is not None:
-            return witness
-    return None
-
-
 def _record(witnesses: StateWitnessSet, pair: tuple[int, int],
             state: GeneralizedState) -> None:
     for slot, existing in enumerate(witnesses.states):
@@ -249,27 +208,10 @@ def order_determining_set(gea: CheckedGEA) -> StateWitnessSet:
 
 
 def separating_set(gea: CheckedGEA) -> StateWitnessSet:
-    """Per-pair separating witnesses over unordered pairs a < b."""
+    """Per-pair separating witnesses over unordered pairs a < b: a state with
+    s(a) - s(b) = 1 or, failing that, s(b) - s(a) = 1."""
     system = _Additivity(gea.table)
     n = gea.table.n
     pairs = ((a, b) for a in range(n) for b in range(a + 1, n))
     return assign_witnesses(StateWitnessSet(goal="separate"), pairs,
-                            lambda a, b: _separating_state(system, a, b))
-
-
-def normalize_state(g: GeneralizedState, table: AlgebraTable) -> GeneralizedState:
-    """Rescale a generalized state to value 1 at the unit."""
-    if table.unit is None:
-        raise ContractError("normalization needs a unit element")
-    total = g.nums[table.unit]
-    if total == 0:
-        raise InputError("state is trivial on the unit; cannot normalize")
-    return g.scaled(Fraction(g.den, total))
-
-
-def bound_constant(a: int, witnesses: StateWitnessSet) -> Fraction:
-    """Least bound c_a = max over the witness set of s(a); any finite set of
-    generalized states is bounded."""
-    if not witnesses.states:
-        raise InputError("bound over an empty witness set is undefined")
-    return max(s(a) for s in witnesses.states)
+                            lambda a, b: system.witness(a, b) or system.witness(b, a))

@@ -7,7 +7,6 @@ matrix checks use the documented 1e-9.
 
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -17,12 +16,12 @@ from gea.effects import (EffectMatrix, demo_excd, gdh_sum, generalized_vector_st
                          is_positive, random_positive_matrix, random_vector,
                          vector_witness)
 from gea.generate import random_population
-from gea.lp import basic_solution_feasible, lp_feasible
-from gea.represent import (FiniteVector, apply_operator, bounded_by,
-                           build_representation, extract_states, operator_norm,
-                           random_rational_vector, verify_injective,
-                           verify_order_reflecting)
-from gea.states import (additivity_program, order_determining_set, separating_set)
+from gea.lp import lp_feasible
+from gea.represent import (build_representation, extract_states, operator_norm,
+                           verify_injective, verify_order_reflecting)
+from gea.states import order_determining_set, separating_set
+from reference import (FiniteVector, apply_operator, basic_solution_feasible, bounded_by,
+                       pair_programs, random_rational_vector)
 
 POPULATION_SEED = 1729
 POPULATION_SIZE = 200
@@ -137,18 +136,6 @@ def test_criterion_5_boundedness(valid_corpus):
     assert ok
 
 
-def _pair_programs(table):
-    order = require_gea(table).order
-    for a, b in order.pairs_not_leq():
-        yield additivity_program(
-            table, [({a: Fraction(1), b: Fraction(-1)}, Fraction(1))])
-    for a in range(table.n):
-        for b in range(a + 1, table.n):
-            for lo, hi in ((a, b), (b, a)):
-                yield additivity_program(
-                    table, [({lo: Fraction(1), hi: Fraction(-1)}, Fraction(1))])
-
-
 def test_criterion_6_lp_oracle_equivalence(valid_corpus):
     start = time.monotonic()
     programs = 0
@@ -156,12 +143,12 @@ def test_criterion_6_lp_oracle_equivalence(valid_corpus):
     for table in valid_corpus.values():
         if table.n > 6:
             continue
-        for program in _pair_programs(table):
+        for program in pair_programs(table):
             programs += 1
             if (lp_feasible(program) is None) != (basic_solution_feasible(program) is None):
                 mismatches += 1
     for table in random_population(POPULATION_SEED + 1, 40):
-        for program in _pair_programs(table):
+        for program in pair_programs(table):
             programs += 1
             if (lp_feasible(program) is None) != (basic_solution_feasible(program) is None):
                 mismatches += 1

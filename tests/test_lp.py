@@ -1,18 +1,23 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gea
 from gea import lp
-from gea.algebra import induced_order
 from gea.errors import ContractError
 from gea.generate import random_gea
-from gea.lp import Echelon, LinearProgram, basic_solution_feasible, lp_feasible
+from gea.lp import Echelon, LinearProgram, lp_feasible
 from gea.states import additivity_program
+from reference import basic_solution_feasible, pair_programs
 
 
 def build_program(n_vars, rows):
@@ -197,24 +202,12 @@ def test_solution_is_exact_on_awkward_fractions():
     assert program.satisfied_by(solution)
 
 
-def _pair_programs(table):
-    order = induced_order(table)
-    for a, b in order.pairs_not_leq():
-        yield additivity_program(
-            table, [({a: Fraction(1), b: Fraction(-1)}, Fraction(1))])
-    for a in range(table.n):
-        for b in range(a + 1, table.n):
-            for lo, hi in ((a, b), (b, a)):
-                yield additivity_program(
-                    table, [({lo: Fraction(1), hi: Fraction(-1)}, Fraction(1))])
-
-
 def test_simplex_matches_oracle_on_corpus_pairs(valid_corpus):
     checked = 0
     for name, table in valid_corpus.items():
         if table.n > 6:
             continue
-        for program in _pair_programs(table):
+        for program in pair_programs(table):
             simplex = lp_feasible(program)
             oracle = basic_solution_feasible(program)
             assert (simplex is None) == (oracle is None), (name, program)
@@ -325,6 +318,31 @@ def test_wrong_inconsistency_claim_is_caught():
         lp_feasible(program, factored)
 
 
+# Both exact rechecks made to fail, in an interpreter that strips assert
+# statements: a feasible program and an inconsistent one must still raise.
+_FAILED_RECHECKS = """
+import sys
+from gea.lp import LinearProgram, lp_feasible
+if not sys.flags.optimize:
+    sys.exit("assert statements are not stripped")
+LinearProgram.satisfied_by = lambda self, x: False
+LinearProgram.refuted_by = lambda self, y: False
+for rows in ((((1,), 1),), (((1,), 1), ((1,), 2))):
+    try:
+        result = lp_feasible(LinearProgram(1, rows))
+    except AssertionError:
+        continue
+    sys.exit(f"{rows}: returned {result!r}")
+"""
+
+
+def test_failed_rechecks_raise_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(gea.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _FAILED_RECHECKS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_factored_prefix_gives_the_unfactored_answer():
     program = build_program(3, [((1, 1, -1), 0), ((2, 2, -2), 0), ((1, -1, 0), 1)])
     factored = Echelon.of(program.rows[:2], 3)
@@ -405,7 +423,7 @@ def test_integer_solver_matches_reference_on_wider_programs():
 
 def test_integer_solver_matches_reference_on_corpus_pairs(valid_corpus):
     for name, table in valid_corpus.items():
-        for program in _pair_programs(table):
+        for program in pair_programs(table):
             assert lp_feasible(program) == reference_lp_feasible(program), name
 
 
@@ -456,7 +474,7 @@ def test_int_and_fraction_rows_share_one_pivot_path():
 def test_conflicting_corpus_pairs_get_int_certificates(valid_corpus):
     conflicts = 0
     for name, table in valid_corpus.items():
-        for program in _pair_programs(table):
+        for program in pair_programs(table):
             echelon = Echelon.of(program.rows, program.n_vars)
             if echelon.conflict is None:
                 continue
@@ -555,7 +573,7 @@ def test_pair_programs_pivot_at_most_the_cone_dimension(pivots, valid_corpus):
     for name, table in valid_corpus.items():
         cone = additivity_program(table)
         d = cone.n_vars - Echelon.of(cone.rows, cone.n_vars).rank
-        for program in _pair_programs(table):
+        for program in pair_programs(table):
             pivots.clear()
             feasible = lp_feasible(program) is not None
             assert len(pivots) <= d, (name, d, pivots)

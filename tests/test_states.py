@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from gea import corpus
 from gea.algebra import induced_order, require_gea
-from gea.errors import ContractError, InputError
+from gea.errors import InputError
 from gea import states
 from gea.generate import random_population
 from gea.lp import lp_feasible
-from gea.states import (GeneralizedState, StateWitnessSet, additivity_program, bound_constant,
-                        find_order_witness, find_separating_state, normalize_state,
+from gea.represent import build_representation, operator_norm
+from gea.states import (GeneralizedState, StateWitnessSet, additivity_program,
                         order_determining_set, separating_set, state_from_solution)
 
 
@@ -19,43 +19,44 @@ def values(state):
     return tuple(str(v) for v in state.values)
 
 
+def witness_of(witnesses, pair):
+    return values(witnesses.states[witnesses.provenance[pair]])
+
+
 class TestOrderWitness:
     def test_excd_pair(self, excd):
-        witness = find_order_witness(1, 2, excd)
-        assert values(witness) == ("0", "1", "0")
+        witnesses = order_determining_set(require_gea(excd))
+        assert witness_of(witnesses, (1, 2)) == ("0", "1", "0")
 
     def test_diamond_pair_respects_additivity(self, diamond):
-        witness = find_order_witness(1, 2, diamond)
-        assert values(witness) == ("0", "1", "0", "1")
+        witnesses = order_determining_set(require_gea(diamond))
+        assert witness_of(witnesses, (1, 2)) == ("0", "1", "0", "1")
         # a + b = 1 forces s(1) = s(a) + s(b)
-        assert witness.values[3] == witness.values[1] + witness.values[2]
-
-    def test_comparable_pair_is_contract_error(self, chain_c3):
-        with pytest.raises(ContractError):
-            find_order_witness(1, 2, chain_c3)  # h <= 1
-
-    def test_reflexive_pair_is_contract_error(self, chain_c3):
-        with pytest.raises(ContractError):
-            find_order_witness(1, 1, chain_c3)
+        for state in witnesses.states:
+            assert state.values[3] == state.values[1] + state.values[2]
 
     def test_glued_atoms_have_no_witness(self, no_states):
-        assert find_order_witness(1, 2, no_states) is None
+        # a + a = b + b forces s(a) = s(b), so neither order pair of the atoms
+        # has a witness and every state found agrees on them.
+        witnesses = order_determining_set(require_gea(no_states))
+        assert witnesses.failures == [(1, 2), (2, 1)]
+        assert all(s.nums[1] == s.nums[2] for s in witnesses.states)
 
 
 class TestSeparatingState:
     def test_excd_pair(self, excd):
-        assert find_separating_state(1, 2, excd) is not None
+        witnesses = separating_set(require_gea(excd))
+        assert witness_of(witnesses, (1, 2)) == ("0", "1", "0")
 
     def test_chain_uses_second_normalization(self, chain_c3):
-        witness = find_separating_state(1, 2, chain_c3)
-        assert values(witness) == ("0", "1", "2")
-
-    def test_same_element_is_contract_error(self, excd):
-        with pytest.raises(ContractError):
-            find_separating_state(1, 1, excd)
+        # s(0) - s(h) = 1 is infeasible, so the first pair takes its state
+        # from the reverse normalization s(h) - s(0) = 1.
+        witnesses = separating_set(require_gea(chain_c3))
+        assert witness_of(witnesses, (0, 1)) == ("0", "1", "2")
 
     def test_glued_atoms_cannot_be_separated(self, no_states):
-        assert find_separating_state(1, 2, no_states) is None
+        witnesses = separating_set(require_gea(no_states))
+        assert witnesses.states and all(s.nums[1] == s.nums[2] for s in witnesses.states)
 
 
 class TestWitnessSets:
@@ -112,7 +113,7 @@ class TestWitnessSets:
         # S separates points iff a -> (s(a))_s is injective
         for table in valid_corpus.values():
             witnesses = separating_set(require_gea(table))
-            vectors = [witnesses.value_vector(a) for a in range(table.n)]
+            vectors = [tuple(s.values[a] for s in witnesses.states) for a in range(table.n)]
             injective = len(set(vectors)) == table.n
             assert witnesses.ok == injective
 
@@ -162,12 +163,13 @@ class TestStateInvariants:
         table = corpus.load("diamond")
         witnesses = order_determining_set(require_gea(table))
         for state in witnesses.states:
-            state.scaled(q).validate(table)
+            GeneralizedState(tuple(p * q.numerator for p in state.nums),
+                             state.den * q.denominator).validate(table)
 
     def test_negative_scaling_rejected(self, diamond):
         state = order_determining_set(require_gea(diamond)).states[0]
         with pytest.raises(InputError):
-            state.scaled(Fraction(-1))
+            GeneralizedState(tuple(-p for p in state.nums), state.den).validate(diamond)
 
     def test_validate_rejects_non_additive_values(self, diamond):
         bogus = GeneralizedState.of((Fraction(0), Fraction(1), Fraction(1), Fraction(3)))
@@ -186,7 +188,6 @@ class TestIntegerStates:
         state = GeneralizedState((0, 2, 4), 4)
         assert (state.nums, state.den) == ((0, 1, 2), 2)
         assert state.values == (Fraction(0), Fraction(1, 2), Fraction(1))
-        assert state(1) == Fraction(2, 4)
 
     def test_non_positive_denominator_rejected(self):
         for den in (0, -2):
@@ -220,43 +221,21 @@ class TestIntegerStates:
 
 
 class TestNormalizeAndBounds:
-    def test_chain_witness_normalizes_to_half(self, chain_c3):
-        state = GeneralizedState.of((Fraction(0), Fraction(1), Fraction(2)))
-        assert values(normalize_state(state, chain_c3)) == ("0", "1/2", "1")
+    """The least bound c_a of a witness set, the largest s(a) over its
+    states, is the operator norm of phi(a) in the representation it builds."""
 
-    def test_normalization_is_idempotent(self, chain_c3):
-        state = GeneralizedState.of((Fraction(0), Fraction(1, 2), Fraction(1)))
-        assert normalize_state(state, chain_c3).values == state.values
-
-    def test_diamond_witness_already_normalized(self, diamond):
-        state = GeneralizedState.of((Fraction(0), Fraction(1), Fraction(0), Fraction(1)))
-        assert normalize_state(state, diamond).values == state.values
-
-    def test_trivial_on_unit_rejected(self, diamond):
-        zero_state = GeneralizedState.of((Fraction(0),) * 4)
-        with pytest.raises(InputError):
-            normalize_state(zero_state, diamond)
-
-    def test_no_unit_is_contract_error(self, excd):
-        state = GeneralizedState.of((Fraction(0), Fraction(1), Fraction(0)))
-        with pytest.raises(ContractError):
-            normalize_state(state, excd)
+    def norms(self, table):
+        gea = require_gea(table)
+        witnesses = order_determining_set(gea)
+        rep = build_representation(gea, witnesses)
+        return witnesses, [operator_norm(rep, a) for a in range(table.n)]
 
     def test_bound_constant_is_max_over_witnesses(self, diamond):
-        witnesses = order_determining_set(require_gea(diamond))
-        for a in range(diamond.n):
-            expected = max(s.values[a] for s in witnesses.states)
-            assert bound_constant(a, witnesses) == expected
+        witnesses, norms = self.norms(diamond)
+        assert norms == [max(s.values[a] for s in witnesses.states) for a in range(diamond.n)]
 
     def test_bound_at_zero_element_is_zero(self, diamond):
-        witnesses = order_determining_set(require_gea(diamond))
-        assert bound_constant(0, witnesses) == 0
+        assert self.norms(diamond)[1][0] == 0
 
     def test_excd_bound_for_first_projector(self, excd):
-        witnesses = order_determining_set(require_gea(excd))
-        assert bound_constant(1, witnesses) == 1
-
-    def test_empty_witness_set_rejected(self, singleton):
-        witnesses = order_determining_set(require_gea(singleton))
-        with pytest.raises(InputError):
-            bound_constant(0, witnesses)
+        assert self.norms(excd)[1][1] == 1
