@@ -30,9 +30,12 @@ import random
 from typing import Iterator
 
 from .algebra import AlgebraTable
+from .errors import InputError
 
 
 def random_gea(rng: random.Random, n: int) -> AlgebraTable:
+    if n < 1:
+        raise InputError("algebra needs at least one element")
     labels = tuple("0" if i == 0 else f"e{i}" for i in range(n))
     if n == 1:
         return AlgebraTable(labels, 0, {(0, 0): 0})

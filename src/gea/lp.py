@@ -3,16 +3,17 @@
 Decides whether {A x = b, x >= 0} has a solution over the rationals, with
 every elimination and pivot step in Python ints.  Coefficients may be ints
 or Fractions.  Each row is scaled on entry by the lcm of its denominators
-(a row of ints enters as it is), and every stored integer row (echelon
-rows, tableau rows, the cost row) is a positive multiple of the rational
-row it stands for.  A step forms a*row - f*pivot_row with a > 0 and divides
-the result by its gcd, so the multiple stays positive and the entries stay
-small.  The rational algorithm reads only signs and ratios of such rows: a
-pivot column is the first nonzero entry, the entering column is the first
-negative reduced cost, and the ratio test compares b_i / a_i, here by
-cross-multiplication.  So the integer solver takes the pivot path of the
-same algorithm run in Fraction arithmetic and returns the same point;
-Fractions are made only for the values it returns.
+(a row of ints enters as it is), and every stored integer row is a positive
+multiple of the rational row it stands for.  One column-clearing step
+(`_eliminate`) serves the echelon's back-substitution and every phase-one
+pivot: it forms a*row - f*pivot_row with a > 0 in every other row, so the
+multiple stays positive, and divides the result by its gcd, so the entries
+stay small.  The rational algorithm reads only signs and ratios of such
+rows: a pivot column is the first nonzero entry, the entering column is the
+first negative reduced cost, and one ratio test (`_least_ratio`) compares
+b_i / a_i by cross-multiplication.  So the integer solver takes the pivot
+path of the same algorithm run in Fraction arithmetic and returns the same
+point; Fractions are made only for the values it returns.
 
 Every call starts with one exact elimination (`Echelon`) over the rows.  It
 keeps the original rows of a maximal independent subset, in their original
@@ -27,8 +28,10 @@ rows, just as a feasible point is rechecked against every row.  The reduced
 echelon form is also the start basis of phase one, with each pivot variable
 basic.  One auxiliary variable x0 enters every row whose rhs is negative
 (Chvátal, Linear Programming, 1983, ch. 3), and Bland's anti-cycling rule
-minimizes x0 over rank rows and n + 2 columns; a basic point that is
-already nonnegative takes no pivot.
+minimizes x0 over rank rows and n + 2 columns; the cost row is the
+tableau's last row.  The ratio test, with ties to the lowest basic
+variable, picks both the row where x0 enters and each of Bland's leaving
+rows.  A basic point that is already nonnegative takes no pivot.
 
 Callers that solve many programs sharing their leading rows factor those
 rows once and pass the factorization in; each call then reduces only the
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ContractError, InputError
 
@@ -101,16 +104,13 @@ def _support(row: Sequence[int]) -> list[tuple[int, int]]:
     return [(j, p) for j, p in enumerate(row) if p]
 
 
-def _factors(d: int, f: int) -> tuple[int, int]:
-    """The multipliers (a, f) for which a * v - f * p clears a column where
-    p holds d > 0 and v holds f: d and f divided by their gcd, so a > 0."""
-    common = gcd(d, f)
-    return d // common, f // common
-
-
-def _cancel(v: list[int], a: int, f: int, support: list[tuple[int, int]]) -> list[int]:
-    """a * v - f * p for p given by its nonzero entries: most entries are
-    zero, and the row is scaled only when a != 1."""
+def _reduce(v: list[int], col: int, d: int, support: list[tuple[int, int]]) -> list[int]:
+    """a * v - f * p, which is 0 at col, for a row p holding d > 0 at col
+    and given by its nonzero entries: a and f are d and v[col] over their
+    gcd, so a > 0.  Most entries of p are zero, and v is scaled only when
+    a != 1."""
+    common = gcd(d, v[col])
+    a, f = d // common, v[col] // common
     out = [a * x for x in v] if a != 1 else v[:]
     for j, p in support:
         out[j] -= f * p
@@ -121,6 +121,17 @@ def _primitive(v: list[int]) -> list[int]:
     """v divided by the gcd of its entries."""
     common = gcd(*v)
     return [x // common for x in v] if common > 1 else v
+
+
+def _eliminate(rows: list[list[int]], r: int, col: int) -> None:
+    """Clear col in every row but rows[r], which is positive there, and make
+    each changed row primitive.  Rows are replaced, never changed in place;
+    rows[r] keeps its scale."""
+    d = rows[r][col]
+    support = _support(rows[r])
+    for i, row in enumerate(rows):
+        if i != r and row[col]:
+            rows[i] = _primitive(_reduce(row, col, d, support))
 
 
 class Echelon:
@@ -172,25 +183,18 @@ class Echelon:
 
     def _add(self, index: int) -> None:
         v = _integral(*self.source[index])
-        for k, p in enumerate(self.pivots):
+        for row, p in zip(self.rows, self.pivots):
             if v[p]:
-                row = self.rows[k]
-                a, f = _factors(row[p], v[p])
-                v = _cancel(v, a, f, _support(row))
+                v = _reduce(v, p, row[p], _support(row))
         col = next((j for j in range(self.n_cols) if v[j]), None)
         if col is None:
             if v[-1]:
                 self.conflict = index
             return  # otherwise a combination of the rows kept so far
-        v = _primitive(v if v[col] > 0 else [-x for x in v])
-        support = _support(v)
-        for k, row in enumerate(self.rows):
-            if row[col]:
-                a, f = _factors(v[col], row[col])
-                self.rows[k] = _primitive(_cancel(row, a, f, support))
+        self.rows.append(_primitive(v if v[col] > 0 else [-x for x in v]))
+        _eliminate(self.rows, len(self.rows) - 1, col)
         self.kept.append(index)
         self.pivots.append(col)
-        self.rows.append(v)
         self._transposed = []
 
     def certificate(self) -> dict[int, int]:
@@ -257,49 +261,34 @@ def lp_feasible(program: LinearProgram,
     # Tableau rows: the echelon rows with the x0 column (index n) before the
     # rhs.  Each is positive in its basic (pivot) column; where the rhs is
     # negative x0 carries minus that entry, so the row reads x_p + ... - x0 = b.
+    # The last row holds the reduced costs of minimizing x0, its rhs minus
+    # the objective; it has no basic variable.
     m = echelon.rank
     basis = echelon.pivots[:]
     tableau = [row[:n] + [-row[p] if row[-1] < 0 else 0, row[-1]]
                for row, p in zip(echelon.rows, basis)]
-    # Reduced costs of minimizing x0; the rhs holds minus the objective.  With
-    # no negative rhs the basic point is feasible and no pivot is made.
-    cost = [0] * n + [1, 0]
-    infeasible = [i for i in range(m) if tableau[i][-1] < 0]
-    if infeasible:
-        # x0 enters on the most negative rhs / pivot ratio (ties to the
-        # lowest basic index), which makes every rhs nonnegative.  The row
-        # is negated first, so its pivot entry in the x0 column is positive.
-        leaving = infeasible[0]
-        for i in infeasible[1:]:
-            row, best = tableau[i], tableau[leaving]
-            left, right = row[-1] * best[basis[leaving]], best[-1] * row[basis[i]]
-            if left < right or (left == right and basis[i] < basis[leaving]):
-                leaving = i
+    tableau.append([0] * n + [1, 0])
+    # x0 enters on the most negative rhs / pivot ratio, which makes every rhs
+    # nonnegative.  The row is negated first, so its pivot entry in the x0
+    # column is positive.  With no negative rhs the basic point is feasible
+    # and no pivot is made.
+    infeasible = ((i, row[p]) for i, (row, p) in enumerate(zip(tableau, basis)) if row[-1] < 0)
+    leaving = _least_ratio(tableau, basis, infeasible)
+    if leaving is not None:
         tableau[leaving] = [-v for v in tableau[leaving]]
-        _pivot(tableau, cost, basis, leaving, n)
+        _pivot(tableau, basis, leaving, n)
 
     while True:
-        entering = next((j for j in range(n + 1) if cost[j] < 0), None)
+        entering = next((j for j in range(n + 1) if tableau[m][j] < 0), None)
         if entering is None:
             break
-        pivot_row = None
-        for i in range(m):
-            coeff = tableau[i][entering]
-            if coeff <= 0:
-                continue
-            if pivot_row is None:
-                pivot_row = i
-                continue
-            best = tableau[pivot_row]
-            # rhs_i / coeff against the best ratio; both denominators are > 0.
-            left, right = tableau[i][-1] * best[entering], best[-1] * coeff
-            if left < right or (left == right and basis[i] < basis[pivot_row]):
-                pivot_row = i
+        positive = ((i, tableau[i][entering]) for i in range(m) if tableau[i][entering] > 0)
+        pivot_row = _least_ratio(tableau, basis, positive)
         if pivot_row is None:
             raise AssertionError("phase-one objective cannot be unbounded")
-        _pivot(tableau, cost, basis, pivot_row, entering)
+        _pivot(tableau, basis, pivot_row, entering)
 
-    if cost[-1] != 0:
+    if tableau[m][-1] != 0:
         return None
     x = [Fraction(0)] * n
     for row, var in zip(tableau, basis):
@@ -310,17 +299,22 @@ def lp_feasible(program: LinearProgram,
     return x
 
 
-def _pivot(tableau: list[list[int]], cost: list[int],
-           basis: list[int], row: int, col: int) -> None:
-    """Clear col outside the pivot row.  The pivot row keeps its scale: it is
-    already a positive multiple of itself divided by its positive pivot."""
-    d = tableau[row][col]
-    support = _support(tableau[row])
-    for i, other in enumerate(tableau):
-        if i != row and other[col]:
-            a, f = _factors(d, other[col])
-            tableau[i] = _primitive(_cancel(other, a, f, support))
-    if cost[col]:
-        a, f = _factors(d, cost[col])
-        cost[:] = _primitive(_cancel(cost, a, f, support))
+def _least_ratio(tableau: list[list[int]], basis: list[int],
+                 candidates: Iterable[tuple[int, int]]) -> Optional[int]:
+    """The row i of least rhs_i / d over the candidate pairs (i, d), d > 0,
+    compared by cross-multiplication; ties go to the lowest basic variable.
+    None when there is no candidate."""
+    best, best_d = None, 0
+    for i, d in candidates:
+        if best is not None:
+            left, right = tableau[i][-1] * best_d, tableau[best][-1] * d
+            if left > right or (left == right and basis[i] > basis[best]):
+                continue
+        best, best_d = i, d
+    return best
+
+
+def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> None:
+    """Make col basic in row; the cost row is cleared with the others."""
+    _eliminate(tableau, row, col)
     basis[row] = col

@@ -7,6 +7,7 @@ import pytest
 
 from gea import generate
 from gea.algebra import AlgebraTable, check_gea_axioms, induced_order, scan_gea
+from gea.errors import InputError
 from gea.generate import random_gea, random_population
 from gea.states import additivity_program, order_determining_set, separating_set
 from test_lp import ReferenceEchelon, reference_lp_feasible
@@ -99,6 +100,11 @@ class TestGeneratedTables:
         for seed in range(6):
             assert random_gea(random.Random(seed), n) == \
                 reference_random_gea(random.Random(seed), n), (n, seed)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_fewer_than_one_element(self, n):
+        with pytest.raises(InputError, match="at least one element"):
+            random_gea(random.Random(0), n)
 
     def test_population_stream_matches_the_reference(self):
         rng = random.Random(3)

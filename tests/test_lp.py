@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 from typing import Optional
 
@@ -391,7 +391,7 @@ def test_integer_solver_takes_the_reference_pivot_path(program, data):
     if echelon.conflict is not None:
         assert program.refuted_by(echelon.certificate())
     for row, ref_row, col in zip(echelon.rows, reference.rows, echelon.pivots):
-        assert row[col] > 0
+        assert row[col] > 0 and gcd(*row) == 1
         assert [Fraction(v, row[col]) for v in row] == ref_row
     x = lp_feasible(program)
     assert x == reference_lp_feasible(program)
@@ -545,13 +545,17 @@ def test_conflicts_of_one_base_factor_the_certificate_system_once(monkeypatch):
 
 @pytest.fixture
 def pivots(monkeypatch):
-    """The list of (row, col) of every phase-one pivot made while it is live."""
+    """The list of (row, col) of every phase-one pivot made while it is live.
+    After each pivot every tableau row, the cost row included, is primitive,
+    and each constraint row is positive at its basic column."""
     made = []
     real = lp._pivot
 
-    def counted(tableau, cost, basis, row, col):
+    def counted(tableau, basis, row, col):
         made.append((row, col))
-        real(tableau, cost, basis, row, col)
+        real(tableau, basis, row, col)
+        assert all(gcd(*r) == 1 for r in tableau)
+        assert all(r[var] > 0 for r, var in zip(tableau, basis))
 
     monkeypatch.setattr(lp, "_pivot", counted)
     return made
