@@ -192,19 +192,16 @@ def check_gea_axioms(table: AlgebraTable) -> AxiomReport:
     return AxiomReport("GEA", tuple(violations))
 
 
-def check_ea_axioms(table: AlgebraTable, gea: Optional[AxiomReport] = None) -> AxiomReport:
+def check_ea_axioms(table: AlgebraTable, gea: AxiomReport) -> AxiomReport:
     """Exhaustively verify the effect algebra axioms E1..E4.
 
     E1 and E2 are GE1 and GE2 under another label, so their violations are
-    read from the GEA scan: gea, which must be check_gea_axioms(table) when
-    the caller has it, or a scan made here.
+    read from the GEA scan: gea must be check_gea_axioms(table).
 
     Requires a unit element; raises InputError without one.
     """
     if table.unit is None:
         raise InputError("effect algebra check needs a unit element")
-    if gea is None:
-        gea = check_gea_axioms(table)
     one = table.unit
     lab = table.elements
     label = {"GE1": "E1", "GE2": "E2"}

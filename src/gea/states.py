@@ -4,8 +4,9 @@ A generalized state assigns a nonnegative rational to every element, is zero
 at zero, and is additive over every defined sum.  States form a cone, so a
 strict inequality s(a) > s(b) can always be normalized to s(a) - s(b) = 1;
 that normalization is what makes each witness search a single feasibility LP.
-A search builds and factors the additivity rows of its table once; each pair
-LP then adds and reduces only its normalization row.
+A search builds its table's additivity program once, which factors the
+additivity rows as they enter; each pair LP extends it by its normalization
+row, so only that row is reduced.
 
 The searches take a CheckedGEA, the table and induced order that one axiom
 scan produced, so they scan nothing themselves.  A state is stored as int
@@ -24,7 +25,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import AlgebraTable, CheckedGEA
 from .errors import InputError
-from .lp import Echelon, LinearProgram, Rational, Row, lp_feasible
+from .lp import LinearProgram, Row, lp_feasible
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class GeneralizedState:
         object.__setattr__(self, "den", self.den // common)
 
     @classmethod
-    def of(cls, values: Sequence[Rational | str]) -> "GeneralizedState":
+    def of(cls, values: Sequence[int | Fraction | str]) -> "GeneralizedState":
         """The state with these rational values."""
         fracs = [Fraction(v) for v in values]
         den = lcm(*(v.denominator for v in fracs))
@@ -90,11 +91,9 @@ class StateWitnessSet:
         return not self.failures
 
 
-def additivity_program(table: AlgebraTable,
-                       extra_rows: Sequence[tuple[dict[int, Rational], Rational]] = ()) -> LinearProgram:
-    """LP over one variable per nonzero element: one additivity row per
-    defined sum (deduplicated, int coefficients), plus caller-supplied rows
-    keyed by element."""
+def additivity_program(table: AlgebraTable) -> LinearProgram:
+    """The factored LP over one variable per nonzero element, with one
+    additivity row per defined sum (deduplicated, int coefficients)."""
     var_of = _variables(table)
     n_vars = len(var_of)
     rows: list[Row] = []
@@ -108,26 +107,11 @@ def additivity_program(table: AlgebraTable,
         if any(key) and key not in seen:
             seen.add(key)
             rows.append((key, 0))
-    rows.extend(_extra_row(var_of, table.zero, weights, rhs) for weights, rhs in extra_rows)
-    return LinearProgram(n_vars, tuple(rows))
+    return LinearProgram(n_vars, rows)
 
 
 def _variables(table: AlgebraTable) -> dict[int, int]:
     return {e: i for i, e in enumerate(x for x in range(table.n) if x != table.zero)}
-
-
-def _exact(value) -> Rational:
-    return value if isinstance(value, int) else Fraction(value)
-
-
-def _extra_row(var_of: dict[int, int], zero: int, weights: dict[int, Rational],
-               rhs: Rational) -> Row:
-    coeffs: list[Rational] = [0] * len(var_of)
-    for element, w in weights.items():
-        if element == zero:
-            continue  # s(0) = 0, the variable is eliminated
-        coeffs[var_of[element]] += _exact(w)
-    return tuple(coeffs), _exact(rhs)
 
 
 def state_from_solution(table: AlgebraTable, x: Sequence[Fraction]) -> GeneralizedState:
@@ -140,25 +124,27 @@ def state_from_solution(table: AlgebraTable, x: Sequence[Fraction]) -> Generaliz
 
 
 class _Additivity:
-    """The additivity rows of one table, built and factored once.  Every
-    witness LP of a search is these rows plus one normalization row."""
+    """The additivity program of one table, built and factored once.  Every
+    witness LP of a search is that program plus one normalization row."""
 
     def __init__(self, table: AlgebraTable) -> None:
         self.table = table
         self.var_of = _variables(table)
         self.program = additivity_program(table)
-        self.echelon = Echelon.of(self.program.rows, self.program.n_vars)
+
+    def pair_program(self, lo: int, hi: int) -> LinearProgram:
+        """The additivity program with s(lo) - s(hi) = 1; s(0) = 0 has no
+        variable."""
+        coeffs = [0] * self.program.n_vars
+        for element, w in ((lo, 1), (hi, -1)):
+            if element != self.table.zero:
+                coeffs[self.var_of[element]] = w
+        return self.program.extended([(tuple(coeffs), 1)])
 
     def witness(self, lo: int, hi: int) -> Optional[GeneralizedState]:
         """A generalized state with s(lo) - s(hi) = 1, or None."""
-        row = _extra_row(self.var_of, self.table.zero, {lo: 1, hi: -1}, 1)
-        program = LinearProgram(self.program.n_vars, self.program.rows + (row,))
-        solution = lp_feasible(program, self.echelon)
-        if solution is None:
-            return None
-        state = state_from_solution(self.table, solution)
-        state.validate(self.table)
-        return state
+        solution = lp_feasible(self.pair_program(lo, hi))
+        return None if solution is None else state_from_solution(self.table, solution)
 
 
 def _record(witnesses: StateWitnessSet, pair: tuple[int, int],

@@ -13,9 +13,9 @@ from typing import Optional
 
 from gea.algebra import induced_order
 from gea.errors import InputError
-from gea.lp import Echelon, LinearProgram
+from gea.lp import LinearProgram
 from gea.represent import DiagonalRep
-from gea.states import additivity_program
+from gea.states import _Additivity
 
 
 @dataclass(frozen=True)
@@ -77,20 +77,19 @@ def basic_solution_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
     Exponential in the variable count; intended for small cross-checks only.
     """
     n = program.n_vars
-    full = Echelon.of(program.rows, n)
-    if full.conflict is not None:
+    if program.conflict is not None:
         return None
-    if full.rank == 0:
+    if program.rank == 0:
         return [Fraction(0)] * n
-    for columns in itertools.combinations(range(n), full.rank):
+    for columns in itertools.combinations(range(n), program.rank):
         # These columns carry a basic solution iff each one becomes a pivot
         # and the restricted system stays consistent; it is then unique.
-        restricted = Echelon.of([(tuple(coeffs[c] for c in columns), rhs)
-                                 for coeffs, rhs in program.rows], len(columns))
+        restricted = LinearProgram(len(columns), [(tuple(coeffs[c] for c in columns), rhs)
+                                                  for coeffs, rhs in program.rows])
         if restricted.conflict is not None or restricted.rank < len(columns):
             continue
         x = [Fraction(0)] * n
-        for pivot, row in zip(restricted.pivots, restricted.rows):
+        for pivot, row in zip(restricted.pivots, restricted.reduced):
             x[columns[pivot]] = Fraction(row[-1], row[pivot])
         if any(v < 0 for v in x):
             continue
@@ -104,5 +103,6 @@ def pair_programs(table):
     for both normalizations of each separation pair."""
     pairs = list(induced_order(table).pairs_not_leq())
     pairs += [p for a in range(table.n) for b in range(a + 1, table.n) for p in ((a, b), (b, a))]
+    system = _Additivity(table)
     for lo, hi in pairs:
-        yield additivity_program(table, [({lo: Fraction(1), hi: Fraction(-1)}, Fraction(1))])
+        yield system.pair_program(lo, hi)

@@ -196,14 +196,15 @@ def test_criterion_8_axiom_checker_soundness(valid_corpus):
     ok = not report.passed and planted in report.witnesses("GE3")
 
     no_complement = corpus.load("ea_no_complement")
-    ea_report = check_ea_axioms(no_complement)
+    ea_report = check_ea_axioms(no_complement, check_gea_axioms(no_complement))
     ok = ok and not ea_report.passed
     ok = ok and (no_complement.index("a"),) in ea_report.witnesses("E3")
 
     for table in valid_corpus.values():
         ok = ok and check_gea_axioms(table).passed
     for name in corpus.EFFECT_ALGEBRAS:
-        ok = ok and check_ea_axioms(valid_corpus[name]).passed
+        table = valid_corpus[name]
+        ok = ok and check_ea_axioms(table, check_gea_axioms(table)).passed
 
     for name in corpus.MORPHISMS:
         flags = classify_morphism(corpus.load_morphism(name))

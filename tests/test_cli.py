@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gea
-from gea import algebra, corpus
+from gea import algebra, corpus, states
 from gea import cli
 from gea.cli import main
 from gea.effects import EffectMatrix
@@ -366,6 +366,21 @@ class TestOneScanPerPipeline:
         assert main(["check", cpath(name), "--ea", "--json"]) == exit_code
         capsys.readouterr()
         assert [len(calls) for calls in walks] == [1, 1]
+
+    def test_represent_validates_each_witness_state_once(self, capsys, monkeypatch):
+        # The search's LP already rechecks every point against the additivity
+        # rows, so only build_representation validates a witness state.
+        validated = []
+        validate = states.GeneralizedState.validate
+
+        def counted(state, table):
+            validated.append(state)
+            validate(state, table)
+
+        monkeypatch.setattr(states.GeneralizedState, "validate", counted)
+        assert main(["represent", cpath("cube8"), "--goal", "order", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(validated) == len(report["representation"]["order"]) == 3
 
     def test_morphism_scans_each_table_once(self, capsys, monkeypatch):
         scans = count_calls(monkeypatch, algebra.check_gea_axioms)

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from gea import generate
+from gea import generate, states
 from gea.algebra import AlgebraTable, check_gea_axioms, induced_order, scan_gea
 from gea.errors import InputError
 from gea.generate import random_gea, random_population
-from gea.states import additivity_program, order_determining_set, separating_set
+from gea.states import order_determining_set, separating_set
 from test_lp import ReferenceEchelon, reference_lp_feasible
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -157,12 +157,11 @@ class TestLargeTables:
     def test_witness_searches(self, n, seed):
         table = random_gea(random.Random(seed), n)
         _, gea = scan_gea(table)
-        cone = additivity_program(table)
-        factored = ReferenceEchelon.of(cone.rows, cone.n_vars)
+        system = states._Additivity(table)
+        factored = ReferenceEchelon.of(system.program.rows, system.program.n_vars)
 
         def reference_feasible(lo, hi):
-            program = additivity_program(table, [({lo: 1, hi: -1}, 1)])
-            return reference_lp_feasible(program, factored) is not None
+            return reference_lp_feasible(system.pair_program(lo, hi), factored) is not None
 
         order = order_determining_set(gea)
         separate = separating_set(gea)

@@ -12,19 +12,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gea
-from gea import lp
-from gea.errors import ContractError
+from gea import lp, states
+from gea.errors import InputError
 from gea.generate import random_gea
-from gea.lp import Echelon, LinearProgram, lp_feasible
+from gea.lp import LinearProgram, lp_feasible
 from gea.states import additivity_program
 from reference import basic_solution_feasible, pair_programs
 
 
 def build_program(n_vars, rows):
-    """A LinearProgram whose coefficients and right-hand sides are all
-    Fractions, as the rows of a hand-written program may be."""
-    return LinearProgram(n_vars, tuple((tuple(Fraction(c) for c in coeffs), Fraction(rhs))
-                                       for coeffs, rhs in rows))
+    """A LinearProgram of rows with rational entries: LinearProgram takes
+    int rows, so each row is scaled here by the lcm of its denominators."""
+    scaled = []
+    for coeffs, rhs in rows:
+        row = [Fraction(v) for v in (*coeffs, rhs)]
+        scale = lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (scale // v.denominator) for v in row]
+        scaled.append((tuple(ints[:-1]), ints[-1]))
+    return LinearProgram(n_vars, scaled)
 
 
 # Reference solver: the same elimination and phase-one simplex in Fraction
@@ -176,8 +181,7 @@ def test_sign_contradiction_is_infeasible():
 
 
 def test_excd_normalized_witness_program(excd):
-    program = additivity_program(
-        excd, [({1: Fraction(1), 2: Fraction(-1)}, Fraction(1))])
+    program = states._Additivity(excd).pair_program(1, 2)
     solution = lp_feasible(program)
     assert solution == [Fraction(1), Fraction(0)]
     assert basic_solution_feasible(program) is not None
@@ -283,23 +287,21 @@ def test_presolve_matches_oracle_on_redundant_rows(case):
         assert simplex is None
     if simplex is not None:
         assert program.satisfied_by(simplex)
-    echelon = Echelon.of(program.rows, program.n_vars)
     if inconsistent:
-        assert echelon.conflict is not None
-    if echelon.conflict is not None:
-        assert program.refuted_by(echelon.certificate())
+        assert program.conflict is not None
+    if program.conflict is not None:
+        assert program.refuted_by(program.certificate())
     else:
-        kept = [program.rows[i] for i in echelon.kept]
-        assert Echelon.of(kept, program.n_vars).rank == len(kept)
+        kept = [program.rows[i] for i in program.kept]
+        assert LinearProgram(program.n_vars, kept).rank == len(kept)
 
 
 def test_inconsistent_pair_row_settled_by_elimination():
     # a + a = c and b + b = c force s(a) = s(b); s(a) - s(b) = 1 contradicts it.
-    program = build_program(3, [((2, 0, -1), 0), ((0, 2, -1), 0), ((1, -1, 0), 1)])
-    echelon = Echelon.of(program.rows, 3)
-    assert echelon.kept == [0, 1]
-    assert echelon.conflict == 2
-    assert echelon.certificate() == {0: 1, 1: -1, 2: -2}
+    program = LinearProgram(3, [((2, 0, -1), 0), ((0, 2, -1), 0), ((1, -1, 0), 1)])
+    assert program.kept == [0, 1]
+    assert program.conflict == 2
+    assert program.certificate() == {0: 1, 1: -1, 2: -2}
     assert lp_feasible(program) is None
 
 
@@ -311,11 +313,10 @@ def test_refuted_by_checks_the_combination():
 
 
 def test_wrong_inconsistency_claim_is_caught():
-    program = build_program(2, [((1, 0), 1), ((0, 1), 1)])
-    factored = Echelon.of(program.rows[:1], 2)
-    factored.conflict = 0  # row 0 is consistent and kept
+    program = LinearProgram(2, [((1, 0), 1), ((0, 1), 1)])
+    program.conflict = 0  # row 0 is consistent and kept
     with pytest.raises(AssertionError):
-        lp_feasible(program, factored)
+        lp_feasible(program)
 
 
 # Both exact rechecks made to fail, in an interpreter that strips assert
@@ -344,17 +345,29 @@ def test_failed_rechecks_raise_under_python_O():
 
 
 def test_factored_prefix_gives_the_unfactored_answer():
-    program = build_program(3, [((1, 1, -1), 0), ((2, 2, -2), 0), ((1, -1, 0), 1)])
-    factored = Echelon.of(program.rows[:2], 3)
+    rows = [((1, 1, -1), 0), ((2, 2, -2), 0), ((1, -1, 0), 1)]
+    factored = LinearProgram(3, rows[:2])
     assert factored.kept == [0]
-    assert lp_feasible(program, factored) == lp_feasible(program)
-    assert factored.rank == 1 and len(factored.source) == 2  # left unchanged
+    assert lp_feasible(factored.extended(rows[2:])) == lp_feasible(LinearProgram(3, rows))
+    assert factored.rank == 1 and len(factored.rows) == 2  # left unchanged
 
 
-def test_factorization_must_match_leading_rows():
-    program = build_program(2, [((1, 0), 1), ((0, 1), 1)])
-    with pytest.raises(ContractError):
-        lp_feasible(program, Echelon.of(program.rows[1:], 2))
+@pytest.mark.parametrize("row", [
+    ((Fraction(1), 0), 1),  # a Fraction coefficient, though its value is an int
+    ((1, 0), Fraction(1, 2)),
+    ((True, 0), 1),
+    ((1, 0), False),
+    ((1, 0, 0), 1),
+    ((1,), 1),
+])
+def test_rows_other_than_int_rows_of_the_variable_count_are_refused(row):
+    with pytest.raises(InputError):
+        LinearProgram(2, [((0, 1), 0), row])
+    with pytest.raises(InputError):
+        LinearProgram(2, [((0, 1), 0)]).extended([row])
+    # A row after a conflict is checked as well, though it is not reduced.
+    with pytest.raises(InputError):
+        LinearProgram(2, [((0, 0), 1), row])
 
 
 rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -380,29 +393,42 @@ def rational_programs(draw):
     return build_program(n, rows)
 
 
+def _assert_every_split_matches(program):
+    """For every k, the first k rows extended by the rest factor and solve
+    as the whole program does, and the extension leaves the first k rows'
+    program as it was."""
+    n, rows = program.n_vars, program.rows
+    x = lp_feasible(program)
+    certificate = program.certificate() if program.conflict is not None else None
+    for k in range(len(rows) + 1):
+        prefix = LinearProgram(n, rows[:k])
+        before = (prefix.kept[:], prefix.pivots[:], [row[:] for row in prefix.reduced])
+        split = prefix.extended(rows[k:])
+        assert (prefix.kept, prefix.pivots, prefix.reduced) == before
+        assert split.rows == rows
+        assert split.kept == program.kept and split.pivots == program.pivots
+        assert split.reduced == program.reduced and split.conflict == program.conflict
+        assert lp_feasible(split) == x
+        if certificate is not None:
+            assert split.certificate() == certificate
+
+
 @settings(max_examples=150, deadline=None)
-@given(rational_programs(), st.data())
-def test_integer_solver_takes_the_reference_pivot_path(program, data):
-    echelon = Echelon.of(program.rows, program.n_vars)
+@given(rational_programs())
+def test_integer_solver_takes_the_reference_pivot_path(program):
     reference = ReferenceEchelon.of(program.rows, program.n_vars)
-    assert echelon.kept == reference.kept
-    assert echelon.pivots == reference.pivots
-    assert (echelon.conflict is None) == (reference.conflict is None)
-    if echelon.conflict is not None:
-        assert program.refuted_by(echelon.certificate())
-    for row, ref_row, col in zip(echelon.rows, reference.rows, echelon.pivots):
+    assert program.kept == reference.kept
+    assert program.pivots == reference.pivots
+    assert (program.conflict is None) == (reference.conflict is None)
+    if program.conflict is not None:
+        assert program.refuted_by(program.certificate())
+    for row, ref_row, col in zip(program.reduced, reference.rows, program.pivots):
         assert row[col] > 0 and gcd(*row) == 1
         assert [Fraction(v, row[col]) for v in row] == ref_row
     x = lp_feasible(program)
     assert x == reference_lp_feasible(program)
     assert x is None or all(type(v) is Fraction for v in x)
-    lead = data.draw(st.integers(min_value=0, max_value=len(program.rows)))
-    factored = Echelon.of(program.rows[:lead], program.n_vars)
-    assert lp_feasible(program, factored) == x
-    extended = factored.extended(program.rows[lead:])
-    assert extended.conflict == echelon.conflict
-    if extended.conflict is not None:
-        assert program.refuted_by(extended.certificate())
+    _assert_every_split_matches(program)
 
 
 def test_integer_solver_matches_reference_on_wider_programs():
@@ -419,24 +445,24 @@ def test_integer_solver_matches_reference_on_wider_programs():
         x = lp_feasible(program)
         assert x == reference_lp_feasible(program), rows
         assert (x is None) == (basic_solution_feasible(program) is None), rows
+        _assert_every_split_matches(program)
 
 
 def test_integer_solver_matches_reference_on_corpus_pairs(valid_corpus):
     for name, table in valid_corpus.items():
         for program in pair_programs(table):
             assert lp_feasible(program) == reference_lp_feasible(program), name
+            _assert_every_split_matches(program)
 
 
 def test_scaled_rows_carry_their_scale_into_the_certificate():
-    # x = 0 twice, then 2x = 1/2: the third row enters the elimination as
-    # 4x = 1, but the certificate weighs the original rows, 2 * (x = 0)
-    # - (2x = 1/2).
-    program = build_program(1, [((1,), 0), ((1,), 0), ((2,), Fraction(1, 2))])
-    echelon = Echelon.of(program.rows, 1)
-    assert echelon.kept == [0]
-    assert echelon.conflict == 2
-    assert echelon.certificate() == {0: 2, 2: -1}
-    assert program.refuted_by(echelon.certificate())
+    # 2x = 0 twice, then 4x = 1: the kept row is reduced to x = 0, but the
+    # certificate weighs the original rows, 2 * (2x = 0) - (4x = 1).
+    program = LinearProgram(1, [((2,), 0), ((2,), 0), ((4,), 1)])
+    assert program.kept == [0] and program.reduced == [[1, 0]]
+    assert program.conflict == 2
+    assert program.certificate() == {0: 2, 2: -1}
+    assert program.refuted_by(program.certificate())
     assert lp_feasible(program) is None
 
 
@@ -446,92 +472,87 @@ def test_int_row_enters_the_elimination_as_it_is():
     assert all(type(v) is int for v in row)
 
 
-def test_mixed_fraction_row_is_scaled_by_the_lcm_of_its_denominators():
-    row = lp._integral((Fraction(1, 2), 3, Fraction(-2, 3)), Fraction(5, 4))
-    assert row == [6, 36, -8, 15]
-    assert all(type(v) is int for v in row)
-
-
 def test_int_and_fraction_rows_share_one_pivot_path():
-    # The same program with int rows and with Fraction rows: the integer
-    # rows are no longer rescaled, and the echelon, the point and the
-    # certificate must not change.
+    # The same rows as ints and at 2/3 of their size, which build_program
+    # scales to twice the int rows: a positive factor on every row moves no
+    # reduced row, no point and no certificate.
     rows = [((1, 1, -1, 0), 0), ((0, 2, 1, -1), 0), ((1, -1, 0, 0), 1)]
-    ints = LinearProgram(4, tuple(rows))
-    fractions = build_program(4, rows)
-    for factored_rows in (0, 2):
-        i_echelon = Echelon.of(ints.rows[:factored_rows], 4)
-        f_echelon = Echelon.of(fractions.rows[:factored_rows], 4)
-        assert i_echelon.rows == f_echelon.rows
-        assert lp_feasible(ints, i_echelon) == lp_feasible(fractions, f_echelon)
+
+    def two_thirds(rows):
+        return [([Fraction(2, 3) * c for c in coeffs], Fraction(2, 3) * rhs)
+                for coeffs, rhs in rows]
+
+    ints, fractions = LinearProgram(4, rows), build_program(4, two_thirds(rows))
+    assert fractions.rows[0] == ((2, 2, -2, 0), 0)
+    assert ints.reduced == fractions.reduced
+    assert lp_feasible(ints) == lp_feasible(fractions) is not None
     conflict = rows + [((2, 2, -2, 0), 1)]
-    i_echelon = Echelon.of(conflict, 4)
-    f_echelon = Echelon.of(build_program(4, conflict).rows, 4)
-    assert i_echelon.rows == f_echelon.rows and i_echelon.conflict == 3
-    assert i_echelon.certificate() == f_echelon.certificate()
+    ints, fractions = LinearProgram(4, conflict), build_program(4, two_thirds(conflict))
+    assert ints.reduced == fractions.reduced and ints.conflict == fractions.conflict == 3
+    assert ints.certificate() == fractions.certificate()
 
 
 def test_conflicting_corpus_pairs_get_int_certificates(valid_corpus):
     conflicts = 0
     for name, table in valid_corpus.items():
         for program in pair_programs(table):
-            echelon = Echelon.of(program.rows, program.n_vars)
-            if echelon.conflict is None:
+            if program.conflict is None:
                 continue
-            y = echelon.certificate()
+            y = program.certificate()
             assert all(type(w) is int for w in y.values()), name
             assert program.refuted_by(y), name
             conflicts += 1
             if name == "no_states":
                 # Rows 0 and 1 are a + a = c and b + b = c; row 2 is the
                 # pair row s(a) - s(b) = +-1 or its reverse.
-                assert echelon.conflict == 2
+                assert program.conflict == 2
                 assert y[0] == -y[1] != 0 and y[2] != 0 and len(y) == 3
     assert conflicts >= 2
 
 
 def test_factored_conflict_with_fraction_rows_gets_a_certificate():
     # The third row is 3/4 of the first minus 5/3 of the second, with its
-    # rhs moved off 0, and is reduced only in the extension.
+    # rhs moved off 0, and is reduced only in the extension.  Scaled to
+    # ints the rows are 6, 35 and 168 times these, and the third is 21
+    # times the first minus 8 times the second, with rhs 84.
     first = (Fraction(1, 3), Fraction(1, 2), 0)
     second = (0, Fraction(2, 5), Fraction(-1, 7))
     third = tuple(Fraction(3, 4) * p - Fraction(5, 3) * q for p, q in zip(first, second))
-    program = LinearProgram(3, ((first, 0), (second, 0), (third, Fraction(1, 2))))
-    factored = Echelon.of(program.rows[:2], 3)
+    program = build_program(3, ((first, 0), (second, 0), (third, Fraction(1, 2))))
+    assert program.rows[2] == ((42, -49, 40), 84)
+    factored = LinearProgram(3, program.rows[:2])
     extended = factored.extended(program.rows[2:])
     assert factored.conflict is None and extended.conflict == 2
     y = extended.certificate()
-    assert all(type(w) is int for w in y.values())
+    assert y == {0: 21, 1: -8, 2: -1}
     assert program.refuted_by(y)
-    assert y[0] * 4 == -y[2] * 3 and y[1] * 3 == y[2] * 5
-    assert lp_feasible(program, factored) is None
+    assert lp_feasible(extended) is None
 
 
 def test_conflicts_of_one_base_factor_the_certificate_system_once(monkeypatch):
     # A generated table with many infeasible pair rows: every conflict over
     # the one factored cone solves the same transposed kept-row system.
     table = random_gea(random.Random(0), 12)
-    cone = additivity_program(table)
-    base = Echelon.of(cone.rows, cone.n_vars)
+    system = states._Additivity(table)
+    cone = system.program
     reference = ReferenceEchelon.of(cone.rows, cone.n_vars)
     factorizations = []
-    real_of = Echelon.of
+    real_of = LinearProgram._transposed_system
 
-    def counted(rows, n_cols):
-        factorizations.append(n_cols)
-        return real_of(rows, n_cols)
+    def kept(program):
+        factorizations.append(real_of(program))
+        return factorizations[-1]
 
-    monkeypatch.setattr(Echelon, "of", staticmethod(counted))
+    monkeypatch.setattr(LinearProgram, "_transposed_system", kept)
     conflicts = 0
     for a in range(table.n):
         for b in range(table.n):
             if a == b:
                 continue
-            program = additivity_program(table, [({a: 1, b: -1}, 1)])
-            echelon = base.extended(program.rows[-1:])
-            if echelon.conflict is None:
+            program = system.pair_program(a, b)
+            if program.conflict is None:
                 continue
-            y = echelon.certificate()
+            y = program.certificate()
             assert program.refuted_by(y)
             # The reference's combination has weight 1 on the conflicting
             # row; y is the same combination times -lcm of its denominators.
@@ -540,7 +561,8 @@ def test_conflicts_of_one_base_factor_the_certificate_system_once(monkeypatch):
             assert y == {i: int(-w * scale) for i, w in combo.items()}
             conflicts += 1
     assert conflicts > 50
-    assert factorizations == [2 * base.rank]
+    assert all(solved is factorizations[0] for solved in factorizations)
+    assert factorizations[0].n_vars == 2 * cone.rank
 
 
 @pytest.fixture
@@ -576,7 +598,7 @@ def test_pair_programs_pivot_at_most_the_cone_dimension(pivots, valid_corpus):
     most = {}
     for name, table in valid_corpus.items():
         cone = additivity_program(table)
-        d = cone.n_vars - Echelon.of(cone.rows, cone.n_vars).rank
+        d = cone.n_vars - cone.rank
         for program in pair_programs(table):
             pivots.clear()
             feasible = lp_feasible(program) is not None

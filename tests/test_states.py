@@ -9,9 +9,9 @@ from gea.algebra import induced_order, require_gea
 from gea.errors import InputError
 from gea import states
 from gea.generate import random_population
-from gea.lp import lp_feasible
+from gea.lp import LinearProgram, lp_feasible
 from gea.represent import build_representation, operator_norm
-from gea.states import (GeneralizedState, StateWitnessSet, additivity_program,
+from gea.states import (GeneralizedState, StateWitnessSet,
                         order_determining_set, separating_set, state_from_solution)
 
 
@@ -136,9 +136,9 @@ class TestFactoredSearch:
         assert len(solved) > 30
         assert any(state is None for *_, state in solved)
         for table, lo, hi, state in solved:
-            program = additivity_program(table, [({lo: Fraction(1), hi: Fraction(-1)},
-                                                   Fraction(1))])
-            solution = lp_feasible(program)
+            # The whole pair program factored in one go, not as an extension.
+            program = states._Additivity(table).pair_program(lo, hi)
+            solution = lp_feasible(LinearProgram(program.n_vars, program.rows))
             if solution is None:
                 assert state is None, (table.elements, lo, hi)
             else:
