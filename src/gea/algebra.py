@@ -1,8 +1,13 @@
 """Finite partial algebras given as explicit sum tables.
 
-The table stores a partial binary operation x + y on indexed elements.  All
-checks are exhaustive scans; the associativity scan costs defined pairs × row
-length, since only triples with a defined side can fail.
+The table stores a partial binary operation x + y on indexed elements.  An
+AlgebraTable holds it once as a padded list of rows: rows[i][j] is the index
+of x_i + x_j, or -1 when the sum is undefined, and the last row and column are
+-1 padding, so a lookup through an undefined sum, rows[-1][j], reads -1 too.
+All checks are exhaustive scans that read those rows by list index.  The
+associativity scan walks only the triples whose left side is defined and
+counts the triples whose right side is defined, so its cost follows the
+number of defined triples, not n^3.
 
 A pipeline runs the GEA scan once: scan_gea and require_gea return a
 CheckedGEA, the table with its induced order, and the later stages
@@ -12,7 +17,8 @@ instead of scanning again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import ContractError, InputError
@@ -28,12 +34,17 @@ class AlgebraTable:
 
     Both (i, j) and (j, i) must be present in the table for a commutative sum;
     the checker reports one-sided entries instead of symmetrizing silently.
+
+    rows is the same table as (n + 1) x (n + 1) lists, -1 for an undefined
+    sum and in the padding row and column; sums is its view as a dict in
+    sorted key order.  Neither may be changed.
     """
 
     elements: tuple[str, ...]
     zero: int
     sums: Mapping[tuple[int, int], int]
     unit: Optional[int] = None
+    rows: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.elements)
@@ -48,11 +59,15 @@ class AlgebraTable:
                 raise InputError(f"unit index {self.unit} out of range")
             if self.unit == self.zero and n > 1:
                 raise InputError("unit must differ from zero")
+        rows = [[-1] * (n + 1) for _ in range(n + 1)]
         for (i, j), k in self.sums.items():
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise InputError(f"sum entry ({i},{j})->{k} out of range")
-        # Sorted once here, so defined_sums() walks the dict in key order.
-        object.__setattr__(self, "sums", dict(sorted(self.sums.items())))
+            rows[i][j] = k
+        object.__setattr__(self, "rows", rows)
+        # Read off row by row, so defined_sums() walks the dict in key order.
+        object.__setattr__(self, "sums", {(i, j): k for i, row in enumerate(rows)
+                                          for j, k in enumerate(row) if k >= 0})
 
     @property
     def n(self) -> int:
@@ -103,17 +118,22 @@ class AxiomReport:
 
 def _two_sided(table: AlgebraTable) -> list[Violation]:
     """Commutativity with definedness both ways: (i,j) defined forces (j,i)
-    defined with the same value."""
+    defined with the same value.  Only a row that differs from its column
+    is walked."""
     out = []
-    for i, j, k in table.defined_sums():
-        mirror = table.sum_of(j, i)
-        lab = table.elements
-        if mirror is None:
-            out.append(Violation("GE1", (i, j),
-                                 f"{lab[i]}+{lab[j]}={lab[k]} defined but {lab[j]}+{lab[i]} is not"))
-        elif mirror != k:
-            out.append(Violation("GE1", (i, j),
-                                 f"{lab[i]}+{lab[j]}={lab[k]} but {lab[j]}+{lab[i]}={lab[mirror]}"))
+    lab = table.elements
+    for i, (row, col) in enumerate(zip(table.rows, zip(*table.rows))):
+        if row == list(col):
+            continue
+        for j, (k, mirror) in enumerate(zip(row, col)):
+            if k < 0 or k == mirror:
+                continue
+            if mirror < 0:
+                out.append(Violation("GE1", (i, j),
+                                     f"{lab[i]}+{lab[j]}={lab[k]} defined but {lab[j]}+{lab[i]} is not"))
+            else:
+                out.append(Violation("GE1", (i, j),
+                                     f"{lab[i]}+{lab[j]}={lab[k]} but {lab[j]}+{lab[i]}={lab[mirror]}"))
     return out
 
 
@@ -121,54 +141,73 @@ def _associativity(table: AlgebraTable) -> list[Violation]:
     """(x+y)+z = x+(y+z) whenever one side is defined.  A defined side paired
     with an undefined one counts as a violation (biconditional reading).
 
-    Only triples with a defined side can fail, so two passes over the defined
-    sums replace the scan of all n^3 triples: the first walks z along the row
-    of each defined x+y (left side defined), the second walks x along the
-    column of each defined y+z and keeps the triples whose left side is
-    undefined.  Sorting by witness restores the lexicographic order of the
-    full scan.  Keys are index pairs, so a lookup through an undefined sum,
-    (x, None), finds nothing."""
+    Only triples with a defined side can fail, so no scan of all n^3 triples
+    is needed.  One list holds the left side (x+y)+z of every triple whose
+    left side is defined, read from the defined columns of each defined
+    x+y, and another the right side sx[sy[z]] of the same triples, where
+    the padding reads -1 through an undefined y+z.  When the lists are
+    equal, every left-defined triple holds with both sides defined.  If
+    there are then as many triples with a defined right side, one per
+    defined y+z = w and defined x+w, none is defined on the right only and
+    the axiom holds.  Otherwise both kinds of triples are walked for their
+    violations.  These are sorted once, into the lexicographic order of the
+    full scan, and only they get a message."""
+    n, rows, lab = table.n, table.rows, table.elements
+    cols: list[list[int]] = [[] for _ in range(n)]  # the defined columns of each row
+    count = [0] * n  # count[w]: the defined sums y+z = w
+    above = [0] * n  # above[w]: the defined sums x+w
+    for (i, j), k in table.sums.items():
+        cols[i].append(j)
+        count[k] += 1
+        above[j] += 1
+    vals = [[row[j] for j in c] for row, c in zip(rows, cols)]
+    left = [v for vx in vals for u in vx for v in vals[u]]
+    right = [sx[rows[y][z]] for sx, cx in zip(rows, cols) for y in cx for z in cols[sx[y]]]
+    if left == right and len(left) == sum(map(mul, count, above)):
+        return []
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (y, z) by y+z
+    for yz, w in table.sums.items():
+        pairs[w].append(yz)
+    bad: list[tuple[int, int, int, int, int]] = []  # x, y, z, left, right; -1 undefined
+    for x, sx in enumerate(rows[:n]):
+        for y in cols[x]:
+            su, sy = rows[sx[y]], rows[y]
+            bad += [(x, y, z, su[z], sx[sy[z]]) for z in cols[sx[y]] if su[z] != sx[sy[z]]]
+        for w in cols[x]:
+            bad += [(x, y, z, -1, sx[w]) for y, z in pairs[w] if rows[sx[y]][z] < 0]
+    bad.sort()
     out = []
-    lab = table.elements
-    sums = table.sums
-    rows: dict[int, list[tuple[int, int]]] = {}
-    cols: dict[int, list[int]] = {}
-    for (i, j), k in sums.items():
-        rows.setdefault(i, []).append((j, k))
-        cols.setdefault(j, []).append(i)
-    for (x, y), xy in sums.items():
-        for z, left in rows.get(xy, ()):
-            right = sums.get((x, sums.get((y, z))))
-            if right is None:
-                out.append(Violation("GE2", (x, y, z),
-                                     f"only the left side of ({lab[x]}+{lab[y]})+{lab[z]} is defined"))
-            elif left != right:
-                out.append(Violation("GE2", (x, y, z),
-                                     f"({lab[x]}+{lab[y]})+{lab[z]}={lab[left]} but "
-                                     f"{lab[x]}+({lab[y]}+{lab[z]})={lab[right]}"))
-    for (y, z), yz in sums.items():
-        for x in cols.get(yz, ()):
-            if (sums.get((x, y)), z) not in sums:
-                out.append(Violation("GE2", (x, y, z),
-                                     f"only the right side of ({lab[x]}+{lab[y]})+{lab[z]} is defined"))
-    out.sort(key=lambda v: v.witness)
+    for x, y, z, left, right in bad:
+        if left < 0 or right < 0:
+            side = "left" if right < 0 else "right"
+            out.append(Violation("GE2", (x, y, z),
+                                 f"only the {side} side of ({lab[x]}+{lab[y]})+{lab[z]} is defined"))
+        else:
+            out.append(Violation("GE2", (x, y, z),
+                                 f"({lab[x]}+{lab[y]})+{lab[z]}={lab[left]} but "
+                                 f"{lab[x]}+({lab[y]}+{lab[z]})={lab[right]}"))
     return out
 
 
 def _cancellation(table: AlgebraTable) -> list[Violation]:
+    """x+y = x+y' forces y = y'.  A row whose defined values are distinct,
+    which set() tells at once (every row holds a -1 in its padding), is not
+    walked."""
     out = []
     lab = table.elements
-    for x in range(table.n):
+    n = table.n
+    for x, row in enumerate(table.rows):
+        if len(set(row)) + row.count(-1) == n + 2:
+            continue
         by_result: dict[int, int] = {}
-        for y in range(table.n):
-            k = table.sum_of(x, y)
-            if k is None:
+        for y, k in enumerate(row):
+            if k < 0:
                 continue
-            if k in by_result and by_result[k] != y:
+            if k in by_result:
                 out.append(Violation("GE3", (x, by_result[k], y),
                                      f"{lab[x]}+{lab[by_result[k]]} = {lab[x]}+{lab[y]} = {lab[k]}"))
             else:
-                by_result.setdefault(k, y)
+                by_result[k] = y
     return out
 
 
@@ -176,16 +215,19 @@ def check_gea_axioms(table: AlgebraTable) -> AxiomReport:
     """Exhaustively verify the generalized effect algebra axioms GE1..GE5."""
     violations: list[Violation] = []
     lab = table.elements
+    zero = table.zero
     violations += _two_sided(table)
     violations += _associativity(table)
     violations += _cancellation(table)
-    for i, j, k in table.defined_sums():
-        if k == table.zero and not (i == table.zero and j == table.zero):
-            violations.append(Violation("GE4", (i, j),
-                                        f"{lab[i]}+{lab[j]}={lab[k]} sums to zero"))
-    for x in range(table.n):
-        k = table.sum_of(table.zero, x)
-        if k is None:
+    for i, row in enumerate(table.rows):
+        if zero not in row:
+            continue
+        for j, k in enumerate(row):
+            if k == zero and not (i == zero and j == zero):
+                violations.append(Violation("GE4", (i, j),
+                                            f"{lab[i]}+{lab[j]}={lab[k]} sums to zero"))
+    for x, k in enumerate(table.rows[zero][:table.n]):
+        if k < 0:
             violations.append(Violation("GE5", (x,), f"0+{lab[x]} is undefined"))
         elif k != x:
             violations.append(Violation("GE5", (x,), f"0+{lab[x]}={lab[k]}, expected {lab[x]}"))
@@ -207,15 +249,16 @@ def check_ea_axioms(table: AlgebraTable, gea: AxiomReport) -> AxiomReport:
     label = {"GE1": "E1", "GE2": "E2"}
     violations = [Violation(label[v.axiom], v.witness, v.message)
                   for v in gea.violations if v.axiom in label]
-    for x in range(table.n):
-        complements = [y for y in range(table.n) if table.sum_of(x, y) == one]
-        if len(complements) == 0:
+    for x, row in enumerate(table.rows[:table.n]):
+        found = row.count(one)
+        if found == 0:
             violations.append(Violation("E3", (x,), f"{lab[x]} has no complement"))
-        elif len(complements) > 1:
+        elif found > 1:
+            complements = [y for y, k in enumerate(row) if k == one]
             violations.append(Violation("E3", (x, *complements),
                                         f"{lab[x]} has several complements"))
-    for x in range(table.n):
-        if table.sum_of(one, x) is not None and x != table.zero:
+    for x, k in enumerate(table.rows[one][:table.n]):
+        if k >= 0 and x != table.zero:
             violations.append(Violation("E4", (x,), f"1+{lab[x]} is defined for nonzero {lab[x]}"))
     return AxiomReport("EA", tuple(violations))
 
@@ -251,11 +294,10 @@ def induced_order(table: AlgebraTable) -> OrderRelation:
     n = table.n
     leq = [[False] * n for _ in range(n)]
     diff: dict[tuple[int, int], int] = {}
-    for i, k, j in table.defined_sums():  # x_i + x_k = x_j, so x_i <= x_j
+    for (i, k), j in table.sums.items():  # x_i + x_k = x_j, so x_i <= x_j
         leq[i][j] = True
         diff[(j, i)] = k
-    matrix = tuple(tuple(row) for row in leq)
-    return OrderRelation(n, matrix, diff)
+    return OrderRelation(n, tuple(map(tuple, leq)), diff)
 
 
 @dataclass(frozen=True)

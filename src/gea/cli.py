@@ -144,8 +144,8 @@ def cmd_order(args: argparse.Namespace) -> tuple[dict, int]:
     labels = gea.table.elements
     report["order"] = {
         "strictly_below": [[labels[i], labels[j]]
-                           for i in range(order.n) for j in range(order.n)
-                           if i != j and order.leq(i, j)],
+                           for i, row in enumerate(order.leq_matrix)
+                           for j, below in enumerate(row) if below and i != j],
         "differences": {f"{labels[j]},{labels[i]}": labels[k]
                         for (j, i), k in sorted(order.diff.items())},
     }

@@ -89,11 +89,14 @@ def load_algebra(path: PathLike) -> AlgebraTable:
     for entry in triples:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise InputError(f"{path}: sum entries must be [x, y, z] triples")
-        i, j, k = (resolve(lab) for lab in entry)
-        if (i, j) in sums and sums[(i, j)] != k:
+        x, y, z = entry
+        try:
+            i, j, k = index[x], index[y], index[z]
+        except (KeyError, TypeError):  # not a label, or unhashable
+            i, j, k = map(resolve, entry)  # raises on the first bad label
+        if sums.setdefault((i, j), k) != k:
             raise InputError(
-                f"{path}: conflicting entries for {entry[0]}+{entry[1]}")
-        sums[(i, j)] = k
+                f"{path}: conflicting entries for {x}+{y}")
     unit = resolve(data["unit"]) if "unit" in data and data["unit"] is not None else None
     return AlgebraTable(tuple(labels), resolve(zero_label), sums, unit)
 

@@ -54,9 +54,11 @@ class LinearProgram:
     """Equalities over nonnegative rational variables with int coefficients
     and right-hand sides, factored as each row enters.
 
-    rows holds the rows in the order given.  kept holds the indices of the
-    rows that are independent of the rows before them: a maximal independent
-    subset, in original order.  Each reduced row is integer coefficients plus
+    rows holds the rows in the order given, and supports the nonzero
+    (column, coefficient) pairs of each, which the rechecks of a point or a
+    certificate read.  kept holds the indices of the rows that are
+    independent of the rows before them: a maximal independent subset, in
+    original order.  Each reduced row is integer coefficients plus
     rhs, a primitive positive multiple of the rational reduced row: positive
     at its pivot column (in pivots) and 0 at every other pivot column.  A row
     that reduces to 0 = c with c != 0 stops the elimination, and conflict
@@ -71,6 +73,7 @@ class LinearProgram:
     def __init__(self, n_vars: int, rows: Iterable[Row] = ()) -> None:
         self.n_vars = n_vars
         self.rows: tuple[Row, ...] = ()
+        self.supports: tuple[list[tuple[int, int]], ...] = ()
         self.kept: list[int] = []
         self.pivots: list[int] = []
         self.reduced: list[list[int]] = []
@@ -89,7 +92,8 @@ class LinearProgram:
     def extended(self, rows: Iterable[Row]) -> "LinearProgram":
         """A new program of these rows followed by rows; self is unchanged."""
         out = LinearProgram(self.n_vars)
-        out.rows, out.kept, out.pivots = self.rows, self.kept[:], self.pivots[:]
+        out.rows, out.supports = self.rows, self.supports
+        out.kept, out.pivots = self.kept[:], self.pivots[:]
         out.reduced, out.conflict = self.reduced[:], self.conflict
         out._transposed = self._transposed
         out._enter(rows)
@@ -98,13 +102,16 @@ class LinearProgram:
     def _enter(self, rows: Iterable[Row]) -> None:
         start = len(self.rows)
         self.rows += tuple(rows)
+        supports = []
         for index in range(start, len(self.rows)):
             coeffs, rhs = self.rows[index]
             if len(coeffs) != self.n_vars:
                 raise InputError("coefficient row length does not match variable count")
             v = _integral(coeffs, rhs)
+            supports.append(_support(coeffs))
             if self.conflict is None:
                 self._add(index, v)
+        self.supports += tuple(supports)
 
     def _add(self, index: int, v: list[int]) -> None:
         for row, p in zip(self.reduced, self.pivots):
@@ -130,18 +137,17 @@ class LinearProgram:
         scaled = [v.numerator * (d // v.denominator) for v in x]
         if any(v < 0 for v in scaled):
             return False
-        return all(sum(c * v for c, v in zip(coeffs, scaled) if c) == d * rhs
-                   for coeffs, rhs in self.rows)
+        return all(sum(c * scaled[j] for j, c in support) == d * rhs
+                   for support, (_, rhs) in zip(self.supports, self.rows))
 
     def refuted_by(self, y: dict[int, int]) -> bool:
         """True iff the row combination y (row index -> weight) reads
         0 = c with c != 0, which proves the equalities have no solution."""
         total = [0] * (self.n_vars + 1)
         for i, w in y.items():
-            coeffs, rhs = self.rows[i]
-            for j, c in enumerate((*coeffs, rhs)):
-                if c:
-                    total[j] += w * c
+            for j, c in self.supports[i]:
+                total[j] += w * c
+            total[-1] += w * self.rows[i][1]
         return not any(total[:-1]) and total[-1] != 0
 
     def certificate(self) -> dict[int, int]:

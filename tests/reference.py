@@ -1,7 +1,9 @@
-"""Fraction references the tests compare the program against: rational
-vectors over the witness slots, for `sampled_check` and acceptance criterion
-5, and a brute-force LP oracle with the witness LPs of a table to run it on,
-for `lp_feasible` and criterion 6."""
+"""References the tests compare the program against: the axiom scans and
+the induced order as a walk over the defined sums, for `check_gea_axioms`,
+`check_ea_axioms` and `induced_order`; Fraction rational vectors over the
+witness slots, for `sampled_check` and acceptance criterion 5; and a
+brute-force LP oracle with the witness LPs of a table to run it on, for
+`lp_feasible` and criterion 6."""
 
 from __future__ import annotations
 
@@ -11,11 +13,132 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from gea.algebra import induced_order
+from gea.algebra import AlgebraTable, AxiomReport, OrderRelation, Violation, induced_order
 from gea.errors import InputError
 from gea.lp import LinearProgram
 from gea.represent import DiagonalRep
 from gea.states import _Additivity
+
+
+def reference_two_sided(table: AlgebraTable) -> list[Violation]:
+    """GE1 over the defined sums: (i,j) defined forces (j,i) defined with
+    the same value."""
+    out = []
+    lab = table.elements
+    for i, j, k in table.defined_sums():
+        mirror = table.sum_of(j, i)
+        if mirror is None:
+            out.append(Violation("GE1", (i, j),
+                                 f"{lab[i]}+{lab[j]}={lab[k]} defined but {lab[j]}+{lab[i]} is not"))
+        elif mirror != k:
+            out.append(Violation("GE1", (i, j),
+                                 f"{lab[i]}+{lab[j]}={lab[k]} but {lab[j]}+{lab[i]}={lab[mirror]}"))
+    return out
+
+
+def reference_associativity(table: AlgebraTable) -> list[Violation]:
+    """GE2 over the defined sums: one pass walks z along the row of each
+    defined x+y (left side defined), the other walks x along the column of
+    each defined y+z and keeps the triples whose left side is undefined;
+    sorting by witness gives the lexicographic order of the n^3 scan.  Keys
+    are index pairs, so a lookup through an undefined sum, (x, None), finds
+    nothing."""
+    out = []
+    lab = table.elements
+    sums = table.sums
+    rows: dict[int, list[tuple[int, int]]] = {}
+    cols: dict[int, list[int]] = {}
+    for (i, j), k in sums.items():
+        rows.setdefault(i, []).append((j, k))
+        cols.setdefault(j, []).append(i)
+    for (x, y), xy in sums.items():
+        for z, left in rows.get(xy, ()):
+            right = sums.get((x, sums.get((y, z))))
+            if right is None:
+                out.append(Violation("GE2", (x, y, z),
+                                     f"only the left side of ({lab[x]}+{lab[y]})+{lab[z]} is defined"))
+            elif left != right:
+                out.append(Violation("GE2", (x, y, z),
+                                     f"({lab[x]}+{lab[y]})+{lab[z]}={lab[left]} but "
+                                     f"{lab[x]}+({lab[y]}+{lab[z]})={lab[right]}"))
+    for (y, z), yz in sums.items():
+        for x in cols.get(yz, ()):
+            if (sums.get((x, y)), z) not in sums:
+                out.append(Violation("GE2", (x, y, z),
+                                     f"only the right side of ({lab[x]}+{lab[y]})+{lab[z]} is defined"))
+    out.sort(key=lambda v: v.witness)
+    return out
+
+
+def reference_cancellation(table: AlgebraTable) -> list[Violation]:
+    """GE3: x+y = x+y' forces y = y', row by row through sum_of."""
+    out = []
+    lab = table.elements
+    for x in range(table.n):
+        by_result: dict[int, int] = {}
+        for y in range(table.n):
+            k = table.sum_of(x, y)
+            if k is None:
+                continue
+            if k in by_result and by_result[k] != y:
+                out.append(Violation("GE3", (x, by_result[k], y),
+                                     f"{lab[x]}+{lab[by_result[k]]} = {lab[x]}+{lab[y]} = {lab[k]}"))
+            else:
+                by_result.setdefault(k, y)
+    return out
+
+
+def reference_gea_axioms(table: AlgebraTable) -> AxiomReport:
+    """GE1..GE5 as a walk over the defined sums and sum_of lookups."""
+    violations: list[Violation] = []
+    lab = table.elements
+    violations += reference_two_sided(table)
+    violations += reference_associativity(table)
+    violations += reference_cancellation(table)
+    for i, j, k in table.defined_sums():
+        if k == table.zero and not (i == table.zero and j == table.zero):
+            violations.append(Violation("GE4", (i, j),
+                                        f"{lab[i]}+{lab[j]}={lab[k]} sums to zero"))
+    for x in range(table.n):
+        k = table.sum_of(table.zero, x)
+        if k is None:
+            violations.append(Violation("GE5", (x,), f"0+{lab[x]} is undefined"))
+        elif k != x:
+            violations.append(Violation("GE5", (x,), f"0+{lab[x]}={lab[k]}, expected {lab[x]}"))
+    return AxiomReport("GEA", tuple(violations))
+
+
+def reference_ea_axioms(table: AlgebraTable) -> AxiomReport:
+    """E1..E4: E1 and E2 relabel GE1 and GE2, E3 and E4 walk sum_of."""
+    if table.unit is None:
+        raise InputError("effect algebra check needs a unit element")
+    one = table.unit
+    lab = table.elements
+    label = {"GE1": "E1", "GE2": "E2"}
+    violations = [Violation(label[v.axiom], v.witness, v.message)
+                  for v in reference_gea_axioms(table).violations if v.axiom in label]
+    for x in range(table.n):
+        complements = [y for y in range(table.n) if table.sum_of(x, y) == one]
+        if len(complements) == 0:
+            violations.append(Violation("E3", (x,), f"{lab[x]} has no complement"))
+        elif len(complements) > 1:
+            violations.append(Violation("E3", (x, *complements),
+                                        f"{lab[x]} has several complements"))
+    for x in range(table.n):
+        if table.sum_of(one, x) is not None and x != table.zero:
+            violations.append(Violation("E4", (x,), f"1+{lab[x]} is defined for nonzero {lab[x]}"))
+    return AxiomReport("EA", tuple(violations))
+
+
+def reference_induced_order(table: AlgebraTable) -> OrderRelation:
+    """x_i <= x_j and x_j - x_i = x_k for each defined x_i + x_k = x_j."""
+    n = table.n
+    leq = [[False] * n for _ in range(n)]
+    diff: dict[tuple[int, int], int] = {}
+    for i, k, j in table.defined_sums():
+        leq[i][j] = True
+        diff[(j, i)] = k
+    return OrderRelation(n, tuple(tuple(row) for row in leq), diff)
 
 
 @dataclass(frozen=True)

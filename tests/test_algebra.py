@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,8 @@ from gea.algebra import (AlgebraTable, MorphismSpec, Violation, check_ea_axioms,
                          check_gea_axioms, classify_morphism, induced_order, is_sub_gea,
                          require_gea)
 from gea.errors import ContractError, InputError
-from gea.generate import random_population
+from gea.generate import random_gea, random_population
+from reference import reference_ea_axioms, reference_gea_axioms, reference_induced_order
 
 
 def table(labels, sums, unit=None):
@@ -152,6 +155,49 @@ class TestAssociativityScan:
                 if v.axiom in ("E1", "E2")] == \
             [("E" + v.axiom[2:], v.witness, v.message) for v in gea.violations
              if v.axiom in ("GE1", "GE2")]
+
+
+@st.composite
+def damaged_random_tables(draw):
+    """A random_gea table on n <= 24 elements with 0-4 sums dropped on both
+    sides, 0-4 pairs overwritten on both sides, and 0-4 sums made
+    one-sided, with a unit drawn among the nonzero elements."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    base = random_gea(random.Random(draw(st.integers(0, 2**32 - 1))), n)
+    sums = dict(base.sums)
+    index = st.integers(min_value=0, max_value=n - 1)
+    for i, j in draw(st.lists(st.sampled_from(sorted(sums)), max_size=4)):
+        sums.pop((i, j), None)
+        sums.pop((j, i), None)
+    for (i, j), k in draw(st.lists(st.tuples(st.tuples(index, index), index), max_size=4)):
+        sums[(i, j)] = sums[(j, i)] = k
+    for pair in draw(st.lists(st.sampled_from(sorted(sums)), max_size=4) if sums else st.just([])):
+        sums.pop(pair, None)
+    unit = draw(st.integers(min_value=1, max_value=n - 1)) if n > 1 else 0
+    return AlgebraTable(base.elements, base.zero, sums, unit)
+
+
+class TestScanMatchesReference:
+    """The scans over the padded rows against the walk over the defined
+    sums in tests/reference.py: the same violations (axiom, witness and
+    message) in the same order, and the same induced order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(damaged_random_tables())
+    def test_damaged_random_tables(self, t):
+        gea = check_gea_axioms(t)
+        assert gea == reference_gea_axioms(t)
+        assert check_ea_axioms(t, gea) == reference_ea_axioms(t)
+        assert induced_order(t) == reference_induced_order(t)
+
+    def test_corpus(self):
+        for name in corpus.VALID + corpus.BROKEN:
+            t = corpus.load(name)
+            gea = check_gea_axioms(t)
+            assert gea == reference_gea_axioms(t), name
+            if t.unit is not None:
+                assert check_ea_axioms(t, gea) == reference_ea_axioms(t), name
+            assert induced_order(t) == reference_induced_order(t), name
 
 
 class TestEaAxioms:

@@ -55,6 +55,30 @@ def test_unknown_label_rejected(tmp_path):
         load_algebra(path)
 
 
+@pytest.mark.parametrize("sums, message", [
+    ([["0", "zz", "a"]], "unknown element label 'zz'"),
+    ([["0", 5, "a"]], "unknown element label 5"),
+    ([["0", "a", None]], "unknown element label None"),
+    ([[["a"], "a", "a"]], "unknown element label ['a']"),
+    ([["0", {"a": 1}, "a"]], "unknown element label {'a': 1}"),
+    ([["0", "a", "a"], ["xx", "yy", "zz"]], "unknown element label 'xx'"),
+    ([["a", "yy", 7]], "unknown element label 'yy'"),
+    ([["0", "a"]], "sum entries must be [x, y, z] triples"),
+    ([["0", "a", "a"], "0aa"], "sum entries must be [x, y, z] triples"),
+    ([["0", "a", "a"], 5], "sum entries must be [x, y, z] triples"),
+    ([["0", "a", "a"], ["0", "a", "b"]], "conflicting entries for 0+a"),
+    ([["a", "b", "b"], ["a", "b", "b"], ["a", "b", "0"], ["0", "zz", "a"]],
+     "conflicting entries for a+b"),
+], ids=["unknown", "int", "null", "list", "object", "first-of-three", "second-of-three",
+        "two-items", "string-entry", "int-entry", "conflict", "conflict-before-unknown"])
+def test_malformed_sum_entry_messages(tmp_path, sums, message):
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({"elements": ["0", "a", "b"], "zero": "0", "sums": sums}))
+    with pytest.raises(InputError) as caught:
+        load_algebra(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize("shape", [
     {"elements": ["0", "a"], "zero": "0", "sums": 5},
     {"elements": [["a"], "b"], "zero": "b", "sums": []},

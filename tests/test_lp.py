@@ -312,6 +312,20 @@ def test_refuted_by_checks_the_combination():
     assert not program.refuted_by({0: Fraction(2), 1: Fraction(-2)})
 
 
+def test_satisfied_by_rechecks_every_row():
+    # Row 1 is not kept: it conflicts with row 0, which x satisfies.  Row 2
+    # comes after the conflict and is never reduced.
+    program = LinearProgram(2, [((1, 0), 1), ((2, 0), 3), ((0, 1), 1)])
+    assert program.kept == [0] and program.conflict == 1
+    assert not program.satisfied_by([Fraction(1), Fraction(1)])
+    base = LinearProgram(2, [((1, 0), 1)])
+    extended = base.extended([((0, 0), 0), ((0, 3), 2)])
+    assert base.satisfied_by([Fraction(1), Fraction(0)])
+    assert not extended.satisfied_by([Fraction(1), Fraction(0)])
+    assert extended.satisfied_by([Fraction(1), Fraction(2, 3)])
+    assert not extended.satisfied_by([Fraction(1), Fraction(-2, 3)])
+
+
 def test_wrong_inconsistency_claim_is_caught():
     program = LinearProgram(2, [((1, 0), 1), ((0, 1), 1)])
     program.conflict = 0  # row 0 is consistent and kept
