@@ -18,9 +18,11 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -56,40 +58,64 @@ def _base_report(args: argparse.Namespace, path: Optional[str]) -> dict:
 
 
 def _scalar(value) -> str:
+    """value as json.dumps writes it.  Strings, ints, floats, None, bools and
+    lists of them are written here, without json.dumps's per-call setup,
+    which costs more than the text output's own work; anything else goes to
+    json.dumps."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is float:
+        return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+    if type(value) is list:
+        return "[" + ", ".join(map(_scalar, value)) + "]"
     return json.dumps(value)
 
 
-def _render_text(value, indent: int = 0) -> str:
-    pad = "  " * indent
+def _render_text(value) -> str:
+    """The text form of a report: one line per scalar, nested containers
+    indented by two spaces, and a list of scalars in a dict on one line."""
+    lines: list[str] = []
+    _text_lines(value, "", lines)
+    return "\n".join(lines)
+
+
+def _text_lines(value, pad: str, lines: list[str]) -> None:
     if isinstance(value, dict):
         if not value:
-            return pad + "{}"
-        lines = []
+            lines.append(pad + "{}")
         for key, item in value.items():
             if isinstance(item, list) and all(not isinstance(x, (dict, list)) for x in item):
                 lines.append(f"{pad}{key}: {_scalar(item)}")
             elif isinstance(item, (dict, list)) and item:
                 lines.append(f"{pad}{key}:")
-                lines.append(_render_text(item, indent + 1))
+                _text_lines(item, pad + "  ", lines)
             else:
                 lines.append(f"{pad}{key}: {_scalar(item)}")
-        return "\n".join(lines)
-    if isinstance(value, list):
+    elif isinstance(value, list):
         if not value:
-            return pad + "[]"
-        lines = []
+            lines.append(pad + "[]")
         for item in value:
             if isinstance(item, (dict, list)) and item:
                 lines.append(pad + "-")
-                lines.append(_render_text(item, indent + 1))
+                _text_lines(item, pad + "  ", lines)
             else:
                 lines.append(f"{pad}- {_scalar(item)}")
-        return "\n".join(lines)
-    return pad + _scalar(value)
+    else:
+        lines.append(pad + _scalar(value))
 
 
 def _emit(report: dict, as_json: bool, out: Optional[str] = None) -> None:
-    payload = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    payload = None
+    if as_json or out:
+        payload = json.dumps(report, sort_keys=True, separators=(",", ":"))
     if out:
         try:
             Path(out).write_text(payload + "\n", encoding="utf-8")

@@ -227,7 +227,7 @@ def demo_excd() -> dict:
         inner_products[name] = {lab: str(v) for lab, v in zip(table.elements, values)}
 
     # The vector states are the only candidates: a pair they do not cover fails.
-    witnesses = assign_witnesses(StateWitnessSet(goal="order", states=basis_states),
+    witnesses = assign_witnesses(table, StateWitnessSet(goal="order", states=basis_states),
                                  gea.order.pairs_not_leq(), lambda a, b: None)
 
     extended = table_from_effects(["0", "pi1", "pi2", "id"], mats, unit="id")

@@ -8,11 +8,28 @@ A search builds its table's additivity program once, which factors the
 additivity rows as they enter; each pair LP extends it by its normalization
 row, so only that row is reduced.
 
+The program holds the atom rows only.  An atom is a nonzero element that is
+not a sum of two nonzero elements, and in a finite GEA the rows
+s(p) + s(x) = s(p + x), with p an atom and x nonzero, span every additivity
+row.  Take a defined i + j = k with i not an atom, and write i = p + i' with
+p an atom below i; i' != 0, and i' < i by GE3.  GE2 makes i' + j defined,
+with p + (i' + j) = k, so
+
+    row(i, j) = row(p, i' + j) + row(i', j) - row(p, i').
+
+Induction on the order settles row(i', j); GE1 covers an atom in the second
+place, and GE4 keeps i' + j != 0.  So the row space, and with it the reduced
+echelon form the LP works from, is that of one row per defined sum: O(n)
+rows for a chain where there were O(n^2).  The LP rechecks its point only
+against the rows it was given, so each new witness state is validated on
+every defined sum before it takes a slot.
+
 The searches take a CheckedGEA, the table and induced order that one axiom
-scan produced, so they scan nothing themselves.  A state is stored as int
-numerators over one positive denominator, in lowest terms: the LP point's
-denominators are cleared once, and coverage, slot reuse and validation
-compare ints.  Fractions are made only for the public values view.
+scan produced, so they scan nothing themselves, and the atom rows rest on
+the axioms that scan proved.  A state is stored as int numerators over one
+positive denominator, in lowest terms: the LP point's denominators are
+cleared once, and coverage, slot reuse and validation compare ints.
+Fractions are made only for the public values view.
 """
 
 from __future__ import annotations
@@ -91,22 +108,39 @@ class StateWitnessSet:
         return not self.failures
 
 
-def additivity_program(table: AlgebraTable) -> LinearProgram:
+def additivity_program(gea: CheckedGEA) -> LinearProgram:
     """The factored LP over one variable per nonzero element, with one
-    additivity row per defined sum (deduplicated, int coefficients)."""
+    additivity row s(p) + s(x) - s(p + x) = 0 per unordered pair {p, x} of
+    an atom p and a nonzero x whose sum is defined.
+
+    The atoms are found in one pass over the rows: the nonzero elements
+    that no sum of two nonzero elements produces.  These rows span every
+    additivity row (see the module docstring), and no two are equal: a row
+    is positive exactly at p and x, because p + x differs from both (GE3
+    and GE5)."""
+    table = gea.table
     var_of = _variables(table)
     n_vars = len(var_of)
+    z = table.zero
+    produced = set()
+    for x in var_of:
+        row = table.rows[x]
+        produced.update(row[:z], row[z + 1:])
     rows: list[Row] = []
-    seen = set()
-    for i, j, k in table.defined_sums():
-        coeffs = [0] * n_vars
-        for element, delta in ((i, 1), (j, 1), (k, -1)):
-            if element != table.zero:
-                coeffs[var_of[element]] += delta
-        key = tuple(coeffs)
-        if any(key) and key not in seen:
-            seen.add(key)
-            rows.append((key, 0))
+    for p in var_of:
+        if p in produced:
+            continue
+        row = table.rows[p]
+        for x in var_of:
+            k = row[x]
+            # A pair of atoms enters once, from its lower atom.
+            if k < 0 or (x < p and x not in produced):
+                continue
+            coeffs = [0] * n_vars
+            coeffs[var_of[p]] += 1
+            coeffs[var_of[x]] += 1
+            coeffs[var_of[k]] = -1
+            rows.append((tuple(coeffs), 0))
     return LinearProgram(n_vars, rows)
 
 
@@ -125,12 +159,16 @@ def state_from_solution(table: AlgebraTable, x: Sequence[Fraction]) -> Generaliz
 
 class _Additivity:
     """The additivity program of one table, built and factored once.  Every
-    witness LP of a search is that program plus one normalization row."""
+    witness LP of a search is that program plus one normalization row.
 
-    def __init__(self, table: AlgebraTable) -> None:
-        self.table = table
-        self.var_of = _variables(table)
-        self.program = additivity_program(table)
+    A pair row that reduces to 0 = c proves s(a) = s(b) on every state, so
+    the unordered pair is remembered and the other order fails with no LP."""
+
+    def __init__(self, gea: CheckedGEA) -> None:
+        self.table = gea.table
+        self.var_of = _variables(gea.table)
+        self.program = additivity_program(gea)
+        self.equal: set[frozenset[int]] = set()
 
     def pair_program(self, lo: int, hi: int) -> LinearProgram:
         """The additivity program with s(lo) - s(hi) = 1; s(0) = 0 has no
@@ -143,28 +181,44 @@ class _Additivity:
 
     def witness(self, lo: int, hi: int) -> Optional[GeneralizedState]:
         """A generalized state with s(lo) - s(hi) = 1, or None."""
-        solution = lp_feasible(self.pair_program(lo, hi))
-        return None if solution is None else state_from_solution(self.table, solution)
+        pair = frozenset((lo, hi))
+        if pair in self.equal:
+            return None
+        program = self.pair_program(lo, hi)
+        solution = lp_feasible(program)
+        if solution is None:
+            if program.conflict is not None:
+                self.equal.add(pair)
+            return None
+        return state_from_solution(self.table, solution)
 
 
 def _record(witnesses: StateWitnessSet, pair: tuple[int, int],
-            state: GeneralizedState) -> None:
+            state: GeneralizedState, table: AlgebraTable) -> None:
+    """Give pair the slot of a state equal to state, or a new slot for it.
+
+    A new state is validated first: the LP rechecked it only against the
+    atom rows, which imply, but are not, every additivity row."""
     for slot, existing in enumerate(witnesses.states):
         if existing == state:
             witnesses.provenance[pair] = slot
             return
+    state.validate(table)
     witnesses.states.append(state)
     witnesses.provenance[pair] = len(witnesses.states) - 1
 
 
-def assign_witnesses(witnesses: StateWitnessSet, pairs: Iterable[tuple[int, int]],
+def assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet,
+                     pairs: Iterable[tuple[int, int]],
                      find: Callable[[int, int], Optional[GeneralizedState]]) -> StateWitnessSet:
-    """Give each pair, in turn, the slot of a state that witnesses it.
+    """Give each pair of elements of table, in turn, the slot of a state
+    that witnesses it.
 
     The first state already in the set that covers (a, b) is reused: one
     with s(a) > s(b) for the order goal, s(a) != s(b) to separate.  Otherwise
     find(a, b) is asked for a new state, which takes the slot of an equal
-    state when there is one; a pair find cannot witness is a failure.
+    state when there is one, or is validated on table and takes a new slot;
+    a pair find cannot witness is a failure.
     """
     covers = operator.gt if witnesses.goal == "order" else operator.ne
     for a, b in pairs:
@@ -177,7 +231,7 @@ def assign_witnesses(witnesses: StateWitnessSet, pairs: Iterable[tuple[int, int]
         if state is None:
             witnesses.failures.append((a, b))
         else:
-            _record(witnesses, (a, b), state)
+            _record(witnesses, (a, b), state, table)
     return witnesses
 
 
@@ -188,16 +242,16 @@ def order_determining_set(gea: CheckedGEA) -> StateWitnessSet:
     the current one, so the result stays small; pairs are scanned in index
     order, which makes the output deterministic.
     """
-    system = _Additivity(gea.table)
-    return assign_witnesses(StateWitnessSet(goal="order"), gea.order.pairs_not_leq(),
-                            system.witness)
+    system = _Additivity(gea)
+    return assign_witnesses(gea.table, StateWitnessSet(goal="order"),
+                            gea.order.pairs_not_leq(), system.witness)
 
 
 def separating_set(gea: CheckedGEA) -> StateWitnessSet:
     """Per-pair separating witnesses over unordered pairs a < b: a state with
     s(a) - s(b) = 1 or, failing that, s(b) - s(a) = 1."""
-    system = _Additivity(gea.table)
+    system = _Additivity(gea)
     n = gea.table.n
     pairs = ((a, b) for a in range(n) for b in range(a + 1, n))
-    return assign_witnesses(StateWitnessSet(goal="separate"), pairs,
+    return assign_witnesses(gea.table, StateWitnessSet(goal="separate"), pairs,
                             lambda a, b: system.witness(a, b) or system.witness(b, a))

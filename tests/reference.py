@@ -1,23 +1,27 @@
 """References the tests compare the program against: the axiom scans and
 the induced order as a walk over the defined sums, for `check_gea_axioms`,
 `check_ea_axioms` and `induced_order`; Fraction rational vectors over the
-witness slots, for `sampled_check` and acceptance criterion 5; and a
+witness slots, for `sampled_check` and acceptance criterion 5; a
 brute-force LP oracle with the witness LPs of a table to run it on, for
-`lp_feasible` and criterion 6."""
+`lp_feasible` and criterion 6; one additivity row per defined sum, for the
+atom rows of `additivity_program`; and the text renderer that calls
+json.dumps per scalar, for `cli._render_text`."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from gea.algebra import AlgebraTable, AxiomReport, OrderRelation, Violation, induced_order
+from gea.algebra import (AlgebraTable, AxiomReport, OrderRelation, Violation, induced_order,
+                         require_gea)
 from gea.errors import InputError
 from gea.lp import LinearProgram
 from gea.represent import DiagonalRep
-from gea.states import _Additivity
+from gea.states import _Additivity, _variables
 
 
 def reference_two_sided(table: AlgebraTable) -> list[Violation]:
@@ -221,11 +225,61 @@ def basic_solution_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
     return None
 
 
+def reference_additivity_program(table: AlgebraTable) -> LinearProgram:
+    """The additivity program with one row per defined sum, deduplicated:
+    the oracle for the atom rows of `additivity_program`, which must span
+    the same rows."""
+    var_of = _variables(table)
+    n_vars = len(var_of)
+    rows = []
+    seen = set()
+    for i, j, k in table.defined_sums():
+        coeffs = [0] * n_vars
+        for element, delta in ((i, 1), (j, 1), (k, -1)):
+            if element != table.zero:
+                coeffs[var_of[element]] += delta
+        key = tuple(coeffs)
+        if any(key) and key not in seen:
+            seen.add(key)
+            rows.append((key, 0))
+    return LinearProgram(n_vars, rows)
+
+
 def pair_programs(table):
     """Every witness LP of a table: s(a) - s(b) = 1 for each order pair and
     for both normalizations of each separation pair."""
     pairs = list(induced_order(table).pairs_not_leq())
     pairs += [p for a in range(table.n) for b in range(a + 1, table.n) for p in ((a, b), (b, a))]
-    system = _Additivity(table)
+    system = _Additivity(require_gea(table))
     for lo, hi in pairs:
         yield system.pair_program(lo, hi)
+
+
+def reference_render_text(value, indent: int = 0) -> str:
+    """The text form of a report, each scalar written by json.dumps."""
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return pad + "{}"
+        lines = []
+        for key, item in value.items():
+            if isinstance(item, list) and all(not isinstance(x, (dict, list)) for x in item):
+                lines.append(f"{pad}{key}: {json.dumps(item)}")
+            elif isinstance(item, (dict, list)) and item:
+                lines.append(f"{pad}{key}:")
+                lines.append(reference_render_text(item, indent + 1))
+            else:
+                lines.append(f"{pad}{key}: {json.dumps(item)}")
+        return "\n".join(lines)
+    if isinstance(value, list):
+        if not value:
+            return pad + "[]"
+        lines = []
+        for item in value:
+            if isinstance(item, (dict, list)) and item:
+                lines.append(pad + "-")
+                lines.append(reference_render_text(item, indent + 1))
+            else:
+                lines.append(f"{pad}- {json.dumps(item)}")
+        return "\n".join(lines)
+    return pad + json.dumps(value)

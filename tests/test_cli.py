@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gea
@@ -17,6 +17,7 @@ from gea import cli
 from gea.cli import main
 from gea.effects import EffectMatrix
 from gea.fileio import save_matrix
+from reference import reference_render_text
 
 
 def run(capsys, *argv):
@@ -322,11 +323,76 @@ class TestParserReuse:
         assert not in_a_row[4][1].startswith("{")
 
 
+def corpus_commands():
+    tables = corpus.VALID + corpus.BROKEN
+    yield from (["check", cpath(name)] for name in tables)
+    yield from (["check", cpath(name), "--ea"] for name in corpus.EFFECT_ALGEBRAS)
+    yield from (["order", cpath(name)] for name in tables)
+    for command in ("states", "represent"):
+        for goal in ("order", "separate"):
+            yield from ([command, cpath(name), "--goal", goal] for name in tables)
+    yield from (["morphism", cpath(name)] for name in corpus.MORPHISMS)
+    yield ["effects", "demo-excd"]
+    yield from (["effects", "check", cpath(name)] for name in ("mat_a", "mat_b"))
+    yield ["effects", "witness", cpath("mat_a"), cpath("mat_b")]
+    yield ["effects", "witness", cpath("mat_b"), cpath("mat_a")]
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+json_values = st.recursive(json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)), max_leaves=10)
+
+
 class TestHumanOutput:
     def test_text_report_prints_same_content(self, capsys):
         code, out = run(capsys, "check", cpath("excd"))
         assert code == 0
         assert '"gea check' in out and "passed: true" in out
+
+    def reports(self, monkeypatch, commands):
+        """The text each command prints and the report it rendered."""
+        emitted = []
+        emit = cli._emit
+
+        def recording(report, as_json, out=None):
+            emitted.append(report)
+            emit(report, as_json, out)
+
+        monkeypatch.setattr(cli, "_emit", recording)
+        for argv in commands:
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                main(argv)
+            yield buffer.getvalue(), emitted[-1]
+
+    def test_text_matches_the_reference_renderer_on_every_corpus_report(self, monkeypatch):
+        count = 0
+        for text, report in self.reports(monkeypatch, corpus_commands()):
+            assert text == reference_render_text(report) + "\n"
+            count += 1
+        assert count == 66
+
+    def test_non_ascii_labels_and_floats_render_as_json_would(self, monkeypatch, tmp_path):
+        labels = ["0", "α", "b\"c", "ü\n∅", "\U0001f600"]
+        table = {"elements": labels, "zero": "0",
+                 "sums": [[x, "0", x] for x in labels] + [["0", x, x] for x in labels[1:]]}
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        commands = [["check", str(path)], ["order", str(path)],
+                    ["represent", str(path), "--goal", "separate"],
+                    ["effects", "witness", cpath("mat_a"), cpath("mat_b")]]
+        texts = list(self.reports(monkeypatch, commands))
+        for text, report in texts:
+            assert text == reference_render_text(report) + "\n"
+        assert "\\u03b1" in texts[1][0] and "\\ud83d\\ude00" in texts[1][0]
+        assert any(isinstance(v, float) for v in texts[3][1]["inner_products"].values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(json_values)
+    @example({"x": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 2 ** 70]})
+    @example([["\u00e9", "\u2028", "\U0001f600", None, True, 0.1], {}, [], {"k": {}}])
+    def test_any_json_value_renders_as_the_reference_does(self, value):
+        assert cli._render_text(value) == reference_render_text(value)
 
 
 def count_calls(monkeypatch, fn):
@@ -368,8 +434,10 @@ class TestOneScanPerPipeline:
         assert [len(calls) for calls in walks] == [1, 1]
 
     def test_represent_validates_each_witness_state_once(self, capsys, monkeypatch):
-        # The search's LP already rechecks every point against the additivity
-        # rows, so only build_representation validates a witness state.
+        # Each witness state is validated once per stage: the search
+        # validates it as it takes a new slot, because its LP rechecked the
+        # point only against the atom rows, and build_representation
+        # validates it again.  So there are two validations per slot.
         validated = []
         validate = states.GeneralizedState.validate
 
@@ -380,7 +448,8 @@ class TestOneScanPerPipeline:
         monkeypatch.setattr(states.GeneralizedState, "validate", counted)
         assert main(["represent", cpath("cube8"), "--goal", "order", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert len(validated) == len(report["representation"]["order"]) == 3
+        assert len(report["representation"]["order"]) == 3
+        assert validated == 2 * validated[:3] and len(set(validated)) == 3
 
     def test_morphism_scans_each_table_once(self, capsys, monkeypatch):
         scans = count_calls(monkeypatch, algebra.check_gea_axioms)

@@ -157,7 +157,7 @@ class TestLargeTables:
     def test_witness_searches(self, n, seed):
         table = random_gea(random.Random(seed), n)
         _, gea = scan_gea(table)
-        system = states._Additivity(table)
+        system = states._Additivity(gea)
         factored = ReferenceEchelon.of(system.program.rows, system.program.n_vars)
 
         def reference_feasible(lo, hi):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import gea
 from gea import lp, states
+from gea.algebra import require_gea
 from gea.errors import InputError
 from gea.generate import random_gea
 from gea.lp import LinearProgram, lp_feasible
@@ -181,7 +182,7 @@ def test_sign_contradiction_is_infeasible():
 
 
 def test_excd_normalized_witness_program(excd):
-    program = states._Additivity(excd).pair_program(1, 2)
+    program = states._Additivity(require_gea(excd)).pair_program(1, 2)
     solution = lp_feasible(program)
     assert solution == [Fraction(1), Fraction(0)]
     assert basic_solution_feasible(program) is not None
@@ -547,7 +548,7 @@ def test_conflicts_of_one_base_factor_the_certificate_system_once(monkeypatch):
     # A generated table with many infeasible pair rows: every conflict over
     # the one factored cone solves the same transposed kept-row system.
     table = random_gea(random.Random(0), 12)
-    system = states._Additivity(table)
+    system = states._Additivity(require_gea(table))
     cone = system.program
     reference = ReferenceEchelon.of(cone.rows, cone.n_vars)
     factorizations = []
@@ -603,7 +604,7 @@ def test_nonnegative_echelon_basis_needs_no_pivot(pivots, valid_corpus):
     program = build_program(3, [((1, 1, 0), 2), ((0, 1, 1), 1)])
     assert lp_feasible(program) == [1, 1, 0]
     for table in valid_corpus.values():
-        assert lp_feasible(additivity_program(table)) is not None
+        assert lp_feasible(additivity_program(require_gea(table))) is not None
     assert pivots == []
 
 
@@ -611,7 +612,7 @@ def test_pair_programs_pivot_at_most_the_cone_dimension(pivots, valid_corpus):
     # d = vars - rank is the dimension of the state cone {x >= 0 : Ax = 0}.
     most = {}
     for name, table in valid_corpus.items():
-        cone = additivity_program(table)
+        cone = additivity_program(require_gea(table))
         d = cone.n_vars - cone.rank
         for program in pair_programs(table):
             pivots.clear()

@@ -171,7 +171,7 @@ class TestVerifyInjective:
     def test_equal_value_state_found_by_lp(self, diamond):
         # ask the LP for a state with s(a) = s(b) and s(a) = 1
         # The variables are s(a), s(b), s(1).
-        program = additivity_program(diamond).extended([((1, -1, 0), 0), ((1, 0, 0), 1)])
+        program = additivity_program(require_gea(diamond)).extended([((1, -1, 0), 0), ((1, 0, 0), 1)])
         solution = lp_feasible(program)
         state = state_from_solution(diamond, solution)
         assert state.values == (frac(0), frac(1), frac(1), frac(2))

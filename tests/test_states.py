@@ -1,18 +1,24 @@
+import json
+import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gea import corpus
-from gea.algebra import induced_order, require_gea
+from gea.algebra import AlgebraTable, induced_order, require_gea
 from gea.errors import InputError
 from gea import states
-from gea.generate import random_population
+from gea.cli import main
+from gea.fileio import load_algebra
+from gea.generate import random_gea, random_population
 from gea.lp import LinearProgram, lp_feasible
 from gea.represent import build_representation, operator_norm
 from gea.states import (GeneralizedState, StateWitnessSet,
                         order_determining_set, separating_set, state_from_solution)
+from reference import pair_programs, reference_additivity_program
 
 
 def values(state):
@@ -137,7 +143,7 @@ class TestFactoredSearch:
         assert any(state is None for *_, state in solved)
         for table, lo, hi, state in solved:
             # The whole pair program factored in one go, not as an extension.
-            program = states._Additivity(table).pair_program(lo, hi)
+            program = states._Additivity(require_gea(table)).pair_program(lo, hi)
             solution = lp_feasible(LinearProgram(program.n_vars, program.rows))
             if solution is None:
                 assert state is None, (table.elements, lo, hi)
@@ -205,17 +211,21 @@ class TestIntegerStates:
                               st.integers(1, 4)), min_size=1, max_size=8))
     def test_record_reuses_slots_as_fractions_would(self, drawn):
         # Small numerators over small denominators, so many drawn states are
-        # equal as rational vectors without being equal as drawn.
+        # equal as rational vectors without being equal as drawn.  The values
+        # sit on three atoms with no nonzero sum, where every nonnegative
+        # vector that vanishes at zero is a state, so each new slot validates.
+        table = AlgebraTable(("0", "a", "b", "c"), 0,
+                             {(0, x): x for x in range(4)} | {(x, 0): x for x in range(4)})
         witnesses = StateWitnessSet(goal="order")
         distinct: list[tuple[Fraction, ...]] = []
         for index, (nums, den) in enumerate(drawn):
-            state = GeneralizedState(tuple(nums), den)
-            values = tuple(Fraction(p, den) for p in nums)
-            assert (state == GeneralizedState(tuple(drawn[0][0]), drawn[0][1])) == \
-                (values == tuple(Fraction(p, drawn[0][1]) for p in drawn[0][0]))
+            state = GeneralizedState((0, *nums), den)
+            values = tuple(Fraction(p, den) for p in (0, *nums))
+            assert (state == GeneralizedState((0, *drawn[0][0]), drawn[0][1])) == \
+                (values == tuple(Fraction(p, drawn[0][1]) for p in (0, *drawn[0][0])))
             if values not in distinct:
                 distinct.append(values)
-            states._record(witnesses, (index, 0), state)
+            states._record(witnesses, (index, 0), state, table)
             assert witnesses.provenance[(index, 0)] == distinct.index(values)
         assert [s.values for s in witnesses.states] == distinct
 
@@ -239,3 +249,106 @@ class TestNormalizeAndBounds:
 
     def test_excd_bound_for_first_projector(self, excd):
         assert self.norms(excd)[1][1] == 1
+
+
+def chain_json(n):
+    """The chain C_n = {0, ..., n-1}, with i + j defined when i + j < n."""
+    labels = [str(k) for k in range(n)]
+    return {"elements": labels, "zero": "0", "unit": labels[-1],
+            "sums": [[labels[i], labels[j], labels[i + j]]
+                     for i in range(n) for j in range(n - i)]}
+
+
+def product_json(*parts):
+    """The componentwise product: a sum is defined iff it is in every part."""
+    out = parts[0]
+    for right in parts[1:]:
+        labels = [f"{x}.{y}" for x in out["elements"] for y in right["elements"]]
+        sums = [[f"{x1}.{y1}", f"{x2}.{y2}", f"{x3}.{y3}"]
+                for x1, x2, x3 in out["sums"] for y1, y2, y3 in right["sums"]]
+        out = {"elements": labels, "zero": f"{out['zero']}.{right['zero']}",
+               "unit": f"{out['unit']}.{right['unit']}", "sums": sums}
+    return out
+
+
+def atom_pairs(table):
+    """The unordered pairs {p, x} of an atom p and a nonzero x with p + x
+    defined, read off the defined sums."""
+    nonzero_sums = [(i, j) for i, j, _ in table.defined_sums()
+                    if table.zero not in (i, j)]
+    produced = {table.sum_of(i, j) for i, j in nonzero_sums}
+    atoms = {x for x in range(table.n) if x != table.zero and x not in produced}
+    return {frozenset(pair) for pair in nonzero_sums if atoms & set(pair)}
+
+
+def search(gea):
+    return [(w.states, w.provenance, w.failures)
+            for w in (order_determining_set(gea), separating_set(gea))]
+
+
+class TestAtomProgram:
+    """additivity_program keeps one row per atom sum; the one-row-per-sum
+    reference must span the same rows."""
+
+    def check(self, table):
+        gea = require_gea(table)
+        atoms = states.additivity_program(gea)
+        reference = reference_additivity_program(table)
+        assert atoms.rank == reference.rank
+        assert sorted(zip(atoms.pivots, atoms.reduced)) == \
+            sorted(zip(reference.pivots, reference.reduced))
+        assert len(set(atoms.rows)) == len(atoms.rows) == len(atom_pairs(table))
+        with patch.object(states, "additivity_program",
+                          lambda gea: reference_additivity_program(gea.table)):
+            expected = search(gea)
+        assert search(gea) == expected
+        for program in pair_programs(table):
+            if program.conflict is not None:
+                assert program.refuted_by(program.certificate())
+
+    def test_corpus(self, valid_corpus):
+        for table in valid_corpus.values():
+            self.check(table)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 24))
+    def test_random_tables(self, seed, n):
+        self.check(random_gea(random.Random(seed), n))
+
+    @pytest.mark.parametrize("n", [2, 3, 14, 128])
+    def test_chain_has_one_row_per_sum_with_its_atom(self, tmp_path, n):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_json(n)))
+        program = states.additivity_program(require_gea(load_algebra(str(path))))
+        assert len(program.rows) == program.rank == n - 2
+
+    @pytest.mark.parametrize("name, table, slots", [
+        ("C_128", chain_json(128), 1),
+        ("cube6", product_json(*[chain_json(2)] * 6), 6),
+        ("C_4^3", product_json(*[chain_json(4)] * 3), 3),
+    ])
+    @pytest.mark.parametrize("goal", ["order", "separate"])
+    def test_represent_large_tables(self, tmp_path, capsys, name, table, slots, goal):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(table))
+        assert main(["represent", str(path), "--goal", goal, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["witnesses"]["states"]) == slots
+
+
+class TestEqualPairs:
+    def test_one_conflict_settles_both_orders_of_a_pair(self, no_states, monkeypatch):
+        # s(a) - s(b) = 1 reduces to 0 = 1, which proves s(a) = s(b); the
+        # pair's other order then fails with no LP.  Each call records
+        # whether its program is in conflict.
+        calls = []
+        real = states.lp_feasible
+        monkeypatch.setattr(states, "lp_feasible",
+                            lambda program: calls.append(program.conflict is not None)
+                            or real(program))
+        gea = require_gea(no_states)
+        assert order_determining_set(gea).failures == [(1, 2), (2, 1)]
+        assert calls == [False, True]
+        calls.clear()
+        assert separating_set(gea).failures == [(1, 2)]
+        assert calls == [False, False, True]
