@@ -1,24 +1,29 @@
 """Exact rational feasibility solver for equality systems with sign bounds.
 
 Decides whether {A x = b, x >= 0} has a solution over the rationals, with
-every elimination and pivot step in Python ints.  A `LinearProgram` takes
-int rows only, and factors each row as it enters: one exact elimination
-keeps the rows of a maximal independent subset, in their original order,
-with their reduced echelon form, and finds an inconsistent system, a row
-that reduces to 0 = c with c != 0, without any simplex.  `extended` adds
-rows to a copy that shares the factorization, so programs that share their
-leading rows factor those rows once.
+every elimination and pivot step in Python ints.  Every row is sparse: a
+`LinearProgram` takes each row as its nonzero (column, coefficient) int
+pairs and an int rhs, and every reduced and tableau row is a
+{column: coefficient} dict of its nonzero entries, with x0 at column n and
+the rhs at column n + 1.  The additivity rows have at most three nonzeros,
+and their echelon rows stay sparse.  A program factors each row as
+it enters: one exact elimination keeps the rows of a maximal independent
+subset, in their original order, with their reduced echelon form, and finds
+an inconsistent system, a row that reduces to 0 = c with c != 0, without
+any simplex.  `extended` adds rows to a copy that shares the factorization,
+so programs that share their leading rows factor those rows once.
 
 One column-clearing step (`_eliminate`) serves the echelon's
 back-substitution and every phase-one pivot: it forms a*row - f*pivot_row
 with a > 0 in every other row, so each stored row stays a positive multiple
 of the rational row it stands for, and divides the result by its gcd, so the
 entries stay small.  The rational algorithm reads only signs and ratios of
-such rows: a pivot column is the first nonzero entry, the entering column is
-the first negative reduced cost, and one ratio test (`_least_ratio`)
-compares b_i / a_i by cross-multiplication.  So the integer solver takes the
-pivot path of the same algorithm run in Fraction arithmetic and returns the
-same point; Fractions are made only for the values it returns.
+such rows: a pivot column is the least column of a nonzero entry, the
+entering column is the least column of a negative reduced cost, and one
+ratio test (`_least_ratio`) compares b_i / a_i by cross-multiplication.  So
+the integer solver takes the pivot path of the same algorithm run in
+Fraction arithmetic and returns the same point; Fractions are made only for
+the values it returns.
 
 An inconsistent program's proof is built only when it is asked for: a row
 combination y with yᵀA = 0 and yᵀb != 0, in int weights, that solves the
@@ -47,23 +52,24 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
 
-Row = tuple[tuple[int, ...], int]
+Row = tuple[tuple[tuple[int, int], ...], int]
 
 
 class LinearProgram:
     """Equalities over nonnegative rational variables with int coefficients
     and right-hand sides, factored as each row enters.
 
-    rows holds the rows in the order given, and supports the nonzero
-    (column, coefficient) pairs of each, which the rechecks of a point or a
-    certificate read.  kept holds the indices of the rows that are
-    independent of the rows before them: a maximal independent subset, in
-    original order.  Each reduced row is integer coefficients plus
-    rhs, a primitive positive multiple of the rational reduced row: positive
-    at its pivot column (in pivots) and 0 at every other pivot column.  A row
-    that reduces to 0 = c with c != 0 stops the elimination, and conflict
-    holds its index; `certificate` builds the row combination that proves it
-    only when asked.
+    rows holds the rows in the order given, each as its nonzero
+    (column, coefficient) pairs in increasing column order and its rhs; the
+    rechecks of a point or a certificate read those pairs.  kept holds the
+    indices of the rows that are independent of the rows before them: a
+    maximal independent subset, in original order.  Each reduced row is a
+    {column: coefficient} dict of its nonzero entries, with its rhs at
+    column n_vars + 1, and a primitive positive multiple of the rational
+    reduced row: positive at its pivot column (in pivots) and 0 at every
+    other pivot column.  A row that reduces to 0 = c with c != 0 stops the
+    elimination, and conflict holds its index; `certificate` builds the row
+    combination that proves it only when asked.
 
     Reduced rows are replaced, never changed in place, so `extended` can share
     them with the program it starts from.  An extension that keeps no new row
@@ -73,10 +79,9 @@ class LinearProgram:
     def __init__(self, n_vars: int, rows: Iterable[Row] = ()) -> None:
         self.n_vars = n_vars
         self.rows: tuple[Row, ...] = ()
-        self.supports: tuple[list[tuple[int, int]], ...] = ()
         self.kept: list[int] = []
         self.pivots: list[int] = []
-        self.reduced: list[list[int]] = []
+        self.reduced: list[dict[int, int]] = []
         self.conflict: Optional[int] = None
         # Holds the factored certificate system of these kept rows once built.
         self._transposed: list[LinearProgram] = []
@@ -92,7 +97,7 @@ class LinearProgram:
     def extended(self, rows: Iterable[Row]) -> "LinearProgram":
         """A new program of these rows followed by rows; self is unchanged."""
         out = LinearProgram(self.n_vars)
-        out.rows, out.supports = self.rows, self.supports
+        out.rows = self.rows
         out.kept, out.pivots = self.kept[:], self.pivots[:]
         out.reduced, out.conflict = self.reduced[:], self.conflict
         out._transposed = self._transposed
@@ -102,27 +107,21 @@ class LinearProgram:
     def _enter(self, rows: Iterable[Row]) -> None:
         start = len(self.rows)
         self.rows += tuple(rows)
-        supports = []
         for index in range(start, len(self.rows)):
-            coeffs, rhs = self.rows[index]
-            if len(coeffs) != self.n_vars:
-                raise InputError("coefficient row length does not match variable count")
-            v = _integral(coeffs, rhs)
-            supports.append(_support(coeffs))
+            v = _entries(self.rows[index], self.n_vars)
             if self.conflict is None:
                 self._add(index, v)
-        self.supports += tuple(supports)
 
-    def _add(self, index: int, v: list[int]) -> None:
+    def _add(self, index: int, v: dict[int, int]) -> None:
         for row, p in zip(self.reduced, self.pivots):
-            if v[p]:
-                v = _reduce(v, p, row[p], _support(row))
-        col = next((j for j in range(self.n_vars) if v[j]), None)
-        if col is None:
-            if v[-1]:
+            if p in v:
+                v = _reduce(v, p, row)
+        col = min(v, default=self.n_vars + 1)
+        if col > self.n_vars:  # no variable is left, only the rhs if any
+            if v:
                 self.conflict = index
             return  # otherwise a combination of the rows kept so far
-        self.reduced.append(_primitive(v if v[col] > 0 else [-x for x in v]))
+        self.reduced.append(_primitive(v if v[col] > 0 else {j: -x for j, x in v.items()}))
         _eliminate(self.reduced, len(self.reduced) - 1, col)
         self.kept.append(index)
         self.pivots.append(col)
@@ -137,18 +136,17 @@ class LinearProgram:
         scaled = [v.numerator * (d // v.denominator) for v in x]
         if any(v < 0 for v in scaled):
             return False
-        return all(sum(c * scaled[j] for j, c in support) == d * rhs
-                   for support, (_, rhs) in zip(self.supports, self.rows))
+        return all(sum(c * scaled[j] for j, c in pairs) == d * rhs for pairs, rhs in self.rows)
 
     def refuted_by(self, y: dict[int, int]) -> bool:
         """True iff the row combination y (row index -> weight) reads
         0 = c with c != 0, which proves the equalities have no solution."""
-        total = [0] * (self.n_vars + 1)
+        total: dict[int, int] = {}
         for i, w in y.items():
-            for j, c in self.supports[i]:
-                total[j] += w * c
-            total[-1] += w * self.rows[i][1]
-        return not any(total[:-1]) and total[-1] != 0
+            for j, c in _entries(self.rows[i], self.n_vars).items():
+                total[j] = total.get(j, 0) + w * c
+        b = total.pop(self.n_vars + 1, 0)
+        return not any(total.values()) and b != 0
 
     def certificate(self) -> dict[int, int]:
         """Int weights y on the rows (index -> weight) with yᵀA = 0 and
@@ -160,12 +158,12 @@ class LinearProgram:
         one conflict to the next.  y is w times the lcm L of its
         denominators, with -L on the conflicting row, so yᵀb is L times the
         c of its 0 = c."""
-        coeffs = self.rows[self.conflict][0]
-        b = [(self.rank + i, coeffs[p]) for i, p in enumerate(self.pivots) if coeffs[p]]
+        coeffs = dict(self.rows[self.conflict][0])
+        b = [(self.rank + i, coeffs[p]) for i, p in enumerate(self.pivots) if p in coeffs]
         solved = self._transposed_system()
         w = {}
         for k, row in zip(solved.pivots, solved.reduced):
-            total = sum(row[j] * v for j, v in b)
+            total = sum(row.get(j, 0) * v for j, v in b)
             if total:
                 w[self.kept[k]] = Fraction(total, row[k])
         scale = lcm(*(v.denominator for v in w.values()))
@@ -180,54 +178,67 @@ class LinearProgram:
         identity block, for every right-hand side b."""
         if not self._transposed:
             r = self.rank
-            columns = list(zip(*(self.rows[i][0] for i in self.kept)))
-            unit = [(0,) * i + (1,) + (0,) * (r - 1 - i) for i in range(r)]
+            columns: dict[int, list[tuple[int, int]]] = {p: [] for p in self.pivots}
+            for k, index in enumerate(self.kept):
+                for j, c in self.rows[index][0]:
+                    if j in columns:
+                        columns[j].append((k, c))
             self._transposed.append(LinearProgram(
-                2 * r, [(columns[p] + unit[i], 0) for i, p in enumerate(self.pivots)]))
+                2 * r, [((*columns[p], (r + i, 1)), 0) for i, p in enumerate(self.pivots)]))
         return self._transposed[0]
 
 
-def _integral(coeffs: Sequence[int], rhs: int) -> list[int]:
-    """The row (coeffs..., rhs) as a list; InputError unless every entry is
-    an int (a Fraction or a bool is not)."""
-    row = [*coeffs, rhs]
-    if any(type(v) is not int for v in row):
-        raise InputError("coefficients and right-hand sides must be ints")
-    return row
+def _entries(row: Row, n_vars: int) -> dict[int, int]:
+    """The row's nonzero entries as {column: coefficient}, with its rhs at
+    column n_vars + 1; InputError unless the rhs is an int and the pairs hold
+    nonzero int coefficients at int columns that increase within
+    range(n_vars).  A Fraction or a bool is not an int here."""
+    pairs, rhs = row
+    if type(rhs) is not int:
+        raise InputError("right-hand sides must be ints")
+    v: dict[int, int] = {}
+    last = -1
+    for j, c in pairs:
+        if type(j) is not int or type(c) is not int or c == 0 or not last < j < n_vars:
+            raise InputError("a row's entries must be nonzero int coefficients at int "
+                             "columns that increase within the variable count")
+        v[j] = c
+        last = j
+    if rhs:
+        v[n_vars + 1] = rhs
+    return v
 
 
-def _support(row: Sequence[int]) -> list[tuple[int, int]]:
-    return [(j, p) for j, p in enumerate(row) if p]
-
-
-def _reduce(v: list[int], col: int, d: int, support: list[tuple[int, int]]) -> list[int]:
-    """a * v - f * p, which is 0 at col, for a row p holding d > 0 at col
-    and given by its nonzero entries: a and f are d and v[col] over their
-    gcd, so a > 0.  Most entries of p are zero, and v is scaled only when
-    a != 1."""
-    common = gcd(d, v[col])
-    a, f = d // common, v[col] // common
-    out = [a * x for x in v] if a != 1 else v[:]
-    for j, p in support:
-        out[j] -= f * p
+def _reduce(v: dict[int, int], col: int, pivot_row: dict[int, int]) -> dict[int, int]:
+    """a * v - f * p, which is 0 at col, for the row p = pivot_row holding
+    d > 0 at col: a and f are d and v[col] over their gcd, so a > 0.  v is
+    scaled only when a != 1, and entries that cancel are dropped."""
+    common = gcd(pivot_row[col], v[col])
+    a, f = pivot_row[col] // common, v[col] // common
+    out = {j: a * x for j, x in v.items()} if a != 1 else dict(v)
+    for j, p in pivot_row.items():
+        value = out.get(j, 0) - f * p
+        if value:
+            out[j] = value
+        else:
+            del out[j]
     return out
 
 
-def _primitive(v: list[int]) -> list[int]:
+def _primitive(v: dict[int, int]) -> dict[int, int]:
     """v divided by the gcd of its entries."""
-    common = gcd(*v)
-    return [x // common for x in v] if common > 1 else v
+    common = gcd(*v.values())
+    return {j: x // common for j, x in v.items()} if common > 1 else v
 
 
-def _eliminate(rows: list[list[int]], r: int, col: int) -> None:
+def _eliminate(rows: list[dict[int, int]], r: int, col: int) -> None:
     """Clear col in every row but rows[r], which is positive there, and make
     each changed row primitive.  Rows are replaced, never changed in place;
     rows[r] keeps its scale."""
-    d = rows[r][col]
-    support = _support(rows[r])
+    pivot_row = rows[r]
     for i, row in enumerate(rows):
-        if i != r and row[col]:
-            rows[i] = _primitive(_reduce(row, col, d, support))
+        if i != r and col in row:
+            rows[i] = _primitive(_reduce(row, col, pivot_row))
 
 
 def lp_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
@@ -245,63 +256,66 @@ def lp_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
             raise AssertionError("inconsistency certificate does not refute the program")
         return None
 
-    # Tableau rows: the reduced rows with the x0 column (index n) before the
-    # rhs.  Each is positive in its basic (pivot) column; where the rhs is
-    # negative x0 carries minus that entry, so the row reads x_p + ... - x0 = b.
-    # The last row holds the reduced costs of minimizing x0, its rhs minus
-    # the objective; it has no basic variable.
-    n, m = program.n_vars, program.rank
+    # Tableau rows: the reduced rows, with x0 at column n and the rhs at
+    # column n + 1.  Each is positive in its basic (pivot) column; where the
+    # rhs is negative x0 carries minus that entry, so the row reads
+    # x_p + ... - x0 = b.  The last row holds the reduced costs of minimizing
+    # x0, its rhs minus the objective; it has no basic variable.
+    n, m, rhs = program.n_vars, program.rank, program.n_vars + 1
     basis = program.pivots[:]
-    tableau = [row[:n] + [-row[p] if row[-1] < 0 else 0, row[-1]]
+    tableau = [row | {n: -row[p]} if row.get(rhs, 0) < 0 else row
                for row, p in zip(program.reduced, basis)]
-    tableau.append([0] * n + [1, 0])
+    tableau.append({n: 1})
     # x0 enters on the most negative rhs / pivot ratio, which makes every rhs
     # nonnegative.  The row is negated first, so its pivot entry in the x0
     # column is positive.  With no negative rhs the basic point is feasible
     # and no pivot is made.
-    infeasible = ((i, row[p]) for i, (row, p) in enumerate(zip(tableau, basis)) if row[-1] < 0)
-    leaving = _least_ratio(tableau, basis, infeasible)
+    infeasible = ((i, row[p]) for i, (row, p) in enumerate(zip(tableau, basis))
+                  if row.get(rhs, 0) < 0)
+    leaving = _least_ratio(tableau, basis, rhs, infeasible)
     if leaving is not None:
-        tableau[leaving] = [-v for v in tableau[leaving]]
+        tableau[leaving] = {j: -v for j, v in tableau[leaving].items()}
         _pivot(tableau, basis, leaving, n)
 
     while True:
-        entering = next((j for j in range(n + 1) if tableau[m][j] < 0), None)
+        entering = min((j for j, c in tableau[m].items() if c < 0 and j <= n), default=None)
         if entering is None:
             break
-        positive = ((i, tableau[i][entering]) for i in range(m) if tableau[i][entering] > 0)
-        pivot_row = _least_ratio(tableau, basis, positive)
+        positive = ((i, tableau[i][entering]) for i in range(m)
+                    if tableau[i].get(entering, 0) > 0)
+        pivot_row = _least_ratio(tableau, basis, rhs, positive)
         if pivot_row is None:
             raise AssertionError("phase-one objective cannot be unbounded")
         _pivot(tableau, basis, pivot_row, entering)
 
-    if tableau[m][-1] != 0:
+    if rhs in tableau[m]:
         return None
     x = [Fraction(0)] * n
     for row, var in zip(tableau, basis):
         if var < n:
-            x[var] = Fraction(row[-1], row[var])
+            x[var] = Fraction(row.get(rhs, 0), row[var])
     if not program.satisfied_by(x):
         raise AssertionError("phase-one point does not satisfy the program")
     return x
 
 
-def _least_ratio(tableau: list[list[int]], basis: list[int],
+def _least_ratio(tableau: list[dict[int, int]], basis: list[int], rhs: int,
                  candidates: Iterable[tuple[int, int]]) -> Optional[int]:
-    """The row i of least rhs_i / d over the candidate pairs (i, d), d > 0,
-    compared by cross-multiplication; ties go to the lowest basic variable.
-    None when there is no candidate."""
+    """The row i of least b_i / d over the candidate pairs (i, d), d > 0,
+    where b_i is the row's entry at column rhs, compared by
+    cross-multiplication; ties go to the lowest basic variable.  None when
+    there is no candidate."""
     best, best_d = None, 0
     for i, d in candidates:
         if best is not None:
-            left, right = tableau[i][-1] * best_d, tableau[best][-1] * d
+            left, right = tableau[i].get(rhs, 0) * best_d, tableau[best].get(rhs, 0) * d
             if left > right or (left == right and basis[i] > basis[best]):
                 continue
         best, best_d = i, d
     return best
 
 
-def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> None:
+def _pivot(tableau: list[dict[int, int]], basis: list[int], row: int, col: int) -> None:
     """Make col basic in row; the cost row is cleared with the others."""
     _eliminate(tableau, row, col)
     basis[row] = col

@@ -5,8 +5,8 @@ at zero, and is additive over every defined sum.  States form a cone, so a
 strict inequality s(a) > s(b) can always be normalized to s(a) - s(b) = 1;
 that normalization is what makes each witness search a single feasibility LP.
 A search builds its table's additivity program once, which factors the
-additivity rows as they enter; each pair LP extends it by its normalization
-row, so only that row is reduced.
+additivity rows, each given by its nonzero entries, as they enter; each pair
+LP extends it by its normalization row, so only that row is reduced.
 
 The program holds the atom rows only.  An atom is a nonzero element that is
 not a sum of two nonzero elements, and in a finite GEA the rows
@@ -111,7 +111,8 @@ class StateWitnessSet:
 def additivity_program(gea: CheckedGEA) -> LinearProgram:
     """The factored LP over one variable per nonzero element, with one
     additivity row s(p) + s(x) - s(p + x) = 0 per unordered pair {p, x} of
-    an atom p and a nonzero x whose sum is defined.
+    an atom p and a nonzero x whose sum is defined, given as its two or three
+    nonzero (variable, coefficient) pairs.
 
     The atoms are found in one pass over the rows: the nonzero elements
     that no sum of two nonzero elements produces.  These rows span every
@@ -120,7 +121,6 @@ def additivity_program(gea: CheckedGEA) -> LinearProgram:
     and GE5)."""
     table = gea.table
     var_of = _variables(table)
-    n_vars = len(var_of)
     z = table.zero
     produced = set()
     for x in var_of:
@@ -136,12 +136,10 @@ def additivity_program(gea: CheckedGEA) -> LinearProgram:
             # A pair of atoms enters once, from its lower atom.
             if k < 0 or (x < p and x not in produced):
                 continue
-            coeffs = [0] * n_vars
-            coeffs[var_of[p]] += 1
-            coeffs[var_of[x]] += 1
+            coeffs = {var_of[p]: 2} if x == p else {var_of[p]: 1, var_of[x]: 1}
             coeffs[var_of[k]] = -1
-            rows.append((tuple(coeffs), 0))
-    return LinearProgram(n_vars, rows)
+            rows.append((tuple(sorted(coeffs.items())), 0))
+    return LinearProgram(len(var_of), rows)
 
 
 def _variables(table: AlgebraTable) -> dict[int, int]:
@@ -173,10 +171,8 @@ class _Additivity:
     def pair_program(self, lo: int, hi: int) -> LinearProgram:
         """The additivity program with s(lo) - s(hi) = 1; s(0) = 0 has no
         variable."""
-        coeffs = [0] * self.program.n_vars
-        for element, w in ((lo, 1), (hi, -1)):
-            if element != self.table.zero:
-                coeffs[self.var_of[element]] = w
+        coeffs = sorted((self.var_of[element], w) for element, w in ((lo, 1), (hi, -1))
+                        if element != self.table.zero)
         return self.program.extended([(tuple(coeffs), 1)])
 
     def witness(self, lo: int, hi: int) -> Optional[GeneralizedState]:
@@ -193,21 +189,6 @@ class _Additivity:
         return state_from_solution(self.table, solution)
 
 
-def _record(witnesses: StateWitnessSet, pair: tuple[int, int],
-            state: GeneralizedState, table: AlgebraTable) -> None:
-    """Give pair the slot of a state equal to state, or a new slot for it.
-
-    A new state is validated first: the LP rechecked it only against the
-    atom rows, which imply, but are not, every additivity row."""
-    for slot, existing in enumerate(witnesses.states):
-        if existing == state:
-            witnesses.provenance[pair] = slot
-            return
-    state.validate(table)
-    witnesses.states.append(state)
-    witnesses.provenance[pair] = len(witnesses.states) - 1
-
-
 def assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet,
                      pairs: Iterable[tuple[int, int]],
                      find: Callable[[int, int], Optional[GeneralizedState]]) -> StateWitnessSet:
@@ -216,9 +197,10 @@ def assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet,
 
     The first state already in the set that covers (a, b) is reused: one
     with s(a) > s(b) for the order goal, s(a) != s(b) to separate.  Otherwise
-    find(a, b) is asked for a new state, which takes the slot of an equal
-    state when there is one, or is validated on table and takes a new slot;
-    a pair find cannot witness is a failure.
+    find(a, b) is asked for a new state, which is validated on table and
+    takes a new slot: it covers (a, b), so it equals no state in the set.
+    The LP rechecked it only against the atom rows, which imply, but are
+    not, every additivity row.  A pair find cannot witness is a failure.
     """
     covers = operator.gt if witnesses.goal == "order" else operator.ne
     for a, b in pairs:
@@ -231,7 +213,9 @@ def assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet,
         if state is None:
             witnesses.failures.append((a, b))
         else:
-            _record(witnesses, (a, b), state, table)
+            state.validate(table)
+            witnesses.states.append(state)
+            witnesses.provenance[(a, b)] = len(witnesses.states) - 1
     return witnesses
 
 

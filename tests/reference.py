@@ -3,9 +3,11 @@ the induced order as a walk over the defined sums, for `check_gea_axioms`,
 `check_ea_axioms` and `induced_order`; Fraction rational vectors over the
 witness slots, for `sampled_check` and acceptance criterion 5; a
 brute-force LP oracle with the witness LPs of a table to run it on, for
-`lp_feasible` and criterion 6; one additivity row per defined sum, for the
-atom rows of `additivity_program`; and the text renderer that calls
-json.dumps per scalar, for `cli._render_text`."""
+`lp_feasible` and criterion 6, and a converter each way between rows of
+one coefficient per variable and a LinearProgram's sparse rows; one
+additivity row per defined sum, for the atom rows of `additivity_program`;
+and the text renderer that calls json.dumps per scalar, for
+`cli._render_text`."""
 
 from __future__ import annotations
 
@@ -196,6 +198,19 @@ def bounded_by(rep: DiagonalRep, a: int, norm: Fraction, x: FiniteVector) -> boo
     return apply_operator(rep, a, x).norm_sq() <= norm * norm * x.norm_sq()
 
 
+def sparse(rows):
+    """Rows given as (coefficients, rhs), one coefficient per variable, as
+    LinearProgram takes them: the nonzero (column, coefficient) pairs and
+    the rhs."""
+    return [(tuple((j, c) for j, c in enumerate(coeffs) if c), rhs) for coeffs, rhs in rows]
+
+
+def dense(row, n_vars):
+    """A {column: coefficient} row of a LinearProgram, with its rhs at
+    column n_vars + 1, as n_vars coefficients followed by the rhs."""
+    return [row.get(j, 0) for j in range(n_vars)] + [row.get(n_vars + 1, 0)]
+
+
 def basic_solution_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
     """Independent feasibility oracle: enumerate basic solutions.
 
@@ -208,16 +223,17 @@ def basic_solution_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
         return None
     if program.rank == 0:
         return [Fraction(0)] * n
+    rows = [(dense(dict(pairs), n)[:-1], rhs) for pairs, rhs in program.rows]
     for columns in itertools.combinations(range(n), program.rank):
         # These columns carry a basic solution iff each one becomes a pivot
         # and the restricted system stays consistent; it is then unique.
-        restricted = LinearProgram(len(columns), [(tuple(coeffs[c] for c in columns), rhs)
-                                                  for coeffs, rhs in program.rows])
+        restricted = LinearProgram(len(columns), sparse(
+            [([coeffs[c] for c in columns], rhs) for coeffs, rhs in rows]))
         if restricted.conflict is not None or restricted.rank < len(columns):
             continue
         x = [Fraction(0)] * n
         for pivot, row in zip(restricted.pivots, restricted.reduced):
-            x[columns[pivot]] = Fraction(row[-1], row[pivot])
+            x[columns[pivot]] = Fraction(dense(row, len(columns))[-1], row[pivot])
         if any(v < 0 for v in x):
             continue
         assert program.satisfied_by(x)
@@ -242,7 +258,7 @@ def reference_additivity_program(table: AlgebraTable) -> LinearProgram:
         if any(key) and key not in seen:
             seen.add(key)
             rows.append((key, 0))
-    return LinearProgram(n_vars, rows)
+    return LinearProgram(n_vars, sparse(rows))
 
 
 def pair_programs(table):

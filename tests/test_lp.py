@@ -18,19 +18,20 @@ from gea.errors import InputError
 from gea.generate import random_gea
 from gea.lp import LinearProgram, lp_feasible
 from gea.states import additivity_program
-from reference import basic_solution_feasible, pair_programs
+from reference import basic_solution_feasible, dense, pair_programs, sparse
 
 
 def build_program(n_vars, rows):
-    """A LinearProgram of rows with rational entries: LinearProgram takes
-    int rows, so each row is scaled here by the lcm of its denominators."""
+    """A LinearProgram of rows with rational entries, one per variable:
+    LinearProgram takes sparse int rows, so each row is scaled here by the
+    lcm of its denominators and then made sparse."""
     scaled = []
     for coeffs, rhs in rows:
         row = [Fraction(v) for v in (*coeffs, rhs)]
         scale = lcm(*(v.denominator for v in row))
         ints = [v.numerator * (scale // v.denominator) for v in row]
         scaled.append((tuple(ints[:-1]), ints[-1]))
-    return LinearProgram(n_vars, scaled)
+    return LinearProgram(n_vars, sparse(scaled))
 
 
 # Reference solver: the same elimination and phase-one simplex in Fraction
@@ -88,8 +89,8 @@ class ReferenceEchelon:
         return out
 
     def _add(self, index):
-        coeffs, rhs = self.source[index]
-        v = [Fraction(c) for c in coeffs] + [Fraction(rhs)]
+        pairs, rhs = self.source[index]
+        v = [Fraction(c) for c in dense(dict(pairs), self.n_cols)[:-1]] + [Fraction(rhs)]
         used = [(k, v[p]) for k, p in enumerate(self.pivots) if v[p]]
         for k, f in used:
             v = _ref_sub(v, f, _ref_support(self.rows[k]))
@@ -299,7 +300,7 @@ def test_presolve_matches_oracle_on_redundant_rows(case):
 
 def test_inconsistent_pair_row_settled_by_elimination():
     # a + a = c and b + b = c force s(a) = s(b); s(a) - s(b) = 1 contradicts it.
-    program = LinearProgram(3, [((2, 0, -1), 0), ((0, 2, -1), 0), ((1, -1, 0), 1)])
+    program = LinearProgram(3, sparse([((2, 0, -1), 0), ((0, 2, -1), 0), ((1, -1, 0), 1)]))
     assert program.kept == [0, 1]
     assert program.conflict == 2
     assert program.certificate() == {0: 1, 1: -1, 2: -2}
@@ -316,11 +317,11 @@ def test_refuted_by_checks_the_combination():
 def test_satisfied_by_rechecks_every_row():
     # Row 1 is not kept: it conflicts with row 0, which x satisfies.  Row 2
     # comes after the conflict and is never reduced.
-    program = LinearProgram(2, [((1, 0), 1), ((2, 0), 3), ((0, 1), 1)])
+    program = LinearProgram(2, sparse([((1, 0), 1), ((2, 0), 3), ((0, 1), 1)]))
     assert program.kept == [0] and program.conflict == 1
     assert not program.satisfied_by([Fraction(1), Fraction(1)])
-    base = LinearProgram(2, [((1, 0), 1)])
-    extended = base.extended([((0, 0), 0), ((0, 3), 2)])
+    base = LinearProgram(2, sparse([((1, 0), 1)]))
+    extended = base.extended(sparse([((0, 0), 0), ((0, 3), 2)]))
     assert base.satisfied_by([Fraction(1), Fraction(0)])
     assert not extended.satisfied_by([Fraction(1), Fraction(0)])
     assert extended.satisfied_by([Fraction(1), Fraction(2, 3)])
@@ -328,7 +329,7 @@ def test_satisfied_by_rechecks_every_row():
 
 
 def test_wrong_inconsistency_claim_is_caught():
-    program = LinearProgram(2, [((1, 0), 1), ((0, 1), 1)])
+    program = LinearProgram(2, sparse([((1, 0), 1), ((0, 1), 1)]))
     program.conflict = 0  # row 0 is consistent and kept
     with pytest.raises(AssertionError):
         lp_feasible(program)
@@ -343,7 +344,7 @@ if not sys.flags.optimize:
     sys.exit("assert statements are not stripped")
 LinearProgram.satisfied_by = lambda self, x: False
 LinearProgram.refuted_by = lambda self, y: False
-for rows in ((((1,), 1),), (((1,), 1), ((1,), 2))):
+for rows in (((((0, 1),), 1),), ((((0, 1),), 1), (((0, 1),), 2))):
     try:
         result = lp_feasible(LinearProgram(1, rows))
     except AssertionError:
@@ -360,7 +361,7 @@ def test_failed_rechecks_raise_under_python_O():
 
 
 def test_factored_prefix_gives_the_unfactored_answer():
-    rows = [((1, 1, -1), 0), ((2, 2, -2), 0), ((1, -1, 0), 1)]
+    rows = sparse([((1, 1, -1), 0), ((2, 2, -2), 0), ((1, -1, 0), 1)])
     factored = LinearProgram(3, rows[:2])
     assert factored.kept == [0]
     assert lp_feasible(factored.extended(rows[2:])) == lp_feasible(LinearProgram(3, rows))
@@ -368,21 +369,25 @@ def test_factored_prefix_gives_the_unfactored_answer():
 
 
 @pytest.mark.parametrize("row", [
-    ((Fraction(1), 0), 1),  # a Fraction coefficient, though its value is an int
-    ((1, 0), Fraction(1, 2)),
-    ((True, 0), 1),
-    ((1, 0), False),
-    ((1, 0, 0), 1),
-    ((1,), 1),
+    (((0, Fraction(1)),), 1),  # a Fraction coefficient, though its value is an int
+    (((0, 1),), Fraction(1, 2)),
+    (((0, True),), 1),
+    (((0, 1),), False),
+    (((0, 0), (1, 1)), 1),  # a zero coefficient
+    (((2, 1),), 1),  # a column out of range
+    (((-1, 1),), 1),
+    (((1, 1), (1, 1)), 1),  # a repeated column
+    (((1, 1), (0, 1)), 1),  # a decreasing column
 ])
 def test_rows_other_than_int_rows_of_the_variable_count_are_refused(row):
     with pytest.raises(InputError):
-        LinearProgram(2, [((0, 1), 0), row])
+        LinearProgram(2, [row])
     with pytest.raises(InputError):
-        LinearProgram(2, [((0, 1), 0)]).extended([row])
-    # A row after a conflict is checked as well, though it is not reduced.
+        LinearProgram(2, [(((1, 1),), 0)]).extended([row])
+    # A row after a conflict, 0 = 1 here, is checked as well, though it is
+    # not reduced.
     with pytest.raises(InputError):
-        LinearProgram(2, [((0, 0), 1), row])
+        LinearProgram(2, [((), 1), row])
 
 
 rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -417,9 +422,9 @@ def _assert_every_split_matches(program):
     certificate = program.certificate() if program.conflict is not None else None
     for k in range(len(rows) + 1):
         prefix = LinearProgram(n, rows[:k])
-        before = (prefix.kept[:], prefix.pivots[:], [row[:] for row in prefix.reduced])
+        before = (prefix.kept[:], prefix.pivots[:], [dense(row, n) for row in prefix.reduced])
         split = prefix.extended(rows[k:])
-        assert (prefix.kept, prefix.pivots, prefix.reduced) == before
+        assert (prefix.kept, prefix.pivots, [dense(row, n) for row in prefix.reduced]) == before
         assert split.rows == rows
         assert split.kept == program.kept and split.pivots == program.pivots
         assert split.reduced == program.reduced and split.conflict == program.conflict
@@ -437,7 +442,8 @@ def test_integer_solver_takes_the_reference_pivot_path(program):
     assert (program.conflict is None) == (reference.conflict is None)
     if program.conflict is not None:
         assert program.refuted_by(program.certificate())
-    for row, ref_row, col in zip(program.reduced, reference.rows, program.pivots):
+    for reduced, ref_row, col in zip(program.reduced, reference.rows, program.pivots):
+        row = dense(reduced, program.n_vars)
         assert row[col] > 0 and gcd(*row) == 1
         assert [Fraction(v, row[col]) for v in row] == ref_row
     x = lp_feasible(program)
@@ -463,6 +469,45 @@ def test_integer_solver_matches_reference_on_wider_programs():
         _assert_every_split_matches(program)
 
 
+def test_integer_solver_takes_the_reference_pivot_path_on_sparse_programs(pivots, monkeypatch):
+    # Shaped like additivity programs: rows of 2 or 3 entries in +-1, +-2 and
+    # rhs 0 over 12-40 variables, then one pair row x_lo - x_hi = 1.  Most
+    # phase-one pivots are degenerate here, so the returned point alone
+    # rarely shows a wrong tie rule; the pivot path, (row, column) of every
+    # pivot, is compared with the reference's as well.
+    path = []
+    real = _ref_pivot
+    monkeypatch.setitem(globals(), "_ref_pivot",
+                        lambda tableau, cost, basis, row, col: path.append((row, col))
+                        or real(tableau, cost, basis, row, col))
+    rng = random.Random(5)
+    conflicts = pivoted = 0
+    for _ in range(150):
+        n = rng.randint(12, 40)
+        rows = []
+        for _ in range(rng.randint(n * 3 // 10, n * 9 // 10)):
+            columns = sorted(rng.sample(range(n), rng.choice((2, 3))))
+            rows.append((tuple((j, rng.choice((-2, -1, 1, 2))) for j in columns), 0))
+        lo, hi = rng.sample(range(n), 2)
+        rows.append((tuple(sorted(((lo, 1), (hi, -1)))), 1))
+        program = LinearProgram(n, rows)
+        reference = ReferenceEchelon.of(rows, n)
+        assert program.kept == reference.kept and program.pivots == reference.pivots, rows
+        pivots.clear()
+        path.clear()
+        x = lp_feasible(program)
+        assert x == reference_lp_feasible(program), rows
+        assert pivots == path, rows
+        if program.conflict is not None:
+            combo = reference.conflict
+            scale = lcm(*(w.denominator for w in combo.values()))
+            assert program.certificate() == {i: int(-w * scale) for i, w in combo.items()}
+            conflicts += 1
+        pivoted += len(pivots) > 1
+        _assert_every_split_matches(program)
+    assert conflicts > 5 and pivoted > 30
+
+
 def test_integer_solver_matches_reference_on_corpus_pairs(valid_corpus):
     for name, table in valid_corpus.items():
         for program in pair_programs(table):
@@ -473,18 +518,12 @@ def test_integer_solver_matches_reference_on_corpus_pairs(valid_corpus):
 def test_scaled_rows_carry_their_scale_into_the_certificate():
     # 2x = 0 twice, then 4x = 1: the kept row is reduced to x = 0, but the
     # certificate weighs the original rows, 2 * (2x = 0) - (4x = 1).
-    program = LinearProgram(1, [((2,), 0), ((2,), 0), ((4,), 1)])
-    assert program.kept == [0] and program.reduced == [[1, 0]]
+    program = LinearProgram(1, sparse([((2,), 0), ((2,), 0), ((4,), 1)]))
+    assert program.kept == [0] and [dense(row, 1) for row in program.reduced] == [[1, 0]]
     assert program.conflict == 2
     assert program.certificate() == {0: 2, 2: -1}
     assert program.refuted_by(program.certificate())
     assert lp_feasible(program) is None
-
-
-def test_int_row_enters_the_elimination_as_it_is():
-    row = lp._integral((2, 0, -4), 6)
-    assert row == [2, 0, -4, 6]
-    assert all(type(v) is int for v in row)
 
 
 def test_int_and_fraction_rows_share_one_pivot_path():
@@ -497,12 +536,12 @@ def test_int_and_fraction_rows_share_one_pivot_path():
         return [([Fraction(2, 3) * c for c in coeffs], Fraction(2, 3) * rhs)
                 for coeffs, rhs in rows]
 
-    ints, fractions = LinearProgram(4, rows), build_program(4, two_thirds(rows))
-    assert fractions.rows[0] == ((2, 2, -2, 0), 0)
+    ints, fractions = LinearProgram(4, sparse(rows)), build_program(4, two_thirds(rows))
+    assert fractions.rows[0] == sparse([((2, 2, -2, 0), 0)])[0]
     assert ints.reduced == fractions.reduced
     assert lp_feasible(ints) == lp_feasible(fractions) is not None
     conflict = rows + [((2, 2, -2, 0), 1)]
-    ints, fractions = LinearProgram(4, conflict), build_program(4, two_thirds(conflict))
+    ints, fractions = LinearProgram(4, sparse(conflict)), build_program(4, two_thirds(conflict))
     assert ints.reduced == fractions.reduced and ints.conflict == fractions.conflict == 3
     assert ints.certificate() == fractions.certificate()
 
@@ -534,7 +573,7 @@ def test_factored_conflict_with_fraction_rows_gets_a_certificate():
     second = (0, Fraction(2, 5), Fraction(-1, 7))
     third = tuple(Fraction(3, 4) * p - Fraction(5, 3) * q for p, q in zip(first, second))
     program = build_program(3, ((first, 0), (second, 0), (third, Fraction(1, 2))))
-    assert program.rows[2] == ((42, -49, 40), 84)
+    assert program.rows[2] == sparse([((42, -49, 40), 84)])[0]
     factored = LinearProgram(3, program.rows[:2])
     extended = factored.extended(program.rows[2:])
     assert factored.conflict is None and extended.conflict == 2
@@ -591,7 +630,7 @@ def pivots(monkeypatch):
     def counted(tableau, basis, row, col):
         made.append((row, col))
         real(tableau, basis, row, col)
-        assert all(gcd(*r) == 1 for r in tableau)
+        assert all(gcd(*r.values()) == 1 for r in tableau)
         assert all(r[var] > 0 for r, var in zip(tableau, basis))
 
     monkeypatch.setattr(lp, "_pivot", counted)

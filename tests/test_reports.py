@@ -7,16 +7,24 @@ covers every corpus table under check (with --ea where the table has a unit),
 order, and states and represent under both goals at two seeds, plus the
 corpus morphisms and the projector demo.  effects witness is left out: its
 witness vector comes from LAPACK eigenvectors, which differ between builds.
+LARGE_DIGESTS pins states and represent under both goals on three tables
+past the corpus, built and saved in the test and run from its directory:
+the cube on 5 atoms, the chain C_40 and a generated table on 24 elements
+with failing pairs.
 
 A change that alters a report on purpose updates its digest here.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from gea import corpus
+from gea.algebra import AlgebraTable
 from gea.cli import main
+from gea.fileio import save_algebra
+from gea.generate import random_gea
 
 REPORT_DIGESTS = {
     "check singleton.json": "6b5289e9983875b1cd5b240bd16ddc880259ac877ea8b50e26b5b56d984bb508",
@@ -122,3 +130,52 @@ def test_report_bytes_are_pinned(command, capsys, monkeypatch):
     main([*command.split(), "--json"])
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[command]
+
+
+def _cube(atoms):
+    """The subsets of atoms atoms as bit masks, a + b = a | b for disjoint a, b."""
+    n = 2 ** atoms
+    labels = tuple("".join("abcdefgh"[bit] for bit in range(atoms) if mask >> bit & 1) or "0"
+                   for mask in range(n))
+    return AlgebraTable(labels, 0, {(a, b): a | b for a in range(n) for b in range(n)
+                                    if not a & b}, unit=n - 1)
+
+
+def _chain(n):
+    """The chain C_n = {0, ..., n-1}, with i + j defined when i + j < n."""
+    return AlgebraTable(tuple(str(k) for k in range(n)), 0,
+                        {(i, j): i + j for i in range(n) for j in range(n - i)}, unit=n - 1)
+
+
+# Tables past the corpus, built here: the LP runs on 31 to 39 variables.
+LARGE_TABLES = {
+    "cube5.json": (lambda: _cube(5), 0),
+    "chain40.json": (lambda: _chain(40), 0),
+    "random24.json": (lambda: random_gea(random.Random(3), 24), 3),
+}
+
+LARGE_DIGESTS = {
+    "states cube5.json --goal order --seed 0": "926b2bd3c5d47c06aca229aa0c3feb7c17a9dd8ad4a3261156fd8889cdcb74ce",
+    "states cube5.json --goal separate --seed 0": "090fda0ccff8e5c54d5971b749b69cff5561d906174c89b8347769fdc9444100",
+    "represent cube5.json --goal order --seed 0": "9e5bb901f9557514941ca1c15df4fa44f446271c6e622f968a34128fe920562e",
+    "represent cube5.json --goal separate --seed 0": "bcd7278728c18d80ba91fc1d3b08ad757233c4a1869e9e317863a7dd06175f83",
+    "states chain40.json --goal order --seed 0": "0c5a1cfad21a127aec23faf8eef9d18ab462baa6d7a40b7ed666399d1b6d5de7",
+    "states chain40.json --goal separate --seed 0": "162806d6c03f68ce9802db73fb4db67abcc352feb1aad4d355a59ff18add0147",
+    "represent chain40.json --goal order --seed 0": "455b36a0c186aaca7fed44147114ad713a5dda258b4dbe41feb7bc22ec6dd77e",
+    "represent chain40.json --goal separate --seed 0": "18d42cd5470daef81798e75b6cf53fcbd0dc62cd79e33fa3d0e2bfd199fc6e36",
+    "states random24.json --goal order --seed 0": "85ce503042d96f86760d686a87bfc147e4f89aff4286a2972c932fe43e484fd5",
+    "states random24.json --goal separate --seed 0": "28baab06489a45d9de8c966af9652b374318c654b900f9496118a44d0be8be40",
+    "represent random24.json --goal order --seed 0": "ded401dd67c877ef378d54ddbaf98d5474a113213297c40d8ab39d56c3c4cf40",
+    "represent random24.json --goal separate --seed 0": "8ddddba51c6bc4490629583dfdd55d4b5f283b0a17f0612166fd0698fab3bdc0",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LARGE_DIGESTS))
+def test_large_table_report_bytes_are_pinned(command, capsys, monkeypatch, tmp_path):
+    name = command.split()[1]
+    build, code = LARGE_TABLES[name]
+    save_algebra(build(), tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    assert main([*command.split(), "--json"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_DIGESTS[command]

@@ -17,7 +17,7 @@ from gea.states import (GeneralizedState, StateWitnessSet, order_determining_set
                         separating_set)
 from gea.lp import lp_feasible
 from gea.states import additivity_program, state_from_solution
-from reference import (FiniteVector, apply_operator, bounded_by, random_rational_vector,
+from reference import (FiniteVector, apply_operator, bounded_by, random_rational_vector, sparse,
                        vector_state)
 
 
@@ -171,7 +171,8 @@ class TestVerifyInjective:
     def test_equal_value_state_found_by_lp(self, diamond):
         # ask the LP for a state with s(a) = s(b) and s(a) = 1
         # The variables are s(a), s(b), s(1).
-        program = additivity_program(require_gea(diamond)).extended([((1, -1, 0), 0), ((1, 0, 0), 1)])
+        program = additivity_program(require_gea(diamond)).extended(
+            sparse([((1, -1, 0), 0), ((1, 0, 0), 1)]))
         solution = lp_feasible(program)
         state = state_from_solution(diamond, solution)
         assert state.values == (frac(0), frac(1), frac(1), frac(2))

@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 from fractions import Fraction
 from unittest.mock import patch
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gea import corpus
-from gea.algebra import AlgebraTable, induced_order, require_gea
+from gea.algebra import induced_order, require_gea
 from gea.errors import InputError
 from gea import states
 from gea.cli import main
@@ -16,9 +17,9 @@ from gea.fileio import load_algebra
 from gea.generate import random_gea, random_population
 from gea.lp import LinearProgram, lp_feasible
 from gea.represent import build_representation, operator_norm
-from gea.states import (GeneralizedState, StateWitnessSet,
-                        order_determining_set, separating_set, state_from_solution)
-from reference import pair_programs, reference_additivity_program
+from gea.states import (GeneralizedState, order_determining_set, separating_set,
+                        state_from_solution)
+from reference import dense, pair_programs, reference_additivity_program
 
 
 def values(state):
@@ -206,28 +207,40 @@ class TestIntegerStates:
         assert half == GeneralizedState.of(("0", "2/4", "1"))
         assert half != GeneralizedState((0, 1, 2), 3)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.lists(st.integers(0, 6), min_size=3, max_size=3),
-                              st.integers(1, 4)), min_size=1, max_size=8))
-    def test_record_reuses_slots_as_fractions_would(self, drawn):
-        # Small numerators over small denominators, so many drawn states are
-        # equal as rational vectors without being equal as drawn.  The values
-        # sit on three atoms with no nonzero sum, where every nonnegative
-        # vector that vanishes at zero is a state, so each new slot validates.
-        table = AlgebraTable(("0", "a", "b", "c"), 0,
-                             {(0, x): x for x in range(4)} | {(x, 0): x for x in range(4)})
-        witnesses = StateWitnessSet(goal="order")
-        distinct: list[tuple[Fraction, ...]] = []
-        for index, (nums, den) in enumerate(drawn):
-            state = GeneralizedState((0, *nums), den)
-            values = tuple(Fraction(p, den) for p in (0, *nums))
-            assert (state == GeneralizedState((0, *drawn[0][0]), drawn[0][1])) == \
-                (values == tuple(Fraction(p, drawn[0][1]) for p in (0, *drawn[0][0])))
-            if values not in distinct:
-                distinct.append(values)
-            states._record(witnesses, (index, 0), state, table)
-            assert witnesses.provenance[(index, 0)] == distinct.index(values)
-        assert [s.values for s in witnesses.states] == distinct
+    def test_each_new_slot_covers_its_pair_and_equals_no_earlier_slot(
+            self, valid_corpus, monkeypatch):
+        # A search asks for a new state only when no slot covers the pair,
+        # so the state it gets, which covers the pair, equals no slot.  Each
+        # call of find records the pair, the state and the slot count before.
+        asked = []
+        real = states.assign_witnesses
+
+        def recording(table, witnesses, pairs, find):
+            def traced(a, b):
+                state = find(a, b)
+                asked.append(((a, b), state, len(witnesses.states)))
+                return state
+            return real(table, witnesses, pairs, traced)
+
+        monkeypatch.setattr(states, "assign_witnesses", recording)
+        tables = list(valid_corpus.values()) + [random_gea(random.Random(seed), n)
+                                                for n in (8, 12, 16) for seed in range(3)]
+        added = 0
+        for table in tables:
+            gea = require_gea(table)
+            for search, covers in ((order_determining_set, operator.gt),
+                                   (separating_set, operator.ne)):
+                asked.clear()
+                witnesses = search(gea)
+                new = [(pair, state, slot) for pair, state, slot in asked if state is not None]
+                assert len(witnesses.states) == len(new)
+                for (a, b), state, slot in new:
+                    assert witnesses.states[slot] is state
+                    assert witnesses.provenance[(a, b)] == slot
+                    assert covers(state.nums[a], state.nums[b])
+                    assert state not in witnesses.states[:slot]
+                added += len(new)
+        assert added > 30
 
 
 class TestNormalizeAndBounds:
@@ -295,8 +308,9 @@ class TestAtomProgram:
         atoms = states.additivity_program(gea)
         reference = reference_additivity_program(table)
         assert atoms.rank == reference.rank
-        assert sorted(zip(atoms.pivots, atoms.reduced)) == \
-            sorted(zip(reference.pivots, reference.reduced))
+        n = atoms.n_vars
+        assert sorted((p, dense(row, n)) for p, row in zip(atoms.pivots, atoms.reduced)) == \
+            sorted((p, dense(row, n)) for p, row in zip(reference.pivots, reference.reduced))
         assert len(set(atoms.rows)) == len(atoms.rows) == len(atom_pairs(table))
         with patch.object(states, "additivity_program",
                           lambda gea: reference_additivity_program(gea.table)):
