@@ -257,7 +257,7 @@ def cmd_effects(args: argparse.Namespace) -> tuple[dict, int]:
         report["demo"] = demo
         expected = (demo["gea_axioms_pass"] and demo["order_determining_found"]
                     and demo["is_morphism"] and demo["order_reflecting"]
-                    and not demo["embedding"])
+                    and not demo["embedding"] and all(demo["representation"].values()))
         return report, EXIT_OK if expected else EXIT_FAIL
 
     if args.effects_command == "check":
@@ -294,14 +294,6 @@ def cmd_effects(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _env_seed() -> int:
-    text = os.environ.get("GEA_SEED", "0")
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise InputError(f"GEA_SEED must be an integer, got {text!r}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     # The shared flags are accepted both before and after the subcommand.
     # Every parser shares the same two actions, so their default must stay
@@ -311,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit the machine-readable report")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for sampled self-checks (default: $GEA_SEED or 0)")
+                        help="seed for sampled self-checks (default: 0)")
 
     parser = argparse.ArgumentParser(
         prog="gea",
@@ -379,9 +371,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     args.command_echo = "gea " + " ".join(argv)
     args.json = getattr(args, "json", False)
+    args.seed = getattr(args, "seed", 0)
     try:
-        if getattr(args, "seed", None) is None:
-            args.seed = _env_seed()
         report, code = args.func(args)
         report["exit"] = code
         _emit(report, args.json, getattr(args, "out", None))

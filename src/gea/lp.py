@@ -192,13 +192,18 @@ def _entries(row: Row, n_vars: int) -> dict[int, int]:
     """The row's nonzero entries as {column: coefficient}, with its rhs at
     column n_vars + 1; InputError unless the rhs is an int and the pairs hold
     nonzero int coefficients at int columns that increase within
-    range(n_vars).  A Fraction or a bool is not an int here."""
-    pairs, rhs = row
+    range(n_vars), and unless the row and its entries are pairs.  A Fraction
+    or a bool is not an int here."""
+    try:
+        pairs, rhs = row
+        entries = [(j, c) for j, c in pairs]
+    except (TypeError, ValueError) as exc:
+        raise InputError("a row must be a pair (pairs, rhs) of column, coefficient pairs") from exc
     if type(rhs) is not int:
         raise InputError("right-hand sides must be ints")
     v: dict[int, int] = {}
     last = -1
-    for j, c in pairs:
+    for j, c in entries:
         if type(j) is not int or type(c) is not int or c == 0 or not last < j < n_vars:
             raise InputError("a row's entries must be nonzero int coefficients at int "
                              "columns that increase within the variable count")

@@ -5,7 +5,9 @@ witness slots, acting on finitely supported sequences indexed by the slots.
 For diagonal operators with nonnegative entries the positivity order is the
 entrywise order: the quadratic form of B - A at x is sum((b_s - a_s) x_s^2),
 nonnegative for every vector iff every entry difference is nonnegative.
-All arithmetic is exact.
+All arithmetic is exact.  The build checks each state's length and sign
+only: the searches validate each state they add on every defined sum, and
+verify_morphism checks zero and additivity for all slots in one pass.
 
 The diagonals are stored as ints over one common denominator D, the lcm of
 the witness states' denominators, so the build and every self-check
@@ -63,13 +65,14 @@ class DiagonalRep:
 def build_representation(gea: CheckedGEA, witnesses: StateWitnessSet) -> DiagonalRep:
     """Assemble the diagonal representation a -> (s(a)) over the witness set.
 
-    The construction is unconditional: it needs valid generalized states but
-    no separation property.  An empty witness set gives the zero-slot
-    representation (every operator is the empty diagonal).
+    The construction is unconditional: it needs no separation property, and
+    raises InputError unless each state has one nonnegative value per
+    element.  An empty witness set gives the zero-slot representation (every
+    operator is the empty diagonal).
     """
     table = gea.table
-    for state in witnesses.states:
-        state.validate(table)
+    if any(len(s.nums) != table.n or min(s.nums, default=0) < 0 for s in witnesses.states):
+        raise InputError("each state needs one nonnegative value per element")
     den = lcm(*(s.den for s in witnesses.states))
     columns = [[p * (den // s.den) for p in s.nums] for s in witnesses.states]
     diagonals = tuple(zip(*columns)) if columns else ((),) * table.n

@@ -378,6 +378,9 @@ def test_factored_prefix_gives_the_unfactored_answer():
     (((-1, 1),), 1),
     (((1, 1), (1, 1)), 1),  # a repeated column
     (((1, 1), (0, 1)), 1),  # a decreasing column
+    ((1, -1), 0),  # a dense row
+    (((0, 1, 1),), 0),  # an entry that is not a (column, coefficient) pair
+    (((0, 1),), 0, 1),  # a row that is not a (pairs, rhs) pair
 ])
 def test_rows_other_than_int_rows_of_the_variable_count_are_refused(row):
     with pytest.raises(InputError):

@@ -122,8 +122,16 @@ class TestBuild:
         assert verify_injective(rep) == (True, None)
 
     def test_non_additive_state_rejected(self, diamond):
+        # The build leaves additivity to verify_morphism, which names the sum.
+        rep = state_rep(diamond, "order", (0, 1, 1, 3))
+        check = verify_morphism(rep, diamond)
+        assert not check.passed
+        assert (1, 2, 3) in check.violations
+
+    @pytest.mark.parametrize("values", [(0, -1, 1, 0), (0, 1, 1)])
+    def test_negative_or_wrong_length_state_rejected(self, diamond, values):
         with pytest.raises(InputError):
-            state_rep(diamond, "order", (0, 1, 1, 3))
+            state_rep(diamond, "order", values)
 
     def test_slot_denominators_share_their_lcm(self, chain_c3):
         rep = state_rep(chain_c3, "order", ("0", "1/2", "1"), ("0", "1/3", "2/3"))
