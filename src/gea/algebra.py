@@ -98,7 +98,6 @@ class Violation:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    kind: str  # "GEA" or "EA"
     violations: tuple[Violation, ...]
 
     @property
@@ -231,7 +230,7 @@ def check_gea_axioms(table: AlgebraTable) -> AxiomReport:
             violations.append(Violation("GE5", (x,), f"0+{lab[x]} is undefined"))
         elif k != x:
             violations.append(Violation("GE5", (x,), f"0+{lab[x]}={lab[k]}, expected {lab[x]}"))
-    return AxiomReport("GEA", tuple(violations))
+    return AxiomReport(tuple(violations))
 
 
 def check_ea_axioms(table: AlgebraTable, gea: AxiomReport) -> AxiomReport:
@@ -260,44 +259,41 @@ def check_ea_axioms(table: AlgebraTable, gea: AxiomReport) -> AxiomReport:
     for x, k in enumerate(table.rows[one][:table.n]):
         if k >= 0 and x != table.zero:
             violations.append(Violation("E4", (x,), f"1+{lab[x]} is defined for nonzero {lab[x]}"))
-    return AxiomReport("EA", tuple(violations))
+    return AxiomReport(tuple(violations))
 
 
 @dataclass(frozen=True)
 class OrderRelation:
     """The order induced by the sum table: x <= y iff x + z = y for some z.
 
-    diff[(j, i)] = k records that z, i.e. x_j - x_i = x_k; it is unique by
-    cancellation on any table that passed the GEA check.
+    The difference y - x, that z, is read from the table's sums: it is
+    unique by cancellation on any table that passed the GEA check.
     """
 
-    n: int
     leq_matrix: tuple[tuple[bool, ...], ...]
-    diff: Mapping[tuple[int, int], int]
 
     def leq(self, i: int, j: int) -> bool:
         return self.leq_matrix[i][j]
 
     def pairs_not_leq(self) -> list[tuple[int, int]]:
         """Ordered pairs (a, b), a != b, with a not below b, lexicographic."""
-        return [(a, b) for a in range(self.n) for b in range(self.n)
+        n = len(self.leq_matrix)
+        return [(a, b) for a in range(n) for b in range(n)
                 if a != b and not self.leq_matrix[a][b]]
 
 
 def induced_order(table: AlgebraTable) -> OrderRelation:
-    """Compute the induced partial order and the difference map.
+    """The induced partial order: x_i <= x_j for each defined x_i + x_k = x_j.
 
-    The difference map is well defined only on a table that passed the GEA
-    scan; scan_gea and require_gea build the order once after the scan, and
-    the pipeline reads it from their CheckedGEA.
+    It is a partial order only on a table that passed the GEA scan; scan_gea
+    and require_gea build it once after the scan, and the pipeline reads it
+    from their CheckedGEA.
     """
     n = table.n
     leq = [[False] * n for _ in range(n)]
-    diff: dict[tuple[int, int], int] = {}
-    for (i, k), j in table.sums.items():  # x_i + x_k = x_j, so x_i <= x_j
+    for (i, _), j in table.sums.items():  # x_i + x_k = x_j, so x_i <= x_j
         leq[i][j] = True
-        diff[(j, i)] = k
-    return OrderRelation(n, tuple(map(tuple, leq)), diff)
+    return OrderRelation(tuple(map(tuple, leq)))
 
 
 @dataclass(frozen=True)

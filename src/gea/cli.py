@@ -166,14 +166,15 @@ def cmd_order(args: argparse.Namespace) -> tuple[dict, int]:
     report, gea = _load_checked(args)
     if gea is None:
         return report, EXIT_FAIL
-    order = gea.order
     labels = gea.table.elements
+    # x_i + x_k = x_j gives x_j - x_i = x_k, unique by GE3 on a checked table.
+    differences = sorted(((j, i), k) for (i, k), j in gea.table.sums.items())
     report["order"] = {
         "strictly_below": [[labels[i], labels[j]]
-                           for i, row in enumerate(order.leq_matrix)
+                           for i, row in enumerate(gea.order.leq_matrix)
                            for j, below in enumerate(row) if below and i != j],
         "differences": {f"{labels[j]},{labels[i]}": labels[k]
-                        for (j, i), k in sorted(order.diff.items())},
+                        for (j, i), k in differences},
     }
     return report, EXIT_OK
 
@@ -196,7 +197,7 @@ def _verified_representation(gea: CheckedGEA, witnesses: StateWitnessSet,
                              goal: str, seed: int) -> tuple[dict, bool]:
     table = gea.table
     rep = build_representation(gea, witnesses)
-    morphism = verify_morphism(rep, table)
+    morphism, _ = verify_morphism(rep, table)
     injective, _ = verify_injective(rep)
     order_reflecting, _ = verify_order_reflecting(rep, gea)
 
@@ -204,19 +205,19 @@ def _verified_representation(gea: CheckedGEA, witnesses: StateWitnessSet,
     sampled_ok = sampled_check(rep, random.Random(seed), SAMPLE_VECTORS, norms)
 
     verification = {
-        "morphism": morphism.passed,
+        "morphism": morphism,
         "injective": injective,
         "order_reflecting": order_reflecting,
-        "bounds": {label: fileio.frac_str(norm)
+        "bounds": {label: fileio.ratio_str(norm.numerator, norm.denominator)
                    for label, norm in zip(table.elements, norms)},
         "sampled_vectors": SAMPLE_VECTORS,
         "seed": seed,
         "sampled_ok": sampled_ok,
     }
-    required = [morphism.passed, injective, sampled_ok]
+    required = [morphism, injective, sampled_ok]
     if goal == "order":
         required.append(order_reflecting)
-    return fileio.representation_to_json(rep, verification), all(required)
+    return fileio.representation_to_json(table, rep, verification), all(required)
 
 
 def cmd_represent(args: argparse.Namespace) -> tuple[dict, int]:

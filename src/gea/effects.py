@@ -130,12 +130,15 @@ def gdh_sum(a: EffectMatrix, b: EffectMatrix) -> EffectMatrix:
 def vector_witness(a: EffectMatrix, b: EffectMatrix) -> Optional[np.ndarray]:
     """Unit vector x with <x, A x> > <x, B x> when A is not below B.
 
-    Returns None exactly when B - A is positive.  The witness is an
+    Returns None exactly when B - A is positive; InputError unless A and B
+    are both Hermitian, so <x, A x> and <x, B x> are real.  The witness is an
     eigenvector of B - A for its most negative eigenvalue, in the phase that
     makes its largest-modulus coordinate (the first, on ties) real and
     positive, so it does not depend on the LAPACK build's phase convention.
     """
     _require_same_dim(a, b)
+    _require_hermitian(a)
+    _require_hermitian(b)
     with np.errstate(over="ignore"):  # an infinite entry is rejected below
         diff = b.mat - a.mat
     w, vectors = hermitian_spectrum(EffectMatrix(diff))
@@ -235,7 +238,7 @@ def demo_excd() -> dict:
     closed, triple = is_sub_gea([0, 1, 2], extended)
 
     rep = build_representation(gea, witnesses)
-    rep_morphism = verify_morphism(rep, table)
+    rep_morphism, _ = verify_morphism(rep, table)
     rep_injective, _ = verify_injective(rep)
     rep_order, _ = verify_order_reflecting(rep, gea)
 
@@ -256,7 +259,7 @@ def demo_excd() -> dict:
         "sub_gea_closed": closed,
         "sub_gea_violation": [extended.elements[i] for i in triple] if triple else None,
         "representation": {
-            "morphism": rep_morphism.passed,
+            "morphism": rep_morphism,
             "injective": rep_injective,
             "order_reflecting": rep_order,
         },

@@ -23,10 +23,6 @@ from .states import StateWitnessSet
 PathLike = Union[str, Path]
 
 
-def frac_str(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def ratio_str(p: int, q: int) -> str:
     """The string of p/q (q > 0) in lowest terms, as str(Fraction(p, q))."""
     common = gcd(p, q)
@@ -155,12 +151,13 @@ def witness_set_to_json(table: AlgebraTable, witnesses: StateWitnessSet) -> dict
     }
 
 
-def representation_to_json(rep: DiagonalRep, verification: dict) -> dict:
+def representation_to_json(table: AlgebraTable, rep: DiagonalRep, verification: dict) -> dict:
+    """The representation under the table's labels, with slots s0 ... s(m-1)."""
     return {
         "witnesses": rep.m,
-        "order": list(rep.slot_labels),
-        "operators": {label: [ratio_str(p, rep.den) for p in rep.diagonals[i]]
-                      for i, label in enumerate(rep.elements)},
+        "order": [f"s{i}" for i in range(rep.m)],
+        "operators": {label: [ratio_str(p, rep.den) for p in diagonal]
+                      for label, diagonal in zip(table.elements, rep.diagonals)},
         "verification": verification,
     }
 

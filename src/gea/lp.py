@@ -142,10 +142,12 @@ class LinearProgram:
         """True iff the row combination y (row index -> weight) reads
         0 = c with c != 0, which proves the equalities have no solution."""
         total: dict[int, int] = {}
+        b = 0
         for i, w in y.items():
-            for j, c in _entries(self.rows[i], self.n_vars).items():
+            pairs, rhs = self.rows[i]  # validated by _entries as it entered
+            for j, c in pairs:
                 total[j] = total.get(j, 0) + w * c
-        b = total.pop(self.n_vars + 1, 0)
+            b += w * rhs
         return not any(total.values()) and b != 0
 
     def certificate(self) -> dict[int, int]:

@@ -8,6 +8,8 @@ nonnegative for every vector iff every entry difference is nonnegative.
 All arithmetic is exact.  The build checks each state's length and sign
 only: the searches validate each state they add on every defined sum, and
 verify_morphism checks zero and additivity for all slots in one pass.
+A DiagonalRep holds only the diagonals: the labels and the zero are the
+table's, which its checks and its report take beside it.
 
 The diagonals are stored as ints over one common denominator D, the lcm of
 the witness states' denominators, so the build and every self-check
@@ -36,22 +38,21 @@ from .states import GeneralizedState, StateWitnessSet
 class DiagonalRep:
     """Element -> diagonal of its operator, one entry per witness slot.
 
-    Entry s of phi(a) is diagonals[a][s] / den, with den > 0.
+    Entry s of phi(a) is diagonals[a][s] / den, with den > 0, for m slots.
     """
 
-    elements: tuple[str, ...]
-    zero: int
-    slot_labels: tuple[str, ...]
     diagonals: tuple[tuple[int, ...], ...]
     den: int = 1
 
     def __post_init__(self) -> None:
+        if not self.diagonals:
+            raise InputError("a representation needs one diagonal per element")
         if self.den <= 0:
             raise InputError("representation denominator must be positive")
 
     @property
     def m(self) -> int:
-        return len(self.slot_labels)
+        return len(self.diagonals[0])
 
     @property
     def operators(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -76,27 +77,20 @@ def build_representation(gea: CheckedGEA, witnesses: StateWitnessSet) -> Diagona
     den = lcm(*(s.den for s in witnesses.states))
     columns = [[p * (den // s.den) for p in s.nums] for s in witnesses.states]
     diagonals = tuple(zip(*columns)) if columns else ((),) * table.n
-    labels = tuple(f"s{i}" for i in range(len(witnesses.states)))
-    return DiagonalRep(table.elements, table.zero, labels, diagonals, den)
+    return DiagonalRep(diagonals, den)
 
 
-@dataclass(frozen=True)
-class MorphismCheck:
-    passed: bool
-    violations: tuple[tuple[int, int, int], ...]
-
-
-def verify_morphism(rep: DiagonalRep, table: AlgebraTable) -> MorphismCheck:
-    """Self-check of the build: the zero operator at zero and entrywise
-    additivity over every defined sum."""
-    violations = []
-    diagonals = rep.diagonals
-    if diagonals[rep.zero] != (0,) * rep.m:
-        violations.append((rep.zero, rep.zero, rep.zero))
+def verify_morphism(rep: DiagonalRep, table: AlgebraTable) -> tuple[bool, Optional[tuple[int, int, int]]]:
+    """Self-check of the build: phi(zero) = 0, then entrywise additivity over
+    the defined sums in sorted order; on failure the first violation, with
+    (zero, zero, zero) for a nonzero phi(zero)."""
+    diagonals, zero = rep.diagonals, table.zero
+    if any(diagonals[zero]):
+        return False, (zero, zero, zero)
     for i, j, k in table.defined_sums():
         if tuple(map(add, diagonals[i], diagonals[j])) != diagonals[k]:
-            violations.append((i, j, k))
-    return MorphismCheck(not violations, tuple(violations))
+            return False, (i, j, k)
+    return True, None
 
 
 def verify_injective(rep: DiagonalRep) -> tuple[bool, Optional[tuple[int, int]]]:

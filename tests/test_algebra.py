@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from gea import corpus
 from gea.algebra import (AlgebraTable, MorphismSpec, Violation, check_ea_axioms,
                          check_gea_axioms, classify_morphism, induced_order, is_sub_gea,
                          require_gea)
+from gea.cli import main
 from gea.errors import ContractError, InputError
 from gea.generate import random_gea, random_population
 from reference import reference_ea_axioms, reference_gea_axioms, reference_induced_order
@@ -266,14 +268,20 @@ class TestInducedOrder:
             (zero, zero), (a, a), (b, b), (one, one),
             (zero, a), (zero, b), (zero, one), (a, one), (b, one)}
 
-    def test_diff_matches_leq(self, valid_corpus):
-        for t in valid_corpus.values():
+    def test_diff_matches_leq(self, valid_corpus, capsys):
+        # `gea order` reports x_j - x_i = x_k under "x_j,x_i" exactly when
+        # x_i <= x_j, with x_i + x_k = x_j.
+        for name, t in valid_corpus.items():
+            assert main(["order", str(corpus.path(name)), "--json"]) == 0
+            differences = json.loads(capsys.readouterr().out)["order"]["differences"]
             order = induced_order(t)
+            lab = t.elements
             for i in range(t.n):
                 for j in range(t.n):
-                    assert order.leq(i, j) == ((j, i) in order.diff)
+                    key = f"{lab[j]},{lab[i]}"
+                    assert order.leq(i, j) == (key in differences)
                     if order.leq(i, j):
-                        assert t.sum_of(i, order.diff[(j, i)]) == j
+                        assert t.sum_of(i, t.index(differences[key])) == j
 
     def test_axiom_failing_table_is_contract_error(self):
         t = corpus.load("broken_ge3")

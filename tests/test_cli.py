@@ -230,6 +230,20 @@ class TestEffects:
             assert code == 2 and "error" in json.loads(out), argv
             assert err == "", argv
 
+    def test_witness_of_non_hermitian_matrices_exits_two(self, capfd, tmp_path):
+        # B - A is the identity, so only a check of A and B themselves
+        # refuses them, with the message `effects check` gives.
+        path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+        path_a.write_text('{"dim": 2, "re": [[0, 1], [0, 0]]}')
+        path_b.write_text('{"dim": 2, "re": [[1, 1], [0, 1]]}')
+        code = main(["effects", "witness", str(path_a), str(path_b), "--json"])
+        out, err = capfd.readouterr()
+        report = json.loads(out)
+        assert code == 2
+        assert report["error"] == "matrix is not Hermitian (defect 1.000e+00)"
+        assert "a_below_b" not in report
+        assert err == ""
+
     def test_witness_none_when_below(self, capsys, tmp_path):
         zero = tmp_path / "zero.json"
         save_matrix(EffectMatrix(np.zeros((2, 2))), zero)

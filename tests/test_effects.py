@@ -282,6 +282,15 @@ class TestVectorWitness:
         with pytest.raises(InputError, match="finite"):
             vector_witness(diag(1e308, 0.0), diag(-1e308, 0.0))
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_non_hermitian_input_rejected(self, swap):
+        # B - A is the identity, Hermitian, though neither A nor B is; the
+        # inner products of a witness would drop an imaginary part.
+        a = EffectMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        b = EffectMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(InputError, match="not Hermitian"):
+            vector_witness(*((b, a) if swap else (a, b)))
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     def test_witness_phase_is_canonical(self, dim):
         rng = random.Random(80 + dim)

@@ -1,0 +1,91 @@
+"""Known-answer families past the corpus: tables that the paper's theorem
+says are representable, built here from their definitions.
+
+- A down-set S of N^m (0 in S, closed downward), with x + y defined iff
+  the vector sum lies in S.  Both sides of GE2 are defined iff x + y + z is
+  in S, and the induced order is the componentwise one, so the m
+  coordinates are an order-determining set of states.
+- MO_k: 0, 1 and a_i, b_i for i < k, with a_i + b_i = 1 and every other
+  sum involving zero.  s(a_i) = i + 1, s(b_i) = 2k + 1 - s(a_i) and its
+  reverse order it.
+
+Both witness searches must succeed on every such table, and the diagonal
+representation they give must pass its checks.  The slot counts are not
+pinned: a smaller witness set is a valid answer too.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gea.algebra import AlgebraTable, require_gea
+from gea.represent import (build_representation, verify_injective, verify_morphism,
+                           verify_order_reflecting)
+from gea.states import order_determining_set, separating_set
+
+
+def down_set(rng: random.Random, m: int, n: int) -> list[tuple[int, ...]]:
+    """n points of N^m grown from 0 one unit step at a time, each new point
+    having all its lower neighbours in the set already."""
+    points = [(0,) * m]
+    members = set(points)
+    while len(points) < n:
+        x = rng.choice(points)
+        c = rng.randrange(m)
+        y = x[:c] + (x[c] + 1,) + x[c + 1:]
+        lower = (y[:d] + (y[d] - 1,) + y[d + 1:] for d in range(m) if y[d])
+        if y not in members and all(v in members for v in lower):
+            points.append(y)
+            members.add(y)
+    return points
+
+
+def down_set_table(points: list[tuple[int, ...]]) -> AlgebraTable:
+    index = {p: i for i, p in enumerate(points)}
+    sums = {}
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            k = index.get(tuple(a + b for a, b in zip(x, y)))
+            if k is not None:
+                sums[(i, j)] = k
+    return AlgebraTable(tuple(".".join(map(str, p)) for p in points), 0, sums)
+
+
+def mo_table(k: int) -> AlgebraTable:
+    labels = ("0", "1") + tuple(f"{side}{i}" for i in range(k) for side in "ab")
+    n = len(labels)
+    sums = {(0, x): x for x in range(n)} | {(x, 0): x for x in range(n)}
+    for i in range(k):
+        a, b = 2 + 2 * i, 3 + 2 * i
+        sums[(a, b)] = sums[(b, a)] = 1
+    return AlgebraTable(labels, 0, sums, unit=1)
+
+
+def assert_represented(table: AlgebraTable) -> None:
+    gea = require_gea(table)
+    for goal, search in (("order", order_determining_set), ("separate", separating_set)):
+        witnesses = search(gea)
+        assert witnesses.ok, (goal, witnesses.failures)
+        rep = build_representation(gea, witnesses)
+        assert verify_morphism(rep, table) == (True, None), goal
+        assert verify_injective(rep) == (True, None), goal
+        if goal == "order":
+            assert verify_order_reflecting(rep, gea) == (True, None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(2, 5), n=st.integers(2, 60), seed=st.integers(0, 2 ** 32))
+def test_down_sets_are_represented(m, n, seed):
+    points = down_set(random.Random(seed), m, n)
+    table = down_set_table(points)
+    order = require_gea(table).order
+    assert all(order.leq(i, j) == all(map(int.__le__, x, y))
+               for i, x in enumerate(points) for j, y in enumerate(points))
+    assert_represented(table)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_mo_k_is_represented(k):
+    assert_represented(mo_table(k))
