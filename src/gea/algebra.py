@@ -23,9 +23,6 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import ContractError, InputError
 
-GEA_AXIOMS = ("GE1", "GE2", "GE3", "GE4", "GE5")
-EA_AXIOMS = ("E1", "E2", "E3", "E4")
-
 
 @dataclass(frozen=True)
 class AlgebraTable:
@@ -72,16 +69,6 @@ class AlgebraTable:
     @property
     def n(self) -> int:
         return len(self.elements)
-
-    def sum_of(self, i: int, j: int) -> Optional[int]:
-        """Index of x_i + x_j, or None when the sum is undefined."""
-        return self.sums.get((i, j))
-
-    def index(self, label: str) -> int:
-        try:
-            return self.elements.index(label)
-        except ValueError:
-            raise InputError(f"unknown element label {label!r}") from None
 
     def defined_sums(self) -> Iterator[tuple[int, int, int]]:
         """All defined triples (i, j, k) with x_i + x_j = x_k, sorted."""
@@ -378,28 +365,20 @@ def classify_morphism(spec: MorphismSpec) -> MorphismReport:
     f = spec.map
     src, tgt = spec.source.table, spec.target.table
 
-    is_morphism = True
-    failure: Optional[tuple[int, ...]] = None
-    for a, b, c in src.defined_sums():
-        image_sum = tgt.sum_of(f[a], f[b])
-        if image_sum is None or image_sum != f[c]:
-            is_morphism = False
-            failure = (a, b, c)
-            break
+    rows = tgt.rows
+    failure: Optional[tuple[int, ...]] = next(
+        ((a, b, c) for (a, b), c in src.sums.items() if rows[f[a]][f[b]] != f[c]), None)
+    is_morphism = failure is None
 
     injective = len(set(f)) == len(f)
 
-    order_src, order_tgt = spec.source.order, spec.target.order
-    order_reflecting = True
-    for a in range(src.n):
-        for b in range(src.n):
-            if order_tgt.leq(f[a], f[b]) and not order_src.leq(a, b):
-                order_reflecting = False
-                if failure is None:
-                    failure = (a, b)
-                break
-        if not order_reflecting:
-            break
+    # a <= a always holds, so only the pairs with a not below b can fail.
+    leq = spec.target.order.leq_matrix
+    breach = next(((a, b) for a, b in spec.source.order.pairs_not_leq()
+                   if leq[f[a]][f[b]]), None)
+    order_reflecting = breach is None
+    if failure is None:
+        failure = breach
 
     image = sorted(set(f))
     closed, _ = is_sub_gea(image, tgt)

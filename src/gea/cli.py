@@ -9,7 +9,8 @@ Each pipeline scans its table's axioms once, at load, and hands the
 resulting CheckedGEA to every later stage.
 
 Exit codes: 0 success, 1 a verification stage failed, 2 unreadable or
-malformed input, 3 no witness set exists for the requested goal.
+malformed input, 3 no witness set exists for the requested goal.  Every
+report, an error report too, carries its exit code and goes to --out.
 """
 
 from __future__ import annotations
@@ -179,17 +180,12 @@ def cmd_order(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _witness_stage(gea: CheckedGEA, goal: str) -> tuple[StateWitnessSet, dict]:
-    witnesses = order_determining_set(gea) if goal == "order" else separating_set(gea)
-    return witnesses, fileio.witness_set_to_json(gea.table, witnesses)
-
-
 def cmd_states(args: argparse.Namespace) -> tuple[dict, int]:
     report, gea = _load_checked(args)
     if gea is None:
         return report, EXIT_FAIL
-    witnesses, stage_json = _witness_stage(gea, args.goal)
-    report["witnesses"] = stage_json
+    witnesses = order_determining_set(gea) if args.goal == "order" else separating_set(gea)
+    report["witnesses"] = fileio.witness_set_to_json(gea.table, witnesses)
     return report, EXIT_OK if witnesses.ok else EXIT_NO_WITNESS
 
 
@@ -224,11 +220,11 @@ def cmd_represent(args: argparse.Namespace) -> tuple[dict, int]:
     report, gea = _load_checked(args)
     if gea is None:
         return report, EXIT_FAIL
-    witnesses, stage_json = _witness_stage(gea, args.goal)
-    report["witnesses"] = stage_json
+    witnesses = order_determining_set(gea) if args.goal == "order" else separating_set(gea)
+    report["witnesses"] = fileio.witness_set_to_json(gea.table, witnesses)
     if not witnesses.ok:
         report["verdict"] = (f"no {args.goal} witness set exists; "
-                             f"obstructing pairs: {stage_json['failures']}")
+                             f"obstructing pairs: {report['witnesses']['failures']}")
         return report, EXIT_NO_WITNESS
     rep_json, verified = _verified_representation(gea, witnesses, args.goal, args.seed)
     report["representation"] = rep_json
@@ -360,6 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_report(args: argparse.Namespace, exc: Exception) -> dict:
+    return {"schema": 1, "command": args.command_echo, "error": str(exc)}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser main uses, built once per process: building it costs more
@@ -375,17 +375,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     args.seed = getattr(args, "seed", 0)
     try:
         report, code = args.func(args)
-        report["exit"] = code
-        _emit(report, args.json, getattr(args, "out", None))
-        return code
     except InputError as exc:
-        _emit({"schema": 1, "command": args.command_echo, "error": str(exc)},
-              args.json)
-        return EXIT_INPUT
+        report, code = _error_report(args, exc), EXIT_INPUT
     except (ContractError, AssertionError) as exc:
-        _emit({"schema": 1, "command": args.command_echo, "error": str(exc)},
-              args.json)
-        return EXIT_FAIL
+        report, code = _error_report(args, exc), EXIT_FAIL
+    report["exit"] = code
+    try:
+        _emit(report, args.json, getattr(args, "out", None))
+    except InputError as exc:  # the --out file cannot be written
+        _emit({**_error_report(args, exc), "exit": EXIT_INPUT}, args.json)
+        return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

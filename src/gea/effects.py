@@ -184,12 +184,6 @@ def projector_demo_matrices() -> dict[str, EffectMatrix]:
     return {"0": zero, "pi1": pi1, "pi2": pi2, "id": ident}
 
 
-def projector_table() -> AlgebraTable:
-    """The three-element algebra {0, pi1, pi2} carrying only zero sums."""
-    sums = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2}
-    return AlgebraTable(("0", "pi1", "pi2"), 0, sums)
-
-
 def table_from_effects(labels: list[str], mats: dict[str, EffectMatrix],
                        unit: Optional[str] = None) -> AlgebraTable:
     """Restrict the effect-algebra partial sum to a finite set of matrices:
@@ -219,7 +213,10 @@ def demo_excd() -> dict:
     fragment is an order reflecting morphism but not an embedding.
     """
     mats = projector_demo_matrices()
-    table = projector_table()
+    extended = table_from_effects(["0", "pi1", "pi2", "id"], mats, unit="id")
+    # {0, pi1, pi2} carries the fragment's sums that stay inside it: only zero sums.
+    table = AlgebraTable(extended.elements[:3], 0,
+                         {ij: k for ij, k in extended.sums.items() if max(*ij, k) < 3})
     gea = require_gea(table)
 
     basis_states = []
@@ -233,7 +230,6 @@ def demo_excd() -> dict:
     witnesses = assign_witnesses(table, StateWitnessSet(goal="order", states=basis_states),
                                  gea.order.pairs_not_leq(), lambda a, b: None)
 
-    extended = table_from_effects(["0", "pi1", "pi2", "id"], mats, unit="id")
     inclusion = classify_morphism(MorphismSpec(gea, require_gea(extended), (0, 1, 2)))
     closed, triple = is_sub_gea([0, 1, 2], extended)
 

@@ -7,7 +7,6 @@ strings are made here and read exactly as str(Fraction) does."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import gcd
 from pathlib import Path
 from typing import Union
@@ -29,13 +28,6 @@ def ratio_str(p: int, q: int) -> str:
     return str(p // common) if common == q else f"{p // common}/{q // common}"
 
 
-def parse_frac(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational literal {text!r}") from exc
-
-
 def _read_json(path: PathLike) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -50,6 +42,13 @@ def _read_json(path: PathLike) -> dict:
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
     return data
+
+
+def _resolve(path: PathLike, index: dict[str, int], label: object) -> int:
+    """The index of an element label, or InputError naming the file."""
+    if not isinstance(label, str) or label not in index:
+        raise InputError(f"{path}: unknown element label {label!r}")
+    return index[label]
 
 
 def load_algebra(path: PathLike) -> AlgebraTable:
@@ -75,12 +74,6 @@ def load_algebra(path: PathLike) -> AlgebraTable:
     if len(set(labels)) != len(labels):
         raise InputError(f"{path}: duplicate element labels")
     index = {lab: i for i, lab in enumerate(labels)}
-
-    def resolve(label: object) -> int:
-        if not isinstance(label, str) or label not in index:
-            raise InputError(f"{path}: unknown element label {label!r}")
-        return index[label]
-
     sums: dict[tuple[int, int], int] = {}
     for entry in triples:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
@@ -89,12 +82,16 @@ def load_algebra(path: PathLike) -> AlgebraTable:
         try:
             i, j, k = index[x], index[y], index[z]
         except (KeyError, TypeError):  # not a label, or unhashable
-            i, j, k = map(resolve, entry)  # raises on the first bad label
+            i, j, k = (_resolve(path, index, v) for v in entry)  # raises on the first bad label
         if sums.setdefault((i, j), k) != k:
             raise InputError(
                 f"{path}: conflicting entries for {x}+{y}")
-    unit = resolve(data["unit"]) if "unit" in data and data["unit"] is not None else None
-    return AlgebraTable(tuple(labels), resolve(zero_label), sums, unit)
+    unit = _resolve(path, index, data["unit"]) if data.get("unit") is not None else None
+    zero = _resolve(path, index, zero_label)
+    try:
+        return AlgebraTable(tuple(labels), zero, sums, unit)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def algebra_to_json(table: AlgebraTable) -> dict:
@@ -132,7 +129,8 @@ def load_morphism(path: PathLike) -> MorphismSpec:
     target = load_algebra(base / target_path)
     if set(mapping) != set(source.elements):
         raise InputError(f"{path}: map must be total on the source elements")
-    images = tuple(target.index(mapping[lab]) for lab in source.elements)
+    index = {lab: i for i, lab in enumerate(target.elements)}
+    images = tuple(_resolve(path, index, mapping[lab]) for lab in source.elements)
     return MorphismSpec(require_gea(source), require_gea(target), images)
 
 

@@ -1,6 +1,7 @@
 """References the tests compare the program against: the axiom scans and
 the induced order as a walk over the defined sums, for `check_gea_axioms`,
-`check_ea_axioms` and `induced_order`; Fraction rational vectors over the
+`check_ea_axioms` and `induced_order`; the morphism classifier with its
+nested order loop, for `classify_morphism`; Fraction rational vectors over the
 witness slots, for `sampled_check` and acceptance criterion 5; a
 brute-force LP oracle with the witness LPs of a table to run it on, for
 `lp_feasible` and criterion 6, and a converter each way between rows of
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from gea.algebra import (AlgebraTable, AxiomReport, OrderRelation, Violation, induced_order,
-                         require_gea)
+from gea.algebra import (AlgebraTable, AxiomReport, MorphismReport, MorphismSpec, OrderRelation,
+                         Violation, induced_order, is_sub_gea, require_gea)
 from gea.errors import InputError
 from gea.lp import LinearProgram
 from gea.represent import DiagonalRep
@@ -32,7 +33,7 @@ def reference_two_sided(table: AlgebraTable) -> list[Violation]:
     out = []
     lab = table.elements
     for i, j, k in table.defined_sums():
-        mirror = table.sum_of(j, i)
+        mirror = table.sums.get((j, i))
         if mirror is None:
             out.append(Violation("GE1", (i, j),
                                  f"{lab[i]}+{lab[j]}={lab[k]} defined but {lab[j]}+{lab[i]} is not"))
@@ -77,13 +78,13 @@ def reference_associativity(table: AlgebraTable) -> list[Violation]:
 
 
 def reference_cancellation(table: AlgebraTable) -> list[Violation]:
-    """GE3: x+y = x+y' forces y = y', row by row through sum_of."""
+    """GE3: x+y = x+y' forces y = y', row by row through sums.get."""
     out = []
     lab = table.elements
     for x in range(table.n):
         by_result: dict[int, int] = {}
         for y in range(table.n):
-            k = table.sum_of(x, y)
+            k = table.sums.get((x, y))
             if k is None:
                 continue
             if k in by_result and by_result[k] != y:
@@ -95,7 +96,7 @@ def reference_cancellation(table: AlgebraTable) -> list[Violation]:
 
 
 def reference_gea_axioms(table: AlgebraTable) -> AxiomReport:
-    """GE1..GE5 as a walk over the defined sums and sum_of lookups."""
+    """GE1..GE5 as a walk over the defined sums and sums.get lookups."""
     violations: list[Violation] = []
     lab = table.elements
     violations += reference_two_sided(table)
@@ -106,7 +107,7 @@ def reference_gea_axioms(table: AlgebraTable) -> AxiomReport:
             violations.append(Violation("GE4", (i, j),
                                         f"{lab[i]}+{lab[j]}={lab[k]} sums to zero"))
     for x in range(table.n):
-        k = table.sum_of(table.zero, x)
+        k = table.sums.get((table.zero, x))
         if k is None:
             violations.append(Violation("GE5", (x,), f"0+{lab[x]} is undefined"))
         elif k != x:
@@ -115,7 +116,7 @@ def reference_gea_axioms(table: AlgebraTable) -> AxiomReport:
 
 
 def reference_ea_axioms(table: AlgebraTable) -> AxiomReport:
-    """E1..E4: E1 and E2 relabel GE1 and GE2, E3 and E4 walk sum_of."""
+    """E1..E4: E1 and E2 relabel GE1 and GE2, E3 and E4 walk sums.get."""
     if table.unit is None:
         raise InputError("effect algebra check needs a unit element")
     one = table.unit
@@ -124,14 +125,14 @@ def reference_ea_axioms(table: AlgebraTable) -> AxiomReport:
     violations = [Violation(label[v.axiom], v.witness, v.message)
                   for v in reference_gea_axioms(table).violations if v.axiom in label]
     for x in range(table.n):
-        complements = [y for y in range(table.n) if table.sum_of(x, y) == one]
+        complements = [y for y in range(table.n) if table.sums.get((x, y)) == one]
         if len(complements) == 0:
             violations.append(Violation("E3", (x,), f"{lab[x]} has no complement"))
         elif len(complements) > 1:
             violations.append(Violation("E3", (x, *complements),
                                         f"{lab[x]} has several complements"))
     for x in range(table.n):
-        if table.sum_of(one, x) is not None and x != table.zero:
+        if table.sums.get((one, x)) is not None and x != table.zero:
             violations.append(Violation("E4", (x,), f"1+{lab[x]} is defined for nonzero {lab[x]}"))
     return AxiomReport(tuple(violations))
 
@@ -143,6 +144,40 @@ def reference_induced_order(table: AlgebraTable) -> OrderRelation:
     for i, _, j in table.defined_sums():
         leq[i][j] = True
     return OrderRelation(tuple(tuple(row) for row in leq))
+
+
+def reference_classify_morphism(spec: MorphismSpec) -> MorphismReport:
+    """classify_morphism as a walk over the defined sums through sums.get
+    and a nested loop over all n^2 pairs for order reflection."""
+    f = spec.map
+    src, tgt = spec.source.table, spec.target.table
+
+    is_morphism = True
+    failure: Optional[tuple[int, ...]] = None
+    for a, b, c in src.defined_sums():
+        image_sum = tgt.sums.get((f[a], f[b]))
+        if image_sum is None or image_sum != f[c]:
+            is_morphism = False
+            failure = (a, b, c)
+            break
+
+    injective = len(set(f)) == len(f)
+
+    order_src, order_tgt = spec.source.order, spec.target.order
+    order_reflecting = True
+    for a in range(src.n):
+        for b in range(src.n):
+            if order_tgt.leq(f[a], f[b]) and not order_src.leq(a, b):
+                order_reflecting = False
+                if failure is None:
+                    failure = (a, b)
+                break
+        if not order_reflecting:
+            break
+
+    closed, _ = is_sub_gea(sorted(set(f)), tgt)
+    embedding = is_morphism and injective and closed
+    return MorphismReport(is_morphism, injective, order_reflecting, embedding, failure)
 
 
 @dataclass(frozen=True)

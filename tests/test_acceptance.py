@@ -192,13 +192,13 @@ def test_criterion_8_axiom_checker_soundness(valid_corpus):
     start = time.monotonic()
     broken = corpus.load("broken_ge3")
     report = check_gea_axioms(broken)
-    planted = (broken.index("a"), broken.index("b"), broken.index("d"))
+    planted = tuple(map(broken.elements.index, "abd"))
     ok = not report.passed and planted in report.witnesses("GE3")
 
     no_complement = corpus.load("ea_no_complement")
     ea_report = check_ea_axioms(no_complement, check_gea_axioms(no_complement))
     ok = ok and not ea_report.passed
-    ok = ok and (no_complement.index("a"),) in ea_report.witnesses("E3")
+    ok = ok and (no_complement.elements.index("a"),) in ea_report.witnesses("E3")
 
     for table in valid_corpus.values():
         ok = ok and check_gea_axioms(table).passed

@@ -53,6 +53,14 @@ class TestCheck:
         assert code == 2
         assert "error" in report
 
+    def test_unit_equal_to_zero_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "unit.json"
+        path.write_text(json.dumps({"elements": ["0", "a"], "zero": "0", "unit": "0",
+                                    "sums": []}), encoding="utf-8")
+        code, report = run_json(capsys, "check", str(path))
+        assert code == 2
+        assert report["error"] == f"{path}: unit must differ from zero"
+
     def test_ea_flag(self, capsys):
         code, report = run_json(capsys, "check", cpath("diamond"), "--ea")
         assert code == 0 and report["ea"]["passed"]
@@ -174,6 +182,16 @@ class TestMorphism:
         captured = capsys.readouterr()
         assert "error" in json.loads(captured.out)
         assert captured.err == ""
+
+
+    def test_unknown_image_label_names_the_file(self, capsys, tmp_path):
+        spec = {"source": cpath("diamond"), "target": cpath("diamond"),
+                "map": {"0": "0", "a": "q", "b": "b", "1": "1"}}
+        path = tmp_path / "morphism.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, report = run_json(capsys, "morphism", str(path))
+        assert code == 2
+        assert report["error"] == f"{path}: unknown element label 'q'"
 
 
 class TestEffects:
@@ -307,6 +325,33 @@ class TestMalformedFiles:
         assert captured.err == ""
 
 
+class TestErrorReports:
+    """Error reports take the path of every other report: they carry their
+    exit code and go to --out."""
+
+    def test_error_reports_carry_exit(self, capsys, tmp_path):
+        broken = corpus.load("broken_ge3").elements
+        not_gea = tmp_path / "morphism.json"
+        not_gea.write_text(json.dumps({"source": cpath("broken_ge3"), "target": cpath("broken_ge3"),
+                                       "map": {lab: lab for lab in broken}}), encoding="utf-8")
+        for argv, want in ((["check", "/no/such/file.json"], 2),
+                           (["morphism", str(not_gea)], 1)):
+            code, report = run_json(capsys, *argv)
+            assert code == report["exit"] == want, argv
+            assert set(report) == {"schema", "command", "error", "exit"}, argv
+
+    def test_error_report_goes_to_out(self, capsys, tmp_path):
+        out_file = tmp_path / "report.json"
+        argv = ["represent", "/no/such/file.json", "--out", str(out_file)]
+        code, printed = run(capsys, *argv, "--json")
+        assert code == 2 and json.loads(printed)["exit"] == 2
+        assert out_file.read_text(encoding="utf-8") == printed
+        out_file.unlink()
+        code, text = run(capsys, *argv)
+        assert code == 2 and "exit: 2" in text.splitlines()
+        assert json.loads(out_file.read_text(encoding="utf-8"))["exit"] == 2
+
+
 class TestUnwritableOut:
     @pytest.mark.parametrize("command", ["states", "represent"])
     def test_unwritable_out_exits_two(self, capsys, tmp_path, command):
@@ -315,6 +360,7 @@ class TestUnwritableOut:
         assert code == 2
         captured = capsys.readouterr()
         assert str(out_file) in json.loads(captured.out)["error"]
+        assert json.loads(captured.out)["exit"] == 2
         assert captured.err == ""
         assert not out_file.exists()
 

@@ -9,7 +9,7 @@ from gea.algebra import check_gea_axioms
 from gea.effects import (PSD_TOL, EffectMatrix, demo_excd, effect_sum, gdh_sum,
                          generalized_vector_state, hermitian_spectrum,
                          is_positive, projector_demo_matrices,
-                         projector_table, random_positive_matrix, random_vector,
+                         random_positive_matrix, random_vector,
                          table_from_effects, vector_witness)
 from gea.errors import InputError
 
@@ -360,13 +360,18 @@ class TestVectorWitness:
 
 class TestDemo:
     def test_projector_table_is_gea(self):
-        assert check_gea_axioms(projector_table()).passed
+        # The demo's {0, pi1, pi2} keeps the fragment's sums inside it: the corpus excd.
+        extended = table_from_effects(["0", "pi1", "pi2", "id"], projector_demo_matrices())
+        inside = {ij: k for ij, k in extended.sums.items() if max(*ij, k) < 3}
+        excd = corpus.load("excd")
+        assert (excd.elements, excd.sums) == (extended.elements[:3], inside)
+        assert check_gea_axioms(excd).passed
 
     def test_extended_table_recovers_diamond_shape(self):
         mats = projector_demo_matrices()
         extended = table_from_effects(["0", "pi1", "pi2", "id"], mats, unit="id")
-        assert extended.sum_of(1, 2) == 3
-        assert extended.sum_of(1, 1) is None
+        assert extended.sums.get((1, 2)) == 3
+        assert extended.sums.get((1, 1)) is None
         assert check_gea_axioms(extended).passed
 
     def test_demo_flags(self):

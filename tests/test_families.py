@@ -12,6 +12,12 @@ says are representable, built here from their definitions.
 Both witness searches must succeed on every such table, and the diagonal
 representation they give must pass its checks.  The slot counts are not
 pinned: a smaller witness set is a valid answer too.
+
+Glued to no_states at zero (a + a = c = b + b, and no sum across the two
+parts), each such table loses its witnesses on a and b alone: a state of
+the glued table is a state on each part, and every state of no_states has
+s(a) = s(b).  So the order search fails exactly on (a, b) and (b, a), the
+separating search exactly on (a, b), and `represent` exits 3.
 """
 
 import random
@@ -21,6 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gea.algebra import AlgebraTable, require_gea
+from gea.cli import main
+from gea.fileio import save_algebra
 from gea.represent import (build_representation, verify_injective, verify_morphism,
                            verify_order_reflecting)
 from gea.states import order_determining_set, separating_set
@@ -63,6 +71,21 @@ def mo_table(k: int) -> AlgebraTable:
     return AlgebraTable(labels, 0, sums, unit=1)
 
 
+def no_states() -> AlgebraTable:
+    sums = {(0, x): x for x in range(4)} | {(x, 0): x for x in range(4)}
+    return AlgebraTable(("0", "a", "b", "c"), 0, sums | {(1, 1): 3, (2, 2): 3})
+
+
+def glued(left: AlgebraTable, right: AlgebraTable) -> AlgebraTable:
+    """left and right glued at their zeros (index 0 in both): right's
+    nonzero elements follow left's, and a sum is defined only inside one
+    part."""
+    n = left.n
+    place = [0] + list(range(n, n + right.n - 1))
+    sums = dict(left.sums) | {(place[i], place[j]): place[k] for (i, j), k in right.sums.items()}
+    return AlgebraTable(left.elements + right.elements[1:], 0, sums)
+
+
 def assert_represented(table: AlgebraTable) -> None:
     gea = require_gea(table)
     for goal, search in (("order", order_determining_set), ("separate", separating_set)):
@@ -89,3 +112,26 @@ def test_down_sets_are_represented(m, n, seed):
 @pytest.mark.parametrize("k", range(2, 9))
 def test_mo_k_is_represented(k):
     assert_represented(mo_table(k))
+
+
+def assert_obstructed(table: AlgebraTable, path) -> None:
+    glue = glued(table, no_states())
+    gea = require_gea(glue)
+    a, b = glue.elements.index("a"), glue.elements.index("b")
+    assert sorted(order_determining_set(gea).failures) == sorted([(a, b), (b, a)])
+    assert separating_set(gea).failures == [(a, b)]
+    save_algebra(glue, path)
+    for goal in ("order", "separate"):
+        assert main(["represent", str(path), "--goal", goal, "--json"]) == 3, goal
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_glued_down_sets_are_obstructed(seed, tmp_path, capsys):
+    rng = random.Random(seed)
+    m = rng.randint(2, 5)
+    assert_obstructed(down_set_table(down_set(rng, m, rng.randint(2, 40))), tmp_path / "t.json")
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_glued_mo_k_is_obstructed(k, tmp_path, capsys):
+    assert_obstructed(mo_table(k), tmp_path / "t.json")

@@ -11,7 +11,7 @@ from gea.algebra import require_gea
 from gea.effects import EffectMatrix
 from gea.errors import InputError
 from gea.fileio import (algebra_to_json, load_algebra, load_matrix,
-                        load_morphism, parse_frac, ratio_str, save_algebra, save_matrix,
+                        load_morphism, ratio_str, save_algebra, save_matrix,
                         witness_set_to_json)
 from gea.states import separating_set
 
@@ -137,10 +137,6 @@ def test_matrix_missing_im_defaults_to_zero(tmp_path):
 def test_frac_codec():
     assert ratio_str(3, 2) == "3/2"
     assert ratio_str(-6, 4) == "-3/2"
-    assert parse_frac("3/2") == Fraction(3, 2)
-    assert parse_frac("-4") == Fraction(-4)
-    with pytest.raises(InputError):
-        parse_frac("1/0")
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))

@@ -126,7 +126,7 @@ class TestGeneratedTables:
 
 
 def brute_force_leq(table):
-    return [[any(table.sum_of(a, c) == b for c in range(table.n)) for b in range(table.n)]
+    return [[any(table.sums.get((a, c)) == b for c in range(table.n)) for b in range(table.n)]
             for a in range(table.n)]
 
 

@@ -289,7 +289,7 @@ def atom_pairs(table):
     defined, read off the defined sums."""
     nonzero_sums = [(i, j) for i, j, _ in table.defined_sums()
                     if table.zero not in (i, j)]
-    produced = {table.sum_of(i, j) for i, j in nonzero_sums}
+    produced = {table.sums.get((i, j)) for i, j in nonzero_sums}
     atoms = {x for x in range(table.n) if x != table.zero and x not in produced}
     return {frozenset(pair) for pair in nonzero_sums if atoms & set(pair)}
 
