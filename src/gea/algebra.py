@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import ContractError, InputError
 
@@ -62,18 +62,13 @@ class AlgebraTable:
                 raise InputError(f"sum entry ({i},{j})->{k} out of range")
             rows[i][j] = k
         object.__setattr__(self, "rows", rows)
-        # Read off row by row, so defined_sums() walks the dict in key order.
+        # Read off row by row, so every walk of sums.items() is in key order.
         object.__setattr__(self, "sums", {(i, j): k for i, row in enumerate(rows)
                                           for j, k in enumerate(row) if k >= 0})
 
     @property
     def n(self) -> int:
         return len(self.elements)
-
-    def defined_sums(self) -> Iterator[tuple[int, int, int]]:
-        """All defined triples (i, j, k) with x_i + x_j = x_k, sorted."""
-        for (i, j), k in self.sums.items():
-            yield i, j, k
 
 
 @dataclass(frozen=True)
@@ -90,16 +85,6 @@ class AxiomReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def witnesses(self, axiom: str) -> list[tuple[int, ...]]:
-        return [v.witness for v in self.violations if v.axiom == axiom]
-
-    def failed_axioms(self) -> list[str]:
-        seen: list[str] = []
-        for v in self.violations:
-            if v.axiom not in seen:
-                seen.append(v.axiom)
-        return seen
 
 
 def _two_sided(table: AlgebraTable) -> list[Violation]:
@@ -259,9 +244,6 @@ class OrderRelation:
 
     leq_matrix: tuple[tuple[bool, ...], ...]
 
-    def leq(self, i: int, j: int) -> bool:
-        return self.leq_matrix[i][j]
-
     def pairs_not_leq(self) -> list[tuple[int, int]]:
         """Ordered pairs (a, b), a != b, with a not below b, lexicographic."""
         n = len(self.leq_matrix)
@@ -325,7 +307,7 @@ def is_sub_gea(subset: Sequence[int], table: AlgebraTable) -> tuple[bool, Option
             raise InputError(f"subset index {i} out of range")
     if table.zero not in members:
         return False, None
-    for x, y, z in table.defined_sums():
+    for (x, y), z in table.sums.items():
         inside = (x in members) + (y in members) + (z in members)
         if inside >= 2 and inside < 3:
             return False, (x, y, z)

@@ -356,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_report(args: argparse.Namespace, exc: Exception) -> dict:
-    return {"schema": 1, "command": args.command_echo, "error": str(exc)}
+def _error_report(args: argparse.Namespace, error: object) -> dict:
+    return {"schema": 1, "command": args.command_echo, "error": str(error)}
 
 
 @functools.cache
@@ -383,7 +383,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         _emit(report, args.json, getattr(args, "out", None))
     except InputError as exc:  # the --out file cannot be written
-        _emit({**_error_report(args, exc), "exit": EXIT_INPUT}, args.json)
+        error = "; ".join(filter(None, (report.get("error"), str(exc))))  # keep the first error
+        _emit({**_error_report(args, error), "exit": EXIT_INPUT}, args.json)
         return EXIT_INPUT
     return code
 

@@ -9,7 +9,6 @@ rejected as input out of range instead of yielding a NaN verdict.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -154,18 +153,6 @@ def vector_witness(a: EffectMatrix, b: EffectMatrix) -> Optional[np.ndarray]:
 def generalized_vector_state(x: np.ndarray, a: EffectMatrix) -> float:
     """The value <x, A x>, real for Hermitian A."""
     return float(np.real(np.vdot(x, a.mat @ x)))
-
-
-def random_positive_matrix(rng: random.Random, dim: int) -> EffectMatrix:
-    """Seeded random positive matrix G*G / d, spectral radius at most 2d."""
-    g = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                   for _ in range(dim)] for _ in range(dim)])
-    return EffectMatrix((g.conj().T @ g) / dim)
-
-
-def random_vector(rng: random.Random, dim: int) -> np.ndarray:
-    return np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                     for _ in range(dim)])
 
 
 def _exact_diag_value(mat: np.ndarray, k: int) -> Fraction:

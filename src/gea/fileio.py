@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import AlgebraTable, MorphismSpec, require_gea
 from .effects import EffectMatrix
-from .errors import InputError
+from .errors import ContractError, InputError
 from .represent import DiagonalRep
 from .states import StateWitnessSet
 
@@ -94,27 +94,10 @@ def load_algebra(path: PathLike) -> AlgebraTable:
         raise InputError(f"{path}: {exc}") from None
 
 
-def algebra_to_json(table: AlgebraTable) -> dict:
-    data = {
-        "elements": list(table.elements),
-        "zero": table.elements[table.zero],
-        "sums": [[table.elements[i], table.elements[j], table.elements[k]]
-                 for i, j, k in table.defined_sums()],
-    }
-    if table.unit is not None:
-        data["unit"] = table.elements[table.unit]
-    return data
-
-
-def save_algebra(table: AlgebraTable, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(algebra_to_json(table), indent=2) + "\n",
-                          encoding="utf-8")
-
-
 def load_morphism(path: PathLike) -> MorphismSpec:
     """Read a morphism file; source/target paths resolve relative to it.
-    Both tables get their one GEA axiom scan here (ContractError if one
-    fails)."""
+    Both tables get their one GEA axiom scan here (ContractError naming the
+    side and its file if one fails)."""
     data = _read_json(path)
     base = Path(path).parent
     try:
@@ -131,7 +114,13 @@ def load_morphism(path: PathLike) -> MorphismSpec:
         raise InputError(f"{path}: map must be total on the source elements")
     index = {lab: i for i, lab in enumerate(target.elements)}
     images = tuple(_resolve(path, index, mapping[lab]) for lab in source.elements)
-    return MorphismSpec(require_gea(source), require_gea(target), images)
+    checked = []
+    for side, name, table in (("source", source_path, source), ("target", target_path, target)):
+        try:
+            checked.append(require_gea(table))
+        except ContractError as exc:
+            raise ContractError(f"{path}: {side} {base / name}: {exc}") from None
+    return MorphismSpec(*checked, images)
 
 
 def _pair_key(table: AlgebraTable, pair: tuple[int, int]) -> str:
@@ -185,11 +174,3 @@ def load_matrix(path: PathLike) -> EffectMatrix:
     im = _float_matrix(path, "im", data["im"], dim) if "im" in data else np.zeros((dim, dim))
     return EffectMatrix(re + 1j * im)
 
-
-def save_matrix(matrix: EffectMatrix, path: PathLike) -> None:
-    data = {
-        "dim": matrix.dim,
-        "re": matrix.mat.real.tolist(),
-        "im": matrix.mat.imag.tolist(),
-    }
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")

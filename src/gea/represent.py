@@ -57,10 +57,8 @@ class DiagonalRep:
     @property
     def operators(self) -> tuple[tuple[Fraction, ...], ...]:
         """Every diagonal as Fractions (a read-only view)."""
-        return tuple(self.operator(a) for a in range(len(self.diagonals)))
-
-    def operator(self, element: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(p, self.den) for p in self.diagonals[element])
+        return tuple(tuple(Fraction(p, self.den) for p in diagonal)
+                     for diagonal in self.diagonals)
 
 
 def build_representation(gea: CheckedGEA, witnesses: StateWitnessSet) -> DiagonalRep:
@@ -87,7 +85,7 @@ def verify_morphism(rep: DiagonalRep, table: AlgebraTable) -> tuple[bool, Option
     diagonals, zero = rep.diagonals, table.zero
     if any(diagonals[zero]):
         return False, (zero, zero, zero)
-    for i, j, k in table.defined_sums():
+    for (i, j), k in table.sums.items():
         if tuple(map(add, diagonals[i], diagonals[j])) != diagonals[k]:
             return False, (i, j, k)
     return True, None

@@ -83,7 +83,7 @@ class GeneralizedState:
             raise InputError("state values must be nonnegative")
         if nums[table.zero] != 0:
             raise InputError("state must vanish at zero")
-        for i, j, k in table.defined_sums():
+        for (i, j), k in table.sums.items():
             if nums[i] + nums[j] != nums[k]:
                 raise InputError(
                     f"state is not additive on {table.elements[i]}+{table.elements[j]}")

@@ -7,8 +7,11 @@ brute-force LP oracle with the witness LPs of a table to run it on, for
 `lp_feasible` and criterion 6, and a converter each way between rows of
 one coefficient per variable and a LinearProgram's sparse rows; one
 additivity row per defined sum, for the atom rows of `additivity_program`;
-and the text renderer that calls json.dumps per scalar, for
-`cli._render_text`."""
+the text renderer that calls json.dumps per scalar, for
+`cli._render_text`; and fixtures: `write_table` and `write_matrix` write
+the files the loaders read, `down_set_table` builds a down-set of N^m,
+`random_positive_matrix` and `random_vector` draw seeded complex data, and
+`axiom_witnesses` lists the witnesses of one axiom in a report."""
 
 from __future__ import annotations
 
@@ -17,10 +20,14 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from gea.algebra import (AlgebraTable, AxiomReport, MorphismReport, MorphismSpec, OrderRelation,
                          Violation, induced_order, is_sub_gea, require_gea)
+from gea.effects import EffectMatrix
 from gea.errors import InputError
 from gea.lp import LinearProgram
 from gea.represent import DiagonalRep
@@ -32,7 +39,7 @@ def reference_two_sided(table: AlgebraTable) -> list[Violation]:
     the same value."""
     out = []
     lab = table.elements
-    for i, j, k in table.defined_sums():
+    for (i, j), k in table.sums.items():
         mirror = table.sums.get((j, i))
         if mirror is None:
             out.append(Violation("GE1", (i, j),
@@ -102,7 +109,7 @@ def reference_gea_axioms(table: AlgebraTable) -> AxiomReport:
     violations += reference_two_sided(table)
     violations += reference_associativity(table)
     violations += reference_cancellation(table)
-    for i, j, k in table.defined_sums():
+    for (i, j), k in table.sums.items():
         if k == table.zero and not (i == table.zero and j == table.zero):
             violations.append(Violation("GE4", (i, j),
                                         f"{lab[i]}+{lab[j]}={lab[k]} sums to zero"))
@@ -141,7 +148,7 @@ def reference_induced_order(table: AlgebraTable) -> OrderRelation:
     """x_i <= x_j for each defined x_i + x_k = x_j."""
     n = table.n
     leq = [[False] * n for _ in range(n)]
-    for i, _, j in table.defined_sums():
+    for (i, _), j in table.sums.items():
         leq[i][j] = True
     return OrderRelation(tuple(tuple(row) for row in leq))
 
@@ -154,7 +161,7 @@ def reference_classify_morphism(spec: MorphismSpec) -> MorphismReport:
 
     is_morphism = True
     failure: Optional[tuple[int, ...]] = None
-    for a, b, c in src.defined_sums():
+    for (a, b), c in src.sums.items():
         image_sum = tgt.sums.get((f[a], f[b]))
         if image_sum is None or image_sum != f[c]:
             is_morphism = False
@@ -167,7 +174,7 @@ def reference_classify_morphism(spec: MorphismSpec) -> MorphismReport:
     order_reflecting = True
     for a in range(src.n):
         for b in range(src.n):
-            if order_tgt.leq(f[a], f[b]) and not order_src.leq(a, b):
+            if order_tgt.leq_matrix[f[a]][f[b]] and not order_src.leq_matrix[a][b]:
                 order_reflecting = False
                 if failure is None:
                     failure = (a, b)
@@ -213,7 +220,8 @@ def random_rational_vector(rng: random.Random, m: int) -> FiniteVector:
 def apply_operator(rep: DiagonalRep, a: int, x: FiniteVector) -> FiniteVector:
     if len(x) != rep.m:
         raise InputError(f"vector length {len(x)} does not match {rep.m} slots")
-    return FiniteVector(tuple(e * c for e, c in zip(rep.operator(a), x.coords)))
+    return FiniteVector(tuple(Fraction(e, rep.den) * c
+                              for e, c in zip(rep.diagonals[a], x.coords)))
 
 
 def vector_state(rep: DiagonalRep, x: FiniteVector, a: int) -> Fraction:
@@ -223,7 +231,8 @@ def vector_state(rep: DiagonalRep, x: FiniteVector, a: int) -> Fraction:
     rational coordinates lose no generality."""
     if len(x) != rep.m:
         raise InputError(f"vector length {len(x)} does not match {rep.m} slots")
-    return sum((e * c * c for e, c in zip(rep.operator(a), x.coords)), Fraction(0))
+    return sum((Fraction(e, rep.den) * c * c for e, c in zip(rep.diagonals[a], x.coords)),
+               Fraction(0))
 
 
 def bounded_by(rep: DiagonalRep, a: int, norm: Fraction, x: FiniteVector) -> bool:
@@ -282,7 +291,7 @@ def reference_additivity_program(table: AlgebraTable) -> LinearProgram:
     n_vars = len(var_of)
     rows = []
     seen = set()
-    for i, j, k in table.defined_sums():
+    for (i, j), k in table.sums.items():
         coeffs = [0] * n_vars
         for element, delta in ((i, 1), (j, 1), (k, -1)):
             if element != table.zero:
@@ -332,3 +341,45 @@ def reference_render_text(value, indent: int = 0) -> str:
                 lines.append(f"{pad}- {json.dumps(item)}")
         return "\n".join(lines)
     return pad + json.dumps(value)
+
+
+def write_table(table: AlgebraTable, path) -> None:
+    """Write table as an algebra file, its sums in key order."""
+    lab = table.elements
+    data = {"elements": list(lab), "zero": lab[table.zero],
+            "sums": [[lab[i], lab[j], lab[k]] for (i, j), k in table.sums.items()]}
+    if table.unit is not None:
+        data["unit"] = lab[table.unit]
+    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+
+
+def write_matrix(matrix: EffectMatrix, path) -> None:
+    data = {"dim": matrix.dim, "re": matrix.mat.real.tolist(), "im": matrix.mat.imag.tolist()}
+    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+
+
+def random_vector(rng: random.Random, dim: int) -> np.ndarray:
+    return np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(dim)])
+
+
+def random_positive_matrix(rng: random.Random, dim: int) -> EffectMatrix:
+    """Seeded random positive matrix G*G / d, spectral radius at most 2d."""
+    g = random_vector(rng, dim * dim).reshape(dim, dim)
+    return EffectMatrix((g.conj().T @ g) / dim)
+
+
+def axiom_witnesses(report: AxiomReport, axiom: str) -> list[tuple[int, ...]]:
+    return [v.witness for v in report.violations if v.axiom == axiom]
+
+
+def down_set_table(points: list[tuple[int, ...]]) -> AlgebraTable:
+    """The down-set points of N^m (points[0] = 0), with x + y defined iff
+    the vector sum is in it; each element is labelled by its coordinates."""
+    index = {p: i for i, p in enumerate(points)}
+    sums = {}
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            k = index.get(tuple(a + b for a, b in zip(x, y)))
+            if k is not None:
+                sums[(i, j)] = k
+    return AlgebraTable(tuple(".".join(map(str, p)) for p in points), 0, sums)

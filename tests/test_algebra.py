@@ -12,8 +12,8 @@ from gea.algebra import (AlgebraTable, MorphismSpec, Violation, check_ea_axioms,
 from gea.cli import main
 from gea.errors import ContractError, InputError
 from gea.generate import random_gea, random_population
-from reference import (reference_classify_morphism, reference_ea_axioms, reference_gea_axioms,
-                       reference_induced_order)
+from reference import (axiom_witnesses, reference_classify_morphism, reference_ea_axioms,
+                       reference_gea_axioms, reference_induced_order)
 
 
 def table(labels, sums, unit=None):
@@ -45,13 +45,10 @@ class TestTableValidation:
     def test_singleton_unit_may_be_zero(self):
         AlgebraTable(("0",), 0, {(0, 0): 0}, unit=0)
 
-    def test_defined_sums_sorted_whatever_the_insertion_order(self):
+    def test_sums_sorted_whatever_the_insertion_order(self):
         sums = with_zero_sums(3, {(1, 1): 2})
         t = table(["0", "a", "b"], dict(reversed(list(sums.items()))))
-        expected = sorted((i, j, k) for (i, j), k in sums.items())
-        assert list(t.defined_sums()) == expected
-        assert list(t.defined_sums()) == expected
-        assert list(t.sums) == sorted(sums)
+        assert list(t.sums.items()) == sorted(sums.items())
 
 
 class TestGeaAxioms:
@@ -71,12 +68,12 @@ class TestGeaAxioms:
         report = check_gea_axioms(t)
         assert not report.passed
         a, b, d = t.elements.index("a"), t.elements.index("b"), t.elements.index("d")
-        assert (a, b, d) in report.witnesses("GE3")
+        assert (a, b, d) in axiom_witnesses(report, "GE3")
 
     def test_one_sided_sum_is_ge1_violation(self):
         t = table(["0", "a", "b"], with_zero_sums(3, {(1, 2): 2}))
         report = check_gea_axioms(t)
-        assert "GE1" in report.failed_axioms()
+        assert axiom_witnesses(report, "GE1")
 
     def test_half_associative_chain_is_ge2_violation(self):
         # x+x = y is defined, so (x+x)+x needs x+(x+x): both are undefined,
@@ -85,17 +82,17 @@ class TestGeaAxioms:
         t = table(["0", "x", "y"],
                   with_zero_sums(3, {(1, 1): 2, (2, 2): 1}))
         report = check_gea_axioms(t)
-        assert "GE2" in report.failed_axioms()
+        assert axiom_witnesses(report, "GE2")
 
     def test_sum_to_zero_is_ge4_violation(self):
         t = table(["0", "a"], with_zero_sums(2, {(1, 1): 0}))
         report = check_gea_axioms(t)
-        assert report.witnesses("GE4") == [(1, 1)]
+        assert axiom_witnesses(report, "GE4") == [(1, 1)]
 
     def test_missing_zero_sum_is_ge5_violation(self):
         t = table(["0", "a"], {(0, 0): 0})
         report = check_gea_axioms(t)
-        assert "GE5" in report.failed_axioms()
+        assert axiom_witnesses(report, "GE5")
 
 
 def dense_associativity(table, axiom_id):
@@ -217,7 +214,7 @@ class TestEaAxioms:
         t = corpus.load("ea_no_complement")
         report = check_ea_axioms(t, check_gea_axioms(t))
         assert not report.passed
-        assert (t.elements.index("a"),) in report.witnesses("E3")
+        assert (t.elements.index("a"),) in axiom_witnesses(report, "E3")
 
     def test_double_complement_is_e3_violation(self, diamond):
         sums = dict(diamond.sums)
@@ -225,7 +222,7 @@ class TestEaAxioms:
         sums[(a, a)] = one  # a now has complements a and b
         t = AlgebraTable(diamond.elements, 0, sums, unit=one)
         report = check_ea_axioms(t, check_gea_axioms(t))
-        assert any(w[0] == a and len(w) == 3 for w in report.witnesses("E3"))
+        assert any(w[0] == a and len(w) == 3 for w in axiom_witnesses(report, "E3"))
 
     def test_unit_sum_with_nonzero_is_e4_violation(self, chain_c3):
         sums = dict(chain_c3.sums)
@@ -233,7 +230,7 @@ class TestEaAxioms:
         sums[(1, 2)] = 1
         t = AlgebraTable(chain_c3.elements, 0, sums, unit=2)
         report = check_ea_axioms(t, check_gea_axioms(t))
-        assert "E4" in report.failed_axioms()
+        assert axiom_witnesses(report, "E4")
 
     def test_missing_unit_is_input_error(self, excd):
         with pytest.raises(InputError):
@@ -248,7 +245,7 @@ class TestEaAxioms:
 
 
 def relation_pairs(order, n):
-    return {(i, j) for i in range(n) for j in range(n) if order.leq(i, j)}
+    return {(i, j) for i in range(n) for j in range(n) if order.leq_matrix[i][j]}
 
 
 class TestInducedOrder:
@@ -280,8 +277,8 @@ class TestInducedOrder:
             for i in range(t.n):
                 for j in range(t.n):
                     key = f"{lab[j]},{lab[i]}"
-                    assert order.leq(i, j) == (key in differences)
-                    if order.leq(i, j):
+                    assert order.leq_matrix[i][j] == (key in differences)
+                    if order.leq_matrix[i][j]:
                         assert t.sums.get((i, t.elements.index(differences[key]))) == j
 
     def test_axiom_failing_table_is_contract_error(self):

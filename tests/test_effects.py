@@ -8,10 +8,10 @@ from gea import cli, corpus, effects
 from gea.algebra import check_gea_axioms
 from gea.effects import (PSD_TOL, EffectMatrix, demo_excd, effect_sum, gdh_sum,
                          generalized_vector_state, hermitian_spectrum,
-                         is_positive, projector_demo_matrices,
-                         random_positive_matrix, random_vector,
-                         table_from_effects, vector_witness)
+                         is_positive, projector_demo_matrices, table_from_effects,
+                         vector_witness)
 from gea.errors import InputError
+from reference import random_positive_matrix, random_vector
 
 
 def jacobi_eigh(sym, sweep_tol=1e-14, max_sweeps=60):
@@ -79,8 +79,7 @@ def diag(*entries):
 
 
 def random_hermitian(rng, dim):
-    g = np.array([[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                   for _ in range(dim)] for _ in range(dim)])
+    g = random_vector(rng, dim * dim).reshape(dim, dim)
     return EffectMatrix((g + g.conj().T) / 2)
 
 

@@ -26,12 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gea import corpus
 from gea.algebra import AlgebraTable, require_gea
 from gea.cli import main
-from gea.fileio import save_algebra
 from gea.represent import (build_representation, verify_injective, verify_morphism,
                            verify_order_reflecting)
 from gea.states import order_determining_set, separating_set
+from reference import down_set_table, write_table
 
 
 def down_set(rng: random.Random, m: int, n: int) -> list[tuple[int, ...]]:
@@ -50,17 +51,6 @@ def down_set(rng: random.Random, m: int, n: int) -> list[tuple[int, ...]]:
     return points
 
 
-def down_set_table(points: list[tuple[int, ...]]) -> AlgebraTable:
-    index = {p: i for i, p in enumerate(points)}
-    sums = {}
-    for i, x in enumerate(points):
-        for j, y in enumerate(points):
-            k = index.get(tuple(a + b for a, b in zip(x, y)))
-            if k is not None:
-                sums[(i, j)] = k
-    return AlgebraTable(tuple(".".join(map(str, p)) for p in points), 0, sums)
-
-
 def mo_table(k: int) -> AlgebraTable:
     labels = ("0", "1") + tuple(f"{side}{i}" for i in range(k) for side in "ab")
     n = len(labels)
@@ -69,11 +59,6 @@ def mo_table(k: int) -> AlgebraTable:
         a, b = 2 + 2 * i, 3 + 2 * i
         sums[(a, b)] = sums[(b, a)] = 1
     return AlgebraTable(labels, 0, sums, unit=1)
-
-
-def no_states() -> AlgebraTable:
-    sums = {(0, x): x for x in range(4)} | {(x, 0): x for x in range(4)}
-    return AlgebraTable(("0", "a", "b", "c"), 0, sums | {(1, 1): 3, (2, 2): 3})
 
 
 def glued(left: AlgebraTable, right: AlgebraTable) -> AlgebraTable:
@@ -104,7 +89,7 @@ def test_down_sets_are_represented(m, n, seed):
     points = down_set(random.Random(seed), m, n)
     table = down_set_table(points)
     order = require_gea(table).order
-    assert all(order.leq(i, j) == all(map(int.__le__, x, y))
+    assert all(order.leq_matrix[i][j] == all(map(int.__le__, x, y))
                for i, x in enumerate(points) for j, y in enumerate(points))
     assert_represented(table)
 
@@ -115,12 +100,12 @@ def test_mo_k_is_represented(k):
 
 
 def assert_obstructed(table: AlgebraTable, path) -> None:
-    glue = glued(table, no_states())
+    glue = glued(table, corpus.load("no_states"))
     gea = require_gea(glue)
     a, b = glue.elements.index("a"), glue.elements.index("b")
     assert sorted(order_determining_set(gea).failures) == sorted([(a, b), (b, a)])
     assert separating_set(gea).failures == [(a, b)]
-    save_algebra(glue, path)
+    write_table(glue, path)
     for goal in ("order", "separate"):
         assert main(["represent", str(path), "--goal", goal, "--json"]) == 3, goal
 

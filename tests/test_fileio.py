@@ -10,15 +10,14 @@ from gea import corpus
 from gea.algebra import require_gea
 from gea.effects import EffectMatrix
 from gea.errors import InputError
-from gea.fileio import (algebra_to_json, load_algebra, load_matrix,
-                        load_morphism, ratio_str, save_algebra, save_matrix,
-                        witness_set_to_json)
+from gea.fileio import load_algebra, load_matrix, load_morphism, ratio_str, witness_set_to_json
 from gea.states import separating_set
+from reference import write_matrix, write_table
 
 
 def test_algebra_round_trip(tmp_path, diamond):
     path = tmp_path / "diamond.json"
-    save_algebra(diamond, path)
+    write_table(diamond, path)
     again = load_algebra(path)
     assert again == diamond
 
@@ -105,7 +104,7 @@ def test_label_with_comma_rejected(tmp_path):
 
 def test_morphism_must_be_total(tmp_path, diamond):
     table_path = tmp_path / "t.json"
-    save_algebra(diamond, table_path)
+    write_table(diamond, table_path)
     morphism_path = tmp_path / "m.json"
     morphism_path.write_text(json.dumps({
         "source": "t.json", "target": "t.json", "map": {"0": "0", "a": "a"},
@@ -123,7 +122,7 @@ def test_corpus_morphism_paths_resolve_relative():
 def test_matrix_round_trip(tmp_path):
     mat = EffectMatrix(np.array([[1.0, 0.5j], [-0.5j, 2.0]]))
     path = tmp_path / "m.json"
-    save_matrix(mat, path)
+    write_matrix(mat, path)
     again = load_matrix(path)
     assert np.allclose(again.mat, mat.mat)
 
@@ -150,9 +149,3 @@ def test_witness_json_shape(chain_c3):
     assert payload["states"] == [["0", "1", "2"]]
     assert payload["failures"] == []
     assert set(payload["provenance"]) == {"0,h", "0,1", "h,1"}
-
-
-def test_algebra_json_keeps_unit(diamond):
-    data = algebra_to_json(diamond)
-    assert data["unit"] == "1"
-    assert ["a", "b", "1"] in data["sums"]

@@ -23,8 +23,8 @@ import pytest
 from gea import corpus
 from gea.algebra import AlgebraTable
 from gea.cli import main
-from gea.fileio import save_algebra
 from gea.generate import random_gea
+from reference import write_table
 
 REPORT_DIGESTS = {
     "check singleton.json": "6b5289e9983875b1cd5b240bd16ddc880259ac877ea8b50e26b5b56d984bb508",
@@ -174,7 +174,7 @@ LARGE_DIGESTS = {
 def test_large_table_report_bytes_are_pinned(command, capsys, monkeypatch, tmp_path):
     name = command.split()[1]
     build, code = LARGE_TABLES[name]
-    save_algebra(build(), tmp_path / name)
+    write_table(build(), tmp_path / name)
     monkeypatch.chdir(tmp_path)
     assert main([*command.split(), "--json"]) == code
     out = capsys.readouterr().out

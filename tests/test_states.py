@@ -1,3 +1,4 @@
+import itertools
 import json
 import operator
 import random
@@ -13,13 +14,13 @@ from gea.algebra import induced_order, require_gea
 from gea.errors import InputError
 from gea import states
 from gea.cli import main
-from gea.fileio import load_algebra
 from gea.generate import random_gea, random_population
 from gea.lp import LinearProgram, lp_feasible
 from gea.represent import build_representation, operator_norm
 from gea.states import (GeneralizedState, order_determining_set, separating_set,
                         state_from_solution)
-from reference import dense, pair_programs, reference_additivity_program
+from reference import (dense, down_set_table, pair_programs, reference_additivity_program,
+                       write_table)
 
 
 def values(state):
@@ -161,7 +162,7 @@ class TestStateInvariants:
             for state in witnesses.states:
                 for i in range(table.n):
                     for j in range(table.n):
-                        if order.leq(i, j):
+                        if order.leq_matrix[i][j]:
                             assert state.values[i] <= state.values[j]
 
     @settings(max_examples=50, deadline=None)
@@ -264,30 +265,15 @@ class TestNormalizeAndBounds:
         assert self.norms(excd)[1][1] == 1
 
 
-def chain_json(n):
-    """The chain C_n = {0, ..., n-1}, with i + j defined when i + j < n."""
-    labels = [str(k) for k in range(n)]
-    return {"elements": labels, "zero": "0", "unit": labels[-1],
-            "sums": [[labels[i], labels[j], labels[i + j]]
-                     for i in range(n) for j in range(n - i)]}
-
-
-def product_json(*parts):
-    """The componentwise product: a sum is defined iff it is in every part."""
-    out = parts[0]
-    for right in parts[1:]:
-        labels = [f"{x}.{y}" for x in out["elements"] for y in right["elements"]]
-        sums = [[f"{x1}.{y1}", f"{x2}.{y2}", f"{x3}.{y3}"]
-                for x1, x2, x3 in out["sums"] for y1, y2, y3 in right["sums"]]
-        out = {"elements": labels, "zero": f"{out['zero']}.{right['zero']}",
-               "unit": f"{out['unit']}.{right['unit']}", "sums": sums}
-    return out
+def grid(side, dims):
+    """The product of dims chains C_side: the down-set {0, ..., side - 1}^dims."""
+    return down_set_table(list(itertools.product(range(side), repeat=dims)))
 
 
 def atom_pairs(table):
     """The unordered pairs {p, x} of an atom p and a nonzero x with p + x
     defined, read off the defined sums."""
-    nonzero_sums = [(i, j) for i, j, _ in table.defined_sums()
+    nonzero_sums = [(i, j) for (i, j), _ in table.sums.items()
                     if table.zero not in (i, j)]
     produced = {table.sums.get((i, j)) for i, j in nonzero_sums}
     atoms = {x for x in range(table.n) if x != table.zero and x not in produced}
@@ -330,21 +316,19 @@ class TestAtomProgram:
         self.check(random_gea(random.Random(seed), n))
 
     @pytest.mark.parametrize("n", [2, 3, 14, 128])
-    def test_chain_has_one_row_per_sum_with_its_atom(self, tmp_path, n):
-        path = tmp_path / "chain.json"
-        path.write_text(json.dumps(chain_json(n)))
-        program = states.additivity_program(require_gea(load_algebra(str(path))))
+    def test_chain_has_one_row_per_sum_with_its_atom(self, n):
+        program = states.additivity_program(require_gea(grid(n, 1)))
         assert len(program.rows) == program.rank == n - 2
 
     @pytest.mark.parametrize("name, table, slots", [
-        ("C_128", chain_json(128), 1),
-        ("cube6", product_json(*[chain_json(2)] * 6), 6),
-        ("C_4^3", product_json(*[chain_json(4)] * 3), 3),
+        ("C_128", grid(128, 1), 1),
+        ("cube6", grid(2, 6), 6),
+        ("C_4^3", grid(4, 3), 3),
     ])
     @pytest.mark.parametrize("goal", ["order", "separate"])
     def test_represent_large_tables(self, tmp_path, capsys, name, table, slots, goal):
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(table))
+        write_table(table, path)
         assert main(["represent", str(path), "--goal", goal, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["witnesses"]["states"]) == slots
