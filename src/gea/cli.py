@@ -3,7 +3,8 @@
 Pipeline subcommands: check (axioms), order (induced order), states (witness
 search), represent (witness search plus verified diagonal representation),
 morphism (classify a map between two tables) and effects (finite-dimensional
-matrix demos).
+matrix demos).  Only effects imports numpy and gea.effects, on first use, so
+the exact commands start without them.
 
 Each pipeline scans its table's axioms once, at load, and hands the
 resulting CheckedGEA to every later stage.
@@ -27,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
-from . import effects, fileio
+from . import fileio
 from .algebra import (CheckedGEA, check_ea_axioms, check_gea_axioms, classify_morphism,
                       scan_gea)
 from .errors import ContractError, InputError
@@ -248,6 +249,8 @@ def cmd_morphism(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_effects(args: argparse.Namespace) -> tuple[dict, int]:
+    from . import effects  # the one command that loads numpy
+
     if args.effects_command == "demo-excd":
         demo = effects.demo_excd()
         report = _base_report(args, None)

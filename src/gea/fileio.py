@@ -2,22 +2,26 @@
 and complex matrices.  Rationals travel as Fraction strings ("3/2", "-1", "0").
 
 States and representations hold int numerators over one denominator; their
-strings are made here and read exactly as str(Fraction) does."""
+strings are made here and read exactly as str(Fraction) does.  Only
+load_matrix imports numpy and gea.effects, so the exact file formats load
+without them."""
 
 from __future__ import annotations
 
 import json
 from math import gcd
 from pathlib import Path
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .algebra import AlgebraTable, MorphismSpec, require_gea
-from .effects import EffectMatrix
 from .errors import ContractError, InputError
 from .represent import DiagonalRep
 from .states import StateWitnessSet
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .effects import EffectMatrix
 
 PathLike = Union[str, Path]
 
@@ -150,18 +154,27 @@ def representation_to_json(table: AlgebraTable, rep: DiagonalRep, verification: 
 
 
 def _float_matrix(path: PathLike, key: str, value: object, dim: int) -> np.ndarray:
+    """A dim x dim array of JSON numbers (int or float, not bool) as floats."""
+    import numpy as np
+
+    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)
+            and {type(x) for row in value for x in row} <= {int, float}):
+        raise InputError(f"{path}: {key!r} must be a {dim}x{dim} array of numbers")
+    if len(value) != dim or any(len(row) != dim for row in value):
+        raise InputError(f"{path}: re/im must be {dim}x{dim}")
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: {key!r} must be a {dim}x{dim} array of numbers") from exc
-    if arr.shape != (dim, dim):
-        raise InputError(f"{path}: re/im must be {dim}x{dim}")
+    except OverflowError:  # an int past the float range
+        raise InputError(f"{path}: {key!r} has an entry too large for a float") from None
     if not np.isfinite(arr).all():
         raise InputError(f"{path}: {key!r} has a non-finite entry")
     return arr
 
 
 def load_matrix(path: PathLike) -> EffectMatrix:
+    import numpy as np
+    from .effects import EffectMatrix
+
     data = _read_json(path)
     try:
         dim = data["dim"]
@@ -173,4 +186,3 @@ def load_matrix(path: PathLike) -> EffectMatrix:
     re = _float_matrix(path, "re", re_data, dim)
     im = _float_matrix(path, "im", data["im"], dim) if "im" in data else np.zeros((dim, dim))
     return EffectMatrix(re + 1j * im)
-

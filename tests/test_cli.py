@@ -309,7 +309,8 @@ class TestEffects:
         bad = tmp_path / "bad.json"
         for body in ('"re": [[NaN]]', '"re": [[Infinity]]',
                      '"re": [[1]], "im": [[-Infinity]]', '"re": [[null]]',
-                     '"re": [["x"]]', '"re": [[{}]]'):
+                     '"re": [["x"]]', '"re": [[{}]]', '"re": [["0.5"]]', '"re": [[true]]',
+                     '"re": [[' + "9" * 400 + ']]'):
             bad.write_text(f'{{"dim": 1, {body}}}')
             code, report = run_json(capsys, "effects", "check", str(bad))
             assert code == 2 and "error" in report, body
@@ -602,6 +603,39 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=60) == exit_code
         assert stderr == b""
+
+
+# Run in a fresh interpreter, since this test process has numpy loaded.
+FRESH_IMPORTS = """
+import contextlib, io, json, sys
+from gea.cli import main
+exact, bad = json.loads(sys.argv[1]), sys.argv[2]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([*argv, "--json"]) for argv in exact]
+    loaded = sorted({"numpy", "gea.effects"} & set(sys.modules))
+    check = main(["effects", "check", bad, "--json"])
+    demo = main(["effects", "demo-excd", "--json"])
+print(json.dumps({"codes": codes, "loaded": loaded, "check": check, "demo": demo}))
+"""
+
+
+def test_exact_commands_load_neither_numpy_nor_effects(tmp_path):
+    """gea.cli and every command but effects run without numpy or gea.effects;
+    effects loads them on first use."""
+    exact = [argv for argv in corpus_commands() if argv[0] != "effects"]
+    assert {argv[0] for argv in exact} == {"check", "order", "states", "represent", "morphism"}
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 1, "re": [["0.5"]]}')
+    src = str(Path(gea.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FRESH_IMPORTS, json.dumps(exact), str(bad)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert 2 not in result["codes"]  # every command read its file
+    assert result["loaded"] == []
+    assert (result["check"], result["demo"]) == (2, 0)
 
 
 # Hostile input: arbitrary JSON objects over the keys the loaders read.  Most

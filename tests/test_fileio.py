@@ -133,6 +133,33 @@ def test_matrix_missing_im_defaults_to_zero(tmp_path):
     assert load_matrix(path).mat[0, 0] == 3.0
 
 
+HUGE = "9" * 400  # an int that json parses but no float holds
+
+
+@pytest.mark.parametrize("body, message", [
+    (f'"re": [[{HUGE}]]', "'re' has an entry too large for a float"),
+    (f'"re": [[1]], "im": [[-{HUGE}]]', "'im' has an entry too large for a float"),
+    ('"re": [["0.5"]]', "'re' must be a 1x1 array of numbers"),
+    ('"re": [[true]]', "'re' must be a 1x1 array of numbers"),
+    ('"re": [[1]], "im": [[" 0 "]]', "'im' must be a 1x1 array of numbers"),
+    ('"re": [[1]], "im": null', "'im' must be a 1x1 array of numbers"),
+    ('"re": [1]', "'re' must be a 1x1 array of numbers"),
+    ('"re": [[1, 2]]', "re/im must be 1x1"),
+], ids=["huge-re", "huge-im", "string", "bool", "string-im", "null-im", "flat", "shape"])
+def test_matrix_entries_must_be_json_numbers(tmp_path, body, message):
+    path = tmp_path / "m.json"
+    path.write_text(f'{{"dim": 1, {body}}}')
+    with pytest.raises(InputError) as caught:
+        load_matrix(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_matrix_int_that_fits_a_float_accepted(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 1, "re": [[2 ** 70]], "im": [[-3]]}))
+    assert load_matrix(path).mat[0, 0] == complex(2.0 ** 70, -3.0)
+
+
 def test_frac_codec():
     assert ratio_str(3, 2) == "3/2"
     assert ratio_str(-6, 4) == "-3/2"
