@@ -136,17 +136,16 @@ def witness_set_to_json(table: AlgebraTable, witnesses: StateWitnessSet) -> dict
         "goal": witnesses.goal,
         "states": [[ratio_str(p, s.den) for p in s.nums] for s in witnesses.states],
         "provenance": {_pair_key(table, pair): slot
-                       for pair, slot in sorted(witnesses.provenance.items())},
+                       for pair, slot in witnesses.provenance.items()},
         "failures": [[table.elements[a], table.elements[b]]
                      for a, b in witnesses.failures],
     }
 
 
 def representation_to_json(table: AlgebraTable, rep: DiagonalRep, verification: dict) -> dict:
-    """The representation under the table's labels, with slots s0 ... s(m-1)."""
+    """The representation under the table's labels, m entries per diagonal."""
     return {
         "witnesses": rep.m,
-        "order": [f"s{i}" for i in range(rep.m)],
         "operators": {label: [ratio_str(p, rep.den) for p in diagonal]
                       for label, diagonal in zip(table.elements, rep.diagonals)},
         "verification": verification,

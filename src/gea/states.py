@@ -91,11 +91,12 @@ class GeneralizedState:
 
 @dataclass
 class StateWitnessSet:
-    """Finite witness set with per-pair provenance.
+    """Finite witness set with the pair that made each state.
 
-    provenance maps each handled element pair to the slot of the state that
-    witnesses it; failures lists the pairs for which no witness exists.  The
-    search succeeded iff failures is empty.
+    provenance maps the pair whose LP produced a state to that state's slot;
+    states given up front have no entry, and which state covers any other
+    pair is recomputed from the states.  failures lists the pairs for which
+    no witness exists.  The search succeeded iff failures is empty.
     """
 
     goal: str  # "separate" or "order"
@@ -192,30 +193,28 @@ class _Additivity:
 def assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet,
                      pairs: Iterable[tuple[int, int]],
                      find: Callable[[int, int], Optional[GeneralizedState]]) -> StateWitnessSet:
-    """Give each pair of elements of table, in turn, the slot of a state
-    that witnesses it.
+    """Make sure each pair of elements of table, in turn, is covered by a
+    state of the set.
 
-    The first state already in the set that covers (a, b) is reused: one
-    with s(a) > s(b) for the order goal, s(a) != s(b) to separate.  Otherwise
-    find(a, b) is asked for a new state, which is validated on table and
-    takes a new slot: it covers (a, b), so it equals no state in the set.
-    The LP rechecked it only against the atom rows, which imply, but are
-    not, every additivity row.  A pair find cannot witness is a failure.
+    A pair is covered by a state with s(a) > s(b) for the order goal,
+    s(a) != s(b) to separate.  For a pair that no state covers, find(a, b)
+    is asked for a new state, which is validated on table, takes the next
+    slot and is recorded in provenance under (a, b): it covers (a, b), so it
+    equals no state in the set.  The LP rechecked it only against the atom
+    rows, which imply, but are not, every additivity row.  A pair find
+    cannot witness is a failure.
     """
     covers = operator.gt if witnesses.goal == "order" else operator.ne
     for a, b in pairs:
-        covering = next((slot for slot, s in enumerate(witnesses.states)
-                         if covers(s.nums[a], s.nums[b])), None)
-        if covering is not None:
-            witnesses.provenance[(a, b)] = covering
+        if any(covers(s.nums[a], s.nums[b]) for s in witnesses.states):
             continue
         state = find(a, b)
         if state is None:
             witnesses.failures.append((a, b))
         else:
             state.validate(table)
+            witnesses.provenance[(a, b)] = len(witnesses.states)
             witnesses.states.append(state)
-            witnesses.provenance[(a, b)] = len(witnesses.states) - 1
     return witnesses
 
 

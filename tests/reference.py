@@ -10,13 +10,15 @@ additivity row per defined sum, for the atom rows of `additivity_program`;
 the text renderer that calls json.dumps per scalar, for
 `cli._render_text`; and fixtures: `write_table` and `write_matrix` write
 the files the loaders read, `down_set_table` builds a down-set of N^m,
-`random_positive_matrix` and `random_vector` draw seeded complex data, and
-`axiom_witnesses` lists the witnesses of one axiom in a report."""
+`random_positive_matrix` and `random_vector` draw seeded complex data,
+`axiom_witnesses` lists the witnesses of one axiom in a report, and
+`assert_witness_set` recomputes a search's coverage from its states."""
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -311,6 +313,33 @@ def pair_programs(table):
     system = _Additivity(require_gea(table))
     for lo, hi in pairs:
         yield system.pair_program(lo, hi)
+
+
+def assert_witness_set(gea, witnesses) -> None:
+    """Coverage of a search's result, recomputed from its states.
+
+    Each pair the search handles (pairs_not_leq for the order goal, every
+    a < b to separate) is covered by some state, one with s(a) > s(b) or
+    s(a) != s(b), exactly when it is not a failure.  provenance holds one
+    entry per state, in slot order, under increasing pairs: the pair whose
+    LP made the state, which the state covers and no earlier state does."""
+    n = gea.table.n
+    if witnesses.goal == "order":
+        covers, pairs = operator.gt, gea.order.pairs_not_leq()
+    else:
+        covers, pairs = operator.ne, [(a, b) for a in range(n) for b in range(a + 1, n)]
+    found = witnesses.states
+    failures = set(witnesses.failures)
+    assert len(failures) == len(witnesses.failures) and failures <= set(pairs)
+    for a, b in pairs:
+        covered = any(covers(s.nums[a], s.nums[b]) for s in found)
+        assert covered != ((a, b) in failures), (a, b)
+    made = list(witnesses.provenance)
+    assert list(witnesses.provenance.values()) == list(range(len(found)))
+    assert made == sorted(made) and set(made) <= set(pairs)
+    for slot, (a, b) in enumerate(made):
+        assert covers(found[slot].nums[a], found[slot].nums[b])
+        assert not any(covers(s.nums[a], s.nums[b]) for s in found[:slot])
 
 
 def reference_render_text(value, indent: int = 0) -> str:

@@ -1,9 +1,11 @@
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +20,7 @@ from gea import algebra, corpus, states
 from gea import cli
 from gea.cli import main
 from gea.effects import EffectMatrix
-from reference import reference_render_text, write_matrix
+from reference import down_set_table, reference_render_text, write_matrix, write_table
 
 
 def run(capsys, *argv):
@@ -132,6 +134,20 @@ class TestRepresent:
                                 "--goal", "order", "--out", str(out_file))
         assert code == 0
         assert json.loads(out_file.read_text()) == report
+
+    def test_report_keeps_one_provenance_pair_per_state(self, capsys, tmp_path):
+        # The cube on 7 atoms (n = 128) with its nonzero elements shuffled:
+        # about 14 000 ordered pairs need a witness, but 7 states cover them
+        # all, and provenance records only the pair that made each state.
+        points = list(itertools.product(range(2), repeat=7))
+        points[1:] = random.Random(1).sample(points[1:], len(points) - 1)
+        path = tmp_path / "cube7.json"
+        write_table(down_set_table(points), path)
+        code, out = run(capsys, "represent", str(path), "--goal", "order", "--json")
+        assert code == 0
+        assert len(out.encode()) < 50_000
+        witnesses = json.loads(out)["witnesses"]
+        assert len(witnesses["provenance"]) == len(witnesses["states"]) == 7
 
     def test_reports_are_deterministic(self, capsys):
         _, first = run(capsys, "represent", cpath("cube8"), "--goal", "order", "--json")
@@ -533,7 +549,7 @@ class TestOneScanPerPipeline:
         monkeypatch.setattr(states.GeneralizedState, "validate", counted)
         assert main(["represent", cpath("cube8"), "--goal", "order", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert len(report["representation"]["order"]) == 3
+        assert report["representation"]["witnesses"] == 3
         assert len(validated) == len(set(validated)) == 3
 
     def test_morphism_scans_each_table_once(self, capsys, monkeypatch):

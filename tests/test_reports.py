@@ -33,70 +33,70 @@ REPORT_DIGESTS = {
     "states singleton.json --goal order --seed 5": "b1ce5c3de66bd4a71794614f17ad024282bd3bf75354b7e92331ba689b85e270",
     "states singleton.json --goal separate --seed 0": "709d8ae3746cfd043faac9404beb9598b121ff33327c05b29d7b65d7909c4357",
     "states singleton.json --goal separate --seed 5": "cef8875f60cbde7639c0f54740627897d43276dd910a1a4000c63b1be33f1319",
-    "represent singleton.json --goal order --seed 0": "af0667130eb3092913df4712872b8cece6f3a29e4e0450e2fd2e01bae022d65c",
-    "represent singleton.json --goal order --seed 5": "7b0c99d85b02b48e00133d9c5442c6b61590e89e53448d733febc428f39056c5",
-    "represent singleton.json --goal separate --seed 0": "98c4bd156c0e53eeef5cbbd35bb15ea11e5d0fd809cfbd0206197f08fbb4163d",
-    "represent singleton.json --goal separate --seed 5": "2fa5090a960b48da6f48441bf4d93bc9bc040e25534e5fac9fa21c1b025f5525",
+    "represent singleton.json --goal order --seed 0": "225370f66c2ebe658645eb7cc6a8f0c206773ebcdb94c53a9d7a3c3b69ec0397",
+    "represent singleton.json --goal order --seed 5": "e10cc12e5f684b516cf1ea33529adfe296722306326a25721000b6b8477f698e",
+    "represent singleton.json --goal separate --seed 0": "58abbdc802828dd86dd11535f1f20a33b6ce1bdd8e64aeaf874c612e650318cf",
+    "represent singleton.json --goal separate --seed 5": "7b97527bd7711770ba46e36685b59167a13d3bf2b48833df6be4ecd975ab8f3c",
     "check excd.json": "b639a02c72fa28a447a2af3e245ce4de2525766946d60990348b16fea9417024",
     "order excd.json": "54bf04185c6372442b4297f0a296f5c2d1933105be26b2f82791326e86f53a52",
-    "states excd.json --goal order --seed 0": "9bc3b63a80450ef2e726d442c02e385577566dfa054e6c0ba6f2562579dc52ad",
-    "states excd.json --goal order --seed 5": "230a184b648c5797ee34fa849379f963a6ac2bea50489189b063bb6dcd05d9ff",
-    "states excd.json --goal separate --seed 0": "08e285649d70f1f1b9d728604c4e004b53008623c9621d7430cf5958c3c7ecae",
-    "states excd.json --goal separate --seed 5": "f3aa542800c69151bd8ab2a93f38df1aaa6bfa7c0aa9431f141d3d273a37900c",
-    "represent excd.json --goal order --seed 0": "430f58d256aaba4f8f9d230e98a2439c5831d5dacc234c29f34489b0cfc8ee4c",
-    "represent excd.json --goal order --seed 5": "13f3d5998ca2af68cb95cbdf8bdfff6d246d530f957ae4ee0784345eb94f6510",
-    "represent excd.json --goal separate --seed 0": "956489582235c64b53b795c0d7384ae5920268652005c5417ed79e2931913a2e",
-    "represent excd.json --goal separate --seed 5": "6675b62d5122c7948404ca44b921cd1a3d2ffd18bfe5d995a756c857accc4896",
+    "states excd.json --goal order --seed 0": "fafce5e95bdfb2bcb632bcb6f0a6f00bd84c1ae3115737f6a4ffc81731e9582d",
+    "states excd.json --goal order --seed 5": "359933c9da33067d36c52e2b78c5b4abac3ac0a33d65be87e8277ebb8e55c626",
+    "states excd.json --goal separate --seed 0": "7f7a0014cf93cfad29f4e59268c7d105f72b826283d6b73b54bf43218bb0204f",
+    "states excd.json --goal separate --seed 5": "9e6041f17e92ef18cd102c5ab9d3d2290c30366b1741533eefc7a54f5298951c",
+    "represent excd.json --goal order --seed 0": "f9a178dccd729d232cb55e70f6f1e03c5f060e31b51628671abc7af931e6b226",
+    "represent excd.json --goal order --seed 5": "d471826e50113b8118a0a25cf24cf78c8d3244826d6a1ea5354f7fb9b4a8e571",
+    "represent excd.json --goal separate --seed 0": "54e42ea0260610f58d7ce070677df6a17df9958ac7ac9b6636fadb5edd955237",
+    "represent excd.json --goal separate --seed 5": "10e9c747ffe86391a71b5c25080b45ed78cb020c473e8c5c260a92bb3ceca22e",
     "check excd_ext.json --ea": "18d9ffa3c9f10c87f41a2beeb41bf31cef2de769cfe7f50d6ed565399de49f51",
     "order excd_ext.json": "ac865efe5ebf361ed98ab504cfb156ef542668e7cbcb6878177f5544211e7726",
-    "states excd_ext.json --goal order --seed 0": "5e2b7f4f75b25b97fd8f103659772fbf0d17a356e369d21f97c39666038e05a7",
-    "states excd_ext.json --goal order --seed 5": "37a30f1faa3a932dfb5f5549291de510d5deecefbecd6202e7f72467e4ec77a2",
-    "states excd_ext.json --goal separate --seed 0": "3fe4888299de68348dd566dd4755c0e7c60eb673d32fd9eb857a056ab414cfab",
-    "states excd_ext.json --goal separate --seed 5": "367fa11ec790f8c627874456339d3310503b7d5c04c8e2cb6e28328c745fd83f",
-    "represent excd_ext.json --goal order --seed 0": "8bd1f9af70fff108007cc18dcf9a7144bb0ee35b1fc838a5e04326337ac43add",
-    "represent excd_ext.json --goal order --seed 5": "11a6c0c0bdec4781978564aaa2c6ee43f20bcfe0c422bd8a82b2752b2aaf079a",
-    "represent excd_ext.json --goal separate --seed 0": "02e5986361e1bbecff66b4ea3ff68426a2fa21190279ed7b46a9068b9a13b3b5",
-    "represent excd_ext.json --goal separate --seed 5": "1c30e0479eedc9f717dd67681fcf2ad03fe29eebd43e275412db3eb06c430338",
+    "states excd_ext.json --goal order --seed 0": "1e07e1d529760b8cbea51f60df6eaf291af1b579958b501ba8b7b106540d051a",
+    "states excd_ext.json --goal order --seed 5": "32145a184fd82ad9ca2378903872efba6d5e35d2e2349c5f44b72842bc0e7386",
+    "states excd_ext.json --goal separate --seed 0": "2875ba2e368c20181c5349d3f5e983f87bcdc1a997086b77a7fa6e9aa9f1019e",
+    "states excd_ext.json --goal separate --seed 5": "c4e9e9275ceece9b8a882ae4b41e43a43f2f6931e456e79f598cb751af10a8e3",
+    "represent excd_ext.json --goal order --seed 0": "185e9a1e47c4add2a841578358ae213ffa99a2c543555e8d3ffa0f512b5a91cf",
+    "represent excd_ext.json --goal order --seed 5": "6306fe6d00c9b6c10138736d125b906cf77f65191ec533868fa1dc96c44aaa87",
+    "represent excd_ext.json --goal separate --seed 0": "ff7fe5c8d3a237518cd34f48d1ca496557daf1257ff7d02be553f44bf703930f",
+    "represent excd_ext.json --goal separate --seed 5": "540ebf31464736e65de01afe2e6e01010f7df16a21b3e4fa7098154cecce8b86",
     "check diamond.json --ea": "55df671dfe2dd096e0f9e539be9eb28ed5c6bb1fa7d4d8a79268fbbdcaa0cca6",
     "order diamond.json": "67c7dabda9f47b420bb9938db4816a62d2a6ba80cd1a18074d91c36953c292f1",
-    "states diamond.json --goal order --seed 0": "80d5d42a614b9b2c3c14d87ef02f430bd3d4254f1ce7dfd11658d3a6755d58a9",
-    "states diamond.json --goal order --seed 5": "96c1494ab9f83950f4f25a9663f4eaaae479a0e435acdaaabc62cd673facf020",
-    "states diamond.json --goal separate --seed 0": "2aff053c5b34273135ecfca0a236909b63ceeb5627dcee56ada50d1d3220d5ff",
-    "states diamond.json --goal separate --seed 5": "0426f820c44c452ba0d064e26698848894607ea742b39dd74cf0a63f7b9c2335",
-    "represent diamond.json --goal order --seed 0": "f67471ac9f2c189d1c7189042369851675ad6e58f0bbef170551d5216b594eb2",
-    "represent diamond.json --goal order --seed 5": "fa166d8918ade80dcfd08aa54889e850674a96f4bc3876aba432c2e5d7b86a78",
-    "represent diamond.json --goal separate --seed 0": "4fe77c8456f03ecec32941f80b5b4edc50bb0d21a1aeba1bcc0af839c7ee1725",
-    "represent diamond.json --goal separate --seed 5": "f609714b840063c1f36c3897b17437c1d112703399871d55148e0f165e50fe86",
+    "states diamond.json --goal order --seed 0": "cc7e3af3953818df54e53e0e0859f064e57fd6e16cf177a8bc9f7ed71cab00b4",
+    "states diamond.json --goal order --seed 5": "ecc3c96766cf2cbc3ac793002ac07abaa11273a5caec08494f47b02e53f4cb1b",
+    "states diamond.json --goal separate --seed 0": "02e54e4f67bdab6853e1468c2d47c7c3d77a0b07830c4b4b013f19ad2e33b954",
+    "states diamond.json --goal separate --seed 5": "079851ca74dc8fdb4dc3160e0381ce4f0dad3227e1b8e065c3730f3951e15b32",
+    "represent diamond.json --goal order --seed 0": "ce5ccd5a1c44a31b1b777a1bb6d860f9ca9a8c4a62c7c9e34e05f0ce7c007489",
+    "represent diamond.json --goal order --seed 5": "8e3200c98bf97b43043fa450eef2b48cc6bc54070c0635eb845e87698c570b0c",
+    "represent diamond.json --goal separate --seed 0": "3982194fd9b51454763ff6eb1e11ebea1fa29ff268909fff6ac489f4714ce23d",
+    "represent diamond.json --goal separate --seed 5": "403b92f2b70ac4615eafcaf7007ff0046a7316cca74c9692471fecd31d1b2310",
     "check chain_c3.json --ea": "2be0031cb758d7a512d6efc4e287b35c0b2de1d21ea666c576021ca7bc7ac63b",
     "order chain_c3.json": "52737d9fa55b404a7c847c01485e1c9e6742f4021af015c89b08ff6b37161644",
-    "states chain_c3.json --goal order --seed 0": "bce4467a34d7b36dd5c4607387c573db940b1cc5b954e2eb6d72779d82f73019",
-    "states chain_c3.json --goal order --seed 5": "955b1c86253e5bdf2e457f35bc23e0d245bea77cb819af5d0a845a59b13f01e7",
-    "states chain_c3.json --goal separate --seed 0": "eca8fb2b916d5c4dd643cda7a8c0b659c4ed8bf5749ff1021f89ade77c0b2d37",
-    "states chain_c3.json --goal separate --seed 5": "ed6739d0f1fea9e76eca061869409f0c5d7cae8648372039751aef81d4ceaec2",
-    "represent chain_c3.json --goal order --seed 0": "12013d59bfe9e26ecfdf5e5a5c78b187192255ad32acbf09444944487a5f51d0",
-    "represent chain_c3.json --goal order --seed 5": "eb475b437f40b2b92e69802ea9df172eae1aa3f1a09086e4ae65e66d95c21bd6",
-    "represent chain_c3.json --goal separate --seed 0": "7055eef0557ca4e6599304c3bbe3f3d0b42a0ef9f7086de5e088b2f6271fad3e",
-    "represent chain_c3.json --goal separate --seed 5": "34aec12ae611cea3db1a3c33e08fe6b56806ba627c46ba9782ea6fdb5dff93bf",
+    "states chain_c3.json --goal order --seed 0": "9907469214296cb6c17968ffd0fd15168574738c85434cd77efe19d8072f8a9f",
+    "states chain_c3.json --goal order --seed 5": "28cb9386eefac8fc39909f84b7a569c5b5fb8840aeedaea352f9b975fde04ced",
+    "states chain_c3.json --goal separate --seed 0": "b333f07f72f8395fed6cce9f648f7fca0ced1d04a8d2c2f389d2c24dabc1e14b",
+    "states chain_c3.json --goal separate --seed 5": "d42e6c0310bacddd209ba78fa5a2c48415784d02e09b981687c767b4161fc52c",
+    "represent chain_c3.json --goal order --seed 0": "1528d4d7e606ac67cfc422edd980a27a57f9a243a96c6e065e74adcb9c3e2921",
+    "represent chain_c3.json --goal order --seed 5": "0a756dc83cf7dc2fad450efffac603efdb0de046056171c887d1da2d18e9db8e",
+    "represent chain_c3.json --goal separate --seed 0": "622712b1762a1f7c418e19f1beb4b8c6bb0ded2e08e1400c55ef55eea97e8f8d",
+    "represent chain_c3.json --goal separate --seed 5": "1941a858f929d521503873c6b2a079bf1c1d7964a3aab48c888d369b06e8bd62",
     "check cube8.json --ea": "d33de13b229d37249b12c16bce0d15b57931915200b7675299f492789303b627",
     "order cube8.json": "d4e2ef01a191a8b59633ec6e5fce07818d6ccbc6fb1e613366222d48f46e038a",
-    "states cube8.json --goal order --seed 0": "8c241ace7f6fba49093816f743b06f1965f5410eab67039078b286d79631f07c",
-    "states cube8.json --goal order --seed 5": "6de6a48a995fdd64e970cc110525b0c5fac155f69fb18a758a4aa62af1620bc6",
-    "states cube8.json --goal separate --seed 0": "24902a39992e9ba3fe65ced44686a082016fa860d64a16093da909cea7c36cb4",
-    "states cube8.json --goal separate --seed 5": "4c67ab4aca004eac7af1139dfe2d740b24025b8223e64bc98c653be55734fb8d",
-    "represent cube8.json --goal order --seed 0": "69b0ef4368f025887d3ab01b882a7a383f3fd44c58616870062905b9b376f400",
-    "represent cube8.json --goal order --seed 5": "55dafeb07817e33f2446f90dc447057e45f34a97e76cf42eb89468798aee8797",
-    "represent cube8.json --goal separate --seed 0": "e72d788f6b2a84f7c8fa78bd4a836c48c3bcb8d994c99105b3867eb9f05cacc3",
-    "represent cube8.json --goal separate --seed 5": "834c151385c9a6e663bef90cf7c4b44f35247af2a9b5d024ab316372607cd561",
+    "states cube8.json --goal order --seed 0": "cf70ea29a4c0bd9b2cdf46541170700dcf1f42ab663d1974a2ceb8a7ad67b959",
+    "states cube8.json --goal order --seed 5": "87c427213c90704e1aa1641e5a0c39217fe392e56fe841c2ba7a89171fb8c273",
+    "states cube8.json --goal separate --seed 0": "67d894b154f561c1455df7d523f99bef78d5390b8a97610243fce678ae2f05dd",
+    "states cube8.json --goal separate --seed 5": "521a9c24671b49ddac2fb9744e166e6d3a895a5362bf4fa995431ad8437d30cc",
+    "represent cube8.json --goal order --seed 0": "b0d03fe30eee6eb618430986468be9c6a0de74af2cc989a5ce3046c06c3a6d80",
+    "represent cube8.json --goal order --seed 5": "8f2c5b7ede53ebe4cade82389381af172d80204aae72fbe7c294ab45c8fef7fd",
+    "represent cube8.json --goal separate --seed 0": "aef2e4c3dc9904be5a92700a76ca9feb745f4ea632551179cad6a9115599f4ea",
+    "represent cube8.json --goal separate --seed 5": "4474c1a053464f89259b82bc00d6263e48d8874607ab951a8a4b005546c92946",
     "check no_states.json": "3103b5c7ec904e2b7ef04ff787cf69d7b1998aee271edae7694ddcb0754d8d22",
     "order no_states.json": "15718e7df043cff220f7cb80cf4ebcb96a0de346b92da850d8efe431a8bc505f",
-    "states no_states.json --goal order --seed 0": "307e6464f0cfed893155681728fd7a27c007f86bd48b2edafb7f25a621b26a2f",
-    "states no_states.json --goal order --seed 5": "e1871d1e4a8ac55a65310251c39ecc4cc6b9ba070ac25f54c0a0cd0bf9cd84e9",
-    "states no_states.json --goal separate --seed 0": "8624ba78e384b31cdd9db04ecaee5263150f4ad01275bb99b0f39a87edb7ce81",
-    "states no_states.json --goal separate --seed 5": "5294628db2a15dabca3eea270b57883378af00edd8238e3e03cb41bfcbca97a1",
-    "represent no_states.json --goal order --seed 0": "8edceb0c2e35701cd5ec7fc9efe4bed32df4c204fdb0c6aed1abd96ef7dbc3be",
-    "represent no_states.json --goal order --seed 5": "668a365f3255cfcbfd6fdb2d9f05015791fa1865584ed3b2b1081b63a95b62a9",
-    "represent no_states.json --goal separate --seed 0": "c3cb2ac373a82111fcf5b6a5bd4d3b864e50c6d109fc5a7a3674331e7115941c",
-    "represent no_states.json --goal separate --seed 5": "c838e64692536a7b8eee18e4e98747cc87060140c5f232b873060d038ab9178d",
+    "states no_states.json --goal order --seed 0": "e613bebcc1e7be4d2394ccf527eb47454173c0eeeee6bf8165936fbcb4b4d76f",
+    "states no_states.json --goal order --seed 5": "2a7a642aa1d05adf14e1d05fb4aaf260b4724eb7f14e1bf6b80cb0e729b0e167",
+    "states no_states.json --goal separate --seed 0": "8213695f021171098439dbeffe72f3adc3a17be3c963b0fc368413c4546791aa",
+    "states no_states.json --goal separate --seed 5": "faca76a81715f5d7d2f33c475261e1c683d10ff0fee417fa353f3f2e419c067d",
+    "represent no_states.json --goal order --seed 0": "1ff11a845ee39aedd9c0b58c6e41e425d01e37c8f6a9e218f8effd209bcd247e",
+    "represent no_states.json --goal order --seed 5": "acf4bc1dd2cb7c5cddfc0f950057f4695cca173e49e321daa4a897337a0ea2fb",
+    "represent no_states.json --goal separate --seed 0": "c870c268cf1de4f33cdd559c6fbf735aa24623f1bdba69f18c96e89bf5262d3f",
+    "represent no_states.json --goal separate --seed 5": "2f740e40eded144e3ea3e1c014d24366e432537a8296d7895bfcdd97c457ca19",
     "check broken_ge3.json": "36bef794a20235891b36a605b6c2aa97b9935d97c272c0dbee58246de44fdafb",
     "order broken_ge3.json": "8776e7629235587a678cbc013c5ddb142dd762c02ad77d7382ee02cbedbb9344",
     "states broken_ge3.json --goal order --seed 0": "636381432487a7a1bce0f59ac3e26417be476b80067059413b529985f9b37bb3",
@@ -109,14 +109,14 @@ REPORT_DIGESTS = {
     "represent broken_ge3.json --goal separate --seed 5": "08fbbf27c5927191fe16dbb4b26b2a401be2f1382075a478eb6fc9b3c50fd14f",
     "check ea_no_complement.json --ea": "0e512917cc8c0ecfb87b281b3ae5c4a62e9186a6120eac953b1dfd247c6e006d",
     "order ea_no_complement.json": "94b63012d5a17f9b2c01e2254add1dae0a60e0c1119e8b8d870000469fc768d7",
-    "states ea_no_complement.json --goal order --seed 0": "d42a9156e0d22c69f6b6a51fe7784dda5c23440c2d86448f885d0be33ad7ff0e",
-    "states ea_no_complement.json --goal order --seed 5": "df28c6dd0c6fafb395fd1cb8b1abda4f9159f65159ceb0e5521eac711293634c",
-    "states ea_no_complement.json --goal separate --seed 0": "0d788dd9dd0e144f3b205bfca9b3dfbd012bfe1b046a6babc01176bb418c28aa",
-    "states ea_no_complement.json --goal separate --seed 5": "643b3acd113f29984a808f124ecf2a00ba76242b50abf836363942bce3b79d49",
-    "represent ea_no_complement.json --goal order --seed 0": "36fcfa9323939b7e76f47c6fbc13f982cce013aa4730647f00677b4653659233",
-    "represent ea_no_complement.json --goal order --seed 5": "6080404badd26752ff51e1c5c8f243b59f3bf98c87cd806b73c7ac3ad0192f53",
-    "represent ea_no_complement.json --goal separate --seed 0": "fe6d28995006063b5dbfa0bcf10fbe81111fe81b1437f3e199698ec9593590ea",
-    "represent ea_no_complement.json --goal separate --seed 5": "a626cd184c18be7f04e1d788532948385d70cec17b3570f007346cfd49b3bf3e",
+    "states ea_no_complement.json --goal order --seed 0": "3edfc1437d2d6825e013600d5d7ef902259c97f25191c423afed4845327ba765",
+    "states ea_no_complement.json --goal order --seed 5": "ef16f73daedd6d779adc6245cfefe1dff3f820664fe1067b7a6c97a8102776f3",
+    "states ea_no_complement.json --goal separate --seed 0": "1800c784db3b8988a6344f1dc7394acc4f6e877f91ceb20fae3dbace642d33f6",
+    "states ea_no_complement.json --goal separate --seed 5": "8a5150ffb3fc721c28292503b73da824cedcc3ff27777367bbfeec7c3f209cd6",
+    "represent ea_no_complement.json --goal order --seed 0": "cf487a31b253814f66e9aed07b8d16e429520373d456f903c6a2bf41a4013ec3",
+    "represent ea_no_complement.json --goal order --seed 5": "5c36404da60c082052a1597edad2dab0e0e048ae9bd108953bb405ea80373b34",
+    "represent ea_no_complement.json --goal separate --seed 0": "ae1c2e004a5f6737e773f88e7ac5bee09193914386575835c84c308d5ca5841f",
+    "represent ea_no_complement.json --goal separate --seed 5": "e2c02f055088443f1e92979e0513edf171f5da0f87f65b874beafe4445771c00",
     "morphism id_d4.json": "8bc562ae4a300fdce8b0076c8c993a99a19e43d7380789cb47486e12bba5bfaa",
     "morphism incl_excd.json": "a0eb0530dac7ce66b07d1024d52d8b7aba668d20ec322599a3d4407a5c92da6f",
     "morphism zero_d4.json": "035df03a05bb35d91ad30f860ae47b20b49bb91a6cbc0eabd6d8c7762367c0b3",
@@ -155,18 +155,18 @@ LARGE_TABLES = {
 }
 
 LARGE_DIGESTS = {
-    "states cube5.json --goal order --seed 0": "926b2bd3c5d47c06aca229aa0c3feb7c17a9dd8ad4a3261156fd8889cdcb74ce",
-    "states cube5.json --goal separate --seed 0": "090fda0ccff8e5c54d5971b749b69cff5561d906174c89b8347769fdc9444100",
-    "represent cube5.json --goal order --seed 0": "9e5bb901f9557514941ca1c15df4fa44f446271c6e622f968a34128fe920562e",
-    "represent cube5.json --goal separate --seed 0": "bcd7278728c18d80ba91fc1d3b08ad757233c4a1869e9e317863a7dd06175f83",
-    "states chain40.json --goal order --seed 0": "0c5a1cfad21a127aec23faf8eef9d18ab462baa6d7a40b7ed666399d1b6d5de7",
-    "states chain40.json --goal separate --seed 0": "162806d6c03f68ce9802db73fb4db67abcc352feb1aad4d355a59ff18add0147",
-    "represent chain40.json --goal order --seed 0": "455b36a0c186aaca7fed44147114ad713a5dda258b4dbe41feb7bc22ec6dd77e",
-    "represent chain40.json --goal separate --seed 0": "18d42cd5470daef81798e75b6cf53fcbd0dc62cd79e33fa3d0e2bfd199fc6e36",
-    "states random24.json --goal order --seed 0": "85ce503042d96f86760d686a87bfc147e4f89aff4286a2972c932fe43e484fd5",
-    "states random24.json --goal separate --seed 0": "28baab06489a45d9de8c966af9652b374318c654b900f9496118a44d0be8be40",
-    "represent random24.json --goal order --seed 0": "ded401dd67c877ef378d54ddbaf98d5474a113213297c40d8ab39d56c3c4cf40",
-    "represent random24.json --goal separate --seed 0": "8ddddba51c6bc4490629583dfdd55d4b5f283b0a17f0612166fd0698fab3bdc0",
+    "states cube5.json --goal order --seed 0": "93a4c86926b002b232ec7991e28c671f7d9ebae6a0301f74bf05b0c2bb98361e",
+    "states cube5.json --goal separate --seed 0": "54e4271a1561e99fb73846d60a102e18d8b6a76e11eaf943d71b9f46670898bf",
+    "represent cube5.json --goal order --seed 0": "ba298f4282fe04c6b1412d26ef425f1893b08214e4d730e9a06be425d06ee617",
+    "represent cube5.json --goal separate --seed 0": "7b90b80cbbc5fc1aa14c01bbd6c43cfda6993bcde347cfe4110fcb3ba96c802e",
+    "states chain40.json --goal order --seed 0": "463b869ea3305636ef1964e6711e6a53b33ad0a0d457d05c9dd999f61c716dae",
+    "states chain40.json --goal separate --seed 0": "6d91af5f96aea8c2dc62bfbe1332dfc2c77cef594167578a474ce993e982d654",
+    "represent chain40.json --goal order --seed 0": "293d949abb886539479fafdb156de6162897c2c70b863fc59250a7c0e6d8e7f6",
+    "represent chain40.json --goal separate --seed 0": "b1e9f8da53f3fe73f724982ea1a95f5848ae29db932cf07be9ed5139122763c2",
+    "states random24.json --goal order --seed 0": "c2cc5bfd4957a455601c88d46a5fcae750bf0e4a24a89d5d11b7f69709809164",
+    "states random24.json --goal separate --seed 0": "c2f652404a6d7ad3e0e5881920a62283c3f974e62ed012bc5fc7c263e3110ab4",
+    "represent random24.json --goal order --seed 0": "a4024cd6002d2e93583ba4a593ae5b278b70a14a4a91e7e8ca9c26667ef58b15",
+    "represent random24.json --goal separate --seed 0": "2efee643c64db778d4463380fbfefb4757708e38216de8319d86eb75c37d184e",
 }
 
 
