@@ -17,15 +17,14 @@ instead of scanning again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import mul
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ContractError, InputError
 
 
-@dataclass(frozen=True)
-class AlgebraTable:
+class AlgebraTable(namedtuple("AlgebraTable", "elements zero sums unit rows")):
     """A finite partial algebra: labelled elements, a zero, an optional unit,
     and a partial sum table mapping index pairs to the index of their sum.
 
@@ -37,49 +36,46 @@ class AlgebraTable:
     sorted key order.  Neither may be changed.
     """
 
-    elements: tuple[str, ...]
-    zero: int
-    sums: Mapping[tuple[int, int], int]
-    unit: Optional[int] = None
-    rows: list[list[int]] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.elements)
+    def __new__(cls, elements: tuple[str, ...], zero: int,
+                sums: Mapping[tuple[int, int], int], unit: Optional[int] = None) -> AlgebraTable:
+        n = len(elements)
         if n < 1:
             raise InputError("algebra needs at least one element")
-        if len(set(self.elements)) != n:
+        if len(set(elements)) != n:
             raise InputError("element labels must be unique")
-        if not 0 <= self.zero < n:
-            raise InputError(f"zero index {self.zero} out of range")
-        if self.unit is not None:
-            if not 0 <= self.unit < n:
-                raise InputError(f"unit index {self.unit} out of range")
-            if self.unit == self.zero and n > 1:
+        if not 0 <= zero < n:
+            raise InputError(f"zero index {zero} out of range")
+        if unit is not None:
+            if not 0 <= unit < n:
+                raise InputError(f"unit index {unit} out of range")
+            if unit == zero and n > 1:
                 raise InputError("unit must differ from zero")
         rows = [[-1] * (n + 1) for _ in range(n + 1)]
-        for (i, j), k in self.sums.items():
+        for (i, j), k in sums.items():
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise InputError(f"sum entry ({i},{j})->{k} out of range")
             rows[i][j] = k
-        object.__setattr__(self, "rows", rows)
         # Read off row by row, so every walk of sums.items() is in key order.
-        object.__setattr__(self, "sums", {(i, j): k for i, row in enumerate(rows)
-                                          for j, k in enumerate(row) if k >= 0})
+        sums = {(i, j): k for i, row in enumerate(rows) for j, k in enumerate(row) if k >= 0}
+        return super().__new__(cls, elements, zero, sums, unit, rows)
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild rows from sums
+        return self[:4]
 
     @property
     def n(self) -> int:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     axiom: str
     witness: tuple[int, ...]
     message: str
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
@@ -234,8 +230,7 @@ def check_ea_axioms(table: AlgebraTable, gea: AxiomReport) -> AxiomReport:
     return AxiomReport(tuple(violations))
 
 
-@dataclass(frozen=True)
-class OrderRelation:
+class OrderRelation(NamedTuple):
     """The order induced by the sum table: x <= y iff x + z = y for some z.
 
     The difference y - x, that z, is read from the table's sums: it is
@@ -246,9 +241,9 @@ class OrderRelation:
 
     def pairs_not_leq(self) -> list[tuple[int, int]]:
         """Ordered pairs (a, b), a != b, with a not below b, lexicographic."""
-        n = len(self.leq_matrix)
-        return [(a, b) for a in range(n) for b in range(n)
-                if a != b and not self.leq_matrix[a][b]]
+        leq = self.leq_matrix
+        n = len(leq)
+        return [(a, b) for a in range(n) for b in range(n) if a != b and not leq[a][b]]
 
 
 def induced_order(table: AlgebraTable) -> OrderRelation:
@@ -265,8 +260,7 @@ def induced_order(table: AlgebraTable) -> OrderRelation:
     return OrderRelation(tuple(map(tuple, leq)))
 
 
-@dataclass(frozen=True)
-class CheckedGEA:
+class CheckedGEA(NamedTuple):
     """A table that passed the GEA axiom scan, with its induced order.
 
     scan_gea and require_gea make it.  The witness searches, the
@@ -314,22 +308,21 @@ def is_sub_gea(subset: Sequence[int], table: AlgebraTable) -> tuple[bool, Option
     return True, None
 
 
-@dataclass(frozen=True)
-class MorphismSpec:
-    source: CheckedGEA
-    target: CheckedGEA
-    map: tuple[int, ...]  # source index -> target index, total
+class MorphismSpec(namedtuple("MorphismSpec", "source target map")):
+    """A total map, source index -> target index, between two checked tables."""
 
-    def __post_init__(self) -> None:
-        if len(self.map) != self.source.table.n:
+    __slots__ = ()
+
+    def __new__(cls, source: CheckedGEA, target: CheckedGEA, map: tuple[int, ...]) -> MorphismSpec:
+        if len(map) != source.table.n:
             raise InputError("morphism map must be total on the source")
-        for image in self.map:
-            if not 0 <= image < self.target.table.n:
+        for image in map:
+            if not 0 <= image < target.table.n:
                 raise InputError(f"image index {image} out of range")
+        return super().__new__(cls, source, target, map)
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     is_morphism: bool
     injective: bool
     order_reflecting: bool

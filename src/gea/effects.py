@@ -9,7 +9,7 @@ rejected as input out of range instead of yielding a NaN verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
@@ -25,21 +25,20 @@ HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class EffectMatrix:
+class EffectMatrix(namedtuple("EffectMatrix", "mat")):
     """Hermitian matrix; its checks use the tolerances HERMITIAN_TOL and
     PSD_TOL."""
 
-    mat: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.mat, dtype=complex)
+    def __new__(cls, mat: np.ndarray) -> EffectMatrix:
+        arr = np.asarray(mat, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InputError("effect matrices must be square")
         if not np.isfinite(arr).all():
             raise InputError("matrix entries must be finite; a sum or difference "
                              "of finite inputs can overflow double precision")
-        object.__setattr__(self, "mat", arr)
+        return super().__new__(cls, arr)
 
     @property
     def dim(self) -> int:

@@ -23,7 +23,7 @@ forms of the vector checks are kept in tests/reference.py.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import add, le, mul
@@ -34,21 +34,20 @@ from .errors import InputError
 from .states import GeneralizedState, StateWitnessSet
 
 
-@dataclass(frozen=True)
-class DiagonalRep:
+class DiagonalRep(namedtuple("DiagonalRep", "diagonals den")):
     """Element -> diagonal of its operator, one entry per witness slot.
 
     Entry s of phi(a) is diagonals[a][s] / den, with den > 0, for m slots.
     """
 
-    diagonals: tuple[tuple[int, ...], ...]
-    den: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.diagonals:
+    def __new__(cls, diagonals: tuple[tuple[int, ...], ...], den: int = 1) -> DiagonalRep:
+        if not diagonals:
             raise InputError("a representation needs one diagonal per element")
-        if self.den <= 0:
+        if den <= 0:
             raise InputError("representation denominator must be positive")
+        return super().__new__(cls, diagonals, den)
 
     @property
     def m(self) -> int:

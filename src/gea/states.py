@@ -35,7 +35,7 @@ Fractions are made only for the public values view.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
@@ -45,22 +45,19 @@ from .errors import InputError
 from .lp import LinearProgram, Row, lp_feasible
 
 
-@dataclass(frozen=True)
-class GeneralizedState:
+class GeneralizedState(namedtuple("GeneralizedState", "nums den")):
     """Exact valuation on the elements of one table: s(i) = nums[i] / den.
 
     den is positive and the vector is kept in lowest terms, so two states are
     equal iff they agree as rational vectors."""
 
-    nums: tuple[int, ...]
-    den: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.den <= 0:
+    def __new__(cls, nums: tuple[int, ...], den: int = 1) -> GeneralizedState:
+        if den <= 0:
             raise InputError("state denominator must be positive")
-        common = gcd(self.den, *self.nums)
-        object.__setattr__(self, "nums", tuple(p // common for p in self.nums))
-        object.__setattr__(self, "den", self.den // common)
+        common = gcd(den, *nums)
+        return super().__new__(cls, tuple(p // common for p in nums), den // common)
 
     @classmethod
     def of(cls, values: Sequence[int | Fraction | str]) -> "GeneralizedState":
@@ -89,7 +86,6 @@ class GeneralizedState:
                     f"state is not additive on {table.elements[i]}+{table.elements[j]}")
 
 
-@dataclass
 class StateWitnessSet:
     """Finite witness set with the pair that made each state.
 
@@ -99,10 +95,13 @@ class StateWitnessSet:
     no witness exists.  The search succeeded iff failures is empty.
     """
 
-    goal: str  # "separate" or "order"
-    states: list[GeneralizedState] = field(default_factory=list)
-    provenance: dict[tuple[int, int], int] = field(default_factory=dict)
-    failures: list[tuple[int, int]] = field(default_factory=list)
+    def __init__(self, goal: str, states: Optional[list[GeneralizedState]] = None,
+                 provenance: Optional[dict[tuple[int, int], int]] = None,
+                 failures: Optional[list[tuple[int, int]]] = None) -> None:
+        self.goal = goal  # "separate" or "order"
+        self.states = [] if states is None else states
+        self.provenance = {} if provenance is None else provenance
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -205,8 +204,9 @@ def assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet,
     cannot witness is a failure.
     """
     covers = operator.gt if witnesses.goal == "order" else operator.ne
+    slots = [s.nums for s in witnesses.states]
     for a, b in pairs:
-        if any(covers(s.nums[a], s.nums[b]) for s in witnesses.states):
+        if any(covers(nums[a], nums[b]) for nums in slots):
             continue
         state = find(a, b)
         if state is None:
@@ -215,6 +215,7 @@ def assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet,
             state.validate(table)
             witnesses.provenance[(a, b)] = len(witnesses.states)
             witnesses.states.append(state)
+            slots.append(state.nums)
     return witnesses
 
 

@@ -1,6 +1,9 @@
+import copy
 import json
+import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +13,11 @@ from gea.algebra import (AlgebraTable, MorphismSpec, Violation, check_ea_axioms,
                          check_gea_axioms, classify_morphism, induced_order, is_sub_gea,
                          require_gea)
 from gea.cli import main
+from gea.effects import EffectMatrix
 from gea.errors import ContractError, InputError
 from gea.generate import random_gea, random_population
+from gea.represent import DiagonalRep
+from gea.states import GeneralizedState
 from reference import (axiom_witnesses, reference_classify_morphism, reference_ea_axioms,
                        reference_gea_axioms, reference_induced_order)
 
@@ -31,15 +37,24 @@ def with_zero_sums(n, extra):
 
 class TestTableValidation:
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^element labels must be unique$"):
             table(["0", "a", "a"], with_zero_sums(3, {}))
 
     def test_out_of_range_sum_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^sum entry \(0,5\)->0 out of range$"):
             table(["0", "a"], {(0, 5): 0})
 
+    @pytest.mark.parametrize("labels, zero, unit, message", [
+        ((), 0, None, "algebra needs at least one element"),
+        (("0", "a"), 2, None, "zero index 2 out of range"),
+        (("0", "a"), 0, -1, "unit index -1 out of range"),
+    ])
+    def test_bad_zero_or_unit_rejected(self, labels, zero, unit, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            AlgebraTable(labels, zero=zero, sums={}, unit=unit)
+
     def test_unit_equal_to_zero_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^unit must differ from zero$"):
             AlgebraTable(("0", "a"), 0, with_zero_sums(2, {}), unit=0)
 
     def test_singleton_unit_may_be_zero(self):
@@ -49,6 +64,41 @@ class TestTableValidation:
         sums = with_zero_sums(3, {(1, 1): 2})
         t = table(["0", "a", "b"], dict(reversed(list(sums.items()))))
         assert list(t.sums.items()) == sorted(sums.items())
+
+
+def frozen_records():
+    """One record of each frozen type, with the names of its fields."""
+    gea = require_gea(AlgebraTable(("0", "a"), 0, with_zero_sums(2, {})))
+    return [
+        (gea.table, ("elements", "zero", "sums", "unit", "rows")),
+        (Violation("GE1", (0, 1), "a+b"), ("axiom", "witness", "message")),
+        (check_gea_axioms(gea.table), ("violations",)),
+        (gea.order, ("leq_matrix",)),
+        (gea, ("table", "order")),
+        (MorphismSpec(gea, gea, (0, 1)), ("source", "target", "map")),
+        (classify_morphism(MorphismSpec(gea, gea, (0, 0))),
+         ("is_morphism", "injective", "order_reflecting", "embedding", "failure")),
+        (GeneralizedState((0, 1)), ("nums", "den")),
+        (DiagonalRep(((0,), (1,))), ("diagonals", "den")),
+        (EffectMatrix(np.eye(2)), ("mat",)),
+    ]
+
+
+FROZEN_RECORDS = frozen_records()
+
+
+@pytest.mark.parametrize("record, fields", FROZEN_RECORDS,
+                         ids=[type(record).__name__ for record, _ in FROZEN_RECORDS])
+def test_frozen_record_refuses_assignment_and_survives_copy(record, fields):
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, fields[0])
+    for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        for name in fields:
+            assert repr(getattr(twin, name)) == repr(getattr(record, name))
 
 
 class TestGeaAxioms:

@@ -628,16 +628,20 @@ from gea.cli import main
 exact, bad = json.loads(sys.argv[1]), sys.argv[2]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main([*argv, "--json"]) for argv in exact]
-    loaded = sorted({"numpy", "gea.effects"} & set(sys.modules))
+    loaded = sorted({"numpy", "gea.effects", "dataclasses"} & set(sys.modules))
     check = main(["effects", "check", bad, "--json"])
+    after_check = "dataclasses" in sys.modules
     demo = main(["effects", "demo-excd", "--json"])
-print(json.dumps({"codes": codes, "loaded": loaded, "check": check, "demo": demo}))
+    after_demo = "dataclasses" in sys.modules
+print(json.dumps({"codes": codes, "loaded": loaded, "check": check, "demo": demo,
+                  "dataclasses": [after_check, after_demo]}))
 """
 
 
 def test_exact_commands_load_neither_numpy_nor_effects(tmp_path):
     """gea.cli and every command but effects run without numpy or gea.effects;
-    effects loads them on first use."""
+    effects loads them on first use.  No command loads dataclasses, whose
+    import (inspect, ast, dis, tokenize) would dominate the start-up time."""
     exact = [argv for argv in corpus_commands() if argv[0] != "effects"]
     assert {argv[0] for argv in exact} == {"check", "order", "states", "represent", "morphism"}
     bad = tmp_path / "bad.json"
@@ -652,6 +656,7 @@ def test_exact_commands_load_neither_numpy_nor_effects(tmp_path):
     assert 2 not in result["codes"]  # every command read its file
     assert result["loaded"] == []
     assert (result["check"], result["demo"]) == (2, 0)
+    assert result["dataclasses"] == [False, False]
 
 
 # Hostile input: arbitrary JSON objects over the keys the loaders read.  Most

@@ -167,6 +167,12 @@ class TestSpectrum:
         with pytest.raises(InputError, match="finite"):
             EffectMatrix(np.array([[1.0, 0.0], [0.0, entry]], dtype=complex))
 
+    def test_matrix_stored_as_complex_array_with_its_dimension(self):
+        h = EffectMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        assert h.dim == 3 and h.mat.dtype == complex
+        with pytest.raises(InputError, match="^effect matrices must be square$"):
+            EffectMatrix(np.zeros((2, 3)))
+
     def test_nan_written_after_construction_rejected(self):
         # The array stays writable; a NaN defect must not pass as Hermitian.
         h = diag(1.0, 0.0)

@@ -144,12 +144,15 @@ class TestBuild:
         assert rep.operators[2] == (Fraction(1), Fraction(2, 3))
 
     def test_non_positive_denominator_rejected(self):
-        with pytest.raises(InputError):
-            DiagonalRep(((),), 0)
+        with pytest.raises(InputError, match="^representation denominator must be positive$"):
+            DiagonalRep(((),), den=0)
 
     def test_no_diagonals_rejected(self):
         # m is the length of a diagonal, so a representation needs one.
-        with pytest.raises(InputError):
+        message = "^a representation needs one diagonal per element$"
+        with pytest.raises(InputError, match=message):
+            DiagonalRep(())
+        with pytest.raises(InputError, match=message):
             DiagonalRep((), 1)
 
 

@@ -203,10 +203,14 @@ class TestIntegerStates:
 
     def test_non_positive_denominator_rejected(self):
         for den in (0, -2):
-            with pytest.raises(InputError):
+            with pytest.raises(InputError, match="^state denominator must be positive$"):
                 GeneralizedState((0, 1), den)
+        with pytest.raises(InputError, match="^state denominator must be positive$"):
+            GeneralizedState((1,), den=0)
 
     def test_equality_matches_fraction_equality_on_non_reduced_input(self):
+        assert GeneralizedState((2, 4), 2) == GeneralizedState((1, 2))
+        assert hash(GeneralizedState((2, 4), 2)) == hash(GeneralizedState((1, 2)))
         half = GeneralizedState((0, 2, 4), 4)
         assert half == GeneralizedState((0, 1, 2), 2)
         assert half == GeneralizedState.of(("0", "2/4", "1"))
