@@ -263,7 +263,10 @@ def cmd_effects(args: argparse.Namespace) -> tuple[dict, int]:
     if args.effects_command == "check":
         matrix = fileio.load_matrix(args.path)
         report = _base_report(args, args.path)
-        positive, effect = effects.spectral_flags(matrix)
+        try:
+            positive, effect = effects.spectral_flags(matrix)
+        except InputError as exc:
+            raise InputError(f"{args.path}: {exc}") from None
         report["matrix"] = {
             "dim": matrix.dim,
             "hermitian_defect": matrix.hermitian_defect(),
@@ -277,7 +280,7 @@ def cmd_effects(args: argparse.Namespace) -> tuple[dict, int]:
     report = _base_report(args, args.path)
     report["input_b"] = args.path_b
     report["input_b_digest"] = _digest(args.path_b)
-    witness = effects.vector_witness(a, b)
+    witness = effects.vector_witness(a, b, (f"A ({args.path})", f"B ({args.path_b})"))
     if witness is None:
         report["witness"] = None
         report["a_below_b"] = True

@@ -51,15 +51,17 @@ class EffectMatrix(namedtuple("EffectMatrix", "mat")):
             return float(np.max(np.abs(self.mat - self.mat.conj().T)))
 
 
-def _require_hermitian(a: EffectMatrix) -> None:
+def _require_hermitian(a: EffectMatrix, name: str = "matrix") -> None:
     defect = a.hermitian_defect()
     if not defect <= HERMITIAN_TOL:
-        raise InputError(f"matrix is not Hermitian (defect {defect:.3e})")
+        raise InputError(f"{name} is not Hermitian (defect {defect:.3e})")
 
 
-def _require_same_dim(a: EffectMatrix, b: EffectMatrix) -> None:
+def _require_same_dim(a: EffectMatrix, b: EffectMatrix,
+                      names: tuple[str, str] = ("A", "B")) -> None:
     if a.dim != b.dim:
-        raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
+        raise InputError(f"dimension mismatch: {names[0]} is {a.dim} x {a.dim}, "
+                         f"{names[1]} is {b.dim} x {b.dim}")
 
 
 def hermitian_spectrum(a: EffectMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -125,18 +127,20 @@ def gdh_sum(a: EffectMatrix, b: EffectMatrix) -> EffectMatrix:
     return EffectMatrix(total)
 
 
-def vector_witness(a: EffectMatrix, b: EffectMatrix) -> Optional[np.ndarray]:
+def vector_witness(a: EffectMatrix, b: EffectMatrix,
+                   names: tuple[str, str] = ("A", "B")) -> Optional[np.ndarray]:
     """Unit vector x with <x, A x> > <x, B x> when A is not below B.
 
-    Returns None exactly when B - A is positive; InputError unless A and B
-    are both Hermitian, so <x, A x> and <x, B x> are real.  The witness is an
-    eigenvector of B - A for its most negative eigenvalue, in the phase that
-    makes its largest-modulus coordinate (the first, on ties) real and
+    Returns None exactly when B - A is positive.  Raises InputError unless A
+    and B have one dimension and are both Hermitian, so <x, A x> and <x, B x>
+    are real; its message calls them names[0] and names[1].  The witness is
+    an eigenvector of B - A for its most negative eigenvalue, in the phase
+    that makes its largest-modulus coordinate (the first, on ties) real and
     positive, so it does not depend on the LAPACK build's phase convention.
     """
-    _require_same_dim(a, b)
-    _require_hermitian(a)
-    _require_hermitian(b)
+    _require_same_dim(a, b, names)
+    _require_hermitian(a, f"matrix {names[0]}")
+    _require_hermitian(b, f"matrix {names[1]}")
     with np.errstate(over="ignore"):  # an infinite entry is rejected below
         diff = b.mat - a.mat
     w, vectors = hermitian_spectrum(EffectMatrix(diff))

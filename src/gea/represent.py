@@ -18,6 +18,12 @@ compare and add ints.  The order check reads the induced order from the
 CheckedGEA of the pipeline's one axiom scan.  The Fraction views
 (operators, operator_norm) are for callers and reports; the Fraction
 forms of the vector checks are kept in tests/reference.py.
+
+The sampled check settles an element exactly, without reading its seeded
+vectors, when its diagonal has no negative entry and none above its norm:
+each test is a sum of x_s^2 >= 0 with coefficients of the safe sign.  Every
+element of a representation build_representation makes is settled that way.
+Only an element left open reads its vectors, from the same single draw.
 """
 
 from __future__ import annotations
@@ -120,7 +126,8 @@ def operator_norm(rep: DiagonalRep, a: int) -> Fraction:
     """Operator norm of the diagonal phi(a): its largest entry.
 
     The bound ||phi(a) x|| <= norm * ||x|| is attained at the basis vector of
-    an argmax slot; sampled_check tests it on sampled vectors.
+    an argmax slot.  sampled_check settles the bound for every x at once when
+    no entry exceeds the norm, so with this norm it reads no sampled vector.
     """
     entries = rep.diagonals[a]
     if not entries:
@@ -133,26 +140,34 @@ def sampled_check(rep: DiagonalRep, rng: random.Random, count: int,
     """For each element a in turn, check count seeded vectors x for
     <x, phi(a) x> >= 0 and ||phi(a) x||^2 <= norms[a]^2 ||x||^2.
 
-    The vectors come from one rng.randbytes call, element by element, vector
-    by vector and slot by slot: each byte b is one integer coordinate, with
-    square b * b.  The arithmetic is in integers: phi(a) is the int diagonal
-    over rep.den, and with norms[a] = p/q the bound reads
-    q^2 ||diagonal x||^2 <= (p den)^2 ||x||^2, so every vector gets the
-    verdict of the Fraction reference in tests/reference.py.  For a
-    representation built from valid states (every entry nonnegative, each
-    norm the largest entry) the check passes whatever the draws.  Returns
-    False at the first vector that fails.
+    The arithmetic is in integers: phi(a) is the int diagonal d over
+    rep.den, and with norms[a] = p/q the two tests read
+    sum(d_s x_s^2) >= 0 and sum((q^2 d_s^2 - (p den)^2) x_s^2) <= 0.  Every
+    x_s^2 is >= 0, so when no entry is negative and q^2 max(d)^2 <=
+    (p den)^2 both tests hold for every vector, and the element is settled
+    without reading its vectors.  Every element of a representation built by
+    build_representation, with operator_norm's norms, is settled.
+
+    The vectors for all elements come from one rng.randbytes call,
+    element by element, vector by vector and slot by slot, each byte b one
+    integer coordinate: an element the exact test leaves open reads its
+    count vectors from offset a * count * m, whichever other elements are
+    settled, and every vector gets the verdict of the Fraction reference in
+    tests/reference.py.  Returns False at the first vector that fails.
     """
     m = rep.m
-    squares = [b * b for b in rng.randbytes(len(rep.diagonals) * count * m)]
-    start = 0
+    data = rng.randbytes(len(rep.diagonals) * count * m)
     for a, diagonal in enumerate(rep.diagonals):
-        norm = Fraction(norms[a])
+        norm = norms[a]
         image_scale = norm.denominator ** 2
         bound_sq = (norm.numerator * rep.den) ** 2
+        if (min(diagonal, default=0) >= 0
+                and image_scale * max(diagonal, default=0) ** 2 <= bound_sq):
+            continue  # both tests hold for every vector
         diagonal_sq = [e * e for e in diagonal]
+        start = a * count * m
         for _ in range(count):
-            x_sq = squares[start:start + m]
+            x_sq = [b * b for b in data[start:start + m]]
             start += m
             if (sum(map(mul, diagonal, x_sq)) < 0
                     or image_scale * sum(map(mul, diagonal_sq, x_sq)) > bound_sq * sum(x_sq)):

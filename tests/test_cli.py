@@ -285,9 +285,27 @@ class TestEffects:
         out, err = capfd.readouterr()
         report = json.loads(out)
         assert code == 2
-        assert report["error"] == "matrix is not Hermitian (defect 1.000e+00)"
+        assert report["error"] == f"matrix A ({path_a}) is not Hermitian (defect 1.000e+00)"
         assert "a_below_b" not in report
         assert err == ""
+        # A Hermitian A leaves B to blame; `effects check` names its file.
+        code = main(["effects", "witness", cpath("mat_a"), str(path_b), "--json"])
+        out, _ = capfd.readouterr()
+        assert code == 2
+        assert json.loads(out)["error"] == f"matrix B ({path_b}) is not Hermitian (defect 1.000e+00)"
+        code = main(["effects", "check", str(path_b), "--json"])
+        out, _ = capfd.readouterr()
+        assert code == 2
+        assert json.loads(out)["error"] == f"{path_b}: matrix is not Hermitian (defect 1.000e+00)"
+
+    def test_witness_dimension_mismatch_names_both_files(self, capsys, tmp_path):
+        one, two = tmp_path / "one_by_one.json", tmp_path / "two_by_two.json"
+        write_matrix(EffectMatrix(np.eye(1)), one)
+        write_matrix(EffectMatrix(np.eye(2)), two)
+        code, report = run_json(capsys, "effects", "witness", str(one), str(two))
+        assert code == 2
+        assert report["error"] == f"dimension mismatch: A ({one}) is 1 x 1, B ({two}) is 2 x 2"
+        assert "a_below_b" not in report
 
     def test_witness_none_when_below(self, capsys, tmp_path):
         zero = tmp_path / "zero.json"

@@ -434,6 +434,43 @@ class TestSampledCheck:
         verdicts = [self.agree(rep, norms_of(rep), seed, count=1) for seed in range(20)]
         assert True in verdicts and False in verdicts
 
+    def test_bound_verdict_depends_on_the_drawn_vector(self):
+        # The earlier elements are settled without their vectors; the last
+        # has norm 1/2 below its entry 1, so x_1^2 + x_2^2 / 16 <= (x_1^2 +
+        # x_2^2) / 4 holds iff x_2 >= 2 x_1.  Both verdicts occur, and the
+        # reference agrees only if the last element reads its own bytes.
+        rep = diagonal_rep((0, 0), ("1/3", "2/7"), ("1", "1/4"))
+        norms = norms_of(rep)[:-1] + [Fraction(1, 2)]
+        verdicts = [self.agree(rep, norms, seed, count=1) for seed in range(20)]
+        assert True in verdicts and False in verdicts
+
+    def test_built_representations_read_no_drawn_byte(self, valid_corpus):
+        # Every element of a built representation has no negative entry and
+        # none above its norm, so the check settles it without its vectors,
+        # but still draws all of them in one call.
+        class Unreadable:
+            def __iter__(self):
+                raise AssertionError("a drawn byte was iterated")
+
+            def __getitem__(self, key):
+                raise AssertionError(f"drawn bytes {key} were read")
+
+        class Draws:
+            def __init__(self):
+                self.sizes = []
+
+            def randbytes(self, size):
+                self.sizes.append(size)
+                return Unreadable()
+
+        tables = [*valid_corpus.values(), antichain(16), antichain(24)]
+        for table in tables:
+            for search in (order_determining_set, separating_set):
+                rep = search_rep(table, search)
+                rng = Draws()
+                assert sampled_check(rep, rng, 20, norms_of(rep))
+                assert rng.sizes == [len(rep.diagonals) * 20 * rep.m]
+
 
 class TestRoundTrip:
     def test_extract_states_round_trips_corpus(self, valid_corpus):
