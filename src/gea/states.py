@@ -4,28 +4,31 @@ A generalized state assigns a nonnegative rational to every element, is zero
 at zero, and is additive over every defined sum.  States form a cone, so a
 strict inequality s(a) > s(b) can always be normalized to s(a) - s(b) = 1;
 that normalization is what makes each witness search a single feasibility LP.
-A search builds its table's additivity program once, which factors the
-additivity rows, each given by its nonzero entries, as they enter; each pair
-LP extends it by its normalization row, so only that row is reduced.
 
-The program holds the atom rows only.  An atom is a nonzero element that is
-not a sum of two nonzero elements, and in a finite GEA the rows
-s(p) + s(x) = s(p + x), with p an atom and x nonzero, span every additivity
-row.  Take a defined i + j = k with i not an atom, and write i = p + i' with
-p an atom below i; i' != 0, and i' < i by GE3.  GE2 makes i' + j defined,
-with p + (i' + j) = k, so
-
-    row(i, j) = row(p, i' + j) + row(i', j) - row(p, i').
-
-Induction on the order settles row(i', j); GE1 covers an atom in the second
-place, and GE4 keeps i' + j != 0.  So the row space, and with it the reduced
-echelon form the LP works from, is that of one row per defined sum: O(n)
-rows for a chain where there were O(n^2).  The LP rechecks its point only
-against the rows it was given, so each new witness state is validated on
-every defined sum before it takes a slot.
+The LP runs over the atoms alone: the nonzero elements that are not a sum of
+two nonzero elements.  In a GEA, u < u + v strictly for u, v nonzero, in an
+induced order that is a partial order, so the edges u -> u + v, v -> u + v
+have no cycle and Kahn's algorithm orders the elements.  A non-atom x has an
+atom row p + x' = x (p an atom, x' nonzero): if x = u + v with u = p + u',
+GE2 gives x = p + (u' + v), and GE4 keeps u' + v != 0.  Its first one (least
+p, then least x') defines vec(x) = e_p + vec(x'), with vec(0) = 0, and C
+holds vec(x) - e_q - vec(y) for each other atom row q + y = x.
+ * s -> s|atoms is injective on states: along the order, s(x) = s(p) + s(x')
+   = vec(x)·v for v = s|atoms, and the atom rows give C v = 0.
+ * Each v >= 0 with C v = 0 is the restriction of s(x) = vec(x)·v, which is
+   nonnegative and holds every atom row.  It holds each defined i + j = k by
+   induction on i along the order (an atom i gives an atom row): with
+   i = p + i' its defining row, GE2 gives p + (i' + j) = k, so
+   s(k) = s(p) + s(i' + j) = s(p) + s(i') + s(j) = s(i) + s(j).
+So the state cone is {v >= 0 : C v = 0}, and the pair LP C v = 0,
+(vec(a) - vec(b))·v = 1, v >= 0 is feasible exactly when the LP over every
+element and every defined sum is.  C is empty on chains, cubes and down-sets
+of N^m.  A search builds C once, factored, and each pair LP extends it by one
+row.  The LP rechecks its point only against those rows, so each new witness
+state is validated on every defined sum before it takes a slot.
 
 The searches take a CheckedGEA, the table and induced order that one axiom
-scan produced, so they scan nothing themselves, and the atom rows rest on
+scan produced, so they scan nothing themselves, and the atom program rests on
 the axioms that scan proved.  A state is stored as int numerators over one
 positive denominator, in lowest terms: the LP point's denominators are
 cleared once, and coverage, slot reuse and validation compare ints.
@@ -35,13 +38,13 @@ Fractions are made only for the public values view.
 from __future__ import annotations
 
 import operator
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import AlgebraTable, CheckedGEA
-from .errors import InputError
+from .errors import ContractError, InputError
 from .lp import LinearProgram, Row, lp_feasible
 
 
@@ -109,84 +112,81 @@ class StateWitnessSet:
 
 
 def additivity_program(gea: CheckedGEA) -> LinearProgram:
-    """The factored LP over one variable per nonzero element, with one
-    additivity row s(p) + s(x) - s(p + x) = 0 per unordered pair {p, x} of
-    an atom p and a nonzero x whose sum is defined, given as its two or three
-    nonzero (variable, coefficient) pairs.
-
-    The atoms are found in one pass over the rows: the nonzero elements
-    that no sum of two nonzero elements produces.  These rows span every
-    additivity row (see the module docstring), and no two are equal: a row
-    is positive exactly at p and x, because p + x differs from both (GE3
-    and GE5)."""
-    table = gea.table
-    var_of = _variables(table)
-    z = table.zero
-    produced = set()
-    for x in var_of:
-        row = table.rows[x]
-        produced.update(row[:z], row[z + 1:])
-    rows: list[Row] = []
-    for p in var_of:
-        if p in produced:
-            continue
-        row = table.rows[p]
-        for x in var_of:
-            k = row[x]
-            # A pair of atoms enters once, from its lower atom.
-            if k < 0 or (x < p and x not in produced):
-                continue
-            coeffs = {var_of[p]: 2} if x == p else {var_of[p]: 1, var_of[x]: 1}
-            coeffs[var_of[k]] = -1
-            rows.append((tuple(sorted(coeffs.items())), 0))
-    return LinearProgram(len(var_of), rows)
-
-
-def _variables(table: AlgebraTable) -> dict[int, int]:
-    return {e: i for i, e in enumerate(x for x in range(table.n) if x != table.zero)}
-
-
-def state_from_solution(table: AlgebraTable, x: Sequence[Fraction]) -> GeneralizedState:
-    """The state of an LP point (one value per nonzero element, in index
-    order), its denominators cleared once."""
-    den = lcm(*(v.denominator for v in x))
-    scaled = iter([v.numerator * (den // v.denominator) for v in x])
-    return GeneralizedState(tuple(0 if element == table.zero else next(scaled)
-                                  for element in range(table.n)), den)
+    """The atom program of one table, built and factored once: C v = 0 over
+    one variable per atom, in index order, each distinct row of C once.
+    ContractError when Kahn's order misses an element: the sums of nonzero
+    elements then form a cycle, which no table that passed the scan has."""
+    table, z = gea.table, gea.table.zero
+    sums_of: list[list[int]] = [[] for _ in range(table.n)]  # u -> u + v
+    indegree = [0] * table.n
+    for (u, v), k in table.sums.items():
+        if u != z and v != z:
+            sums_of[u].append(k)
+            indegree[k] += 1
+    atoms = [x for x in range(table.n) if x != z and not indegree[x]]
+    order = atoms[:]
+    for u in order:  # Kahn's algorithm: order grows as it is walked
+        for k in sums_of[u]:
+            indegree[k] -= 1
+            if not indegree[k]:
+                order.append(k)
+    if len(order) != table.n - 1:
+        raise ContractError("the sums of nonzero elements form a cycle")
+    into: list[list[tuple[int, int]]] = [[] for _ in range(table.n)]
+    for p in atoms:  # into[k]: the atom rows p + x = k, by p, then x
+        for x, k in enumerate(table.rows[p]):
+            if x != z and k >= 0:
+                into[k].append((p, x))
+    vecs = {z: Counter()}
+    vecs.update((p, Counter({c: 1})) for c, p in enumerate(atoms))
+    chain, rows = [], {}  # rows: C as an ordered set
+    for x in order[len(atoms):]:
+        (p, rest), *others = into[x]
+        vecs[x] = vecs[p] + vecs[rest]
+        chain.append((x, p, rest))
+        for q, y in others:
+            rows[_difference(vecs[x], vecs[q] + vecs[y])] = 0
+    rows.pop((), None)
+    return _AtomProgram(atoms, chain, vecs, rows.items())
 
 
-class _Additivity:
-    """The additivity program of one table, built and factored once.  Every
-    witness LP of a search is that program plus one normalization row.
+def _difference(a: Counter, b: Counter) -> tuple[tuple[int, int], ...]:
+    """The nonzero entries of a - b as sparse row pairs."""
+    return tuple(sorted((j, a[j] - b[j]) for j in a.keys() | b.keys() if a[j] != b[j]))
 
-    A pair row that reduces to 0 = c proves s(a) = s(b) on every state, so
-    the unordered pair is remembered and the other order fails with no LP."""
 
-    def __init__(self, gea: CheckedGEA) -> None:
-        self.table = gea.table
-        self.var_of = _variables(gea.table)
-        self.program = additivity_program(gea)
+class _AtomProgram(LinearProgram):
+    """C v = 0, where atoms[c] is the atom of column c, vecs[x] is vec(x),
+    and chain holds each non-atom x as (x, p, x') for its defining row, in
+    topological order.  A pair row that reduces to 0 = c proves s(a) = s(b)
+    on every state, so the other order of the pair fails with no LP."""
+
+    def __init__(self, atoms: list[int], chain: list[tuple[int, int, int]],
+                 vecs: dict[int, Counter], rows: Iterable[Row]) -> None:
+        super().__init__(len(atoms), rows)
+        self.atoms, self.chain, self.vecs = atoms, chain, vecs
         self.equal: set[frozenset[int]] = set()
 
-    def pair_program(self, lo: int, hi: int) -> LinearProgram:
-        """The additivity program with s(lo) - s(hi) = 1; s(0) = 0 has no
-        variable."""
-        coeffs = sorted((self.var_of[element], w) for element, w in ((lo, 1), (hi, -1))
-                        if element != self.table.zero)
-        return self.program.extended([(tuple(coeffs), 1)])
-
     def witness(self, lo: int, hi: int) -> Optional[GeneralizedState]:
-        """A generalized state with s(lo) - s(hi) = 1, or None."""
+        """A state with s(lo) - s(hi) = 1, from the LP point over the atoms
+        and the defining rows, or None.  The pair row (vec(lo) - vec(hi))·v
+        = 1 reads 0 = 1 when vec(lo) = vec(hi)."""
         pair = frozenset((lo, hi))
         if pair in self.equal:
             return None
-        program = self.pair_program(lo, hi)
-        solution = lp_feasible(program)
-        if solution is None:
+        program = self.extended([(_difference(self.vecs[lo], self.vecs[hi]), 1)])
+        v = lp_feasible(program)
+        if v is None:
             if program.conflict is not None:
                 self.equal.add(pair)
             return None
-        return state_from_solution(self.table, solution)
+        den = lcm(*(value.denominator for value in v))
+        nums = [0] * len(self.vecs)
+        for p, value in zip(self.atoms, v):
+            nums[p] = value.numerator * (den // value.denominator)
+        for x, p, rest in self.chain:
+            nums[x] = nums[p] + nums[rest]
+        return GeneralizedState(tuple(nums), den)
 
 
 def assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet,
@@ -199,9 +199,9 @@ def assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet,
     s(a) != s(b) to separate.  For a pair that no state covers, find(a, b)
     is asked for a new state, which is validated on table, takes the next
     slot and is recorded in provenance under (a, b): it covers (a, b), so it
-    equals no state in the set.  The LP rechecked it only against the atom
-    rows, which imply, but are not, every additivity row.  A pair find
-    cannot witness is a failure.
+    equals no state in the set.  The LP rechecked it only against the rows
+    of the atom program, not every defined sum.  A pair find cannot witness
+    is a failure.
     """
     covers = operator.gt if witnesses.goal == "order" else operator.ne
     slots = [s.nums for s in witnesses.states]
@@ -226,15 +226,14 @@ def order_determining_set(gea: CheckedGEA) -> StateWitnessSet:
     the current one, so the result stays small; pairs are scanned in index
     order, which makes the output deterministic.
     """
-    system = _Additivity(gea)
     return assign_witnesses(gea.table, StateWitnessSet(goal="order"),
-                            gea.order.pairs_not_leq(), system.witness)
+                            gea.order.pairs_not_leq(), additivity_program(gea).witness)
 
 
 def separating_set(gea: CheckedGEA) -> StateWitnessSet:
     """Per-pair separating witnesses over unordered pairs a < b: a state with
     s(a) - s(b) = 1 or, failing that, s(b) - s(a) = 1."""
-    system = _Additivity(gea)
+    system = additivity_program(gea)
     n = gea.table.n
     pairs = ((a, b) for a in range(n) for b in range(a + 1, n))
     return assign_witnesses(gea.table, StateWitnessSet(goal="separate"), pairs,

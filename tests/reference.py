@@ -5,11 +5,13 @@ nested order loop, for `classify_morphism`; Fraction rational vectors over the
 witness slots, for `sampled_check` and acceptance criterion 5; a
 brute-force LP oracle with the witness LPs of a table to run it on, for
 `lp_feasible` and criterion 6, and a converter each way between rows of
-one coefficient per variable and a LinearProgram's sparse rows; one
-additivity row per defined sum, for the atom rows of `additivity_program`;
-the text renderer that calls json.dumps per scalar, for
+one coefficient per variable and a LinearProgram's sparse rows; the LP
+over one variable per nonzero element and one additivity row per defined
+sum, with its states and its searches, for the atom program of
+`additivity_program`; the text renderer that calls json.dumps per scalar, for
 `cli._render_text`; and fixtures: `write_table` and `write_matrix` write
-the files the loaders read, `down_set_table` builds a down-set of N^m,
+the files the loaders read, `down_set_table` builds a down-set of N^m and
+`glued` glues two tables at zero,
 `random_positive_matrix` and `random_vector` draw seeded complex data,
 `axiom_witnesses` lists the witnesses of one axiom in a report, and
 `assert_witness_set` recomputes a search's coverage from its states."""
@@ -31,9 +33,10 @@ from gea.algebra import (AlgebraTable, AxiomReport, MorphismReport, MorphismSpec
                          Violation, induced_order, is_sub_gea, require_gea)
 from gea.effects import EffectMatrix
 from gea.errors import InputError
-from gea.lp import LinearProgram
+from gea.lp import LinearProgram, lp_feasible
 from gea.represent import DiagonalRep
-from gea.states import _Additivity, _variables
+from gea.states import (GeneralizedState, StateWitnessSet, _difference, additivity_program,
+                        assign_witnesses)
 
 
 def reference_two_sided(table: AlgebraTable) -> list[Violation]:
@@ -285,11 +288,16 @@ def basic_solution_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
     return None
 
 
+def reference_variables(table: AlgebraTable) -> dict[int, int]:
+    """The variable of each nonzero element, in index order."""
+    return {e: i for i, e in enumerate(x for x in range(table.n) if x != table.zero)}
+
+
 def reference_additivity_program(table: AlgebraTable) -> LinearProgram:
-    """The additivity program with one row per defined sum, deduplicated:
-    the oracle for the atom rows of `additivity_program`, which must span
-    the same rows."""
-    var_of = _variables(table)
+    """The additivity program with one variable per nonzero element and one
+    row per defined sum, deduplicated: the oracle for the atom program of
+    `additivity_program`, whose pair LPs must have the same verdicts."""
+    var_of = reference_variables(table)
     n_vars = len(var_of)
     rows = []
     seen = set()
@@ -305,14 +313,68 @@ def reference_additivity_program(table: AlgebraTable) -> LinearProgram:
     return LinearProgram(n_vars, sparse(rows))
 
 
-def pair_programs(table):
-    """Every witness LP of a table: s(a) - s(b) = 1 for each order pair and
-    for both normalizations of each separation pair."""
+def reference_pair_row(table: AlgebraTable, lo: int, hi: int):
+    """s(lo) - s(hi) = 1 over the reference program's variables; s(0) = 0
+    has no variable."""
+    var_of = reference_variables(table)
+    return tuple(sorted((var_of[e], w) for e, w in ((lo, 1), (hi, -1)) if e != table.zero)), 1
+
+
+def reference_state(table: AlgebraTable, x) -> GeneralizedState:
+    """The state of a reference LP point, one value per nonzero element."""
+    values = iter(x)
+    return GeneralizedState.of([0 if e == table.zero else next(values) for e in range(table.n)])
+
+
+def reference_search(gea, goal: str):
+    """A witness search whose states come from the reference program."""
+    table = gea.table
+    cone = reference_additivity_program(table)
+
+    def find(lo, hi):
+        x = lp_feasible(cone.extended([reference_pair_row(table, lo, hi)]))
+        return None if x is None else reference_state(table, x)
+
+    if goal == "order":
+        return assign_witnesses(table, StateWitnessSet(goal), gea.order.pairs_not_leq(), find)
+    pairs = ((a, b) for a in range(table.n) for b in range(a + 1, table.n))
+    return assign_witnesses(table, StateWitnessSet(goal), pairs,
+                            lambda a, b: find(a, b) or find(b, a))
+
+
+def atom_state(program, x) -> GeneralizedState:
+    """The state of an atom-program point x: s(e) = vec(e)·x for every
+    element e, a dot product per element."""
+    return GeneralizedState.of([sum(c * x[j] for j, c in program.vecs[e].items())
+                                for e in range(len(program.vecs))])
+
+
+def atom_pair_program(program, lo: int, hi: int) -> LinearProgram:
+    """The atom program with its pair row (vec(lo) - vec(hi))·v = 1."""
+    return program.extended([(_difference(program.vecs[lo], program.vecs[hi]), 1)])
+
+
+def witness_pairs(table: AlgebraTable):
+    """Every witness LP's pair: (a, b) for s(a) - s(b) = 1, for each order
+    pair and both normalizations of each separation pair."""
     pairs = list(induced_order(table).pairs_not_leq())
-    pairs += [p for a in range(table.n) for b in range(a + 1, table.n) for p in ((a, b), (b, a))]
-    system = _Additivity(require_gea(table))
-    for lo, hi in pairs:
-        yield system.pair_program(lo, hi)
+    return pairs + [p for a in range(table.n) for b in range(a + 1, table.n)
+                    for p in ((a, b), (b, a))]
+
+
+def pair_programs(table):
+    """Every witness LP of a table over its atoms, in witness_pairs order."""
+    program = additivity_program(require_gea(table))
+    for lo, hi in witness_pairs(table):
+        yield atom_pair_program(program, lo, hi)
+
+
+def reference_pair_programs(table):
+    """Every witness LP of a table in the reference program, in
+    witness_pairs order."""
+    cone = reference_additivity_program(table)
+    for lo, hi in witness_pairs(table):
+        yield cone.extended([reference_pair_row(table, lo, hi)])
 
 
 def assert_witness_set(gea, witnesses) -> None:
@@ -412,3 +474,13 @@ def down_set_table(points: list[tuple[int, ...]]) -> AlgebraTable:
             if k is not None:
                 sums[(i, j)] = k
     return AlgebraTable(tuple(".".join(map(str, p)) for p in points), 0, sums)
+
+
+def glued(left: AlgebraTable, right: AlgebraTable) -> AlgebraTable:
+    """left and right glued at their zeros (index 0 in both): right's
+    nonzero elements follow left's, and a sum is defined only inside one
+    part."""
+    n = left.n
+    place = [0] + list(range(n, n + right.n - 1))
+    sums = dict(left.sums) | {(place[i], place[j]): place[k] for (i, j), k in right.sums.items()}
+    return AlgebraTable(left.elements + right.elements[1:], 0, sums)

@@ -5,6 +5,7 @@ lines.  All exact-arithmetic checks use zero tolerance; the floating-point
 matrix checks use the documented 1e-9.
 """
 
+import itertools
 import random
 import time
 
@@ -21,7 +22,7 @@ from gea.represent import (build_representation, extract_states, operator_norm,
 from gea.states import order_determining_set, separating_set
 from reference import (FiniteVector, apply_operator, axiom_witnesses, basic_solution_feasible,
                        bounded_by, pair_programs, random_positive_matrix,
-                       random_rational_vector, random_vector)
+                       random_rational_vector, random_vector, reference_pair_programs)
 
 POPULATION_SEED = 1729
 POPULATION_SIZE = 200
@@ -140,20 +141,17 @@ def test_criterion_6_lp_oracle_equivalence(valid_corpus):
     start = time.monotonic()
     programs = 0
     mismatches = 0
-    for table in valid_corpus.values():
-        if table.n > 6:
-            continue
-        for program in pair_programs(table):
-            programs += 1
-            if (lp_feasible(program) is None) != (basic_solution_feasible(program) is None):
-                mismatches += 1
-    for table in random_population(POPULATION_SEED + 1, 40):
-        for program in pair_programs(table):
+    # The atom program's pair LPs and the reference program's, one variable
+    # per nonzero element and one row per defined sum.
+    tables = [t for t in valid_corpus.values() if t.n <= 6]
+    tables += random_population(POPULATION_SEED + 1, 40)
+    for table in tables:
+        for program in itertools.chain(pair_programs(table), reference_pair_programs(table)):
             programs += 1
             if (lp_feasible(program) is None) != (basic_solution_feasible(program) is None):
                 mismatches += 1
     elapsed = time.monotonic() - start
-    ok = mismatches == 0 and programs > 100
+    ok = mismatches == 0 and programs > 200
     _verdict(6, f"simplex vs basic-solution oracle on {programs} programs", ok, elapsed)
     assert ok
 

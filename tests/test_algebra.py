@@ -227,6 +227,33 @@ def damaged_random_tables(draw):
     return AlgebraTable(base.elements, base.zero, sums, unit)
 
 
+@st.composite
+def mutated_random_tables(draw):
+    """A random_gea table on 2-14 elements with 1-3 mutations, each kept
+    commutative: a defined nonzero sum changed to another element, deleted,
+    or an undefined nonzero sum added.  Most stay close to a GEA, so GE2 is
+    the axiom they break, if any."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    base = random_gea(random.Random(draw(st.integers(0, 2**32 - 1))), n)
+    sums = dict(base.sums)
+    nonzero = st.integers(min_value=1, max_value=n - 1)
+    for kind in draw(st.lists(st.sampled_from(["change", "delete", "add"]),
+                              min_size=1, max_size=3)):
+        defined = sorted((i, j) for i, j in sums if i and j)
+        if kind == "add" or not defined:
+            i, j = draw(st.tuples(nonzero, nonzero))
+            if (i, j) not in sums:
+                sums[(i, j)] = sums[(j, i)] = draw(nonzero)
+            continue
+        i, j = draw(st.sampled_from(defined))
+        old = sums.pop((i, j))
+        sums.pop((j, i), None)
+        if kind == "change":
+            sums[(i, j)] = sums[(j, i)] = draw(st.integers(0, n - 1).filter(
+                lambda k: k != old))
+    return AlgebraTable(base.elements, base.zero, sums)
+
+
 class TestScanMatchesReference:
     """The scans over the padded rows against the walk over the defined
     sums in tests/reference.py: the same violations (axiom, witness and
@@ -239,6 +266,11 @@ class TestScanMatchesReference:
         assert gea == reference_gea_axioms(t)
         assert check_ea_axioms(t, gea) == reference_ea_axioms(t)
         assert induced_order(t) == reference_induced_order(t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_random_tables())
+    def test_mutated_random_tables(self, t):
+        assert check_gea_axioms(t) == reference_gea_axioms(t)
 
     def test_corpus(self):
         for name in corpus.VALID + corpus.BROKEN:

@@ -555,7 +555,7 @@ class TestOneScanPerPipeline:
 
     def test_represent_validates_each_witness_state_once(self, capsys, monkeypatch):
         # The search validates each state as it takes a new slot, because
-        # its LP rechecked the point only against the atom rows; the build
+        # its LP rechecked the point only against the atom program; the build
         # leaves zero and additivity to verify_morphism.
         validated = []
         validate = states.GeneralizedState.validate

@@ -32,7 +32,7 @@ from gea.cli import main
 from gea.represent import (build_representation, verify_injective, verify_morphism,
                            verify_order_reflecting)
 from gea.states import order_determining_set, separating_set
-from reference import down_set_table, write_table
+from reference import down_set_table, glued, write_table
 
 
 def down_set(rng: random.Random, m: int, n: int) -> list[tuple[int, ...]]:
@@ -59,16 +59,6 @@ def mo_table(k: int) -> AlgebraTable:
         a, b = 2 + 2 * i, 3 + 2 * i
         sums[(a, b)] = sums[(b, a)] = 1
     return AlgebraTable(labels, 0, sums, unit=1)
-
-
-def glued(left: AlgebraTable, right: AlgebraTable) -> AlgebraTable:
-    """left and right glued at their zeros (index 0 in both): right's
-    nonzero elements follow left's, and a sum is defined only inside one
-    part."""
-    n = left.n
-    place = [0] + list(range(n, n + right.n - 1))
-    sums = dict(left.sums) | {(place[i], place[j]): place[k] for (i, j), k in right.sums.items()}
-    return AlgebraTable(left.elements + right.elements[1:], 0, sums)
 
 
 def assert_represented(table: AlgebraTable) -> None:

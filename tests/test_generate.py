@@ -5,12 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from gea import generate, states
+from gea import generate
 from gea.algebra import AlgebraTable, check_gea_axioms, induced_order, scan_gea
 from gea.errors import InputError
 from gea.generate import random_gea, random_population
 from gea.states import order_determining_set, separating_set
-from reference import assert_witness_set
+from reference import assert_witness_set, reference_additivity_program, reference_pair_row
 from test_lp import ReferenceEchelon, reference_lp_feasible
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -158,11 +158,14 @@ class TestLargeTables:
     def test_witness_searches(self, n, seed):
         table = random_gea(random.Random(seed), n)
         _, gea = scan_gea(table)
-        system = states._Additivity(gea)
-        factored = ReferenceEchelon.of(system.program.rows, system.program.n_vars)
+        # The failures are checked against the Fraction solver on the
+        # reference program, one variable per nonzero element.
+        cone = reference_additivity_program(table)
+        factored = ReferenceEchelon.of(cone.rows, cone.n_vars)
 
         def reference_feasible(lo, hi):
-            return reference_lp_feasible(system.pair_program(lo, hi), factored) is not None
+            program = cone.extended([reference_pair_row(table, lo, hi)])
+            return reference_lp_feasible(program, factored) is not None
 
         order = order_determining_set(gea)
         separate = separating_set(gea)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -12,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gea
-from gea import lp, states
+from gea import lp
 from gea.algebra import require_gea
 from gea.errors import InputError
 from gea.generate import random_gea
 from gea.lp import LinearProgram, lp_feasible
 from gea.states import additivity_program
-from reference import basic_solution_feasible, dense, pair_programs, sparse
+from reference import (atom_pair_program, basic_solution_feasible, dense, pair_programs,
+                       reference_pair_programs, sparse)
 
 
 def build_program(n_vars, rows):
@@ -183,7 +185,9 @@ def test_sign_contradiction_is_infeasible():
 
 
 def test_excd_normalized_witness_program(excd):
-    program = states._Additivity(require_gea(excd)).pair_program(1, 2)
+    # excd's atoms are its two projectors, so the pair row is x1 - x2 = 1.
+    program = atom_pair_program(additivity_program(require_gea(excd)), 1, 2)
+    assert program.rows == ((((0, 1), (1, -1)), 1),)
     solution = lp_feasible(program)
     assert solution == [Fraction(1), Fraction(0)]
     assert basic_solution_feasible(program) is not None
@@ -208,17 +212,22 @@ def test_solution_is_exact_on_awkward_fractions():
     assert program.satisfied_by(solution)
 
 
+def corpus_pair_programs(table):
+    """The atom program's pair LPs of a table, then the reference
+    program's: one variable per nonzero element and one row per sum."""
+    return itertools.chain(pair_programs(table), reference_pair_programs(table))
+
+
 def test_simplex_matches_oracle_on_corpus_pairs(valid_corpus):
     checked = 0
     for name, table in valid_corpus.items():
-        if table.n > 6:
-            continue
-        for program in pair_programs(table):
+        programs = corpus_pair_programs(table) if table.n <= 6 else pair_programs(table)
+        for program in programs:
             simplex = lp_feasible(program)
             oracle = basic_solution_feasible(program)
             assert (simplex is None) == (oracle is None), (name, program)
             checked += 1
-    assert checked > 30
+    assert checked > 100
 
 
 coeff = st.integers(min_value=-3, max_value=3)
@@ -513,7 +522,7 @@ def test_integer_solver_takes_the_reference_pivot_path_on_sparse_programs(pivots
 
 def test_integer_solver_matches_reference_on_corpus_pairs(valid_corpus):
     for name, table in valid_corpus.items():
-        for program in pair_programs(table):
+        for program in corpus_pair_programs(table):
             assert lp_feasible(program) == reference_lp_feasible(program), name
             _assert_every_split_matches(program)
 
@@ -552,19 +561,23 @@ def test_int_and_fraction_rows_share_one_pivot_path():
 def test_conflicting_corpus_pairs_get_int_certificates(valid_corpus):
     conflicts = 0
     for name, table in valid_corpus.items():
-        for program in pair_programs(table):
+        for program in corpus_pair_programs(table):
             if program.conflict is None:
                 continue
             y = program.certificate()
             assert all(type(w) is int for w in y.values()), name
             assert program.refuted_by(y), name
             conflicts += 1
-            if name == "no_states":
+            if name == "no_states" and program.n_vars == 2:
+                # Over the atoms a and b, row 0 is C's 2a - 2b = 0 and row 1
+                # the pair row a - b = +-1: y is -+(2a - 2b = 0) - 2 (row 1).
+                assert program.conflict == 1 and abs(y[0]) == 1 and y[1] == -2
+            elif name == "no_states":
                 # Rows 0 and 1 are a + a = c and b + b = c; row 2 is the
                 # pair row s(a) - s(b) = +-1 or its reverse.
                 assert program.conflict == 2
                 assert y[0] == -y[1] != 0 and y[2] != 0 and len(y) == 3
-    assert conflicts >= 2
+    assert conflicts >= 4
 
 
 def test_factored_conflict_with_fraction_rows_gets_a_certificate():
@@ -590,8 +603,8 @@ def test_conflicts_of_one_base_factor_the_certificate_system_once(monkeypatch):
     # A generated table with many infeasible pair rows: every conflict over
     # the one factored cone solves the same transposed kept-row system.
     table = random_gea(random.Random(0), 12)
-    system = states._Additivity(require_gea(table))
-    cone = system.program
+    cone = additivity_program(require_gea(table))
+    assert (cone.n_vars, cone.rank) == (7, 6)
     reference = ReferenceEchelon.of(cone.rows, cone.n_vars)
     factorizations = []
     real_of = LinearProgram._transposed_system
@@ -606,7 +619,7 @@ def test_conflicts_of_one_base_factor_the_certificate_system_once(monkeypatch):
         for b in range(table.n):
             if a == b:
                 continue
-            program = system.pair_program(a, b)
+            program = atom_pair_program(cone, a, b)
             if program.conflict is None:
                 continue
             y = program.certificate()
@@ -663,5 +676,7 @@ def test_pair_programs_pivot_at_most_the_cone_dimension(pivots, valid_corpus):
             key = name, feasible
             most[key] = max(most.get(key, 0), len(pivots))
     # The chain's witnesses are basic solutions of the echelon form itself.
+    # A cube's pair LP is one row over its three atoms: where the row is
+    # negative at its pivot, x0 enters and one Bland pivot takes it out.
     assert most["chain_c3", True] == 0
-    assert most["cube8", True] == 3
+    assert most["cube8", True] == 2

@@ -13,10 +13,9 @@ from gea.generate import random_population
 from gea.represent import (DiagonalRep, build_representation, extract_states, operator_norm,
                            sampled_check, verify_injective, verify_morphism,
                            verify_order_reflecting)
-from gea.states import (GeneralizedState, StateWitnessSet, order_determining_set,
-                        separating_set)
+from gea.states import (GeneralizedState, StateWitnessSet, additivity_program,
+                        order_determining_set, separating_set)
 from gea.lp import lp_feasible
-from gea.states import additivity_program, state_from_solution
 from reference import (FiniteVector, apply_operator, bounded_by, random_rational_vector, sparse,
                        vector_state)
 
@@ -189,11 +188,11 @@ class TestVerifyInjective:
 
     def test_equal_value_state_found_by_lp(self, diamond):
         # ask the LP for a state with s(a) = s(b) and s(a) = 1
-        # The variables are s(a), s(b), s(1).
+        # The variables are s(a) and s(b), the atoms; s(1) = s(a) + s(b).
         program = additivity_program(require_gea(diamond)).extended(
-            sparse([((1, -1, 0), 0), ((1, 0, 0), 1)]))
-        solution = lp_feasible(program)
-        state = state_from_solution(diamond, solution)
+            sparse([((1, -1), 0), ((1, 0), 1)]))
+        a, b = lp_feasible(program)
+        state = GeneralizedState.of((0, a, b, a + b))
         assert state.values == (frac(0), frac(1), frac(1), frac(2))
         rep = state_rep(diamond, "separate", [str(v) for v in state.values])
         ok, pair = verify_injective(rep)

@@ -3,24 +3,25 @@ import json
 import operator
 import random
 from fractions import Fraction
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gea import corpus
-from gea.algebra import induced_order, require_gea
-from gea.errors import InputError
-from gea import states
+from gea.algebra import AlgebraTable, CheckedGEA, induced_order, require_gea
+from gea.errors import ContractError, InputError
+from gea import lp, states
 from gea.cli import main
 from gea.generate import random_gea, random_population
 from gea.lp import LinearProgram, lp_feasible
 from gea.represent import build_representation, operator_norm
-from gea.states import (GeneralizedState, order_determining_set, separating_set,
-                        state_from_solution)
-from reference import (assert_witness_set, dense, down_set_table, pair_programs,
-                       reference_additivity_program, write_table)
+from gea.states import (GeneralizedState, additivity_program, order_determining_set,
+                        separating_set)
+from reference import (assert_witness_set, atom_pair_program, atom_state, down_set_table,
+                       glued, pair_programs, reference_pair_programs, reference_search,
+                       write_table)
+from test_families import down_set
 
 
 def values(state):
@@ -133,28 +134,29 @@ class TestWitnessSets:
 class TestFactoredSearch:
     def test_factored_search_matches_unfactored_lp(self, valid_corpus, monkeypatch):
         solved = []
-        witness = states._Additivity.witness
+        witness = states._AtomProgram.witness
 
-        def recording(system, lo, hi):
-            state = witness(system, lo, hi)
-            solved.append((system.table, lo, hi, state))
+        def recording(program, lo, hi):
+            state = witness(program, lo, hi)
+            solved.append((program, lo, hi, state))
             return state
 
-        monkeypatch.setattr(states._Additivity, "witness", recording)
+        monkeypatch.setattr(states._AtomProgram, "witness", recording)
         for table in valid_corpus.values():
             gea = require_gea(table)
             order_determining_set(gea)
             separating_set(gea)
         assert len(solved) > 30
         assert any(state is None for *_, state in solved)
-        for table, lo, hi, state in solved:
-            # The whole pair program factored in one go, not as an extension.
-            program = states._Additivity(require_gea(table)).pair_program(lo, hi)
-            solution = lp_feasible(LinearProgram(program.n_vars, program.rows))
+        for program, lo, hi, state in solved:
+            # The whole pair program factored in one go, not as an extension,
+            # and its state read off by one dot product vec(e)·x per element.
+            pair = atom_pair_program(program, lo, hi)
+            solution = lp_feasible(LinearProgram(pair.n_vars, pair.rows))
             if solution is None:
-                assert state is None, (table.elements, lo, hi)
+                assert state is None, (program, lo, hi)
             else:
-                assert state == state_from_solution(table, solution), (table.elements, lo, hi)
+                assert state == atom_state(program, solution), (program, lo, hi)
 
 
 class TestStateInvariants:
@@ -278,41 +280,46 @@ def grid(side, dims):
     return down_set_table(list(itertools.product(range(side), repeat=dims)))
 
 
-def atom_pairs(table):
-    """The unordered pairs {p, x} of an atom p and a nonzero x with p + x
-    defined, read off the defined sums."""
-    nonzero_sums = [(i, j) for (i, j), _ in table.sums.items()
-                    if table.zero not in (i, j)]
-    produced = {table.sums.get((i, j)) for i, j in nonzero_sums}
-    atoms = {x for x in range(table.n) if x != table.zero and x not in produced}
-    return {frozenset(pair) for pair in nonzero_sums if atoms & set(pair)}
+def product(*parts: AlgebraTable) -> AlgebraTable:
+    """The direct product of tables whose zero is index 0: tuples of
+    elements, summed coordinatewise where every coordinate's sum is
+    defined."""
+    points = list(itertools.product(*(range(t.n) for t in parts)))
+    index = {p: i for i, p in enumerate(points)}
+    sums = {}
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            k = tuple(t.sums.get(pair) for t, pair in zip(parts, zip(x, y)))
+            if None not in k:
+                sums[(i, j)] = index[k]
+    labels = tuple(".".join(t.elements[c] for t, c in zip(parts, p)) for p in points)
+    return AlgebraTable(labels, 0, sums)
+
+
+NS = corpus.load("no_states")
+FAMILIES = {"C_9": grid(9, 1), "cube4": grid(2, 4), "C3xC4": down_set_table(
+    list(itertools.product(range(3), range(4)))), "C4xC4": grid(4, 2)}
 
 
 def search(gea):
-    return [(w.states, w.provenance, w.failures)
-            for w in (order_determining_set(gea), separating_set(gea))]
+    return [(w.failures, len(w.states)) for w in (order_determining_set(gea), separating_set(gea))]
 
 
 class TestAtomProgram:
-    """additivity_program keeps one row per atom sum; the one-row-per-sum
-    reference must span the same rows."""
+    """The atom program against the reference, one variable per nonzero
+    element and one row per defined sum: every pair LP has the same
+    verdict, and both searches have the same failures and slot counts."""
 
     def check(self, table):
         gea = require_gea(table)
-        atoms = states.additivity_program(gea)
-        reference = reference_additivity_program(table)
-        assert atoms.rank == reference.rank
-        n = atoms.n_vars
-        assert sorted((p, dense(row, n)) for p, row in zip(atoms.pivots, atoms.reduced)) == \
-            sorted((p, dense(row, n)) for p, row in zip(reference.pivots, reference.reduced))
-        assert len(set(atoms.rows)) == len(atoms.rows) == len(atom_pairs(table))
-        with patch.object(states, "additivity_program",
-                          lambda gea: reference_additivity_program(gea.table)):
-            expected = search(gea)
-        assert search(gea) == expected
-        for program in pair_programs(table):
-            if program.conflict is not None:
-                assert program.refuted_by(program.certificate())
+        for atom, reference in zip(pair_programs(table), reference_pair_programs(table),
+                                   strict=True):
+            assert (lp_feasible(atom) is None) == (lp_feasible(reference) is None), atom
+            if atom.conflict is not None:
+                assert atom.refuted_by(atom.certificate())
+        assert search(gea) == [(w.failures, len(w.states))
+                               for w in (reference_search(gea, "order"),
+                                         reference_search(gea, "separate"))]
 
     def test_corpus(self, valid_corpus):
         for table in valid_corpus.values():
@@ -323,10 +330,23 @@ class TestAtomProgram:
     def test_random_tables(self, seed, n):
         self.check(random_gea(random.Random(seed), n))
 
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 30), st.integers(0, 2 ** 32))
+    def test_down_sets(self, m, n, seed):
+        self.check(down_set_table(down_set(random.Random(seed), m, n)))
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_families_glued_to_no_states(self, name):
+        self.check(FAMILIES[name])
+        self.check(glued(FAMILIES[name], NS))
+
     @pytest.mark.parametrize("n", [2, 3, 14, 128])
     def test_chain_has_one_row_per_sum_with_its_atom(self, n):
+        # Each sum p + x of the atom p with a nonzero x is the defining row
+        # of x + p, so the chain has n - 2 of them and C has no row.
         program = states.additivity_program(require_gea(grid(n, 1)))
-        assert len(program.rows) == program.rank == n - 2
+        assert len(program.chain) == n - 2 and program.n_vars == 1
+        assert program.rows == () and program.rank == 0
 
     @pytest.mark.parametrize("name, table, slots", [
         ("C_128", grid(128, 1), 1),
@@ -340,6 +360,65 @@ class TestAtomProgram:
         assert main(["represent", str(path), "--goal", goal, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["witnesses"]["states"]) == slots
+
+
+class TestProgramSizes:
+    """A down-set of N^m has no consistency rows: its atoms are the unit
+    vectors it holds, and every decomposition of x counts x's coordinates."""
+
+    def check_down_set(self, table, monkeypatch):
+        gea = require_gea(table)
+        program = additivity_program(gea)
+        assert program.rows == () and program.rank == 0
+        pivots = []
+        real = lp._pivot
+        monkeypatch.setattr(lp, "_pivot", lambda *args: pivots.append(args) or real(*args))
+        for pair in pair_programs(table):
+            pivots.clear()
+            lp_feasible(pair)
+            # One row: x0 enters where the rhs is negative, and one Bland
+            # pivot can take it out.
+            assert len(pair.rows) == 1 and len(pivots) <= 2
+        # Each witness is one basic solution, a multiple of one coordinate,
+        # and (e_i, 0) needs coordinate i, so the order goal takes one slot
+        # per atom.
+        assert len(order_determining_set(gea).states) == program.n_vars
+
+    @pytest.mark.parametrize("side, dims", [(40, 1), (2, 5), (4, 3)])
+    def test_chains_cubes_and_grids(self, side, dims, monkeypatch):
+        table = grid(side, dims)
+        self.check_down_set(table, monkeypatch)
+        assert additivity_program(require_gea(table)).n_vars == dims
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_down_sets_need_one_slot_per_coordinate(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        m = rng.randint(2, 6)
+        points = down_set(rng, m, rng.randint(3 * m, 40))
+        used = sum(any(p[c] for p in points) for c in range(m))
+        self.check_down_set(down_set_table(points), monkeypatch)
+        assert additivity_program(require_gea(down_set_table(points))).n_vars == used
+
+    def test_no_states_powers(self):
+        # C holds 2a - 2b = 0 for each glued pair of atoms.
+        for power, atoms in ((1, 2), (3, 6)):
+            program = additivity_program(require_gea(product(*[NS] * power)))
+            assert (program.n_vars, program.rank) == (atoms, atoms // 2)
+        assert additivity_program(require_gea(NS)).rows == ((((0, 2), (1, -2)), 0),)
+
+
+class TestCycleGuard:
+    def test_cycle_of_sums_raises(self):
+        # u + v = w and w + v = u: the edges u -> w -> u make a cycle, so
+        # Kahn's order stops at the atom v.  No scan would pass this table
+        # (GE2 fails), so its CheckedGEA is built by hand.
+        sums = {(0, x): x for x in range(4)} | {(x, 0): x for x in range(4)}
+        sums |= {(1, 2): 3, (2, 1): 3, (3, 2): 1, (2, 3): 1}
+        table = AlgebraTable(("0", "u", "v", "w"), 0, sums)
+        gea = CheckedGEA(table, induced_order(table))
+        for search in (order_determining_set, separating_set):
+            with pytest.raises(ContractError, match="cycle"):
+                search(gea)
 
 
 class TestEqualPairs:
@@ -358,3 +437,12 @@ class TestEqualPairs:
         calls.clear()
         assert separating_set(gea).failures == [(1, 2)]
         assert calls == [False, False, True]
+
+    def test_equal_vectors_give_an_empty_row_in_conflict(self, diamond):
+        # vec(a) - vec(a) has no entry, so the pair row reads 0 = 1: the
+        # conflict path proves it with weight -1 on that row alone.
+        program = additivity_program(require_gea(diamond))
+        pair = atom_pair_program(program, 1, 1)
+        assert pair.rows[-1] == ((), 1) and pair.conflict == len(pair.rows) - 1
+        assert pair.certificate() == {pair.conflict: -1}
+        assert program.witness(1, 1) is None and program.equal == {frozenset((1,))}
