@@ -233,17 +233,17 @@ def check_ea_axioms(table: AlgebraTable, gea: AxiomReport) -> AxiomReport:
 class OrderRelation(NamedTuple):
     """The order induced by the sum table: x <= y iff x + z = y for some z.
 
-    The difference y - x, that z, is read from the table's sums: it is
-    unique by cancellation on any table that passed the GEA check.
+    above[a] is an int bit mask whose bit b is set when a <= b.  The
+    difference y - x, that z, is read from the table's sums: it is unique
+    by cancellation on any table that passed the GEA check.
     """
 
-    leq_matrix: tuple[tuple[bool, ...], ...]
+    above: tuple[int, ...]
 
-    def pairs_not_leq(self) -> list[tuple[int, int]]:
-        """Ordered pairs (a, b), a != b, with a not below b, lexicographic."""
-        leq = self.leq_matrix
-        n = len(leq)
-        return [(a, b) for a in range(n) for b in range(n) if a != b and not leq[a][b]]
+    def not_above(self) -> list[int]:
+        """Per element a, the mask of the b with a not below b."""
+        full = (1 << len(self.above)) - 1
+        return [full ^ mask for mask in self.above]
 
 
 def induced_order(table: AlgebraTable) -> OrderRelation:
@@ -253,11 +253,10 @@ def induced_order(table: AlgebraTable) -> OrderRelation:
     and require_gea build it once after the scan, and the pipeline reads it
     from their CheckedGEA.
     """
-    n = table.n
-    leq = [[False] * n for _ in range(n)]
+    above = [0] * table.n
     for (i, _), j in table.sums.items():  # x_i + x_k = x_j, so x_i <= x_j
-        leq[i][j] = True
-    return OrderRelation(tuple(map(tuple, leq)))
+        above[i] |= 1 << j
+    return OrderRelation(tuple(above))
 
 
 class CheckedGEA(NamedTuple):
@@ -348,9 +347,9 @@ def classify_morphism(spec: MorphismSpec) -> MorphismReport:
     injective = len(set(f)) == len(f)
 
     # a <= a always holds, so only the pairs with a not below b can fail.
-    leq = spec.target.order.leq_matrix
-    breach = next(((a, b) for a, b in spec.source.order.pairs_not_leq()
-                   if leq[f[a]][f[b]]), None)
+    above = spec.target.order.above
+    breach = next(((a, b) for a, mask in enumerate(spec.source.order.not_above())
+                   for b in range(src.n) if mask >> b & 1 and above[f[a]] >> f[b] & 1), None)
     order_reflecting = breach is None
     if failure is None:
         failure = breach

@@ -171,10 +171,10 @@ def cmd_order(args: argparse.Namespace) -> tuple[dict, int]:
     labels = gea.table.elements
     # x_i + x_k = x_j gives x_j - x_i = x_k, unique by GE3 on a checked table.
     differences = sorted(((j, i), k) for (i, k), j in gea.table.sums.items())
+    # bin(mask)[:1:-1] lists the bits of mask lowest first.
     report["order"] = {
-        "strictly_below": [[labels[i], labels[j]]
-                           for i, row in enumerate(gea.order.leq_matrix)
-                           for j, below in enumerate(row) if below and i != j],
+        "strictly_below": [[labels[i], labels[j]] for i, above in enumerate(gea.order.above)
+                           for j, bit in enumerate(bin(above & ~(1 << i))[:1:-1]) if bit == "1"],
         "differences": {f"{labels[j]},{labels[i]}": labels[k]
                         for (j, i), k in differences},
     }

@@ -218,7 +218,7 @@ def demo_excd() -> dict:
 
     # The vector states are the only candidates: a pair they do not cover fails.
     witnesses = assign_witnesses(table, StateWitnessSet(goal="order", states=basis_states),
-                                 gea.order.pairs_not_leq(), lambda a, b: None)
+                                 gea.order.not_above(), lambda a, b: None)
 
     inclusion = classify_morphism(MorphismSpec(gea, require_gea(extended), (0, 1, 2)))
     closed, triple = is_sub_gea([0, 1, 2], extended)

@@ -5,13 +5,12 @@ every elimination and pivot step in Python ints.  Every row is sparse: a
 `LinearProgram` takes each row as its nonzero (column, coefficient) int
 pairs and an int rhs, and every reduced and tableau row is a
 {column: coefficient} dict of its nonzero entries, with x0 at column n and
-the rhs at column n + 1.  The additivity rows have at most three nonzeros,
-and their echelon rows stay sparse.  A program factors each row as
-it enters: one exact elimination keeps the rows of a maximal independent
-subset, in their original order, with their reduced echelon form, and finds
-an inconsistent system, a row that reduces to 0 = c with c != 0, without
-any simplex.  `extended` adds rows to a copy that shares the factorization,
-so programs that share their leading rows factor those rows once.
+the rhs at column n + 1.  A program factors each row as it enters: one
+exact elimination keeps the rows of a maximal independent subset, in their
+original order, with their reduced echelon form, and finds an inconsistent
+system, a row that reduces to 0 = c with c != 0, without any simplex.
+`extended` adds rows to a copy that shares the factorization, so programs
+that share their leading rows factor those rows once.
 
 One column-clearing step (`_eliminate`) serves the echelon's
 back-substitution and every phase-one pivot: it forms a*row - f*pivot_row
@@ -22,8 +21,9 @@ such rows: a pivot column is the least column of a nonzero entry, the
 entering column is the least column of a negative reduced cost, and one
 ratio test (`_least_ratio`) compares b_i / a_i by cross-multiplication.  So
 the integer solver takes the pivot path of the same algorithm run in
-Fraction arithmetic and returns the same point; Fractions are made only for
-the values it returns.
+Fraction arithmetic and returns the same point.  That point is formed as
+int numerators over one denominator and rechecked in ints; Fractions are
+made only for the values it returns.
 
 An inconsistent program's proof is built only when it is asked for: a row
 combination y with yᵀA = 0 and yᵀb != 0, in int weights, that solves the
@@ -127,16 +127,13 @@ class LinearProgram:
         self.pivots.append(col)
         self._transposed = []
 
-    def satisfied_by(self, x: Sequence[Fraction]) -> bool:
-        if len(x) != self.n_vars:
+    def satisfied_by(self, nums: Sequence[int], den: int) -> bool:
+        """True iff the point x = nums / den, den > 0, is nonnegative and
+        holds every row: sum c * nums_j == den * rhs iff sum c x_j == rhs,
+        in ints."""
+        if len(nums) != self.n_vars or den <= 0 or any(v < 0 for v in nums):
             return False
-        # Over a common denominator d of x: sum c * (d x_j) == d * rhs holds
-        # iff sum c x_j == rhs, in ints.
-        d = lcm(*(v.denominator for v in x))
-        scaled = [v.numerator * (d // v.denominator) for v in x]
-        if any(v < 0 for v in scaled):
-            return False
-        return all(sum(c * scaled[j] for j, c in pairs) == d * rhs for pairs, rhs in self.rows)
+        return all(sum(c * nums[j] for j, c in pairs) == den * rhs for pairs, rhs in self.rows)
 
     def refuted_by(self, y: dict[int, int]) -> bool:
         """True iff the row combination y (row index -> weight) reads
@@ -297,13 +294,15 @@ def lp_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
 
     if rhs in tableau[m]:
         return None
-    x = [Fraction(0)] * n
-    for row, var in zip(tableau, basis):
-        if var < n:
-            x[var] = Fraction(row.get(rhs, 0), row[var])
-    if not program.satisfied_by(x):
+    # The basic point over one denominator: x_var = b / d for each basic row.
+    basic = [(var, row) for row, var in zip(tableau, basis) if var < n and rhs in row]
+    den = lcm(*(row[var] for var, row in basic))
+    nums = [0] * n
+    for var, row in basic:
+        nums[var] = row[rhs] * (den // row[var])
+    if not program.satisfied_by(nums, den):
         raise AssertionError("phase-one point does not satisfy the program")
-    return x
+    return [Fraction(p, den) for p in nums]
 
 
 def _least_ratio(tableau: list[dict[int, int]], basis: list[int], rhs: int,

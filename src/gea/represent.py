@@ -15,7 +15,10 @@ The diagonals are stored as ints over one common denominator D, the lcm of
 the witness states' denominators, so the build and every self-check
 (additivity, injectivity, order reflection, norms and the sampled check)
 compare and add ints.  The order check reads the induced order from the
-CheckedGEA of the pipeline's one axiom scan.  The Fraction views
+CheckedGEA of the pipeline's one axiom scan.  phi(a) <= phi(b) fails exactly
+when some slot has s(b) < s(a), so it rebuilds the witness search's masks
+from the built diagonals, one sort per slot: phi reflects the order iff the
+slots cover, at each a, every b not above a.  The Fraction views
 (operators, operator_norm) are for callers and reports; the Fraction
 forms of the vector checks are kept in tests/reference.py.
 
@@ -32,12 +35,12 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from operator import add, le, mul
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .algebra import AlgebraTable, CheckedGEA
 from .errors import InputError
-from .states import GeneralizedState, StateWitnessSet
+from .states import GeneralizedState, StateWitnessSet, _cover
 
 
 class DiagonalRep(namedtuple("DiagonalRep", "diagonals den")):
@@ -114,11 +117,14 @@ def verify_injective(rep: DiagonalRep) -> tuple[bool, Optional[tuple[int, int]]]
 def verify_order_reflecting(rep: DiagonalRep,
                             gea: CheckedGEA) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff phi(a) <= phi(b) in the operator order forces a <= b in the
-    table order, over all pairs; on failure the first pair is returned."""
-    diagonals = rep.diagonals
-    for a, b in gea.order.pairs_not_leq():
-        if all(map(le, diagonals[a], diagonals[b])):
-            return False, (a, b)
+    table order, over all pairs; on failure the first pair is returned, the
+    lowest uncovered bit of the lowest a with one."""
+    todo = gea.order.not_above()
+    for column in zip(*rep.diagonals):
+        todo = [t & ~c for t, c in zip(todo, _cover(column, True))]
+    for a, missing in enumerate(todo):
+        if missing:
+            return False, (a, (missing & -missing).bit_length() - 1)
     return True, None
 
 

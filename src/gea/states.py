@@ -30,17 +30,20 @@ state is validated on every defined sum before it takes a slot.
 The searches take a CheckedGEA, the table and induced order that one axiom
 scan produced, so they scan nothing themselves, and the atom program rests on
 the axioms that scan proved.  A state is stored as int numerators over one
-positive denominator, in lowest terms: the LP point's denominators are
-cleared once, and coverage, slot reuse and validation compare ints.
-Fractions are made only for the public values view.
+positive denominator, in lowest terms; Fractions are made only for the
+public values view.  Coverage is one int bit mask per element: want[a] holds
+the b to cover at a (each b not above a for the order goal, each b > a to
+separate), and a slot covers at a the b with s(b) < s(a), or s(b) != s(a),
+read off one sort of its values.  The LP is asked only about the lowest bit
+of want[a] that no slot covers, so pairs reach it in lexicographic order.
 """
 
 from __future__ import annotations
 
-import operator
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import AlgebraTable, CheckedGEA
@@ -137,32 +140,34 @@ def additivity_program(gea: CheckedGEA) -> LinearProgram:
         for x, k in enumerate(table.rows[p]):
             if x != z and k >= 0:
                 into[k].append((p, x))
-    vecs = {z: Counter()}
-    vecs.update((p, Counter({c: 1})) for c, p in enumerate(atoms))
+    vecs: list[tuple[int, ...]] = [(0,) * len(atoms)] * table.n
+    for c, p in enumerate(atoms):
+        vecs[p] = tuple(int(c == j) for j in range(len(atoms)))
     chain, rows = [], {}  # rows: C as an ordered set
     for x in order[len(atoms):]:
         (p, rest), *others = into[x]
-        vecs[x] = vecs[p] + vecs[rest]
+        vecs[x] = tuple(map(add, vecs[p], vecs[rest]))
         chain.append((x, p, rest))
         for q, y in others:
-            rows[_difference(vecs[x], vecs[q] + vecs[y])] = 0
+            rows[_difference(vecs[x], tuple(map(add, vecs[q], vecs[y])))] = 0
     rows.pop((), None)
     return _AtomProgram(atoms, chain, vecs, rows.items())
 
 
-def _difference(a: Counter, b: Counter) -> tuple[tuple[int, int], ...]:
+def _difference(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The nonzero entries of a - b as sparse row pairs."""
-    return tuple(sorted((j, a[j] - b[j]) for j in a.keys() | b.keys() if a[j] != b[j]))
+    return tuple((j, x - y) for j, (x, y) in enumerate(zip(a, b)) if x != y)
 
 
 class _AtomProgram(LinearProgram):
-    """C v = 0, where atoms[c] is the atom of column c, vecs[x] is vec(x),
-    and chain holds each non-atom x as (x, p, x') for its defining row, in
-    topological order.  A pair row that reduces to 0 = c proves s(a) = s(b)
-    on every state, so the other order of the pair fails with no LP."""
+    """C v = 0, where atoms[c] is the atom of column c, vecs[x] is vec(x)
+    as one int per atom, and chain holds each non-atom x as (x, p, x') for
+    its defining row, in topological order.  A pair row that reduces to
+    0 = c proves s(a) = s(b) on every state, so the other order of the pair
+    fails with no LP."""
 
     def __init__(self, atoms: list[int], chain: list[tuple[int, int, int]],
-                 vecs: dict[int, Counter], rows: Iterable[Row]) -> None:
+                 vecs: list[tuple[int, ...]], rows: Iterable[Row]) -> None:
         super().__init__(len(atoms), rows)
         self.atoms, self.chain, self.vecs = atoms, chain, vecs
         self.equal: set[frozenset[int]] = set()
@@ -180,42 +185,57 @@ class _AtomProgram(LinearProgram):
             if program.conflict is not None:
                 self.equal.add(pair)
             return None
-        den = lcm(*(value.denominator for value in v))
+        point = [(p, value) for p, value in zip(self.atoms, v) if value]
+        den = lcm(*(value.denominator for _, value in point))
         nums = [0] * len(self.vecs)
-        for p, value in zip(self.atoms, v):
+        for p, value in point:
             nums[p] = value.numerator * (den // value.denominator)
         for x, p, rest in self.chain:
             nums[x] = nums[p] + nums[rest]
         return GeneralizedState(tuple(nums), den)
 
 
-def assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet,
-                     pairs: Iterable[tuple[int, int]],
-                     find: Callable[[int, int], Optional[GeneralizedState]]) -> StateWitnessSet:
-    """Make sure each pair of elements of table, in turn, is covered by a
-    state of the set.
+def _cover(values: Sequence[int], order: bool) -> list[int]:
+    """Per element a, the mask of the b that a state with these values
+    covers at a: s(b) < s(a) for the order goal, s(b) != s(a) to separate."""
+    level: dict[int, int] = {}  # value -> mask of the elements that take it
+    for b, value in enumerate(values):
+        level[value] = level.get(value, 0) | 1 << b
+    full, below, mask_of = (1 << len(values)) - 1, 0, {}
+    for value in sorted(level):
+        mask_of[value] = below if order else full ^ level[value]
+        below |= level[value]
+    return [mask_of[value] for value in values]
 
-    A pair is covered by a state with s(a) > s(b) for the order goal,
-    s(a) != s(b) to separate.  For a pair that no state covers, find(a, b)
-    is asked for a new state, which is validated on table, takes the next
-    slot and is recorded in provenance under (a, b): it covers (a, b), so it
-    equals no state in the set.  The LP rechecked it only against the rows
-    of the atom program, not every defined sum.  A pair find cannot witness
-    is a failure.
+
+def assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet, want: Sequence[int],
+                     find: Callable[[int, int], Optional[GeneralizedState]]) -> StateWitnessSet:
+    """Make sure each pair (a, b), b a bit of the mask want[a], is covered
+    by a state of the set, in lexicographic order; the states given up front
+    are merged first.
+
+    For a pair that no state covers, find(a, b) is asked for a new state,
+    which is validated on table, takes the next slot and is recorded in
+    provenance under (a, b): it covers (a, b), so it equals no state in the
+    set.  The LP rechecked it only against the rows of the atom program, not
+    every defined sum.  A pair find cannot witness is a failure.
     """
-    covers = operator.gt if witnesses.goal == "order" else operator.ne
-    slots = [s.nums for s in witnesses.states]
-    for a, b in pairs:
-        if any(covers(nums[a], nums[b]) for nums in slots):
-            continue
-        state = find(a, b)
-        if state is None:
-            witnesses.failures.append((a, b))
-        else:
+    order = witnesses.goal == "order"
+    todo = list(want)
+    for state in witnesses.states:
+        todo = [t & ~c for t, c in zip(todo, _cover(state.nums, order))]
+    for a in range(len(todo)):
+        while todo[a]:
+            b = (todo[a] & -todo[a]).bit_length() - 1
+            todo[a] ^= 1 << b
+            state = find(a, b)
+            if state is None:
+                witnesses.failures.append((a, b))
+                continue
             state.validate(table)
             witnesses.provenance[(a, b)] = len(witnesses.states)
             witnesses.states.append(state)
-            slots.append(state.nums)
+            todo = [t & ~c for t, c in zip(todo, _cover(state.nums, order))]
     return witnesses
 
 
@@ -227,7 +247,7 @@ def order_determining_set(gea: CheckedGEA) -> StateWitnessSet:
     order, which makes the output deterministic.
     """
     return assign_witnesses(gea.table, StateWitnessSet(goal="order"),
-                            gea.order.pairs_not_leq(), additivity_program(gea).witness)
+                            gea.order.not_above(), additivity_program(gea).witness)
 
 
 def separating_set(gea: CheckedGEA) -> StateWitnessSet:
@@ -235,6 +255,6 @@ def separating_set(gea: CheckedGEA) -> StateWitnessSet:
     s(a) - s(b) = 1 or, failing that, s(b) - s(a) = 1."""
     system = additivity_program(gea)
     n = gea.table.n
-    pairs = ((a, b) for a in range(n) for b in range(a + 1, n))
-    return assign_witnesses(gea.table, StateWitnessSet(goal="separate"), pairs,
+    later = [(1 << n) - (2 << a) for a in range(n)]  # the bits b > a, b < n
+    return assign_witnesses(gea.table, StateWitnessSet(goal="separate"), later,
                             lambda a, b: system.witness(a, b) or system.witness(b, a))

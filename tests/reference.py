@@ -1,14 +1,16 @@
 """References the tests compare the program against: the axiom scans and
 the induced order as a walk over the defined sums, for `check_gea_axioms`,
-`check_ea_axioms` and `induced_order`; the morphism classifier with its
+`check_ea_axioms` and `induced_order`, with `leq` and `pairs_not_leq` to
+read an order's masks pair by pair; the morphism classifier with its
 nested order loop, for `classify_morphism`; Fraction rational vectors over the
 witness slots, for `sampled_check` and acceptance criterion 5; a
 brute-force LP oracle with the witness LPs of a table to run it on, for
-`lp_feasible` and criterion 6, and a converter each way between rows of
-one coefficient per variable and a LinearProgram's sparse rows; the LP
-over one variable per nonzero element and one additivity row per defined
-sum, with its states and its searches, for the atom program of
-`additivity_program`; the text renderer that calls json.dumps per scalar, for
+`lp_feasible` and criterion 6, `satisfies` to recheck a Fraction point, and
+a converter each way between rows of one coefficient per variable and a
+LinearProgram's sparse rows; the LP over one variable per nonzero element
+and one additivity row per defined sum, with its states and its searches,
+for the atom program of `additivity_program`; the per-pair coverage walk
+`reference_assign_witnesses`, for the masks of `assign_witnesses`; the text renderer that calls json.dumps per scalar, for
 `cli._render_text`; and fixtures: `write_table` and `write_matrix` write
 the files the loaders read, `down_set_table` builds a down-set of N^m and
 `glued` glues two tables at zero,
@@ -24,6 +26,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Optional
 
@@ -35,8 +38,7 @@ from gea.effects import EffectMatrix
 from gea.errors import InputError
 from gea.lp import LinearProgram, lp_feasible
 from gea.represent import DiagonalRep
-from gea.states import (GeneralizedState, StateWitnessSet, _difference, additivity_program,
-                        assign_witnesses)
+from gea.states import GeneralizedState, StateWitnessSet, _difference, additivity_program
 
 
 def reference_two_sided(table: AlgebraTable) -> list[Violation]:
@@ -150,12 +152,24 @@ def reference_ea_axioms(table: AlgebraTable) -> AxiomReport:
 
 
 def reference_induced_order(table: AlgebraTable) -> OrderRelation:
-    """x_i <= x_j for each defined x_i + x_k = x_j."""
+    """x_i <= x_j for each defined x_i + x_k = x_j, as a bool matrix read
+    into one mask per row."""
     n = table.n
     leq = [[False] * n for _ in range(n)]
     for (i, _), j in table.sums.items():
         leq[i][j] = True
-    return OrderRelation(tuple(tuple(row) for row in leq))
+    return OrderRelation(tuple(sum(1 << j for j in range(n) if row[j]) for row in leq))
+
+
+def leq(order: OrderRelation, a: int, b: int) -> bool:
+    """a <= b in the order."""
+    return bool(order.above[a] >> b & 1)
+
+
+def pairs_not_leq(order: OrderRelation) -> list[tuple[int, int]]:
+    """Ordered pairs (a, b), a != b, with a not below b, lexicographic."""
+    n = len(order.above)
+    return [(a, b) for a in range(n) for b in range(n) if a != b and not leq(order, a, b)]
 
 
 def reference_classify_morphism(spec: MorphismSpec) -> MorphismReport:
@@ -179,7 +193,7 @@ def reference_classify_morphism(spec: MorphismSpec) -> MorphismReport:
     order_reflecting = True
     for a in range(src.n):
         for b in range(src.n):
-            if order_tgt.leq_matrix[f[a]][f[b]] and not order_src.leq_matrix[a][b]:
+            if leq(order_tgt, f[a], f[b]) and not leq(order_src, a, b):
                 order_reflecting = False
                 if failure is None:
                     failure = (a, b)
@@ -283,9 +297,17 @@ def basic_solution_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
             x[columns[pivot]] = Fraction(dense(row, len(columns))[-1], row[pivot])
         if any(v < 0 for v in x):
             continue
-        assert program.satisfied_by(x)
+        assert satisfies(program, x)
         return x
     return None
+
+
+def satisfies(program: LinearProgram, x) -> bool:
+    """program.satisfied_by at the rational point x, over the lcm of its
+    denominators."""
+    x = [Fraction(v) for v in x]
+    den = lcm(*(v.denominator for v in x))
+    return program.satisfied_by([v.numerator * (den // v.denominator) for v in x], den)
 
 
 def reference_variables(table: AlgebraTable) -> dict[int, int]:
@@ -336,17 +358,41 @@ def reference_search(gea, goal: str):
         return None if x is None else reference_state(table, x)
 
     if goal == "order":
-        return assign_witnesses(table, StateWitnessSet(goal), gea.order.pairs_not_leq(), find)
+        return reference_assign_witnesses(table, StateWitnessSet(goal), pairs_not_leq(gea.order),
+                                          find)
     pairs = ((a, b) for a in range(table.n) for b in range(a + 1, table.n))
-    return assign_witnesses(table, StateWitnessSet(goal), pairs,
-                            lambda a, b: find(a, b) or find(b, a))
+    return reference_assign_witnesses(table, StateWitnessSet(goal), pairs,
+                                      lambda a, b: find(a, b) or find(b, a))
+
+
+def reference_assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet, pairs,
+                               find) -> StateWitnessSet:
+    """The witness search as a walk over the pairs in the order given: a
+    pair that no state covers, s(a) > s(b) for the order goal and
+    s(a) != s(b) to separate, asks find for a state, which is validated,
+    takes the next slot and is recorded under the pair; a pair find cannot
+    witness is a failure.  The oracle for the masks of assign_witnesses."""
+    covers = operator.gt if witnesses.goal == "order" else operator.ne
+    slots = [s.nums for s in witnesses.states]
+    for a, b in pairs:
+        if any(covers(nums[a], nums[b]) for nums in slots):
+            continue
+        state = find(a, b)
+        if state is None:
+            witnesses.failures.append((a, b))
+        else:
+            state.validate(table)
+            witnesses.provenance[(a, b)] = len(witnesses.states)
+            witnesses.states.append(state)
+            slots.append(state.nums)
+    return witnesses
 
 
 def atom_state(program, x) -> GeneralizedState:
     """The state of an atom-program point x: s(e) = vec(e)·x for every
     element e, a dot product per element."""
-    return GeneralizedState.of([sum(c * x[j] for j, c in program.vecs[e].items())
-                                for e in range(len(program.vecs))])
+    return GeneralizedState.of([sum(c * x[j] for j, c in enumerate(vec))
+                                for vec in program.vecs])
 
 
 def atom_pair_program(program, lo: int, hi: int) -> LinearProgram:
@@ -357,7 +403,7 @@ def atom_pair_program(program, lo: int, hi: int) -> LinearProgram:
 def witness_pairs(table: AlgebraTable):
     """Every witness LP's pair: (a, b) for s(a) - s(b) = 1, for each order
     pair and both normalizations of each separation pair."""
-    pairs = list(induced_order(table).pairs_not_leq())
+    pairs = pairs_not_leq(induced_order(table))
     return pairs + [p for a in range(table.n) for b in range(a + 1, table.n)
                     for p in ((a, b), (b, a))]
 
@@ -380,14 +426,16 @@ def reference_pair_programs(table):
 def assert_witness_set(gea, witnesses) -> None:
     """Coverage of a search's result, recomputed from its states.
 
-    Each pair the search handles (pairs_not_leq for the order goal, every
-    a < b to separate) is covered by some state, one with s(a) > s(b) or
+    Each pair the search handles (every a not below b for the order goal,
+    every a < b to separate) is covered by some state, one with s(a) > s(b) or
     s(a) != s(b), exactly when it is not a failure.  provenance holds one
     entry per state, in slot order, under increasing pairs: the pair whose
     LP made the state, which the state covers and no earlier state does."""
     n = gea.table.n
     if witnesses.goal == "order":
-        covers, pairs = operator.gt, gea.order.pairs_not_leq()
+        above = gea.order.above
+        covers = operator.gt
+        pairs = [(a, b) for a in range(n) for b in range(n) if not above[a] >> b & 1]
     else:
         covers, pairs = operator.ne, [(a, b) for a in range(n) for b in range(a + 1, n)]
     found = witnesses.states

@@ -32,7 +32,7 @@ from gea.cli import main
 from gea.represent import (build_representation, verify_injective, verify_morphism,
                            verify_order_reflecting)
 from gea.states import order_determining_set, separating_set
-from reference import down_set_table, glued, write_table
+from reference import down_set_table, glued, leq, write_table
 
 
 def down_set(rng: random.Random, m: int, n: int) -> list[tuple[int, ...]]:
@@ -79,7 +79,7 @@ def test_down_sets_are_represented(m, n, seed):
     points = down_set(random.Random(seed), m, n)
     table = down_set_table(points)
     order = require_gea(table).order
-    assert all(order.leq_matrix[i][j] == all(map(int.__le__, x, y))
+    assert all(leq(order, i, j) == all(map(int.__le__, x, y))
                for i, x in enumerate(points) for j, y in enumerate(points))
     assert_represented(table)
 

@@ -10,7 +10,8 @@ from gea.algebra import AlgebraTable, check_gea_axioms, induced_order, scan_gea
 from gea.errors import InputError
 from gea.generate import random_gea, random_population
 from gea.states import order_determining_set, separating_set
-from reference import assert_witness_set, reference_additivity_program, reference_pair_row
+from reference import (assert_witness_set, pairs_not_leq, reference_additivity_program,
+                       reference_pair_row)
 from test_lp import ReferenceEchelon, reference_lp_feasible
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -143,7 +144,7 @@ class TestLargeTables:
             order = gea.order
             assert order == induced_order(table)
             leq = brute_force_leq(table)
-            assert [list(row) for row in order.leq_matrix] == leq
+            assert [[bool(order.above[a] >> b & 1) for b in range(n)] for a in range(n)] == leq
             # a partial order, as for every generalized effect algebra
             for a in range(n):
                 assert leq[a][a]
@@ -151,8 +152,10 @@ class TestLargeTables:
                     if a != b and leq[a][b]:
                         assert not leq[b][a]
                         assert all(leq[a][c] for c in range(n) if leq[b][c])
-            assert order.pairs_not_leq() == [(a, b) for a in range(n) for b in range(n)
-                                             if a != b and not leq[a][b]]
+            assert pairs_not_leq(order) == [(a, b) for a in range(n) for b in range(n)
+                                           if a != b and not leq[a][b]]
+            assert order.not_above() == [sum(1 << b for b in range(n) if not leq[a][b])
+                                         for a in range(n)]
 
     @pytest.mark.parametrize("n, seed", [(12, 0), (12, 1), (14, 0), (16, 0), (16, 1)])
     def test_witness_searches(self, n, seed):

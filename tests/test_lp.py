@@ -20,7 +20,7 @@ from gea.generate import random_gea
 from gea.lp import LinearProgram, lp_feasible
 from gea.states import additivity_program
 from reference import (atom_pair_program, basic_solution_feasible, dense, pair_programs,
-                       reference_pair_programs, sparse)
+                       reference_pair_programs, satisfies, sparse)
 
 
 def build_program(n_vars, rows):
@@ -169,7 +169,7 @@ def reference_lp_feasible(program, factored=None) -> Optional[list]:
     for i, var in enumerate(basis):
         if var < n:
             x[var] = tableau[i][-1]
-    assert program.satisfied_by(x)
+    assert satisfies(program, x)
     return x
 
 
@@ -209,7 +209,7 @@ def test_solution_is_exact_on_awkward_fractions():
         2, [((Fraction(1, 3), Fraction(1, 7)), Fraction(2, 21))])
     solution = lp_feasible(program)
     assert solution is not None
-    assert program.satisfied_by(solution)
+    assert satisfies(program, solution)
 
 
 def corpus_pair_programs(table):
@@ -246,7 +246,7 @@ def test_simplex_matches_oracle_on_random_programs(case):
     oracle = basic_solution_feasible(program)
     assert (simplex is None) == (oracle is None)
     if simplex is not None:
-        assert program.satisfied_by(simplex)
+        assert satisfies(program, simplex)
         assert all(v >= 0 for v in simplex)
 
 
@@ -297,7 +297,7 @@ def test_presolve_matches_oracle_on_redundant_rows(case):
     if inconsistent:
         assert simplex is None
     if simplex is not None:
-        assert program.satisfied_by(simplex)
+        assert satisfies(program, simplex)
     if inconsistent:
         assert program.conflict is not None
     if program.conflict is not None:
@@ -325,16 +325,40 @@ def test_refuted_by_checks_the_combination():
 
 def test_satisfied_by_rechecks_every_row():
     # Row 1 is not kept: it conflicts with row 0, which x satisfies.  Row 2
-    # comes after the conflict and is never reduced.
+    # comes after the conflict and is never reduced.  Points are int
+    # numerators over one denominator.
     program = LinearProgram(2, sparse([((1, 0), 1), ((2, 0), 3), ((0, 1), 1)]))
     assert program.kept == [0] and program.conflict == 1
-    assert not program.satisfied_by([Fraction(1), Fraction(1)])
+    assert not program.satisfied_by([1, 1], 1)
     base = LinearProgram(2, sparse([((1, 0), 1)]))
     extended = base.extended(sparse([((0, 0), 0), ((0, 3), 2)]))
-    assert base.satisfied_by([Fraction(1), Fraction(0)])
-    assert not extended.satisfied_by([Fraction(1), Fraction(0)])
-    assert extended.satisfied_by([Fraction(1), Fraction(2, 3)])
-    assert not extended.satisfied_by([Fraction(1), Fraction(-2, 3)])
+    assert base.satisfied_by([1, 0], 1)
+    assert not extended.satisfied_by([1, 0], 1)
+    assert extended.satisfied_by([3, 2], 3)
+    assert extended.satisfied_by([6, 4], 6)
+    assert not extended.satisfied_by([3, -2], 3)
+    assert not base.satisfied_by([-1, 0], -1)  # 1, 0 over a denominator that is not positive
+    assert not base.satisfied_by([1], 1)  # one value short
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_vars=st.integers(1, 5), den=st.integers(1, 12))
+def test_satisfied_by_matches_fraction_evaluation(data, n_vars, den):
+    # den need not be reduced against the numerators, and numerators may be
+    # negative; the int recheck must agree with the rational point's own
+    # check of every row and every sign.
+    nums = data.draw(st.lists(st.integers(-6, 12), min_size=n_vars, max_size=n_vars))
+    x = [Fraction(p, den) for p in nums]
+    rows = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n_vars, max_size=n_vars))
+        value = sum(c * v for c, v in zip(coeffs, x))
+        rhs = value.numerator // value.denominator + data.draw(st.integers(-1, 1))
+        rows.append((coeffs, rhs))
+    program = LinearProgram(n_vars, sparse(rows))
+    expected = (all(v >= 0 for v in x)
+                and all(sum(c * v for c, v in zip(coeffs, x)) == rhs for coeffs, rhs in rows))
+    assert program.satisfied_by(nums, den) == expected
 
 
 def test_wrong_inconsistency_claim_is_caught():
@@ -351,7 +375,7 @@ import sys
 from gea.lp import LinearProgram, lp_feasible
 if not sys.flags.optimize:
     sys.exit("assert statements are not stripped")
-LinearProgram.satisfied_by = lambda self, x: False
+LinearProgram.satisfied_by = lambda self, nums, den: False
 LinearProgram.refuted_by = lambda self, y: False
 for rows in (((((0, 1),), 1),), ((((0, 1),), 1), (((0, 1),), 2))):
     try:

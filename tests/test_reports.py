@@ -7,10 +7,11 @@ covers every corpus table under check (with --ea where the table has a unit),
 order, and states and represent under both goals at two seeds, plus the
 corpus morphisms and the projector demo.  effects witness is left out: its
 witness vector comes from LAPACK eigenvectors, which differ between builds.
-LARGE_DIGESTS pins states and represent under both goals on three tables
+LARGE_DIGESTS pins states and represent under both goals on five tables
 past the corpus, built and saved in the test and run from its directory:
-the cube on 5 atoms, the chain C_40 and a generated table on 24 elements
-with failing pairs.
+the cube on 5 atoms, the chain C_40, a generated table on 24 elements
+with failing pairs, a 16-atom antichain in shuffled index order, and
+C3×C4 glued to no_states at zero, which fails on no_states' two atoms.
 
 A change that alters a report on purpose updates its digest here.
 """
@@ -24,7 +25,7 @@ from gea import corpus
 from gea.algebra import AlgebraTable
 from gea.cli import main
 from gea.generate import random_gea
-from reference import write_table
+from reference import glued, write_table
 
 REPORT_DIGESTS = {
     "check singleton.json": "6b5289e9983875b1cd5b240bd16ddc880259ac877ea8b50e26b5b56d984bb508",
@@ -147,11 +148,39 @@ def _chain(n):
                         {(i, j): i + j for i in range(n) for j in range(n - i)}, unit=n - 1)
 
 
-# Tables past the corpus, built here: the LP runs on 31 to 39 variables.
+def _antichain(atoms):
+    """Zero and atoms atoms, with no sum of two nonzero elements."""
+    n = atoms + 1
+    return AlgebraTable(("0", *(f"a{k}" for k in range(atoms))), 0,
+                        {pair: k for k in range(n) for pair in ((0, k), (k, 0))})
+
+
+def _product(left, right):
+    """Componentwise product: a sum is defined iff it is in both factors."""
+    width = right.n
+    return AlgebraTable(tuple(f"{x}:{y}" for x in left.elements for y in right.elements),
+                        left.zero * width + right.zero,
+                        {(i * width + j, k * width + l): s * width + t
+                         for (i, k), s in left.sums.items() for (j, l), t in right.sums.items()})
+
+
+def _disguise(table, rng):
+    """The same table with its elements in a shuffled index order."""
+    order = list(range(table.n))
+    rng.shuffle(order)
+    place = {old: new for new, old in enumerate(order)}
+    return AlgebraTable(tuple(table.elements[old] for old in order), place[table.zero],
+                        {(place[i], place[j]): place[k] for (i, j), k in table.sums.items()})
+
+
+# Tables past the corpus, built here: the LP runs on up to 39 variables, and
+# the last two pin the coverage masks on wide and on failing searches.
 LARGE_TABLES = {
     "cube5.json": (lambda: _cube(5), 0),
     "chain40.json": (lambda: _chain(40), 0),
     "random24.json": (lambda: random_gea(random.Random(3), 24), 3),
+    "antichain16.json": (lambda: _disguise(_antichain(16), random.Random(16)), 0),
+    "c3c4_ns.json": (lambda: glued(_product(_chain(3), _chain(4)), corpus.load("no_states")), 3),
 }
 
 LARGE_DIGESTS = {
@@ -167,6 +196,14 @@ LARGE_DIGESTS = {
     "states random24.json --goal separate --seed 0": "c2f652404a6d7ad3e0e5881920a62283c3f974e62ed012bc5fc7c263e3110ab4",
     "represent random24.json --goal order --seed 0": "a4024cd6002d2e93583ba4a593ae5b278b70a14a4a91e7e8ca9c26667ef58b15",
     "represent random24.json --goal separate --seed 0": "2efee643c64db778d4463380fbfefb4757708e38216de8319d86eb75c37d184e",
+    "states antichain16.json --goal order --seed 0": "a75a6b57363d5e4b1c312d09bfbda052bb1e69022556c8d173b6e1c22a6bef7b",
+    "states antichain16.json --goal separate --seed 0": "c1c83f8c16ca35213423b0e6e088af1cddc8c798539b5affddfd21c8b3ff4e01",
+    "represent antichain16.json --goal order --seed 0": "18c9fb08b36db716b407d862a3a1fa594796f1c79e62f4845ddd1de9f17c0300",
+    "represent antichain16.json --goal separate --seed 0": "99cf3ccdba6364e2c0c0526cf26881ddd688640434653abf6e67b8e751ed7a37",
+    "states c3c4_ns.json --goal order --seed 0": "0c90faca15336073f3da37a5d154755ddfcc5221260e5089f7e67071a3f6a42c",
+    "states c3c4_ns.json --goal separate --seed 0": "2a4556654005d1e91a16cbd468071b6c0ac94e1244d0786a893a1095867c3825",
+    "represent c3c4_ns.json --goal order --seed 0": "4f864f5a06c8aa7480f2957f2e9e1ef6dff514068c92518209973d66500ae211",
+    "represent c3c4_ns.json --goal separate --seed 0": "59fef6311a20f60b0a2fde70d0a3cb597ce959aae51d6ef6798c149f53a721ba",
 }
 
 

@@ -16,8 +16,8 @@ from gea.represent import (DiagonalRep, build_representation, extract_states, op
 from gea.states import (GeneralizedState, StateWitnessSet, additivity_program,
                         order_determining_set, separating_set)
 from gea.lp import lp_feasible
-from reference import (FiniteVector, apply_operator, bounded_by, random_rational_vector, sparse,
-                       vector_state)
+from reference import (FiniteVector, apply_operator, bounded_by, leq, random_rational_vector,
+                       sparse, vector_state)
 
 
 def frac(x):
@@ -89,7 +89,7 @@ def reference_verify_order_reflecting(rep, table):
     order = require_gea(table).order
     for a in range(table.n):
         for b in range(table.n):
-            if a != b and reference_entrywise_leq(rep, a, b) and not order.leq_matrix[a][b]:
+            if a != b and reference_entrywise_leq(rep, a, b) and not leq(order, a, b):
                 return False, (a, b)
     return True, None
 
@@ -222,6 +222,24 @@ class TestVerifyOrderReflecting:
     def test_singleton_rep_reflects_vacuously(self, singleton):
         rep = search_rep(singleton)
         assert verify_order_reflecting(rep, require_gea(singleton)) == (True, None)
+
+    # Hand-made diagonals, additive or not: the coverage masks rebuilt from
+    # them must give the reference walk's flag and first pair.  diamond is
+    # 0, a, b, 1 with a + b = 1; chain_c3 is 0, 1, 2.
+    @pytest.mark.parametrize("name, diagonals, expected", [
+        ("diamond", ((),) * 4, (False, (1, 0))),  # m = 0
+        ("diamond", ((0, 0),) * 4, (False, (1, 0))),  # all zeros
+        ("diamond", ((0, 0), (1, 1), (1, 1), (2, 2)), (False, (1, 2))),  # equal columns
+        ("diamond", ((0, 0), (1, 0), (0, 1), (1, 1)), (True, None)),
+        ("diamond", ((0, 0), (2, 0), (0, 2), (2, 0)), (False, (3, 1))),  # only at the last
+        ("chain_c3", ((0,), (2,), (1,)), (False, (2, 1))),  # only at the last
+        ("chain_c3", ((0, 0), (1, 1), (2, 2)), (True, None)),  # equal columns
+    ])
+    def test_hand_made_diagonals_match_the_reference(self, name, diagonals, expected):
+        table = corpus.load(name)
+        rep = DiagonalRep(diagonals)
+        assert verify_order_reflecting(rep, require_gea(table)) == expected
+        assert reference_verify_order_reflecting(rep, table) == expected
 
 
 def _checked_tables():

@@ -16,11 +16,11 @@ from gea.cli import main
 from gea.generate import random_gea, random_population
 from gea.lp import LinearProgram, lp_feasible
 from gea.represent import build_representation, operator_norm
-from gea.states import (GeneralizedState, additivity_program, order_determining_set,
-                        separating_set)
+from gea.states import (GeneralizedState, StateWitnessSet, additivity_program,
+                        assign_witnesses, order_determining_set, separating_set)
 from reference import (assert_witness_set, atom_pair_program, atom_state, down_set_table,
-                       glued, pair_programs, reference_pair_programs, reference_search,
-                       write_table)
+                       glued, leq, pair_programs, pairs_not_leq, reference_assign_witnesses,
+                       reference_pair_programs, reference_search, write_table)
 from test_families import down_set
 
 
@@ -85,7 +85,7 @@ class TestWitnessSets:
         witnesses = order_determining_set(require_gea(diamond))
         assert witnesses.ok
         order = induced_order(diamond)
-        assert len(witnesses.states) <= len(order.pairs_not_leq())
+        assert len(witnesses.states) <= len(pairs_not_leq(order))
 
     def test_singleton_order_set_is_empty(self, singleton):
         witnesses = order_determining_set(require_gea(singleton))
@@ -168,7 +168,7 @@ class TestStateInvariants:
             for state in witnesses.states:
                 for i in range(table.n):
                     for j in range(table.n):
-                        if order.leq_matrix[i][j]:
+                        if leq(order, i, j):
                             assert state.values[i] <= state.values[j]
 
     @settings(max_examples=50, deadline=None)
@@ -226,12 +226,12 @@ class TestIntegerStates:
         asked = []
         real = states.assign_witnesses
 
-        def recording(table, witnesses, pairs, find):
+        def recording(table, witnesses, want, find):
             def traced(a, b):
                 state = find(a, b)
                 asked.append(((a, b), state, len(witnesses.states)))
                 return state
-            return real(table, witnesses, pairs, traced)
+            return real(table, witnesses, want, traced)
 
         monkeypatch.setattr(states, "assign_witnesses", recording)
         tables = list(valid_corpus.values()) + [random_gea(random.Random(seed), n)
@@ -360,6 +360,101 @@ class TestAtomProgram:
         assert main(["represent", str(path), "--goal", goal, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["witnesses"]["states"]) == slots
+
+
+def antichain(atoms):
+    """Zero and atoms atoms, with no sum of two nonzero elements: the unit
+    vectors of N^atoms as a down-set."""
+    return down_set_table([tuple(int(c == j) for j in range(atoms)) for c in range(-1, atoms)])
+
+
+def outcome(witnesses):
+    return witnesses.states, witnesses.failures, list(witnesses.provenance.items())
+
+
+def goal_inputs(gea, goal):
+    """The masks assign_witnesses takes and the pairs of the per-pair walk,
+    for one goal."""
+    n = gea.table.n
+    if goal == "order":
+        return gea.order.not_above(), pairs_not_leq(gea.order)
+    return ([(1 << n) - (2 << a) for a in range(n)],
+            [(a, b) for a in range(n) for b in range(a + 1, n)])
+
+
+class TestWalkOracle:
+    """assign_witnesses' coverage masks against reference_assign_witnesses,
+    the per-pair walk: the same states, failures and provenance, in order,
+    under both goals, with or without states given up front."""
+
+    def check(self, table, upfront=(), lp=True):
+        gea = require_gea(table)
+        for goal in ("order", "separate"):
+            want, pairs = goal_inputs(gea, goal)
+            runs = []
+            for search, todo in ((assign_witnesses, want), (reference_assign_witnesses, pairs)):
+                program = additivity_program(gea)
+                if not lp:
+                    find = lambda a, b: None  # noqa: E731
+                elif goal == "order":
+                    find = program.witness
+                else:
+                    find = lambda a, b, p=program: p.witness(a, b) or p.witness(b, a)  # noqa: E731
+                runs.append(outcome(search(table, StateWitnessSet(goal, list(upfront)), todo, find)))
+            assert runs[0] == runs[1], goal
+            if not upfront and lp:
+                search = order_determining_set if goal == "order" else separating_set
+                assert outcome(search(gea)) == runs[0]
+
+    def test_corpus(self, valid_corpus):
+        for table in valid_corpus.values():
+            self.check(table)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 24))
+    def test_random_tables(self, seed, n):
+        self.check(random_gea(random.Random(seed), n))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(2, 5), st.integers(2, 30), st.integers(0, 2 ** 32))
+    def test_down_sets(self, m, n, seed):
+        self.check(down_set_table(down_set(random.Random(seed), m, n)))
+
+    @pytest.mark.parametrize("atoms", [16, 24])
+    def test_antichains(self, atoms):
+        self.check(antichain(atoms))
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_families_glued_to_no_states(self, name):
+        self.check(glued(FAMILIES[name], NS))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(2, 16), st.booleans())
+    def test_states_given_up_front(self, seed, n, lp):
+        # Some states of the table's own order set, shuffled, come first;
+        # the rest of the search either runs its LPs or, as in the
+        # projector demo, has no other candidate.
+        rng = random.Random(seed)
+        table = random_gea(rng, n)
+        found = order_determining_set(require_gea(table)).states
+        self.check(table, rng.sample(found, rng.randint(0, len(found))), lp)
+
+    def test_demo_excd_states_given_up_front(self, monkeypatch):
+        from gea import effects
+        calls = []
+
+        def both(table, witnesses, want, find):
+            pairs = [(a, b) for a, mask in enumerate(want) for b in range(table.n) if mask >> b & 1]
+            upfront = StateWitnessSet(witnesses.goal, list(witnesses.states))
+            expected = outcome(reference_assign_witnesses(table, upfront, pairs, find))
+            result = assign_witnesses(table, witnesses, want, find)
+            calls.append(outcome(result))
+            assert calls[-1] == expected
+            return result
+
+        monkeypatch.setattr(effects, "assign_witnesses", both)
+        assert effects.demo_excd()["order_determining_found"]
+        assert len(calls) == 1 and len(calls[0][0]) == 2 and calls[0][2] == []
 
 
 class TestProgramSizes:
