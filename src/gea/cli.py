@@ -1,13 +1,11 @@
-"""Command line front end.
+"""Command line front end: parse reads a command line off the COMMANDS table,
+with the syntax argparse read, and main runs the command's handler.  Only
+effects imports numpy and gea.effects, on first use, so the exact commands
+start without them.
 
-Pipeline subcommands: check (axioms), order (induced order), states (witness
-search), represent (witness search plus verified diagonal representation),
-morphism (classify a map between two tables) and effects (finite-dimensional
-matrix demos).  Only effects imports numpy and gea.effects, on first use, so
-the exact commands start without them.
-
-Each pipeline scans its table's axioms once, at load, and hands the
-resulting CheckedGEA to every later stage.
+Each pipeline scans its table's axioms once, at load, and hands the resulting
+CheckedGEA to every later stage.  Each input file is read once, and
+input_digest is the SHA-256 of the bytes parsed.
 
 Exit codes: 0 success, 1 a verification stage failed, 2 unreadable or
 malformed input, 3 no witness set exists for the requested goal.  Every
@@ -16,17 +14,16 @@ report, an error report too, carries its exit code and goes to --out.
 
 from __future__ import annotations
 
-import argparse
-import functools
-import hashlib
 import json
 import math
 import os
 import random
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Optional
+from types import SimpleNamespace
+from typing import NoReturn, Optional
 
 from . import fileio
 from .algebra import (CheckedGEA, check_ea_axioms, check_gea_axioms, classify_morphism,
@@ -44,18 +41,11 @@ EXIT_NO_WITNESS = 3
 SAMPLE_VECTORS = 20
 
 
-def _digest(path: str) -> Optional[str]:
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError:
-        return None
-
-
-def _base_report(args: argparse.Namespace, path: Optional[str]) -> dict:
+def _base_report(args: SimpleNamespace, path: Optional[str], digest: Optional[str]) -> dict:
     report = {"schema": 1, "command": args.command_echo}
     if path is not None:
         report["input"] = path
-        report["input_digest"] = _digest(path)
+        report["input_digest"] = digest
     return report
 
 
@@ -123,8 +113,13 @@ def _emit(report: dict, as_json: bool, out: Optional[str] = None) -> None:
             Path(out).write_text(payload + "\n", encoding="utf-8")
         except OSError as exc:
             raise InputError(f"cannot write {out}: {exc}") from exc
+    _write(payload if as_json else _render_text(report))
+
+
+def _write(text: str) -> None:  # in one write
     try:
-        print(payload if as_json else _render_text(report), flush=True)
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early (`gea ... | head`).  Point stdout at
         # devnull, as the signal module docs advise, so that the flush at
@@ -142,19 +137,20 @@ def _axiom_stage(report_obj) -> dict:
     }
 
 
-def _load_checked(args: argparse.Namespace) -> tuple[dict, Optional[CheckedGEA]]:
+def _load_checked(args: SimpleNamespace) -> tuple[dict, Optional[CheckedGEA]]:
     """Load the table and run the pipeline's one GEA axiom scan: the report
     with its gea stage, and the checked table unless the scan failed."""
-    axioms, gea = scan_gea(fileio.load_algebra(args.path))
-    report = _base_report(args, args.path)
+    table, digest = fileio.load_algebra(args.path)
+    axioms, gea = scan_gea(table)
+    report = _base_report(args, args.path, digest)
     report["gea"] = _axiom_stage(axioms)
     return report, gea
 
 
-def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
-    table = fileio.load_algebra(args.path)
+def cmd_check(args: SimpleNamespace) -> tuple[dict, int]:
+    table, digest = fileio.load_algebra(args.path)
     axioms = check_gea_axioms(table)
-    report = _base_report(args, args.path)
+    report = _base_report(args, args.path, digest)
     report["gea"] = _axiom_stage(axioms)
     failed = not axioms.passed
     if args.ea:
@@ -164,7 +160,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_FAIL if failed else EXIT_OK
 
 
-def cmd_order(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_order(args: SimpleNamespace) -> tuple[dict, int]:
     report, gea = _load_checked(args)
     if gea is None:
         return report, EXIT_FAIL
@@ -181,7 +177,7 @@ def cmd_order(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def cmd_states(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_states(args: SimpleNamespace) -> tuple[dict, int]:
     report, gea = _load_checked(args)
     if gea is None:
         return report, EXIT_FAIL
@@ -217,7 +213,7 @@ def _verified_representation(gea: CheckedGEA, witnesses: StateWitnessSet,
     return fileio.representation_to_json(table, rep, verification), all(required)
 
 
-def cmd_represent(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_represent(args: SimpleNamespace) -> tuple[dict, int]:
     report, gea = _load_checked(args)
     if gea is None:
         return report, EXIT_FAIL
@@ -232,9 +228,9 @@ def cmd_represent(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_OK if verified else EXIT_FAIL
 
 
-def cmd_morphism(args: argparse.Namespace) -> tuple[dict, int]:
-    spec = fileio.load_morphism(args.path)
-    report = _base_report(args, args.path)
+def cmd_morphism(args: SimpleNamespace) -> tuple[dict, int]:
+    spec, digest = fileio.load_morphism(args.path)
+    report = _base_report(args, args.path, digest)
     result = classify_morphism(spec)
     report["morphism"] = {
         "is_morphism": result.is_morphism,
@@ -248,12 +244,12 @@ def cmd_morphism(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_OK if result.is_morphism else EXIT_FAIL
 
 
-def cmd_effects(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_effects(args: SimpleNamespace) -> tuple[dict, int]:
     from . import effects  # the one command that loads numpy
 
     if args.effects_command == "demo-excd":
         demo = effects.demo_excd()
-        report = _base_report(args, None)
+        report = _base_report(args, None, None)
         report["demo"] = demo
         expected = (demo["gea_axioms_pass"] and demo["order_determining_found"]
                     and demo["is_morphism"] and demo["order_reflecting"]
@@ -261,8 +257,8 @@ def cmd_effects(args: argparse.Namespace) -> tuple[dict, int]:
         return report, EXIT_OK if expected else EXIT_FAIL
 
     if args.effects_command == "check":
-        matrix = fileio.load_matrix(args.path)
-        report = _base_report(args, args.path)
+        matrix, digest = fileio.load_matrix(args.path)
+        report = _base_report(args, args.path, digest)
         try:
             positive, effect = effects.spectral_flags(matrix)
         except InputError as exc:
@@ -275,11 +271,10 @@ def cmd_effects(args: argparse.Namespace) -> tuple[dict, int]:
         }
         return report, EXIT_OK if positive else EXIT_FAIL
 
-    a = fileio.load_matrix(args.path)
-    b = fileio.load_matrix(args.path_b)
-    report = _base_report(args, args.path)
-    report["input_b"] = args.path_b
-    report["input_b_digest"] = _digest(args.path_b)
+    a, digest = fileio.load_matrix(args.path)
+    b, digest_b = fileio.load_matrix(args.path_b)
+    report = _base_report(args, args.path, digest)
+    report.update(input_b=args.path_b, input_b_digest=digest_b)
     witness = effects.vector_witness(a, b, (f"A ({args.path})", f"B ({args.path_b})"))
     if witness is None:
         report["witness"] = None
@@ -297,88 +292,113 @@ def cmd_effects(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # The shared flags are accepted both before and after the subcommand.
-    # Every parser shares the same two actions, so their default must stay
-    # SUPPRESS: any other default would be written by the subcommand's parser
-    # over a pre-command occurrence.  main fills in the defaults.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="emit the machine-readable report")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for sampled self-checks (default: 0)")
-
-    parser = argparse.ArgumentParser(
-        prog="gea",
-        parents=[common],
-        description="Decide representability of finite generalized effect algebras "
-                    "and build verified diagonal operator representations.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", parents=[common], help="verify the axioms of a table file")
-    p.add_argument("path")
-    p.add_argument("--ea", action="store_true", help="also check the effect algebra axioms")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("order", parents=[common], help="print the induced partial order")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_order)
-
-    p = sub.add_parser("states", parents=[common],
-                       help="compute a witness set of generalized states")
-    p.add_argument("path")
-    p.add_argument("--goal", choices=("separate", "order"), default="order")
-    p.add_argument("--out", help="also write the report to this file")
-    p.set_defaults(func=cmd_states)
-
-    p = sub.add_parser("represent", parents=[common],
-                       help="build and verify the diagonal representation")
-    p.add_argument("path")
-    p.add_argument("--goal", choices=("separate", "order"), default="order")
-    p.add_argument("--out", help="also write the report to this file")
-    p.set_defaults(func=cmd_represent)
-
-    p = sub.add_parser("morphism", parents=[common],
-                       help="classify a map between two table files")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_morphism)
-
-    p = sub.add_parser("effects", parents=[common],
-                       help="finite-dimensional matrix checks and demos")
-    esub = p.add_subparsers(dest="effects_command", required=True)
-    d = esub.add_parser("demo-excd", parents=[common],
-                        help="run the projector demo end to end")
-    d.set_defaults(func=cmd_effects)
-    c = esub.add_parser("check", parents=[common],
-                        help="positivity/effect check for a matrix file")
-    c.add_argument("path")
-    c.set_defaults(func=cmd_effects)
-    w = esub.add_parser("witness", parents=[common],
-                        help="order witness vector for two positive matrices")
-    w.add_argument("path")
-    w.add_argument("path_b")
-    w.set_defaults(func=cmd_effects)
-
-    return parser
+# Each command's words to its handler, positionals, switches, options (name
+# to default and choices or type) and help line.  SEARCH holds the options of
+# the two witness-search commands.
+SEARCH = {"goal": ("order", ("separate", "order")), "out": (None, str)}
+COMMANDS = {
+    "check": (cmd_check, ("path",), ("ea",), {}, "verify the axioms of a table file"),
+    "order": (cmd_order, ("path",), (), {}, "print the induced partial order"),
+    "states": (cmd_states, ("path",), (), SEARCH, "compute a witness set of generalized states"),
+    "represent": (cmd_represent, ("path",), (), SEARCH, "build and verify the representation"),
+    "morphism": (cmd_morphism, ("path",), (), {}, "classify a map between two table files"),
+    "effects demo-excd": (cmd_effects, (), (), {}, "run the projector demo end to end"),
+    "effects check": (cmd_effects, ("path",), (), {}, "positivity/effect check for a matrix file"),
+    "effects witness": (cmd_effects, ("path", "path_b"), (), {}, "order witness of two matrices"),
+}
 
 
-def _error_report(args: argparse.Namespace, error: object) -> dict:
+def _usage() -> str:
+    lines = ["usage: gea [-h] [--json] [--seed N] COMMAND ...\n  --json prints the report as "
+             "JSON; --seed N seeds the sampled self-checks (default 0)"]
+    for words, (_, names, switches, options, help_line) in COMMANDS.items():
+        flags = [*switches, *(f"{o} {'|'.join(k) if isinstance(k, tuple) else o.upper()}"
+                              for o, (_, k) in options.items())]
+        lines.append(" ".join([f"  {words}", *map(str.upper, names), *(f"[--{f}]" for f in flags)])
+                     + f"\n      {help_line}")
+    return "\n".join(lines)
+
+
+def _fail(message: str) -> NoReturn:
+    sys.stderr.write(f"{_usage()}\ngea: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(token: str, known: dict) -> tuple[Optional[str], Optional[str]]:
+    """The flag of known that token names, whole or by a unique prefix of a --name,
+    and its =value; ("", None) for an unknown flag, and (None, None) for a
+    positional, which as in argparse includes a negative number or a token with a space."""
+    if token[:1] != "-" or token == "-":
+        return None, None
+    name, eq, value = token.partition("=")
+    matches = [name] if name in known else [
+        flag for flag in known if token[1] == "-" and flag.startswith(name)]
+    if len(matches) == 1:
+        return matches[0], value if eq else None
+    return (None, None) if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else ("", None)
+
+
+def parse(argv: list[str]) -> SimpleNamespace:
+    """argv read off COMMANDS as argparse read it, into the attributes the handlers
+    read.  A line that does not fit prints the usage and exits 2; -h prints it."""
+    args = SimpleNamespace(command=None, effects_command=None, func=None, path=None,
+                           path_b=None, ea=None, goal=None, out=None, json=False, seed=0)
+    # Each flag to True for a switch, None for help, or its choices or type.
+    known = {"--json": True, "--seed": int, "-h": None, "--help": None}
+    words, spec, positionals, extras, tokens, filled = [], None, [], [], iter(argv), 0
+    for token in tokens:
+        after_path, filled = len(positionals) > filled, len(positionals)
+        name, value = _option(token, known)
+        if token == "--" and spec:  # argparse drops it only beside a positional
+            rest = list(tokens)
+            extras += [] if after_path or rest and filled < len(spec[1]) else [token]
+            positionals += rest
+        elif name is None and spec:
+            positionals.append(token)
+        elif name is None or token == "--":
+            words.append(token)
+            spec = COMMANDS.get(" ".join(words)) if " " not in token else None
+            if spec is None and words != ["effects"]:
+                _fail(f"invalid command {' '.join(words)!r}")
+            if spec:
+                args.func, args.command, args.effects_command = spec[0], *(*words, None)[:2]
+                for flag, (default, kind) in [*((s, (False, True)) for s in spec[2]),
+                                              *spec[3].items()]:
+                    known["--" + flag] = kind
+                    setattr(args, flag, default)
+        elif not name:
+            extras.append(token)
+        elif (kind := known[name]) in (None, True) and value is not None:
+            _fail(f"argument {name}: ignored explicit argument {value!r}")
+        elif kind is None:
+            _write(_usage())
+            raise SystemExit(0)
+        elif kind is True:
+            setattr(args, name[2:], True)
+        else:
+            # A value comes from the next token unless that is a flag; -- stands in for none.
+            if value is None and _option(value := next(tokens, "--"), known)[0] is not None:
+                _fail(f"argument {name}: expected one argument")
+            try:  # index raises ValueError for a value that is not a choice
+                setattr(args, name[2:], kind(value) if callable(kind) else kind[kind.index(value)])
+            except ValueError:
+                _fail(f"argument {name}: invalid value {value!r}")
+    names = spec[1] if spec else _fail("missing command")
+    if len(positionals) != len(names) or extras:
+        _fail(f"{' '.join(words)} takes {' '.join(names).upper() or 'no path'}; got "
+              f"{positionals + extras}")
+    vars(args).update(zip(names, positionals))
+    return args
+
+
+def _error_report(args: SimpleNamespace, error: object) -> dict:
     return {"schema": 1, "command": args.command_echo, "error": str(error)}
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built once per process: building it costs more
-    than parsing, and parse_args leaves it unchanged."""
-    return build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _parser().parse_args(argv)
+    args = parse(argv)
     args.command_echo = "gea " + " ".join(argv)
-    args.json = getattr(args, "json", False)
-    args.seed = getattr(args, "seed", 0)
     try:
         report, code = args.func(args)
     except InputError as exc:
@@ -387,7 +407,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         report, code = _error_report(args, exc), EXIT_FAIL
     report["exit"] = code
     try:
-        _emit(report, args.json, getattr(args, "out", None))
+        _emit(report, args.json, args.out)
     except InputError as exc:  # the --out file cannot be written
         error = "; ".join(filter(None, (report.get("error"), str(exc))))  # keep the first error
         _emit({**_error_report(args, error), "exit": EXIT_INPUT}, args.json)

@@ -27,10 +27,10 @@ def path(name: str) -> Path:
 def load(name: str):
     from ..fileio import load_algebra
 
-    return load_algebra(path(name))
+    return load_algebra(path(name))[0]
 
 
 def load_morphism(name: str):
     from ..fileio import load_morphism
 
-    return load_morphism(path(name))
+    return load_morphism(path(name))[0]

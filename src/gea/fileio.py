@@ -1,5 +1,6 @@
 """JSON file formats: algebra tables, morphisms, witness sets, representations
 and complex matrices.  Rationals travel as Fraction strings ("3/2", "-1", "0").
+Each loader reads its file once and returns its value with the file's SHA-256.
 
 States and representations hold int numerators over one denominator; their
 strings are made here and read exactly as str(Fraction) does.  Only
@@ -8,6 +9,7 @@ without them."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 from math import gcd
 from pathlib import Path
@@ -32,10 +34,12 @@ def ratio_str(p: int, q: int) -> str:
     return str(p // common) if common == q else f"{p // common}/{q // common}"
 
 
-def _read_json(path: PathLike) -> dict:
+def _read_json(path: PathLike) -> tuple[dict, str]:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        # Strict UTF-8; \r\n and \r become \n, as in a text-mode read, for JSON's error positions.
+        data = json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -45,7 +49,7 @@ def _read_json(path: PathLike) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
-    return data
+    return data, hashlib.sha256(raw).hexdigest()
 
 
 def _resolve(path: PathLike, index: dict[str, int], label: object) -> int:
@@ -55,9 +59,9 @@ def _resolve(path: PathLike, index: dict[str, int], label: object) -> int:
     return index[label]
 
 
-def load_algebra(path: PathLike) -> AlgebraTable:
+def load_algebra(path: PathLike) -> tuple[AlgebraTable, str]:
     """Read an algebra file: elements, zero, optional unit, sum triples."""
-    data = _read_json(path)
+    data, digest = _read_json(path)
     try:
         labels = data["elements"]
         zero_label = data["zero"]
@@ -93,16 +97,16 @@ def load_algebra(path: PathLike) -> AlgebraTable:
     unit = _resolve(path, index, data["unit"]) if data.get("unit") is not None else None
     zero = _resolve(path, index, zero_label)
     try:
-        return AlgebraTable(tuple(labels), zero, sums, unit)
+        return AlgebraTable(tuple(labels), zero, sums, unit), digest
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
-def load_morphism(path: PathLike) -> MorphismSpec:
+def load_morphism(path: PathLike) -> tuple[MorphismSpec, str]:
     """Read a morphism file; source/target paths resolve relative to it.
-    Both tables get their one GEA axiom scan here (ContractError naming the
-    side and its file if one fails)."""
-    data = _read_json(path)
+    Each table file gets its one read and GEA axiom scan here (ContractError
+    naming the side and its file if one fails)."""
+    data, digest = _read_json(path)
     base = Path(path).parent
     try:
         source_path, target_path, mapping = data["source"], data["target"], data["map"]
@@ -112,19 +116,19 @@ def load_morphism(path: PathLike) -> MorphismSpec:
         raise InputError(f"{path}: \"source\" and \"target\" must be file names")
     if not isinstance(mapping, dict):
         raise InputError(f"{path}: \"map\" must be an object from labels to labels")
-    source = load_algebra(base / source_path)
-    target = load_algebra(base / target_path)
+    source = load_algebra(base / source_path)[0]
+    target = source if target_path == source_path else load_algebra(base / target_path)[0]
     if set(mapping) != set(source.elements):
         raise InputError(f"{path}: map must be total on the source elements")
     index = {lab: i for i, lab in enumerate(target.elements)}
     images = tuple(_resolve(path, index, mapping[lab]) for lab in source.elements)
-    checked = []
+    checked = {}
     for side, name, table in (("source", source_path, source), ("target", target_path, target)):
         try:
-            checked.append(require_gea(table))
+            checked[name] = checked.get(name) or require_gea(table)
         except ContractError as exc:
             raise ContractError(f"{path}: {side} {base / name}: {exc}") from None
-    return MorphismSpec(*checked, images)
+    return MorphismSpec(checked[source_path], checked[target_path], images), digest
 
 
 def _pair_key(table: AlgebraTable, pair: tuple[int, int]) -> str:
@@ -170,11 +174,11 @@ def _float_matrix(path: PathLike, key: str, value: object, dim: int) -> np.ndarr
     return arr
 
 
-def load_matrix(path: PathLike) -> EffectMatrix:
+def load_matrix(path: PathLike) -> tuple[EffectMatrix, str]:
     import numpy as np
     from .effects import EffectMatrix
 
-    data = _read_json(path)
+    data, digest = _read_json(path)
     try:
         dim = data["dim"]
         re_data = data["re"]
@@ -184,4 +188,4 @@ def load_matrix(path: PathLike) -> EffectMatrix:
         raise InputError(f"{path}: \"dim\" must be a positive integer, got {dim!r}")
     re = _float_matrix(path, "re", re_data, dim)
     im = _float_matrix(path, "im", data["im"], dim) if "im" in data else np.zeros((dim, dim))
-    return EffectMatrix(re + 1j * im)
+    return EffectMatrix(re + 1j * im), digest

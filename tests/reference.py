@@ -11,7 +11,8 @@ LinearProgram's sparse rows; the LP over one variable per nonzero element
 and one additivity row per defined sum, with its states and its searches,
 for the atom program of `additivity_program`; the per-pair coverage walk
 `reference_assign_witnesses`, for the masks of `assign_witnesses`; the text renderer that calls json.dumps per scalar, for
-`cli._render_text`; and fixtures: `write_table` and `write_matrix` write
+`cli._render_text`; the argparse parser the command line was read with,
+`reference_parser`, for `cli.parse`; and fixtures: `write_table` and `write_matrix` write
 the files the loaders read, `down_set_table` builds a down-set of N^m and
 `glued` glues two tables at zero,
 `random_positive_matrix` and `random_vector` draw seeded complex data,
@@ -20,6 +21,7 @@ the files the loaders read, `down_set_table` builds a down-set of N^m and
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import operator
@@ -34,6 +36,7 @@ import numpy as np
 
 from gea.algebra import (AlgebraTable, AxiomReport, MorphismReport, MorphismSpec, OrderRelation,
                          Violation, induced_order, is_sub_gea, require_gea)
+from gea.cli import cmd_check, cmd_effects, cmd_morphism, cmd_order, cmd_represent, cmd_states
 from gea.effects import EffectMatrix
 from gea.errors import InputError
 from gea.lp import LinearProgram, lp_feasible
@@ -532,3 +535,71 @@ def glued(left: AlgebraTable, right: AlgebraTable) -> AlgebraTable:
     place = [0] + list(range(n, n + right.n - 1))
     sums = dict(left.sums) | {(place[i], place[j]): place[k] for (i, j), k in right.sums.items()}
     return AlgebraTable(left.elements + right.elements[1:], 0, sums)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the gea command line.  A flag given nowhere is
+    missing from its namespace; main read --json as False and --seed as 0
+    then."""
+    # The shared flags are accepted both before and after the subcommand.
+    # Every parser shares the same two actions, so their default must stay
+    # SUPPRESS: any other default would be written by the subcommand's parser
+    # over a pre-command occurrence.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="emit the machine-readable report")
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help="seed for sampled self-checks (default: 0)")
+
+    parser = argparse.ArgumentParser(
+        prog="gea",
+        parents=[common],
+        description="Decide representability of finite generalized effect algebras "
+                    "and build verified diagonal operator representations.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", parents=[common], help="verify the axioms of a table file")
+    p.add_argument("path")
+    p.add_argument("--ea", action="store_true", help="also check the effect algebra axioms")
+    p.set_defaults(func=cmd_check)
+
+    p = sub.add_parser("order", parents=[common], help="print the induced partial order")
+    p.add_argument("path")
+    p.set_defaults(func=cmd_order)
+
+    p = sub.add_parser("states", parents=[common],
+                       help="compute a witness set of generalized states")
+    p.add_argument("path")
+    p.add_argument("--goal", choices=("separate", "order"), default="order")
+    p.add_argument("--out", help="also write the report to this file")
+    p.set_defaults(func=cmd_states)
+
+    p = sub.add_parser("represent", parents=[common],
+                       help="build and verify the diagonal representation")
+    p.add_argument("path")
+    p.add_argument("--goal", choices=("separate", "order"), default="order")
+    p.add_argument("--out", help="also write the report to this file")
+    p.set_defaults(func=cmd_represent)
+
+    p = sub.add_parser("morphism", parents=[common],
+                       help="classify a map between two table files")
+    p.add_argument("path")
+    p.set_defaults(func=cmd_morphism)
+
+    p = sub.add_parser("effects", parents=[common],
+                       help="finite-dimensional matrix checks and demos")
+    esub = p.add_subparsers(dest="effects_command", required=True)
+    d = esub.add_parser("demo-excd", parents=[common],
+                        help="run the projector demo end to end")
+    d.set_defaults(func=cmd_effects)
+    c = esub.add_parser("check", parents=[common],
+                        help="positivity/effect check for a matrix file")
+    c.add_argument("path")
+    c.set_defaults(func=cmd_effects)
+    w = esub.add_parser("witness", parents=[common],
+                        help="order witness vector for two positive matrices")
+    w.add_argument("path")
+    w.add_argument("path_b")
+    w.set_defaults(func=cmd_effects)
+
+    return parser

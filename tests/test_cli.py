@@ -1,4 +1,6 @@
+import builtins
 import contextlib
+import hashlib
 import importlib
 import io
 import itertools
@@ -20,7 +22,9 @@ from gea import algebra, corpus, states
 from gea import cli
 from gea.cli import main
 from gea.effects import EffectMatrix
-from reference import down_set_table, reference_render_text, write_matrix, write_table
+from reference import (down_set_table, reference_parser, reference_render_text, write_matrix,
+                       write_table)
+from test_readme import COMMANDS as README_COMMANDS
 
 
 def run(capsys, *argv):
@@ -54,6 +58,13 @@ class TestCheck:
     def test_missing_file_exits_two(self, capsys):
         code, report = run_json(capsys, "check", "/no/such/file.json")
         assert code == 2
+
+    @pytest.mark.parametrize("path", ["./no-such.json", "", ".//no/../such.json"])
+    def test_unreadable_file_is_named_as_given(self, capsys, path):
+        code, report = run_json(capsys, "check", path)
+        assert code == 2
+        assert report["error"] == (f"cannot read {path}: "
+                                   f"[Errno 2] No such file or directory: {path!r}")
         assert "error" in report
 
     def test_unit_equal_to_zero_names_the_file(self, capsys, tmp_path):
@@ -209,15 +220,19 @@ class TestMorphism:
         assert code == 2
         assert report["error"] == f"{path}: unknown element label 'q'"
 
-    @pytest.mark.parametrize("side, source", [("source", "broken_ge3"), ("target", "diamond")])
+    @pytest.mark.parametrize("side, source", [
+        ("source", "broken_ge3"), ("target", "diamond"), ("both", "broken_ge3")])
     def test_table_failing_the_scan_names_its_side_and_file(self, capsys, tmp_path, side, source):
-        spec = {"source": cpath("diamond"), "target": cpath("diamond"), side: cpath("broken_ge3"),
+        # With both sides on one file, that file is scanned once, as the source.
+        sides = ("source", "target") if side == "both" else (side,)
+        spec = {"source": cpath("diamond"), "target": cpath("diamond"),
+                **dict.fromkeys(sides, cpath("broken_ge3")),
                 "map": {lab: "0" for lab in corpus.load(source).elements}}
         path = tmp_path / "morphism.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
         code, report = run_json(capsys, "morphism", str(path))
         assert code == 1
-        assert report["error"] == (f"{path}: {side} {cpath('broken_ge3')}: table is not a "
+        assert report["error"] == (f"{path}: {sides[0]} {cpath('broken_ge3')}: table is not a "
                                    "generalized effect algebra: GE3 fails (a+b = a+d = c)")
 
 
@@ -356,6 +371,9 @@ MALFORMED_FILES = {
     "latin1": '{"elements": ["0", "\u00e9"], "zero": "0", "sums": []}'.encode("latin-1"),
     "digits": ('{"elements": ["0"], "zero": "0", "sums": [], "dim": '
                + "7" * 5000 + "}").encode(),
+    # Inputs are strict UTF-8: a byte-order mark, or UTF-16, is malformed.
+    "bom": '\ufeff{"elements": ["0"], "zero": "0", "sums": []}'.encode("utf-8"),
+    "utf16": '{"elements": ["0"], "zero": "0", "sums": []}'.encode("utf-16"),
 }
 
 
@@ -421,8 +439,9 @@ class TestUnwritableOut:
 
 class TestParserReuse:
     def test_calls_in_a_row_match_fresh_calls(self, capsys):
-        # The parser is built once per process; flags of one call must not
-        # leak into the next (--seed, --json and --goal in both positions).
+        # Flags of one call must not leak into the next (--seed, --json and
+        # --goal in both positions): each call gives the same report whichever
+        # call came before it.
         calls = [
             ["--seed", "5", "represent", cpath("excd"), "--goal", "separate", "--json"],
             ["represent", cpath("excd"), "--json"],
@@ -432,11 +451,8 @@ class TestParserReuse:
             ["represent", cpath("diamond"), "--json", "--seed", "7"],
         ]
         in_a_row = [run(capsys, *argv) for argv in calls]
-        fresh = []
-        for argv in calls:
-            cli._parser.cache_clear()
-            fresh.append(run(capsys, *argv))
-        assert in_a_row == fresh
+        in_reverse = [run(capsys, *argv) for argv in reversed(calls)][::-1]
+        assert in_a_row == in_reverse
         assert json.loads(in_a_row[0][1])["representation"]["verification"]["seed"] == 5
         assert json.loads(in_a_row[1][1])["representation"]["verification"]["seed"] == 0
         assert "ea" in json.loads(in_a_row[2][1]) and "ea" not in json.loads(in_a_row[3][1])
@@ -456,6 +472,152 @@ def corpus_commands():
     yield from (["effects", "check", cpath(name)] for name in ("mat_a", "mat_b"))
     yield ["effects", "witness", cpath("mat_a"), cpath("mat_b")]
     yield ["effects", "witness", cpath("mat_b"), cpath("mat_a")]
+
+
+# The attributes parse sets.  The reference parser leaves out those that a
+# command line does not set, and main then read --json as False and --seed as 0.
+PARSED = dict.fromkeys(["command", "effects_command", "func", "path", "path_b", "ea", "goal",
+                        "out", "json", "seed"]) | {"json": False, "seed": 0}
+
+
+def reference_parse(argv):
+    return {**PARSED, **vars(reference_parser().parse_args(argv))}
+
+
+# Command lines of the README, of CI and of the shapes that the benchmark's
+# workloads run, each workload job with --json appended.
+DOCUMENTED = [
+    *(list(argv) for argv in README_COMMANDS),
+    ["check", cpath("diamond"), "--ea", "--json"], ["morphism", cpath("incl_excd"), "--json"],
+    ["check", "no-such.json", "--json"],
+    *corpus_commands(), *([*argv, "--json"] for argv in corpus_commands()),
+    *(["represent", cpath("cube8"), "--goal", goal, "--seed", "12345", "--json"]
+      for goal in ("order", "separate")),
+]
+
+PATHS = st.sampled_from(["a.json", "dir/b c.json", "-", "-1", "-2.5", "", "check", "-x y"])
+VALUES = {
+    "--seed": st.one_of(st.integers(-10 ** 20, 10 ** 20).map(str),
+                        st.sampled_from(["+5", " 7", "1_0"])),
+    "--goal": st.sampled_from(["separate", "order"]),
+    "--out": st.one_of(PATHS, st.just("--json x")),
+}
+
+
+@st.composite
+def flag_tokens(draw, flag):
+    """flag, spelled whole or by a unique prefix, with its value, if it takes
+    one, in the next token or after '='."""
+    spelled = draw(st.sampled_from([flag[:n] for n in range(3, len(flag) + 1)]))
+    if flag not in VALUES:
+        return [spelled]
+    value = draw(VALUES[flag])
+    return draw(st.sampled_from([[spelled, value], [f"{spelled}={value}"]]))
+
+
+@st.composite
+def valid_argvs(draw):
+    """A command line argparse accepts: the shared flags before, between or
+    after the command words; the command's positionals in order, its own
+    flags and the shared ones in any order after the words; repeats; and
+    optionally -- before the last positionals."""
+    words = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    _, names, switches, options, _ = cli.COMMANDS[words]
+    shared = st.one_of(flag_tokens("--json"), flag_tokens("--seed"))
+    own = st.one_of(shared, *(flag_tokens("--" + flag) for flag in (*switches, *options)))
+    argv = []
+    for word in words.split():
+        argv += sum(draw(st.lists(shared, max_size=2)), []) + [word]
+    flags = draw(st.lists(own, max_size=4))
+    paths = [draw(PATHS) for _ in names]
+    after_dashes = draw(st.integers(0, len(paths)))  # paths after --, if any
+    head = paths[:len(paths) - after_dashes]
+    slots = iter(draw(st.permutations([None] * len(head) + flags)))
+    paths_left = iter(head)
+    argv += sum((slot or [next(paths_left)] for slot in slots), [])
+    if after_dashes:
+        argv += ["--", *paths[len(head):]]
+    return argv
+
+
+class TestParserParity:
+    """parse reads every command line as the argparse parser it replaced."""
+
+    @pytest.mark.parametrize("argv", DOCUMENTED, ids=lambda argv: " ".join(
+        Path(arg).name if "/" in arg else arg for arg in argv))
+    def test_documented_command_lines(self, argv):
+        assert vars(cli.parse(argv)) == reference_parse(argv)
+
+    @settings(max_examples=400, deadline=None)
+    @given(valid_argvs())
+    @example(["--seed", "3", "effects", "--json", "witness", "--s=-4", "a", "--", "-b"])
+    @example(["states", "--go", "order", "--out=-", "x", "--goal=separate", "--json", "--js"])
+    @example(["check", "--json", "a", "--"])
+    def test_drawn_command_lines(self, argv):
+        assert vars(cli.parse(argv)) == reference_parse(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--json"], ["bogus", "x"], ["effects"], ["effects", "--json"], ["effects", "bogus"],
+        ["check"], ["effects", "witness", "a"], ["check", "a", "b"], ["--ea", "check", "a"],
+        ["check", "a", "--goal", "order"], ["represent", "a", "--goal", "bogus"],
+        ["--seed", "x", "check", "a"], ["check", "a", "--seed", "1.5"], ["states", "a", "--out"],
+        ["states", "a", "--out", "--json"], ["check", "a", "--json=1"], ["--", "check", "a"],
+        ["check", "a", "--", "--json"], ["check", "a", "--json", "--"],
+        ["effects", "demo-excd", "--"], ["effects check", "a"], ["check", "a", "--bogus"],
+        ["--help=x"], ["check", "a", "-h=x"],
+    ], ids=repr)
+    def test_both_reject_with_the_usage_on_stderr(self, capsys, argv):
+        for parse in (cli.parse, reference_parser().parse_args):
+            with pytest.raises(SystemExit) as stop:
+                parse(argv)
+            captured = capsys.readouterr()
+            assert stop.value.code == 2 and captured.out == ""
+            assert captured.err.startswith("usage: gea") and "error:" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--json", "--he"], ["check", "a", "-h"],
+                                      ["effects", "--help"], ["check", "--bogus", "-h"]])
+    def test_help_exits_zero_with_the_usage_on_stdout(self, capsys, argv):
+        for parse in (cli.parse, reference_parser().parse_args):
+            with pytest.raises(SystemExit) as stop:
+                parse(argv)
+            captured = capsys.readouterr()
+            assert stop.value.code == 0 and captured.err == ""
+            assert captured.out.startswith("usage: gea")
+
+
+def opened_json_files(monkeypatch):
+    """The .json files each open call names, through open or io.open."""
+    opened = []
+    real_open = builtins.open
+
+    def counting(file, *args, **kwargs):
+        if str(file).endswith(".json"):
+            opened.append(Path(file).resolve())
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    monkeypatch.setattr(io, "open", counting)
+    return opened
+
+
+class TestOneReadPerInput:
+    @pytest.mark.parametrize("argv, tables", [
+        (["check", cpath("diamond"), "--ea"], []), (["order", cpath("cube8")], []),
+        (["states", cpath("excd")], []), (["represent", cpath("no_states")], []),
+        (["morphism", cpath("incl_excd")], ["excd", "excd_ext"]),
+        (["morphism", cpath("id_d4")], ["diamond"]),
+        (["effects", "check", cpath("mat_a")], []),
+        (["effects", "witness", cpath("mat_a"), cpath("mat_b")], []),
+    ], ids=lambda value: " ".join(Path(v).stem for v in value))
+    def test_each_input_is_opened_once_and_digested(self, capsys, monkeypatch, argv, tables):
+        opened = opened_json_files(monkeypatch)
+        main([*argv, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        inputs = [arg for arg in argv if arg.endswith(".json")]
+        assert sorted(opened) == sorted(Path(p).resolve()
+                                        for p in inputs + [cpath(t) for t in tables])
+        digests = [report["input_digest"], report.get("input_b_digest")][:len(inputs)]
+        assert digests == [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs]
 
 
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
@@ -577,6 +739,15 @@ class TestOneScanPerPipeline:
         capsys.readouterr()
         assert (len(scans), len(orders)) == (2, 2)
 
+    @pytest.mark.parametrize("name", ["id_d4", "zero_d4"])
+    def test_morphism_scans_a_table_named_twice_once(self, capsys, monkeypatch, name):
+        # Both name diamond.json as source and target.
+        scans = count_calls(monkeypatch, algebra.check_gea_axioms)
+        orders = count_calls(monkeypatch, algebra.induced_order)
+        assert main(["morphism", cpath(name), "--json"]) == 0
+        capsys.readouterr()
+        assert (len(scans), len(orders)) == (1, 1)
+
 
 # Public names that no command reaches, each kept for a reason.  A name that a
 # command comes to reach leaves the list.
@@ -606,7 +777,6 @@ def test_every_public_function_is_reached_by_a_command():
                 if attr[:1] != "_" and hasattr(member, "__code__"):
                     public[member.__code__] = f"{name}.{attr}".rstrip(".")
     commands, reached = list(corpus_commands()), set()
-    cli._parser.cache_clear()
     previous = sys.getprofile()
     sys.setprofile(lambda frame, event, arg: event == "call" and reached.add(frame.f_code))
     try:
@@ -638,6 +808,22 @@ class TestClosedStdout:
         assert proc.wait(timeout=60) == exit_code
         assert stderr == b""
 
+    @pytest.mark.parametrize("read_first", [0, 6])
+    def test_help_to_a_reader_closing_early_exits_zero(self, read_first):
+        # Like `gea --help | head -1` with unbuffered output, where a help text
+        # printed in several writes would fail on the second.
+        src = str(Path(gea.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "gea.cli", "--help"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(read_first) == b"usage:"[:read_first]
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert stderr == b""
+
 
 # Run in a fresh interpreter, since this test process has numpy loaded.
 FRESH_IMPORTS = """
@@ -646,7 +832,7 @@ from gea.cli import main
 exact, bad = json.loads(sys.argv[1]), sys.argv[2]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main([*argv, "--json"]) for argv in exact]
-    loaded = sorted({"numpy", "gea.effects", "dataclasses"} & set(sys.modules))
+    loaded = sorted({"numpy", "gea.effects", "dataclasses", "argparse"} & set(sys.modules))
     check = main(["effects", "check", bad, "--json"])
     after_check = "dataclasses" in sys.modules
     demo = main(["effects", "demo-excd", "--json"])
@@ -659,7 +845,8 @@ print(json.dumps({"codes": codes, "loaded": loaded, "check": check, "demo": demo
 def test_exact_commands_load_neither_numpy_nor_effects(tmp_path):
     """gea.cli and every command but effects run without numpy or gea.effects;
     effects loads them on first use.  No command loads dataclasses, whose
-    import (inspect, ast, dis, tokenize) would dominate the start-up time."""
+    import (inspect, ast, dis, tokenize) would dominate the start-up time,
+    nor argparse."""
     exact = [argv for argv in corpus_commands() if argv[0] != "effects"]
     assert {argv[0] for argv in exact} == {"check", "order", "states", "represent", "morphism"}
     bad = tmp_path / "bad.json"

@@ -18,7 +18,7 @@ from reference import write_matrix, write_table
 def test_algebra_round_trip(tmp_path, diamond):
     path = tmp_path / "diamond.json"
     write_table(diamond, path)
-    again = load_algebra(path)
+    again = load_algebra(path)[0]
     assert again == diamond
 
 
@@ -40,7 +40,7 @@ def test_duplicate_identical_entries_tolerated(tmp_path):
         "zero": "0",
         "sums": [["0", "0", "0"], ["0", "0", "0"]],
     }))
-    assert load_algebra(path).n == 1
+    assert load_algebra(path)[0].n == 1
 
 
 def test_unknown_label_rejected(tmp_path):
@@ -113,8 +113,22 @@ def test_morphism_must_be_total(tmp_path, diamond):
         load_morphism(morphism_path)
 
 
+@pytest.mark.parametrize("raw", [b'{"elements": ["0"],\r\n"zero": "0",\r\n\r\n}',
+                                 b'{"elements": ["0"],\r"zero": "0",\r\r}'])
+def test_json_errors_count_positions_as_a_text_mode_read(tmp_path, raw):
+    # Error messages name line, column and character as they did when files
+    # were read in text mode, which turns \r\n and \r into \n.
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with open(path, encoding="utf-8") as handle, pytest.raises(ValueError) as text_mode:
+        json.load(handle)
+    with pytest.raises(InputError) as loaded:
+        load_algebra(path)
+    assert str(loaded.value) == f"{path} is not valid JSON: {text_mode.value}"
+
+
 def test_corpus_morphism_paths_resolve_relative():
-    spec = load_morphism(corpus.path("incl_excd"))
+    spec = load_morphism(corpus.path("incl_excd"))[0]
     assert spec.source.table.elements == ("0", "pi1", "pi2")
     assert spec.target.table.elements == ("0", "pi1", "pi2", "id")
 
@@ -123,14 +137,14 @@ def test_matrix_round_trip(tmp_path):
     mat = EffectMatrix(np.array([[1.0, 0.5j], [-0.5j, 2.0]]))
     path = tmp_path / "m.json"
     write_matrix(mat, path)
-    again = load_matrix(path)
+    again = load_matrix(path)[0]
     assert np.allclose(again.mat, mat.mat)
 
 
 def test_matrix_missing_im_defaults_to_zero(tmp_path):
     path = tmp_path / "real.json"
     path.write_text(json.dumps({"dim": 1, "re": [[3.0]]}))
-    assert load_matrix(path).mat[0, 0] == 3.0
+    assert load_matrix(path)[0].mat[0, 0] == 3.0
 
 
 HUGE = "9" * 400  # an int that json parses but no float holds
@@ -157,7 +171,7 @@ def test_matrix_entries_must_be_json_numbers(tmp_path, body, message):
 def test_matrix_int_that_fits_a_float_accepted(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"dim": 1, "re": [[2 ** 70]], "im": [[-3]]}))
-    assert load_matrix(path).mat[0, 0] == complex(2.0 ** 70, -3.0)
+    assert load_matrix(path)[0].mat[0, 0] == complex(2.0 ** 70, -3.0)
 
 
 def test_frac_codec():
