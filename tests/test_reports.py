@@ -7,11 +7,15 @@ covers every corpus table under check (with --ea where the table has a unit),
 order, and states and represent under both goals at two seeds, plus the
 corpus morphisms and the projector demo.  effects witness is left out: its
 witness vector comes from LAPACK eigenvectors, which differ between builds.
-LARGE_DIGESTS pins states and represent under both goals on five tables
+LARGE_DIGESTS pins states and represent under both goals on six tables
 past the corpus, built and saved in the test and run from its directory:
 the cube on 5 atoms, the chain C_40, a generated table on 24 elements
-with failing pairs, a 16-atom antichain in shuffled index order, and
-C3×C4 glued to no_states at zero, which fails on no_states' two atoms.
+with failing pairs, 16- and 24-atom antichains in shuffled index order, and
+C3×C4 glued to no_states at zero, which fails on no_states' two atoms.  It
+also pins order (--json and, under a key that starts with "text", the text
+form) and check --ea on the cube on 6 atoms and on C4×C4×C4, each in one
+shuffled index order: the induced order, its differences and the GE2 scan
+on the widest tables the benchmark runs.
 
 A change that alters a report on purpose updates its digest here.
 """
@@ -156,12 +160,15 @@ def _antichain(atoms):
 
 
 def _product(left, right):
-    """Componentwise product: a sum is defined iff it is in both factors."""
+    """Componentwise product: a sum is defined iff it is in both factors,
+    and the unit is the pair of units when both factors have one."""
     width = right.n
+    unit = None if None in (left.unit, right.unit) else left.unit * width + right.unit
     return AlgebraTable(tuple(f"{x}:{y}" for x in left.elements for y in right.elements),
                         left.zero * width + right.zero,
                         {(i * width + j, k * width + l): s * width + t
-                         for (i, k), s in left.sums.items() for (j, l), t in right.sums.items()})
+                         for (i, k), s in left.sums.items() for (j, l), t in right.sums.items()},
+                        unit)
 
 
 def _disguise(table, rng):
@@ -170,7 +177,8 @@ def _disguise(table, rng):
     rng.shuffle(order)
     place = {old: new for new, old in enumerate(order)}
     return AlgebraTable(tuple(table.elements[old] for old in order), place[table.zero],
-                        {(place[i], place[j]): place[k] for (i, j), k in table.sums.items()})
+                        {(place[i], place[j]): place[k] for (i, j), k in table.sums.items()},
+                        None if table.unit is None else place[table.unit])
 
 
 # Tables past the corpus, built here: the LP runs on up to 39 variables, and
@@ -181,6 +189,10 @@ LARGE_TABLES = {
     "random24.json": (lambda: random_gea(random.Random(3), 24), 3),
     "antichain16.json": (lambda: _disguise(_antichain(16), random.Random(16)), 0),
     "c3c4_ns.json": (lambda: glued(_product(_chain(3), _chain(4)), corpus.load("no_states")), 3),
+    "cube6.json": (lambda: _disguise(_cube(6), random.Random(6)), 0),
+    "c4cubed.json": (lambda: _disguise(_product(_product(_chain(4), _chain(4)), _chain(4)),
+                                       random.Random(43)), 0),
+    "antichain24.json": (lambda: _disguise(_antichain(24), random.Random(24)), 0),
 }
 
 LARGE_DIGESTS = {
@@ -204,15 +216,27 @@ LARGE_DIGESTS = {
     "states c3c4_ns.json --goal separate --seed 0": "2a4556654005d1e91a16cbd468071b6c0ac94e1244d0786a893a1095867c3825",
     "represent c3c4_ns.json --goal order --seed 0": "4f864f5a06c8aa7480f2957f2e9e1ef6dff514068c92518209973d66500ae211",
     "represent c3c4_ns.json --goal separate --seed 0": "59fef6311a20f60b0a2fde70d0a3cb597ce959aae51d6ef6798c149f53a721ba",
+    "order cube6.json": "07cf04f1eee0cca6ce4e8f596a5bb0756a87efb18b656bc074bbf470efee70b4",
+    "text order cube6.json": "e674c5640f618725a5ba9f0f785ded832e094b5ba1c181022c9138d4f46b0e75",
+    "check cube6.json --ea": "2863b9569498d84165fea0d946c0d856b7e9f6772308d60f8d85f778615393e8",
+    "order c4cubed.json": "e5b3d47c5663c7d436f1cc092844873d6f50474bf6d17dc8c9352c3a759bd42e",
+    "text order c4cubed.json": "1f10a01d57228811c9e2d70ccdb9fab4b999d70d3fe5aeacba8e40edadf93568",
+    "check c4cubed.json --ea": "4aab9bb37617e8aba5e95bac22334806341e4aebe4844da5cc3a3cb6b7152a7a",
+    "states antichain24.json --goal order --seed 0": "79a400b63e1cb52d759cefda3abc9a62856ae125521ad2687b303d95daa86dc0",
+    "states antichain24.json --goal separate --seed 0": "04e5f59aec9aaa6115c24d4e51da4653fa659dd1de752d63c1ee3d3d6e9967c3",
+    "represent antichain24.json --goal order --seed 0": "bc83b110d06d89908ea1d648d9faed690a0e93aaa70f2cc68b54c0bafe184958",
+    "represent antichain24.json --goal separate --seed 0": "1bacddd6162267179ca8c9298066ef27592ff6243270ffdb3ba97ad96f81374f",
 }
 
 
 @pytest.mark.parametrize("command", sorted(LARGE_DIGESTS))
 def test_large_table_report_bytes_are_pinned(command, capsys, monkeypatch, tmp_path):
-    name = command.split()[1]
+    words = command.split()
+    argv = words[1:] if words[0] == "text" else [*words, "--json"]
+    name = argv[1]
     build, code = LARGE_TABLES[name]
     write_table(build(), tmp_path / name)
     monkeypatch.chdir(tmp_path)
-    assert main([*command.split(), "--json"]) == code
+    assert main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_DIGESTS[command]
