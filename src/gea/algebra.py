@@ -7,18 +7,25 @@ of x_i + x_j, or -1 when the sum is undefined, and the last row and column are
 All checks are exhaustive scans that read those rows by list index.  The
 associativity scan walks only the triples whose left side is defined and
 counts the triples whose right side is defined, so its cost follows the
-number of defined triples, not n^3.
+number of defined triples, not n^3.  Only the triples whose first element
+is zero or an atom (no sum of two nonzero elements) are compared when the
+table is two-sided and Kahn's algorithm orders every nonzero element along
+u -> u+v, v -> u+v (u, v, u+v nonzero): by induction along that order, a
+non-atom x = u+v gives (x+y)+z = (u+(v+y))+z = u+((v+y)+z) = u+(v+(y+z))
+= (u+v)+(y+z) by the triples (u, v, y), (u, v+y, z), (v, y, z) and
+(u, v, y+z), whose first elements come before x, and an undefined v+y or
+y+z leaves both ends undefined.  A GEA has no such cycle (u < u+v).
 
 A pipeline runs the GEA scan once: scan_gea and require_gea return a
-CheckedGEA, the table with its induced order, and the later stages
-(witness searches, representation, morphism classifier) take that value
-instead of scanning again.
+CheckedGEA, the table with its induced order, atoms and Kahn order, and the
+later stages (witness searches, representation, morphism classifier) take
+that value instead of scanning again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
-from operator import mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ContractError, InputError
@@ -76,7 +83,12 @@ class Violation(NamedTuple):
 
 
 class AxiomReport(NamedTuple):
+    """The violations of one scan; the GEA scan adds its atoms and Kahn
+    order, atoms first, which stops short at a cycle of sums."""
+
     violations: tuple[Violation, ...]
+    atoms: tuple[int, ...] = ()
+    topological: tuple[int, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -104,34 +116,54 @@ def _two_sided(table: AlgebraTable) -> list[Violation]:
     return out
 
 
-def _associativity(table: AlgebraTable) -> list[Violation]:
-    """(x+y)+z = x+(y+z) whenever one side is defined.  A defined side paired
-    with an undefined one counts as a violation (biconditional reading).
+def _holds(xs: Sequence[int], rows: list[list[int]], cols: list[list[int]],
+           vals: list[list[int]], count: list[int]) -> bool:
+    """GE2 at every x in xs, for _associativity."""
+    left = [v for x in xs for u in vals[x] for v in vals[u]]
+    right = [sx[rows[y][w]] for sx, cx in ((rows[x], cols[x]) for x in xs)
+             for y in cx for w in cols[sx[y]]]
+    return left == right and len(left) == sum(count[w] for x in xs for w in cols[x])
 
-    Only triples with a defined side can fail, so no scan of all n^3 triples
-    is needed.  One list holds the left side (x+y)+z of every triple whose
-    left side is defined, read from the defined columns of each defined
-    x+y, and another the right side sx[sy[z]] of the same triples, where
-    the padding reads -1 through an undefined y+z.  When the lists are
-    equal, every left-defined triple holds with both sides defined.  If
-    there are then as many triples with a defined right side, one per
-    defined y+z = w and defined x+w, none is defined on the right only and
-    the axiom holds.  Otherwise both kinds of triples are walked for their
-    violations.  These are sorted once, into the lexicographic order of the
-    full scan, and only they get a message."""
-    n, rows, lab = table.n, table.rows, table.elements
+
+def _associativity(table: AlgebraTable,
+                   two_sided: bool) -> tuple[list[Violation], list[int], list[int]]:
+    """(x+y)+z = x+(y+z) whenever one side is defined (a defined side with an
+    undefined one is a violation), and the atoms and Kahn's order.
+
+    For the x in xs, _holds lists the left side of every triple whose left
+    side is defined, read from the defined columns of each x+y, and its
+    right side sx[sy[z]], where the padding reads -1 through an undefined
+    y+z.  Equal lists and as many triples with a defined right side, one
+    per defined y+z = w and x+w, prove the axiom at each x.  When neither
+    zero and the atoms nor every x pass, both kinds of triples are walked
+    for their violations, sorted into the order of the full n^3 scan."""
+    n, rows, lab, zero = table.n, table.rows, table.elements, table.zero
     cols: list[list[int]] = [[] for _ in range(n)]  # the defined columns of each row
     count = [0] * n  # count[w]: the defined sums y+z = w
-    above = [0] * n  # above[w]: the defined sums x+w
     for (i, j), k in table.sums.items():
         cols[i].append(j)
         count[k] += 1
-        above[j] += 1
     vals = [[row[j] for j in c] for row, c in zip(rows, cols)]
-    left = [v for vx in vals for u in vx for v in vals[u]]
-    right = [sx[rows[y][z]] for sx, cx in zip(rows, cols) for y in cx for z in cols[sx[y]]]
-    if left == right and len(left) == sum(map(mul, count, above)):
-        return []
+    # indegree[k]: the sums u+v = k of nonzero u, v, so every sum less the zero
+    # row and column (slot n takes the padding's -1); zero is no successor.
+    indegree = count + [0]
+    for k in rows[zero] + [row[zero] for u, row in enumerate(rows) if u != zero]:
+        indegree[k] -= 1
+    indegree[zero] = -1
+    atoms = [x for x in range(n) if not indegree[x]]
+    order = atoms[:]
+    for u in order:  # Kahn's algorithm: order grows as it is walked
+        p = bisect_left(cols[u], zero)  # u+0, at p when defined, is no edge
+        ks = vals[u][:p] + vals[u][p + 1:] if cols[u][p:p + 1] == [zero] else vals[u]
+        for k in ks:
+            indegree[k] -= 1
+            if not indegree[k]:
+                order.append(k)
+    # Zero's triples hold outright when 0+y = y for every y.
+    base = atoms if rows[zero][:n] == list(range(n)) else [zero, *atoms]
+    if (two_sided and len(order) == n - 1 and _holds(base, rows, cols, vals, count)
+            or _holds(range(n), rows, cols, vals, count)):
+        return [], atoms, order
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (y, z) by y+z
     for yz, w in table.sums.items():
         pairs[w].append(yz)
@@ -153,7 +185,7 @@ def _associativity(table: AlgebraTable) -> list[Violation]:
             out.append(Violation("GE2", (x, y, z),
                                  f"({lab[x]}+{lab[y]})+{lab[z]}={lab[left]} but "
                                  f"{lab[x]}+({lab[y]}+{lab[z]})={lab[right]}"))
-    return out
+    return out, atoms, order
 
 
 def _cancellation(table: AlgebraTable) -> list[Violation]:
@@ -184,7 +216,8 @@ def check_gea_axioms(table: AlgebraTable) -> AxiomReport:
     lab = table.elements
     zero = table.zero
     violations += _two_sided(table)
-    violations += _associativity(table)
+    ge2, atoms, order = _associativity(table, not violations)  # no GE1 violation
+    violations += ge2
     violations += _cancellation(table)
     for i, row in enumerate(table.rows):
         if zero not in row:
@@ -198,7 +231,7 @@ def check_gea_axioms(table: AlgebraTable) -> AxiomReport:
             violations.append(Violation("GE5", (x,), f"0+{lab[x]} is undefined"))
         elif k != x:
             violations.append(Violation("GE5", (x,), f"0+{lab[x]}={lab[k]}, expected {lab[x]}"))
-    return AxiomReport(tuple(violations))
+    return AxiomReport(tuple(violations), tuple(atoms), tuple(order))
 
 
 def check_ea_axioms(table: AlgebraTable, gea: AxiomReport) -> AxiomReport:
@@ -260,7 +293,8 @@ def induced_order(table: AlgebraTable) -> OrderRelation:
 
 
 class CheckedGEA(NamedTuple):
-    """A table that passed the GEA axiom scan, with its induced order.
+    """A table that passed the GEA axiom scan, with its induced order and
+    the scan's atoms and Kahn order.
 
     scan_gea and require_gea make it.  The witness searches, the
     representation and the morphism classifier take one, so a pipeline scans
@@ -269,12 +303,15 @@ class CheckedGEA(NamedTuple):
 
     table: AlgebraTable
     order: OrderRelation
+    atoms: tuple[int, ...]
+    topological: tuple[int, ...]
 
 
 def scan_gea(table: AlgebraTable) -> tuple[AxiomReport, Optional[CheckedGEA]]:
-    """One GEA axiom scan; on a pass, also the table with its induced order."""
+    """One GEA axiom scan; on a pass, also the checked table."""
     report = check_gea_axioms(table)
-    return report, CheckedGEA(table, induced_order(table)) if report.passed else None
+    return report, (CheckedGEA(table, induced_order(table), report.atoms, report.topological)
+                    if report.passed else None)
 
 
 def require_gea(table: AlgebraTable) -> CheckedGEA:

@@ -166,13 +166,16 @@ def cmd_order(args: SimpleNamespace) -> tuple[dict, int]:
         return report, EXIT_FAIL
     labels = gea.table.elements
     # x_i + x_k = x_j gives x_j - x_i = x_k, unique by GE3 on a checked table.
-    differences = sorted(((j, i), k) for (i, k), j in gea.table.sums.items())
+    # The sums come in (i, k) order, so each bucket j is in (j, i) order.
+    below: list[list[tuple[int, int]]] = [[] for _ in labels]
+    for ik, j in gea.table.sums.items():
+        below[j].append(ik)
     # bin(mask)[:1:-1] lists the bits of mask lowest first.
     report["order"] = {
         "strictly_below": [[labels[i], labels[j]] for i, above in enumerate(gea.order.above)
                            for j, bit in enumerate(bin(above & ~(1 << i))[:1:-1]) if bit == "1"],
         "differences": {f"{labels[j]},{labels[i]}": labels[k]
-                        for (j, i), k in differences},
+                        for j, pairs in enumerate(below) for i, k in pairs},
     }
     return report, EXIT_OK
 

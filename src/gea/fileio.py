@@ -38,8 +38,11 @@ def _read_json(path: PathLike) -> tuple[dict, str]:
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
-        # Strict UTF-8; \r\n and \r become \n, as in a text-mode read, for JSON's error positions.
-        data = json.loads(raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+        text = raw.decode("utf-8")  # strict UTF-8
+        # \r\n and \r become \n, as in a text-mode read, for JSON's error positions.
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        data = json.loads(text)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

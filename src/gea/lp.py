@@ -23,7 +23,8 @@ ratio test (`_least_ratio`) compares b_i / a_i by cross-multiplication.  So
 the integer solver takes the pivot path of the same algorithm run in
 Fraction arithmetic and returns the same point.  That point is formed as
 int numerators over one denominator and rechecked in ints; Fractions are
-made only for the values it returns.
+made only for the values it returns, and every zero coordinate is one shared
+Fraction(0), so a point costs what its nonzero coordinates cost.
 
 An inconsistent program's proof is built only when it is asked for: a row
 combination y with yᵀA = 0 and yᵀb != 0, in int weights, that solves the
@@ -53,6 +54,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import InputError
 
 Row = tuple[tuple[tuple[int, int], ...], int]
+_ZERO = Fraction(0)  # every zero coordinate of a returned point
 
 
 class LinearProgram:
@@ -302,7 +304,7 @@ def lp_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
         nums[var] = row[rhs] * (den // row[var])
     if not program.satisfied_by(nums, den):
         raise AssertionError("phase-one point does not satisfy the program")
-    return [Fraction(p, den) for p in nums]
+    return [Fraction(p, den) if p else _ZERO for p in nums]
 
 
 def _least_ratio(tableau: list[dict[int, int]], basis: list[int], rhs: int,

@@ -6,13 +6,12 @@ strict inequality s(a) > s(b) can always be normalized to s(a) - s(b) = 1;
 that normalization is what makes each witness search a single feasibility LP.
 
 The LP runs over the atoms alone: the nonzero elements that are not a sum of
-two nonzero elements.  In a GEA, u < u + v strictly for u, v nonzero, in an
-induced order that is a partial order, so the edges u -> u + v, v -> u + v
-have no cycle and Kahn's algorithm orders the elements.  A non-atom x has an
-atom row p + x' = x (p an atom, x' nonzero): if x = u + v with u = p + u',
-GE2 gives x = p + (u' + v), and GE4 keeps u' + v != 0.  Its first one (least
-p, then least x') defines vec(x) = e_p + vec(x'), with vec(0) = 0, and C
-holds vec(x) - e_q - vec(y) for each other atom row q + y = x.
+two nonzero elements, which the scan's Kahn order along u -> u + v,
+v -> u + v puts first (see gea.algebra).  A non-atom x has an atom row
+p + x' = x (p an atom, x' nonzero): if x = u + v with u = p + u', GE2 gives
+x = p + (u' + v), and GE4 keeps u' + v != 0.  Its first one (least p, then
+least x') defines vec(x) = e_p + vec(x'), with vec(0) = 0, and C holds
+vec(x) - e_q - vec(y) for each other atom row q + y = x.
  * s -> s|atoms is injective on states: along the order, s(x) = s(p) + s(x')
    = vec(x)·v for v = s|atoms, and the atom rows give C v = 0.
  * Each v >= 0 with C v = 0 is the restriction of s(x) = vec(x)·v, which is
@@ -27,7 +26,7 @@ of N^m.  A search builds C once, factored, and each pair LP extends it by one
 row.  The LP rechecks its point only against those rows, so each new witness
 state is validated on every defined sum before it takes a slot.
 
-The searches take a CheckedGEA, the table and induced order that one axiom
+The searches take a CheckedGEA, the table, order and atoms that one axiom
 scan produced, so they scan nothing themselves, and the atom program rests on
 the axioms that scan proved.  A state is stored as int numerators over one
 positive denominator, in lowest terms; Fractions are made only for the
@@ -117,23 +116,10 @@ class StateWitnessSet:
 def additivity_program(gea: CheckedGEA) -> LinearProgram:
     """The atom program of one table, built and factored once: C v = 0 over
     one variable per atom, in index order, each distinct row of C once.
-    ContractError when Kahn's order misses an element: the sums of nonzero
-    elements then form a cycle, which no table that passed the scan has."""
-    table, z = gea.table, gea.table.zero
-    sums_of: list[list[int]] = [[] for _ in range(table.n)]  # u -> u + v
-    indegree = [0] * table.n
-    for (u, v), k in table.sums.items():
-        if u != z and v != z:
-            sums_of[u].append(k)
-            indegree[k] += 1
-    atoms = [x for x in range(table.n) if x != z and not indegree[x]]
-    order = atoms[:]
-    for u in order:  # Kahn's algorithm: order grows as it is walked
-        for k in sums_of[u]:
-            indegree[k] -= 1
-            if not indegree[k]:
-                order.append(k)
-    if len(order) != table.n - 1:
+    ContractError when the scan's Kahn order misses an element, as on a
+    cycle of sums, which no table that passed the scan has."""
+    table, z, atoms = gea.table, gea.table.zero, gea.atoms
+    if len(gea.topological) != table.n - 1:
         raise ContractError("the sums of nonzero elements form a cycle")
     into: list[list[tuple[int, int]]] = [[] for _ in range(table.n)]
     for p in atoms:  # into[k]: the atom rows p + x = k, by p, then x
@@ -142,9 +128,9 @@ def additivity_program(gea: CheckedGEA) -> LinearProgram:
                 into[k].append((p, x))
     vecs: list[tuple[int, ...]] = [(0,) * len(atoms)] * table.n
     for c, p in enumerate(atoms):
-        vecs[p] = tuple(int(c == j) for j in range(len(atoms)))
+        vecs[p] = (0,) * c + (1,) + (0,) * (len(atoms) - c - 1)
     chain, rows = [], {}  # rows: C as an ordered set
-    for x in order[len(atoms):]:
+    for x in gea.topological[len(atoms):]:
         (p, rest), *others = into[x]
         vecs[x] = tuple(map(add, vecs[p], vecs[rest]))
         chain.append((x, p, rest))
@@ -166,7 +152,7 @@ class _AtomProgram(LinearProgram):
     0 = c proves s(a) = s(b) on every state, so the other order of the pair
     fails with no LP."""
 
-    def __init__(self, atoms: list[int], chain: list[tuple[int, int, int]],
+    def __init__(self, atoms: Sequence[int], chain: list[tuple[int, int, int]],
                  vecs: list[tuple[int, ...]], rows: Iterable[Row]) -> None:
         super().__init__(len(atoms), rows)
         self.atoms, self.chain, self.vecs = atoms, chain, vecs

@@ -1,5 +1,6 @@
 """References the tests compare the program against: the axiom scans and
-the induced order as a walk over the defined sums, for `check_gea_axioms`,
+the induced order as a walk over the defined sums, with the atoms and a
+queue-driven Kahn order, for `check_gea_axioms`,
 `check_ea_axioms` and `induced_order`, with `leq` and `pairs_not_leq` to
 read an order's masks pair by pair; the morphism classifier with its
 nested order loop, for `classify_morphism`; Fraction rational vectors over the
@@ -26,6 +27,7 @@ import itertools
 import json
 import operator
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -112,8 +114,33 @@ def reference_cancellation(table: AlgebraTable) -> list[Violation]:
     return out
 
 
+def reference_kahn(table: AlgebraTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The atoms and Kahn's order of the nonzero elements: a queue that
+    starts with the atoms, the nonzero elements that are no sum u + v of
+    nonzero u and v, in index order, and takes in each k once every sum
+    u + v = k of nonzero u, v, k has left the queue at u, in key order.  On
+    a cycle the order stops short."""
+    succ: dict[int, list[int]] = {x: [] for x in range(table.n)}
+    indegree = dict.fromkeys(range(table.n), 0)
+    for (u, v), k in table.sums.items():
+        if table.zero not in (u, v, k):
+            succ[u].append(k)
+            indegree[k] += 1
+    atoms = tuple(x for x in range(table.n) if x != table.zero and indegree[x] == 0)
+    queue, order = deque(atoms), []
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for k in succ[u]:
+            indegree[k] -= 1
+            if indegree[k] == 0:
+                queue.append(k)
+    return atoms, tuple(order)
+
+
 def reference_gea_axioms(table: AlgebraTable) -> AxiomReport:
-    """GE1..GE5 as a walk over the defined sums and sums.get lookups."""
+    """GE1..GE5 as a walk over the defined sums and sums.get lookups, with
+    the atoms and Kahn's order of reference_kahn."""
     violations: list[Violation] = []
     lab = table.elements
     violations += reference_two_sided(table)
@@ -129,7 +156,7 @@ def reference_gea_axioms(table: AlgebraTable) -> AxiomReport:
             violations.append(Violation("GE5", (x,), f"0+{lab[x]} is undefined"))
         elif k != x:
             violations.append(Violation("GE5", (x,), f"0+{lab[x]}={lab[k]}, expected {lab[x]}"))
-    return AxiomReport(tuple(violations))
+    return AxiomReport(tuple(violations), *reference_kahn(table))
 
 
 def reference_ea_axioms(table: AlgebraTable) -> AxiomReport:

@@ -1,14 +1,16 @@
 import copy
+import importlib.util
 import json
 import pickle
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gea import corpus
+from gea import algebra, corpus
 from gea.algebra import (AlgebraTable, MorphismSpec, Violation, check_ea_axioms,
                          check_gea_axioms, classify_morphism, induced_order, is_sub_gea,
                          require_gea)
@@ -19,7 +21,7 @@ from gea.generate import random_gea, random_population
 from gea.represent import DiagonalRep
 from gea.states import GeneralizedState
 from reference import (axiom_witnesses, leq, reference_classify_morphism, reference_ea_axioms,
-                       reference_gea_axioms, reference_induced_order)
+                       reference_gea_axioms, reference_induced_order, reference_kahn)
 
 
 def table(labels, sums, unit=None):
@@ -72,9 +74,9 @@ def frozen_records():
     return [
         (gea.table, ("elements", "zero", "sums", "unit", "rows")),
         (Violation("GE1", (0, 1), "a+b"), ("axiom", "witness", "message")),
-        (check_gea_axioms(gea.table), ("violations",)),
+        (check_gea_axioms(gea.table), ("violations", "atoms", "topological")),
         (gea.order, ("above",)),
-        (gea, ("table", "order")),
+        (gea, ("table", "order", "atoms", "topological")),
         (MorphismSpec(gea, gea, (0, 1)), ("source", "target", "map")),
         (classify_morphism(MorphismSpec(gea, gea, (0, 0))),
          ("is_morphism", "injective", "order_reflecting", "embedding", "failure")),
@@ -280,6 +282,133 @@ class TestScanMatchesReference:
             if t.unit is not None:
                 assert check_ea_axioms(t, gea) == reference_ea_axioms(t), name
             assert induced_order(t) == reference_induced_order(t), name
+
+
+@st.composite
+def zero_row_tables(draw):
+    """Random partial tables on n <= 6 elements with zero 0: an arbitrary,
+    often one-sided, operation on the nonzero elements, and a zero row and
+    column that are the identity but for up to two sums 0 + x changed or
+    dropped on both sides."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    index = st.integers(min_value=0, max_value=n - 1)
+    nonzero = st.integers(min_value=1, max_value=max(n - 1, 1))
+    extra = draw(st.dictionaries(st.tuples(nonzero, nonzero), index,
+                                 max_size=(n - 1) ** 2)) if n > 1 else {}
+    sums = with_zero_sums(n, extra)
+    for x, k in draw(st.lists(st.tuples(index, st.none() | index), max_size=2)):
+        for pair in ((0, x), (x, 0)):
+            if k is None:
+                sums.pop(pair, None)
+            else:
+                sums[pair] = k
+    return table([f"e{i}" for i in range(n)], sums)
+
+
+def perfbench_tables():
+    """The benchmark's table families, each in one shuffled index order,
+    read from perfbench/families.py, which builds them from their
+    definitions."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("perfbench_families", path)
+    F = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(F)
+    builds = {f"C{n}": (F.chain, n) for n in range(8, 15)}
+    builds |= {f"cube{k}": (F.cube, k) for k in (3, 4, 5, 6)}
+    builds |= {f"anti{k}": (F.antichain, k) for k in (16, 24)}
+    parts = {"C3xC4": (3, 4), "C4xC4": (4, 4), "C4xC8": (4, 8), "C4^3": (4, 4, 4)}
+    tables = {name: f(k) for name, (f, k) in builds.items()}
+    tables |= {name: F.product(*map(F.chain, p)) for name, p in parts.items()}
+    tables["NS"] = F.no_states()
+    tables["C3xNS"] = F.product(F.chain(3), F.no_states())
+    tables["C8+NS"] = F.horizontal_sum(F.chain(8), F.no_states())
+    tables["cube3+NS"] = F.horizontal_sum(F.cube(3), F.no_states())
+    out = {}
+    for seed, (name, data) in enumerate(tables.items()):
+        shown, _ = F.disguise(data, random.Random(seed))
+        index = {label: i for i, label in enumerate(shown["elements"])}
+        out[name] = AlgebraTable(tuple(shown["elements"]), index[shown["zero"]],
+                                 {(index[x], index[y]): index[z] for x, y, z in shown["sums"]},
+                                 index.get(shown.get("unit")))
+    return out
+
+
+def cyclic_ge2_tables():
+    """Tables on which GE2 holds though the sums of nonzero elements have a
+    cycle: Z_3 and Z_4, the idempotent a + a = a, and the join semilattice
+    on two atoms.  None is a GEA."""
+    def group(n):
+        return table([f"g{i}" for i in range(n)],
+                     {(i, j): (i + j) % n for i in range(n) for j in range(n)})
+    join = {(i, j): i | j for i in range(4) for j in range(4)}
+    return {"Z3": group(3), "Z4": group(4),
+            "idempotent": table(["0", "a"], with_zero_sums(2, {(1, 1): 1})),
+            "join": table(["0", "a", "b", "ab"], join)}
+
+
+def holds_calls(monkeypatch):
+    """A list that records each call of algebra._holds as (every x tested,
+    passed)."""
+    calls = []
+    real = algebra._holds
+    monkeypatch.setattr(algebra, "_holds", lambda xs, *rest: calls.append(
+        (isinstance(xs, range), real(xs, *rest))) or calls[-1][1])
+    return calls
+
+
+class TestAtomTriples:
+    """GE2 tested on the triples whose first element is zero or an atom,
+    with every triple tested after a cycle, a one-sided sum or a failure:
+    the same report as the reference, and the reference's Kahn order."""
+
+    def test_reports_match_and_both_paths_run(self, monkeypatch):
+        calls = holds_calls(monkeypatch)
+
+        @settings(max_examples=400, deadline=None)
+        @given(st.one_of(mutated_random_tables(), zero_row_tables()))
+        def matches(t):
+            assert check_gea_axioms(t) == reference_gea_axioms(t)
+
+        matches()
+        assert (False, True) in calls  # passed on zero and the atoms alone
+        assert (False, False) in calls and (True, False) in calls  # fell through
+        assert (True, True) in calls
+
+    @pytest.mark.parametrize("name", sorted(cyclic_ge2_tables()))
+    def test_ge2_holds_through_the_fall_through_on_a_cycle(self, name, monkeypatch):
+        t = cyclic_ge2_tables()[name]
+        calls = holds_calls(monkeypatch)
+        report = check_gea_axioms(t)
+        assert calls == [(True, True)]
+        assert not axiom_witnesses(report, "GE2")
+        assert report == reference_gea_axioms(t)
+        assert len(report.topological) < t.n - 1
+
+    def test_one_sided_table_is_tested_at_every_x(self, monkeypatch):
+        # a + a = 0 and a + b = b, with b + a undefined: the triples of zero
+        # and of the atom a hold, and Kahn's order a, b is complete, but
+        # b = a + b is no sum of elements before b, and (b + a) + a is
+        # undefined where b + (a + a) = b.  Only a two-sided table may stop
+        # at the atoms.
+        t = table(["0", "a", "b"], with_zero_sums(3, {(1, 1): 0, (1, 2): 2}))
+        calls = holds_calls(monkeypatch)
+        report = check_gea_axioms(t)
+        assert calls == [(True, False)]
+        assert report.topological == (1, 2)
+        assert (2, 1, 1) in axiom_witnesses(report, "GE2")
+        assert report == reference_gea_axioms(t)
+
+    def test_kahn_order_matches_the_reference(self):
+        tables = {name: corpus.load(name) for name in corpus.VALID + corpus.BROKEN}
+        tables |= {f"random{n}": random_gea(random.Random(n), n) for n in range(1, 25)}
+        tables |= perfbench_tables()
+        for name, t in tables.items():
+            report = check_gea_axioms(t)
+            assert report[1:] == reference_kahn(t), name
+            if report.passed:
+                gea = require_gea(t)
+                assert (gea.atoms, gea.topological) == reference_kahn(t), name
+                assert len(gea.topological) == t.n - 1, name
 
 
 class TestEaAxioms:

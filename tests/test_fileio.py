@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gea import corpus
 from gea.algebra import require_gea
+from gea.cli import main
 from gea.effects import EffectMatrix
 from gea.errors import InputError
 from gea.fileio import load_algebra, load_matrix, load_morphism, ratio_str, witness_set_to_json
@@ -125,6 +127,31 @@ def test_json_errors_count_positions_as_a_text_mode_read(tmp_path, raw):
     with pytest.raises(InputError) as loaded:
         load_algebra(path)
     assert str(loaded.value) == f"{path} is not valid JSON: {text_mode.value}"
+
+
+@pytest.mark.parametrize("raw, error", [
+    (b'{"elements": ["0", "a"],\r\n "zero": "0",\r\n "sums": [["0", "0", "0"],\r\n   oops]}\r\n',
+     "Expecting value: line 4 column 4 (char 69)"),
+    (b'{"elements": ["0", "a"],\r "zero": "0",\r "sums": [["0", "0", "0"],\r   oops]}\r',
+     "Expecting value: line 4 column 4 (char 69)"),
+])
+def test_json_error_positions_in_the_exit_2_report(tmp_path, monkeypatch, capsys, raw, error):
+    # Line, column and character as a text-mode read counts them, the line
+    # ends translated only when the file holds a \r.
+    (tmp_path / "bad.json").write_bytes(raw)
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "bad.json", "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == f"bad.json is not valid JSON: {error}"
+
+
+def test_crlf_file_digest_is_of_its_bytes(tmp_path, monkeypatch, capsys):
+    raw = b'{"elements": ["0"],\r\n "zero": "0",\r\n "sums": [["0", "0", "0"]]}\r\n'
+    (tmp_path / "t.json").write_bytes(raw)
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "t.json", "--json"]) == 0
+    digest = json.loads(capsys.readouterr().out)["input_digest"]
+    assert digest == hashlib.sha256(raw).hexdigest()
+    assert digest == "f6d6211cb912fdeaf7ec1667ac7a8d5274fdc3b9f746a874977eaaf14ce4d8bf"
 
 
 def test_corpus_morphism_paths_resolve_relative():

@@ -551,6 +551,20 @@ def test_integer_solver_matches_reference_on_corpus_pairs(valid_corpus):
             _assert_every_split_matches(program)
 
 
+def test_zero_coordinates_are_fractions_equal_to_the_reference(valid_corpus):
+    # lp_feasible returns one shared Fraction(0) for every zero coordinate;
+    # each is still a Fraction, with the reference's value and denominator.
+    zeros = 0
+    for name, table in valid_corpus.items():
+        for program in corpus_pair_programs(table):
+            x, reference = lp_feasible(program), reference_lp_feasible(program)
+            assert (x is None) == (reference is None), name
+            for v, r in zip(x or (), reference or ()):
+                assert type(v) is Fraction and (v, v.denominator) == (r, r.denominator), name
+                zeros += v == 0
+    assert zeros > 50
+
+
 def test_scaled_rows_carry_their_scale_into_the_certificate():
     # 2x = 0 twice, then 4x = 1: the kept row is reduced to x = 0, but the
     # certificate weighs the original rows, 2 * (2x = 0) - (4x = 1).

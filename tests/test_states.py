@@ -20,7 +20,7 @@ from gea.states import (GeneralizedState, StateWitnessSet, additivity_program,
                         assign_witnesses, order_determining_set, separating_set)
 from reference import (assert_witness_set, atom_pair_program, atom_state, down_set_table,
                        glued, leq, pair_programs, pairs_not_leq, reference_assign_witnesses,
-                       reference_pair_programs, reference_search, write_table)
+                       reference_kahn, reference_pair_programs, reference_search, write_table)
 from test_families import down_set
 
 
@@ -506,11 +506,14 @@ class TestCycleGuard:
     def test_cycle_of_sums_raises(self):
         # u + v = w and w + v = u: the edges u -> w -> u make a cycle, so
         # Kahn's order stops at the atom v.  No scan would pass this table
-        # (GE2 fails), so its CheckedGEA is built by hand.
+        # (GE2 fails), so its CheckedGEA is built by hand, with the
+        # reference's short order.
         sums = {(0, x): x for x in range(4)} | {(x, 0): x for x in range(4)}
         sums |= {(1, 2): 3, (2, 1): 3, (3, 2): 1, (2, 3): 1}
         table = AlgebraTable(("0", "u", "v", "w"), 0, sums)
-        gea = CheckedGEA(table, induced_order(table))
+        atoms, order = reference_kahn(table)
+        assert order == (2,)
+        gea = CheckedGEA(table, induced_order(table), atoms, order)
         for search in (order_determining_set, separating_set):
             with pytest.raises(ContractError, match="cycle"):
                 search(gea)
