@@ -3,8 +3,11 @@
 Positivity and the partial effect sum are decided spectrally, from the
 eigenvalues of the Hermitian matrix as LAPACK computes them through
 ``numpy.linalg.eigh``; each eigenvalue appears once, in ascending order.
-Matrix entries must be finite, so an overflowing sum or difference is
-rejected as input out of range instead of yielding a NaN verdict.
+One routine computes the spectra of a whole stack of matrices in one call:
+``hermitian_spectrum`` hands it one matrix, and ``table_from_effects`` hands
+it every label, then every pair sum, at once.  Matrix entries must be
+finite, so an overflowing sum or difference is rejected as input out of
+range instead of yielding a NaN verdict.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ class EffectMatrix(namedtuple("EffectMatrix", "mat")):
         arr = np.asarray(mat, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InputError("effect matrices must be square")
+        if arr.shape[0] == 0:
+            raise InputError("effect matrices must be at least 1 x 1")
         if not np.isfinite(arr).all():
             raise InputError("matrix entries must be finite; a sum or difference "
                              "of finite inputs can overflow double precision")
@@ -45,16 +50,25 @@ class EffectMatrix(namedtuple("EffectMatrix", "mat")):
         return self.mat.shape[0]
 
     def hermitian_defect(self) -> float:
-        # Entries of opposite sign near the float maximum give an infinite
-        # defect, which no tolerance accepts.
-        with np.errstate(over="ignore"):
-            return float(np.max(np.abs(self.mat - self.mat.conj().T)))
+        return float(_hermitian_gaps(self.mat).max())
 
 
-def _require_hermitian(a: EffectMatrix, name: str = "matrix") -> None:
-    defect = a.hermitian_defect()
-    if not defect <= HERMITIAN_TOL:
-        raise InputError(f"{name} is not Hermitian (defect {defect:.3e})")
+def _hermitian_gaps(mats: np.ndarray) -> np.ndarray:
+    """|A - A^H| entrywise, for each matrix A of a stack (..., d, d)."""
+    # Entries of opposite sign near the float maximum give an infinite
+    # defect, which no tolerance accepts.
+    with np.errstate(over="ignore"):
+        return np.abs(mats - mats.conj().swapaxes(-1, -2))
+
+
+def _require_hermitian(mats: np.ndarray, name: str = "matrix") -> None:
+    """Reject the first matrix of a stack, in C order, whose Hermitian
+    defect (its largest gap) is not within HERMITIAN_TOL; a NaN is not."""
+    gaps = _hermitian_gaps(mats)
+    if not gaps.max() <= HERMITIAN_TOL:
+        defects = gaps.max(axis=(-2, -1)).ravel()
+        first = defects[~(defects <= HERMITIAN_TOL)][0]
+        raise InputError(f"{name} is not Hermitian (defect {first:.3e})")
 
 
 def _require_same_dim(a: EffectMatrix, b: EffectMatrix,
@@ -62,6 +76,21 @@ def _require_same_dim(a: EffectMatrix, b: EffectMatrix,
     if a.dim != b.dim:
         raise InputError(f"dimension mismatch: {names[0]} is {a.dim} x {a.dim}, "
                          f"{names[1]} is {b.dim} x {b.dim}")
+
+
+def _spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``hermitian_spectrum`` of every matrix of a stack (..., d, d), in one
+    ``eigh`` call: eigenvalues (..., d) and eigenvectors (..., d, d).
+
+    The stacked ``eigh`` gives each matrix bit for bit the spectrum that a
+    call on that matrix alone gives.  A stack with a non-Hermitian matrix is
+    rejected with the defect of the first one in C order.
+    """
+    _require_hermitian(mats)
+    w, vectors = np.linalg.eigh(mats / 2 + mats.conj().swapaxes(-1, -2) / 2)
+    if not np.isfinite(w).all():
+        raise InputError("matrix spectrum overflows double precision")
+    return w, vectors
 
 
 def hermitian_spectrum(a: EffectMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -72,11 +101,13 @@ def hermitian_spectrum(a: EffectMatrix) -> tuple[np.ndarray, np.ndarray]:
     halved before the sum so that entries near the float maximum cannot
     overflow.  A spectrum that overflows is rejected as input out of range.
     """
-    _require_hermitian(a)
-    w, vectors = np.linalg.eigh(a.mat / 2 + a.mat.conj().T / 2)
-    if not np.isfinite(w).all():
-        raise InputError("matrix spectrum overflows double precision")
-    return w, vectors
+    return _spectra(a.mat)
+
+
+def _bounds(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """From ascending eigenvalues (..., d): whether each matrix is positive
+    and whether it is at or below the identity, both within PSD_TOL."""
+    return w[..., 0] >= -PSD_TOL, w[..., -1] <= 1.0 + PSD_TOL
 
 
 def spectral_flags(a: EffectMatrix) -> tuple[bool, bool]:
@@ -84,8 +115,8 @@ def spectral_flags(a: EffectMatrix) -> tuple[bool, bool]:
     whether it is an effect, between the null operator and the identity,
     decided from one spectrum."""
     w, _ = hermitian_spectrum(a)
-    positive = bool(w[0] >= -PSD_TOL)
-    return positive, positive and bool(w[-1] <= 1.0 + PSD_TOL)
+    positive, below_identity = _bounds(w)
+    return bool(positive), bool(positive and below_identity)
 
 
 def is_positive(a: EffectMatrix) -> bool:
@@ -98,23 +129,18 @@ def is_effect(a: EffectMatrix) -> bool:
     return spectral_flags(a)[1]
 
 
+_NOT_EFFECTS = "effect_sum needs two effects between 0 and the identity"
+
+
 def effect_sum(a: EffectMatrix, b: EffectMatrix) -> Optional[EffectMatrix]:
     """Partial sum of the effect algebra on C^d: defined iff A + B stays at
     or below the identity (within PSD_TOL, boundary counted as defined)."""
     _require_same_dim(a, b)
-    return _sum_of_effects(a, b, is_effect(a) and is_effect(b))
-
-
-def _sum_of_effects(a: EffectMatrix, b: EffectMatrix,
-                    both_effects: bool) -> Optional[EffectMatrix]:
-    """effect_sum once the caller has decided whether A and B are effects."""
-    if not both_effects:
-        raise InputError("effect_sum needs two effects between 0 and the identity")
+    if not (is_effect(a) and is_effect(b)):
+        raise InputError(_NOT_EFFECTS)
     total = EffectMatrix(a.mat + b.mat)
     w, _ = hermitian_spectrum(total)
-    if w[-1] > 1.0 + PSD_TOL:
-        return None
-    return total
+    return total if _bounds(w)[1] else None
 
 
 def gdh_sum(a: EffectMatrix, b: EffectMatrix) -> EffectMatrix:
@@ -139,12 +165,12 @@ def vector_witness(a: EffectMatrix, b: EffectMatrix,
     positive, so it does not depend on the LAPACK build's phase convention.
     """
     _require_same_dim(a, b, names)
-    _require_hermitian(a, f"matrix {names[0]}")
-    _require_hermitian(b, f"matrix {names[1]}")
+    _require_hermitian(a.mat, f"matrix {names[0]}")
+    _require_hermitian(b.mat, f"matrix {names[1]}")
     with np.errstate(over="ignore"):  # an infinite entry is rejected below
         diff = b.mat - a.mat
     w, vectors = hermitian_spectrum(EffectMatrix(diff))
-    if w[0] >= -PSD_TOL:
+    if _bounds(w)[0]:
         return None
     x = vectors[:, 0]
     k = int(np.argmax(np.abs(x)))
@@ -174,25 +200,46 @@ def projector_demo_matrices() -> dict[str, EffectMatrix]:
     return {"0": zero, "pi1": pi1, "pi2": pi2, "id": ident}
 
 
+def _matches(totals: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """match[j, k]: whether totals[j] equals mats[k] by ``np.allclose(totals[j],
+    mats[k], atol=1e-12)``'s test on finite arrays, |T - M| <= 1e-12 + 1e-05 |M|
+    at every entry, in one broadcast comparison of two stacks (n, d, d)."""
+    close = np.abs(totals[:, None] - mats) <= 1e-12 + 1e-05 * np.abs(mats)
+    return close.all(axis=(-2, -1))
+
+
 def table_from_effects(labels: list[str], mats: dict[str, EffectMatrix],
                        unit: Optional[str] = None) -> AlgebraTable:
     """Restrict the effect-algebra partial sum to a finite set of matrices:
-    a sum is recorded when it is defined and lands back in the set.  Each
-    matrix is decided an effect once, not once per pair."""
-    effect = {label: is_effect(mats[label]) for label in labels}
-    sums = {}
-    for i, la in enumerate(labels):
-        for j, lb in enumerate(labels):
-            _require_same_dim(mats[la], mats[lb])
-            total = _sum_of_effects(mats[la], mats[lb], effect[la] and effect[lb])
-            if total is None:
-                continue
-            for k, lc in enumerate(labels):
-                if np.allclose(total.mat, mats[lc].mat, atol=1e-12):
-                    sums[(i, j)] = k
-                    break
+    a sum is recorded when it is defined and lands back in the set, on the
+    first label it equals within ``np.allclose(..., atol=1e-12)``.
+
+    The labels are decided effects in one stacked spectrum call, and all n^2
+    pair sums in one more; each row of sums is matched against the labels in
+    one comparison.  On faulty input the first fault raises, in this order:
+    "0" or unit not among the labels (ValueError), then mismatched dimensions
+    (the first label against the others), then a label that is not a
+    Hermitian effect, then the first pair, in row order, whose sum is not
+    Hermitian within HERMITIAN_TOL.
+    """
+    zero = labels.index("0")
     unit_index = labels.index(unit) if unit is not None else None
-    return AlgebraTable(tuple(labels), labels.index("0"), sums, unit_index)
+    for label in labels:
+        _require_same_dim(mats[labels[0]], mats[label])
+    stack = np.stack([mats[label].mat for label in labels])
+    positive, below_identity = _bounds(_spectra(stack)[0])
+    if not (positive & below_identity).all():
+        raise InputError(_NOT_EFFECTS)
+    # Entries of effects have modulus at most about 1, so no sum overflows.
+    totals = stack[:, None] + stack[None, :]
+    defined = _bounds(_spectra(totals)[0])[1]
+    sums = {}
+    for i in range(len(labels)):
+        match = _matches(totals[i], stack)
+        first = match.argmax(axis=1)
+        for j in np.flatnonzero(defined[i] & match.any(axis=1)).tolist():
+            sums[(i, j)] = int(first[j])
+    return AlgebraTable(tuple(labels), zero, sums, unit_index)
 
 
 def demo_excd() -> dict:

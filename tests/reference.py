@@ -12,7 +12,9 @@ LinearProgram's sparse rows; the LP over one variable per nonzero element
 and one additivity row per defined sum, with its states and its searches,
 for the atom program of `additivity_program`; the per-pair coverage walk
 `reference_assign_witnesses`, for the masks of `assign_witnesses`; the text renderer that calls json.dumps per scalar, for
-`cli._render_text`; the argparse parser the command line was read with,
+`cli._render_text`; the per-pair effect table, one spectrum per pair and one
+`np.allclose` per candidate label, `reference_table_from_effects`, for
+`effects.table_from_effects`; the argparse parser the command line was read with,
 `reference_parser`, for `cli.parse`; and fixtures: `write_table` and `write_matrix` write
 the files the loaders read, `down_set_table` builds a down-set of N^m and
 `glued` glues two tables at zero,
@@ -39,7 +41,8 @@ import numpy as np
 from gea.algebra import (AlgebraTable, AxiomReport, MorphismReport, MorphismSpec, OrderRelation,
                          Violation, induced_order, is_sub_gea, require_gea)
 from gea.cli import cmd_check, cmd_effects, cmd_morphism, cmd_order, cmd_represent, cmd_states
-from gea.effects import EffectMatrix
+from gea.effects import PSD_TOL, EffectMatrix, _require_same_dim, hermitian_spectrum, \
+    is_effect
 from gea.errors import InputError
 from gea.lp import LinearProgram, lp_feasible
 from gea.represent import DiagonalRep
@@ -510,6 +513,30 @@ def reference_render_text(value, indent: int = 0) -> str:
                 lines.append(f"{pad}- {json.dumps(item)}")
         return "\n".join(lines)
     return pad + json.dumps(value)
+
+
+def reference_table_from_effects(labels: list[str], mats: dict[str, EffectMatrix],
+                                 unit: Optional[str] = None) -> AlgebraTable:
+    """The effect table pair by pair: each label decided an effect once, then
+    per ordered pair a dimension check, the sum's own spectrum, and a walk
+    over the labels for the first one np.allclose accepts."""
+    effect = {label: is_effect(mats[label]) for label in labels}
+    sums = {}
+    for i, la in enumerate(labels):
+        for j, lb in enumerate(labels):
+            _require_same_dim(mats[la], mats[lb])
+            if not (effect[la] and effect[lb]):
+                raise InputError("effect_sum needs two effects between 0 and the identity")
+            total = EffectMatrix(mats[la].mat + mats[lb].mat)
+            w, _ = hermitian_spectrum(total)
+            if w[-1] > 1.0 + PSD_TOL:
+                continue
+            for k, lc in enumerate(labels):
+                if np.allclose(total.mat, mats[lc].mat, atol=1e-12):
+                    sums[(i, j)] = k
+                    break
+    unit_index = labels.index(unit) if unit is not None else None
+    return AlgebraTable(tuple(labels), labels.index("0"), sums, unit_index)
 
 
 def write_table(table: AlgebraTable, path) -> None:

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from gea.effects import (PSD_TOL, EffectMatrix, demo_excd, effect_sum, gdh_sum,
                          is_positive, projector_demo_matrices, table_from_effects,
                          vector_witness)
 from gea.errors import InputError
-from reference import random_positive_matrix, random_vector
+from reference import random_positive_matrix, random_vector, reference_table_from_effects
 
 
 def jacobi_eigh(sym, sweep_tol=1e-14, max_sweeps=60):
@@ -172,6 +174,11 @@ class TestSpectrum:
         assert h.dim == 3 and h.mat.dtype == complex
         with pytest.raises(InputError, match="^effect matrices must be square$"):
             EffectMatrix(np.zeros((2, 3)))
+
+    def test_empty_matrix_rejected(self):
+        # A 0 x 0 matrix has no spectrum and no entry to take a defect from.
+        with pytest.raises(InputError, match="^effect matrices must be at least 1 x 1$"):
+            EffectMatrix(np.zeros((0, 0)))
 
     def test_nan_written_after_construction_rejected(self):
         # The array stays writable; a NaN defect must not pass as Hermitian.
@@ -412,11 +419,25 @@ class TestSpectrumCount:
         monkeypatch.setattr(effects, "hermitian_spectrum", counting)
         return calls
 
-    def test_demo_decides_each_effect_once(self, spectra):
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        """The number of matrices each numpy.linalg.eigh call decides."""
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(math.prod(a.shape[:-2]))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    def test_demo_decides_each_effect_once(self, eigh_calls):
         demo_excd()
-        # Four matrices decided once each, the sums of the 16 ordered pairs,
-        # then pi1 + pi2 through effect_sum: both operands and the sum.
-        assert len(spectra) == 4 + 16 + 3
+        # One stacked call decides the four labels and one the sums of the
+        # 16 ordered pairs; then pi1 + pi2 through effect_sum: both operands
+        # and the sum, one matrix each.
+        assert eigh_calls == [4, 16, 1, 1, 1]
 
     def test_effects_check_takes_one_spectrum(self, spectra, capsys):
         assert cli.main(["effects", "check", str(corpus.path("mat_a")), "--json"]) == 0
@@ -428,3 +449,189 @@ class TestSpectrumCount:
         with pytest.raises(InputError, match="^effect_sum needs two effects between 0 "
                                              "and the identity$"):
             table_from_effects(["0", "pi1", "two"], mats)
+
+
+def rank_one(theta, phi):
+    """The projector onto (cos theta, e^{i phi} sin theta)."""
+    v = np.array([math.cos(theta), complex(math.cos(phi), math.sin(phi)) * math.sin(theta)])
+    return EffectMatrix(np.outer(v, v.conj()))
+
+
+def diagonal_projectors(dim):
+    """The 2^dim diagonal 0/1 projectors of C^dim, the null one labelled "0"."""
+    mats = {}
+    for bits in itertools.product((0.0, 1.0), repeat=dim):
+        label = "".join(str(int(b)) for b in bits) if any(bits) else "0"
+        mats[label] = diag(*bits)
+    return mats
+
+
+def rank_one_fragment():
+    """0, I, two rank-one projectors with their complements, and their halves:
+    P + P-perp lands on I and P/2 + P/2 on P, inside the set; P/2 + Q/2 is
+    defined but outside it; P + Q is undefined."""
+    p, p_perp = rank_one(0.3, 0.7), rank_one(0.3 + math.pi / 2, 0.7)
+    q, q_perp = rank_one(1.1, -0.4), rank_one(1.1 + math.pi / 2, -0.4)
+    return {"0": EffectMatrix(np.zeros((2, 2))), "id": EffectMatrix(np.eye(2)),
+            "p": p, "p_perp": p_perp, "q": q, "q_perp": q_perp,
+            "p/2": EffectMatrix(p.mat / 2), "q/2": EffectMatrix(q.mat / 2)}
+
+
+def random_diagonal_fragment(rng):
+    """Random diagonal effects on a grid of quarters, so that many sums land
+    back in the set, with the null matrix among them."""
+    dim = rng.randint(1, 4)
+    mats = {"0": EffectMatrix(np.zeros((dim, dim)))}
+    for k in range(rng.randint(1, 7)):
+        mats[f"e{k}"] = diag(*(rng.randint(0, 4) / 4 for _ in range(dim)))
+    return mats
+
+
+class TestTableMatchesReference:
+    """``table_from_effects`` against the per-pair walk it replaced."""
+
+    @staticmethod
+    def assert_same_table(labels, mats, unit=None):
+        table = table_from_effects(labels, mats, unit)
+        expected = reference_table_from_effects(labels, mats, unit)
+        assert (table.elements, table.zero, table.unit) == \
+            (expected.elements, expected.zero, expected.unit)
+        assert list(table.sums.items()) == list(expected.sums.items())
+        return table
+
+    @staticmethod
+    def assert_same_error(labels, mats):
+        with pytest.raises(Exception) as expected:
+            reference_table_from_effects(labels, mats)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            table_from_effects(labels, mats)
+
+    @pytest.mark.parametrize("unit", [None, "id"])
+    def test_demo_labels(self, unit):
+        self.assert_same_table(["0", "pi1", "pi2", "id"], projector_demo_matrices(), unit)
+
+    def test_diagonal_projectors_of_c4(self):
+        mats = diagonal_projectors(4)
+        table = self.assert_same_table(list(mats), mats, unit="1111")
+        # x + y is defined iff the supports are disjoint: 3^4 ordered pairs.
+        assert len(table.sums) == 81
+
+    def test_rank_one_projectors(self):
+        mats = rank_one_fragment()
+        labels = list(mats)
+        table = self.assert_same_table(labels, mats, unit="id")
+        at = labels.index
+        assert table.sums[(at("p"), at("p_perp"))] == at("id")
+        assert table.sums[(at("p/2"), at("p/2"))] == at("p")
+        assert (at("p/2"), at("q/2")) not in table.sums
+        assert (at("p"), at("q")) not in table.sums
+        assert effect_sum(mats["p/2"], mats["q/2"]) is not None
+        assert effect_sum(mats["p"], mats["q"]) is None
+
+    def test_random_diagonal_effects(self):
+        rng = random.Random(91)
+        for _ in range(40):
+            mats = random_diagonal_fragment(rng)
+            labels = list(mats)
+            rng.shuffle(labels)
+            self.assert_same_table(labels, mats)
+
+    def test_sums_at_the_identity(self):
+        # Every sum below is within np.allclose of pi1; those past 1 + PSD_TOL
+        # are undefined and must not be recorded.
+        mats = projector_demo_matrices()
+        mats["over"] = diag(0.5 + 1.5e-9, 0.0)
+        mats["under"] = diag(0.5 + 0.25e-9, 0.0)
+        labels = ["0", "pi1", "over", "under"]
+        table = self.assert_same_table(labels, mats)
+        assert table.sums[(3, 3)] == 1
+        assert not {(2, 2), (2, 3), (3, 2)} & set(table.sums)
+
+    def test_non_hermitian_label(self):
+        mats = projector_demo_matrices()
+        mats["skew"] = EffectMatrix(np.array([[0.5, 0.1], [0.0, 0.5]]))
+        self.assert_same_error(["0", "pi1", "skew", "id"], mats)
+
+    @pytest.mark.parametrize("entries", [(2.0, 0.0), (-0.5, 0.0)])
+    def test_non_effect_operand(self, entries):
+        # Above the identity, or not positive.
+        mats = projector_demo_matrices()
+        mats["bad"] = diag(*entries)
+        self.assert_same_error(["0", "pi1", "bad"], mats)
+
+    def test_sum_defects_add_past_the_tolerance(self):
+        # Each label is Hermitian within HERMITIAN_TOL; a + a (1.6e-9) is the
+        # first pair past it, though b + b's defect (1.8e-9) is larger.
+        a = np.diag([0.25, 0.25]).astype(complex)
+        b = a.copy()
+        a[0, 1], b[0, 1] = 0.8e-9, 0.9e-9
+        mats = {"0": EffectMatrix(np.zeros((2, 2))), "a": EffectMatrix(a), "b": EffectMatrix(b)}
+        self.assert_same_error(["0", "a", "b"], mats)
+        with pytest.raises(InputError, match=r"^matrix is not Hermitian \(defect 1\.600e-09\)$"):
+            table_from_effects(["0", "a", "b"], mats)
+
+    def test_dimension_mismatch(self):
+        mats = projector_demo_matrices()
+        mats["id3"] = EffectMatrix(np.eye(3))
+        self.assert_same_error(["0", "pi1", "id3", "id"], mats)
+
+    def test_labels_without_zero(self):
+        self.assert_same_error(["pi1", "pi2"], projector_demo_matrices())
+
+
+class TestStackedNumerics:
+    """The stacked routines give the numbers of the calls they replace."""
+
+    @staticmethod
+    def assert_matches_allclose(totals, mats):
+        match = effects._matches(totals, mats)
+        for j, k in np.ndindex(*match.shape):
+            assert match[j, k] == np.allclose(totals[j], mats[k], atol=1e-12)
+
+    def test_match_rule_is_allclose_on_random_arrays(self):
+        rng = np.random.default_rng(17)
+        for dim in (1, 2, 3, 5):
+            mats = rng.uniform(-1, 1, (4, dim, dim)) + 1j * rng.uniform(-1, 1, (4, dim, dim))
+            # Near copies of the labels, some within the tolerance and some not.
+            noise = rng.uniform(-2e-5, 2e-5, (4, dim, dim)) * rng.integers(0, 2, (4, dim, dim))
+            totals = np.concatenate([mats + noise, mats, mats[::-1]])
+            self.assert_matches_allclose(totals, mats)
+
+    @pytest.mark.parametrize("label", [0.0, 1.0, -0.37, 0.6 + 0.8j, 1e-3j])
+    def test_match_rule_is_allclose_at_the_boundary(self, label):
+        # Walk the entry over the floats around label + 1e-12 + 1e-05|label|:
+        # the tolerance exactly, and the ulps on either side of it.
+        mats = np.full((1, 1, 1), label, dtype=complex)
+        edge = label.real + (1e-12 + 1e-05 * abs(label))
+        entries = [edge]
+        for direction in (-np.inf, np.inf):
+            x = edge
+            for _ in range(3):
+                x = np.nextafter(x, direction)
+                entries.append(x)
+        totals = np.array([[[complex(x, label.imag)]] for x in entries])
+        verdicts = {bool(np.allclose(t, mats[0], atol=1e-12)) for t in totals}
+        assert verdicts == {True, False}
+        self.assert_matches_allclose(totals, mats)
+
+    def test_match_rule_exactly_at_the_tolerance(self):
+        # Against a zero label the test reads |T| <= 1e-12 with no rounding.
+        mats = np.zeros((1, 1, 1), dtype=complex)
+        totals = np.array([1e-12, np.nextafter(1e-12, 0), np.nextafter(1e-12, 1)],
+                          dtype=complex).reshape(3, 1, 1)
+        assert effects._matches(totals, mats)[:, 0].tolist() == [True, True, False]
+        self.assert_matches_allclose(totals, mats)
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_stacked_spectrum_is_bit_identical(self, dim):
+        # Against hermitian_spectrum, and against eigh of one matrix's
+        # Hermitian part as hermitian_spectrum computed it before stacks.
+        rng = random.Random(300 + dim)
+        stack = np.stack([random_hermitian(rng, dim).mat for _ in range(6)]).reshape(
+            2, 3, dim, dim)
+        w, vectors = effects._spectra(stack)
+        for idx in np.ndindex(2, 3):
+            mat = stack[idx]
+            for w1, vectors1 in (hermitian_spectrum(EffectMatrix(mat)),
+                                 np.linalg.eigh(mat / 2 + mat.conj().T / 2)):
+                assert np.array_equal(w[idx], w1) and np.array_equal(vectors[idx], vectors1)
