@@ -1,10 +1,11 @@
 """Finite partial algebras given as explicit sum tables.
 
 The table stores a partial binary operation x + y on indexed elements.  An
-AlgebraTable holds it once as a padded list of rows: rows[i][j] is the index
-of x_i + x_j, or -1 when the sum is undefined, and the last row and column are
--1 padding, so a lookup through an undefined sum, rows[-1][j], reads -1 too.
-All checks are exhaustive scans that read those rows by list index.  The
+AlgebraTable holds it once, as padded rows with each row's defined columns:
+rows[i][j] is the index of x_i + x_j, or -1 when the sum is undefined, and
+the last row and column are -1 padding, so a lookup through an undefined
+sum, rows[-1][j], reads -1 too.  All checks are exhaustive scans of those
+rows, and every walk of the sums goes by row, columns ascending.  The
 associativity scan walks only the triples whose left side is defined and
 counts the triples whose right side is defined, so its cost follows the
 number of defined triples, not n^3.  Only the triples whose first element
@@ -17,36 +18,38 @@ non-atom x = u+v gives (x+y)+z = (u+(v+y))+z = u+((v+y)+z) = u+(v+(y+z))
 y+z leaves both ends undefined.  A GEA has no such cycle (u < u+v).
 
 A pipeline runs the GEA scan once: scan_gea and require_gea return a
-CheckedGEA, the table with its induced order, atoms and Kahn order, and the
-later stages (witness searches, representation, morphism classifier) take
-that value instead of scanning again.
+CheckedGEA, the table with its induced order, atoms and Kahn order, which
+the witness searches, the representation and the morphism classifier take.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from typing import Mapping, NamedTuple, Optional, Sequence
+from itertools import chain
+from operator import lshift
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ContractError, InputError
 
 
-class AlgebraTable(namedtuple("AlgebraTable", "elements zero sums unit rows")):
+class AlgebraTable(namedtuple("AlgebraTable", "elements zero unit rows cols")):
     """A finite partial algebra: labelled elements, a zero, an optional unit,
     and a partial sum table mapping index pairs to the index of their sum.
 
     Both (i, j) and (j, i) must be present in the table for a commutative sum;
     the checker reports one-sided entries instead of symmetrizing silently.
 
-    rows is the same table as (n + 1) x (n + 1) lists, -1 for an undefined
-    sum and in the padding row and column; sums is its view as a dict in
-    sorted key order.  Neither may be changed.
+    rows is the table as (n + 1) x (n + 1) lists, -1 for an undefined sum
+    and in the padding row and column, and cols[i] lists row i's defined
+    columns in ascending order; neither may be changed.  sums is a view.
     """
 
     __slots__ = ()
 
     def __new__(cls, elements: tuple[str, ...], zero: int,
-                sums: Mapping[tuple[int, int], int], unit: Optional[int] = None) -> AlgebraTable:
+                sums: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]],
+                unit: Optional[int] = None) -> AlgebraTable:
         n = len(elements)
         if n < 1:
             raise InputError("algebra needs at least one element")
@@ -60,20 +63,39 @@ class AlgebraTable(namedtuple("AlgebraTable", "elements zero sums unit rows")):
             if unit == zero and n > 1:
                 raise InputError("unit must differ from zero")
         rows = [[-1] * (n + 1) for _ in range(n + 1)]
-        for (i, j), k in sums.items():
+        cols: list[list[int]] = [[] for _ in range(n)]
+        if hasattr(sums, "items"):  # a {(i, j): k} mapping, else (i, j, k) triples
+            sums = ((i, j, k) for (i, j), k in sums.items())
+        for i, j, k in sums:  # read once; a triple given twice must agree
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise InputError(f"sum entry ({i},{j})->{k} out of range")
-            rows[i][j] = k
-        # Read off row by row, so every walk of sums.items() is in key order.
-        sums = {(i, j): k for i, row in enumerate(rows) for j, k in enumerate(row) if k >= 0}
-        return super().__new__(cls, elements, zero, sums, unit, rows)
+            row = rows[i]
+            if row[j] < 0:
+                row[j] = k
+                cols[i].append(j)
+            elif row[j] != k:
+                raise InputError(f"conflicting entries for {elements[i]}+{elements[j]}")
+        for c in cols:
+            c.sort()
+        return super().__new__(cls, elements, zero, unit, rows, cols)
 
-    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild rows from sums
-        return self[:4]
+    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild rows from the triples
+        return self.elements, self.zero, tuple(self.triples()), self.unit
 
     @property
     def n(self) -> int:
         return len(self.elements)
+
+    def triples(self) -> Iterator[tuple[int, int, int]]:
+        """Each defined i + j = k as (i, j, k), by row, columns ascending."""
+        for i, (row, c) in enumerate(zip(self.rows, self.cols)):
+            for j in c:
+                yield i, j, row[j]
+
+    @property
+    def sums(self) -> dict[tuple[int, int], int]:
+        """The table as a {(i, j): k} dict in key order, made on each read."""
+        return {(i, j): k for i, j, k in self.triples()}
 
 
 class Violation(NamedTuple):
@@ -83,12 +105,9 @@ class Violation(NamedTuple):
 
 
 class AxiomReport(NamedTuple):
-    """The violations of one scan; the GEA scan adds its atoms and Kahn
-    order, atoms first, which stops short at a cycle of sums."""
+    """The violations of one scan."""
 
     violations: tuple[Violation, ...]
-    atoms: tuple[int, ...] = ()
-    topological: tuple[int, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -137,13 +156,11 @@ def _associativity(table: AlgebraTable,
     per defined y+z = w and x+w, prove the axiom at each x.  When neither
     zero and the atoms nor every x pass, both kinds of triples are walked
     for their violations, sorted into the order of the full n^3 scan."""
-    n, rows, lab, zero = table.n, table.rows, table.elements, table.zero
-    cols: list[list[int]] = [[] for _ in range(n)]  # the defined columns of each row
+    n, rows, cols, lab, zero = table.n, table.rows, table.cols, table.elements, table.zero
+    vals = [list(map(row.__getitem__, c)) for row, c in zip(rows, cols)]
     count = [0] * n  # count[w]: the defined sums y+z = w
-    for (i, j), k in table.sums.items():
-        cols[i].append(j)
+    for k in chain.from_iterable(vals):
         count[k] += 1
-    vals = [[row[j] for j in c] for row, c in zip(rows, cols)]
     # indegree[k]: the sums u+v = k of nonzero u, v, so every sum less the zero
     # row and column (slot n takes the padding's -1); zero is no successor.
     indegree = count + [0]
@@ -152,21 +169,23 @@ def _associativity(table: AlgebraTable,
     indegree[zero] = -1
     atoms = [x for x in range(n) if not indegree[x]]
     order = atoms[:]
-    for u in order:  # Kahn's algorithm: order grows as it is walked
-        p = bisect_left(cols[u], zero)  # u+0, at p when defined, is no edge
-        ks = vals[u][:p] + vals[u][p + 1:] if cols[u][p:p + 1] == [zero] else vals[u]
-        for k in ks:
-            indegree[k] -= 1
-            if not indegree[k]:
-                order.append(k)
-    # Zero's triples hold outright when 0+y = y for every y.
-    base = atoms if rows[zero][:n] == list(range(n)) else [zero, *atoms]
-    if (two_sided and len(order) == n - 1 and _holds(base, rows, cols, vals, count)
-            or _holds(range(n), rows, cols, vals, count)):
+    if len(atoms) < n - 1:  # else every nonzero element is an atom, the order is atoms
+        for u in order:  # Kahn's algorithm: order grows as it is walked
+            p = bisect_left(cols[u], zero)  # u+0, at p when defined, is no edge
+            ks = vals[u][:p] + vals[u][p + 1:] if cols[u][p:p + 1] == [zero] else vals[u]
+            for k in ks:
+                indegree[k] -= 1
+                if not indegree[k]:
+                    order.append(k)
+        # Zero's triples hold outright when 0+y = y for every y.
+        base = atoms if rows[zero][:n] == list(range(n)) else [zero, *atoms]
+        if two_sided and len(order) == n - 1 and _holds(base, rows, cols, vals, count):
+            return [], atoms, order
+    if _holds(range(n), rows, cols, vals, count):
         return [], atoms, order
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (y, z) by y+z
-    for yz, w in table.sums.items():
-        pairs[w].append(yz)
+    for y, z, w in table.triples():
+        pairs[w].append((y, z))
     bad: list[tuple[int, int, int, int, int]] = []  # x, y, z, left, right; -1 undefined
     for x, sx in enumerate(rows[:n]):
         for y in cols[x]:
@@ -210,8 +229,11 @@ def _cancellation(table: AlgebraTable) -> list[Violation]:
     return out
 
 
-def check_gea_axioms(table: AlgebraTable) -> AxiomReport:
-    """Exhaustively verify the generalized effect algebra axioms GE1..GE5."""
+def check_gea_axioms(table: AlgebraTable, kahn: bool = False
+                     ) -> AxiomReport | tuple[AxiomReport, tuple[int, ...], tuple[int, ...]]:
+    """Exhaustively verify the generalized effect algebra axioms GE1..GE5:
+    the AxiomReport or, with kahn, (report, atoms, order), the scan's atoms
+    and Kahn order, atoms first, which stops short at a cycle of sums."""
     violations: list[Violation] = []
     lab = table.elements
     zero = table.zero
@@ -231,17 +253,14 @@ def check_gea_axioms(table: AlgebraTable) -> AxiomReport:
             violations.append(Violation("GE5", (x,), f"0+{lab[x]} is undefined"))
         elif k != x:
             violations.append(Violation("GE5", (x,), f"0+{lab[x]}={lab[k]}, expected {lab[x]}"))
-    return AxiomReport(tuple(violations), tuple(atoms), tuple(order))
+    report = AxiomReport(tuple(violations))
+    return (report, tuple(atoms), tuple(order)) if kahn else report
 
 
 def check_ea_axioms(table: AlgebraTable, gea: AxiomReport) -> AxiomReport:
-    """Exhaustively verify the effect algebra axioms E1..E4.
-
-    E1 and E2 are GE1 and GE2 under another label, so their violations are
-    read from the GEA scan: gea must be check_gea_axioms(table).
-
-    Requires a unit element; raises InputError without one.
-    """
+    """Exhaustively verify the effect algebra axioms E1..E4 of a table with a
+    unit (InputError without one).  E1 and E2 are GE1 and GE2 relabelled,
+    read from gea, which must be check_gea_axioms(table)."""
     if table.unit is None:
         raise InputError("effect algebra check needs a unit element")
     one = table.unit
@@ -264,12 +283,9 @@ def check_ea_axioms(table: AlgebraTable, gea: AxiomReport) -> AxiomReport:
 
 
 class OrderRelation(NamedTuple):
-    """The order induced by the sum table: x <= y iff x + z = y for some z.
-
-    above[a] is an int bit mask whose bit b is set when a <= b.  The
-    difference y - x, that z, is read from the table's sums: it is unique
-    by cancellation on any table that passed the GEA check.
-    """
+    """The order induced by the sum table: x <= y iff x + z = y for some z,
+    unique by cancellation on a table that passed the GEA check.  above[a]
+    is an int bit mask whose bit b is set when a <= b."""
 
     above: tuple[int, ...]
 
@@ -280,26 +296,43 @@ class OrderRelation(NamedTuple):
 
 
 def induced_order(table: AlgebraTable) -> OrderRelation:
-    """The induced partial order: x_i <= x_j for each defined x_i + x_k = x_j.
-
-    It is a partial order only on a table that passed the GEA scan; scan_gea
-    and require_gea build it once after the scan, and the pipeline reads it
-    from their CheckedGEA.
-    """
-    above = [0] * table.n
-    for (i, _), j in table.sums.items():  # x_i + x_k = x_j, so x_i <= x_j
-        above[i] |= 1 << j
+    """The induced order, x_i <= x_j for each defined x_i + x_k = x_j: a
+    partial order on a table that passed the GEA scan, as in a CheckedGEA."""
+    above = []
+    for row, c in zip(table.rows, table.cols):
+        mask = 0
+        for k in c:  # x_i + x_k = x_j, so x_i <= x_j
+            mask |= 1 << row[k]
+        above.append(mask)
     return OrderRelation(tuple(above))
+
+
+def first_nonadditive(table: AlgebraTable,
+                      lanes: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
+    """The first defined i + j = k, in row order, on which some lane (one int
+    per element) has lane[i] + lane[j] != lane[k], or None, in one pass for
+    all lanes.  Element a's values are packed into one int, lane s at bit
+    s*w, w two bits past the largest |value| M: each lane's defect d_s has
+    |d_s| <= 3M < 2^w, so the packed defect is zero only if every d_s is
+    (the lowest nonzero d_t leaves d_t * 2^(t*w) modulo 2^((t+1)*w))."""
+    if not lanes:
+        return None
+    packed = lanes[0]  # one lane needs no packing
+    if len(lanes) > 1:
+        w = max(max(map(max, lanes)), -min(map(min, lanes))).bit_length() + 2
+        shifts = range(0, w * len(lanes), w)
+        packed = [sum(map(lshift, values, shifts)) for values in zip(*lanes)]
+    for i, (row, c) in enumerate(zip(table.rows, table.cols)):
+        p = packed[i]
+        for j in c:
+            if p + packed[j] != packed[row[j]]:
+                return i, j, row[j]
+    return None
 
 
 class CheckedGEA(NamedTuple):
     """A table that passed the GEA axiom scan, with its induced order and
-    the scan's atoms and Kahn order.
-
-    scan_gea and require_gea make it.  The witness searches, the
-    representation and the morphism classifier take one, so a pipeline scans
-    its table once.
-    """
+    the scan's atoms and Kahn order, as scan_gea and require_gea make it."""
 
     table: AlgebraTable
     order: OrderRelation
@@ -309,8 +342,8 @@ class CheckedGEA(NamedTuple):
 
 def scan_gea(table: AlgebraTable) -> tuple[AxiomReport, Optional[CheckedGEA]]:
     """One GEA axiom scan; on a pass, also the checked table."""
-    report = check_gea_axioms(table)
-    return report, (CheckedGEA(table, induced_order(table), report.atoms, report.topological)
+    report, atoms, order = check_gea_axioms(table, kahn=True)
+    return report, (CheckedGEA(table, induced_order(table), atoms, order)
                     if report.passed else None)
 
 
@@ -325,22 +358,19 @@ def require_gea(table: AlgebraTable) -> CheckedGEA:
 
 
 def is_sub_gea(subset: Sequence[int], table: AlgebraTable) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Two-out-of-three closure test for a sub-generalized-effect-algebra.
-
-    Returns (True, None) when the subset contains zero and every defined sum
-    with at least two members inside stays inside; otherwise (False, triple)
-    with the first violating (x, y, z).
-    """
+    """Two-out-of-three closure test for a sub-generalized-effect-algebra:
+    (True, None) when the subset holds zero and each defined sum with two
+    members inside stays inside, else False and the first such (x, y, z)."""
     members = set(subset)
     for i in members:
         if not 0 <= i < table.n:
             raise InputError(f"subset index {i} out of range")
     if table.zero not in members:
         return False, None
-    for (x, y), z in table.sums.items():
-        inside = (x in members) + (y in members) + (z in members)
-        if inside >= 2 and inside < 3:
-            return False, (x, y, z)
+    for x, (row, c) in enumerate(zip(table.rows, table.cols)):
+        for y in c:
+            if (x in members) + (y in members) + (row[y] in members) == 2:
+                return False, (x, y, row[y])
     return True, None
 
 
@@ -367,18 +397,16 @@ class MorphismReport(NamedTuple):
 
 
 def classify_morphism(spec: MorphismSpec) -> MorphismReport:
-    """Classify a total map between two checked tables.
-
-    Flags: additivity on defined sums, injectivity, order reflection
-    (f(a) <= f(b) forces a <= b) and embedding (injective morphism whose
-    image is closed under the two-out-of-three rule).
-    """
+    """Classify a total map between two checked tables: additivity on
+    defined sums, injectivity, order reflection (f(a) <= f(b) forces a <= b)
+    and embedding (injective morphism whose image is two-out-of-three closed)."""
     f = spec.map
     src, tgt = spec.source.table, spec.target.table
 
     rows = tgt.rows
     failure: Optional[tuple[int, ...]] = next(
-        ((a, b, c) for (a, b), c in src.sums.items() if rows[f[a]][f[b]] != f[c]), None)
+        ((a, b, row[b]) for a, (row, c) in enumerate(zip(src.rows, src.cols))
+         for b in c if rows[f[a]][f[b]] != f[row[b]]), None)
     is_morphism = failure is None
 
     injective = len(set(f)) == len(f)

@@ -168,8 +168,9 @@ def cmd_order(args: SimpleNamespace) -> tuple[dict, int]:
     # x_i + x_k = x_j gives x_j - x_i = x_k, unique by GE3 on a checked table.
     # The sums come in (i, k) order, so each bucket j is in (j, i) order.
     below: list[list[tuple[int, int]]] = [[] for _ in labels]
-    for ik, j in gea.table.sums.items():
-        below[j].append(ik)
+    for i, (row, c) in enumerate(zip(gea.table.rows, gea.table.cols)):
+        for k in c:
+            below[row[k]].append((i, k))
     # bin(mask)[:1:-1] lists the bits of mask lowest first.
     report["order"] = {
         "strictly_below": [[labels[i], labels[j]] for i, above in enumerate(gea.order.above)
@@ -263,12 +264,12 @@ def cmd_effects(args: SimpleNamespace) -> tuple[dict, int]:
         matrix, digest = fileio.load_matrix(args.path)
         report = _base_report(args, args.path, digest)
         try:
-            positive, effect = effects.spectral_flags(matrix)
+            positive, effect, defect = effects.spectral_flags(matrix)
         except InputError as exc:
             raise InputError(f"{args.path}: {exc}") from None
         report["matrix"] = {
             "dim": matrix.dim,
-            "hermitian_defect": matrix.hermitian_defect(),
+            "hermitian_defect": defect,
             "positive": positive,
             "effect": effect,
         }

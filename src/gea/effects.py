@@ -49,9 +49,6 @@ class EffectMatrix(namedtuple("EffectMatrix", "mat")):
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def hermitian_defect(self) -> float:
-        return float(_hermitian_gaps(self.mat).max())
-
 
 def _hermitian_gaps(mats: np.ndarray) -> np.ndarray:
     """|A - A^H| entrywise, for each matrix A of a stack (..., d, d)."""
@@ -61,14 +58,17 @@ def _hermitian_gaps(mats: np.ndarray) -> np.ndarray:
         return np.abs(mats - mats.conj().swapaxes(-1, -2))
 
 
-def _require_hermitian(mats: np.ndarray, name: str = "matrix") -> None:
-    """Reject the first matrix of a stack, in C order, whose Hermitian
-    defect (its largest gap) is not within HERMITIAN_TOL; a NaN is not."""
+def _require_hermitian(mats: np.ndarray, name: str = "matrix") -> float:
+    """Reject the first matrix of a stack, in C order, whose Hermitian defect
+    (its largest gap) is not within HERMITIAN_TOL, as a NaN never is; else
+    the largest defect of the stack."""
     gaps = _hermitian_gaps(mats)
-    if not gaps.max() <= HERMITIAN_TOL:
+    defect = float(gaps.max())
+    if not defect <= HERMITIAN_TOL:
         defects = gaps.max(axis=(-2, -1)).ravel()
         first = defects[~(defects <= HERMITIAN_TOL)][0]
         raise InputError(f"{name} is not Hermitian (defect {first:.3e})")
+    return defect
 
 
 def _require_same_dim(a: EffectMatrix, b: EffectMatrix,
@@ -78,15 +78,13 @@ def _require_same_dim(a: EffectMatrix, b: EffectMatrix,
                          f"{names[1]} is {b.dim} x {b.dim}")
 
 
-def _spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spectra(mats: np.ndarray, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """``hermitian_spectrum`` of every matrix of a stack (..., d, d), in one
-    ``eigh`` call: eigenvalues (..., d) and eigenvectors (..., d, d).
-
-    The stacked ``eigh`` gives each matrix bit for bit the spectrum that a
-    call on that matrix alone gives.  A stack with a non-Hermitian matrix is
-    rejected with the defect of the first one in C order.
-    """
-    _require_hermitian(mats)
+    ``eigh`` call, bit for bit what a call on each matrix alone gives:
+    eigenvalues (..., d) and eigenvectors (..., d, d).  Unless check is
+    False, a non-Hermitian matrix is rejected with the first one's defect."""
+    if check:
+        _require_hermitian(mats)
     w, vectors = np.linalg.eigh(mats / 2 + mats.conj().swapaxes(-1, -2) / 2)
     if not np.isfinite(w).all():
         raise InputError("matrix spectrum overflows double precision")
@@ -110,13 +108,13 @@ def _bounds(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[..., 0] >= -PSD_TOL, w[..., -1] <= 1.0 + PSD_TOL
 
 
-def spectral_flags(a: EffectMatrix) -> tuple[bool, bool]:
+def spectral_flags(a: EffectMatrix) -> tuple[bool, bool, float]:
     """Whether A is positive (its least eigenvalue clears -PSD_TOL) and
     whether it is an effect, between the null operator and the identity,
-    decided from one spectrum."""
-    w, _ = hermitian_spectrum(a)
-    positive, below_identity = _bounds(w)
-    return bool(positive), bool(positive and below_identity)
+    from one spectrum, and its Hermitian defect from the check before it."""
+    defect = _require_hermitian(a.mat)
+    positive, below_identity = _bounds(_spectra(a.mat, check=False)[0])
+    return bool(positive), bool(positive and below_identity), defect
 
 
 def is_positive(a: EffectMatrix) -> bool:
@@ -233,13 +231,12 @@ def table_from_effects(labels: list[str], mats: dict[str, EffectMatrix],
     # Entries of effects have modulus at most about 1, so no sum overflows.
     totals = stack[:, None] + stack[None, :]
     defined = _bounds(_spectra(totals)[0])[1]
-    sums = {}
+    triples = []
     for i in range(len(labels)):
         match = _matches(totals[i], stack)
-        first = match.argmax(axis=1)
-        for j in np.flatnonzero(defined[i] & match.any(axis=1)).tolist():
-            sums[(i, j)] = int(first[j])
-    return AlgebraTable(tuple(labels), zero, sums, unit_index)
+        first, hits = match.argmax(axis=1).tolist(), defined[i] & match.any(axis=1)
+        triples += [(i, j, first[j]) for j in np.flatnonzero(hits).tolist()]
+    return AlgebraTable(tuple(labels), zero, triples, unit_index)
 
 
 def demo_excd() -> dict:
@@ -253,7 +250,7 @@ def demo_excd() -> dict:
     extended = table_from_effects(["0", "pi1", "pi2", "id"], mats, unit="id")
     # {0, pi1, pi2} carries the fragment's sums that stay inside it: only zero sums.
     table = AlgebraTable(extended.elements[:3], 0,
-                         {ij: k for ij, k in extended.sums.items() if max(*ij, k) < 3})
+                         [ijk for ijk in extended.triples() if max(ijk) < 3])
     gea = require_gea(table)
 
     basis_states = []

@@ -1,6 +1,7 @@
 """JSON file formats: algebra tables, morphisms, witness sets, representations
 and complex matrices.  Rationals travel as Fraction strings ("3/2", "-1", "0").
 Each loader reads its file once and returns its value with the file's SHA-256.
+load_algebra resolves the sum triples and hands them to the table's one fill.
 
 States and representations hold int numerators over one denominator; their
 strings are made here and read exactly as str(Fraction) does.  Only
@@ -55,10 +56,10 @@ def _read_json(path: PathLike) -> tuple[dict, str]:
     return data, hashlib.sha256(raw).hexdigest()
 
 
-def _resolve(path: PathLike, index: dict[str, int], label: object) -> int:
-    """The index of an element label, or InputError naming the file."""
+def _resolve(index: dict[str, int], label: object) -> int:
+    """The index of an element label, or InputError."""
     if not isinstance(label, str) or label not in index:
-        raise InputError(f"{path}: unknown element label {label!r}")
+        raise InputError(f"unknown element label {label!r}")
     return index[label]
 
 
@@ -85,22 +86,23 @@ def load_algebra(path: PathLike) -> tuple[AlgebraTable, str]:
     if len(set(labels)) != len(labels):
         raise InputError(f"{path}: duplicate element labels")
     index = {lab: i for i, lab in enumerate(labels)}
-    sums: dict[tuple[int, int], int] = {}
-    for entry in triples:
+
+    def resolve(entry: object) -> tuple[int, ...]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-            raise InputError(f"{path}: sum entries must be [x, y, z] triples")
-        x, y, z = entry
-        try:
-            i, j, k = index[x], index[y], index[z]
-        except (KeyError, TypeError):  # not a label, or unhashable
-            i, j, k = (_resolve(path, index, v) for v in entry)  # raises on the first bad label
-        if sums.setdefault((i, j), k) != k:
-            raise InputError(
-                f"{path}: conflicting entries for {x}+{y}")
-    unit = _resolve(path, index, data["unit"]) if data.get("unit") is not None else None
-    zero = _resolve(path, index, zero_label)
-    try:
-        return AlgebraTable(tuple(labels), zero, sums, unit), digest
+            raise InputError("sum entries must be [x, y, z] triples")
+        return tuple(_resolve(index, v) for v in entry)  # raises on the first bad label
+
+    try:  # the labels of the unit and zero first, then the triples in file order
+        unit = _resolve(index, data["unit"]) if data.get("unit") is not None else None
+        zero = _resolve(index, zero_label)
+        try:  # on a bad entry, entry by entry as the table fills, so that
+            # a conflict before that entry is the error reported
+            if set(map(type, triples)) - {list}:
+                raise TypeError
+            resolved = [(index[x], index[y], index[z]) for x, y, z in triples]
+        except (KeyError, TypeError, ValueError):
+            resolved = map(resolve, triples)
+        return AlgebraTable(tuple(labels), zero, resolved, unit), digest
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -124,7 +126,10 @@ def load_morphism(path: PathLike) -> tuple[MorphismSpec, str]:
     if set(mapping) != set(source.elements):
         raise InputError(f"{path}: map must be total on the source elements")
     index = {lab: i for i, lab in enumerate(target.elements)}
-    images = tuple(_resolve(path, index, mapping[lab]) for lab in source.elements)
+    try:
+        images = tuple(_resolve(index, mapping[lab]) for lab in source.elements)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     checked = {}
     for side, name, table in (("source", source_path, source), ("target", target_path, target)):
         try:

@@ -46,8 +46,8 @@ def random_gea(rng: random.Random, n: int) -> AlgebraTable:
         z = rng.randrange(1, n)
         if s[x][y] == -1:
             _insert(s, to, x, y, z)
-    return AlgebraTable(labels, 0, {(a, b): c for a in range(n)
-                                    for b, c in enumerate(s[a][:n]) if c != -1})
+    return AlgebraTable(labels, 0, [(a, b, c) for a in range(n)
+                                    for b, c in enumerate(s[a][:n]) if c != -1])
 
 
 def _zero_sums(n: int) -> tuple[list[list[int]], list[list[tuple[int, int]]]]:

@@ -6,8 +6,8 @@ For diagonal operators with nonnegative entries the positivity order is the
 entrywise order: the quadratic form of B - A at x is sum((b_s - a_s) x_s^2),
 nonnegative for every vector iff every entry difference is nonnegative.
 All arithmetic is exact.  The build checks each state's length and sign
-only: the searches validate each state they add on every defined sum, and
-verify_morphism checks zero and additivity for all slots in one pass.
+only: each search checks its new states on every defined sum in one packed
+pass, and verify_morphism checks zero, then every slot in one more.
 A DiagonalRep holds only the diagonals: the labels and the zero are the
 table's, which its checks and its report take beside it.
 
@@ -21,12 +21,6 @@ from the built diagonals, one sort per slot: phi reflects the order iff the
 slots cover, at each a, every b not above a.  The Fraction views
 (operators, operator_norm) are for callers and reports; the Fraction
 forms of the vector checks are kept in tests/reference.py.
-
-The sampled check settles an element exactly, without reading its seeded
-vectors, when its diagonal has no negative entry and none above its norm:
-each test is a sum of x_s^2 >= 0 with coefficients of the safe sign.  Every
-element of a representation build_representation makes is settled that way.
-Only an element left open reads its vectors, from the same single draw.
 """
 
 from __future__ import annotations
@@ -35,10 +29,10 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import mul
 from typing import Optional, Sequence
 
-from .algebra import AlgebraTable, CheckedGEA
+from .algebra import AlgebraTable, CheckedGEA, first_nonadditive
 from .errors import InputError
 from .states import GeneralizedState, StateWitnessSet, _cover
 
@@ -88,15 +82,13 @@ def build_representation(gea: CheckedGEA, witnesses: StateWitnessSet) -> Diagona
 
 def verify_morphism(rep: DiagonalRep, table: AlgebraTable) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Self-check of the build: phi(zero) = 0, then entrywise additivity over
-    the defined sums in sorted order; on failure the first violation, with
-    (zero, zero, zero) for a nonzero phi(zero)."""
+    the defined sums in key order, every slot in one packed pass; on failure
+    the first violation, with (zero, zero, zero) for a nonzero phi(zero)."""
     diagonals, zero = rep.diagonals, table.zero
     if any(diagonals[zero]):
         return False, (zero, zero, zero)
-    for (i, j), k in table.sums.items():
-        if tuple(map(add, diagonals[i], diagonals[j])) != diagonals[k]:
-            return False, (i, j, k)
-    return True, None
+    bad = first_nonadditive(table, list(zip(*diagonals)))
+    return bad is None, bad
 
 
 def verify_injective(rep: DiagonalRep) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -129,12 +121,8 @@ def verify_order_reflecting(rep: DiagonalRep,
 
 
 def operator_norm(rep: DiagonalRep, a: int) -> Fraction:
-    """Operator norm of the diagonal phi(a): its largest entry.
-
-    The bound ||phi(a) x|| <= norm * ||x|| is attained at the basis vector of
-    an argmax slot.  sampled_check settles the bound for every x at once when
-    no entry exceeds the norm, so with this norm it reads no sampled vector.
-    """
+    """Operator norm of the diagonal phi(a): its largest entry, attained at
+    the basis vector of an argmax slot, so sampled_check reads no vector."""
     entries = rep.diagonals[a]
     if not entries:
         return Fraction(0)
@@ -151,15 +139,13 @@ def sampled_check(rep: DiagonalRep, rng: random.Random, count: int,
     sum(d_s x_s^2) >= 0 and sum((q^2 d_s^2 - (p den)^2) x_s^2) <= 0.  Every
     x_s^2 is >= 0, so when no entry is negative and q^2 max(d)^2 <=
     (p den)^2 both tests hold for every vector, and the element is settled
-    without reading its vectors.  Every element of a representation built by
-    build_representation, with operator_norm's norms, is settled.
+    without reading its vectors, as is every element of a representation
+    build_representation makes, with operator_norm's norms.
 
-    The vectors for all elements come from one rng.randbytes call,
-    element by element, vector by vector and slot by slot, each byte b one
-    integer coordinate: an element the exact test leaves open reads its
-    count vectors from offset a * count * m, whichever other elements are
-    settled, and every vector gets the verdict of the Fraction reference in
-    tests/reference.py.  Returns False at the first vector that fails.
+    One rng.randbytes call draws every vector, element by element, each
+    byte one coordinate: an element left open reads its count vectors from
+    offset a * count * m, and each gets the verdict of the Fraction
+    reference in tests/reference.py.  False at the first vector that fails.
     """
     m = rep.m
     data = rng.randbytes(len(rep.diagonals) * count * m)
@@ -182,10 +168,7 @@ def sampled_check(rep: DiagonalRep, rng: random.Random, count: int,
 
 
 def extract_states(rep: DiagonalRep) -> list[GeneralizedState]:
-    """Recover one generalized state per slot as a -> <e_s, phi(a) e_s>,
-    the slot's column of the diagonals.
-
-    Slot by slot this returns exactly the witnesses the representation was
-    built from."""
+    """One generalized state per slot, a -> <e_s, phi(a) e_s>: slot by slot
+    the witnesses the representation was built from."""
     return [GeneralizedState(tuple(row[slot] for row in rep.diagonals), rep.den)
             for slot in range(rep.m)]

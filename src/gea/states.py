@@ -23,8 +23,8 @@ So the state cone is {v >= 0 : C v = 0}, and the pair LP C v = 0,
 (vec(a) - vec(b))·v = 1, v >= 0 is feasible exactly when the LP over every
 element and every defined sum is.  C is empty on chains, cubes and down-sets
 of N^m.  A search builds C once, factored, and each pair LP extends it by one
-row.  The LP rechecks its point only against those rows, so each new witness
-state is validated on every defined sum before it takes a slot.
+row.  The LP rechecks its point only against those rows, so after its walk
+a search checks all its new states on every defined sum in one packed pass.
 
 The searches take a CheckedGEA, the table, order and atoms that one axiom
 scan produced, so they scan nothing themselves, and the atom program rests on
@@ -45,7 +45,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Callable, Iterable, Optional, Sequence
 
-from .algebra import AlgebraTable, CheckedGEA
+from .algebra import AlgebraTable, CheckedGEA, first_nonadditive
 from .errors import ContractError, InputError
 from .lp import LinearProgram, Row, lp_feasible
 
@@ -76,29 +76,27 @@ class GeneralizedState(namedtuple("GeneralizedState", "nums den")):
         """The values as Fractions (a read-only view)."""
         return tuple(Fraction(p, self.den) for p in self.nums)
 
-    def validate(self, table: AlgebraTable) -> None:
-        """Raise InputError unless this is a generalized state on the table."""
+    def validate(self, table: AlgebraTable, additive: bool = True) -> None:
+        """Raise InputError unless this is a generalized state on the table:
+        one nonnegative value per element, zero at zero and, unless additive
+        is False, additive on every defined sum."""
         nums = self.nums
         if len(nums) != table.n:
             raise InputError("state length does not match element count")
-        if any(p < 0 for p in nums):
+        if min(nums) < 0:
             raise InputError("state values must be nonnegative")
         if nums[table.zero] != 0:
             raise InputError("state must vanish at zero")
-        for (i, j), k in table.sums.items():
-            if nums[i] + nums[j] != nums[k]:
-                raise InputError(
-                    f"state is not additive on {table.elements[i]}+{table.elements[j]}")
+        bad = first_nonadditive(table, [nums]) if additive else None
+        if bad is not None:
+            raise InputError(
+                f"state is not additive on {table.elements[bad[0]]}+{table.elements[bad[1]]}")
 
 
 class StateWitnessSet:
-    """Finite witness set with the pair that made each state.
-
-    provenance maps the pair whose LP produced a state to that state's slot;
-    states given up front have no entry, and which state covers any other
-    pair is recomputed from the states.  failures lists the pairs for which
-    no witness exists.  The search succeeded iff failures is empty.
-    """
+    """Finite witness set: provenance maps the pair whose LP produced a
+    state to its slot (states given up front have none), and failures lists
+    the pairs no state can witness; the search succeeded iff it is empty."""
 
     def __init__(self, goal: str, states: Optional[list[GeneralizedState]] = None,
                  provenance: Optional[dict[tuple[int, int], int]] = None,
@@ -123,9 +121,10 @@ def additivity_program(gea: CheckedGEA) -> LinearProgram:
         raise ContractError("the sums of nonzero elements form a cycle")
     into: list[list[tuple[int, int]]] = [[] for _ in range(table.n)]
     for p in atoms:  # into[k]: the atom rows p + x = k, by p, then x
-        for x, k in enumerate(table.rows[p]):
-            if x != z and k >= 0:
-                into[k].append((p, x))
+        row = table.rows[p]
+        for x in table.cols[p]:
+            if x != z:
+                into[row[x]].append((p, x))
     vecs: list[tuple[int, ...]] = [(0,) * len(atoms)] * table.n
     for c, p in enumerate(atoms):
         vecs[p] = (0,) * c + (1,) + (0,) * (len(atoms) - c - 1)
@@ -197,31 +196,37 @@ def _cover(values: Sequence[int], order: bool) -> list[int]:
 def assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet, want: Sequence[int],
                      find: Callable[[int, int], Optional[GeneralizedState]]) -> StateWitnessSet:
     """Make sure each pair (a, b), b a bit of the mask want[a], is covered
-    by a state of the set, in lexicographic order; the states given up front
-    are merged first.
-
-    For a pair that no state covers, find(a, b) is asked for a new state,
-    which is validated on table, takes the next slot and is recorded in
-    provenance under (a, b): it covers (a, b), so it equals no state in the
-    set.  The LP rechecked it only against the rows of the atom program, not
-    every defined sum.  A pair find cannot witness is a failure.
-    """
+    by a state of the set, in lexicographic order, the states given up
+    front first.  For a pair no state covers, find(a, b) is asked for a new
+    state, whose length, sign and zero are checked; it takes the next slot,
+    under (a, b) in provenance (it covers (a, b), so it equals no state in
+    the set), or the pair is a failure.  The LP rechecked the states only
+    against the atom program, so one packed pass at the end checks them on
+    every defined sum: InputError for the first that fails, in slot order,
+    with its own first failing sum."""
     order = witnesses.goal == "order"
+    first = len(witnesses.states)
     todo = list(want)
     for state in witnesses.states:
         todo = [t & ~c for t, c in zip(todo, _cover(state.nums, order))]
-    for a in range(len(todo)):
-        while todo[a]:
-            b = (todo[a] & -todo[a]).bit_length() - 1
-            todo[a] ^= 1 << b
-            state = find(a, b)
-            if state is None:
-                witnesses.failures.append((a, b))
-                continue
-            state.validate(table)
-            witnesses.provenance[(a, b)] = len(witnesses.states)
-            witnesses.states.append(state)
-            todo = [t & ~c for t, c in zip(todo, _cover(state.nums, order))]
+    try:
+        for a in range(len(todo)):
+            while todo[a]:
+                b = (todo[a] & -todo[a]).bit_length() - 1
+                todo[a] ^= 1 << b
+                state = find(a, b)
+                if state is None:
+                    witnesses.failures.append((a, b))
+                    continue
+                state.validate(table, additive=False)
+                witnesses.provenance[(a, b)] = len(witnesses.states)
+                witnesses.states.append(state)
+                todo = [t & ~c for t, c in zip(todo, _cover(state.nums, order))]
+    finally:  # on a shape error too: an earlier slot's error comes first
+        added = witnesses.states[first:]
+        if first_nonadditive(table, [s.nums for s in added]) is not None:
+            for state in added:
+                state.validate(table)
     return witnesses
 
 

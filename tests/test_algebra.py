@@ -72,9 +72,9 @@ def frozen_records():
     """One record of each frozen type, with the names of its fields."""
     gea = require_gea(AlgebraTable(("0", "a"), 0, with_zero_sums(2, {})))
     return [
-        (gea.table, ("elements", "zero", "sums", "unit", "rows")),
+        (gea.table, ("elements", "zero", "unit", "rows", "cols", "sums")),
         (Violation("GE1", (0, 1), "a+b"), ("axiom", "witness", "message")),
-        (check_gea_axioms(gea.table), ("violations", "atoms", "topological")),
+        (check_gea_axioms(gea.table), ("violations",)),
         (gea.order, ("above",)),
         (gea, ("table", "order", "atoms", "topological")),
         (MorphismSpec(gea, gea, (0, 1)), ("source", "target", "map")),
@@ -378,11 +378,11 @@ class TestAtomTriples:
     def test_ge2_holds_through_the_fall_through_on_a_cycle(self, name, monkeypatch):
         t = cyclic_ge2_tables()[name]
         calls = holds_calls(monkeypatch)
-        report = check_gea_axioms(t)
+        report, _, order = check_gea_axioms(t, kahn=True)
         assert calls == [(True, True)]
         assert not axiom_witnesses(report, "GE2")
         assert report == reference_gea_axioms(t)
-        assert len(report.topological) < t.n - 1
+        assert len(order) < t.n - 1
 
     def test_one_sided_table_is_tested_at_every_x(self, monkeypatch):
         # a + a = 0 and a + b = b, with b + a undefined: the triples of zero
@@ -392,9 +392,9 @@ class TestAtomTriples:
         # at the atoms.
         t = table(["0", "a", "b"], with_zero_sums(3, {(1, 1): 0, (1, 2): 2}))
         calls = holds_calls(monkeypatch)
-        report = check_gea_axioms(t)
+        report, _, order = check_gea_axioms(t, kahn=True)
         assert calls == [(True, False)]
-        assert report.topological == (1, 2)
+        assert order == (1, 2)
         assert (2, 1, 1) in axiom_witnesses(report, "GE2")
         assert report == reference_gea_axioms(t)
 
@@ -403,8 +403,8 @@ class TestAtomTriples:
         tables |= {f"random{n}": random_gea(random.Random(n), n) for n in range(1, 25)}
         tables |= perfbench_tables()
         for name, t in tables.items():
-            report = check_gea_axioms(t)
-            assert report[1:] == reference_kahn(t), name
+            report, *kahn = check_gea_axioms(t, kahn=True)
+            assert tuple(kahn) == reference_kahn(t), name
             if report.passed:
                 gea = require_gea(t)
                 assert (gea.atoms, gea.topological) == reference_kahn(t), name

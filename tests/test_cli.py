@@ -716,21 +716,27 @@ class TestOneScanPerPipeline:
         assert [len(calls) for calls in walks] == [1, 1]
 
     def test_represent_validates_each_witness_state_once(self, capsys, monkeypatch):
-        # The search validates each state as it takes a new slot, because
-        # its LP rechecked the point only against the atom program; the build
-        # leaves zero and additivity to verify_morphism.
-        validated = []
+        # The search checks each state's length, sign and zero as it takes a
+        # new slot, then every state it added in one packed additivity pass,
+        # because its LP rechecked the points only against the atom program;
+        # verify_morphism makes the one other pass, over the built diagonals.
+        passes = count_calls(monkeypatch, algebra.first_nonadditive)
+        shaped = []
         validate = states.GeneralizedState.validate
 
-        def counted(state, table):
-            validated.append(state)
-            validate(state, table)
+        def counted(state, table, additive=True):
+            shaped.append((state, additive))
+            validate(state, table, additive)
 
         monkeypatch.setattr(states.GeneralizedState, "validate", counted)
         assert main(["represent", cpath("cube8"), "--goal", "order", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["representation"]["witnesses"] == 3
-        assert len(validated) == len(set(validated)) == 3
+        assert len(shaped) == len(set(shaped)) == 3
+        assert not any(additive for _, additive in shaped)
+        (_, searched), (_, verified) = passes
+        assert searched == [state.nums for state, _ in shaped]
+        assert len(verified) == 3
 
     def test_morphism_scans_each_table_once(self, capsys, monkeypatch):
         scans = count_calls(monkeypatch, algebra.check_gea_axioms)
@@ -752,6 +758,7 @@ class TestOneScanPerPipeline:
 # Public names that no command reaches, each kept for a reason.  A name that a
 # command comes to reach leaves the list.
 UNREACHED = {
+    "AlgebraTable.sums": "perfbench and the tests read a table as a dict",
     "extract_states": "the README reads states back off a representation",
     "GeneralizedState.values": "the README prints a state's values",
     "DiagonalRep.operators": "the README prints the operators",

@@ -408,18 +408,6 @@ class TestDemo:
 
 class TestSpectrumCount:
     @pytest.fixture
-    def spectra(self, monkeypatch):
-        calls = []
-        spectrum = effects.hermitian_spectrum
-
-        def counting(a):
-            calls.append(a.dim)
-            return spectrum(a)
-
-        monkeypatch.setattr(effects, "hermitian_spectrum", counting)
-        return calls
-
-    @pytest.fixture
     def eigh_calls(self, monkeypatch):
         """The number of matrices each numpy.linalg.eigh call decides."""
         calls = []
@@ -439,9 +427,9 @@ class TestSpectrumCount:
         # and the sum, one matrix each.
         assert eigh_calls == [4, 16, 1, 1, 1]
 
-    def test_effects_check_takes_one_spectrum(self, spectra, capsys):
+    def test_effects_check_takes_one_spectrum(self, eigh_calls, capsys):
         assert cli.main(["effects", "check", str(corpus.path("mat_a")), "--json"]) == 0
-        assert len(spectra) == 1
+        assert eigh_calls == [1]
 
     def test_table_from_effects_rejects_a_non_effect_operand(self):
         mats = projector_demo_matrices()
