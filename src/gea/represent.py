@@ -13,7 +13,7 @@ table's, which its checks and its report take beside it.
 
 The diagonals are stored as ints over one common denominator D, the lcm of
 the witness states' denominators, so the build and every self-check
-(additivity, injectivity, order reflection, norms and the sampled check)
+(additivity, injectivity, order reflection, positivity and norm bounds)
 compare and add ints.  The order check reads the induced order from the
 CheckedGEA of the pipeline's one axiom scan.  phi(a) <= phi(b) fails exactly
 when some slot has s(b) < s(a), so it rebuilds the witness search's masks
@@ -25,11 +25,9 @@ forms of the vector checks are kept in tests/reference.py.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import AlgebraTable, CheckedGEA, first_nonadditive
@@ -121,50 +119,25 @@ def verify_order_reflecting(rep: DiagonalRep,
 
 
 def operator_norm(rep: DiagonalRep, a: int) -> Fraction:
-    """Operator norm of the diagonal phi(a): its largest entry, attained at
-    the basis vector of an argmax slot, so sampled_check reads no vector."""
+    """Operator norm of the diagonal phi(a): its largest |entry|, attained
+    at the basis vector of that slot."""
     entries = rep.diagonals[a]
     if not entries:
         return Fraction(0)
-    return Fraction(max(entries), rep.den)
+    return Fraction(max(max(entries), -min(entries)), rep.den)
 
 
-def sampled_check(rep: DiagonalRep, rng: random.Random, count: int,
-                  norms: Sequence[Fraction]) -> bool:
-    """For each element a in turn, check count seeded vectors x for
-    <x, phi(a) x> >= 0 and ||phi(a) x||^2 <= norms[a]^2 ||x||^2.
-
-    The arithmetic is in integers: phi(a) is the int diagonal d over
-    rep.den, and with norms[a] = p/q the two tests read
-    sum(d_s x_s^2) >= 0 and sum((q^2 d_s^2 - (p den)^2) x_s^2) <= 0.  Every
-    x_s^2 is >= 0, so when no entry is negative and q^2 max(d)^2 <=
-    (p den)^2 both tests hold for every vector, and the element is settled
-    without reading its vectors, as is every element of a representation
-    build_representation makes, with operator_norm's norms.
-
-    One rng.randbytes call draws every vector, element by element, each
-    byte one coordinate: an element left open reads its count vectors from
-    offset a * count * m, and each gets the verdict of the Fraction
-    reference in tests/reference.py.  False at the first vector that fails.
-    """
-    m = rep.m
-    data = rng.randbytes(len(rep.diagonals) * count * m)
+def verify_bounded(rep: DiagonalRep, norms: Sequence[Fraction]) -> tuple[bool, Optional[int]]:
+    """True iff every phi(a) is positive and bounded by norms[a] = p/q: its
+    int diagonal d has no negative entry and q max(d) <= |p| den.  Both
+    forms are sums over the slots weighted by x_s^2 >= 0, so this holds at
+    every vector x iff at every basis vector; on failure the first a."""
     for a, diagonal in enumerate(rep.diagonals):
         norm = norms[a]
-        image_scale = norm.denominator ** 2
-        bound_sq = (norm.numerator * rep.den) ** 2
-        if (min(diagonal, default=0) >= 0
-                and image_scale * max(diagonal, default=0) ** 2 <= bound_sq):
-            continue  # both tests hold for every vector
-        diagonal_sq = [e * e for e in diagonal]
-        start = a * count * m
-        for _ in range(count):
-            x_sq = [b * b for b in data[start:start + m]]
-            start += m
-            if (sum(map(mul, diagonal, x_sq)) < 0
-                    or image_scale * sum(map(mul, diagonal_sq, x_sq)) > bound_sq * sum(x_sq)):
-                return False
-    return True
+        if (min(diagonal, default=0) < 0
+                or norm.denominator * max(diagonal, default=0) > abs(norm.numerator) * rep.den):
+            return False, a
+    return True, None
 
 
 def extract_states(rep: DiagonalRep) -> list[GeneralizedState]:

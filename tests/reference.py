@@ -4,7 +4,7 @@ queue-driven Kahn order, for `check_gea_axioms`,
 `check_ea_axioms` and `induced_order`, with `leq` and `pairs_not_leq` to
 read an order's masks pair by pair; the morphism classifier with its
 nested order loop, for `classify_morphism`; Fraction rational vectors over the
-witness slots, for `sampled_check` and acceptance criterion 5; a
+witness slots, for `verify_bounded` and acceptance criterion 5; a
 brute-force LP oracle with the witness LPs of a table to run it on, for
 `lp_feasible` and criterion 6, `satisfies` to recheck a Fraction point, and
 a converter each way between rows of one coefficient per variable and a

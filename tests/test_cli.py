@@ -871,6 +871,32 @@ def test_exact_commands_load_neither_numpy_nor_effects(tmp_path):
     assert result["dataclasses"] == [False, False]
 
 
+# -S skips site, whose start-up imports can load random on their own.
+NO_RANDOM = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from gea.cli import main
+loaded = ["random" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([*argv, "--json"]) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"codes": codes, "loaded": loaded + ["random" in sys.modules]}))
+"""
+
+
+def test_exact_commands_load_no_random():
+    """The representation's bound check is exact, so neither gea.cli nor any
+    represent run draws or imports random; only gea.generate does."""
+    represent = [["represent", cpath(name), "--goal", goal, "--seed", "5"]
+                 for name in corpus.VALID for goal in ("order", "separate")]
+    src = str(Path(gea.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", NO_RANDOM, src, json.dumps(represent)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert set(result["codes"]) <= {0, 3} and 0 in result["codes"]
+    assert result["loaded"] == [False, False]
+
+
 # Hostile input: arbitrary JSON objects over the keys the loaders read.  Most
 # draws are malformed; some are valid tables, morphisms or matrices.
 LABELS = ("0", "a", "b", "1", "a,b")

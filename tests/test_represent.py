@@ -11,7 +11,7 @@ from gea.algebra import AlgebraTable, require_gea
 from gea.errors import InputError
 from gea.generate import random_population
 from gea.represent import (DiagonalRep, build_representation, extract_states, operator_norm,
-                           sampled_check, verify_injective, verify_morphism,
+                           verify_bounded, verify_injective, verify_morphism,
                            verify_order_reflecting)
 from gea.states import (GeneralizedState, StateWitnessSet, additivity_program,
                         order_determining_set, separating_set)
@@ -95,7 +95,7 @@ def reference_verify_order_reflecting(rep, table):
 
 
 def reference_operator_norm(rep, a):
-    entries = rep.operators[a]
+    entries = [abs(e) for e in rep.operators[a]]
     if not entries:
         return Fraction(0)
     norm = max(entries)
@@ -297,6 +297,7 @@ class TestIntegerChecksMatchFractionReference:
         assert verify_order_reflecting(rep, gea) == reference_verify_order_reflecting(rep, table)
         for a in range(table.n):
             assert operator_norm(rep, a) == reference_operator_norm(rep, a)
+        assert verify_bounded(rep, norms_of(rep)) == basis_bounded(rep, norms_of(rep))
 
     def test_corpus_and_population_reps(self):
         for table, gea, _ in CHECKED_TABLES:
@@ -322,6 +323,12 @@ class TestNormsAndVectorStates:
     def test_diamond_two_witness_top_norm(self, diamond):
         rep = state_rep(diamond, "order", (0, 1, 0, 1), (0, 0, 1, 1))
         assert operator_norm(rep, 3) == 1
+
+    def test_norm_is_the_largest_absolute_entry(self):
+        rep = DiagonalRep(((0, 0), (-5, 1)), 1)
+        assert operator_norm(rep, 1) == 5 == reference_operator_norm(rep, 1)
+        rep = DiagonalRep(((0, 0), (-1, 3)), 2)
+        assert operator_norm(rep, 1) == Fraction(3, 2) == reference_operator_norm(rep, 1)
 
     def test_vector_state_at_basis_vectors_recovers_witnesses(self, diamond):
         gea = require_gea(diamond)
@@ -355,22 +362,16 @@ class TestNormsAndVectorStates:
                     assert bounded_by(rep, a, norm, random_rational_vector(rng, rep.m))
 
 
-def fraction_sampled_check(rep, rng, count, norms):
-    """Reference for sampled_check in Fractions, over every sampled vector.
-
-    It reads the same single randbytes call, cut into m-byte vectors, so it
-    checks the very vectors sampled_check checks."""
-    m = rep.m
-    data = rng.randbytes(len(rep.operators) * count * m)
-    start = 0
-    ok = True
-    for a in range(len(rep.operators)):
-        for _ in range(count):
-            x = FiniteVector(tuple(data[start:start + m]))
-            start += m
+def basis_bounded(rep, norms):
+    """Reference for verify_bounded in Fractions: vector_state and bounded_by
+    at every basis vector, which for a diagonal operator decide both tests
+    at every vector.  On failure the first element that fails either."""
+    for a in range(len(rep.diagonals)):
+        for s in range(rep.m):
+            x = FiniteVector.basis(rep.m, s)
             if vector_state(rep, x, a) < 0 or not bounded_by(rep, a, norms[a], x):
-                ok = False
-    return ok
+                return False, a
+    return True, None
 
 
 def norms_of(rep):
@@ -384,109 +385,90 @@ def antichain(atoms):
     return AlgebraTable(("0",) + tuple(f"a{i}" for i in range(atoms)), 0, sums)
 
 
-class TestSampledCheck:
-    def agree(self, rep, norms, seed, count=20):
-        expected = fraction_sampled_check(rep, random.Random(seed), count, norms)
-        assert sampled_check(rep, random.Random(seed), count, norms) == expected
+@st.composite
+def signed_reps(draw):
+    """Random signed diagonals, each entry over its own denominator, with
+    random signed norms, or the operator norms, or those less a little."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    rep = diagonal_rep(*(draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)))
+    kind = draw(st.sampled_from(["random", "operator", "below"]))
+    if kind == "random":
+        norms = draw(st.lists(st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6)),
+                              min_size=n, max_size=n))
+    else:
+        norms = [norm - (kind == "below") * Fraction(1, 7) for norm in norms_of(rep)]
+    return rep, norms
+
+
+class TestVerifyBounded:
+    def agree(self, rep, norms):
+        expected = basis_bounded(rep, norms)
+        assert verify_bounded(rep, norms) == expected
         return expected
 
     def test_antichain_representations(self):
-        for atoms, seed in ((16, 0), (24, 1)):
-            rep = search_rep(antichain(atoms))
-            assert rep.m == atoms
-            assert self.agree(rep, norms_of(rep), seed)
-
-    def test_zero_slots_and_zero_vectors(self, singleton, chain_c3):
-        rep = search_rep(singleton)
-        assert rep.m == 0
-        assert self.agree(rep, norms_of(rep), 2)
-        rep = search_rep(chain_c3)
-        assert self.agree(rep, norms_of(rep), 2, count=0)
-
-    def test_entries_above_two_to_the_64(self):
-        big = 2 ** 64
-        rep = diagonal_rep((0, 0, 0), (big + 3, 1, big), (2 * big + 6, 2, 2 * big),
-                           (Fraction(big, 3), Fraction(1, 3), 5))
-        for seed in range(3):
-            assert self.agree(rep, norms_of(rep), seed)
-
-    def test_negative_entry_in_the_last_element_fails(self):
-        # |-1/3| is below the norm 1/2, so only the positivity test can fail,
-        # and only after every earlier element has passed.
-        rep = diagonal_rep((0, 0, 0), ("1/3", "2/7", "1/5"), ("1/2", "1/7", "0"),
-                           ("1/5", "1/2", "-1/3"))
-        for seed in range(5):
-            assert not self.agree(rep, norms_of(rep), seed)
+        for atoms in (16, 24):
+            for search in (order_determining_set, separating_set):
+                rep = search_rep(antichain(atoms), search)
+                assert rep.m >= 1
+                assert self.agree(rep, norms_of(rep)) == (True, None)
 
     def test_corpus_representations(self, valid_corpus):
         for table in valid_corpus.values():
             for search in (order_determining_set, separating_set):
                 rep = search_rep(table, search)
-                for seed in (0, 1, 7):
-                    assert self.agree(rep, norms_of(rep), seed)
+                assert self.agree(rep, norms_of(rep)) == (True, None)
+
+    def test_zero_slots(self, singleton):
+        rep = search_rep(singleton)
+        assert rep.m == 0
+        assert self.agree(rep, norms_of(rep)) == (True, None)
+        # With no slot there is no vector to fail, whatever the norms.
+        rep = DiagonalRep(((),) * 3, 5)
+        assert self.agree(rep, [Fraction(-1), Fraction(0), Fraction(2, 3)]) == (True, None)
+
+    def test_entries_above_two_to_the_64(self):
+        big = 2 ** 64
+        rep = diagonal_rep((0, 0, 0), (big + 3, 1, big), (2 * big + 6, 2, 2 * big),
+                           (Fraction(big, 3), Fraction(1, 3), 5))
+        norms = norms_of(rep)
+        assert norms[2] == 2 * big + 6
+        assert self.agree(rep, norms) == (True, None)
+        assert self.agree(rep, norms[:2] + [norms[2] - Fraction(1, big)] + norms[3:]) == (False, 2)
 
     def test_fractional_entries(self):
         rep = diagonal_rep((0, 0, 0), ("1/3", "2/7", "0"), ("2/3", "4/7", "5/11"),
                            ("1", "6/7", "5/11"))
-        for seed in range(5):
-            assert self.agree(rep, norms_of(rep), seed)
+        assert self.agree(rep, norms_of(rep)) == (True, None)
 
     def test_negative_entry_fails(self):
-        # |-1/3| is below the norm 1/2, so only the positivity test can fail.
+        # |-1/3| is below the norm 1/2, so only the positivity test fails.
         rep = diagonal_rep((0, 0), ("1/3", "2/7"), ("-1/3", "1/2"))
-        for seed in range(5):
-            assert not self.agree(rep, norms_of(rep), seed)
+        assert self.agree(rep, norms_of(rep)) == (False, 2)
+
+    def test_negative_entry_in_the_last_element_fails(self):
+        # Every earlier element passes; the last fails on its sign alone.
+        rep = diagonal_rep((0, 0, 0), ("1/3", "2/7", "1/5"), ("1/2", "1/7", "0"),
+                           ("1/5", "1/2", "-1/3"))
+        assert self.agree(rep, norms_of(rep)) == (False, 3)
 
     def test_norm_below_largest_entry_fails(self):
         rep = diagonal_rep((0, 0), ("1/3", "2/7"))
-        for seed in range(5):
-            assert not self.agree(rep, [Fraction(0), Fraction(1, 4)], seed)
-            assert self.agree(rep, [Fraction(0), Fraction(3, 8)], seed)
+        assert self.agree(rep, [Fraction(0), Fraction(1, 4)]) == (False, 1)
+        assert self.agree(rep, [Fraction(0), Fraction(1, 3)]) == (True, None)
+        assert self.agree(rep, [Fraction(0), Fraction(3, 8)]) == (True, None)
 
-    def test_verdict_depends_on_the_drawn_vector(self):
-        # One vector per element; the second fails iff its second coordinate
-        # exceeds twice its first, so the seeds give both verdicts and the
-        # reference agrees only if it reads the same bytes in the same order.
-        rep = diagonal_rep((0, 0), ("1", "-1/4"))
-        verdicts = [self.agree(rep, norms_of(rep), seed, count=1) for seed in range(20)]
-        assert True in verdicts and False in verdicts
+    def test_negative_norm_bounds_by_its_absolute_value(self):
+        # ||phi(a) x|| <= norm ||x|| is read as squares, so only |norm| counts.
+        rep = diagonal_rep((0, 0), ("1/3", "2/7"))
+        assert self.agree(rep, [Fraction(0), Fraction(-1, 3)]) == (True, None)
+        assert self.agree(rep, [Fraction(0), Fraction(-1, 4)]) == (False, 1)
 
-    def test_bound_verdict_depends_on_the_drawn_vector(self):
-        # The earlier elements are settled without their vectors; the last
-        # has norm 1/2 below its entry 1, so x_1^2 + x_2^2 / 16 <= (x_1^2 +
-        # x_2^2) / 4 holds iff x_2 >= 2 x_1.  Both verdicts occur, and the
-        # reference agrees only if the last element reads its own bytes.
-        rep = diagonal_rep((0, 0), ("1/3", "2/7"), ("1", "1/4"))
-        norms = norms_of(rep)[:-1] + [Fraction(1, 2)]
-        verdicts = [self.agree(rep, norms, seed, count=1) for seed in range(20)]
-        assert True in verdicts and False in verdicts
-
-    def test_built_representations_read_no_drawn_byte(self, valid_corpus):
-        # Every element of a built representation has no negative entry and
-        # none above its norm, so the check settles it without its vectors,
-        # but still draws all of them in one call.
-        class Unreadable:
-            def __iter__(self):
-                raise AssertionError("a drawn byte was iterated")
-
-            def __getitem__(self, key):
-                raise AssertionError(f"drawn bytes {key} were read")
-
-        class Draws:
-            def __init__(self):
-                self.sizes = []
-
-            def randbytes(self, size):
-                self.sizes.append(size)
-                return Unreadable()
-
-        tables = [*valid_corpus.values(), antichain(16), antichain(24)]
-        for table in tables:
-            for search in (order_determining_set, separating_set):
-                rep = search_rep(table, search)
-                rng = Draws()
-                assert sampled_check(rep, rng, 20, norms_of(rep))
-                assert rng.sizes == [len(rep.diagonals) * 20 * rep.m]
+    @settings(max_examples=300, deadline=None)
+    @given(signed_reps())
+    def test_signed_diagonals_and_norms(self, case):
+        self.agree(*case)
 
 
 class TestRoundTrip:
