@@ -74,6 +74,8 @@ def load_algebra(path: PathLike) -> tuple[AlgebraTable, str]:
         raise InputError(f"{path}: missing key {exc}") from exc
     if not isinstance(labels, list):
         raise InputError(f"{path}: \"elements\" must be a list of labels")
+    if not labels:  # before the zero label, which no empty list holds
+        raise InputError(f"{path}: algebra needs at least one element")
     if not all(isinstance(lab, str) for lab in labels):
         raise InputError(f"{path}: element labels must be strings")
     comma = next((lab for lab in labels if "," in lab), None)

@@ -35,6 +35,9 @@ the b to cover at a (each b not above a for the order goal, each b > a to
 separate), and a slot covers at a the b with s(b) < s(a), or s(b) != s(a),
 read off one sort of its values.  The LP is asked only about the lowest bit
 of want[a] that no slot covers, so pairs reach it in lexicographic order.
+A pair fails with no LP when the state preorder ⊑ (s(a) <= s(b) on every
+state) already holds it: ⊑ starts as the induced order, and each failed LP
+adds its pair, kept transitively closed (see _AtomProgram).
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ def additivity_program(gea: CheckedGEA) -> LinearProgram:
         for q, y in others:
             rows[_difference(vecs[x], tuple(map(add, vecs[q], vecs[y])))] = 0
     rows.pop((), None)
-    return _AtomProgram(atoms, chain, vecs, rows.items())
+    return _AtomProgram(atoms, chain, vecs, rows.items(), gea.order.above)
 
 
 def _difference(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -147,28 +150,32 @@ def _difference(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int]
 class _AtomProgram(LinearProgram):
     """C v = 0, where atoms[c] is the atom of column c, vecs[x] is vec(x)
     as one int per atom, and chain holds each non-atom x as (x, p, x') for
-    its defining row, in topological order.  A pair row that reduces to
-    0 = c proves s(a) = s(b) on every state, so the other order of the pair
-    fails with no LP."""
+    its defining row, in topological order.  below[x] is the int mask of
+    the y with x ⊑ y found so far, where x ⊑ y means s(x) <= s(y) on every
+    state.  It starts as the induced order, since s(y) = s(x) + s(y - x) >=
+    s(x); each failed pair LP adds its pair, kept transitively closed, and
+    witness runs no LP for a pair that ⊑ holds."""
 
     def __init__(self, atoms: Sequence[int], chain: list[tuple[int, int, int]],
-                 vecs: list[tuple[int, ...]], rows: Iterable[Row]) -> None:
+                 vecs: list[tuple[int, ...]], rows: Iterable[Row],
+                 above: Sequence[int]) -> None:
         super().__init__(len(atoms), rows)
         self.atoms, self.chain, self.vecs = atoms, chain, vecs
-        self.equal: set[frozenset[int]] = set()
+        self.below = list(above)
 
     def witness(self, lo: int, hi: int) -> Optional[GeneralizedState]:
         """A state with s(lo) - s(hi) = 1, from the LP point over the atoms
         and the defining rows, or None.  The pair row (vec(lo) - vec(hi))·v
-        = 1 reads 0 = 1 when vec(lo) = vec(hi)."""
-        pair = frozenset((lo, hi))
-        if pair in self.equal:
+        = 1 reads 0 = 1 when vec(lo) = vec(hi).  A row that reduces to 0 = c
+        proves s(lo) = s(hi), so it settles both orders of the pair."""
+        if self.below[lo] >> hi & 1:
             return None
         program = self.extended([(_difference(self.vecs[lo], self.vecs[hi]), 1)])
         v = lp_feasible(program)
         if v is None:
+            self._settle(lo, hi)
             if program.conflict is not None:
-                self.equal.add(pair)
+                self._settle(hi, lo)
             return None
         point = [(p, value) for p, value in zip(self.atoms, v) if value]
         den = lcm(*(value.denominator for _, value in point))
@@ -178,6 +185,12 @@ class _AtomProgram(LinearProgram):
         for x, p, rest in self.chain:
             nums[x] = nums[p] + nums[rest]
         return GeneralizedState(tuple(nums), den)
+
+    def _settle(self, lo: int, hi: int) -> None:
+        """Add lo ⊑ hi: every x ⊑ lo gets every y with hi ⊑ y, which keeps ⊑
+        transitive."""
+        bit, up = 1 << lo, self.below[hi]
+        self.below = [mask | up if mask & bit else mask for mask in self.below]
 
 
 def _cover(values: Sequence[int], order: bool) -> list[int]:
@@ -243,7 +256,8 @@ def order_determining_set(gea: CheckedGEA) -> StateWitnessSet:
 
 def separating_set(gea: CheckedGEA) -> StateWitnessSet:
     """Per-pair separating witnesses over unordered pairs a < b: a state with
-    s(a) - s(b) = 1 or, failing that, s(b) - s(a) = 1."""
+    s(a) - s(b) = 1 or, failing that, s(b) - s(a) = 1.  The first order
+    runs no LP when a ⊑ b, as whenever a <= b."""
     system = additivity_program(gea)
     n = gea.table.n
     later = [(1 << n) - (2 << a) for a in range(n)]  # the bits b > a, b < n

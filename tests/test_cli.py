@@ -75,6 +75,13 @@ class TestCheck:
         assert code == 2
         assert report["error"] == f"{path}: unit must differ from zero"
 
+    def test_empty_element_list_is_reported_before_the_zero_label(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"elements": [], "zero": "0", "sums": []}), encoding="utf-8")
+        code, report = run_json(capsys, "check", str(path))
+        assert code == report["exit"] == 2
+        assert report["error"] == f"{path}: algebra needs at least one element"
+
     def test_ea_flag(self, capsys):
         code, report = run_json(capsys, "check", cpath("diamond"), "--ea")
         assert code == 0 and report["ea"]["passed"]

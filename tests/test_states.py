@@ -299,6 +299,13 @@ def product(*parts: AlgebraTable) -> AlgebraTable:
 NS = corpus.load("no_states")
 FAMILIES = {"C_9": grid(9, 1), "cube4": grid(2, 4), "C3xC4": down_set_table(
     list(itertools.product(range(3), range(4)))), "C4xC4": grid(4, 2)}
+# Chains times no_states, where most failing pairs follow from others by
+# transitivity of the state preorder.
+PRODUCTS = {"C3xNS": product(grid(3, 1), NS), "C2xC3xNS": product(grid(2, 1), grid(3, 1), NS)}
+
+
+def named_table(name):
+    return PRODUCTS[name] if name in PRODUCTS else corpus.load(name)
 
 
 def search(gea):
@@ -339,6 +346,12 @@ class TestAtomProgram:
     def test_families_glued_to_no_states(self, name):
         self.check(FAMILIES[name])
         self.check(glued(FAMILIES[name], NS))
+
+    @pytest.mark.parametrize("name", list(PRODUCTS))
+    def test_chains_times_no_states(self, name):
+        # Most failures here have no LP of their own, and they must still
+        # match the reference's, pair for pair.
+        self.check(PRODUCTS[name])
 
     @pytest.mark.parametrize("n", [2, 3, 14, 128])
     def test_chain_has_one_row_per_sum_with_its_atom(self, n):
@@ -519,22 +532,52 @@ class TestCycleGuard:
                 search(gea)
 
 
-class TestEqualPairs:
+def lp_pairs(monkeypatch):
+    """Record the pair (lo, hi) of every LP an atom program's witness runs,
+    with whether its pair row is in conflict."""
+    calls, asked = [], []
+    witness, real = states._AtomProgram.witness, states.lp_feasible
+
+    def asking(program, lo, hi):
+        asked.append((lo, hi))
+        return witness(program, lo, hi)
+
+    monkeypatch.setattr(states._AtomProgram, "witness", asking)
+    monkeypatch.setattr(states, "lp_feasible", lambda program: calls.append(
+        (asked[-1], program.conflict is not None)) or real(program))
+    return calls
+
+
+
+class TestStatePreorder:
+    """The search's state preorder: a failed pair LP settles its pair, a
+    conflict both orders, transitively closed over the induced order, and
+    witness runs no LP for a pair it already holds."""
+
     def test_one_conflict_settles_both_orders_of_a_pair(self, no_states, monkeypatch):
         # s(a) - s(b) = 1 reduces to 0 = 1, which proves s(a) = s(b); the
-        # pair's other order then fails with no LP.  Each call records
-        # whether its program is in conflict.
-        calls = []
-        real = states.lp_feasible
-        monkeypatch.setattr(states, "lp_feasible",
-                            lambda program: calls.append(program.conflict is not None)
-                            or real(program))
+        # pair's other order then fails with no LP.
+        calls = lp_pairs(monkeypatch)
         gea = require_gea(no_states)
         assert order_determining_set(gea).failures == [(1, 2), (2, 1)]
-        assert calls == [False, True]
+        assert calls == [((1, 0), False), ((1, 2), True)]
         calls.clear()
+        # (0, 1) holds in the induced order, so only (1, 0) runs an LP.
         assert separating_set(gea).failures == [(1, 2)]
-        assert calls == [False, False, True]
+        assert calls == [((1, 0), False), ((1, 2), True)]
+
+    @pytest.mark.parametrize("name", ["chain_c3", "cube8"])
+    def test_separation_runs_no_lp_for_an_ordered_pair(self, name, monkeypatch):
+        calls = lp_pairs(monkeypatch)
+        gea = require_gea(corpus.load(name))
+        assert separating_set(gea).ok
+        assert calls and not any(leq(gea.order, lo, hi) for (lo, hi), _ in calls)
+
+    def test_an_element_against_itself_runs_no_lp(self, diamond, monkeypatch):
+        calls = lp_pairs(monkeypatch)
+        program = additivity_program(require_gea(diamond))
+        assert all(program.witness(a, a) is None for a in range(diamond.n))
+        assert calls == []
 
     def test_equal_vectors_give_an_empty_row_in_conflict(self, diamond):
         # vec(a) - vec(a) has no entry, so the pair row reads 0 = 1: the
@@ -543,4 +586,33 @@ class TestEqualPairs:
         pair = atom_pair_program(program, 1, 1)
         assert pair.rows[-1] == ((), 1) and pair.conflict == len(pair.rows) - 1
         assert pair.certificate() == {pair.conflict: -1}
-        assert program.witness(1, 1) is None and program.equal == {frozenset((1,))}
+
+    @pytest.mark.parametrize("name, order, separate", [
+        ("singleton", 0, 0), ("excd", 2, 2), ("excd_ext", 2, 2), ("diamond", 2, 2),
+        ("chain_c3", 1, 1), ("cube8", 3, 3), ("no_states", 2, 2),
+        ("C3xNS", 5, 5), ("C2xC3xNS", 9, 9),
+    ])
+    def test_lp_counts(self, name, order, separate, monkeypatch):
+        # One LP per slot and per failure that ⊑ did not yet hold: under the
+        # order goal, C2xC3xNS's 3 slots and 36 failures take 9 LPs.
+        calls = lp_pairs(monkeypatch)
+        gea = require_gea(named_table(name))
+        order_determining_set(gea)
+        assert len(calls) == order
+        calls.clear()
+        separating_set(gea)
+        assert len(calls) == separate
+
+    @pytest.mark.parametrize("name", ["no_states", *PRODUCTS])
+    def test_settled_pairs_are_the_order_and_the_failures(self, name):
+        # After an order search, ⊑ holds exactly the induced order and the
+        # failing pairs: every other pair a not <= b has a witness.
+        table = named_table(name)
+        gea = require_gea(table)
+        program = additivity_program(gea)
+        witnesses = assign_witnesses(table, StateWitnessSet("order"), gea.order.not_above(),
+                                     program.witness)
+        settled = {(a, b) for a in range(table.n) for b in range(table.n)
+                   if program.below[a] >> b & 1}
+        ordered = {(a, b) for a in range(table.n) for b in range(table.n) if leq(gea.order, a, b)}
+        assert settled == ordered | set(witnesses.failures)
