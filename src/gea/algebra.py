@@ -153,8 +153,10 @@ def _associativity(table: AlgebraTable,
     side is defined, read from the defined columns of each x+y, and its
     right side sx[sy[z]], where the padding reads -1 through an undefined
     y+z.  Equal lists and as many triples with a defined right side, one
-    per defined y+z = w and x+w, prove the axiom at each x.  When neither
-    zero and the atoms nor every x pass, both kinds of triples are walked
+    per defined y+z = w and x+w, prove the axiom at each x.  One such pass
+    decides the axiom: on zero and the atoms when the table is two-sided and
+    Kahn's order is complete, else on every x.  The atom triples are among
+    all triples, so when that pass fails both kinds of triples are walked
     for their violations, sorted into the order of the full n^3 scan."""
     n, rows, cols, lab, zero = table.n, table.rows, table.cols, table.elements, table.zero
     vals = [list(map(row.__getitem__, c)) for row, c in zip(rows, cols)]
@@ -177,11 +179,11 @@ def _associativity(table: AlgebraTable,
                 indegree[k] -= 1
                 if not indegree[k]:
                     order.append(k)
+    xs: Sequence[int] = range(n)
+    if two_sided and len(order) == n - 1:
         # Zero's triples hold outright when 0+y = y for every y.
-        base = atoms if rows[zero][:n] == list(range(n)) else [zero, *atoms]
-        if two_sided and len(order) == n - 1 and _holds(base, rows, cols, vals, count):
-            return [], atoms, order
-    if _holds(range(n), rows, cols, vals, count):
+        xs = atoms if rows[zero][:n] == list(range(n)) else [zero, *atoms]
+    if _holds(xs, rows, cols, vals, count):
         return [], atoms, order
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (y, z) by y+z
     for y, z, w in table.triples():

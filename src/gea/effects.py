@@ -5,15 +5,20 @@ eigenvalues of the Hermitian matrix as LAPACK computes them through
 ``numpy.linalg.eigh``; each eigenvalue appears once, in ascending order.
 One routine computes the spectra of a whole stack of matrices in one call:
 ``hermitian_spectrum`` hands it one matrix, and ``table_from_effects`` hands
-it every label, then every pair sum, at once.  Matrix entries must be
+it every label, then every pair sum, at once.  Each caller checks that the
+matrices it was handed are Hermitian; ``vector_witness`` checks A and B, and
+not B - A, whose defect can be the sum of theirs.  Matrix entries must be
 finite, so an overflowing sum or difference is rejected as input out of
 range instead of yielding a NaN verdict.
+
+The projector demo decides each fact once, in two ``eigh`` calls: it reads
+pi1 + pi2 off the effect table, and whether its vector states determine the
+order off the order check of the representation on them, the same fact.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -22,7 +27,7 @@ from .algebra import AlgebraTable, MorphismSpec, classify_morphism, is_sub_gea, 
 from .errors import InputError
 from .represent import build_representation, verify_injective, verify_morphism, \
     verify_order_reflecting
-from .states import GeneralizedState, StateWitnessSet, assign_witnesses
+from .states import GeneralizedState, StateWitnessSet
 
 HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-9
@@ -78,13 +83,11 @@ def _require_same_dim(a: EffectMatrix, b: EffectMatrix,
                          f"{names[1]} is {b.dim} x {b.dim}")
 
 
-def _spectra(mats: np.ndarray, check: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``hermitian_spectrum`` of every matrix of a stack (..., d, d), in one
     ``eigh`` call, bit for bit what a call on each matrix alone gives:
-    eigenvalues (..., d) and eigenvectors (..., d, d).  Unless check is
-    False, a non-Hermitian matrix is rejected with the first one's defect."""
-    if check:
-        _require_hermitian(mats)
+    eigenvalues (..., d) and eigenvectors (..., d, d).  The caller checks
+    that the matrices are Hermitian."""
     w, vectors = np.linalg.eigh(mats / 2 + mats.conj().swapaxes(-1, -2) / 2)
     if not np.isfinite(w).all():
         raise InputError("matrix spectrum overflows double precision")
@@ -97,8 +100,10 @@ def hermitian_spectrum(a: EffectMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     eigh reads one triangle only, so it gets the Hermitian part (A + A^H)/2,
     halved before the sum so that entries near the float maximum cannot
-    overflow.  A spectrum that overflows is rejected as input out of range.
+    overflow.  A matrix that is not Hermitian within HERMITIAN_TOL is
+    rejected, and so is a spectrum that overflows, as input out of range.
     """
+    _require_hermitian(a.mat)
     return _spectra(a.mat)
 
 
@@ -113,7 +118,7 @@ def spectral_flags(a: EffectMatrix) -> tuple[bool, bool, float]:
     whether it is an effect, between the null operator and the identity,
     from one spectrum, and its Hermitian defect from the check before it."""
     defect = _require_hermitian(a.mat)
-    positive, below_identity = _bounds(_spectra(a.mat, check=False)[0])
+    positive, below_identity = _bounds(_spectra(a.mat)[0])
     return bool(positive), bool(positive and below_identity), defect
 
 
@@ -167,7 +172,8 @@ def vector_witness(a: EffectMatrix, b: EffectMatrix,
     _require_hermitian(b.mat, f"matrix {names[1]}")
     with np.errstate(over="ignore"):  # an infinite entry is rejected below
         diff = b.mat - a.mat
-    w, vectors = hermitian_spectrum(EffectMatrix(diff))
+    # B - A is not checked again: its defect can be the sum of theirs.
+    w, vectors = _spectra(EffectMatrix(diff).mat)
     if _bounds(w)[0]:
         return None
     x = vectors[:, 0]
@@ -182,12 +188,12 @@ def generalized_vector_state(x: np.ndarray, a: EffectMatrix) -> float:
     return float(np.real(np.vdot(x, a.mat @ x)))
 
 
-def _exact_diag_value(mat: np.ndarray, k: int) -> Fraction:
-    value = mat[k, k].real
+def _exact_diag_value(mat: np.ndarray, k: int) -> int:
+    value = float(mat[k, k].real)
     nearest = round(value)
     if abs(value - nearest) >= 1e-12:
         raise AssertionError(f"diagonal entry {value!r} is not an integer")
-    return Fraction(nearest)
+    return nearest
 
 
 def projector_demo_matrices() -> dict[str, EffectMatrix]:
@@ -225,11 +231,13 @@ def table_from_effects(labels: list[str], mats: dict[str, EffectMatrix],
     for label in labels:
         _require_same_dim(mats[labels[0]], mats[label])
     stack = np.stack([mats[label].mat for label in labels])
+    _require_hermitian(stack)
     positive, below_identity = _bounds(_spectra(stack)[0])
     if not (positive & below_identity).all():
         raise InputError(_NOT_EFFECTS)
     # Entries of effects have modulus at most about 1, so no sum overflows.
     totals = stack[:, None] + stack[None, :]
+    _require_hermitian(totals)
     defined = _bounds(_spectra(totals)[0])[1]
     triples = []
     for i in range(len(labels)):
@@ -257,31 +265,23 @@ def demo_excd() -> dict:
     inner_products: dict[str, dict[str, str]] = {}
     for k, name in ((0, "e1"), (1, "e2")):
         values = tuple(_exact_diag_value(mats[lab].mat, k) for lab in table.elements)
-        basis_states.append(GeneralizedState.of(values))
+        basis_states.append(GeneralizedState(values))
         inner_products[name] = {lab: str(v) for lab, v in zip(table.elements, values)}
-
-    # The vector states are the only candidates: a pair they do not cover fails.
-    witnesses = assign_witnesses(table, StateWitnessSet(goal="order", states=basis_states),
-                                 gea.order.not_above(), lambda a, b: None)
 
     inclusion = classify_morphism(MorphismSpec(gea, require_gea(extended), (0, 1, 2)))
     closed, triple = is_sub_gea([0, 1, 2], extended)
 
-    rep = build_representation(gea, witnesses)
+    rep = build_representation(gea, StateWitnessSet(goal="order", states=basis_states))
     rep_morphism, _ = verify_morphism(rep, table)
     rep_injective, _ = verify_injective(rep)
     rep_order, _ = verify_order_reflecting(rep, gea)
 
-    sum_12 = effect_sum(mats["pi1"], mats["pi2"])
-    sum_label = None
-    if sum_12 is not None and np.allclose(sum_12.mat, mats["id"].mat):
-        sum_label = "id"
-
+    total = extended.rows[1][2]  # pi1 + pi2, as table_from_effects matched it
     return {
         "gea_axioms_pass": True,  # require_gea raised otherwise
-        "order_determining_found": witnesses.ok,
+        "order_determining_found": rep_order,  # both: the states cover each a not <= b
         "vector_states": inner_products,
-        "sum_pi1_pi2": sum_label,
+        "sum_pi1_pi2": extended.elements[total] if total >= 0 else None,
         "is_morphism": inclusion.is_morphism,
         "injective": inclusion.injective,
         "order_reflecting": inclusion.order_reflecting,

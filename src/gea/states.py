@@ -24,7 +24,8 @@ So the state cone is {v >= 0 : C v = 0}, and the pair LP C v = 0,
 element and every defined sum is.  C is empty on chains, cubes and down-sets
 of N^m.  A search builds C once, factored, and each pair LP extends it by one
 row.  The LP rechecks its point only against those rows, so after its walk
-a search checks all its new states on every defined sum in one packed pass.
+a search checks all its states on every defined sum in one packed pass.  A
+search starts from no states: each slot holds a state that its LP found.
 
 The searches take a CheckedGEA, the table, order and atoms that one axiom
 scan produced, so they scan nothing themselves, and the atom program rests on
@@ -67,13 +68,6 @@ class GeneralizedState(namedtuple("GeneralizedState", "nums den")):
         common = gcd(den, *nums)
         return super().__new__(cls, tuple(p // common for p in nums), den // common)
 
-    @classmethod
-    def of(cls, values: Sequence[int | Fraction | str]) -> "GeneralizedState":
-        """The state with these rational values."""
-        fracs = [Fraction(v) for v in values]
-        den = lcm(*(v.denominator for v in fracs))
-        return cls(tuple(v.numerator * (den // v.denominator) for v in fracs), den)
-
     @property
     def values(self) -> tuple[Fraction, ...]:
         """The values as Fractions (a read-only view)."""
@@ -98,16 +92,14 @@ class GeneralizedState(namedtuple("GeneralizedState", "nums den")):
 
 class StateWitnessSet:
     """Finite witness set: provenance maps the pair whose LP produced a
-    state to its slot (states given up front have none), and failures lists
-    the pairs no state can witness; the search succeeded iff it is empty."""
+    state to its slot, and failures lists the pairs no state can witness;
+    the search succeeded iff it is empty."""
 
-    def __init__(self, goal: str, states: Optional[list[GeneralizedState]] = None,
-                 provenance: Optional[dict[tuple[int, int], int]] = None,
-                 failures: Optional[list[tuple[int, int]]] = None) -> None:
+    def __init__(self, goal: str, states: Optional[list[GeneralizedState]] = None) -> None:
         self.goal = goal  # "separate" or "order"
         self.states = [] if states is None else states
-        self.provenance = {} if provenance is None else provenance
-        self.failures = [] if failures is None else failures
+        self.provenance: dict[tuple[int, int], int] = {}
+        self.failures: list[tuple[int, int]] = []
 
     @property
     def ok(self) -> bool:
@@ -206,22 +198,20 @@ def _cover(values: Sequence[int], order: bool) -> list[int]:
     return [mask_of[value] for value in values]
 
 
-def assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet, want: Sequence[int],
+def assign_witnesses(table: AlgebraTable, goal: str, want: Sequence[int],
                      find: Callable[[int, int], Optional[GeneralizedState]]) -> StateWitnessSet:
-    """Make sure each pair (a, b), b a bit of the mask want[a], is covered
-    by a state of the set, in lexicographic order, the states given up
-    front first.  For a pair no state covers, find(a, b) is asked for a new
-    state, whose length, sign and zero are checked; it takes the next slot,
-    under (a, b) in provenance (it covers (a, b), so it equals no state in
-    the set), or the pair is a failure.  The LP rechecked the states only
-    against the atom program, so one packed pass at the end checks them on
-    every defined sum: InputError for the first that fails, in slot order,
-    with its own first failing sum."""
-    order = witnesses.goal == "order"
-    first = len(witnesses.states)
+    """The witness set of one search for goal ("order" or "separate"): each
+    pair (a, b), b a bit of the mask want[a], is covered by a state of the
+    set, in lexicographic order.  For a pair no state covers, find(a, b) is
+    asked for a new state, whose length, sign and zero are checked; it takes
+    the next slot, under (a, b) in provenance (it covers (a, b), so it
+    equals no state in the set), or the pair is a failure.  The LP rechecked
+    the states only against the atom program, so one packed pass at the end
+    checks them on every defined sum: InputError for the first that fails,
+    in slot order, with its own first failing sum."""
+    witnesses = StateWitnessSet(goal)
+    states, order = witnesses.states, goal == "order"
     todo = list(want)
-    for state in witnesses.states:
-        todo = [t & ~c for t, c in zip(todo, _cover(state.nums, order))]
     try:
         for a in range(len(todo)):
             while todo[a]:
@@ -232,13 +222,12 @@ def assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet, want: Sequ
                     witnesses.failures.append((a, b))
                     continue
                 state.validate(table, additive=False)
-                witnesses.provenance[(a, b)] = len(witnesses.states)
-                witnesses.states.append(state)
+                witnesses.provenance[(a, b)] = len(states)
+                states.append(state)
                 todo = [t & ~c for t, c in zip(todo, _cover(state.nums, order))]
     finally:  # on a shape error too: an earlier slot's error comes first
-        added = witnesses.states[first:]
-        if first_nonadditive(table, [s.nums for s in added]) is not None:
-            for state in added:
+        if first_nonadditive(table, [s.nums for s in states]) is not None:
+            for state in states:
                 state.validate(table)
     return witnesses
 
@@ -250,8 +239,8 @@ def order_determining_set(gea: CheckedGEA) -> StateWitnessSet:
     the current one, so the result stays small; pairs are scanned in index
     order, which makes the output deterministic.
     """
-    return assign_witnesses(gea.table, StateWitnessSet(goal="order"),
-                            gea.order.not_above(), additivity_program(gea).witness)
+    return assign_witnesses(gea.table, "order", gea.order.not_above(),
+                            additivity_program(gea).witness)
 
 
 def separating_set(gea: CheckedGEA) -> StateWitnessSet:
@@ -261,5 +250,5 @@ def separating_set(gea: CheckedGEA) -> StateWitnessSet:
     system = additivity_program(gea)
     n = gea.table.n
     later = [(1 << n) - (2 << a) for a in range(n)]  # the bits b > a, b < n
-    return assign_witnesses(gea.table, StateWitnessSet(goal="separate"), later,
+    return assign_witnesses(gea.table, "separate", later,
                             lambda a, b: system.witness(a, b) or system.witness(b, a))

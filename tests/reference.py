@@ -21,6 +21,7 @@ packed additivity pass of `first_nonadditive`; the text renderer that calls json
 the files the loaders read, `down_set_table` builds a down-set of N^m and
 `glued` glues two tables at zero,
 `random_positive_matrix` and `random_vector` draw seeded complex data,
+`state_of` makes the state with given rational values,
 `axiom_witnesses` lists the witnesses of one axiom in a report, and
 `assert_witness_set` recomputes a search's coverage from its states."""
 
@@ -376,10 +377,18 @@ def reference_pair_row(table: AlgebraTable, lo: int, hi: int):
     return tuple(sorted((var_of[e], w) for e, w in ((lo, 1), (hi, -1)) if e != table.zero)), 1
 
 
+def state_of(values) -> GeneralizedState:
+    """The state with these rational values (ints, Fractions or their
+    strings), over the lcm of their denominators."""
+    fracs = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in fracs))
+    return GeneralizedState(tuple(v.numerator * (den // v.denominator) for v in fracs), den)
+
+
 def reference_state(table: AlgebraTable, x) -> GeneralizedState:
     """The state of a reference LP point, one value per nonzero element."""
     values = iter(x)
-    return GeneralizedState.of([0 if e == table.zero else next(values) for e in range(table.n)])
+    return state_of([0 if e == table.zero else next(values) for e in range(table.n)])
 
 
 def reference_search(gea, goal: str):
@@ -392,11 +401,9 @@ def reference_search(gea, goal: str):
         return None if x is None else reference_state(table, x)
 
     if goal == "order":
-        return reference_assign_witnesses(table, StateWitnessSet(goal), pairs_not_leq(gea.order),
-                                          find)
+        return reference_assign_witnesses(table, goal, pairs_not_leq(gea.order), find)
     pairs = ((a, b) for a in range(table.n) for b in range(a + 1, table.n))
-    return reference_assign_witnesses(table, StateWitnessSet(goal), pairs,
-                                      lambda a, b: find(a, b) or find(b, a))
+    return reference_assign_witnesses(table, goal, pairs, lambda a, b: find(a, b) or find(b, a))
 
 
 def reference_validate(state: GeneralizedState, table: AlgebraTable) -> None:
@@ -423,17 +430,17 @@ def reference_first_nonadditive(table: AlgebraTable, lanes) -> Optional[tuple[in
     return None
 
 
-def reference_assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet, pairs,
+def reference_assign_witnesses(table: AlgebraTable, goal: str, pairs,
                                find) -> StateWitnessSet:
-    """The witness search as a walk over the pairs in the order given: a
-    pair that no state covers, s(a) > s(b) for the order goal and
-    s(a) != s(b) to separate, asks find for a state, which is validated,
+    """The witness search as a walk over the pairs in the order given, from
+    no states: a pair that no state covers, s(a) > s(b) for the order goal
+    and s(a) != s(b) to separate, asks find for a state, which is validated,
     takes the next slot and is recorded under the pair; a pair find cannot
     witness is a failure.  The oracle for the masks of assign_witnesses."""
-    covers = operator.gt if witnesses.goal == "order" else operator.ne
-    slots = [s.nums for s in witnesses.states]
+    covers = operator.gt if goal == "order" else operator.ne
+    witnesses = StateWitnessSet(goal)
     for a, b in pairs:
-        if any(covers(nums[a], nums[b]) for nums in slots):
+        if any(covers(s.nums[a], s.nums[b]) for s in witnesses.states):
             continue
         state = find(a, b)
         if state is None:
@@ -442,15 +449,13 @@ def reference_assign_witnesses(table: AlgebraTable, witnesses: StateWitnessSet, 
             reference_validate(state, table)
             witnesses.provenance[(a, b)] = len(witnesses.states)
             witnesses.states.append(state)
-            slots.append(state.nums)
     return witnesses
 
 
 def atom_state(program, x) -> GeneralizedState:
     """The state of an atom-program point x: s(e) = vec(e)·x for every
     element e, a dot product per element."""
-    return GeneralizedState.of([sum(c * x[j] for j, c in enumerate(vec))
-                                for vec in program.vecs])
+    return state_of([sum(c * x[j] for j, c in enumerate(vec)) for vec in program.vecs])
 
 
 def atom_pair_program(program, lo: int, hi: int) -> LinearProgram:

@@ -357,9 +357,10 @@ def holds_calls(monkeypatch):
 
 
 class TestAtomTriples:
-    """GE2 tested on the triples whose first element is zero or an atom,
-    with every triple tested after a cycle, a one-sided sum or a failure:
-    the same report as the reference, and the reference's Kahn order."""
+    """GE2 tested in one pass: on the triples whose first element is zero
+    or an atom, or on every triple after a cycle or a one-sided sum, with
+    the violations listed when that pass fails: the same report as the
+    reference, and the reference's Kahn order."""
 
     def test_reports_match_and_both_paths_run(self, monkeypatch):
         calls = holds_calls(monkeypatch)
@@ -367,11 +368,13 @@ class TestAtomTriples:
         @settings(max_examples=400, deadline=None)
         @given(st.one_of(mutated_random_tables(), zero_row_tables()))
         def matches(t):
+            before = len(calls)
             assert check_gea_axioms(t) == reference_gea_axioms(t)
+            assert len(calls) == before + 1  # one verdict pass decides GE2
 
         matches()
         assert (False, True) in calls  # passed on zero and the atoms alone
-        assert (False, False) in calls and (True, False) in calls  # fell through
+        assert (False, False) in calls and (True, False) in calls  # failed on either
         assert (True, True) in calls
 
     @pytest.mark.parametrize("name", sorted(cyclic_ge2_tables()))

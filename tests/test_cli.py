@@ -320,6 +320,19 @@ class TestEffects:
         assert code == 2
         assert json.loads(out)["error"] == f"{path_b}: matrix is not Hermitian (defect 1.000e+00)"
 
+    def test_witness_of_matrices_that_each_pass_check(self, capsys, tmp_path):
+        # Each defect is 8e-10, within the tolerance.  B - A's is their sum,
+        # 1.6e-9, past it, so B - A must not be checked again.
+        path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+        path_a.write_text('{"dim": 2, "re": [[0.5, 8e-10], [0, 0.5]]}')
+        path_b.write_text('{"dim": 2, "re": [[0.2, -8e-10], [0, 0.2]]}')
+        for path in (path_a, path_b):
+            code, report = run_json(capsys, "effects", "check", str(path))
+            assert code == 0 and report["matrix"]["hermitian_defect"] == 8e-10
+        code, report = run_json(capsys, "effects", "witness", str(path_a), str(path_b))
+        assert code == 0 and report["a_below_b"] is False
+        assert report["inner_products"]["a"] - report["inner_products"]["b"] > 0
+
     def test_witness_dimension_mismatch_names_both_files(self, capsys, tmp_path):
         one, two = tmp_path / "one_by_one.json", tmp_path / "two_by_two.json"
         write_matrix(EffectMatrix(np.eye(1)), one)
@@ -772,6 +785,12 @@ UNREACHED = {
     "random_gea": "tests and perfbench build random tables with it",
     "random_population": "the small-mix workload runs it and pins its digest",
     "gdh_sum": "the sum of G_D(H); the acceptance tests check it",
+    "effect_sum": "the partial sum of E(H), beside gdh_sum; the demo reads its one sum "
+                  "off the effect table",
+    "is_effect": "the effect test of E(H) that effect_sum takes; effects check reports "
+                 "it through spectral_flags",
+    "hermitian_spectrum": "the one-matrix spectrum that effect_sum takes; effects witness "
+                          "reads B - A's through the stacked routine, unchecked",
     "is_positive": "the positivity of G_D(H); the acceptance tests check it",
 }
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -405,6 +406,21 @@ class TestDemo:
         assert demo["representation"] == {
             "morphism": True, "injective": True, "order_reflecting": True}
 
+    def test_one_vector_state_does_not_determine_the_order(self, monkeypatch, capsys):
+        # Both vector states read the diagonal at e1, so they are one state.
+        # It gives pi2 the value of 0, though pi2 is not below 0, so the
+        # representation on it does not reflect the order, and the demo
+        # reports that its states do not determine the order.
+        real = effects._exact_diag_value
+        monkeypatch.setattr(effects, "_exact_diag_value", lambda mat, k: real(mat, 0))
+        demo = demo_excd()
+        assert demo["vector_states"]["e1"] == demo["vector_states"]["e2"]
+        assert demo["order_determining_found"] is False
+        assert demo["representation"] == {
+            "morphism": True, "injective": False, "order_reflecting": False}
+        assert cli.main(["effects", "demo-excd", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["demo"] == demo
+
 
 class TestSpectrumCount:
     @pytest.fixture
@@ -423,9 +439,8 @@ class TestSpectrumCount:
     def test_demo_decides_each_effect_once(self, eigh_calls):
         demo_excd()
         # One stacked call decides the four labels and one the sums of the
-        # 16 ordered pairs; then pi1 + pi2 through effect_sum: both operands
-        # and the sum, one matrix each.
-        assert eigh_calls == [4, 16, 1, 1, 1]
+        # 16 ordered pairs; pi1 + pi2 is read off the table they made.
+        assert eigh_calls == [4, 16]
 
     def test_effects_check_takes_one_spectrum(self, eigh_calls, capsys):
         assert cli.main(["effects", "check", str(corpus.path("mat_a")), "--json"]) == 0

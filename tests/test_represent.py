@@ -13,11 +13,11 @@ from gea.generate import random_population
 from gea.represent import (DiagonalRep, build_representation, extract_states, operator_norm,
                            verify_bounded, verify_injective, verify_morphism,
                            verify_order_reflecting)
-from gea.states import (GeneralizedState, StateWitnessSet, additivity_program,
-                        order_determining_set, separating_set)
+from gea.states import (StateWitnessSet, additivity_program, order_determining_set,
+                        separating_set)
 from gea.lp import lp_feasible
 from reference import (FiniteVector, apply_operator, bounded_by, leq, random_rational_vector,
-                       sparse, vector_state)
+                       sparse, state_of, vector_state)
 
 
 def frac(x):
@@ -26,7 +26,7 @@ def frac(x):
 
 def single_state_set(goal, *rows):
     witnesses = StateWitnessSet(goal=goal)
-    witnesses.states = [GeneralizedState.of(row) for row in rows]
+    witnesses.states = [state_of(row) for row in rows]
     return witnesses
 
 
@@ -192,7 +192,7 @@ class TestVerifyInjective:
         program = additivity_program(require_gea(diamond)).extended(
             sparse([((1, -1), 0), ((1, 0), 1)]))
         a, b = lp_feasible(program)
-        state = GeneralizedState.of((0, a, b, a + b))
+        state = state_of((0, a, b, a + b))
         assert state.values == (frac(0), frac(1), frac(1), frac(2))
         rep = state_rep(diamond, "separate", [str(v) for v in state.values])
         ok, pair = verify_injective(rep)

@@ -16,11 +16,12 @@ from gea.cli import main
 from gea.generate import random_gea, random_population
 from gea.lp import LinearProgram, lp_feasible
 from gea.represent import build_representation, operator_norm
-from gea.states import (GeneralizedState, StateWitnessSet, additivity_program,
-                        assign_witnesses, order_determining_set, separating_set)
+from gea.states import (GeneralizedState, additivity_program, assign_witnesses,
+                        order_determining_set, separating_set)
 from reference import (assert_witness_set, atom_pair_program, atom_state, down_set_table,
                        glued, leq, pair_programs, pairs_not_leq, reference_assign_witnesses,
-                       reference_kahn, reference_pair_programs, reference_search, write_table)
+                       reference_kahn, reference_pair_programs, reference_search, state_of,
+                       write_table)
 from test_families import down_set
 
 
@@ -186,7 +187,7 @@ class TestStateInvariants:
             GeneralizedState(tuple(-p for p in state.nums), state.den).validate(diamond)
 
     def test_validate_rejects_non_additive_values(self, diamond):
-        bogus = GeneralizedState.of((Fraction(0), Fraction(1), Fraction(1), Fraction(3)))
+        bogus = GeneralizedState((0, 1, 1, 3))
         with pytest.raises(InputError):
             bogus.validate(diamond)
 
@@ -215,7 +216,7 @@ class TestIntegerStates:
         assert hash(GeneralizedState((2, 4), 2)) == hash(GeneralizedState((1, 2)))
         half = GeneralizedState((0, 2, 4), 4)
         assert half == GeneralizedState((0, 1, 2), 2)
-        assert half == GeneralizedState.of(("0", "2/4", "1"))
+        assert half == state_of(("0", "2/4", "1"))
         assert half != GeneralizedState((0, 1, 2), 3)
 
     def test_each_new_slot_covers_its_pair_and_equals_no_earlier_slot(
@@ -226,12 +227,16 @@ class TestIntegerStates:
         asked = []
         real = states.assign_witnesses
 
-        def recording(table, witnesses, want, find):
+        def recording(table, goal, want, find):
+            found = []  # the states find has returned so far
+
             def traced(a, b):
                 state = find(a, b)
-                asked.append(((a, b), state, len(witnesses.states)))
+                asked.append(((a, b), state, len(found)))
+                if state is not None:
+                    found.append(state)
                 return state
-            return real(table, witnesses, want, traced)
+            return real(table, goal, want, traced)
 
         monkeypatch.setattr(states, "assign_witnesses", recording)
         tables = list(valid_corpus.values()) + [random_gea(random.Random(seed), n)
@@ -398,26 +403,23 @@ def goal_inputs(gea, goal):
 class TestWalkOracle:
     """assign_witnesses' coverage masks against reference_assign_witnesses,
     the per-pair walk: the same states, failures and provenance, in order,
-    under both goals, with or without states given up front."""
+    under both goals."""
 
-    def check(self, table, upfront=(), lp=True):
+    def check(self, table):
         gea = require_gea(table)
         for goal in ("order", "separate"):
             want, pairs = goal_inputs(gea, goal)
             runs = []
             for search, todo in ((assign_witnesses, want), (reference_assign_witnesses, pairs)):
                 program = additivity_program(gea)
-                if not lp:
-                    find = lambda a, b: None  # noqa: E731
-                elif goal == "order":
+                if goal == "order":
                     find = program.witness
                 else:
                     find = lambda a, b, p=program: p.witness(a, b) or p.witness(b, a)  # noqa: E731
-                runs.append(outcome(search(table, StateWitnessSet(goal, list(upfront)), todo, find)))
+                runs.append(outcome(search(table, goal, todo, find)))
             assert runs[0] == runs[1], goal
-            if not upfront and lp:
-                search = order_determining_set if goal == "order" else separating_set
-                assert outcome(search(gea)) == runs[0]
+            search = order_determining_set if goal == "order" else separating_set
+            assert outcome(search(gea)) == runs[0]
 
     def test_corpus(self, valid_corpus):
         for table in valid_corpus.values():
@@ -440,34 +442,6 @@ class TestWalkOracle:
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_families_glued_to_no_states(self, name):
         self.check(glued(FAMILIES[name], NS))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2 ** 32), st.integers(2, 16), st.booleans())
-    def test_states_given_up_front(self, seed, n, lp):
-        # Some states of the table's own order set, shuffled, come first;
-        # the rest of the search either runs its LPs or, as in the
-        # projector demo, has no other candidate.
-        rng = random.Random(seed)
-        table = random_gea(rng, n)
-        found = order_determining_set(require_gea(table)).states
-        self.check(table, rng.sample(found, rng.randint(0, len(found))), lp)
-
-    def test_demo_excd_states_given_up_front(self, monkeypatch):
-        from gea import effects
-        calls = []
-
-        def both(table, witnesses, want, find):
-            pairs = [(a, b) for a, mask in enumerate(want) for b in range(table.n) if mask >> b & 1]
-            upfront = StateWitnessSet(witnesses.goal, list(witnesses.states))
-            expected = outcome(reference_assign_witnesses(table, upfront, pairs, find))
-            result = assign_witnesses(table, witnesses, want, find)
-            calls.append(outcome(result))
-            assert calls[-1] == expected
-            return result
-
-        monkeypatch.setattr(effects, "assign_witnesses", both)
-        assert effects.demo_excd()["order_determining_found"]
-        assert len(calls) == 1 and len(calls[0][0]) == 2 and calls[0][2] == []
 
 
 class TestProgramSizes:
@@ -610,8 +584,7 @@ class TestStatePreorder:
         table = named_table(name)
         gea = require_gea(table)
         program = additivity_program(gea)
-        witnesses = assign_witnesses(table, StateWitnessSet("order"), gea.order.not_above(),
-                                     program.witness)
+        witnesses = assign_witnesses(table, "order", gea.order.not_above(), program.witness)
         settled = {(a, b) for a in range(table.n) for b in range(table.n)
                    if program.below[a] >> b & 1}
         ordered = {(a, b) for a in range(table.n) for b in range(table.n) if leq(gea.order, a, b)}
