@@ -348,16 +348,18 @@ def parse(argv: list[str]) -> SimpleNamespace:
                            path_b=None, ea=None, goal=None, out=None, json=False, seed=0)
     # Each flag to True for a switch, None for help, or its choices or type.
     known = {"--json": True, "--seed": int, "-h": None, "--help": None}
-    words, spec, positionals, extras, tokens, filled = [], None, [], [], iter(argv), 0
+    # given: the positionals with the surplus tokens among them, in command-line order.
+    words, spec, positionals, given, tokens, filled = [], None, [], [], iter(argv), 0
     for token in tokens:
         after_path, filled = len(positionals) > filled, len(positionals)
         name, value = _option(token, known)
         if token == "--" and spec:  # argparse drops it only beside a positional
             rest = list(tokens)
-            extras += [] if after_path or rest and filled < len(spec[1]) else [token]
+            given += ([] if after_path or rest and filled < len(spec[1]) else [token]) + rest
             positionals += rest
         elif name is None and spec:
             positionals.append(token)
+            given.append(token)
         elif name is None or token == "--":
             words.append(token)
             spec = COMMANDS.get(" ".join(words)) if " " not in token else None
@@ -370,7 +372,7 @@ def parse(argv: list[str]) -> SimpleNamespace:
                     known["--" + flag] = kind
                     setattr(args, flag, default)
         elif not name:
-            extras.append(token)
+            given.append(token)
         elif (kind := known[name]) in (None, True) and value is not None:
             _fail(f"argument {name}: ignored explicit argument {value!r}")
         elif kind is None:
@@ -387,9 +389,8 @@ def parse(argv: list[str]) -> SimpleNamespace:
             except ValueError:
                 _fail(f"argument {name}: invalid value {value!r}")
     names = spec[1] if spec else _fail("missing command")
-    if len(positionals) != len(names) or extras:
-        _fail(f"{' '.join(words)} takes {' '.join(names).upper() or 'no path'}; got "
-              f"{positionals + extras}")
+    if len(positionals) != len(names) or given != positionals:
+        _fail(f"{' '.join(words)} takes {' '.join(names).upper() or 'no path'}; got {given}")
     vars(args).update(zip(names, positionals))
     return args
 

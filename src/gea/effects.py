@@ -3,12 +3,13 @@
 Positivity and the partial effect sum are decided spectrally, from the
 eigenvalues of the Hermitian matrix as LAPACK computes them through
 ``numpy.linalg.eigh``; each eigenvalue appears once, in ascending order.
-One routine computes the spectra of a whole stack of matrices in one call:
-``hermitian_spectrum`` hands it one matrix, and ``table_from_effects`` hands
-it every label, then every pair sum, at once.  Each caller checks that the
-matrices it was handed are Hermitian; ``vector_witness`` checks A and B, and
-not B - A, whose defect can be the sum of theirs.  Matrix entries must be
-finite, so an overflowing sum or difference is rejected as input out of
+One routine, ``_spectra``, computes the spectra of a stack of matrices in one
+call: ``spectral_flags`` hands it one matrix, ``gdh_sum`` its two operands,
+and ``table_from_effects``, the one place E(H)'s partial sum is decided,
+every label, then every pair sum.  Each caller first checks with
+``_require_hermitian`` that they are Hermitian; ``vector_witness`` checks A and
+B, and not B - A, whose defect can be the sum of theirs.  Matrix entries must
+be finite, so an overflowing sum or difference is rejected as input out of
 range instead of yielding a NaN verdict.
 
 The projector demo decides each fact once, in two ``eigh`` calls: it reads
@@ -55,19 +56,14 @@ class EffectMatrix(namedtuple("EffectMatrix", "mat")):
         return self.mat.shape[0]
 
 
-def _hermitian_gaps(mats: np.ndarray) -> np.ndarray:
-    """|A - A^H| entrywise, for each matrix A of a stack (..., d, d)."""
+def _require_hermitian(mats: np.ndarray, name: str = "matrix") -> float:
+    """Reject the first matrix of a stack (..., d, d), in C order, whose
+    Hermitian defect (its largest entry of |A - A^H|) is not within
+    HERMITIAN_TOL, as a NaN never is; else the largest defect of the stack."""
     # Entries of opposite sign near the float maximum give an infinite
     # defect, which no tolerance accepts.
     with np.errstate(over="ignore"):
-        return np.abs(mats - mats.conj().swapaxes(-1, -2))
-
-
-def _require_hermitian(mats: np.ndarray, name: str = "matrix") -> float:
-    """Reject the first matrix of a stack, in C order, whose Hermitian defect
-    (its largest gap) is not within HERMITIAN_TOL, as a NaN never is; else
-    the largest defect of the stack."""
-    gaps = _hermitian_gaps(mats)
+        gaps = np.abs(mats - mats.conj().swapaxes(-1, -2))
     defect = float(gaps.max())
     if not defect <= HERMITIAN_TOL:
         defects = gaps.max(axis=(-2, -1)).ravel()
@@ -84,27 +80,17 @@ def _require_same_dim(a: EffectMatrix, b: EffectMatrix,
 
 
 def _spectra(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``hermitian_spectrum`` of every matrix of a stack (..., d, d), in one
-    ``eigh`` call, bit for bit what a call on each matrix alone gives:
-    eigenvalues (..., d) and eigenvectors (..., d, d).  The caller checks
-    that the matrices are Hermitian."""
+    """Ascending eigenvalues (..., d) and orthonormal eigenvectors (..., d, d),
+    as columns, of every matrix of a stack (..., d, d) in one ``eigh`` call,
+    bit for bit what a call on each matrix alone gives.  eigh reads one
+    triangle only, so it gets the Hermitian part (A + A^H)/2, halved before
+    the sum so that entries near the float maximum cannot overflow; a spectrum
+    that overflows is rejected.  The caller checks the stack first with
+    ``_require_hermitian``."""
     w, vectors = np.linalg.eigh(mats / 2 + mats.conj().swapaxes(-1, -2) / 2)
     if not np.isfinite(w).all():
         raise InputError("matrix spectrum overflows double precision")
     return w, vectors
-
-
-def hermitian_spectrum(a: EffectMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, each once) and orthonormal eigenvectors
-    (columns) of a Hermitian matrix, by ``numpy.linalg.eigh``.
-
-    eigh reads one triangle only, so it gets the Hermitian part (A + A^H)/2,
-    halved before the sum so that entries near the float maximum cannot
-    overflow.  A matrix that is not Hermitian within HERMITIAN_TOL is
-    rejected, and so is a spectrum that overflows, as input out of range.
-    """
-    _require_hermitian(a.mat)
-    return _spectra(a.mat)
 
 
 def _bounds(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,29 +113,12 @@ def is_positive(a: EffectMatrix) -> bool:
     return spectral_flags(a)[0]
 
 
-def is_effect(a: EffectMatrix) -> bool:
-    """Effects sit between the null operator and the identity."""
-    return spectral_flags(a)[1]
-
-
-_NOT_EFFECTS = "effect_sum needs two effects between 0 and the identity"
-
-
-def effect_sum(a: EffectMatrix, b: EffectMatrix) -> Optional[EffectMatrix]:
-    """Partial sum of the effect algebra on C^d: defined iff A + B stays at
-    or below the identity (within PSD_TOL, boundary counted as defined)."""
-    _require_same_dim(a, b)
-    if not (is_effect(a) and is_effect(b)):
-        raise InputError(_NOT_EFFECTS)
-    total = EffectMatrix(a.mat + b.mat)
-    w, _ = hermitian_spectrum(total)
-    return total if _bounds(w)[1] else None
-
-
 def gdh_sum(a: EffectMatrix, b: EffectMatrix) -> EffectMatrix:
     """Total sum in the algebra of positive operators."""
     _require_same_dim(a, b)
-    if not (is_positive(a) and is_positive(b)):
+    operands = np.stack([a.mat, b.mat])
+    _require_hermitian(operands)
+    if not _bounds(_spectra(operands)[0])[0].all():
         raise InputError("gdh_sum needs two positive operators")
     with np.errstate(over="ignore"):  # an infinite entry is rejected below
         total = a.mat + b.mat
@@ -234,7 +203,7 @@ def table_from_effects(labels: list[str], mats: dict[str, EffectMatrix],
     _require_hermitian(stack)
     positive, below_identity = _bounds(_spectra(stack)[0])
     if not (positive & below_identity).all():
-        raise InputError(_NOT_EFFECTS)
+        raise InputError("every label must be an effect between 0 and the identity")
     # Entries of effects have modulus at most about 1, so no sum overflows.
     totals = stack[:, None] + stack[None, :]
     _require_hermitian(totals)

@@ -14,9 +14,10 @@ for the atom program of `additivity_program`; the per-pair coverage walk
 `reference_assign_witnesses`, for the masks of `assign_witnesses`, with the
 per-sum walks `reference_validate` and `reference_first_nonadditive` for the
 packed additivity pass of `first_nonadditive`; the text renderer that calls json.dumps per scalar, for
-`cli._render_text`; the per-pair effect table, one spectrum per pair and one
-`np.allclose` per candidate label, `reference_table_from_effects`, for
-`effects.table_from_effects`; the argparse parser the command line was read with,
+`cli._render_text`; the per-pair effect table, one `np.allclose` per candidate
+label, `reference_table_from_effects`, for `effects.table_from_effects`, with
+its checked spectrum of one matrix by `eigvalsh`, `reference_eigenvalues`,
+for `effects.spectral_flags`; the argparse parser the command line was read with,
 `reference_parser`, for `cli.parse`; and fixtures: `write_table` and `write_matrix` write
 the files the loaders read, `down_set_table` builds a down-set of N^m and
 `glued` glues two tables at zero,
@@ -44,8 +45,7 @@ import numpy as np
 from gea.algebra import (AlgebraTable, AxiomReport, MorphismReport, MorphismSpec, OrderRelation,
                          Violation, induced_order, is_sub_gea, require_gea)
 from gea.cli import cmd_check, cmd_effects, cmd_morphism, cmd_order, cmd_represent, cmd_states
-from gea.effects import PSD_TOL, EffectMatrix, _require_same_dim, hermitian_spectrum, \
-    is_effect
+from gea.effects import PSD_TOL, EffectMatrix
 from gea.errors import InputError
 from gea.lp import LinearProgram, lp_feasible
 from gea.represent import DiagonalRep
@@ -545,24 +545,41 @@ def reference_render_text(value, indent: int = 0) -> str:
     return pad + json.dumps(value)
 
 
+def reference_eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of one matrix by numpy.linalg.eigvalsh of its
+    Hermitian part, after the check that it is Hermitian within 1e-9."""
+    with np.errstate(over="ignore"):
+        defect = float(np.abs(mat - mat.conj().T).max())
+    if not defect <= 1e-9:
+        raise InputError(f"matrix is not Hermitian (defect {defect:.3e})")
+    w = np.linalg.eigvalsh(mat / 2 + mat.conj().T / 2)
+    if not np.isfinite(w).all():
+        raise InputError("matrix spectrum overflows double precision")
+    return w
+
+
 def reference_table_from_effects(labels: list[str], mats: dict[str, EffectMatrix],
                                  unit: Optional[str] = None) -> AlgebraTable:
     """The effect table pair by pair: each label decided an effect once, then
     per ordered pair a dimension check, the sum's own spectrum, and a walk
     over the labels for the first one np.allclose accepts."""
-    effect = {label: is_effect(mats[label]) for label in labels}
+    effect = {}
+    for label in labels:
+        w = reference_eigenvalues(mats[label].mat)
+        effect[label] = w[0] >= -PSD_TOL and w[-1] <= 1.0 + PSD_TOL
     sums = {}
     for i, la in enumerate(labels):
         for j, lb in enumerate(labels):
-            _require_same_dim(mats[la], mats[lb])
+            da, db = mats[la].dim, mats[lb].dim
+            if da != db:
+                raise InputError(f"dimension mismatch: A is {da} x {da}, B is {db} x {db}")
             if not (effect[la] and effect[lb]):
-                raise InputError("effect_sum needs two effects between 0 and the identity")
-            total = EffectMatrix(mats[la].mat + mats[lb].mat)
-            w, _ = hermitian_spectrum(total)
-            if w[-1] > 1.0 + PSD_TOL:
+                raise InputError("every label must be an effect between 0 and the identity")
+            total = mats[la].mat + mats[lb].mat
+            if reference_eigenvalues(total)[-1] > 1.0 + PSD_TOL:
                 continue
             for k, lc in enumerate(labels):
-                if np.allclose(total.mat, mats[lc].mat, atol=1e-12):
+                if np.allclose(total, mats[lc].mat, atol=1e-12):
                     sums[(i, j)] = k
                     break
     unit_index = labels.index(unit) if unit is not None else None

@@ -594,6 +594,16 @@ class TestParserParity:
             assert stop.value.code == 2 and captured.out == ""
             assert captured.err.startswith("usage: gea") and "error:" in captured.err
 
+    @pytest.mark.parametrize("argv, got", [
+        (["check", "a.json", "--bogus", "extra.json"], "['a.json', '--bogus', 'extra.json']"),
+        (["effects", "demo-excd", "--out", "d.json"], "['--out', 'd.json']"),
+        (["check", "a", "--bogus", "--", "b", "c"], "['a', '--bogus', '--', 'b', 'c']"),
+    ], ids=repr)
+    def test_surplus_tokens_are_listed_in_command_line_order(self, capsys, argv, got):
+        with pytest.raises(SystemExit):
+            cli.parse(argv)
+        assert capsys.readouterr().err.endswith(f"; got {got}\n")
+
     @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--json", "--he"], ["check", "a", "-h"],
                                       ["effects", "--help"], ["check", "--bogus", "-h"]])
     def test_help_exits_zero_with_the_usage_on_stdout(self, capsys, argv):
@@ -785,12 +795,6 @@ UNREACHED = {
     "random_gea": "tests and perfbench build random tables with it",
     "random_population": "the small-mix workload runs it and pins its digest",
     "gdh_sum": "the sum of G_D(H); the acceptance tests check it",
-    "effect_sum": "the partial sum of E(H), beside gdh_sum; the demo reads its one sum "
-                  "off the effect table",
-    "is_effect": "the effect test of E(H) that effect_sum takes; effects check reports "
-                 "it through spectral_flags",
-    "hermitian_spectrum": "the one-matrix spectrum that effect_sum takes; effects witness "
-                          "reads B - A's through the stacked routine, unchecked",
     "is_positive": "the positivity of G_D(H); the acceptance tests check it",
 }
 

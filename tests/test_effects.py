@@ -9,8 +9,7 @@ import pytest
 
 from gea import cli, corpus, effects
 from gea.algebra import check_gea_axioms
-from gea.effects import (PSD_TOL, EffectMatrix, demo_excd, effect_sum, gdh_sum,
-                         generalized_vector_state, hermitian_spectrum,
+from gea.effects import (PSD_TOL, EffectMatrix, demo_excd, gdh_sum, generalized_vector_state,
                          is_positive, projector_demo_matrices, table_from_effects,
                          vector_witness)
 from gea.errors import InputError
@@ -19,7 +18,7 @@ from reference import random_positive_matrix, random_vector, reference_table_fro
 
 def jacobi_eigh(sym, sweep_tol=1e-14, max_sweeps=60):
     """Cyclic Jacobi diagonalization of a real symmetric matrix: the
-    independent oracle for ``hermitian_spectrum``.
+    independent oracle for ``effects._spectra``.
 
     Returns eigenvalues in ascending order and the matching orthonormal
     eigenvectors as columns.
@@ -77,6 +76,13 @@ def jacobi_spectrum(h):
     return w, v[:h.dim, :] + 1j * v[h.dim:, :]
 
 
+def checked_spectrum(h):
+    """The spectrum of one matrix as the program takes it: ``_spectra`` after
+    ``_require_hermitian``."""
+    effects._require_hermitian(h.mat)
+    return effects._spectra(h.mat)
+
+
 def diag(*entries):
     return EffectMatrix(np.diag(entries).astype(complex))
 
@@ -123,11 +129,12 @@ class TestJacobi:
 
 
 class TestSpectrum:
-    """``hermitian_spectrum`` cross-checked against the Jacobi oracle."""
+    """``_spectra`` after ``_require_hermitian``, cross-checked against the
+    Jacobi oracle."""
 
     @staticmethod
     def assert_matches_oracle(h):
-        eigvals, vectors = hermitian_spectrum(h)
+        eigvals, vectors = checked_spectrum(h)
         oracle, _ = jacobi_spectrum(h)
         assert eigvals.shape == (h.dim,) and vectors.shape == (h.dim, h.dim)
         assert np.all(np.diff(eigvals) >= 0)
@@ -152,17 +159,17 @@ class TestSpectrum:
         # A defect below the tolerance in the lower triangle only: the
         # spectrum is that of (A + A^H)/2, whichever triangle eigh reads.
         mat = np.array([[1.0, 0.5], [0.5 + 4e-10, 2.0]], dtype=complex)
-        eigvals, _ = hermitian_spectrum(EffectMatrix(mat))
+        eigvals, _ = checked_spectrum(EffectMatrix(mat))
         expected = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
         assert np.max(np.abs(eigvals - expected)) < 1e-15
 
     def test_overflowing_spectrum_rejected(self):
         huge = EffectMatrix(np.full((2, 2), 1e308, dtype=complex))
         with pytest.raises(InputError, match="overflows"):
-            hermitian_spectrum(huge)
+            checked_spectrum(huge)
 
     def test_entries_near_float_max_do_not_overflow(self):
-        eigvals, _ = hermitian_spectrum(diag(1.7e308, -1.7e308))
+        eigvals, _ = checked_spectrum(diag(1.7e308, -1.7e308))
         assert list(eigvals) == [-1.7e308, 1.7e308]
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf)])
@@ -186,7 +193,7 @@ class TestSpectrum:
         h = diag(1.0, 0.0)
         h.mat[0, 1] = np.nan
         with pytest.raises(InputError, match="not Hermitian"):
-            hermitian_spectrum(h)
+            checked_spectrum(h)
 
 
 class TestPositivity:
@@ -215,45 +222,6 @@ class TestPositivity:
                 assert generalized_vector_state(x, a) >= -PSD_TOL * norm_sq
 
 
-class TestEffectSum:
-    def test_projectors_sum_to_identity(self):
-        mats = projector_demo_matrices()
-        total = effect_sum(mats["pi1"], mats["pi2"])
-        assert total is not None
-        assert np.allclose(total.mat, np.eye(2))
-
-    def test_identity_plus_identity_undefined(self):
-        ident = EffectMatrix(np.eye(2, dtype=complex))
-        assert effect_sum(ident, ident) is None
-
-    def test_half_identities_sum_to_identity(self):
-        half = diag(0.5, 0.5)
-        total = effect_sum(half, half)
-        assert total is not None and np.allclose(total.mat, np.eye(2))
-
-    def test_non_effect_rejected(self):
-        with pytest.raises(InputError):
-            effect_sum(diag(2.0, 0.0), diag(1.0, 0.0))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            effect_sum(diag(1.0, 0.0), diag(1.0, 0.0, 0.0))
-
-    def test_overflowing_operand_rejected(self):
-        with pytest.raises(InputError):
-            effect_sum(EffectMatrix(np.full((2, 2), 1e308, dtype=complex)),
-                       diag(1.0, 0.0))
-
-    def test_defined_effect_sum_agrees_with_total_sum(self):
-        rng = random.Random(31)
-        for _ in range(25):
-            a = EffectMatrix(random_positive_matrix(rng, 2).mat / 4)
-            b = EffectMatrix(random_positive_matrix(rng, 2).mat / 4)
-            partial = effect_sum(a, b)
-            if partial is not None:
-                assert np.allclose(partial.mat, gdh_sum(a, b).mat, atol=1e-12)
-
-
 class TestGdhSum:
     def test_zero_is_neutral(self):
         rng = random.Random(41)
@@ -269,6 +237,23 @@ class TestGdhSum:
         huge = diag(1e308, 1e308)
         with pytest.raises(InputError, match="finite"):
             gdh_sum(huge, huge)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_non_positive_operand_rejected(self, swap):
+        # Either operand of the one stacked spectrum decides the verdict.
+        operands = (diag(1.0, 0.0), diag(1.0, -0.5))
+        with pytest.raises(InputError, match="^gdh_sum needs two positive operators$"):
+            gdh_sum(*(operands[::-1] if swap else operands))
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_non_hermitian_operand_rejected(self, swap):
+        operands = (diag(1.0, 0.0), EffectMatrix(np.array([[1.0, 1.0], [0.0, 1.0]])))
+        with pytest.raises(InputError, match=r"^matrix is not Hermitian \(defect 1\.000e\+00\)$"):
+            gdh_sum(*(operands[::-1] if swap else operands))
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(InputError, match="^dimension mismatch: A is 2 x 2, B is 3 x 3$"):
+            gdh_sum(diag(1.0, 0.0), diag(1.0, 0.0, 0.0))
 
     def test_diagonal_sum(self):
         total = gdh_sum(diag(2.0, 0.0), diag(0.0, 3.0))
@@ -319,7 +304,7 @@ class TestVectorWitness:
             assert x[k].imag == 0.0 and x[k].real > 0.0
             assert abs(np.linalg.norm(x) - 1.0) < 1e-12
             # Any phase of an eigenvector is one; the rotation keeps the gap.
-            w, _ = hermitian_spectrum(EffectMatrix(b.mat - a.mat))
+            w, _ = checked_spectrum(EffectMatrix(b.mat - a.mat))
             gap = generalized_vector_state(x, a) - generalized_vector_state(x, b)
             assert abs(gap + w[0]) < 1e-9
         assert found > 0
@@ -446,10 +431,15 @@ class TestSpectrumCount:
         assert cli.main(["effects", "check", str(corpus.path("mat_a")), "--json"]) == 0
         assert eigh_calls == [1]
 
+    def test_gdh_sum_decides_both_operands_in_one_call(self, eigh_calls):
+        mats = projector_demo_matrices()
+        gdh_sum(mats["pi1"], mats["pi2"])
+        assert eigh_calls == [2]
+
     def test_table_from_effects_rejects_a_non_effect_operand(self):
         mats = projector_demo_matrices()
         mats["two"] = diag(2.0, 0.0)
-        with pytest.raises(InputError, match="^effect_sum needs two effects between 0 "
+        with pytest.raises(InputError, match="^every label must be an effect between 0 "
                                              "and the identity$"):
             table_from_effects(["0", "pi1", "two"], mats)
 
@@ -528,8 +518,6 @@ class TestTableMatchesReference:
         assert table.sums[(at("p/2"), at("p/2"))] == at("p")
         assert (at("p/2"), at("q/2")) not in table.sums
         assert (at("p"), at("q")) not in table.sums
-        assert effect_sum(mats["p/2"], mats["q/2"]) is not None
-        assert effect_sum(mats["p"], mats["q"]) is None
 
     def test_random_diagonal_effects(self):
         rng = random.Random(91)
@@ -549,6 +537,13 @@ class TestTableMatchesReference:
         table = self.assert_same_table(labels, mats)
         assert table.sums[(3, 3)] == 1
         assert not {(2, 2), (2, 3), (3, 2)} & set(table.sums)
+
+    def test_sums_at_and_past_the_identity(self):
+        # half + half is defined at the identity; id + id and half + id are not.
+        mats = {"0": EffectMatrix(np.zeros((2, 2))), "half": diag(0.5, 0.5),
+                "id": EffectMatrix(np.eye(2))}
+        table = self.assert_same_table(list(mats), mats, unit="id")
+        assert table.sums == {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 1): 2, (2, 0): 2}
 
     def test_non_hermitian_label(self):
         mats = projector_demo_matrices()
@@ -572,6 +567,14 @@ class TestTableMatchesReference:
         self.assert_same_error(["0", "a", "b"], mats)
         with pytest.raises(InputError, match=r"^matrix is not Hermitian \(defect 1\.600e-09\)$"):
             table_from_effects(["0", "a", "b"], mats)
+
+    def test_overflowing_label(self):
+        # Finite entries whose spectrum overflows double precision.
+        mats = projector_demo_matrices()
+        mats["huge"] = EffectMatrix(np.full((2, 2), 1e308, dtype=complex))
+        self.assert_same_error(["0", "pi1", "huge"], mats)
+        with pytest.raises(InputError, match="^matrix spectrum overflows double precision$"):
+            table_from_effects(["0", "pi1", "huge"], mats)
 
     def test_dimension_mismatch(self):
         mats = projector_demo_matrices()
@@ -627,14 +630,14 @@ class TestStackedNumerics:
 
     @pytest.mark.parametrize("dim", range(1, 17))
     def test_stacked_spectrum_is_bit_identical(self, dim):
-        # Against hermitian_spectrum, and against eigh of one matrix's
-        # Hermitian part as hermitian_spectrum computed it before stacks.
+        # Against the checked spectrum of one matrix alone, and against eigh
+        # of its Hermitian part as the one-matrix spectrum computed it before stacks.
         rng = random.Random(300 + dim)
         stack = np.stack([random_hermitian(rng, dim).mat for _ in range(6)]).reshape(
             2, 3, dim, dim)
         w, vectors = effects._spectra(stack)
         for idx in np.ndindex(2, 3):
             mat = stack[idx]
-            for w1, vectors1 in (hermitian_spectrum(EffectMatrix(mat)),
+            for w1, vectors1 in (checked_spectrum(EffectMatrix(mat)),
                                  np.linalg.eigh(mat / 2 + mat.conj().T / 2)):
                 assert np.array_equal(w[idx], w1) and np.array_equal(vectors[idx], vectors1)

@@ -24,8 +24,9 @@ from gea.generate import random_gea
 from gea.represent import DiagonalRep, build_representation, verify_morphism
 from gea.states import (GeneralizedState, assign_witnesses, order_determining_set,
                         separating_set)
-from reference import (reference_assign_witnesses, reference_first_nonadditive, reference_kahn,
-                       reference_validate, write_table)
+from reference import (reference_assign_witnesses, reference_eigenvalues,
+                       reference_first_nonadditive, reference_kahn, reference_validate,
+                       write_table)
 from test_algebra import holds_calls
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -312,14 +313,20 @@ class TestHermitianDefect:
         for dim in (1, 2, 5, 16):
             a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             a = (a + a.conj().T) / 2 + 1e-11 * rng.standard_normal((dim, dim))
-            matrix = effects.EffectMatrix(a)
-            defect = float(np.abs(matrix.mat - matrix.mat.conj().T).max())
-            flags = effects.spectral_flags(matrix)
-            assert flags[2] == defect and flags[:2] == (effects.is_positive(matrix),
-                                                        effects.is_effect(matrix))
-            path = tmp_path / f"m{dim}.json"
-            path.write_text(json.dumps({"dim": dim, "re": a.real.tolist(),
-                                        "im": a.imag.tolist()}))
-            cli.main(["effects", "check", str(path), "--json"])
-            report = json.loads(capsys.readouterr().out)
-            assert report["matrix"]["hermitian_defect"] == defect
+            w = reference_eigenvalues(a)
+            # a, a shifted positive, and that scaled below the identity.
+            positive = a + (0.1 - w[0]) * np.eye(dim)
+            for k, mat in enumerate((a, positive, positive / (w[-1] - w[0] + 0.2))):
+                matrix = effects.EffectMatrix(mat)
+                defect = float(np.abs(matrix.mat - matrix.mat.conj().T).max())
+                eig = reference_eigenvalues(mat)
+                positive_flag = bool(eig[0] >= -effects.PSD_TOL)
+                effect_flag = positive_flag and bool(eig[-1] <= 1.0 + effects.PSD_TOL)
+                assert effects.spectral_flags(matrix) == (positive_flag, effect_flag, defect)
+                path = tmp_path / f"m{dim}-{k}.json"
+                path.write_text(json.dumps({"dim": dim, "re": mat.real.tolist(),
+                                            "im": mat.imag.tolist()}))
+                cli.main(["effects", "check", str(path), "--json"])
+                report = json.loads(capsys.readouterr().out)
+                assert report["matrix"] == {"dim": dim, "hermitian_defect": defect,
+                                            "positive": positive_flag, "effect": effect_flag}
