@@ -15,11 +15,9 @@ report, an error report too, carries its exit code and goes to --out.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NoReturn, Optional
@@ -46,31 +44,10 @@ def _base_report(args: SimpleNamespace, path: Optional[str], digest: Optional[st
     return report
 
 
-def _scalar(value) -> str:
-    """value as json.dumps writes it.  Strings, ints, floats, None, bools and
-    lists of them are written here, without json.dumps's per-call setup,
-    which costs more than the text output's own work; anything else goes to
-    json.dumps."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if type(value) is int:
-        return int.__repr__(value)
-    if type(value) is float:
-        return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-    if type(value) is list:
-        return "[" + ", ".join(map(_scalar, value)) + "]"
-    return json.dumps(value)
-
-
 def _render_text(value) -> str:
     """The text form of a report: one line per scalar, nested containers
-    indented by two spaces, and a list of scalars in a dict on one line."""
+    indented by two spaces, and a list of scalars in a dict on one line,
+    each scalar or list as json.dumps writes it."""
     lines: list[str] = []
     _text_lines(value, "", lines)
     return "\n".join(lines)
@@ -82,12 +59,12 @@ def _text_lines(value, pad: str, lines: list[str]) -> None:
             lines.append(pad + "{}")
         for key, item in value.items():
             if isinstance(item, list) and all(not isinstance(x, (dict, list)) for x in item):
-                lines.append(f"{pad}{key}: {_scalar(item)}")
+                lines.append(f"{pad}{key}: {json.dumps(item)}")
             elif isinstance(item, (dict, list)) and item:
                 lines.append(f"{pad}{key}:")
                 _text_lines(item, pad + "  ", lines)
             else:
-                lines.append(f"{pad}{key}: {_scalar(item)}")
+                lines.append(f"{pad}{key}: {json.dumps(item)}")
     elif isinstance(value, list):
         if not value:
             lines.append(pad + "[]")
@@ -96,9 +73,9 @@ def _text_lines(value, pad: str, lines: list[str]) -> None:
                 lines.append(pad + "-")
                 _text_lines(item, pad + "  ", lines)
             else:
-                lines.append(f"{pad}- {_scalar(item)}")
+                lines.append(f"{pad}- {json.dumps(item)}")
     else:
-        lines.append(pad + _scalar(value))
+        lines.append(pad + json.dumps(value))
 
 
 def _emit(report: dict, as_json: bool, out: Optional[str] = None) -> None:

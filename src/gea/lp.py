@@ -4,26 +4,27 @@ Decides whether {A x = b, x >= 0} has a solution over the rationals, with
 every elimination and pivot step in Python ints.  Every row is sparse: a
 `LinearProgram` takes each row as its nonzero (column, coefficient) int
 pairs and an int rhs, and every reduced and tableau row is a
-{column: coefficient} dict of its nonzero entries, with x0 at column n and
-the rhs at column n + 1.  A program factors each row as it enters: one
-exact elimination keeps the rows of a maximal independent subset, in their
-original order, with their reduced echelon form, and finds an inconsistent
-system, a row that reduces to 0 = c with c != 0, without any simplex.
-`extended` adds rows to a copy that shares the factorization, so programs
-that share their leading rows factor those rows once.
+{column: coefficient} dict of its nonzero entries, with the rhs at column
+n.  A program factors each row as it enters: one exact elimination keeps
+the rows of a maximal independent subset, in their original order, with
+their reduced echelon form, and finds an inconsistent system, a row that
+reduces to 0 = c with c != 0, without any simplex.  `extended` adds rows to
+a copy that shares the factorization, so programs that share their leading
+rows factor those rows once.
 
 One column-clearing step (`_eliminate`) serves the echelon's
 back-substitution and every phase-one pivot: it forms a*row - f*pivot_row
 with a > 0 in every other row, so each stored row stays a positive multiple
 of the rational row it stands for, and divides the result by its gcd, so the
-entries stay small.  The rational algorithm reads only signs and ratios of
-such rows: a pivot column is the least column of a nonzero entry, the
-entering column is the least column of a negative reduced cost, and one
-ratio test (`_least_ratio`) compares b_i / a_i by cross-multiplication.  So
-the integer solver takes the pivot path of the same algorithm run in
-Fraction arithmetic and returns the same point.  That point is formed as
-int numerators over one denominator and rechecked in ints; Fractions are
-made only for the values it returns, and every zero coordinate is one shared
+entries stay small.  Phase one reads only the signs of such rows and the
+least columns where they hold: the pivot column of a new echelon row is its
+least nonzero column, the leaving row is the least basic variable's row
+with a negative rhs, and the entering column is that row's least negative
+column.  A positive multiple of a row has the rational row's signs, so the
+integer solver takes the pivot path of the same algorithm run in Fraction
+arithmetic and returns the same point.  That point is formed as int
+numerators over one denominator and rechecked in ints; Fractions are made
+only for the values it returns, and every zero coordinate is one shared
 Fraction(0), so a point costs what its nonzero coordinates cost.
 
 An inconsistent program's proof is built only when it is asked for: a row
@@ -33,13 +34,12 @@ right-hand side from one conflict to the next, so one more elimination
 factors it once for all conflicts over the same kept rows.  Before
 "inconsistent" is returned as None, y is rechecked against the rows, just as
 a feasible point is rechecked against every row.  The reduced echelon form
-is also the start basis of phase one, with each pivot variable basic.  One
-auxiliary variable x0 enters every row whose rhs is negative (Chvátal,
-Linear Programming, 1983, ch. 3), and Bland's anti-cycling rule minimizes x0
-over rank rows and n + 2 columns; the cost row is the tableau's last row.
-The ratio test, with ties to the lowest basic variable, picks both the row
-where x0 enters and each of Bland's leaving rows.  A basic point that is
-already nonnegative takes no pivot.
+is also the start basis of phase one, with each pivot variable basic, and
+phase one is the dual simplex with zero cost under Bland's least-index rule
+(Lemke, Naval Research Logistics Quarterly 1, 1954; Bland, Mathematics of
+Operations Research 2(2), 1977); see `lp_feasible`.  A basic point that is
+already nonnegative takes no pivot, and a failure on the sign bounds stops
+at a row with nonnegative coefficients and a negative rhs.
 
 The tests check this solver against a brute-force basic-solution enumerator
 and a Fraction copy of the same algorithm, both in tests/.
@@ -67,7 +67,7 @@ class LinearProgram:
     indices of the rows that are independent of the rows before them: a
     maximal independent subset, in original order.  Each reduced row is a
     {column: coefficient} dict of its nonzero entries, with its rhs at
-    column n_vars + 1, and a primitive positive multiple of the rational
+    column n_vars, and a primitive positive multiple of the rational
     reduced row: positive at its pivot column (in pivots) and 0 at every
     other pivot column.  A row that reduces to 0 = c with c != 0 stops the
     elimination, and conflict holds its index; `certificate` builds the row
@@ -118,8 +118,8 @@ class LinearProgram:
         for row, p in zip(self.reduced, self.pivots):
             if p in v:
                 v = _reduce(v, p, row)
-        col = min(v, default=self.n_vars + 1)
-        if col > self.n_vars:  # no variable is left, only the rhs if any
+        col = min(v, default=self.n_vars)
+        if col >= self.n_vars:  # no variable is left, only the rhs if any
             if v:
                 self.conflict = index
             return  # otherwise a combination of the rows kept so far
@@ -191,7 +191,7 @@ class LinearProgram:
 
 def _entries(row: Row, n_vars: int) -> dict[int, int]:
     """The row's nonzero entries as {column: coefficient}, with its rhs at
-    column n_vars + 1; InputError unless the rhs is an int and the pairs hold
+    column n_vars; InputError unless the rhs is an int and the pairs hold
     nonzero int coefficients at int columns that increase within
     range(n_vars), and unless the row and its entries are pairs.  A Fraction
     or a bool is not an int here."""
@@ -211,7 +211,7 @@ def _entries(row: Row, n_vars: int) -> dict[int, int]:
         v[j] = c
         last = j
     if rhs:
-        v[n_vars + 1] = rhs
+        v[n_vars] = rhs
     return v
 
 
@@ -251,79 +251,51 @@ def lp_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
     """Return an exact feasible point of {rows hold, x >= 0}, or None.
 
     An inconsistent program returns None after its certificate is built and
-    rechecked.  Otherwise phase one starts from the program's echelon basis,
-    puts one auxiliary column x0 in every row whose rhs is negative and
-    minimizes x0.  Bland's rule (lowest eligible index for the entering
-    column and, on ratio ties, the leaving basic variable) guarantees
-    termination on degenerate tableaus.
+    rechecked.  Otherwise phase one is Lemke's dual simplex (1954) with zero
+    cost, from the program's echelon basis: while some row has a negative
+    rhs, the one whose basic variable is least leaves, and the least column
+    where it is negative enters; a row with no negative entry reads
+    "nonnegative terms = a negative number", and None is returned.  With a
+    zero objective every basis is dual feasible and every dual ratio is 0,
+    so these two least-index choices are Bland's rule (1977) on the dual,
+    and no basis repeats: the loop is finite.
     """
     if program.conflict is not None:
         if not program.refuted_by(program.certificate()):
             raise AssertionError("inconsistency certificate does not refute the program")
         return None
 
-    # Tableau rows: the reduced rows, with x0 at column n and the rhs at
-    # column n + 1.  Each is positive in its basic (pivot) column; where the
-    # rhs is negative x0 carries minus that entry, so the row reads
-    # x_p + ... - x0 = b.  The last row holds the reduced costs of minimizing
-    # x0, its rhs minus the objective; it has no basic variable.
-    n, m, rhs = program.n_vars, program.rank, program.n_vars + 1
+    # Tableau rows: the reduced rows, with the rhs at column n, each positive
+    # in its basic (pivot) column.  The leaving row is negated into a new
+    # dict, so it is positive at the entering column and the reduced rows,
+    # which extended programs share, are never changed.
+    n = program.n_vars
     basis = program.pivots[:]
-    tableau = [row | {n: -row[p]} if row.get(rhs, 0) < 0 else row
-               for row, p in zip(program.reduced, basis)]
-    tableau.append({n: 1})
-    # x0 enters on the most negative rhs / pivot ratio, which makes every rhs
-    # nonnegative.  The row is negated first, so its pivot entry in the x0
-    # column is positive.  With no negative rhs the basic point is feasible
-    # and no pivot is made.
-    infeasible = ((i, row[p]) for i, (row, p) in enumerate(zip(tableau, basis))
-                  if row.get(rhs, 0) < 0)
-    leaving = _least_ratio(tableau, basis, rhs, infeasible)
-    if leaving is not None:
-        tableau[leaving] = {j: -v for j, v in tableau[leaving].items()}
-        _pivot(tableau, basis, leaving, n)
-
+    tableau = program.reduced[:]
     while True:
-        entering = min((j for j, c in tableau[m].items() if c < 0 and j <= n), default=None)
-        if entering is None:
+        leaving = min((i for i, row in enumerate(tableau) if row.get(n, 0) < 0),
+                      key=basis.__getitem__, default=None)
+        if leaving is None:
             break
-        positive = ((i, tableau[i][entering]) for i in range(m)
-                    if tableau[i].get(entering, 0) > 0)
-        pivot_row = _least_ratio(tableau, basis, rhs, positive)
-        if pivot_row is None:
-            raise AssertionError("phase-one objective cannot be unbounded")
-        _pivot(tableau, basis, pivot_row, entering)
+        row = tableau[leaving]
+        entering = min((j for j, v in row.items() if v < 0 and j < n), default=None)
+        if entering is None:
+            return None
+        tableau[leaving] = {j: -v for j, v in row.items()}
+        _pivot(tableau, basis, leaving, entering)
 
-    if rhs in tableau[m]:
-        return None
     # The basic point over one denominator: x_var = b / d for each basic row.
-    basic = [(var, row) for row, var in zip(tableau, basis) if var < n and rhs in row]
+    basic = [(var, row) for row, var in zip(tableau, basis) if n in row]
     den = lcm(*(row[var] for var, row in basic))
     nums = [0] * n
     for var, row in basic:
-        nums[var] = row[rhs] * (den // row[var])
+        nums[var] = row[n] * (den // row[var])
     if not program.satisfied_by(nums, den):
         raise AssertionError("phase-one point does not satisfy the program")
     return [Fraction(p, den) if p else _ZERO for p in nums]
 
 
-def _least_ratio(tableau: list[dict[int, int]], basis: list[int], rhs: int,
-                 candidates: Iterable[tuple[int, int]]) -> Optional[int]:
-    """The row i of least b_i / d over the candidate pairs (i, d), d > 0,
-    where b_i is the row's entry at column rhs, compared by
-    cross-multiplication; ties go to the lowest basic variable.  None when
-    there is no candidate."""
-    best, best_d = None, 0
-    for i, d in candidates:
-        if best is not None:
-            left, right = tableau[i].get(rhs, 0) * best_d, tableau[best].get(rhs, 0) * d
-            if left > right or (left == right and basis[i] > basis[best]):
-                continue
-        best, best_d = i, d
-    return best
-
-
 def _pivot(tableau: list[dict[int, int]], basis: list[int], row: int, col: int) -> None:
-    """Make col basic in row; the cost row is cleared with the others."""
+    """Make col basic in row, which is positive there."""
     _eliminate(tableau, row, col)
     basis[row] = col

@@ -6,10 +6,12 @@ read an order's masks pair by pair; the morphism classifier with its
 nested order loop, for `classify_morphism`; Fraction rational vectors over the
 witness slots, for `verify_bounded` and acceptance criterion 5; a
 brute-force LP oracle with the witness LPs of a table to run it on, for
-`lp_feasible` and criterion 6, `satisfies` to recheck a Fraction point, and
-a converter each way between rows of one coefficient per variable and a
-LinearProgram's sparse rows; the LP over one variable per nonzero element
-and one additivity row per defined sum, with its states and its searches,
+`lp_feasible` and criterion 6, `satisfies` to recheck a Fraction point,
+`x0_phase_one`, the auxiliary-variable phase one whose points the witness
+searches' LPs keep, and a converter each way between rows of one
+coefficient per variable and a LinearProgram's sparse rows; the LP over
+one variable per nonzero element and one additivity row per defined sum,
+with its states and its searches,
 for the atom program of `additivity_program`; the per-pair coverage walk
 `reference_assign_witnesses`, for the masks of `assign_witnesses`, with the
 per-sum walks `reference_validate` and `reference_first_nonadditive` for the
@@ -303,8 +305,8 @@ def sparse(rows):
 
 def dense(row, n_vars):
     """A {column: coefficient} row of a LinearProgram, with its rhs at
-    column n_vars + 1, as n_vars coefficients followed by the rhs."""
-    return [row.get(j, 0) for j in range(n_vars)] + [row.get(n_vars + 1, 0)]
+    column n_vars, as n_vars coefficients followed by the rhs."""
+    return [row.get(j, 0) for j in range(n_vars + 1)]
 
 
 def basic_solution_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
@@ -343,6 +345,51 @@ def satisfies(program: LinearProgram, x) -> bool:
     x = [Fraction(v) for v in x]
     den = lcm(*(v.denominator for v in x))
     return program.satisfied_by([v.numerator * (den // v.denominator) for v in x], den)
+
+
+def x0_phase_one(program: LinearProgram) -> Optional[list[Fraction]]:
+    """The phase one that lp_feasible ran before its dual simplex, in
+    Fractions, from the program's own echelon basis: an auxiliary variable
+    x0 enters, with coefficient -1, every row whose rhs is negative, and
+    pivots in at the row of least rhs; then Bland's rule minimizes x0 over
+    the cost row, the tableau's last row, with ratio ties to the lowest
+    basic variable.  The witness states, and the reports built on them,
+    were recorded with this phase one, so lp_feasible must return its point
+    on every LP a witness search runs."""
+    if program.conflict is not None:
+        return None
+    n = program.n_vars
+    basis = program.pivots[:]
+    tableau = []
+    for row, p in zip(program.reduced, basis):
+        v = [Fraction(c, row[p]) for c in dense(row, n)]
+        tableau.append(v[:-1] + [Fraction(-1 if v[-1] < 0 else 0), v[-1]])
+
+    def pivot(r, col):
+        tableau[r] = [v / tableau[r][col] for v in tableau[r]]
+        for i, other in enumerate(tableau):
+            if i != r and other[col]:
+                tableau[i] = [a - other[col] * b for a, b in zip(other, tableau[r])]
+        basis[r] = col
+
+    infeasible = [i for i, row in enumerate(tableau) if row[-1] < 0]
+    if infeasible:
+        tableau.append([Fraction(0)] * n + [Fraction(1), Fraction(0)])
+        pivot(min(infeasible, key=lambda i: (tableau[i][-1], basis[i])), n)
+        while True:
+            entering = next((j for j in range(n + 1) if tableau[-1][j] < 0), None)
+            if entering is None:
+                break
+            eligible = [i for i in range(len(basis)) if tableau[i][entering] > 0]
+            pivot(min(eligible, key=lambda i: (tableau[i][-1] / tableau[i][entering],
+                                               basis[i])), entering)
+        if tableau.pop()[-1]:
+            return None
+    x = [Fraction(0)] * n
+    for row, var in zip(tableau, basis):
+        if var < n:
+            x[var] = row[-1]
+    return x
 
 
 def reference_variables(table: AlgebraTable) -> dict[int, int]:

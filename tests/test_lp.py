@@ -36,11 +36,11 @@ def build_program(n_vars, rows):
     return LinearProgram(n_vars, sparse(scaled))
 
 
-# Reference solver: the same elimination and phase-one simplex in Fraction
-# arithmetic, with every echelon row normalized to 1 at its pivot and every
-# tableau row to 1 at its basic column.  The integer solver must take the
-# same pivot path, so it must return the identical point and keep the same
-# rows.
+# Reference solver: the same elimination and the same phase one, the dual
+# simplex with zero cost under Bland's rule, in Fraction arithmetic, with
+# every echelon row normalized to 1 at its pivot and every tableau row to 1
+# at its basic column.  The integer solver must take the same pivot path, so
+# it must return the identical point and keep the same rows.
 
 def _ref_support(row):
     return [(j, p) for j, p in enumerate(row) if p]
@@ -122,21 +122,21 @@ class ReferenceEchelon:
         self.combos.append(combo)
 
 
-def _ref_pivot(tableau, cost, basis, row, col):
+def _ref_pivot(tableau, basis, row, col):
     pivot = tableau[row][col]
     tableau[row] = [v / pivot for v in tableau[row]]
     support = _ref_support(tableau[row])
     for i, other in enumerate(tableau):
         if i != row and other[col]:
             tableau[i] = _ref_sub(other, other[col], support)
-    if cost[col]:
-        cost[:] = _ref_sub(cost, cost[col], support)
     basis[row] = col
 
 
 def reference_lp_feasible(program, factored=None) -> Optional[list]:
-    """Phase one from the echelon basis with one auxiliary variable x0 and
-    Bland's rule, in Fractions."""
+    """Phase one from the echelon basis as the dual simplex with zero cost,
+    in Fractions: the row of least basic variable with a negative rhs
+    leaves, and its least negative column enters; None when that row has
+    no negative entry."""
     n = program.n_vars
     if factored is None:
         factored = ReferenceEchelon(n)
@@ -144,31 +144,21 @@ def reference_lp_feasible(program, factored=None) -> Optional[list]:
     if echelon.conflict is not None:
         assert program.refuted_by(echelon.conflict)
         return None
-    # Each echelon row is 1 at its pivot; x0 (column n) enters with -1 every
-    # row whose rhs is negative.
+    # Each echelon row is 1 at its pivot, with its rhs last.
     basis = echelon.pivots[:]
-    tableau = [row[:-1] + [Fraction(-1 if row[-1] < 0 else 0), row[-1]]
-               for row in echelon.rows]
-    infeasible = [i for i, row in enumerate(tableau) if row[-1] < 0]
-    if infeasible:
-        leaving = min(infeasible, key=lambda i: (tableau[i][-1], basis[i]))
-        cost = [Fraction(0)] * n + [Fraction(1), Fraction(0)]
-        _ref_pivot(tableau, cost, basis, leaving, n)
-        while True:
-            entering = next((j for j in range(n + 1) if cost[j] < 0), None)
-            if entering is None:
-                break
-            eligible = [i for i, row in enumerate(tableau) if row[entering] > 0]
-            assert eligible
-            pivot_row = min(eligible, key=lambda i: (
-                tableau[i][-1] / tableau[i][entering], basis[i]))
-            _ref_pivot(tableau, cost, basis, pivot_row, entering)
-        if cost[-1] != 0:
+    tableau = [row[:] for row in echelon.rows]
+    while True:
+        infeasible = [i for i, row in enumerate(tableau) if row[-1] < 0]
+        if not infeasible:
+            break
+        leaving = min(infeasible, key=lambda i: basis[i])
+        entering = next((j for j in range(n) if tableau[leaving][j] < 0), None)
+        if entering is None:
             return None
+        _ref_pivot(tableau, basis, leaving, entering)
     x = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tableau[i][-1]
+    for row, var in zip(tableau, basis):
+        x[var] = row[-1]
     assert satisfies(program, x)
     return x
 
@@ -489,9 +479,10 @@ def test_integer_solver_takes_the_reference_pivot_path(program):
 
 
 def test_integer_solver_matches_reference_on_wider_programs():
-    # More columns than rows leave many vertices, so a wrong cost row or a
-    # wrong tie rule moves the returned point; at this size that happens on
-    # about one program in a hundred, too rarely for the hypothesis test.
+    # More columns than rows leave many vertices, so a wrong leaving row or
+    # a wrong entering column moves the returned point; at this size that
+    # happens on about one program in a hundred, too rarely for the
+    # hypothesis test.
     rng = random.Random(8)
     values = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3, 4)]
     for _ in range(600):
@@ -509,16 +500,17 @@ def test_integer_solver_takes_the_reference_pivot_path_on_sparse_programs(pivots
     # Shaped like additivity programs: rows of 2 or 3 entries in +-1, +-2 and
     # rhs 0 over 12-40 variables, then one pair row x_lo - x_hi = 1.  Most
     # phase-one pivots are degenerate here, so the returned point alone
-    # rarely shows a wrong tie rule; the pivot path, (row, column) of every
-    # pivot, is compared with the reference's as well.
+    # rarely shows a wrong choice of row or column; the pivot path, (row,
+    # column) of every pivot, is compared with the reference's as well.  One
+    # program in about eight pivots more than once, so 300 are drawn.
     path = []
     real = _ref_pivot
     monkeypatch.setitem(globals(), "_ref_pivot",
-                        lambda tableau, cost, basis, row, col: path.append((row, col))
-                        or real(tableau, cost, basis, row, col))
+                        lambda tableau, basis, row, col: path.append((row, col))
+                        or real(tableau, basis, row, col))
     rng = random.Random(5)
     conflicts = pivoted = 0
-    for _ in range(150):
+    for _ in range(300):
         n = rng.randint(12, 40)
         rows = []
         for _ in range(rng.randint(n * 3 // 10, n * 9 // 10)):
@@ -676,8 +668,8 @@ def test_conflicts_of_one_base_factor_the_certificate_system_once(monkeypatch):
 @pytest.fixture
 def pivots(monkeypatch):
     """The list of (row, col) of every phase-one pivot made while it is live.
-    After each pivot every tableau row, the cost row included, is primitive,
-    and each constraint row is positive at its basic column."""
+    After each pivot every tableau row is primitive and positive at its
+    basic column."""
     made = []
     real = lp._pivot
 
@@ -715,6 +707,7 @@ def test_pair_programs_pivot_at_most_the_cone_dimension(pivots, valid_corpus):
             most[key] = max(most.get(key, 0), len(pivots))
     # The chain's witnesses are basic solutions of the echelon form itself.
     # A cube's pair LP is one row over its three atoms: where the row is
-    # negative at its pivot, x0 enters and one Bland pivot takes it out.
+    # negative at its pivot, it leaves for its least negative column, one
+    # pivot to a feasible basis.
     assert most["chain_c3", True] == 0
-    assert most["cube8", True] == 2
+    assert most["cube8", True] == 1

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gea import corpus
@@ -21,8 +21,8 @@ from gea.states import (GeneralizedState, additivity_program, assign_witnesses,
 from reference import (assert_witness_set, atom_pair_program, atom_state, down_set_table,
                        glued, leq, pair_programs, pairs_not_leq, reference_assign_witnesses,
                        reference_kahn, reference_pair_programs, reference_search, state_of,
-                       write_table)
-from test_families import down_set
+                       write_table, x0_phase_one)
+from test_families import down_set, mo_table
 
 
 def values(state):
@@ -313,14 +313,13 @@ def named_table(name):
     return PRODUCTS[name] if name in PRODUCTS else corpus.load(name)
 
 
-def search(gea):
-    return [(w.failures, len(w.states)) for w in (order_determining_set(gea), separating_set(gea))]
-
-
 class TestAtomProgram:
     """The atom program against the reference, one variable per nonzero
     element and one row per defined sum: every pair LP has the same
-    verdict, and both searches have the same failures and slot counts."""
+    verdict, both searches have the reference's failures, and each witness
+    set covers its pairs.  The slot counts may differ: the two LPs are
+    different programs, whose phase one can stop at different vertices, and
+    a different state covers different later pairs."""
 
     def check(self, table):
         gea = require_gea(table)
@@ -329,14 +328,19 @@ class TestAtomProgram:
             assert (lp_feasible(atom) is None) == (lp_feasible(reference) is None), atom
             if atom.conflict is not None:
                 assert atom.refuted_by(atom.certificate())
-        assert search(gea) == [(w.failures, len(w.states))
-                               for w in (reference_search(gea, "order"),
-                                         reference_search(gea, "separate"))]
+        for goal, search in (("order", order_determining_set), ("separate", separating_set)):
+            witnesses = search(gea)
+            assert_witness_set(gea, witnesses)
+            assert witnesses.failures == reference_search(gea, goal).failures, goal
 
     def test_corpus(self, valid_corpus):
         for table in valid_corpus.values():
             self.check(table)
 
+    # Draws whose slot counts differ from the reference's.
+    @example(214, 12)
+    @example(382, 9)
+    @example(481, 9)
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(1, 24))
     def test_random_tables(self, seed, n):
@@ -378,6 +382,59 @@ class TestAtomProgram:
         assert main(["represent", str(path), "--goal", goal, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["witnesses"]["states"]) == slots
+
+
+def phase_one_tables(valid_corpus):
+    """The tables whose atom pair programs pin lp_feasible's points, by
+    name: the corpus, MO_k for k <= 6, FAMILIES and PRODUCTS and each of
+    them glued to no_states, and random_gea at n = 6, 9 and 12, seeds
+    0-29."""
+    named = FAMILIES | PRODUCTS
+    return {**valid_corpus, **{f"MO_{k}": mo_table(k) for k in range(1, 7)}, **named,
+            **{f"{name}+NS": glued(table, NS) for name, table in named.items()},
+            **{f"random_gea({seed}, {n})": random_gea(random.Random(seed), n)
+               for n in (6, 9, 12) for seed in range(30)}}
+
+
+class TestPhaseOnePoints:
+    """lp_feasible returns the point of x0_phase_one, the auxiliary-variable
+    phase one it replaced, on every LP that the witness searches of these
+    tables run, so the witness states and the reports are the ones that
+    phase one gave.  On general programs the two can stop at different
+    feasible vertices, so the inputs are fixed, not drawn."""
+
+    # The one atom pair program of these tables where they do: lp_feasible
+    # returns (1, 0, 0, 2, 1) over the atoms, and x0_phase_one returns
+    # (0, 1, 0, 0, 1).  No search runs it: earlier slots cover (8, 5) under
+    # both goals.
+    MOVED = {("random_gea(21, 9)", 8, 5)}
+
+    def test_atom_pair_programs_keep_their_points(self, valid_corpus):
+        moved = set()
+        checked = feasible = 0
+        for name, table in phase_one_tables(valid_corpus).items():
+            program = additivity_program(require_gea(table))
+            for a, b in itertools.permutations(range(table.n), 2):
+                pair = atom_pair_program(program, a, b)
+                x = lp_feasible(pair)
+                if x != x0_phase_one(pair):
+                    moved.add((name, a, b))
+                checked += 1
+                feasible += x is not None
+        assert moved == self.MOVED
+        assert checked > 10000 and feasible > 5000
+
+    def test_every_lp_of_the_searches_keeps_its_point(self, valid_corpus, monkeypatch):
+        ran = []
+        real = states.lp_feasible
+        monkeypatch.setattr(states, "lp_feasible", lambda program: ran.append(program)
+                            or real(program))
+        for table in phase_one_tables(valid_corpus).values():
+            gea = require_gea(table)
+            order_determining_set(gea)
+            separating_set(gea)
+        assert all(real(program) == x0_phase_one(program) for program in ran)
+        assert len(ran) > 1000
 
 
 def antichain(atoms):
@@ -458,9 +515,10 @@ class TestProgramSizes:
         for pair in pair_programs(table):
             pivots.clear()
             lp_feasible(pair)
-            # One row: x0 enters where the rhs is negative, and one Bland
-            # pivot can take it out.
-            assert len(pair.rows) == 1 and len(pivots) <= 2
+            # One row: where its rhs is negative it leaves for its least
+            # negative column, and that basis is feasible or the row has no
+            # negative entry.
+            assert len(pair.rows) == 1 and len(pivots) <= 1
         # Each witness is one basic solution, a multiple of one coordinate,
         # and (e_i, 0) needs coordinate i, so the order goal takes one slot
         # per atom.
