@@ -4,18 +4,21 @@ The table stores a partial binary operation x + y on indexed elements.  An
 AlgebraTable holds it once, as padded rows with each row's defined columns:
 rows[i][j] is the index of x_i + x_j, or -1 when the sum is undefined, and
 the last row and column are -1 padding, so a lookup through an undefined
-sum, rows[-1][j], reads -1 too.  All checks are exhaustive scans of those
-rows, and every walk of the sums goes by row, columns ascending.  The
-associativity scan walks only the triples whose left side is defined and
-counts the triples whose right side is defined, so its cost follows the
-number of defined triples, not n^3.  Only the triples whose first element
-is zero or an atom (no sum of two nonzero elements) are compared when the
-table is two-sided and Kahn's algorithm orders every nonzero element along
-u -> u+v, v -> u+v (u, v, u+v nonzero): by induction along that order, a
-non-atom x = u+v gives (x+y)+z = (u+(v+y))+z = u+((v+y)+z) = u+(v+(y+z))
-= (u+v)+(y+z) by the triples (u, v, y), (u, v+y, z), (v, y, z) and
-(u, v, y+z), whose first elements come before x, and an undefined v+y or
-y+z leaves both ends undefined.  A GEA has no such cycle (u < u+v).
+sum, rows[-1][j], reads -1 too.  Every walk of the sums goes by row,
+columns ascending.  The GEA scan reads each row's defined values once and
+decides GE3, GE4 and GE5 from them and from how often each value is a sum,
+so their cost follows the defined sums; only a failing test is walked for
+its violations.  The associativity scan walks only the triples whose left
+side is defined and counts the triples whose right side is defined, so its
+cost follows the number of defined triples, not n^3.  Only the triples
+whose first element is zero or an atom (no sum of two nonzero elements) are
+compared when the table is two-sided and Kahn's algorithm orders every
+nonzero element along u -> u+v, v -> u+v (u, v, u+v nonzero): by induction
+along that order, a non-atom x = u+v gives (x+y)+z = (u+(v+y))+z =
+u+((v+y)+z) = u+(v+(y+z)) = (u+v)+(y+z) by the triples (u, v, y),
+(u, v+y, z), (v, y, z) and (u, v, y+z), whose first elements come before x,
+and an undefined v+y or y+z leaves both ends undefined.  A GEA has no such
+cycle (u < u+v).
 
 A pipeline runs the GEA scan once: scan_gea and require_gea return a
 CheckedGEA, the table with its induced order, atoms and Kahn order, which
@@ -144,10 +147,12 @@ def _holds(xs: Sequence[int], rows: list[list[int]], cols: list[list[int]],
     return left == right and len(left) == sum(count[w] for x in xs for w in cols[x])
 
 
-def _associativity(table: AlgebraTable,
-                   two_sided: bool) -> tuple[list[Violation], list[int], list[int]]:
+def _associativity(table: AlgebraTable, two_sided: bool, identity: bool, vals: list[list[int]],
+                   count: list[int]) -> tuple[list[Violation], list[int], list[int]]:
     """(x+y)+z = x+(y+z) whenever one side is defined (a defined side with an
-    undefined one is a violation), and the atoms and Kahn's order.
+    undefined one is a violation), and the atoms and Kahn's order, from
+    vals[x], row x's defined values, count[w], the defined sums y+z = w, and
+    identity, whether 0+y = y for every y.
 
     For the x in xs, _holds lists the left side of every triple whose left
     side is defined, read from the defined columns of each x+y, and its
@@ -159,10 +164,6 @@ def _associativity(table: AlgebraTable,
     all triples, so when that pass fails both kinds of triples are walked
     for their violations, sorted into the order of the full n^3 scan."""
     n, rows, cols, lab, zero = table.n, table.rows, table.cols, table.elements, table.zero
-    vals = [list(map(row.__getitem__, c)) for row, c in zip(rows, cols)]
-    count = [0] * n  # count[w]: the defined sums y+z = w
-    for k in chain.from_iterable(vals):
-        count[k] += 1
     # indegree[k]: the sums u+v = k of nonzero u, v, so every sum less the zero
     # row and column (slot n takes the padding's -1); zero is no successor.
     indegree = count + [0]
@@ -182,7 +183,7 @@ def _associativity(table: AlgebraTable,
     xs: Sequence[int] = range(n)
     if two_sided and len(order) == n - 1:
         # Zero's triples hold outright when 0+y = y for every y.
-        xs = atoms if rows[zero][:n] == list(range(n)) else [zero, *atoms]
+        xs = atoms if identity else [zero, *atoms]
     if _holds(xs, rows, cols, vals, count):
         return [], atoms, order
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (y, z) by y+z
@@ -209,20 +210,16 @@ def _associativity(table: AlgebraTable,
     return out, atoms, order
 
 
-def _cancellation(table: AlgebraTable) -> list[Violation]:
-    """x+y = x+y' forces y = y'.  A row whose defined values are distinct,
-    which set() tells at once (every row holds a -1 in its padding), is not
-    walked."""
+def _cancellation(table: AlgebraTable, vals: list[list[int]]) -> list[Violation]:
+    """x+y = x+y' forces y = y'.  Only a row whose defined values vals[x]
+    repeat, which set() tells at once, is walked."""
     out = []
     lab = table.elements
-    n = table.n
-    for x, row in enumerate(table.rows):
-        if len(set(row)) + row.count(-1) == n + 2:
+    for x, (c, v) in enumerate(zip(table.cols, vals)):
+        if len(set(v)) == len(v):
             continue
         by_result: dict[int, int] = {}
-        for y, k in enumerate(row):
-            if k < 0:
-                continue
+        for y, k in zip(c, v):
             if k in by_result:
                 out.append(Violation("GE3", (x, by_result[k], y),
                                      f"{lab[x]}+{lab[by_result[k]]} = {lab[x]}+{lab[y]} = {lab[k]}"))
@@ -233,28 +230,33 @@ def _cancellation(table: AlgebraTable) -> list[Violation]:
 
 def check_gea_axioms(table: AlgebraTable, kahn: bool = False
                      ) -> AxiomReport | tuple[AxiomReport, tuple[int, ...], tuple[int, ...]]:
-    """Exhaustively verify the generalized effect algebra axioms GE1..GE5:
-    the AxiomReport or, with kahn, (report, atoms, order), the scan's atoms
-    and Kahn order, atoms first, which stops short at a cycle of sums."""
+    """Verify the generalized effect algebra axioms GE1..GE5 on every
+    defined sum: the AxiomReport or, with kahn, (report, atoms, order), the
+    scan's atoms and Kahn order, atoms first, which stops short at a cycle
+    of sums."""
     violations: list[Violation] = []
-    lab = table.elements
-    zero = table.zero
-    violations += _two_sided(table)
-    ge2, atoms, order = _associativity(table, not violations)  # no GE1 violation
+    n, rows, cols, lab, zero = table.n, table.rows, table.cols, table.elements, table.zero
+    vals = [list(map(row.__getitem__, c)) for row, c in zip(rows, cols)]
+    count = [0] * n  # count[w]: the defined sums y+z = w
+    for k in chain.from_iterable(vals):
+        count[k] += 1
+    identity = rows[zero][:n] == list(range(n))  # GE5
+    violations += _two_sided(table)  # the atom pass needs no GE1 violation
+    ge2, atoms, order = _associativity(table, not violations, identity, vals, count)
     violations += ge2
-    violations += _cancellation(table)
-    for i, row in enumerate(table.rows):
-        if zero not in row:
-            continue
-        for j, k in enumerate(row):
-            if k == zero and not (i == zero and j == zero):
-                violations.append(Violation("GE4", (i, j),
-                                            f"{lab[i]}+{lab[j]}={lab[k]} sums to zero"))
-    for x, k in enumerate(table.rows[zero][:table.n]):
-        if k < 0:
-            violations.append(Violation("GE5", (x,), f"0+{lab[x]} is undefined"))
-        elif k != x:
-            violations.append(Violation("GE5", (x,), f"0+{lab[x]}={lab[k]}, expected {lab[x]}"))
+    violations += _cancellation(table, vals)
+    if count[zero] != (1 if rows[zero][zero] == zero else 0):  # 0+0 is the one sum to zero
+        for i, (c, v) in enumerate(zip(cols, vals)):
+            for j, k in zip(c, v):
+                if k == zero and not (i == zero and j == zero):
+                    violations.append(Violation("GE4", (i, j),
+                                                f"{lab[i]}+{lab[j]}={lab[k]} sums to zero"))
+    if not identity:
+        for x, k in enumerate(rows[zero][:n]):
+            if k < 0:
+                violations.append(Violation("GE5", (x,), f"0+{lab[x]} is undefined"))
+            elif k != x:
+                violations.append(Violation("GE5", (x,), f"0+{lab[x]}={lab[k]}, expected {lab[x]}"))
     report = AxiomReport(tuple(violations))
     return (report, tuple(atoms), tuple(order)) if kahn else report
 

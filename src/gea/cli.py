@@ -10,10 +10,15 @@ input_digest is the SHA-256 of the bytes parsed.
 Exit codes: 0 success, 1 a verification stage failed, 2 unreadable or
 malformed input, 3 no witness set exists for the requested goal.  Every
 report, an error report too, carries its exit code and goes to --out.
+
+A command runs with the cyclic garbage collector off, since nothing it
+builds forms a reference cycle, and main turns the collector back on after
+it only if it was on before, so an in-process caller keeps its setting.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -173,15 +178,14 @@ def _verified_representation(gea: CheckedGEA, witnesses: StateWitnessSet,
     injective, _ = verify_injective(rep)
     order_reflecting, _ = verify_order_reflecting(rep, gea)
 
-    norms = [operator_norm(rep, a) for a in range(table.n)]
+    norms = operator_norm(rep)
     bounded, _ = verify_bounded(rep, norms)
 
     verification = {
         "morphism": morphism,
         "injective": injective,
         "order_reflecting": order_reflecting,
-        "bounds": {label: fileio.ratio_str(norm.numerator, norm.denominator)
-                   for label, norm in zip(table.elements, norms)},
+        "bounds": dict(zip(table.elements, fileio.ratio_strs(norms, rep.den))),
         # The bound check is exact; these three keep the report's bytes.
         "sampled_vectors": 20,
         "seed": seed,
@@ -380,20 +384,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parse(argv)
     args.command_echo = "gea " + " ".join(argv)
+    # No command makes a reference cycle: a collector pass would only walk its table.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        report, code = args.func(args)
-    except InputError as exc:
-        report, code = _error_report(args, exc), EXIT_INPUT
-    except (ContractError, AssertionError) as exc:
-        report, code = _error_report(args, exc), EXIT_FAIL
-    report["exit"] = code
-    try:
-        _emit(report, args.json, args.out)
-    except InputError as exc:  # the --out file cannot be written
-        error = "; ".join(filter(None, (report.get("error"), str(exc))))  # keep the first error
-        _emit({**_error_report(args, error), "exit": EXIT_INPUT}, args.json)
-        return EXIT_INPUT
-    return code
+        try:
+            report, code = args.func(args)
+        except InputError as exc:
+            report, code = _error_report(args, exc), EXIT_INPUT
+        except (ContractError, AssertionError) as exc:
+            report, code = _error_report(args, exc), EXIT_FAIL
+        report["exit"] = code
+        try:
+            _emit(report, args.json, args.out)
+        except InputError as exc:  # the --out file cannot be written
+            error = "; ".join(filter(None, (report.get("error"), str(exc))))  # keep the first error
+            _emit({**_error_report(args, error), "exit": EXIT_INPUT}, args.json)
+            return EXIT_INPUT
+        return code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import hashlib
 import json
 from math import gcd
 from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .algebra import AlgebraTable, MorphismSpec, require_gea
 from .errors import ContractError, InputError
@@ -29,10 +29,15 @@ if TYPE_CHECKING:
 PathLike = Union[str, Path]
 
 
-def ratio_str(p: int, q: int) -> str:
-    """The string of p/q (q > 0) in lowest terms, as str(Fraction(p, q))."""
-    common = gcd(p, q)
-    return str(p // common) if common == q else f"{p // common}/{q // common}"
+def ratio_strs(nums: Iterable[int], den: int) -> list[str]:
+    """The string of each p/den (den > 0) in lowest terms, as str(Fraction(p, den))."""
+    if den == 1:
+        return list(map(str, nums))
+    out = []
+    for p in nums:
+        common = gcd(p, den)
+        out.append(str(p // common) if common == den else f"{p // common}/{den // common}")
+    return out
 
 
 def _read_json(path: PathLike) -> tuple[dict, str]:
@@ -148,7 +153,7 @@ def _pair_key(table: AlgebraTable, pair: tuple[int, int]) -> str:
 def witness_set_to_json(table: AlgebraTable, witnesses: StateWitnessSet) -> dict:
     return {
         "goal": witnesses.goal,
-        "states": [[ratio_str(p, s.den) for p in s.nums] for s in witnesses.states],
+        "states": [ratio_strs(s.nums, s.den) for s in witnesses.states],
         "provenance": {_pair_key(table, pair): slot
                        for pair, slot in witnesses.provenance.items()},
         "failures": [[table.elements[a], table.elements[b]]
@@ -160,7 +165,7 @@ def representation_to_json(table: AlgebraTable, rep: DiagonalRep, verification: 
     """The representation under the table's labels, m entries per diagonal."""
     return {
         "witnesses": rep.m,
-        "operators": {label: [ratio_str(p, rep.den) for p in diagonal]
+        "operators": {label: ratio_strs(diagonal, rep.den)
                       for label, diagonal in zip(table.elements, rep.diagonals)},
         "verification": verification,
     }

@@ -14,13 +14,14 @@ table's, which its checks and its report take beside it.
 The diagonals are stored as ints over one common denominator D, the lcm of
 the witness states' denominators, so the build and every self-check
 (additivity, injectivity, order reflection, positivity and norm bounds)
-compare and add ints.  The order check reads the induced order from the
-CheckedGEA of the pipeline's one axiom scan.  phi(a) <= phi(b) fails exactly
-when some slot has s(b) < s(a), so it rebuilds the witness search's masks
-from the built diagonals, one sort per slot: phi reflects the order iff the
-slots cover, at each a, every b not above a.  The Fraction views
-(operators, operator_norm) are for callers and reports; the Fraction
-forms of the vector checks are kept in tests/reference.py.
+compare and add ints, and the operator norms are int numerators over D.
+The order check reads the induced order from the CheckedGEA of the
+pipeline's one axiom scan.  phi(a) <= phi(b) fails exactly when some slot
+has s(b) < s(a), so it rebuilds the witness search's masks from the built
+diagonals, one sort per slot: phi reflects the order iff the slots cover,
+at each a, every b not above a.  The Fraction view (operators) is for
+callers; the reports write the numerators over D, and the Fraction forms of
+the vector checks are kept in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -118,24 +119,21 @@ def verify_order_reflecting(rep: DiagonalRep,
     return True, None
 
 
-def operator_norm(rep: DiagonalRep, a: int) -> Fraction:
-    """Operator norm of the diagonal phi(a): its largest |entry|, attained
-    at the basis vector of that slot."""
-    entries = rep.diagonals[a]
-    if not entries:
-        return Fraction(0)
-    return Fraction(max(max(entries), -min(entries)), rep.den)
+def operator_norm(rep: DiagonalRep) -> list[int]:
+    """The operator norm of every diagonal phi(a), as an int numerator over
+    rep.den: its largest |entry|, attained at the basis vector of that
+    slot, and 0 with no slot."""
+    return [max(max(d), -min(d)) if d else 0 for d in rep.diagonals]
 
 
-def verify_bounded(rep: DiagonalRep, norms: Sequence[Fraction]) -> tuple[bool, Optional[int]]:
-    """True iff every phi(a) is positive and bounded by norms[a] = p/q: its
-    int diagonal d has no negative entry and q max(d) <= |p| den.  Both
-    forms are sums over the slots weighted by x_s^2 >= 0, so this holds at
-    every vector x iff at every basis vector; on failure the first a."""
-    for a, diagonal in enumerate(rep.diagonals):
-        norm = norms[a]
-        if (min(diagonal, default=0) < 0
-                or norm.denominator * max(diagonal, default=0) > abs(norm.numerator) * rep.den):
+def verify_bounded(rep: DiagonalRep, norms: Sequence[int]) -> tuple[bool, Optional[int]]:
+    """True iff every phi(a) is positive and bounded by norms[a] / rep.den:
+    its int diagonal d has no negative entry and max(d) <= |norms[a]|.
+    Both forms are sums over the slots weighted by x_s^2 >= 0, so this
+    holds at every vector x iff at every basis vector; on failure the
+    first a."""
+    for a, (d, norm) in enumerate(zip(rep.diagonals, norms)):
+        if d and (min(d) < 0 or max(d) > abs(norm)):
             return False, a
     return True, None
 

@@ -15,8 +15,7 @@ with its states and its searches,
 for the atom program of `additivity_program`; the per-pair coverage walk
 `reference_assign_witnesses`, for the masks of `assign_witnesses`, with the
 per-sum walks `reference_validate` and `reference_first_nonadditive` for the
-packed additivity pass of `first_nonadditive`; the text renderer that calls json.dumps per scalar, for
-`cli._render_text`; the per-pair effect table, one `np.allclose` per candidate
+packed additivity pass of `first_nonadditive`; the per-pair effect table, one `np.allclose` per candidate
 label, `reference_table_from_effects`, for `effects.table_from_effects`, with
 its checked spectrum of one matrix by `eigvalsh`, `reference_eigenvalues`,
 for `effects.spectral_flags`; the argparse parser the command line was read with,
@@ -560,36 +559,6 @@ def assert_witness_set(gea, witnesses) -> None:
     for slot, (a, b) in enumerate(made):
         assert covers(found[slot].nums[a], found[slot].nums[b])
         assert not any(covers(s.nums[a], s.nums[b]) for s in found[:slot])
-
-
-def reference_render_text(value, indent: int = 0) -> str:
-    """The text form of a report, each scalar written by json.dumps."""
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return pad + "{}"
-        lines = []
-        for key, item in value.items():
-            if isinstance(item, list) and all(not isinstance(x, (dict, list)) for x in item):
-                lines.append(f"{pad}{key}: {json.dumps(item)}")
-            elif isinstance(item, (dict, list)) and item:
-                lines.append(f"{pad}{key}:")
-                lines.append(reference_render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {json.dumps(item)}")
-        return "\n".join(lines)
-    if isinstance(value, list):
-        if not value:
-            return pad + "[]"
-        lines = []
-        for item in value:
-            if isinstance(item, (dict, list)) and item:
-                lines.append(pad + "-")
-                lines.append(reference_render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {json.dumps(item)}")
-        return "\n".join(lines)
-    return pad + json.dumps(value)
 
 
 def reference_eigenvalues(mat: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ matrix checks use the documented 1e-9.
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -120,8 +121,8 @@ def test_criterion_5_boundedness(valid_corpus):
     for table in valid_corpus.values():
         gea = require_gea(table)
         rep = build_representation(gea, order_determining_set(gea))
-        for a in range(table.n):
-            norm = operator_norm(rep, a)
+        for a, p in enumerate(operator_norm(rep)):
+            norm = Fraction(p, rep.den)
             for _ in range(100):
                 x = random_rational_vector(rng, rep.m)
                 if not bounded_by(rep, a, norm, x):

@@ -147,6 +147,43 @@ class TestGeaAxioms:
         assert axiom_witnesses(report, "GE5")
 
 
+# Tables on which one of the scan's whole-table tests of GE3, GE4 and GE5
+# fails: the repeat test of a row's values, the count of sums to zero
+# (1 with 0 + 0 = 0, else 0) and the comparison of zero's row with the
+# identity.  Each gives the violations that test must then list.
+BULK_CASES = {
+    # Two-sided a + b = 0: three sums to zero, 0 + 0 = 0 among them.
+    "nonzero sum to zero": (table(["0", "a", "b"], with_zero_sums(3, {(1, 2): 0, (2, 1): 0})),
+                            {"GE4": [(1, 2), (2, 1)]}),
+    # One-sided a + b = 0: two sums to zero, one more than 0 + 0 = 0.
+    "one-sided sum to zero": (table(["0", "a", "b"], with_zero_sums(3, {(1, 2): 0})),
+                              {"GE4": [(1, 2)]}),
+    # 0 + 0 undefined, the rest of zero's row and column the identity.
+    "undefined 0 + 0": (table(["0", "a"], {(0, 1): 1, (1, 0): 1}), {"GE4": [], "GE5": [(0,)]}),
+    # And a + a = 0: one sum to zero where none may be.
+    "undefined 0 + 0, a + a = 0": (table(["0", "a"], {(0, 1): 1, (1, 0): 1, (1, 1): 0}),
+                                   {"GE4": [(1, 1)], "GE5": [(0,)]}),
+    # 0 + a = b on both sides: zero's row is wrong in one cell.
+    "zero row wrong in one cell": (
+        table(["0", "a", "b"], {(0, 0): 0, (0, 1): 2, (1, 0): 2, (0, 2): 2, (2, 0): 2}),
+        {"GE4": [], "GE5": [(1,)]}),
+    # a + b = a + c = c: a repeated value in the nonzero row of a.
+    "repeated value in a row": (
+        table(["0", "a", "b", "c"], with_zero_sums(4, {(1, 2): 3, (2, 1): 3, (1, 3): 3,
+                                                       (3, 1): 3})),
+        {"GE3": [(1, 2, 3), (3, 0, 1)], "GE4": [], "GE5": []}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BULK_CASES))
+def test_failing_bulk_test_lists_its_violations(name):
+    t, expected = BULK_CASES[name]
+    report = check_gea_axioms(t)
+    assert report == reference_gea_axioms(t)
+    for axiom, witnesses in expected.items():
+        assert axiom_witnesses(report, axiom) == witnesses, axiom
+
+
 def dense_associativity(table, axiom_id):
     """Reference scan of every triple (x, y, z) in lexicographic order."""
     out = []

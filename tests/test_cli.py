@@ -1,5 +1,6 @@
 import builtins
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
@@ -18,12 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gea
-from gea import algebra, corpus, states
+from gea import algebra, corpus, fileio, states
 from gea import cli
 from gea.cli import main
 from gea.effects import EffectMatrix
-from reference import (down_set_table, reference_parser, reference_render_text, write_matrix,
-                       write_table)
+from reference import down_set_table, reference_parser, write_matrix, write_table
 from test_readme import COMMANDS as README_COMMANDS
 
 
@@ -650,9 +650,135 @@ class TestOneReadPerInput:
         assert digests == [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs]
 
 
-json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
-json_values = st.recursive(json_scalars, lambda inner: st.one_of(
-    st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)), max_leaves=10)
+# The text of a few reports, run from the corpus directory with bare file
+# names, as the renderer writes them: scalars and scalar lists as json.dumps
+# writes them, nested containers indented by two spaces.
+TEXT_REPORTS = {
+    "check diamond.json --ea": """\
+schema: 1
+command: "gea check diamond.json --ea"
+input: "diamond.json"
+input_digest: "dc4ed6c38bd80c3d7a4c6b0d0ba3be8176d6a9a084ad2aaff950a0cdf2cc3f7c"
+gea:
+  passed: true
+  violations: []
+ea:
+  passed: true
+  violations: []
+exit: 0
+""",
+    "order excd.json": """\
+schema: 1
+command: "gea order excd.json"
+input: "excd.json"
+input_digest: "ba8b030d71293742f59eca6d57172c47adc907dca8af2b74ea933f489c39ac86"
+gea:
+  passed: true
+  violations: []
+order:
+  strictly_below:
+    -
+      - "0"
+      - "pi1"
+    -
+      - "0"
+      - "pi2"
+  differences:
+    0,0: "0"
+    pi1,0: "pi1"
+    pi1,pi1: "0"
+    pi2,0: "pi2"
+    pi2,pi2: "0"
+exit: 0
+""",
+    "represent excd.json": """\
+schema: 1
+command: "gea represent excd.json"
+input: "excd.json"
+input_digest: "ba8b030d71293742f59eca6d57172c47adc907dca8af2b74ea933f489c39ac86"
+gea:
+  passed: true
+  violations: []
+witnesses:
+  goal: "order"
+  states:
+    -
+      - "0"
+      - "1"
+      - "0"
+    -
+      - "0"
+      - "0"
+      - "1"
+  provenance:
+    pi1,0: 0
+    pi2,0: 1
+  failures: []
+representation:
+  witnesses: 2
+  operators:
+    0: ["0", "0"]
+    pi1: ["1", "0"]
+    pi2: ["0", "1"]
+  verification:
+    morphism: true
+    injective: true
+    order_reflecting: true
+    bounds:
+      0: "0"
+      pi1: "1"
+      pi2: "1"
+    sampled_vectors: 20
+    seed: 0
+    sampled_ok: true
+exit: 0
+""",
+    "check no-such.json": """\
+schema: 1
+command: "gea check no-such.json"
+error: "cannot read no-such.json: [Errno 2] No such file or directory: 'no-such.json'"
+exit: 2
+""",
+}
+
+# A label's characters are escaped in values, which json.dumps writes, and
+# written as they are in keys.
+NON_ASCII_ORDER = r"""schema: 1
+command: "gea order labels.json"
+input: "labels.json"
+input_digest: "a56f7c697a6bbf70c36a10105bd51a6f6c1b7a7861f85ee6453579b9fd622df8"
+gea:
+  passed: true
+  violations: []
+order:
+  strictly_below:
+    -
+      - "0"
+      - "\u03b1"
+    -
+      - "0"
+      - "b\"c"
+    -
+      - "0"
+      - "\u00fc\n\u2205"
+    -
+      - "0"
+      - "\ud83d\ude00"
+  differences:
+    0,0: "0"
+    α,0: "\u03b1"
+    α,α: "0"
+    b"c,0: "b\"c"
+    b"c,b"c: "0"
+    ü
+∅,0: "\u00fc\n\u2205"
+    ü
+∅,ü
+∅: "0"
+    😀,0: "\ud83d\ude00"
+    😀,😀: "0"
+exit: 0
+"""
 
 
 class TestHumanOutput:
@@ -661,50 +787,29 @@ class TestHumanOutput:
         assert code == 0
         assert '"gea check' in out and "passed: true" in out
 
-    def reports(self, monkeypatch, commands):
-        """The text each command prints and the report it rendered."""
-        emitted = []
-        emit = cli._emit
+    @pytest.mark.parametrize("command", sorted(TEXT_REPORTS))
+    def test_text_reports_are_pinned(self, command, capsys, monkeypatch):
+        monkeypatch.chdir(corpus.path("diamond").parent)
+        code, text = run(capsys, *command.split())
+        assert text == TEXT_REPORTS[command]
+        assert text.endswith(f"exit: {code}\n")
 
-        def recording(report, as_json, out=None):
-            emitted.append(report)
-            emit(report, as_json, out)
-
-        monkeypatch.setattr(cli, "_emit", recording)
-        for argv in commands:
-            buffer = io.StringIO()
-            with contextlib.redirect_stdout(buffer):
-                main(argv)
-            yield buffer.getvalue(), emitted[-1]
-
-    def test_text_matches_the_reference_renderer_on_every_corpus_report(self, monkeypatch):
-        count = 0
-        for text, report in self.reports(monkeypatch, corpus_commands()):
-            assert text == reference_render_text(report) + "\n"
-            count += 1
-        assert count == 66
-
-    def test_non_ascii_labels_and_floats_render_as_json_would(self, monkeypatch, tmp_path):
+    def test_non_ascii_labels_and_floats_render_as_json_would(self, capsys, monkeypatch,
+                                                              tmp_path):
         labels = ["0", "α", "b\"c", "ü\n∅", "\U0001f600"]
         table = {"elements": labels, "zero": "0",
                  "sums": [[x, "0", x] for x in labels] + [["0", x, x] for x in labels[1:]]}
-        path = tmp_path / "labels.json"
-        path.write_text(json.dumps(table), encoding="utf-8")
-        commands = [["check", str(path)], ["order", str(path)],
-                    ["represent", str(path), "--goal", "separate"],
-                    ["effects", "witness", cpath("mat_a"), cpath("mat_b")]]
-        texts = list(self.reports(monkeypatch, commands))
-        for text, report in texts:
-            assert text == reference_render_text(report) + "\n"
-        assert "\\u03b1" in texts[1][0] and "\\ud83d\\ude00" in texts[1][0]
-        assert any(isinstance(v, float) for v in texts[3][1]["inner_products"].values())
-
-    @settings(max_examples=100, deadline=None)
-    @given(json_values)
-    @example({"x": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 2 ** 70]})
-    @example([["\u00e9", "\u2028", "\U0001f600", None, True, 0.1], {}, [], {"k": {}}])
-    def test_any_json_value_renders_as_the_reference_does(self, value):
-        assert cli._render_text(value) == reference_render_text(value)
+        (tmp_path / "labels.json").write_text(json.dumps(table), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "order", "labels.json") == (0, NON_ASCII_ORDER)
+        value = {"inner_products": {"a": 2.0, "b": 0.1},
+                 "x": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 2 ** 70],
+                 "é": ["\u2028", "\U0001f600", None, True], "nested": [[], {}, {"k": {}}]}
+        assert cli._render_text(value) == "\n".join([
+            "inner_products:", "  a: 2.0", "  b: 0.1",
+            "x: [NaN, Infinity, -Infinity, -0.0, 1e+300, 1180591620717411303424]",
+            'é: ["\\u2028", "\\ud83d\\ude00", null, true]',
+            "nested:", "  - []", "  - {}", "  -", "    k: {}"])
 
 
 def count_calls(monkeypatch, fn):
@@ -823,6 +928,71 @@ def test_every_public_function_is_reached_by_a_command():
     finally:
         sys.setprofile(previous)
     assert {name for code, name in public.items() if code not in reached} == set(UNREACHED)
+
+
+@pytest.fixture
+def collector_setting():
+    """Put the cyclic collector back as the test found it."""
+    collecting = gc.isenabled()
+    yield
+    (gc.enable if collecting else gc.disable)()
+
+
+class TestCollectorSetting:
+    """main runs each command with the cyclic collector off, and on every
+    exit path leaves it as its caller had it."""
+
+    def argv(self, tmp_path, case):
+        not_gea = tmp_path / "morphism.json"
+        broken = corpus.load("broken_ge3").elements
+        not_gea.write_text(json.dumps({"source": cpath("broken_ge3"), "target": cpath("broken_ge3"),
+                                       "map": {lab: lab for lab in broken}}), encoding="utf-8")
+        return {"pass": ["check", cpath("excd")],
+                "fail": ["check", cpath("broken_ge3")],
+                "missing file": ["check", str(tmp_path / "no-such.json")],
+                "unwritable out": ["represent", cpath("cube8"),
+                                   "--out", str(tmp_path / "missing" / "report.json")],
+                "no witness": ["represent", cpath("no_states")],
+                "contract error": ["morphism", str(not_gea)]}[case]
+
+    @pytest.mark.parametrize("case, exit_code", [
+        ("pass", 0), ("fail", 1), ("missing file", 2), ("unwritable out", 2),
+        ("no witness", 3), ("contract error", 1)])
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_every_exit_leaves_the_setting(self, capsys, tmp_path, collector_setting,
+                                           case, exit_code, collecting):
+        argv = self.argv(tmp_path, case)
+        (gc.enable if collecting else gc.disable)()
+        code, report = run_json(capsys, *argv)
+        assert code == report["exit"] == exit_code
+        assert ("is not a generalized effect algebra" in report.get("error", "")) == \
+            (case == "contract error")
+        assert gc.isenabled() == collecting
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_a_raising_handler_leaves_the_setting(self, monkeypatch, collector_setting,
+                                                  collecting):
+        def handler(args):
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setitem(cli.COMMANDS, "check", (handler, *cli.COMMANDS["check"][1:]))
+        (gc.enable if collecting else gc.disable)()
+        with pytest.raises(RuntimeError, match="handler failed"):
+            main(["check", cpath("excd")])
+        assert gc.isenabled() == collecting
+
+    def test_the_load_runs_with_the_collector_off(self, capsys, monkeypatch, collector_setting):
+        seen = []
+        load = fileio.load_algebra
+
+        def recording(path):
+            seen.append(gc.isenabled())
+            return load(path)
+
+        monkeypatch.setattr(fileio, "load_algebra", recording)
+        gc.enable()
+        assert run_json(capsys, "represent", cpath("diamond"))[0] == 0
+        assert seen == [False] and gc.isenabled()
 
 
 class TestClosedStdout:

@@ -12,7 +12,7 @@ from gea.algebra import require_gea
 from gea.cli import main
 from gea.effects import EffectMatrix
 from gea.errors import InputError
-from gea.fileio import load_algebra, load_matrix, load_morphism, ratio_str, witness_set_to_json
+from gea.fileio import load_algebra, load_matrix, load_morphism, ratio_strs, witness_set_to_json
 from gea.states import separating_set
 from reference import write_matrix, write_table
 
@@ -202,13 +202,15 @@ def test_matrix_int_that_fits_a_float_accepted(tmp_path):
 
 
 def test_frac_codec():
-    assert ratio_str(3, 2) == "3/2"
-    assert ratio_str(-6, 4) == "-3/2"
+    assert ratio_strs([3, -6, 0, 8], 2) == ["3/2", "-3", "0", "4"]
+    assert ratio_strs([-6, 5], 4) == ["-3/2", "5/4"]
+    assert ratio_strs([-6, 5], 1) == ["-6", "5"]
 
 
-@given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
-def test_ratio_str_reads_as_fraction(p, q):
-    assert ratio_str(p, q) == str(Fraction(p, q))
+@given(st.lists(st.integers(-10**20, 10**20), max_size=5),
+       st.one_of(st.just(1), st.integers(1, 10**6)))
+def test_ratio_str_reads_as_fraction(nums, den):
+    assert ratio_strs(nums, den) == [str(Fraction(p, den)) for p in nums]
 
 
 def test_witness_json_shape(chain_c3):

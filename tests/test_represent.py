@@ -295,9 +295,8 @@ class TestIntegerChecksMatchFractionReference:
         assert verify_morphism(rep, table) == reference_first_violation(rep, table)
         assert verify_injective(rep) == reference_verify_injective(rep)
         assert verify_order_reflecting(rep, gea) == reference_verify_order_reflecting(rep, table)
-        for a in range(table.n):
-            assert operator_norm(rep, a) == reference_operator_norm(rep, a)
-        assert verify_bounded(rep, norms_of(rep)) == basis_bounded(rep, norms_of(rep))
+        assert fraction_norms(rep) == [reference_operator_norm(rep, a) for a in range(table.n)]
+        assert verify_bounded(rep, operator_norm(rep)) == basis_bounded(rep, operator_norm(rep))
 
     def test_corpus_and_population_reps(self):
         for table, gea, _ in CHECKED_TABLES:
@@ -307,28 +306,30 @@ class TestIntegerChecksMatchFractionReference:
                 assert verify_injective(rep) == reference_verify_injective(rep)
                 assert verify_order_reflecting(rep, gea) == \
                     reference_verify_order_reflecting(rep, table)
-                assert [operator_norm(rep, a) for a in range(table.n)] == \
+                assert fraction_norms(rep) == \
                     [reference_operator_norm(rep, a) for a in range(table.n)]
 
 
 class TestNormsAndVectorStates:
     def test_chain_top_norm_is_two(self, chain_c3):
         rep = state_rep(chain_c3, "order", (0, 1, 2))
-        assert operator_norm(rep, 2) == 2
+        assert fraction_norms(rep)[2] == 2
 
     def test_zero_norm_is_zero(self, chain_c3):
         rep = state_rep(chain_c3, "order", (0, 1, 2))
-        assert operator_norm(rep, 0) == 0
+        assert fraction_norms(rep)[0] == 0
 
     def test_diamond_two_witness_top_norm(self, diamond):
         rep = state_rep(diamond, "order", (0, 1, 0, 1), (0, 0, 1, 1))
-        assert operator_norm(rep, 3) == 1
+        assert fraction_norms(rep)[3] == 1
 
     def test_norm_is_the_largest_absolute_entry(self):
         rep = DiagonalRep(((0, 0), (-5, 1)), 1)
-        assert operator_norm(rep, 1) == 5 == reference_operator_norm(rep, 1)
+        assert operator_norm(rep) == [0, 5]
+        assert fraction_norms(rep)[1] == 5 == reference_operator_norm(rep, 1)
         rep = DiagonalRep(((0, 0), (-1, 3)), 2)
-        assert operator_norm(rep, 1) == Fraction(3, 2) == reference_operator_norm(rep, 1)
+        assert operator_norm(rep) == [0, 3]
+        assert fraction_norms(rep)[1] == Fraction(3, 2) == reference_operator_norm(rep, 1)
 
     def test_vector_state_at_basis_vectors_recovers_witnesses(self, diamond):
         gea = require_gea(diamond)
@@ -356,8 +357,7 @@ class TestNormsAndVectorStates:
         rng = random.Random(5)
         for table in valid_corpus.values():
             rep = search_rep(table)
-            for a in range(table.n):
-                norm = operator_norm(rep, a)
+            for a, norm in enumerate(fraction_norms(rep)):
                 for _ in range(25):
                     assert bounded_by(rep, a, norm, random_rational_vector(rng, rep.m))
 
@@ -365,17 +365,20 @@ class TestNormsAndVectorStates:
 def basis_bounded(rep, norms):
     """Reference for verify_bounded in Fractions: vector_state and bounded_by
     at every basis vector, which for a diagonal operator decide both tests
-    at every vector.  On failure the first element that fails either."""
+    at every vector, with the bounds norms[a] / rep.den.  On failure the
+    first element that fails either."""
     for a in range(len(rep.diagonals)):
         for s in range(rep.m):
             x = FiniteVector.basis(rep.m, s)
-            if vector_state(rep, x, a) < 0 or not bounded_by(rep, a, norms[a], x):
+            norm = Fraction(norms[a], rep.den)
+            if vector_state(rep, x, a) < 0 or not bounded_by(rep, a, norm, x):
                 return False, a
     return True, None
 
 
-def norms_of(rep):
-    return [operator_norm(rep, a) for a in range(len(rep.operators))]
+def fraction_norms(rep):
+    """operator_norm as Fractions."""
+    return [Fraction(p, rep.den) for p in operator_norm(rep)]
 
 
 def antichain(atoms):
@@ -388,16 +391,17 @@ def antichain(atoms):
 @st.composite
 def signed_reps(draw):
     """Random signed diagonals, each entry over its own denominator, with
-    random signed norms, or the operator norms, or those less a little."""
+    random signed norms over their common denominator, or the operator
+    norms, or those less 1 over it."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(0, 4))
     entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
     rep = diagonal_rep(*(draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)))
     kind = draw(st.sampled_from(["random", "operator", "below"]))
     if kind == "random":
-        norms = draw(st.lists(st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6)),
-                              min_size=n, max_size=n))
+        bound = 8 * rep.den
+        norms = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
     else:
-        norms = [norm - (kind == "below") * Fraction(1, 7) for norm in norms_of(rep)]
+        norms = [norm - (kind == "below") for norm in operator_norm(rep)]
     return rep, norms
 
 
@@ -412,58 +416,58 @@ class TestVerifyBounded:
             for search in (order_determining_set, separating_set):
                 rep = search_rep(antichain(atoms), search)
                 assert rep.m >= 1
-                assert self.agree(rep, norms_of(rep)) == (True, None)
+                assert self.agree(rep, operator_norm(rep)) == (True, None)
 
     def test_corpus_representations(self, valid_corpus):
         for table in valid_corpus.values():
             for search in (order_determining_set, separating_set):
                 rep = search_rep(table, search)
-                assert self.agree(rep, norms_of(rep)) == (True, None)
+                assert self.agree(rep, operator_norm(rep)) == (True, None)
 
     def test_zero_slots(self, singleton):
         rep = search_rep(singleton)
         assert rep.m == 0
-        assert self.agree(rep, norms_of(rep)) == (True, None)
+        assert self.agree(rep, operator_norm(rep)) == (True, None)
         # With no slot there is no vector to fail, whatever the norms.
         rep = DiagonalRep(((),) * 3, 5)
-        assert self.agree(rep, [Fraction(-1), Fraction(0), Fraction(2, 3)]) == (True, None)
+        assert self.agree(rep, [-5, 0, 2]) == (True, None)
 
     def test_entries_above_two_to_the_64(self):
         big = 2 ** 64
         rep = diagonal_rep((0, 0, 0), (big + 3, 1, big), (2 * big + 6, 2, 2 * big),
                            (Fraction(big, 3), Fraction(1, 3), 5))
-        norms = norms_of(rep)
-        assert norms[2] == 2 * big + 6
+        norms = operator_norm(rep)
+        assert rep.den == 3 and norms[2] == 3 * (2 * big + 6)
         assert self.agree(rep, norms) == (True, None)
-        assert self.agree(rep, norms[:2] + [norms[2] - Fraction(1, big)] + norms[3:]) == (False, 2)
+        assert self.agree(rep, norms[:2] + [norms[2] - 1] + norms[3:]) == (False, 2)
 
     def test_fractional_entries(self):
         rep = diagonal_rep((0, 0, 0), ("1/3", "2/7", "0"), ("2/3", "4/7", "5/11"),
                            ("1", "6/7", "5/11"))
-        assert self.agree(rep, norms_of(rep)) == (True, None)
+        assert self.agree(rep, operator_norm(rep)) == (True, None)
 
     def test_negative_entry_fails(self):
         # |-1/3| is below the norm 1/2, so only the positivity test fails.
         rep = diagonal_rep((0, 0), ("1/3", "2/7"), ("-1/3", "1/2"))
-        assert self.agree(rep, norms_of(rep)) == (False, 2)
+        assert self.agree(rep, operator_norm(rep)) == (False, 2)
 
     def test_negative_entry_in_the_last_element_fails(self):
         # Every earlier element passes; the last fails on its sign alone.
         rep = diagonal_rep((0, 0, 0), ("1/3", "2/7", "1/5"), ("1/2", "1/7", "0"),
                            ("1/5", "1/2", "-1/3"))
-        assert self.agree(rep, norms_of(rep)) == (False, 3)
+        assert self.agree(rep, operator_norm(rep)) == (False, 3)
 
     def test_norm_below_largest_entry_fails(self):
-        rep = diagonal_rep((0, 0), ("1/3", "2/7"))
-        assert self.agree(rep, [Fraction(0), Fraction(1, 4)]) == (False, 1)
-        assert self.agree(rep, [Fraction(0), Fraction(1, 3)]) == (True, None)
-        assert self.agree(rep, [Fraction(0), Fraction(3, 8)]) == (True, None)
+        rep = diagonal_rep((0, 0), ("1/3", "2/7"))  # over 21
+        assert self.agree(rep, [0, 6]) == (False, 1)
+        assert self.agree(rep, [0, 7]) == (True, None)
+        assert self.agree(rep, [0, 8]) == (True, None)
 
     def test_negative_norm_bounds_by_its_absolute_value(self):
         # ||phi(a) x|| <= norm ||x|| is read as squares, so only |norm| counts.
-        rep = diagonal_rep((0, 0), ("1/3", "2/7"))
-        assert self.agree(rep, [Fraction(0), Fraction(-1, 3)]) == (True, None)
-        assert self.agree(rep, [Fraction(0), Fraction(-1, 4)]) == (False, 1)
+        rep = diagonal_rep((0, 0), ("1/3", "2/7"))  # over 21
+        assert self.agree(rep, [0, -7]) == (True, None)
+        assert self.agree(rep, [0, -6]) == (False, 1)
 
     @settings(max_examples=300, deadline=None)
     @given(signed_reps())

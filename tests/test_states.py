@@ -267,7 +267,7 @@ class TestNormalizeAndBounds:
         gea = require_gea(table)
         witnesses = order_determining_set(gea)
         rep = build_representation(gea, witnesses)
-        return witnesses, [operator_norm(rep, a) for a in range(table.n)]
+        return witnesses, [Fraction(p, rep.den) for p in operator_norm(rep)]
 
     def test_bound_constant_is_max_over_witnesses(self, diamond):
         witnesses, norms = self.norms(diamond)
