@@ -245,7 +245,7 @@ def check_gea_axioms(table: AlgebraTable, kahn: bool = False
     ge2, atoms, order = _associativity(table, not violations, identity, vals, count)
     violations += ge2
     violations += _cancellation(table, vals)
-    if count[zero] != (1 if rows[zero][zero] == zero else 0):  # 0+0 is the one sum to zero
+    if count[zero] != (1 if rows[zero][zero] == zero else 0):  # only 0+0 may sum to zero
         for i, (c, v) in enumerate(zip(cols, vals)):
             for j, k in zip(c, v):
                 if k == zero and not (i == zero and j == zero):
