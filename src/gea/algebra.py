@@ -11,14 +11,15 @@ so their cost follows the defined sums; only a failing test is walked for
 its violations.  The associativity scan walks only the triples whose left
 side is defined and counts the triples whose right side is defined, so its
 cost follows the number of defined triples, not n^3.  Only the triples
-whose first element is zero or an atom (no sum of two nonzero elements) are
+whose first element is an atom (no sum of two nonzero elements) are
 compared when the table is two-sided and Kahn's algorithm orders every
 nonzero element along u -> u+v, v -> u+v (u, v, u+v nonzero): by induction
 along that order, a non-atom x = u+v gives (x+y)+z = (u+(v+y))+z =
 u+((v+y)+z) = u+(v+(y+z)) = (u+v)+(y+z) by the triples (u, v, y),
 (u, v+y, z), (v, y, z) and (u, v, y+z), whose first elements come before x,
-and an undefined v+y or y+z leaves both ends undefined.  A GEA has no such
-cycle (u < u+v).
+and an undefined v+y or y+z leaves both ends undefined.  Zero's triples
+follow from their mirrors (see _associativity).  A GEA has no such cycle
+(u < u+v).
 
 A pipeline runs the GEA scan once: scan_gea and require_gea return a
 CheckedGEA, the table with its induced order, atoms and Kahn order, which
@@ -147,22 +148,31 @@ def _holds(xs: Sequence[int], rows: list[list[int]], cols: list[list[int]],
     return left == right and len(left) == sum(count[w] for x in xs for w in cols[x])
 
 
-def _associativity(table: AlgebraTable, two_sided: bool, identity: bool, vals: list[list[int]],
+def _associativity(table: AlgebraTable, two_sided: bool, vals: list[list[int]],
                    count: list[int]) -> tuple[list[Violation], list[int], list[int]]:
     """(x+y)+z = x+(y+z) whenever one side is defined (a defined side with an
     undefined one is a violation), and the atoms and Kahn's order, from
-    vals[x], row x's defined values, count[w], the defined sums y+z = w, and
-    identity, whether 0+y = y for every y.
+    vals[x], row x's defined values, and count[w], the defined sums y+z = w.
 
     For the x in xs, _holds lists the left side of every triple whose left
     side is defined, read from the defined columns of each x+y, and its
     right side sx[sy[z]], where the padding reads -1 through an undefined
     y+z.  Equal lists and as many triples with a defined right side, one
     per defined y+z = w and x+w, prove the axiom at each x.  One such pass
-    decides the axiom: on zero and the atoms when the table is two-sided and
-    Kahn's order is complete, else on every x.  The atom triples are among
-    all triples, so when that pass fails both kinds of triples are walked
-    for their violations, sorted into the order of the full n^3 scan."""
+    decides the axiom: on the atoms when the table is two-sided and Kahn's
+    order is complete, else on every x.  The atom triples are among all
+    triples, so when that pass fails both kinds of triples are walked for
+    their violations, sorted into the order of the full n^3 scan.
+
+    Zero's triples need no pass of their own on a two-sided table, whatever
+    its zero row: (0, y, z) is the mirror of (z, y, 0), since (0+y)+z =
+    z+(y+0) and 0+(y+z) = (z+y)+0, each side defined exactly when the other
+    is, so it holds when (z, y, 0) does, a triple whose first element z is
+    nonzero.  (0, y, 0) is its own mirror: with w = 0+y = y+0, its sides are
+    w+0 and 0+w, equal or both undefined.  So once every triple with a
+    nonzero first element holds, the atoms' directly and the rest by the
+    induction in the module docstring, which uses no triple of zero, zero's
+    triples hold too."""
     n, rows, cols, lab, zero = table.n, table.rows, table.cols, table.elements, table.zero
     # indegree[k]: the sums u+v = k of nonzero u, v, so every sum less the zero
     # row and column (slot n takes the padding's -1); zero is no successor.
@@ -180,10 +190,7 @@ def _associativity(table: AlgebraTable, two_sided: bool, identity: bool, vals: l
                 indegree[k] -= 1
                 if not indegree[k]:
                     order.append(k)
-    xs: Sequence[int] = range(n)
-    if two_sided and len(order) == n - 1:
-        # Zero's triples hold outright when 0+y = y for every y.
-        xs = atoms if identity else [zero, *atoms]
+    xs: Sequence[int] = atoms if two_sided and len(order) == n - 1 else range(n)
     if _holds(xs, rows, cols, vals, count):
         return [], atoms, order
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (y, z) by y+z
@@ -242,7 +249,7 @@ def check_gea_axioms(table: AlgebraTable, kahn: bool = False
         count[k] += 1
     identity = rows[zero][:n] == list(range(n))  # GE5
     violations += _two_sided(table)  # the atom pass needs no GE1 violation
-    ge2, atoms, order = _associativity(table, not violations, identity, vals, count)
+    ge2, atoms, order = _associativity(table, not violations, vals, count)
     violations += ge2
     violations += _cancellation(table, vals)
     if count[zero] != (1 if rows[zero][zero] == zero else 0):  # only 0+0 may sum to zero

@@ -88,6 +88,11 @@ def load_algebra(path: PathLike) -> tuple[AlgebraTable, str]:
         # Reports key element pairs as "a,b", which a comma in a label
         # would make ambiguous.
         raise InputError(f"{path}: element label {comma!r} contains ','")
+    broken = next((lab for lab in labels if "".join(lab.splitlines()) != lab), None)
+    if broken is not None:
+        # The text form writes keys as they are, and a line break in one
+        # would split its line.
+        raise InputError(f"{path}: element label {broken!r} contains a line break")
     if not isinstance(triples, list):
         raise InputError(f"{path}: \"sums\" must be a list of [x, y, z] triples")
     if len(set(labels)) != len(labels):

@@ -27,19 +27,21 @@ numerators over one denominator and rechecked in ints; Fractions are made
 only for the values it returns, and every zero coordinate is one shared
 Fraction(0), so a point costs what its nonzero coordinates cost.
 
-An inconsistent program's proof is built only when it is asked for: a row
-combination y with yᵀA = 0 and yᵀb != 0, in int weights, that solves the
-conflicting row against the kept rows.  That system changes only in its
-right-hand side from one conflict to the next, so one more elimination
-factors it once for all conflicts over the same kept rows.  Before
-"inconsistent" is returned as None, y is rechecked against the rows, just as
-a feasible point is rechecked against every row.  The reduced echelon form
+Every row carries its weights on the original rows: row i enters with a
+weight of 1 at key n + 1 + i, past the rhs, and each step above acts on
+every key, so each reduced and tableau row is an exact int combination y of
+the original rows, with y at its keys past n.  That makes every "no" a
+checked proof.  A row that reduces to 0 = c with c != 0 is y with yᵀA = 0
+and yᵀb = c; a phase-one row with a negative rhs and no negative entry is a
+Farkas certificate, yᵀA >= 0 at every column and yᵀb < 0 (Schrijver,
+Theory of Linear and Integer Programming, 1986, ch. 7).  Before "no" is
+returned as None, y is rechecked in ints against the rows, just as a
+feasible point is rechecked against every row.  The reduced echelon form
 is also the start basis of phase one, with each pivot variable basic, and
 phase one is the dual simplex with zero cost under Bland's least-index rule
 (Lemke, Naval Research Logistics Quarterly 1, 1954; Bland, Mathematics of
 Operations Research 2(2), 1977); see `lp_feasible`.  A basic point that is
-already nonnegative takes no pivot, and a failure on the sign bounds stops
-at a row with nonnegative coefficients and a negative rhs.
+already nonnegative takes no pivot.
 
 The tests check this solver against a brute-force basic-solution enumerator
 and a Fraction copy of the same algorithm, both in tests/.
@@ -67,15 +69,14 @@ class LinearProgram:
     indices of the rows that are independent of the rows before them: a
     maximal independent subset, in original order.  Each reduced row is a
     {column: coefficient} dict of its nonzero entries, with its rhs at
-    column n_vars, and a primitive positive multiple of the rational
-    reduced row: positive at its pivot column (in pivots) and 0 at every
-    other pivot column.  A row that reduces to 0 = c with c != 0 stops the
-    elimination, and conflict holds its index; `certificate` builds the row
-    combination that proves it only when asked.
+    column n_vars and its weight on row i at column n_vars + 1 + i, and a
+    primitive positive multiple of the rational reduced row: positive at
+    its pivot column (in pivots) and 0 at every other pivot column.  A row
+    that reduces to 0 = c with c != 0 stops the elimination: conflict holds
+    its index, and `certificate` reads its weights.
 
     Reduced rows are replaced, never changed in place, so `extended` can share
-    them with the program it starts from.  An extension that keeps no new row
-    also shares the certificate system, factored on first use.
+    them with the program it starts from.
     """
 
     def __init__(self, n_vars: int, rows: Iterable[Row] = ()) -> None:
@@ -85,16 +86,11 @@ class LinearProgram:
         self.pivots: list[int] = []
         self.reduced: list[dict[int, int]] = []
         self.conflict: Optional[int] = None
-        # Holds the factored certificate system of these kept rows once built.
-        self._transposed: list[LinearProgram] = []
+        self._conflict_row: dict[int, int] = {}  # the row that reduced to 0 = c
         self._enter(rows)
 
     def __repr__(self) -> str:
         return f"LinearProgram({self.n_vars}, {list(self.rows)!r})"
-
-    @property
-    def rank(self) -> int:
-        return len(self.kept)
 
     def extended(self, rows: Iterable[Row]) -> "LinearProgram":
         """A new program of these rows followed by rows; self is unchanged."""
@@ -102,7 +98,7 @@ class LinearProgram:
         out.rows = self.rows
         out.kept, out.pivots = self.kept[:], self.pivots[:]
         out.reduced, out.conflict = self.reduced[:], self.conflict
-        out._transposed = self._transposed
+        out._conflict_row = self._conflict_row
         out._enter(rows)
         return out
 
@@ -112,22 +108,22 @@ class LinearProgram:
         for index in range(start, len(self.rows)):
             v = _entries(self.rows[index], self.n_vars)
             if self.conflict is None:
+                v[self.n_vars + 1 + index] = 1
                 self._add(index, v)
 
     def _add(self, index: int, v: dict[int, int]) -> None:
         for row, p in zip(self.reduced, self.pivots):
             if p in v:
                 v = _reduce(v, p, row)
-        col = min(v, default=self.n_vars)
+        col = min(v)  # v holds its own weight, past the rhs
         if col >= self.n_vars:  # no variable is left, only the rhs if any
-            if v:
-                self.conflict = index
+            if col == self.n_vars:
+                self.conflict, self._conflict_row = index, v
             return  # otherwise a combination of the rows kept so far
         self.reduced.append(_primitive(v if v[col] > 0 else {j: -x for j, x in v.items()}))
         _eliminate(self.reduced, len(self.reduced) - 1, col)
         self.kept.append(index)
         self.pivots.append(col)
-        self._transposed = []
 
     def satisfied_by(self, nums: Sequence[int], den: int) -> bool:
         """True iff the point x = nums / den, den > 0, is nonnegative and
@@ -140,6 +136,19 @@ class LinearProgram:
     def refuted_by(self, y: dict[int, int]) -> bool:
         """True iff the row combination y (row index -> weight) reads
         0 = c with c != 0, which proves the equalities have no solution."""
+        total, b = self._combination(y)
+        return not any(total.values()) and b != 0
+
+    def _bounds_refuted_by(self, y: dict[int, int]) -> bool:
+        """True iff the row combination y reads "nonnegative terms = a
+        negative number", yᵀA >= 0 at every column and yᵀb < 0, which
+        proves no solution has x >= 0 (Farkas)."""
+        total, b = self._combination(y)
+        return min(total.values(), default=0) >= 0 and b < 0
+
+    def _combination(self, y: dict[int, int]) -> tuple[dict[int, int], int]:
+        """yᵀA as {column: value} over the columns of the weighted rows, and
+        yᵀb."""
         total: dict[int, int] = {}
         b = 0
         for i, w in y.items():
@@ -147,46 +156,15 @@ class LinearProgram:
             for j, c in pairs:
                 total[j] = total.get(j, 0) + w * c
             b += w * rhs
-        return not any(total.values()) and b != 0
+        return total, b
 
     def certificate(self) -> dict[int, int]:
         """Int weights y on the rows (index -> weight) with yᵀA = 0 and
-        yᵀb != 0, for the row in conflict.
-
-        Its coefficients are a unique combination w of the kept rows, which
-        are independent; w solves the rank × rank system M w = b on the
-        pivot columns, where only b, the conflicting row there, changes from
-        one conflict to the next.  y is w times the lcm L of its
-        denominators, with -L on the conflicting row, so yᵀb is L times the
-        c of its 0 = c."""
-        coeffs = dict(self.rows[self.conflict][0])
-        b = [(self.rank + i, coeffs[p]) for i, p in enumerate(self.pivots) if p in coeffs]
-        solved = self._transposed_system()
-        w = {}
-        for k, row in zip(solved.pivots, solved.reduced):
-            total = sum(row.get(j, 0) * v for j, v in b)
-            if total:
-                w[self.kept[k]] = Fraction(total, row[k])
-        scale = lcm(*(v.denominator for v in w.values()))
-        y = {i: v.numerator * (scale // v.denominator) for i, v in w.items()}
-        y[self.conflict] = -scale
-        return y
-
-    def _transposed_system(self) -> "LinearProgram":
-        """[M | I] reduced once, where M is the kept rows' coefficients on
-        the pivot columns, transposed.  M is invertible, so the reduced row
-        with pivot k reads d w_k = g · b, d at column k and g in the
-        identity block, for every right-hand side b."""
-        if not self._transposed:
-            r = self.rank
-            columns: dict[int, list[tuple[int, int]]] = {p: [] for p in self.pivots}
-            for k, index in enumerate(self.kept):
-                for j, c in self.rows[index][0]:
-                    if j in columns:
-                        columns[j].append((k, c))
-            self._transposed.append(LinearProgram(
-                2 * r, [((*columns[p], (r + i, 1)), 0) for i, p in enumerate(self.pivots)]))
-        return self._transposed[0]
+        yᵀb != 0, for the row in conflict: the weights of the row it
+        reduced to, primitive and negative on the conflicting row."""
+        y = _weights(self._conflict_row, self.n_vars)
+        scale = gcd(*y.values()) * (1 if y.get(self.conflict, 0) < 0 else -1)
+        return {i: w // scale for i, w in y.items()}
 
 
 def _entries(row: Row, n_vars: int) -> dict[int, int]:
@@ -213,6 +191,11 @@ def _entries(row: Row, n_vars: int) -> dict[int, int]:
     if rhs:
         v[n_vars] = rhs
     return v
+
+
+def _weights(row: dict[int, int], n_vars: int) -> dict[int, int]:
+    """The row's weights on the original rows, {row index: weight}."""
+    return {j - n_vars - 1: w for j, w in row.items() if j > n_vars}
 
 
 def _reduce(v: dict[int, int], col: int, pivot_row: dict[int, int]) -> dict[int, int]:
@@ -250,12 +233,13 @@ def _eliminate(rows: list[dict[int, int]], r: int, col: int) -> None:
 def lp_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
     """Return an exact feasible point of {rows hold, x >= 0}, or None.
 
-    An inconsistent program returns None after its certificate is built and
+    An inconsistent program returns None after its certificate is
     rechecked.  Otherwise phase one is Lemke's dual simplex (1954) with zero
     cost, from the program's echelon basis: while some row has a negative
     rhs, the one whose basic variable is least leaves, and the least column
     where it is negative enters; a row with no negative entry reads
-    "nonnegative terms = a negative number", and None is returned.  With a
+    "nonnegative terms = a negative number", and None is returned after its
+    weights are rechecked as that Farkas certificate.  With a
     zero objective every basis is dual feasible and every dual ratio is 0,
     so these two least-index choices are Bland's rule (1977) on the dual,
     and no basis repeats: the loop is finite.
@@ -280,6 +264,8 @@ def lp_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
         row = tableau[leaving]
         entering = min((j for j, v in row.items() if v < 0 and j < n), default=None)
         if entering is None:
+            if not program._bounds_refuted_by(_weights(row, n)):
+                raise AssertionError("Farkas certificate does not refute the sign bounds")
             return None
         tableau[leaving] = {j: -v for j, v in row.items()}
         _pivot(tableau, basis, leaving, entering)

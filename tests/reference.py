@@ -7,6 +7,8 @@ nested order loop, for `classify_morphism`; Fraction rational vectors over the
 witness slots, for `verify_bounded` and acceptance criterion 5; a
 brute-force LP oracle with the witness LPs of a table to run it on, for
 `lp_feasible` and criterion 6, `satisfies` to recheck a Fraction point,
+`reference_refutes` to recheck the weights that prove an LP has no
+solution, with `checked_proofs` to run it on every None of `lp_feasible`,
 `x0_phase_one`, the auxiliary-variable phase one whose points the witness
 searches' LPs keep, and a converter each way between rows of one
 coefficient per variable and a LinearProgram's sparse rows; the LP over
@@ -34,7 +36,7 @@ import itertools
 import json
 import operator
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -43,6 +45,7 @@ from typing import Optional
 
 import numpy as np
 
+from gea import states
 from gea.algebra import (AlgebraTable, AxiomReport, MorphismReport, MorphismSpec, OrderRelation,
                          Violation, induced_order, is_sub_gea, require_gea)
 from gea.cli import cmd_check, cmd_effects, cmd_morphism, cmd_order, cmd_represent, cmd_states
@@ -318,15 +321,15 @@ def basic_solution_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
     n = program.n_vars
     if program.conflict is not None:
         return None
-    if program.rank == 0:
+    if not program.pivots:
         return [Fraction(0)] * n
     rows = [(dense(dict(pairs), n)[:-1], rhs) for pairs, rhs in program.rows]
-    for columns in itertools.combinations(range(n), program.rank):
+    for columns in itertools.combinations(range(n), len(program.pivots)):
         # These columns carry a basic solution iff each one becomes a pivot
         # and the restricted system stays consistent; it is then unique.
         restricted = LinearProgram(len(columns), sparse(
             [([coeffs[c] for c in columns], rhs) for coeffs, rhs in rows]))
-        if restricted.conflict is not None or restricted.rank < len(columns):
+        if restricted.conflict is not None or len(restricted.pivots) < len(columns):
             continue
         x = [Fraction(0)] * n
         for pivot, row in zip(restricted.pivots, restricted.reduced):
@@ -344,6 +347,53 @@ def satisfies(program: LinearProgram, x) -> bool:
     x = [Fraction(v) for v in x]
     den = lcm(*(v.denominator for v in x))
     return program.satisfied_by([v.numerator * (den // v.denominator) for v in x], den)
+
+
+def reference_refutes(program: LinearProgram, y: dict[int, int], farkas: bool) -> bool:
+    """Whether the row weights y (row index -> weight) prove that program
+    has no solution, over its dense rows in Fractions: as a Farkas
+    certificate, yᵀA >= 0 at every column and yᵀb < 0, or else exactly,
+    yᵀA = 0 and yᵀb != 0."""
+    n = program.n_vars
+    combo = [Fraction(0)] * (n + 1)
+    for i, w in y.items():
+        pairs, rhs = program.rows[i]
+        for j, c in enumerate(dense(dict(pairs), n)[:-1] + [rhs]):
+            combo[j] += w * c
+    *coeffs, b = combo
+    if farkas:
+        return all(c >= 0 for c in coeffs) and b < 0
+    return not any(coeffs) and b != 0
+
+
+def checked_proofs(monkeypatch):
+    """lp_feasible, bound in gea.states as well, with every None it returns
+    checked by reference_refutes against the weights that its own recheck
+    read: Farkas for a failure on the sign bounds, exact for a conflict.
+    Returns that lp_feasible and a Counter of the proofs it checked, under
+    "farkas" and "exact"."""
+    read: list[tuple[LinearProgram, bool, dict[int, int]]] = []
+    for name, farkas in (("refuted_by", False), ("_bounds_refuted_by", True)):
+        real = getattr(LinearProgram, name)
+        monkeypatch.setattr(LinearProgram, name, lambda self, y, real=real, farkas=farkas:
+                            read.append((self, farkas, y)) or real(self, y))
+    proofs: Counter[str] = Counter()
+
+    def checked(program: LinearProgram) -> Optional[list[Fraction]]:
+        read.clear()
+        x = lp_feasible(program)
+        if x is None:
+            ((recheck_of, farkas, y),) = read
+            assert recheck_of is program and farkas == (program.conflict is None)
+            assert all(type(w) is int for w in y.values())
+            assert reference_refutes(program, y, farkas), (program, y)
+            proofs["farkas" if farkas else "exact"] += 1
+        else:
+            assert not read
+        return x
+
+    monkeypatch.setattr(states, "lp_feasible", checked)
+    return checked, proofs
 
 
 def x0_phase_one(program: LinearProgram) -> Optional[list[Fraction]]:

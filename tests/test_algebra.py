@@ -1,5 +1,6 @@
 import copy
 import importlib.util
+import itertools
 import json
 import pickle
 import random
@@ -385,18 +386,21 @@ def cyclic_ge2_tables():
 
 def holds_calls(monkeypatch):
     """A list that records each call of algebra._holds as (every x tested,
-    passed)."""
-    calls = []
-    real = algebra._holds
+    zero tested, passed), with zero read off the table that
+    algebra._associativity was given."""
+    calls, zeros = [], []
+    holds, associativity = algebra._holds, algebra._associativity
+    monkeypatch.setattr(algebra, "_associativity", lambda table, *rest: zeros.append(
+        table.zero) or associativity(table, *rest))
     monkeypatch.setattr(algebra, "_holds", lambda xs, *rest: calls.append(
-        (isinstance(xs, range), real(xs, *rest))) or calls[-1][1])
+        (isinstance(xs, range), zeros[-1] in xs, holds(xs, *rest))) or calls[-1][-1])
     return calls
 
 
 class TestAtomTriples:
-    """GE2 tested in one pass: on the triples whose first element is zero
-    or an atom, or on every triple after a cycle or a one-sided sum, with
-    the violations listed when that pass fails: the same report as the
+    """GE2 tested in one pass: on the triples whose first element is an
+    atom, or on every triple after a cycle or a one-sided sum, with the
+    violations listed when that pass fails: the same report as the
     reference, and the reference's Kahn order."""
 
     def test_reports_match_and_both_paths_run(self, monkeypatch):
@@ -410,16 +414,39 @@ class TestAtomTriples:
             assert len(calls) == before + 1  # one verdict pass decides GE2
 
         matches()
-        assert (False, True) in calls  # passed on zero and the atoms alone
-        assert (False, False) in calls and (True, False) in calls  # failed on either
-        assert (True, True) in calls
+        assert (False, False, True) in calls  # passed on the atoms alone
+        assert (False, False, False) in calls and (True, True, False) in calls  # failed on either
+        assert (True, True, True) in calls
+        assert not any(zero and not every for every, zero, _ in calls)
+
+    def test_every_two_sided_table_on_three_elements(self, monkeypatch):
+        # Every commutative partial operation on {0, a, b}: each of the six
+        # unordered pairs has no sum or one of three, so 4^6 tables.  The
+        # atom pass never tests zero's triples, whatever the zero row, and
+        # every report is the reference's.  On 44 tables GE2 passes at the
+        # atoms though 0 + x != x for some x, so zero's triples, never
+        # compared, hold by their mirrors alone.
+        calls = holds_calls(monkeypatch)
+        pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+        odd_zero_rows = 0
+        for values in itertools.product((None, 0, 1, 2), repeat=len(pairs)):
+            sums = {}
+            for (i, j), k in zip(pairs, values):
+                if k is not None:
+                    sums[(i, j)] = sums[(j, i)] = k
+            t = table(["0", "a", "b"], sums)
+            assert check_gea_axioms(t) == reference_gea_axioms(t), sums
+            every, zero, passed = calls[-1]
+            assert zero == every
+            odd_zero_rows += passed and not every and t.rows[0][:3] != [0, 1, 2]
+        assert len(calls) == 4096 and odd_zero_rows == 44
 
     @pytest.mark.parametrize("name", sorted(cyclic_ge2_tables()))
     def test_ge2_holds_through_the_fall_through_on_a_cycle(self, name, monkeypatch):
         t = cyclic_ge2_tables()[name]
         calls = holds_calls(monkeypatch)
         report, _, order = check_gea_axioms(t, kahn=True)
-        assert calls == [(True, True)]
+        assert calls == [(True, True, True)]
         assert not axiom_witnesses(report, "GE2")
         assert report == reference_gea_axioms(t)
         assert len(order) < t.n - 1
@@ -433,7 +460,7 @@ class TestAtomTriples:
         t = table(["0", "a", "b"], with_zero_sums(3, {(1, 1): 0, (1, 2): 2}))
         calls = holds_calls(monkeypatch)
         report, _, order = check_gea_axioms(t, kahn=True)
-        assert calls == [(True, False)]
+        assert calls == [(True, True, False)]
         assert order == (1, 2)
         assert (2, 1, 1) in axiom_witnesses(report, "GE2")
         assert report == reference_gea_axioms(t)

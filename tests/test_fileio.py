@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,20 @@ def test_label_with_comma_rejected(tmp_path):
     }))
     with pytest.raises(InputError, match="','"):
         load_algebra(path)
+
+
+@pytest.mark.parametrize("label", ["a\nb", "a\r", "\u2028b"])
+def test_label_with_line_break_rejected(tmp_path, monkeypatch, capsys, label):
+    # The text form writes a report's keys as they are, and a key with a
+    # line break in it would split its line.
+    path = tmp_path / "break.json"
+    path.write_text(json.dumps({"elements": ["0", label], "zero": "0", "sums": []}))
+    message = f"{path}: element label {label!r} contains a line break"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        load_algebra(path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "break.json"]) == 2
+    assert "contains a line break" in capsys.readouterr().out
 
 
 def test_morphism_must_be_total(tmp_path, diamond):

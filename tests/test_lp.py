@@ -19,8 +19,8 @@ from gea.errors import InputError
 from gea.generate import random_gea
 from gea.lp import LinearProgram, lp_feasible
 from gea.states import additivity_program
-from reference import (atom_pair_program, basic_solution_feasible, dense, pair_programs,
-                       reference_pair_programs, satisfies, sparse)
+from reference import (atom_pair_program, basic_solution_feasible, checked_proofs, dense,
+                       pair_programs, reference_pair_programs, satisfies, sparse)
 
 
 def build_program(n_vars, rows):
@@ -73,10 +73,6 @@ class ReferenceEchelon:
     @staticmethod
     def of(rows, n_cols):
         return ReferenceEchelon(n_cols).extended(rows)
-
-    @property
-    def rank(self):
-        return len(self.kept)
 
     def extended(self, rows):
         out = ReferenceEchelon(self.n_cols)
@@ -294,7 +290,7 @@ def test_presolve_matches_oracle_on_redundant_rows(case):
         assert program.refuted_by(program.certificate())
     else:
         kept = [program.rows[i] for i in program.kept]
-        assert LinearProgram(program.n_vars, kept).rank == len(kept)
+        assert len(LinearProgram(program.n_vars, kept).pivots) == len(kept)
 
 
 def test_inconsistent_pair_row_settled_by_elimination():
@@ -311,6 +307,17 @@ def test_refuted_by_checks_the_combination():
     assert program.refuted_by({0: Fraction(2), 1: Fraction(-1)})
     assert not program.refuted_by({0: Fraction(1)})
     assert not program.refuted_by({0: Fraction(2), 1: Fraction(-2)})
+
+
+def test_bounds_refuted_by_checks_the_signs():
+    # x0 + 2 x1 = -1 reads nonnegative terms = -1; x0 - x1 = -1 does not,
+    # and twice the first row less the second is x0 + 5 x1 = -1.
+    program = LinearProgram(2, sparse([((1, 2), -1), ((1, -1), -1)]))
+    assert program._bounds_refuted_by({0: 1})
+    assert not program._bounds_refuted_by({1: 1})
+    assert program._bounds_refuted_by({0: 2, 1: -1})
+    assert not program._bounds_refuted_by({0: -1})  # 1 on the right
+    assert not program._bounds_refuted_by({})  # 0 on the right
 
 
 def test_satisfied_by_rechecks_every_row():
@@ -358,8 +365,9 @@ def test_wrong_inconsistency_claim_is_caught():
         lp_feasible(program)
 
 
-# Both exact rechecks made to fail, in an interpreter that strips assert
-# statements: a feasible program and an inconsistent one must still raise.
+# The three exact rechecks made to fail, in an interpreter that strips
+# assert statements: a feasible program, an inconsistent one and one with no
+# nonnegative solution, x0 = -1, must still raise.
 _FAILED_RECHECKS = """
 import sys
 from gea.lp import LinearProgram, lp_feasible
@@ -367,7 +375,8 @@ if not sys.flags.optimize:
     sys.exit("assert statements are not stripped")
 LinearProgram.satisfied_by = lambda self, nums, den: False
 LinearProgram.refuted_by = lambda self, y: False
-for rows in (((((0, 1),), 1),), ((((0, 1),), 1), (((0, 1),), 2))):
+LinearProgram._bounds_refuted_by = lambda self, y: False
+for rows in (((((0, 1),), 1),), ((((0, 1),), 1), (((0, 1),), 2)), ((((0, 1),), -1),)):
     try:
         result = lp_feasible(LinearProgram(1, rows))
     except AssertionError:
@@ -388,7 +397,7 @@ def test_factored_prefix_gives_the_unfactored_answer():
     factored = LinearProgram(3, rows[:2])
     assert factored.kept == [0]
     assert lp_feasible(factored.extended(rows[2:])) == lp_feasible(LinearProgram(3, rows))
-    assert factored.rank == 1 and len(factored.rows) == 2  # left unchanged
+    assert len(factored.pivots) == 1 and len(factored.rows) == 2  # left unchanged
 
 
 @pytest.mark.parametrize("row", [
@@ -439,6 +448,17 @@ def rational_programs(draw):
     return build_program(n, rows)
 
 
+def assert_reduced_row(row, reference, n_vars):
+    """row is primitive over all its entries, its weights too, and a
+    positive multiple of reference, n_vars coefficients and the rhs, over
+    the variables and the rhs."""
+    assert gcd(*row.values()) == 1
+    values = dense(row, n_vars)
+    lead = next(j for j, r in enumerate(reference) if r)
+    scale = Fraction(values[lead], reference[lead])
+    assert scale > 0 and values == [scale * r for r in reference]
+
+
 def _assert_every_split_matches(program):
     """For every k, the first k rows extended by the rest factor and solve
     as the whole program does, and the extension leaves the first k rows'
@@ -468,10 +488,8 @@ def test_integer_solver_takes_the_reference_pivot_path(program):
     assert (program.conflict is None) == (reference.conflict is None)
     if program.conflict is not None:
         assert program.refuted_by(program.certificate())
-    for reduced, ref_row, col in zip(program.reduced, reference.rows, program.pivots):
-        row = dense(reduced, program.n_vars)
-        assert row[col] > 0 and gcd(*row) == 1
-        assert [Fraction(v, row[col]) for v in row] == ref_row
+    for reduced, ref_row in zip(program.reduced, reference.rows, strict=True):
+        assert_reduced_row(reduced, ref_row, program.n_vars)
     x = lp_feasible(program)
     assert x == reference_lp_feasible(program)
     assert x is None or all(type(v) is Fraction for v in x)
@@ -496,20 +514,11 @@ def test_integer_solver_matches_reference_on_wider_programs():
         _assert_every_split_matches(program)
 
 
-def test_integer_solver_takes_the_reference_pivot_path_on_sparse_programs(pivots, monkeypatch):
-    # Shaped like additivity programs: rows of 2 or 3 entries in +-1, +-2 and
-    # rhs 0 over 12-40 variables, then one pair row x_lo - x_hi = 1.  Most
-    # phase-one pivots are degenerate here, so the returned point alone
-    # rarely shows a wrong choice of row or column; the pivot path, (row,
-    # column) of every pivot, is compared with the reference's as well.  One
-    # program in about eight pivots more than once, so 300 are drawn.
-    path = []
-    real = _ref_pivot
-    monkeypatch.setitem(globals(), "_ref_pivot",
-                        lambda tableau, basis, row, col: path.append((row, col))
-                        or real(tableau, basis, row, col))
+def sparse_programs():
+    """300 programs shaped like additivity programs: rows of 2 or 3 entries
+    in +-1, +-2 and rhs 0 over 12-40 variables, then one pair row
+    x_lo - x_hi = 1."""
     rng = random.Random(5)
-    conflicts = pivoted = 0
     for _ in range(300):
         n = rng.randint(12, 40)
         rows = []
@@ -518,7 +527,23 @@ def test_integer_solver_takes_the_reference_pivot_path_on_sparse_programs(pivots
             rows.append((tuple((j, rng.choice((-2, -1, 1, 2))) for j in columns), 0))
         lo, hi = rng.sample(range(n), 2)
         rows.append((tuple(sorted(((lo, 1), (hi, -1)))), 1))
-        program = LinearProgram(n, rows)
+        yield LinearProgram(n, rows)
+
+
+def test_integer_solver_takes_the_reference_pivot_path_on_sparse_programs(pivots, monkeypatch):
+    # Most phase-one pivots of sparse_programs are degenerate, so the
+    # returned point alone rarely shows a wrong choice of row or column; the
+    # pivot path, (row, column) of every pivot, is compared with the
+    # reference's as well.  One program in about eight pivots more than
+    # once, so 300 are drawn.
+    path = []
+    real = _ref_pivot
+    monkeypatch.setitem(globals(), "_ref_pivot",
+                        lambda tableau, basis, row, col: path.append((row, col))
+                        or real(tableau, basis, row, col))
+    conflicts = pivoted = 0
+    for program in sparse_programs():
+        n, rows = program.n_vars, program.rows
         reference = ReferenceEchelon.of(rows, n)
         assert program.kept == reference.kept and program.pivots == reference.pivots, rows
         pivots.clear()
@@ -534,6 +559,38 @@ def test_integer_solver_takes_the_reference_pivot_path_on_sparse_programs(pivots
         pivoted += len(pivots) > 1
         _assert_every_split_matches(program)
     assert conflicts > 5 and pivoted > 30
+
+
+class TestEveryNoIsProved:
+    """Every None of lp_feasible comes with row weights that its own int
+    recheck accepted, and that reference_refutes accepts in Fractions:
+    Farkas weights for a failure on the sign bounds, exact ones for a
+    conflict."""
+
+    def test_rational_and_redundant_programs(self, monkeypatch):
+        checked, proofs = checked_proofs(monkeypatch)
+
+        @settings(max_examples=300, deadline=None)
+        @given(st.one_of(rational_programs(), redundant_programs().map(lambda case: case[0])))
+        def proved(program):
+            checked(program)
+
+        proved()
+        assert proofs["farkas"] > 5 and proofs["exact"] > 5
+
+    def test_sparse_programs(self, monkeypatch):
+        checked, proofs = checked_proofs(monkeypatch)
+        for program in sparse_programs():
+            checked(program)
+        # Whether a program is infeasible, and whether it is inconsistent,
+        # is a fact about the program, so these counts are fixed.
+        assert proofs == {"farkas": 167, "exact": 33}
+
+    def test_sign_failure_of_one_row(self, monkeypatch):
+        # x0 = -1: the row itself, weight 1, reads x0 >= 0 = -1.
+        checked, proofs = checked_proofs(monkeypatch)
+        assert checked(LinearProgram(1, [(((0, 1),), -1)])) is None
+        assert proofs == {"farkas": 1}
 
 
 def test_integer_solver_matches_reference_on_corpus_pairs(valid_corpus):
@@ -561,7 +618,9 @@ def test_scaled_rows_carry_their_scale_into_the_certificate():
     # 2x = 0 twice, then 4x = 1: the kept row is reduced to x = 0, but the
     # certificate weighs the original rows, 2 * (2x = 0) - (4x = 1).
     program = LinearProgram(1, sparse([((2,), 0), ((2,), 0), ((4,), 1)]))
-    assert program.kept == [0] and [dense(row, 1) for row in program.reduced] == [[1, 0]]
+    assert program.kept == [0]
+    (reduced,) = program.reduced
+    assert_reduced_row(reduced, [1, 0], 1)
     assert program.conflict == 2
     assert program.certificate() == {0: 2, 2: -1}
     assert program.refuted_by(program.certificate())
@@ -580,11 +639,14 @@ def test_int_and_fraction_rows_share_one_pivot_path():
 
     ints, fractions = LinearProgram(4, sparse(rows)), build_program(4, two_thirds(rows))
     assert fractions.rows[0] == sparse([((2, 2, -2, 0), 0)])[0]
-    assert ints.reduced == fractions.reduced
+    for row, scaled in zip(ints.reduced, fractions.reduced, strict=True):
+        assert_reduced_row(row, dense(scaled, 4), 4)
     assert lp_feasible(ints) == lp_feasible(fractions) is not None
     conflict = rows + [((2, 2, -2, 0), 1)]
     ints, fractions = LinearProgram(4, sparse(conflict)), build_program(4, two_thirds(conflict))
-    assert ints.reduced == fractions.reduced and ints.conflict == fractions.conflict == 3
+    for row, scaled in zip(ints.reduced, fractions.reduced, strict=True):
+        assert_reduced_row(row, dense(scaled, 4), 4)
+    assert ints.conflict == fractions.conflict == 3
     assert ints.certificate() == fractions.certificate()
 
 
@@ -629,21 +691,13 @@ def test_factored_conflict_with_fraction_rows_gets_a_certificate():
     assert lp_feasible(extended) is None
 
 
-def test_conflicts_of_one_base_factor_the_certificate_system_once(monkeypatch):
-    # A generated table with many infeasible pair rows: every conflict over
-    # the one factored cone solves the same transposed kept-row system.
+def test_conflicts_of_one_base_match_the_reference_combination():
+    # A generated table with many infeasible pair rows, each in conflict
+    # over the one factored cone.
     table = random_gea(random.Random(0), 12)
     cone = additivity_program(require_gea(table))
-    assert (cone.n_vars, cone.rank) == (7, 6)
+    assert (cone.n_vars, len(cone.pivots)) == (7, 6)
     reference = ReferenceEchelon.of(cone.rows, cone.n_vars)
-    factorizations = []
-    real_of = LinearProgram._transposed_system
-
-    def kept(program):
-        factorizations.append(real_of(program))
-        return factorizations[-1]
-
-    monkeypatch.setattr(LinearProgram, "_transposed_system", kept)
     conflicts = 0
     for a in range(table.n):
         for b in range(table.n):
@@ -661,8 +715,6 @@ def test_conflicts_of_one_base_factor_the_certificate_system_once(monkeypatch):
             assert y == {i: int(-w * scale) for i, w in combo.items()}
             conflicts += 1
     assert conflicts > 50
-    assert all(solved is factorizations[0] for solved in factorizations)
-    assert factorizations[0].n_vars == 2 * cone.rank
 
 
 @pytest.fixture
@@ -698,7 +750,7 @@ def test_pair_programs_pivot_at_most_the_cone_dimension(pivots, valid_corpus):
     most = {}
     for name, table in valid_corpus.items():
         cone = additivity_program(require_gea(table))
-        d = cone.n_vars - cone.rank
+        d = cone.n_vars - len(cone.pivots)
         for program in pair_programs(table):
             pivots.clear()
             feasible = lp_feasible(program) is not None

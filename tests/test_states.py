@@ -18,10 +18,10 @@ from gea.lp import LinearProgram, lp_feasible
 from gea.represent import build_representation, operator_norm
 from gea.states import (GeneralizedState, additivity_program, assign_witnesses,
                         order_determining_set, separating_set)
-from reference import (assert_witness_set, atom_pair_program, atom_state, down_set_table,
-                       glued, leq, pair_programs, pairs_not_leq, reference_assign_witnesses,
-                       reference_kahn, reference_pair_programs, reference_search, state_of,
-                       write_table, x0_phase_one)
+from reference import (assert_witness_set, atom_pair_program, atom_state, checked_proofs,
+                       down_set_table, glued, leq, pair_programs, pairs_not_leq,
+                       reference_assign_witnesses, reference_kahn, reference_pair_programs,
+                       reference_search, state_of, write_table, x0_phase_one)
 from test_families import down_set, mo_table
 
 
@@ -368,7 +368,7 @@ class TestAtomProgram:
         # of x + p, so the chain has n - 2 of them and C has no row.
         program = states.additivity_program(require_gea(grid(n, 1)))
         assert len(program.chain) == n - 2 and program.n_vars == 1
-        assert program.rows == () and program.rank == 0
+        assert program.rows == () and program.pivots == []
 
     @pytest.mark.parametrize("name, table, slots", [
         ("C_128", grid(128, 1), 1),
@@ -382,6 +382,42 @@ class TestAtomProgram:
         assert main(["represent", str(path), "--goal", goal, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["witnesses"]["states"]) == slots
+
+
+def shuffled(table, seed):
+    """The table with its indices in the order random.Random(seed) shuffles
+    them to."""
+    order = list(range(table.n))
+    random.Random(seed).shuffle(order)
+    new = {old: i for i, old in enumerate(order)}
+    return AlgebraTable(tuple(table.elements[old] for old in order), new[table.zero],
+                        {(new[i], new[j]): new[k] for (i, j), k in table.sums.items()})
+
+
+class TestEveryNoIsProved:
+    """Every pair LP without a solution is proved by row weights that
+    reference_refutes rechecks in Fractions (see checked_proofs): Farkas
+    weights for a failure on the sign bounds, exact ones for a conflict."""
+
+    def test_pair_programs(self, valid_corpus, monkeypatch):
+        # Whether a pair LP is infeasible, and whether it is inconsistent,
+        # is a fact about the table, so these counts are fixed.
+        checked, proofs = checked_proofs(monkeypatch)
+        for table in [*valid_corpus.values(), *FAMILIES.values(), PRODUCTS["C3xNS"]]:
+            for program in pair_programs(table):
+                checked(program)
+        assert proofs == {"farkas": 326, "exact": 16}
+
+    def test_searches_fail_on_the_sign_bounds(self, monkeypatch):
+        # In this index order C3xNS's order search takes two failing LPs
+        # whose pair row is consistent with C: phase one stops at a row of
+        # nonnegative coefficients and a negative rhs.  The failures are
+        # those of C3xNS in its own order.
+        checked, proofs = checked_proofs(monkeypatch)
+        gea = require_gea(shuffled(PRODUCTS["C3xNS"], 3))
+        assert [len(search(gea).failures) for search in (order_determining_set, separating_set)
+                ] == [12, 3]
+        assert proofs == {"farkas": 2, "exact": 6}
 
 
 def phase_one_tables(valid_corpus):
@@ -508,7 +544,7 @@ class TestProgramSizes:
     def check_down_set(self, table, monkeypatch):
         gea = require_gea(table)
         program = additivity_program(gea)
-        assert program.rows == () and program.rank == 0
+        assert program.rows == () and program.pivots == []
         pivots = []
         real = lp._pivot
         monkeypatch.setattr(lp, "_pivot", lambda *args: pivots.append(args) or real(*args))
@@ -543,7 +579,7 @@ class TestProgramSizes:
         # C holds 2a - 2b = 0 for each glued pair of atoms.
         for power, atoms in ((1, 2), (3, 6)):
             program = additivity_program(require_gea(product(*[NS] * power)))
-            assert (program.n_vars, program.rank) == (atoms, atoms // 2)
+            assert (program.n_vars, len(program.pivots)) == (atoms, atoms // 2)
         assert additivity_program(require_gea(NS)).rows == ((((0, 2), (1, -2)), 0),)
 
 
