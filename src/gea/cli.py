@@ -1,7 +1,7 @@
 """Command line front end: parse reads a command line off the COMMANDS table,
 with the syntax argparse read, and main runs the command's handler.  Only
-effects imports numpy and gea.effects, on first use, so the exact commands
-start without them.
+the effects handlers import numpy and gea.effects, on first use, so the
+exact commands start without them.
 
 Each pipeline scans its table's axioms once, at load, and hands the resulting
 CheckedGEA to every later stage.  Each input file is read once, and
@@ -33,7 +33,7 @@ from .algebra import (CheckedGEA, check_ea_axioms, check_gea_axioms, classify_mo
 from .errors import ContractError, InputError
 from .represent import (build_representation, operator_norm, verify_bounded, verify_injective,
                         verify_morphism, verify_order_reflecting)
-from .states import StateWitnessSet, order_determining_set, separating_set
+from .states import order_determining_set, separating_set
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -170,17 +170,24 @@ def cmd_states(args: SimpleNamespace) -> tuple[dict, int]:
     return report, EXIT_OK if witnesses.ok else EXIT_NO_WITNESS
 
 
-def _verified_representation(gea: CheckedGEA, witnesses: StateWitnessSet,
-                             goal: str, seed: int) -> tuple[dict, bool]:
+def cmd_represent(args: SimpleNamespace) -> tuple[dict, int]:
+    report, gea = _load_checked(args)
+    if gea is None:
+        return report, EXIT_FAIL
     table = gea.table
-    rep = build_representation(gea, witnesses)
+    witnesses = order_determining_set(gea) if args.goal == "order" else separating_set(gea)
+    report["witnesses"] = fileio.witness_set_to_json(table, witnesses)
+    if not witnesses.ok:
+        report["verdict"] = (f"no {args.goal} witness set exists; "
+                             f"obstructing pairs: {report['witnesses']['failures']}")
+        return report, EXIT_NO_WITNESS
+
+    rep = build_representation(gea, witnesses.states)
     morphism, _ = verify_morphism(rep, table)
     injective, _ = verify_injective(rep)
     order_reflecting, _ = verify_order_reflecting(rep, gea)
-
     norms = operator_norm(rep)
     bounded, _ = verify_bounded(rep, norms)
-
     verification = {
         "morphism": morphism,
         "injective": injective,
@@ -188,28 +195,14 @@ def _verified_representation(gea: CheckedGEA, witnesses: StateWitnessSet,
         "bounds": dict(zip(table.elements, fileio.ratio_strs(norms, rep.den))),
         # The bound check is exact; these three keep the report's bytes.
         "sampled_vectors": 20,
-        "seed": seed,
+        "seed": args.seed,
         "sampled_ok": bounded,
     }
     required = [morphism, injective, bounded]
-    if goal == "order":
+    if args.goal == "order":
         required.append(order_reflecting)
-    return fileio.representation_to_json(table, rep, verification), all(required)
-
-
-def cmd_represent(args: SimpleNamespace) -> tuple[dict, int]:
-    report, gea = _load_checked(args)
-    if gea is None:
-        return report, EXIT_FAIL
-    witnesses = order_determining_set(gea) if args.goal == "order" else separating_set(gea)
-    report["witnesses"] = fileio.witness_set_to_json(gea.table, witnesses)
-    if not witnesses.ok:
-        report["verdict"] = (f"no {args.goal} witness set exists; "
-                             f"obstructing pairs: {report['witnesses']['failures']}")
-        return report, EXIT_NO_WITNESS
-    rep_json, verified = _verified_representation(gea, witnesses, args.goal, args.seed)
-    report["representation"] = rep_json
-    return report, EXIT_OK if verified else EXIT_FAIL
+    report["representation"] = fileio.representation_to_json(table, rep, verification)
+    return report, EXIT_OK if all(required) else EXIT_FAIL
 
 
 def cmd_morphism(args: SimpleNamespace) -> tuple[dict, int]:
@@ -228,32 +221,38 @@ def cmd_morphism(args: SimpleNamespace) -> tuple[dict, int]:
     return report, EXIT_OK if result.is_morphism else EXIT_FAIL
 
 
-def cmd_effects(args: SimpleNamespace) -> tuple[dict, int]:
-    from . import effects  # the one command that loads numpy
+def cmd_effects_demo(args: SimpleNamespace) -> tuple[dict, int]:
+    from . import effects  # the effects commands alone load numpy
 
-    if args.effects_command == "demo-excd":
-        demo = effects.demo_excd()
-        report = _base_report(args, None, None)
-        report["demo"] = demo
-        expected = (demo["gea_axioms_pass"] and demo["order_determining_found"]
-                    and demo["is_morphism"] and demo["order_reflecting"]
-                    and not demo["embedding"] and all(demo["representation"].values()))
-        return report, EXIT_OK if expected else EXIT_FAIL
+    demo = effects.demo_excd()
+    report = _base_report(args, None, None)
+    report["demo"] = demo
+    expected = (demo["gea_axioms_pass"] and demo["order_determining_found"]
+                and demo["is_morphism"] and demo["order_reflecting"]
+                and not demo["embedding"] and all(demo["representation"].values()))
+    return report, EXIT_OK if expected else EXIT_FAIL
 
-    if args.effects_command == "check":
-        matrix, digest = fileio.load_matrix(args.path)
-        report = _base_report(args, args.path, digest)
-        try:
-            positive, effect, defect = effects.spectral_flags(matrix)
-        except InputError as exc:
-            raise InputError(f"{args.path}: {exc}") from None
-        report["matrix"] = {
-            "dim": matrix.dim,
-            "hermitian_defect": defect,
-            "positive": positive,
-            "effect": effect,
-        }
-        return report, EXIT_OK if positive else EXIT_FAIL
+
+def cmd_effects_check(args: SimpleNamespace) -> tuple[dict, int]:
+    from . import effects
+
+    matrix, digest = fileio.load_matrix(args.path)
+    report = _base_report(args, args.path, digest)
+    try:
+        positive, effect, defect = effects.spectral_flags(matrix)
+    except InputError as exc:
+        raise InputError(f"{args.path}: {exc}") from None
+    report["matrix"] = {
+        "dim": matrix.dim,
+        "hermitian_defect": defect,
+        "positive": positive,
+        "effect": effect,
+    }
+    return report, EXIT_OK if positive else EXIT_FAIL
+
+
+def cmd_effects_witness(args: SimpleNamespace) -> tuple[dict, int]:
+    from . import effects
 
     a, digest = fileio.load_matrix(args.path)
     b, digest_b = fileio.load_matrix(args.path_b)
@@ -286,9 +285,11 @@ COMMANDS = {
     "states": (cmd_states, ("path",), (), SEARCH, "compute a witness set of generalized states"),
     "represent": (cmd_represent, ("path",), (), SEARCH, "build and verify the representation"),
     "morphism": (cmd_morphism, ("path",), (), {}, "classify a map between two table files"),
-    "effects demo-excd": (cmd_effects, (), (), {}, "run the projector demo end to end"),
-    "effects check": (cmd_effects, ("path",), (), {}, "positivity/effect check for a matrix file"),
-    "effects witness": (cmd_effects, ("path", "path_b"), (), {}, "order witness of two matrices"),
+    "effects demo-excd": (cmd_effects_demo, (), (), {}, "run the projector demo end to end"),
+    "effects check": (cmd_effects_check, ("path",), (), {},
+                      "positivity/effect check for a matrix file"),
+    "effects witness": (cmd_effects_witness, ("path", "path_b"), (), {},
+                        "order witness of two matrices"),
 }
 
 
@@ -325,8 +326,8 @@ def _option(token: str, known: dict) -> tuple[Optional[str], Optional[str]]:
 def parse(argv: list[str]) -> SimpleNamespace:
     """argv read off COMMANDS as argparse read it, into the attributes the handlers
     read.  A line that does not fit prints the usage and exits 2; -h prints it."""
-    args = SimpleNamespace(command=None, effects_command=None, func=None, path=None,
-                           path_b=None, ea=None, goal=None, out=None, json=False, seed=0)
+    args = SimpleNamespace(func=None, path=None, path_b=None, ea=None, goal=None, out=None,
+                           json=False, seed=0)
     # Each flag to True for a switch, None for help, or its choices or type.
     known = {"--json": True, "--seed": int, "-h": None, "--help": None}
     # given: the positionals with the surplus tokens among them, in command-line order.
@@ -347,7 +348,7 @@ def parse(argv: list[str]) -> SimpleNamespace:
             if spec is None and words != ["effects"]:
                 _fail(f"invalid command {' '.join(words)!r}")
             if spec:
-                args.func, args.command, args.effects_command = spec[0], *(*words, None)[:2]
+                args.func = spec[0]
                 for flag, (default, kind) in [*((s, (False, True)) for s in spec[2]),
                                               *spec[3].items()]:
                     known["--" + flag] = kind

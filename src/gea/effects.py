@@ -28,7 +28,7 @@ from .algebra import AlgebraTable, MorphismSpec, classify_morphism, is_sub_gea, 
 from .errors import InputError
 from .represent import build_representation, verify_injective, verify_morphism, \
     verify_order_reflecting
-from .states import GeneralizedState, StateWitnessSet
+from .states import GeneralizedState
 
 HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-9
@@ -240,7 +240,7 @@ def demo_excd() -> dict:
     inclusion = classify_morphism(MorphismSpec(gea, require_gea(extended), (0, 1, 2)))
     closed, triple = is_sub_gea([0, 1, 2], extended)
 
-    rep = build_representation(gea, StateWitnessSet(goal="order", states=basis_states))
+    rep = build_representation(gea, basis_states)
     rep_morphism, _ = verify_morphism(rep, table)
     rep_injective, _ = verify_injective(rep)
     rep_order, _ = verify_order_reflecting(rep, gea)

@@ -88,11 +88,11 @@ def load_algebra(path: PathLike) -> tuple[AlgebraTable, str]:
         # Reports key element pairs as "a,b", which a comma in a label
         # would make ambiguous.
         raise InputError(f"{path}: element label {comma!r} contains ','")
-    broken = next((lab for lab in labels if "".join(lab.splitlines()) != lab), None)
-    if broken is not None:
-        # The text form writes keys as they are, and a line break in one
-        # would split its line.
-        raise InputError(f"{path}: element label {broken!r} contains a line break")
+    unprintable = next((lab for lab in labels if not lab.isprintable()), None)
+    if unprintable is not None:
+        # The text form writes keys as they are: a line break would split its line, a
+        # control character reach the terminal, a lone surrogate fail the UTF-8 encoder.
+        raise InputError(f"{path}: element label {unprintable!r} is not printable")
     if not isinstance(triples, list):
         raise InputError(f"{path}: \"sums\" must be a list of [x, y, z] triples")
     if len(set(labels)) != len(labels):
@@ -160,7 +160,7 @@ def witness_set_to_json(table: AlgebraTable, witnesses: StateWitnessSet) -> dict
         "goal": witnesses.goal,
         "states": [ratio_strs(s.nums, s.den) for s in witnesses.states],
         "provenance": {_pair_key(table, pair): slot
-                       for pair, slot in witnesses.provenance.items()},
+                       for slot, pair in enumerate(witnesses.provenance)},
         "failures": [[table.elements[a], table.elements[b]]
                      for a, b in witnesses.failures],
     }

@@ -5,7 +5,7 @@ trial sum x + y = z (x, y, z nonzero, x + y undefined) and keep it, on both
 sides, only when the grown table still satisfies GE1..GE5.  Every returned
 table therefore satisfies the GEA axioms by construction.
 
-The table kept so far is valid, so a trial needs only a local check, which
+The table grown so far is valid, so a trial needs only a local check, which
 gives the verdict of the full axiom scan of the trial table:
 
 - GE1 holds because the sum is inserted on both sides, GE4 because z != 0,

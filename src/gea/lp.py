@@ -65,13 +65,13 @@ class LinearProgram:
 
     rows holds the rows in the order given, each as its nonzero
     (column, coefficient) pairs in increasing column order and its rhs; the
-    rechecks of a point or a certificate read those pairs.  kept holds the
-    indices of the rows that are independent of the rows before them: a
-    maximal independent subset, in original order.  Each reduced row is a
-    {column: coefficient} dict of its nonzero entries, with its rhs at
-    column n_vars and its weight on row i at column n_vars + 1 + i, and a
-    primitive positive multiple of the rational reduced row: positive at
-    its pivot column (in pivots) and 0 at every other pivot column.  A row
+    rechecks of a point or a certificate read those pairs.  The reduced rows
+    stand for the rows that are independent of the rows before them, a
+    maximal independent subset.  Each is a {column: coefficient} dict of its
+    nonzero entries, with its rhs at column n_vars and its weight on row i
+    at column n_vars + 1 + i, and a primitive positive multiple of the
+    rational reduced row: positive at its pivot column (in pivots) and 0 at
+    every other pivot column.  A row
     that reduces to 0 = c with c != 0 stops the elimination: conflict holds
     its index, and `certificate` reads its weights.
 
@@ -82,7 +82,6 @@ class LinearProgram:
     def __init__(self, n_vars: int, rows: Iterable[Row] = ()) -> None:
         self.n_vars = n_vars
         self.rows: tuple[Row, ...] = ()
-        self.kept: list[int] = []
         self.pivots: list[int] = []
         self.reduced: list[dict[int, int]] = []
         self.conflict: Optional[int] = None
@@ -96,7 +95,7 @@ class LinearProgram:
         """A new program of these rows followed by rows; self is unchanged."""
         out = LinearProgram(self.n_vars)
         out.rows = self.rows
-        out.kept, out.pivots = self.kept[:], self.pivots[:]
+        out.pivots = self.pivots[:]
         out.reduced, out.conflict = self.reduced[:], self.conflict
         out._conflict_row = self._conflict_row
         out._enter(rows)
@@ -119,10 +118,9 @@ class LinearProgram:
         if col >= self.n_vars:  # no variable is left, only the rhs if any
             if col == self.n_vars:
                 self.conflict, self._conflict_row = index, v
-            return  # otherwise a combination of the rows kept so far
+            return  # otherwise a combination of the independent rows before it
         self.reduced.append(_primitive(v if v[col] > 0 else {j: -x for j, x in v.items()}))
         _eliminate(self.reduced, len(self.reduced) - 1, col)
-        self.kept.append(index)
         self.pivots.append(col)
 
     def satisfied_by(self, nums: Sequence[int], den: int) -> bool:

@@ -1,18 +1,18 @@
-"""Diagonal operator representation built from a finite witness set.
+"""Diagonal operator representation built from finitely many states.
 
-Each element a maps to the diagonal operator with entries (s(a)) over the
-witness slots, acting on finitely supported sequences indexed by the slots.
-For diagonal operators with nonnegative entries the positivity order is the
-entrywise order: the quadratic form of B - A at x is sum((b_s - a_s) x_s^2),
-nonnegative for every vector iff every entry difference is nonnegative.
-All arithmetic is exact.  The build checks each state's length and sign
-only: each search checks its new states on every defined sum in one packed
-pass, and verify_morphism checks zero, then every slot in one more.
-A DiagonalRep holds only the diagonals: the labels and the zero are the
-table's, which its checks and its report take beside it.
+Each element a maps to the diagonal operator with entries (s(a)), one slot
+per state (a witness search's, or any), on finitely supported sequences
+indexed by the slots.  For diagonal operators with nonnegative entries the
+positivity order is the entrywise order: the quadratic form of B - A at x
+is sum((b_s - a_s) x_s^2), nonnegative for every vector iff every entry
+difference is nonnegative.  All arithmetic is exact.  The build checks each
+state's length and sign only: each search checks its new states on every
+defined sum in one packed pass, and verify_morphism checks zero, then every
+slot in one more.  A DiagonalRep holds only the diagonals: the labels and
+the zero are the table's, which its checks and its report take beside it.
 
 The diagonals are stored as ints over one common denominator D, the lcm of
-the witness states' denominators, so the build and every self-check
+the states' denominators, so the build and every self-check
 (additivity, injectivity, order reflection, positivity and norm bounds)
 compare and add ints, and the operator norms are int numerators over D.
 The order check reads the induced order from the CheckedGEA of the
@@ -21,7 +21,7 @@ has s(b) < s(a), so it rebuilds the witness search's masks from the built
 diagonals, one sort per slot: phi reflects the order iff the slots cover,
 at each a, every b not above a.  The Fraction view (operators) is for
 callers; the reports write the numerators over D, and the Fraction forms of
-the vector checks are kept in tests/reference.py.
+the vector checks live in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraTable, CheckedGEA, first_nonadditive
 from .errors import InputError
-from .states import GeneralizedState, StateWitnessSet, _cover
+from .states import GeneralizedState, _cover
 
 
 class DiagonalRep(namedtuple("DiagonalRep", "diagonals den")):
@@ -62,19 +62,20 @@ class DiagonalRep(namedtuple("DiagonalRep", "diagonals den")):
                      for diagonal in self.diagonals)
 
 
-def build_representation(gea: CheckedGEA, witnesses: StateWitnessSet) -> DiagonalRep:
-    """Assemble the diagonal representation a -> (s(a)) over the witness set.
+def build_representation(gea: CheckedGEA,
+                         states: Sequence[GeneralizedState]) -> DiagonalRep:
+    """Assemble the diagonal representation a -> (s(a)), one slot per state.
 
     The construction is unconditional: it needs no separation property, and
     raises InputError unless each state has one nonnegative value per
-    element.  An empty witness set gives the zero-slot representation (every
-    operator is the empty diagonal).
+    element.  No states give the zero-slot representation (every operator
+    is the empty diagonal).
     """
     table = gea.table
-    if any(len(s.nums) != table.n or min(s.nums, default=0) < 0 for s in witnesses.states):
+    if any(len(s.nums) != table.n or min(s.nums, default=0) < 0 for s in states):
         raise InputError("each state needs one nonnegative value per element")
-    den = lcm(*(s.den for s in witnesses.states))
-    columns = [[p * (den // s.den) for p in s.nums] for s in witnesses.states]
+    den = lcm(*(s.den for s in states))
+    columns = [[p * (den // s.den) for p in s.nums] for s in states]
     diagonals = tuple(zip(*columns)) if columns else ((),) * table.n
     return DiagonalRep(diagonals, den)
 

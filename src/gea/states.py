@@ -25,7 +25,9 @@ element and every defined sum is.  C is empty on chains, cubes and down-sets
 of N^m.  A search builds C once, factored, and each pair LP extends it by one
 row.  The LP rechecks its point only against those rows, so after its walk
 a search checks all its states on every defined sum in one packed pass.  A
-search starts from no states: each slot holds a state that its LP found.
+search starts from no states: each slot holds a state that its LP found, and
+the search returns one immutable record of its goal, its states, the pair
+that made each slot and the pairs that failed.
 
 The searches take a CheckedGEA, the table, order and atoms that one axiom
 scan produced, so they scan nothing themselves, and the atom program rests on
@@ -38,7 +40,7 @@ read off one sort of its values.  The LP is asked only about the lowest bit
 of want[a] that no slot covers, so pairs reach it in lexicographic order.
 A pair fails with no LP when the state preorder ⊑ (s(a) <= s(b) on every
 state) already holds it: ⊑ starts as the induced order, and each failed LP
-adds its pair, kept transitively closed (see _AtomProgram).
+adds its pair, and ⊑ stays transitively closed (see _AtomProgram).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .lp import LinearProgram, Row, lp_feasible
 class GeneralizedState(namedtuple("GeneralizedState", "nums den")):
     """Exact valuation on the elements of one table: s(i) = nums[i] / den.
 
-    den is positive and the vector is kept in lowest terms, so two states are
+    den is positive and the vector is stored in lowest terms, so two states are
     equal iff they agree as rational vectors."""
 
     __slots__ = ()
@@ -90,16 +92,12 @@ class GeneralizedState(namedtuple("GeneralizedState", "nums den")):
                 f"state is not additive on {table.elements[bad[0]]}+{table.elements[bad[1]]}")
 
 
-class StateWitnessSet:
-    """Finite witness set: provenance maps the pair whose LP produced a
-    state to its slot, and failures lists the pairs no state can witness;
-    the search succeeded iff it is empty."""
+class StateWitnessSet(namedtuple("StateWitnessSet", "goal states provenance failures")):
+    """Finite witness set for goal ("order" or "separate"): provenance[slot]
+    is the pair whose LP produced states[slot], and failures lists the pairs
+    no state can witness; the search succeeded iff it is empty."""
 
-    def __init__(self, goal: str, states: Optional[list[GeneralizedState]] = None) -> None:
-        self.goal = goal  # "separate" or "order"
-        self.states = [] if states is None else states
-        self.provenance: dict[tuple[int, int], int] = {}
-        self.failures: list[tuple[int, int]] = []
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -145,7 +143,7 @@ class _AtomProgram(LinearProgram):
     its defining row, in topological order.  below[x] is the int mask of
     the y with x ⊑ y found so far, where x ⊑ y means s(x) <= s(y) on every
     state.  It starts as the induced order, since s(y) = s(x) + s(y - x) >=
-    s(x); each failed pair LP adds its pair, kept transitively closed, and
+    s(x); each failed pair LP adds its pair, closing ⊑ transitively, and
     witness runs no LP for a pair that ⊑ holds."""
 
     def __init__(self, atoms: Sequence[int], chain: list[tuple[int, int, int]],
@@ -204,14 +202,13 @@ def assign_witnesses(table: AlgebraTable, goal: str, want: Sequence[int],
     pair (a, b), b a bit of the mask want[a], is covered by a state of the
     set, in lexicographic order.  For a pair no state covers, find(a, b) is
     asked for a new state, whose length, sign and zero are checked; it takes
-    the next slot, under (a, b) in provenance (it covers (a, b), so it
-    equals no state in the set), or the pair is a failure.  The LP rechecked
-    the states only against the atom program, so one packed pass at the end
-    checks them on every defined sum: InputError for the first that fails,
-    in slot order, with its own first failing sum."""
-    witnesses = StateWitnessSet(goal)
-    states, order = witnesses.states, goal == "order"
-    todo = list(want)
+    the next slot, with (a, b) at that slot of provenance (it covers (a, b),
+    so it equals no state in the set), or the pair is a failure.  The LP
+    rechecked the states only against the atom program, so one packed pass
+    at the end checks them on every defined sum: InputError for the first
+    that fails, in slot order, with its own first failing sum."""
+    states, provenance, failures = [], [], []  # failures and provenance hold (a, b) pairs
+    order, todo = goal == "order", list(want)
     try:
         for a in range(len(todo)):
             while todo[a]:
@@ -219,17 +216,17 @@ def assign_witnesses(table: AlgebraTable, goal: str, want: Sequence[int],
                 todo[a] ^= 1 << b
                 state = find(a, b)
                 if state is None:
-                    witnesses.failures.append((a, b))
+                    failures.append((a, b))
                     continue
                 state.validate(table, additive=False)
-                witnesses.provenance[(a, b)] = len(states)
+                provenance.append((a, b))
                 states.append(state)
                 todo = [t & ~c for t, c in zip(todo, _cover(state.nums, order))]
     finally:  # on a shape error too: an earlier slot's error comes first
         if first_nonadditive(table, [s.nums for s in states]) is not None:
             for state in states:
                 state.validate(table)
-    return witnesses
+    return StateWitnessSet(goal, states, provenance, failures)
 
 
 def order_determining_set(gea: CheckedGEA) -> StateWitnessSet:

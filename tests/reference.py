@@ -48,7 +48,8 @@ import numpy as np
 from gea import states
 from gea.algebra import (AlgebraTable, AxiomReport, MorphismReport, MorphismSpec, OrderRelation,
                          Violation, induced_order, is_sub_gea, require_gea)
-from gea.cli import cmd_check, cmd_effects, cmd_morphism, cmd_order, cmd_represent, cmd_states
+from gea.cli import (cmd_check, cmd_effects_check, cmd_effects_demo, cmd_effects_witness,
+                     cmd_morphism, cmd_order, cmd_represent, cmd_states)
 from gea.effects import PSD_TOL, EffectMatrix
 from gea.errors import InputError
 from gea.lp import LinearProgram, lp_feasible
@@ -530,22 +531,23 @@ def reference_assign_witnesses(table: AlgebraTable, goal: str, pairs,
                                find) -> StateWitnessSet:
     """The witness search as a walk over the pairs in the order given, from
     no states: a pair that no state covers, s(a) > s(b) for the order goal
-    and s(a) != s(b) to separate, asks find for a state, which is validated,
-    takes the next slot and is recorded under the pair; a pair find cannot
-    witness is a failure.  The oracle for the masks of assign_witnesses."""
+    and s(a) != s(b) to separate, asks find for a state, which is validated
+    and takes the next slot, with the pair at that slot of provenance; a
+    pair find cannot witness is a failure.  The oracle for the masks of
+    assign_witnesses, as one record."""
     covers = operator.gt if goal == "order" else operator.ne
-    witnesses = StateWitnessSet(goal)
+    found, provenance, failures = [], [], []
     for a, b in pairs:
-        if any(covers(s.nums[a], s.nums[b]) for s in witnesses.states):
+        if any(covers(s.nums[a], s.nums[b]) for s in found):
             continue
         state = find(a, b)
         if state is None:
-            witnesses.failures.append((a, b))
+            failures.append((a, b))
         else:
             reference_validate(state, table)
-            witnesses.provenance[(a, b)] = len(witnesses.states)
-            witnesses.states.append(state)
-    return witnesses
+            provenance.append((a, b))
+            found.append(state)
+    return StateWitnessSet(goal, found, provenance, failures)
 
 
 def atom_state(program, x) -> GeneralizedState:
@@ -588,8 +590,8 @@ def assert_witness_set(gea, witnesses) -> None:
     Each pair the search handles (every a not below b for the order goal,
     every a < b to separate) is covered by some state, one with s(a) > s(b) or
     s(a) != s(b), exactly when it is not a failure.  provenance holds one
-    entry per state, in slot order, under increasing pairs: the pair whose
-    LP made the state, which the state covers and no earlier state does."""
+    pair per state, in slot order, the pairs increasing: the pair whose LP
+    made the state, which the state covers and no earlier state does."""
     n = gea.table.n
     if witnesses.goal == "order":
         above = gea.order.above
@@ -603,8 +605,8 @@ def assert_witness_set(gea, witnesses) -> None:
     for a, b in pairs:
         covered = any(covers(s.nums[a], s.nums[b]) for s in found)
         assert covered != ((a, b) in failures), (a, b)
-    made = list(witnesses.provenance)
-    assert list(witnesses.provenance.values()) == list(range(len(found)))
+    made = witnesses.provenance
+    assert type(made) is list and len(made) == len(found)
     assert made == sorted(made) and set(made) <= set(pairs)
     for slot, (a, b) in enumerate(made):
         assert covers(found[slot].nums[a], found[slot].nums[b])
@@ -758,15 +760,15 @@ def reference_parser() -> argparse.ArgumentParser:
     esub = p.add_subparsers(dest="effects_command", required=True)
     d = esub.add_parser("demo-excd", parents=[common],
                         help="run the projector demo end to end")
-    d.set_defaults(func=cmd_effects)
+    d.set_defaults(func=cmd_effects_demo)
     c = esub.add_parser("check", parents=[common],
                         help="positivity/effect check for a matrix file")
     c.add_argument("path")
-    c.set_defaults(func=cmd_effects)
+    c.set_defaults(func=cmd_effects_check)
     w = esub.add_parser("witness", parents=[common],
                         help="order witness vector for two positive matrices")
     w.add_argument("path")
     w.add_argument("path_b")
-    w.set_defaults(func=cmd_effects)
+    w.set_defaults(func=cmd_effects_witness)
 
     return parser

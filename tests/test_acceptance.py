@@ -70,7 +70,7 @@ def test_criterion_2_recovery_identity(valid_corpus):
         gea = require_gea(table)
         for search in (order_determining_set, separating_set):
             witnesses = search(gea)
-            rep = build_representation(gea, witnesses)
+            rep = build_representation(gea, witnesses.states)
             recovered = extract_states(rep)
             if [s.values for s in recovered] != [s.values for s in witnesses.states]:
                 ok = False
@@ -88,7 +88,7 @@ def test_criterion_3_separation_iff_injective(population):
     for index, table in enumerate(population):
         gea = require_gea(table)
         witnesses = separating_set(gea)
-        rep = build_representation(gea, witnesses)
+        rep = build_representation(gea, witnesses.states)
         injective, _ = verify_injective(rep)
         if witnesses.ok != injective:
             mismatches.append(index)
@@ -104,7 +104,7 @@ def test_criterion_4_order_determining_iff_order_reflecting(population):
     for index, table in enumerate(population):
         gea = require_gea(table)
         witnesses = order_determining_set(gea)
-        rep = build_representation(gea, witnesses)
+        rep = build_representation(gea, witnesses.states)
         reflecting, _ = verify_order_reflecting(rep, gea)
         if witnesses.ok != reflecting:
             mismatches.append(index)
@@ -120,7 +120,7 @@ def test_criterion_5_boundedness(valid_corpus):
     ok = True
     for table in valid_corpus.values():
         gea = require_gea(table)
-        rep = build_representation(gea, order_determining_set(gea))
+        rep = build_representation(gea, order_determining_set(gea).states)
         for a, p in enumerate(operator_norm(rep)):
             norm = Fraction(p, rep.den)
             for _ in range(100):

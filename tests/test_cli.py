@@ -496,12 +496,16 @@ def corpus_commands():
 
 # The attributes parse sets.  The reference parser leaves out those that a
 # command line does not set, and main then read --json as False and --seed as 0.
-PARSED = dict.fromkeys(["command", "effects_command", "func", "path", "path_b", "ea", "goal",
-                        "out", "json", "seed"]) | {"json": False, "seed": 0}
+# It also names the command words under its subparsers' dests, command and
+# effects_command, which no handler reads: parse picks the handler, func.
+PARSED = dict.fromkeys(["func", "path", "path_b", "ea", "goal", "out", "json", "seed"]) | {
+    "json": False, "seed": 0}
 
 
 def reference_parse(argv):
-    return {**PARSED, **vars(reference_parser().parse_args(argv))}
+    parsed = vars(reference_parser().parse_args(argv))
+    return {**PARSED, **{key: value for key, value in parsed.items()
+                         if key not in ("command", "effects_command")}}
 
 
 # Command lines of the README, of CI and of the shapes that the benchmark's
@@ -1095,8 +1099,10 @@ def test_exact_commands_load_no_random():
 
 
 # Hostile input: arbitrary JSON objects over the keys the loaders read.  Most
-# draws are malformed; some are valid tables, morphisms or matrices.
-LABELS = ("0", "a", "b", "1", "a,b")
+# draws are malformed; some are valid tables, morphisms or matrices.  Some
+# labels hold a control character or a lone surrogate, which the text form
+# must never write.
+LABELS = ("0", "a", "b", "1", "a,b", "\x1b[31m", "\t", "\ud800")
 label = st.sampled_from(LABELS)
 leaf = st.one_of(st.none(), st.booleans(), st.integers(min_value=-2, max_value=4),
                  st.floats(), st.text(alphabet="01ab.", max_size=3))
@@ -1132,6 +1138,11 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(max_examples=120, deadline=None)
 @given(data=hostile_objects)
+@example(data={"elements": ["0", "\ud800"], "zero": "0",
+               "sums": [["0", "0", "0"], ["0", "\ud800", "\ud800"], ["\ud800", "0", "\ud800"]]})
+@example(data={"elements": ["0", "\x1b[31m"], "zero": "0",
+               "sums": [["0", "0", "0"], ["0", "\x1b[31m", "\x1b[31m"],
+                        ["\x1b[31m", "0", "\x1b[31m"]]})
 def test_hostile_json_exits_with_a_documented_code(fuzz_dir, data):
     path = fuzz_dir / "hostile.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -1143,3 +1154,11 @@ def test_hostile_json_exits_with_a_documented_code(fuzz_dir, data):
         assert err.getvalue() == ""
         if code == 2:
             assert "error" in json.loads(out.getvalue())
+    # The text form through a strict UTF-8 encoder, as a real stdout: every
+    # line it writes is printable.
+    out, err = io.TextIOWrapper(io.BytesIO(), "utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["order", str(path)])
+    text = out.buffer.getvalue().decode("utf-8")
+    assert code in (0, 1, 2), data
+    assert err.getvalue() == "" and all(map(str.isprintable, text.splitlines())), data

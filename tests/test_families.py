@@ -17,7 +17,9 @@ Glued to no_states at zero (a + a = c = b + b, and no sum across the two
 parts), each such table loses its witnesses on a and b alone: a state of
 the glued table is a state on each part, and every state of no_states has
 s(a) = s(b).  So the order search fails exactly on (a, b) and (b, a), the
-separating search exactly on (a, b), and `represent` exits 3.
+separating search exactly on (a, b), and `represent` exits 3.  Every LP
+that finds no state there returns its None with row weights that
+`reference_refutes` rechecks (see `reference.checked_proofs`).
 """
 
 import random
@@ -31,8 +33,8 @@ from gea.algebra import AlgebraTable, require_gea
 from gea.cli import main
 from gea.represent import (build_representation, verify_injective, verify_morphism,
                            verify_order_reflecting)
-from gea.states import order_determining_set, separating_set
-from reference import down_set_table, glued, leq, write_table
+from gea.states import GeneralizedState, order_determining_set, separating_set
+from reference import checked_proofs, down_set_table, glued, leq, write_table
 
 
 def down_set(rng: random.Random, m: int, n: int) -> list[tuple[int, ...]]:
@@ -66,7 +68,7 @@ def assert_represented(table: AlgebraTable) -> None:
     for goal, search in (("order", order_determining_set), ("separate", separating_set)):
         witnesses = search(gea)
         assert witnesses.ok, (goal, witnesses.failures)
-        rep = build_representation(gea, witnesses)
+        rep = build_representation(gea, witnesses.states)
         assert verify_morphism(rep, table) == (True, None), goal
         assert verify_injective(rep) == (True, None), goal
         if goal == "order":
@@ -89,7 +91,24 @@ def test_mo_k_is_represented(k):
     assert_represented(mo_table(k))
 
 
-def assert_obstructed(table: AlgebraTable, path) -> None:
+@pytest.mark.parametrize("k", range(1, 13))
+def test_mo_k_known_states_determine_the_order(k):
+    # s1(a_i) = i + 1, s1(b_i) = 2k - i, s1(1) = 2k + 1, and s2 swaps a_i
+    # and b_i: between them they order every a_i, b_j pair both ways.
+    table = mo_table(k)
+    gea = require_gea(table)
+    s1 = GeneralizedState((0, 2 * k + 1, *(v for i in range(k) for v in (i + 1, 2 * k - i))))
+    s2 = GeneralizedState((0, 2 * k + 1, *(v for i in range(k) for v in (2 * k - i, i + 1))))
+    for state in (s1, s2):
+        state.validate(table)
+    rep = build_representation(gea, [s1, s2])
+    assert verify_morphism(rep, table) == (True, None)
+    assert verify_injective(rep) == (True, None)
+    assert verify_order_reflecting(rep, gea) == (True, None)
+
+
+def assert_obstructed(table: AlgebraTable, path, monkeypatch) -> None:
+    _, proofs = checked_proofs(monkeypatch)
     glue = glued(table, corpus.load("no_states"))
     gea = require_gea(glue)
     a, b = glue.elements.index("a"), glue.elements.index("b")
@@ -98,15 +117,19 @@ def assert_obstructed(table: AlgebraTable, path) -> None:
     write_table(glue, path)
     for goal in ("order", "separate"):
         assert main(["represent", str(path), "--goal", goal, "--json"]) == 3, goal
+    # a + a = b + b makes the pair row of (a, b) reduce to 0 = c in each of
+    # the four searches, which settles (b, a) as well.
+    assert proofs == {"exact": 4}
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_glued_down_sets_are_obstructed(seed, tmp_path, capsys):
+def test_glued_down_sets_are_obstructed(seed, tmp_path, capsys, monkeypatch):
     rng = random.Random(seed)
     m = rng.randint(2, 5)
-    assert_obstructed(down_set_table(down_set(rng, m, rng.randint(2, 40))), tmp_path / "t.json")
+    assert_obstructed(down_set_table(down_set(rng, m, rng.randint(2, 40))), tmp_path / "t.json",
+                      monkeypatch)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
-def test_glued_mo_k_is_obstructed(k, tmp_path, capsys):
-    assert_obstructed(mo_table(k), tmp_path / "t.json")
+def test_glued_mo_k_is_obstructed(k, tmp_path, capsys, monkeypatch):
+    assert_obstructed(mo_table(k), tmp_path / "t.json", monkeypatch)

@@ -105,18 +105,20 @@ def test_label_with_comma_rejected(tmp_path):
         load_algebra(path)
 
 
-@pytest.mark.parametrize("label", ["a\nb", "a\r", "\u2028b"])
+@pytest.mark.parametrize("label", ["a\nb", "a\r", "\u2028b", "\x1b[31m", "\t", "\x00", "\u202e",
+                                   "\ud800"])
 def test_label_with_line_break_rejected(tmp_path, monkeypatch, capsys, label):
-    # The text form writes a report's keys as they are, and a key with a
-    # line break in it would split its line.
+    # The text form writes a report's keys as they are: a line break would
+    # split its line, a control or format character reach the terminal, and
+    # a lone surrogate fail the UTF-8 encoder.
     path = tmp_path / "break.json"
     path.write_text(json.dumps({"elements": ["0", label], "zero": "0", "sums": []}))
-    message = f"{path}: element label {label!r} contains a line break"
+    message = f"{path}: element label {label!r} is not printable"
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         load_algebra(path)
     monkeypatch.chdir(tmp_path)
     assert main(["check", "break.json"]) == 2
-    assert "contains a line break" in capsys.readouterr().out
+    assert "is not printable" in capsys.readouterr().out
 
 
 def test_morphism_must_be_total(tmp_path, diamond):

@@ -64,7 +64,6 @@ class ReferenceEchelon:
     def __init__(self, n_cols):
         self.n_cols = n_cols
         self.source = ()
-        self.kept = []
         self.pivots = []
         self.rows = []
         self.combos = []
@@ -76,7 +75,7 @@ class ReferenceEchelon:
 
     def extended(self, rows):
         out = ReferenceEchelon(self.n_cols)
-        out.kept, out.pivots = self.kept[:], self.pivots[:]
+        out.pivots = self.pivots[:]
         out.rows, out.combos = self.rows[:], self.combos[:]
         out.conflict = self.conflict
         out.source = self.source + tuple(rows)
@@ -112,7 +111,6 @@ class ReferenceEchelon:
                 update = dict(self.combos[k])
                 _ref_combine(update, f, combo)
                 self.combos[k] = update
-        self.kept.append(index)
         self.pivots.append(col)
         self.rows.append(v)
         self.combos.append(combo)
@@ -289,14 +287,13 @@ def test_presolve_matches_oracle_on_redundant_rows(case):
     if program.conflict is not None:
         assert program.refuted_by(program.certificate())
     else:
-        kept = [program.rows[i] for i in program.kept]
-        assert len(LinearProgram(program.n_vars, kept).pivots) == len(kept)
+        assert program.pivots == ReferenceEchelon.of(program.rows, program.n_vars).pivots
 
 
 def test_inconsistent_pair_row_settled_by_elimination():
     # a + a = c and b + b = c force s(a) = s(b); s(a) - s(b) = 1 contradicts it.
     program = LinearProgram(3, sparse([((2, 0, -1), 0), ((0, 2, -1), 0), ((1, -1, 0), 1)]))
-    assert program.kept == [0, 1]
+    assert program.pivots == [0, 1]
     assert program.conflict == 2
     assert program.certificate() == {0: 1, 1: -1, 2: -2}
     assert lp_feasible(program) is None
@@ -321,11 +318,11 @@ def test_bounds_refuted_by_checks_the_signs():
 
 
 def test_satisfied_by_rechecks_every_row():
-    # Row 1 is not kept: it conflicts with row 0, which x satisfies.  Row 2
-    # comes after the conflict and is never reduced.  Points are int
-    # numerators over one denominator.
+    # Row 1 is not reduced into the echelon: it conflicts with row 0, which
+    # x satisfies.  Row 2 comes after the conflict and is never reduced.
+    # Points are int numerators over one denominator.
     program = LinearProgram(2, sparse([((1, 0), 1), ((2, 0), 3), ((0, 1), 1)]))
-    assert program.kept == [0] and program.conflict == 1
+    assert program.pivots == [0] and program.conflict == 1
     assert not program.satisfied_by([1, 1], 1)
     base = LinearProgram(2, sparse([((1, 0), 1)]))
     extended = base.extended(sparse([((0, 0), 0), ((0, 3), 2)]))
@@ -395,7 +392,7 @@ def test_failed_rechecks_raise_under_python_O():
 def test_factored_prefix_gives_the_unfactored_answer():
     rows = sparse([((1, 1, -1), 0), ((2, 2, -2), 0), ((1, -1, 0), 1)])
     factored = LinearProgram(3, rows[:2])
-    assert factored.kept == [0]
+    assert factored.pivots == [0]
     assert lp_feasible(factored.extended(rows[2:])) == lp_feasible(LinearProgram(3, rows))
     assert len(factored.pivots) == 1 and len(factored.rows) == 2  # left unchanged
 
@@ -468,11 +465,11 @@ def _assert_every_split_matches(program):
     certificate = program.certificate() if program.conflict is not None else None
     for k in range(len(rows) + 1):
         prefix = LinearProgram(n, rows[:k])
-        before = (prefix.kept[:], prefix.pivots[:], [dense(row, n) for row in prefix.reduced])
+        before = (prefix.pivots[:], [dense(row, n) for row in prefix.reduced])
         split = prefix.extended(rows[k:])
-        assert (prefix.kept, prefix.pivots, [dense(row, n) for row in prefix.reduced]) == before
+        assert (prefix.pivots, [dense(row, n) for row in prefix.reduced]) == before
         assert split.rows == rows
-        assert split.kept == program.kept and split.pivots == program.pivots
+        assert split.pivots == program.pivots
         assert split.reduced == program.reduced and split.conflict == program.conflict
         assert lp_feasible(split) == x
         if certificate is not None:
@@ -483,7 +480,6 @@ def _assert_every_split_matches(program):
 @given(rational_programs())
 def test_integer_solver_takes_the_reference_pivot_path(program):
     reference = ReferenceEchelon.of(program.rows, program.n_vars)
-    assert program.kept == reference.kept
     assert program.pivots == reference.pivots
     assert (program.conflict is None) == (reference.conflict is None)
     if program.conflict is not None:
@@ -545,7 +541,7 @@ def test_integer_solver_takes_the_reference_pivot_path_on_sparse_programs(pivots
     for program in sparse_programs():
         n, rows = program.n_vars, program.rows
         reference = ReferenceEchelon.of(rows, n)
-        assert program.kept == reference.kept and program.pivots == reference.pivots, rows
+        assert program.pivots == reference.pivots, rows
         pivots.clear()
         path.clear()
         x = lp_feasible(program)
@@ -615,10 +611,10 @@ def test_zero_coordinates_are_fractions_equal_to_the_reference(valid_corpus):
 
 
 def test_scaled_rows_carry_their_scale_into_the_certificate():
-    # 2x = 0 twice, then 4x = 1: the kept row is reduced to x = 0, but the
+    # 2x = 0 twice, then 4x = 1: the first row is reduced to x = 0, but the
     # certificate weighs the original rows, 2 * (2x = 0) - (4x = 1).
     program = LinearProgram(1, sparse([((2,), 0), ((2,), 0), ((4,), 1)]))
-    assert program.kept == [0]
+    assert program.pivots == [0]
     (reduced,) = program.reduced
     assert_reduced_row(reduced, [1, 0], 1)
     assert program.conflict == 2

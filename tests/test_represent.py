@@ -13,8 +13,7 @@ from gea.generate import random_population
 from gea.represent import (DiagonalRep, build_representation, extract_states, operator_norm,
                            verify_bounded, verify_injective, verify_morphism,
                            verify_order_reflecting)
-from gea.states import (StateWitnessSet, additivity_program, order_determining_set,
-                        separating_set)
+from gea.states import additivity_program, order_determining_set, separating_set
 from gea.lp import lp_feasible
 from reference import (FiniteVector, apply_operator, bounded_by, leq, random_rational_vector,
                        sparse, state_of, vector_state)
@@ -24,19 +23,13 @@ def frac(x):
     return Fraction(x)
 
 
-def single_state_set(goal, *rows):
-    witnesses = StateWitnessSet(goal=goal)
-    witnesses.states = [state_of(row) for row in rows]
-    return witnesses
-
-
 def search_rep(table, search=order_determining_set):
     gea = require_gea(table)
-    return build_representation(gea, search(gea))
+    return build_representation(gea, search(gea).states)
 
 
-def state_rep(table, goal, *rows):
-    return build_representation(require_gea(table), single_state_set(goal, *rows))
+def state_rep(table, *rows):
+    return build_representation(require_gea(table), [state_of(row) for row in rows])
 
 
 def diagonal_rep(*operators):
@@ -112,11 +105,11 @@ class TestBuild:
             (frac(0), frac(0)), (frac(1), frac(0)), (frac(0), frac(1)))
 
     def test_chain_single_witness(self, chain_c3):
-        rep = state_rep(chain_c3, "order", (0, 1, 2))
+        rep = state_rep(chain_c3, (0, 1, 2))
         assert rep.operators == ((frac(0),), (frac(1),), (frac(2),))
 
     def test_zero_state_builds_but_separates_nothing(self, diamond):
-        rep = state_rep(diamond, "separate", (0, 0, 0, 0))
+        rep = state_rep(diamond, (0, 0, 0, 0))
         ok, pair = verify_injective(rep)
         assert not ok and pair is not None
 
@@ -127,17 +120,17 @@ class TestBuild:
 
     def test_non_additive_state_rejected(self, diamond):
         # The build leaves additivity to verify_morphism, which names the sum.
-        rep = state_rep(diamond, "order", (0, 1, 1, 3))
+        rep = state_rep(diamond, (0, 1, 1, 3))
         assert verify_morphism(rep, diamond) == (False, (1, 2, 3))
         assert (1, 2, 3) in reference_verify_morphism(rep, diamond)
 
     @pytest.mark.parametrize("values", [(0, -1, 1, 0), (0, 1, 1)])
     def test_negative_or_wrong_length_state_rejected(self, diamond, values):
         with pytest.raises(InputError):
-            state_rep(diamond, "order", values)
+            state_rep(diamond, values)
 
     def test_slot_denominators_share_their_lcm(self, chain_c3):
-        rep = state_rep(chain_c3, "order", ("0", "1/2", "1"), ("0", "1/3", "2/3"))
+        rep = state_rep(chain_c3, ("0", "1/2", "1"), ("0", "1/3", "2/3"))
         assert rep.den == 6
         assert rep.diagonals == ((0, 0), (3, 2), (6, 4))
         assert rep.operators[2] == (Fraction(1), Fraction(2, 3))
@@ -162,14 +155,14 @@ class TestVerifyMorphism:
             assert verify_morphism(rep, table) == (True, None)
 
     def test_corrupted_entry_fails_with_witness(self, chain_c3):
-        rep = state_rep(chain_c3, "order", (0, 1, 2))
+        rep = state_rep(chain_c3, (0, 1, 2))
         bad = list(rep.diagonals)
         bad[2] = (3 * rep.den,)  # top entry corrupted by +1
         corrupted = DiagonalRep(tuple(bad), rep.den)
         assert verify_morphism(corrupted, chain_c3) == (False, (1, 1, 2))  # h + h = top
 
     def test_corrupted_zero_fails(self, chain_c3):
-        rep = state_rep(chain_c3, "order", (0, 1, 2))
+        rep = state_rep(chain_c3, (0, 1, 2))
         bad = list(rep.diagonals)
         bad[0] = (rep.den,)
         corrupted = DiagonalRep(tuple(bad), rep.den)
@@ -194,7 +187,7 @@ class TestVerifyInjective:
         a, b = lp_feasible(program)
         state = state_of((0, a, b, a + b))
         assert state.values == (frac(0), frac(1), frac(1), frac(2))
-        rep = state_rep(diamond, "separate", [str(v) for v in state.values])
+        rep = state_rep(diamond, [str(v) for v in state.values])
         ok, pair = verify_injective(rep)
         assert not ok and pair == (1, 2)
 
@@ -210,7 +203,7 @@ class TestVerifyOrderReflecting:
         assert verify_order_reflecting(rep, require_gea(excd)) == (True, None)
 
     def test_single_witness_on_diamond_fails(self, diamond):
-        rep = state_rep(diamond, "order", (0, 1, 0, 1))
+        rep = state_rep(diamond, (0, 1, 0, 1))
         ok, pair = verify_order_reflecting(rep, require_gea(diamond))
         assert not ok
         # the returned pair is a genuine violation
@@ -301,7 +294,7 @@ class TestIntegerChecksMatchFractionReference:
     def test_corpus_and_population_reps(self):
         for table, gea, _ in CHECKED_TABLES:
             for search in (order_determining_set, separating_set):
-                rep = build_representation(gea, search(gea))
+                rep = build_representation(gea, search(gea).states)
                 assert verify_morphism(rep, table) == reference_first_violation(rep, table)
                 assert verify_injective(rep) == reference_verify_injective(rep)
                 assert verify_order_reflecting(rep, gea) == \
@@ -312,15 +305,15 @@ class TestIntegerChecksMatchFractionReference:
 
 class TestNormsAndVectorStates:
     def test_chain_top_norm_is_two(self, chain_c3):
-        rep = state_rep(chain_c3, "order", (0, 1, 2))
+        rep = state_rep(chain_c3, (0, 1, 2))
         assert fraction_norms(rep)[2] == 2
 
     def test_zero_norm_is_zero(self, chain_c3):
-        rep = state_rep(chain_c3, "order", (0, 1, 2))
+        rep = state_rep(chain_c3, (0, 1, 2))
         assert fraction_norms(rep)[0] == 0
 
     def test_diamond_two_witness_top_norm(self, diamond):
-        rep = state_rep(diamond, "order", (0, 1, 0, 1), (0, 0, 1, 1))
+        rep = state_rep(diamond, (0, 1, 0, 1), (0, 0, 1, 1))
         assert fraction_norms(rep)[3] == 1
 
     def test_norm_is_the_largest_absolute_entry(self):
@@ -334,22 +327,22 @@ class TestNormsAndVectorStates:
     def test_vector_state_at_basis_vectors_recovers_witnesses(self, diamond):
         gea = require_gea(diamond)
         witnesses = order_determining_set(gea)
-        rep = build_representation(gea, witnesses)
+        rep = build_representation(gea, witnesses.states)
         for slot, state in enumerate(witnesses.states):
             basis = FiniteVector.basis(rep.m, slot)
             for a in range(diamond.n):
                 assert vector_state(rep, basis, a) == state.values[a]
 
     def test_vector_state_of_zero_vector(self, chain_c3):
-        rep = state_rep(chain_c3, "order", (0, 1, 2))
+        rep = state_rep(chain_c3, (0, 1, 2))
         assert vector_state(rep, FiniteVector((frac(0),)), 2) == 0
 
     def test_chain_unit_vector_value(self, chain_c3):
-        rep = state_rep(chain_c3, "order", (0, 1, 2))
+        rep = state_rep(chain_c3, (0, 1, 2))
         assert vector_state(rep, FiniteVector((frac(1),)), 2) == 2
 
     def test_length_mismatch_rejected(self, chain_c3):
-        rep = state_rep(chain_c3, "order", (0, 1, 2))
+        rep = state_rep(chain_c3, (0, 1, 2))
         with pytest.raises(InputError):
             vector_state(rep, FiniteVector((frac(1), frac(1))), 1)
 
@@ -481,12 +474,12 @@ class TestRoundTrip:
             gea = require_gea(table)
             for search in (order_determining_set, separating_set):
                 witnesses = search(gea)
-                rep = build_representation(gea, witnesses)
+                rep = build_representation(gea, witnesses.states)
                 recovered = extract_states(rep)
                 assert [s.values for s in recovered] == [s.values for s in witnesses.states]
 
     def test_zero_rep_recovers_zero_states(self, diamond):
-        rep = state_rep(diamond, "separate", (0, 0, 0, 0))
+        rep = state_rep(diamond, (0, 0, 0, 0))
         assert [s.values for s in extract_states(rep)] == [(frac(0),) * 4]
 
 
@@ -518,6 +511,6 @@ class TestPositivityAndDiagonalOrder:
                     assert sampled
 
     def test_apply_operator_scales_coordinates(self, chain_c3):
-        rep = state_rep(chain_c3, "order", (0, 1, 2))
+        rep = state_rep(chain_c3, (0, 1, 2))
         image = apply_operator(rep, 2, FiniteVector((Fraction(3, 2),)))
         assert image.coords == (Fraction(3),)

@@ -203,7 +203,7 @@ class TestPackedPass:
 
     def test_nonzero_phi_of_zero_comes_first(self, chain_c3):
         rep = build_representation(require_gea(chain_c3), order_determining_set(
-            require_gea(chain_c3)))
+            require_gea(chain_c3)).states)
         diagonals = [list(d) for d in rep.diagonals]
         diagonals[chain_c3.zero][0] = 1
         diagonals[1][0] += 5
