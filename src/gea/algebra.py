@@ -22,8 +22,9 @@ follow from their mirrors (see _associativity).  A GEA has no such cycle
 (u < u+v).
 
 A pipeline runs the GEA scan once: scan_gea and require_gea return a
-CheckedGEA, the table with its induced order, atoms and Kahn order, which
-the witness searches, the representation and the morphism classifier take.
+CheckedGEA, the table with the masks of its induced order, its atoms and
+its Kahn order, which the witness searches, the representation and the
+morphism classifier take.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from itertools import chain
 from operator import lshift
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ContractError, InputError
 
@@ -102,16 +103,17 @@ class AlgebraTable(namedtuple("AlgebraTable", "elements zero unit rows cols")):
         return {(i, j): k for i, j, k in self.triples()}
 
 
-class Violation(NamedTuple):
-    axiom: str
-    witness: tuple[int, ...]
-    message: str
+class Violation(namedtuple("Violation", "axiom witness message")):
+    """One failed axiom: its name (str), the element indices that break it
+    (tuple[int, ...]) and a message naming their labels (str)."""
+
+    __slots__ = ()
 
 
-class AxiomReport(NamedTuple):
-    """The violations of one scan."""
+class AxiomReport(namedtuple("AxiomReport", "violations")):
+    """The violations of one scan, a tuple[Violation, ...]."""
 
-    violations: tuple[Violation, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -293,29 +295,18 @@ def check_ea_axioms(table: AlgebraTable, gea: AxiomReport) -> AxiomReport:
     return AxiomReport(tuple(violations))
 
 
-class OrderRelation(NamedTuple):
-    """The order induced by the sum table: x <= y iff x + z = y for some z,
-    unique by cancellation on a table that passed the GEA check.  above[a]
-    is an int bit mask whose bit b is set when a <= b."""
-
-    above: tuple[int, ...]
-
-    def not_above(self) -> list[int]:
-        """Per element a, the mask of the b with a not below b."""
-        full = (1 << len(self.above)) - 1
-        return [full ^ mask for mask in self.above]
-
-
-def induced_order(table: AlgebraTable) -> OrderRelation:
-    """The induced order, x_i <= x_j for each defined x_i + x_k = x_j: a
-    partial order on a table that passed the GEA scan, as in a CheckedGEA."""
+def induced_order(table: AlgebraTable) -> tuple[int, ...]:
+    """The order induced by the sum table, x_i <= x_j for each defined
+    x_i + x_k = x_j, as one int mask per element: bit b of above[a] is set
+    when a <= b.  A partial order on a table that passed the GEA scan, as in
+    a CheckedGEA."""
     above = []
     for row, c in zip(table.rows, table.cols):
         mask = 0
         for k in c:  # x_i + x_k = x_j, so x_i <= x_j
             mask |= 1 << row[k]
         above.append(mask)
-    return OrderRelation(tuple(above))
+    return tuple(above)
 
 
 def first_nonadditive(table: AlgebraTable,
@@ -341,14 +332,18 @@ def first_nonadditive(table: AlgebraTable,
     return None
 
 
-class CheckedGEA(NamedTuple):
-    """A table that passed the GEA axiom scan, with its induced order and
-    the scan's atoms and Kahn order, as scan_gea and require_gea make it."""
+class CheckedGEA(namedtuple("CheckedGEA", "table above atoms topological")):
+    """A table (AlgebraTable) that passed the GEA axiom scan, with the masks
+    of its induced order, above (tuple[int, ...], as induced_order gives
+    them), and the scan's atoms and Kahn order (tuple[int, ...] each), as
+    scan_gea and require_gea make it."""
 
-    table: AlgebraTable
-    order: OrderRelation
-    atoms: tuple[int, ...]
-    topological: tuple[int, ...]
+    __slots__ = ()
+
+    def not_above(self) -> list[int]:
+        """Per element a, the mask of the b with a not below b."""
+        full = (1 << len(self.above)) - 1
+        return [full ^ mask for mask in self.above]
 
 
 def scan_gea(table: AlgebraTable) -> tuple[AxiomReport, Optional[CheckedGEA]]:
@@ -399,12 +394,14 @@ class MorphismSpec(namedtuple("MorphismSpec", "source target map")):
         return super().__new__(cls, source, target, map)
 
 
-class MorphismReport(NamedTuple):
-    is_morphism: bool
-    injective: bool
-    order_reflecting: bool
-    embedding: bool
-    failure: Optional[tuple[int, ...]] = None
+class MorphismReport(namedtuple("MorphismReport",
+                                 "is_morphism injective order_reflecting embedding failure",
+                                 defaults=(None,))):
+    """The four verdicts of classify_morphism (bool each) and its failure
+    (Optional[tuple[int, ...]]): the first sum that breaks additivity, else
+    the first pair that breaks order reflection, else None."""
+
+    __slots__ = ()
 
 
 def classify_morphism(spec: MorphismSpec) -> MorphismReport:
@@ -423,8 +420,8 @@ def classify_morphism(spec: MorphismSpec) -> MorphismReport:
     injective = len(set(f)) == len(f)
 
     # a <= a always holds, so only the pairs with a not below b can fail.
-    above = spec.target.order.above
-    breach = next(((a, b) for a, mask in enumerate(spec.source.order.not_above())
+    above = spec.target.above
+    breach = next(((a, b) for a, mask in enumerate(spec.source.not_above())
                    for b in range(src.n) if mask >> b & 1 and above[f[a]] >> f[b] & 1), None)
     order_reflecting = breach is None
     if failure is None:

@@ -52,7 +52,7 @@ def _base_report(args: SimpleNamespace, path: Optional[str], digest: Optional[st
 def _render_text(value) -> str:
     """The text form of a report: one line per scalar, nested containers
     indented by two spaces, and a list of scalars in a dict on one line,
-    each scalar or list as json.dumps writes it."""
+    each scalar, list or key (less its quotes) as json.dumps writes it."""
     lines: list[str] = []
     _text_lines(value, "", lines)
     return "\n".join(lines)
@@ -63,13 +63,14 @@ def _text_lines(value, pad: str, lines: list[str]) -> None:
         if not value:
             lines.append(pad + "{}")
         for key, item in value.items():
+            name = pad + json.dumps(key)[1:-1]
             if isinstance(item, list) and all(not isinstance(x, (dict, list)) for x in item):
-                lines.append(f"{pad}{key}: {json.dumps(item)}")
+                lines.append(f"{name}: {json.dumps(item)}")
             elif isinstance(item, (dict, list)) and item:
-                lines.append(f"{pad}{key}:")
+                lines.append(f"{name}:")
                 _text_lines(item, pad + "  ", lines)
             else:
-                lines.append(f"{pad}{key}: {json.dumps(item)}")
+                lines.append(f"{name}: {json.dumps(item)}")
     elif isinstance(value, list):
         if not value:
             lines.append(pad + "[]")

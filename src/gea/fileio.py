@@ -90,8 +90,8 @@ def load_algebra(path: PathLike) -> tuple[AlgebraTable, str]:
         raise InputError(f"{path}: element label {comma!r} contains ','")
     unprintable = next((lab for lab in labels if not lab.isprintable()), None)
     if unprintable is not None:
-        # The text form writes keys as they are: a line break would split its line, a
-        # control character reach the terminal, a lone surrogate fail the UTF-8 encoder.
+        # A label names an element to a reader, and such a label shows only as an
+        # escape; a lone surrogate has no UTF-8 form, so no table file could hold it.
         raise InputError(f"{path}: element label {unprintable!r} is not printable")
     if not isinstance(triples, list):
         raise InputError(f"{path}: \"sums\" must be a list of [x, y, z] triples")

@@ -111,7 +111,7 @@ def verify_order_reflecting(rep: DiagonalRep,
     """True iff phi(a) <= phi(b) in the operator order forces a <= b in the
     table order, over all pairs; on failure the first pair is returned, the
     lowest uncovered bit of the lowest a with one."""
-    todo = gea.order.not_above()
+    todo = gea.not_above()
     for column in zip(*rep.diagonals):
         todo = [t & ~c for t, c in zip(todo, _cover(column, True))]
     for a, missing in enumerate(todo):

@@ -129,7 +129,7 @@ def additivity_program(gea: CheckedGEA) -> LinearProgram:
         for q, y in others:
             rows[_difference(vecs[x], tuple(map(add, vecs[q], vecs[y])))] = 0
     rows.pop((), None)
-    return _AtomProgram(atoms, chain, vecs, rows.items(), gea.order.above)
+    return _AtomProgram(atoms, chain, vecs, rows.items(), gea.above)
 
 
 def _difference(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -236,7 +236,7 @@ def order_determining_set(gea: CheckedGEA) -> StateWitnessSet:
     the current one, so the result stays small; pairs are scanned in index
     order, which makes the output deterministic.
     """
-    return assign_witnesses(gea.table, "order", gea.order.not_above(),
+    return assign_witnesses(gea.table, "order", gea.not_above(),
                             additivity_program(gea).witness)
 
 

@@ -46,8 +46,8 @@ from typing import Optional
 import numpy as np
 
 from gea import states
-from gea.algebra import (AlgebraTable, AxiomReport, MorphismReport, MorphismSpec, OrderRelation,
-                         Violation, induced_order, is_sub_gea, require_gea)
+from gea.algebra import (AlgebraTable, AxiomReport, MorphismReport, MorphismSpec, Violation,
+                         induced_order, is_sub_gea, require_gea)
 from gea.cli import (cmd_check, cmd_effects_check, cmd_effects_demo, cmd_effects_witness,
                      cmd_morphism, cmd_order, cmd_represent, cmd_states)
 from gea.effects import PSD_TOL, EffectMatrix
@@ -191,25 +191,25 @@ def reference_ea_axioms(table: AlgebraTable) -> AxiomReport:
     return AxiomReport(tuple(violations))
 
 
-def reference_induced_order(table: AlgebraTable) -> OrderRelation:
+def reference_induced_order(table: AlgebraTable) -> tuple[int, ...]:
     """x_i <= x_j for each defined x_i + x_k = x_j, as a bool matrix read
     into one mask per row."""
     n = table.n
     leq = [[False] * n for _ in range(n)]
     for (i, _), j in table.sums.items():
         leq[i][j] = True
-    return OrderRelation(tuple(sum(1 << j for j in range(n) if row[j]) for row in leq))
+    return tuple(sum(1 << j for j in range(n) if row[j]) for row in leq)
 
 
-def leq(order: OrderRelation, a: int, b: int) -> bool:
-    """a <= b in the order."""
-    return bool(order.above[a] >> b & 1)
+def leq(above: tuple[int, ...], a: int, b: int) -> bool:
+    """a <= b in the order with masks above."""
+    return bool(above[a] >> b & 1)
 
 
-def pairs_not_leq(order: OrderRelation) -> list[tuple[int, int]]:
+def pairs_not_leq(above: tuple[int, ...]) -> list[tuple[int, int]]:
     """Ordered pairs (a, b), a != b, with a not below b, lexicographic."""
-    n = len(order.above)
-    return [(a, b) for a in range(n) for b in range(n) if a != b and not leq(order, a, b)]
+    n = len(above)
+    return [(a, b) for a in range(n) for b in range(n) if a != b and not leq(above, a, b)]
 
 
 def reference_classify_morphism(spec: MorphismSpec) -> MorphismReport:
@@ -229,7 +229,7 @@ def reference_classify_morphism(spec: MorphismSpec) -> MorphismReport:
 
     injective = len(set(f)) == len(f)
 
-    order_src, order_tgt = spec.source.order, spec.target.order
+    order_src, order_tgt = spec.source.above, spec.target.above
     order_reflecting = True
     for a in range(src.n):
         for b in range(src.n):
@@ -498,7 +498,7 @@ def reference_search(gea, goal: str):
         return None if x is None else reference_state(table, x)
 
     if goal == "order":
-        return reference_assign_witnesses(table, goal, pairs_not_leq(gea.order), find)
+        return reference_assign_witnesses(table, goal, pairs_not_leq(gea.above), find)
     pairs = ((a, b) for a in range(table.n) for b in range(a + 1, table.n))
     return reference_assign_witnesses(table, goal, pairs, lambda a, b: find(a, b) or find(b, a))
 
@@ -594,7 +594,7 @@ def assert_witness_set(gea, witnesses) -> None:
     made the state, which the state covers and no earlier state does."""
     n = gea.table.n
     if witnesses.goal == "order":
-        above = gea.order.above
+        above = gea.above
         covers = operator.gt
         pairs = [(a, b) for a in range(n) for b in range(n) if not above[a] >> b & 1]
     else:

@@ -20,7 +20,7 @@ from gea.effects import EffectMatrix
 from gea.errors import ContractError, InputError
 from gea.generate import random_gea, random_population
 from gea.represent import DiagonalRep
-from gea.states import GeneralizedState
+from gea.states import GeneralizedState, StateWitnessSet
 from reference import (axiom_witnesses, leq, reference_classify_morphism, reference_ea_axioms,
                        reference_gea_axioms, reference_induced_order, reference_kahn)
 
@@ -76,12 +76,13 @@ def frozen_records():
         (gea.table, ("elements", "zero", "unit", "rows", "cols", "sums")),
         (Violation("GE1", (0, 1), "a+b"), ("axiom", "witness", "message")),
         (check_gea_axioms(gea.table), ("violations",)),
-        (gea.order, ("above",)),
-        (gea, ("table", "order", "atoms", "topological")),
+        (gea, ("table", "above", "atoms", "topological")),
         (MorphismSpec(gea, gea, (0, 1)), ("source", "target", "map")),
         (classify_morphism(MorphismSpec(gea, gea, (0, 0))),
          ("is_morphism", "injective", "order_reflecting", "embedding", "failure")),
         (GeneralizedState((0, 1)), ("nums", "den")),
+        (StateWitnessSet("order", [GeneralizedState((0, 1))], [(1, 0)], []),
+         ("goal", "states", "provenance", "failures")),
         (DiagonalRep(((0,), (1,))), ("diagonals", "den")),
         (EffectMatrix(np.eye(2)), ("mat",)),
     ]
@@ -567,7 +568,7 @@ class TestInducedOrder:
     @pytest.mark.parametrize("seed", [7, 11])
     def test_partial_order_on_random_tables(self, seed):
         for t in random_population(seed, 40):
-            order = require_gea(t).order
+            order = require_gea(t).above
             pairs = relation_pairs(order, t.n)
             for i in range(t.n):
                 assert (i, i) in pairs

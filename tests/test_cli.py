@@ -770,14 +770,14 @@ order:
       - "\ud83d\ude00"
   differences:
     0,0: "0"
-    α,0: "\u03b1"
-    α,α: "0"
-    b"c,0: "b\"c"
-    b"c,b"c: "0"
-    ü∅,0: "\u00fc\u2205"
-    ü∅,ü∅: "0"
-    😀,0: "\ud83d\ude00"
-    😀,😀: "0"
+    \u03b1,0: "\u03b1"
+    \u03b1,\u03b1: "0"
+    b\"c,0: "b\"c"
+    b\"c,b\"c: "0"
+    \u00fc\u2205,0: "\u00fc\u2205"
+    \u00fc\u2205,\u00fc\u2205: "0"
+    \ud83d\ude00,0: "\ud83d\ude00"
+    \ud83d\ude00,\ud83d\ude00: "0"
 exit: 0
 """
 
@@ -809,8 +809,22 @@ class TestHumanOutput:
         assert cli._render_text(value) == "\n".join([
             "inner_products:", "  a: 2.0", "  b: 0.1",
             "x: [NaN, Infinity, -Infinity, -0.0, 1e+300, 1180591620717411303424]",
-            'é: ["\\u2028", "\\ud83d\\ude00", null, true]',
+            '\\u00e9: ["\\u2028", "\\ud83d\\ude00", null, true]',
             "nested:", "  - []", "  - {}", "  -", "    k: {}"])
+
+    def test_non_ascii_labels_write_through_an_ascii_stdout(self, monkeypatch, tmp_path):
+        # Keys and values are escaped alike, so a stdout that encodes ASCII
+        # only, as under PYTHONIOENCODING=ascii, takes the whole text form.
+        labels = ["0", "é", "ß"]
+        table = {"elements": labels, "zero": "0",
+                 "sums": [[x, "0", x] for x in labels] + [["0", x, x] for x in labels[1:]]}
+        (tmp_path / "t.json").write_text(json.dumps(table), encoding="utf-8")
+        stdout = io.TextIOWrapper(io.BytesIO(), "ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["order", str(tmp_path / "t.json")]) == 0
+        stdout.flush()
+        lines = stdout.buffer.getvalue().decode("ascii").splitlines()
+        assert '    \\u00e9,0: "\\u00e9"' in lines and lines[-1] == "exit: 0"
 
 
 def count_calls(monkeypatch, fn):

@@ -80,7 +80,7 @@ def assert_represented(table: AlgebraTable) -> None:
 def test_down_sets_are_represented(m, n, seed):
     points = down_set(random.Random(seed), m, n)
     table = down_set_table(points)
-    order = require_gea(table).order
+    order = require_gea(table).above
     assert all(leq(order, i, j) == all(map(int.__le__, x, y))
                for i, x in enumerate(points) for j, y in enumerate(points))
     assert_represented(table)

@@ -10,8 +10,8 @@ from gea.algebra import AlgebraTable, check_gea_axioms, induced_order, scan_gea
 from gea.errors import InputError
 from gea.generate import random_gea, random_population
 from gea.states import order_determining_set, separating_set
-from reference import (assert_witness_set, pairs_not_leq, reference_additivity_program,
-                       reference_pair_row)
+from reference import (assert_witness_set, checked_proofs, pairs_not_leq,
+                       reference_additivity_program, reference_pair_row)
 from test_lp import ReferenceEchelon, reference_lp_feasible
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -141,10 +141,9 @@ class TestLargeTables:
             table = random_gea(random.Random(seed), n)
             report, gea = scan_gea(table)
             assert report.passed and gea is not None
-            order = gea.order
-            assert order == induced_order(table)
+            assert gea.above == induced_order(table)
             leq = brute_force_leq(table)
-            assert [[bool(order.above[a] >> b & 1) for b in range(n)] for a in range(n)] == leq
+            assert [[bool(gea.above[a] >> b & 1) for b in range(n)] for a in range(n)] == leq
             # a partial order, as for every generalized effect algebra
             for a in range(n):
                 assert leq[a][a]
@@ -152,17 +151,19 @@ class TestLargeTables:
                     if a != b and leq[a][b]:
                         assert not leq[b][a]
                         assert all(leq[a][c] for c in range(n) if leq[b][c])
-            assert pairs_not_leq(order) == [(a, b) for a in range(n) for b in range(n)
-                                           if a != b and not leq[a][b]]
-            assert order.not_above() == [sum(1 << b for b in range(n) if not leq[a][b])
-                                         for a in range(n)]
+            assert pairs_not_leq(gea.above) == [(a, b) for a in range(n) for b in range(n)
+                                               if a != b and not leq[a][b]]
+            assert gea.not_above() == [sum(1 << b for b in range(n) if not leq[a][b])
+                                       for a in range(n)]
 
     @pytest.mark.parametrize("n, seed", [(12, 0), (12, 1), (14, 0), (16, 0), (16, 1)])
-    def test_witness_searches(self, n, seed):
+    def test_witness_searches(self, n, seed, monkeypatch):
         table = random_gea(random.Random(seed), n)
         _, gea = scan_gea(table)
-        # The failures are checked against the Fraction solver on the
-        # reference program, one variable per nonzero element.
+        # Every None of the searches' LPs is rechecked from its proof, and
+        # the failures against the Fraction solver on the reference program,
+        # one variable per nonzero element.
+        _, proofs = checked_proofs(monkeypatch)
         cone = reference_additivity_program(table)
         factored = ReferenceEchelon.of(cone.rows, cone.n_vars)
 
@@ -176,7 +177,7 @@ class TestLargeTables:
             for state in witnesses.states:
                 state.validate(table)
             assert_witness_set(gea, witnesses)
-        assert order.failures and separate.failures
+        assert order.failures and separate.failures and sum(proofs.values()) >= 1
         for a, b in order.failures:
             assert not reference_feasible(a, b)
         for a, b in separate.failures:

@@ -79,7 +79,7 @@ def reference_entrywise_leq(rep, a, b):
 
 
 def reference_verify_order_reflecting(rep, table):
-    order = require_gea(table).order
+    order = require_gea(table).above
     for a in range(table.n):
         for b in range(table.n):
             if a != b and reference_entrywise_leq(rep, a, b) and not leq(order, a, b):

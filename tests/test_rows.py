@@ -283,7 +283,7 @@ class TestSearchPass:
 
         def search(assign):
             served.clear()
-            return message(lambda: assign(cube8, "order", gea.order.not_above(), find))
+            return message(lambda: assign(cube8, "order", gea.not_above(), find))
 
         want = search(lambda t, goal, masks, f: reference_assign_witnesses(
             t, goal, [(a, b) for a, mask in enumerate(masks) for b in range(t.n) if mask >> b & 1],

@@ -164,7 +164,7 @@ class TestStateInvariants:
     def test_states_are_monotone_on_induced_order(self, valid_corpus):
         for table in valid_corpus.values():
             gea = require_gea(table)
-            order = gea.order
+            order = gea.above
             witnesses = order_determining_set(gea)
             for state in witnesses.states:
                 for i in range(table.n):
@@ -484,7 +484,7 @@ def goal_inputs(gea, goal):
     for one goal."""
     n = gea.table.n
     if goal == "order":
-        return gea.order.not_above(), pairs_not_leq(gea.order)
+        return gea.not_above(), pairs_not_leq(gea.above)
     return ([(1 << n) - (2 << a) for a in range(n)],
             [(a, b) for a in range(n) for b in range(a + 1, n)])
 
@@ -635,7 +635,7 @@ class TestStatePreorder:
         calls = lp_pairs(monkeypatch)
         gea = require_gea(corpus.load(name))
         assert separating_set(gea).ok
-        assert calls and not any(leq(gea.order, lo, hi) for (lo, hi), _ in calls)
+        assert calls and not any(leq(gea.above, lo, hi) for (lo, hi), _ in calls)
 
     def test_an_element_against_itself_runs_no_lp(self, diamond, monkeypatch):
         calls = lp_pairs(monkeypatch)
@@ -674,8 +674,8 @@ class TestStatePreorder:
         table = named_table(name)
         gea = require_gea(table)
         program = additivity_program(gea)
-        witnesses = assign_witnesses(table, "order", gea.order.not_above(), program.witness)
+        witnesses = assign_witnesses(table, "order", gea.not_above(), program.witness)
         settled = {(a, b) for a in range(table.n) for b in range(table.n)
                    if program.below[a] >> b & 1}
-        ordered = {(a, b) for a in range(table.n) for b in range(table.n) if leq(gea.order, a, b)}
+        ordered = {(a, b) for a in range(table.n) for b in range(table.n) if leq(gea.above, a, b)}
         assert settled == ordered | set(witnesses.failures)
