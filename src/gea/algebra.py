@@ -33,14 +33,15 @@ from bisect import bisect_left
 from collections import namedtuple
 from itertools import chain
 from operator import lshift
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ContractError, InputError
 
 
 class AlgebraTable(namedtuple("AlgebraTable", "elements zero unit rows cols")):
     """A finite partial algebra: labelled elements, a zero, an optional unit,
-    and a partial sum table mapping index pairs to the index of their sum.
+    and a partial sum table given as (i, j, k) triples, one per defined
+    x_i + x_j = x_k.
 
     Both (i, j) and (j, i) must be present in the table for a commutative sum;
     the checker reports one-sided entries instead of symmetrizing silently.
@@ -53,7 +54,7 @@ class AlgebraTable(namedtuple("AlgebraTable", "elements zero unit rows cols")):
     __slots__ = ()
 
     def __new__(cls, elements: tuple[str, ...], zero: int,
-                sums: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]],
+                sums: Iterable[tuple[int, int, int]],
                 unit: Optional[int] = None) -> AlgebraTable:
         n = len(elements)
         if n < 1:
@@ -69,8 +70,6 @@ class AlgebraTable(namedtuple("AlgebraTable", "elements zero unit rows cols")):
                 raise InputError("unit must differ from zero")
         rows = [[-1] * (n + 1) for _ in range(n + 1)]
         cols: list[list[int]] = [[] for _ in range(n)]
-        if hasattr(sums, "items"):  # a {(i, j): k} mapping, else (i, j, k) triples
-            sums = ((i, j, k) for (i, j), k in sums.items())
         for i, j, k in sums:  # read once; a triple given twice must agree
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise InputError(f"sum entry ({i},{j})->{k} out of range")

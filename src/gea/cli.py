@@ -86,9 +86,9 @@ def _text_lines(value, pad: str, lines: list[str]) -> None:
 
 def _emit(report: dict, as_json: bool, out: Optional[str] = None) -> None:
     payload = None
-    if as_json or out:
+    if as_json or out is not None:
         payload = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    if out:
+    if out is not None:
         try:
             Path(out).write_text(payload + "\n", encoding="utf-8")
         except OSError as exc:

@@ -108,11 +108,6 @@ def spectral_flags(a: EffectMatrix) -> tuple[bool, bool, float]:
     return bool(positive), bool(positive and below_identity), defect
 
 
-def is_positive(a: EffectMatrix) -> bool:
-    """Spectral positivity: the least eigenvalue clears -PSD_TOL."""
-    return spectral_flags(a)[0]
-
-
 def gdh_sum(a: EffectMatrix, b: EffectMatrix) -> EffectMatrix:
     """Total sum in the algebra of positive operators."""
     _require_same_dim(a, b)

@@ -38,7 +38,7 @@ def random_gea(rng: random.Random, n: int) -> AlgebraTable:
         raise InputError("algebra needs at least one element")
     labels = tuple("0" if i == 0 else f"e{i}" for i in range(n))
     if n == 1:
-        return AlgebraTable(labels, 0, {(0, 0): 0})
+        return AlgebraTable(labels, 0, [(0, 0, 0)])
     s, to = _zero_sums(n)
     for _ in range(3 * n * n):
         x = rng.randrange(1, n)

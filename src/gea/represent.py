@@ -19,15 +19,13 @@ The order check reads the induced order from the CheckedGEA of the
 pipeline's one axiom scan.  phi(a) <= phi(b) fails exactly when some slot
 has s(b) < s(a), so it rebuilds the witness search's masks from the built
 diagonals, one sort per slot: phi reflects the order iff the slots cover,
-at each a, every b not above a.  The Fraction view (operators) is for
-callers; the reports write the numerators over D, and the Fraction forms of
-the vector checks live in tests/reference.py.
+at each a, every b not above a.  The reports write the numerators over D,
+and the Fraction forms of the vector checks live in tests/reference.py.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
@@ -49,17 +47,13 @@ class DiagonalRep(namedtuple("DiagonalRep", "diagonals den")):
             raise InputError("a representation needs one diagonal per element")
         if den <= 0:
             raise InputError("representation denominator must be positive")
+        if len(set(map(len, diagonals))) > 1:
+            raise InputError("representation diagonals must all have the same length")
         return super().__new__(cls, diagonals, den)
 
     @property
     def m(self) -> int:
         return len(self.diagonals[0])
-
-    @property
-    def operators(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Every diagonal as Fractions (a read-only view)."""
-        return tuple(tuple(Fraction(p, self.den) for p in diagonal)
-                     for diagonal in self.diagonals)
 
 
 def build_representation(gea: CheckedGEA,
@@ -80,10 +74,17 @@ def build_representation(gea: CheckedGEA,
     return DiagonalRep(diagonals, den)
 
 
+def _require_shape(rep: DiagonalRep, table: AlgebraTable) -> None:
+    if len(rep.diagonals) != table.n:
+        raise InputError("a representation needs one diagonal per element")
+
+
 def verify_morphism(rep: DiagonalRep, table: AlgebraTable) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Self-check of the build: phi(zero) = 0, then entrywise additivity over
     the defined sums in key order, every slot in one packed pass; on failure
-    the first violation, with (zero, zero, zero) for a nonzero phi(zero)."""
+    the first violation, with (zero, zero, zero) for a nonzero phi(zero).
+    InputError unless rep has one diagonal per element of the table."""
+    _require_shape(rep, table)
     diagonals, zero = rep.diagonals, table.zero
     if any(diagonals[zero]):
         return False, (zero, zero, zero)
@@ -110,7 +111,9 @@ def verify_order_reflecting(rep: DiagonalRep,
                             gea: CheckedGEA) -> tuple[bool, Optional[tuple[int, int]]]:
     """True iff phi(a) <= phi(b) in the operator order forces a <= b in the
     table order, over all pairs; on failure the first pair is returned, the
-    lowest uncovered bit of the lowest a with one."""
+    lowest uncovered bit of the lowest a with one.  InputError unless rep
+    has one diagonal per element of the table."""
+    _require_shape(rep, gea.table)
     todo = gea.not_above()
     for column in zip(*rep.diagonals):
         todo = [t & ~c for t, c in zip(todo, _cover(column, True))]
@@ -138,9 +141,3 @@ def verify_bounded(rep: DiagonalRep, norms: Sequence[int]) -> tuple[bool, Option
             return False, a
     return True, None
 
-
-def extract_states(rep: DiagonalRep) -> list[GeneralizedState]:
-    """One generalized state per slot, a -> <e_s, phi(a) e_s>: slot by slot
-    the witnesses the representation was built from."""
-    return [GeneralizedState(tuple(row[slot] for row in rep.diagonals), rep.den)
-            for slot in range(rep.m)]

@@ -32,21 +32,21 @@ that made each slot and the pairs that failed.
 The searches take a CheckedGEA, the table, order and atoms that one axiom
 scan produced, so they scan nothing themselves, and the atom program rests on
 the axioms that scan proved.  A state is stored as int numerators over one
-positive denominator, in lowest terms; Fractions are made only for the
-public values view.  Coverage is one int bit mask per element: want[a] holds
-the b to cover at a (each b not above a for the order goal, each b > a to
-separate), and a slot covers at a the b with s(b) < s(a), or s(b) != s(a),
-read off one sort of its values.  The LP is asked only about the lowest bit
-of want[a] that no slot covers, so pairs reach it in lexicographic order.
-A pair fails with no LP when the state preorder ⊑ (s(a) <= s(b) on every
-state) already holds it: ⊑ starts as the induced order, and each failed LP
-adds its pair, and ⊑ stays transitively closed (see _AtomProgram).
+positive denominator, in lowest terms, into which _AtomProgram.witness reads
+the LP's Fraction point.  Coverage is one int bit mask per element: want[a]
+holds the b to cover at a (each b not above a for the order goal, each b > a
+to separate), and a slot covers at a the b with s(b) < s(a), or
+s(b) != s(a), read off one sort of its values.  The LP is asked only about
+the lowest bit of want[a] that no slot covers, so pairs reach it in
+lexicographic order.  A pair fails with no LP when the state preorder ⊑
+(s(a) <= s(b) on every state) already holds it: ⊑ starts as the induced
+order, and each failed LP adds its pair, and ⊑ stays transitively closed
+(see _AtomProgram).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 from typing import Callable, Iterable, Optional, Sequence
@@ -69,11 +69,6 @@ class GeneralizedState(namedtuple("GeneralizedState", "nums den")):
             raise InputError("state denominator must be positive")
         common = gcd(den, *nums)
         return super().__new__(cls, tuple(p // common for p in nums), den // common)
-
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        """The values as Fractions (a read-only view)."""
-        return tuple(Fraction(p, self.den) for p in self.nums)
 
     def validate(self, table: AlgebraTable, additive: bool = True) -> None:
         """Raise InputError unless this is a generalized state on the table:

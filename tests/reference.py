@@ -4,7 +4,10 @@ queue-driven Kahn order, for `check_gea_axioms`,
 `check_ea_axioms` and `induced_order`, with `leq` and `pairs_not_leq` to
 read an order's masks pair by pair; the morphism classifier with its
 nested order loop, for `classify_morphism`; Fraction rational vectors over the
-witness slots, for `verify_bounded` and acceptance criterion 5; a
+witness slots, for `verify_bounded` and acceptance criterion 5, with a
+representation's diagonals and a state's values as Fractions,
+`fraction_operators` and `fraction_values`, and the states read back off a
+representation's slots, `reference_extract_states`, for criterion 2; a
 brute-force LP oracle with the witness LPs of a table to run it on, for
 `lp_feasible` and criterion 6, `satisfies` to recheck a Fraction point,
 `reference_refutes` to recheck the weights that prove an LP has no
@@ -25,7 +28,8 @@ for `effects.spectral_flags`; the argparse parser the command line was read with
 the files the loaders read, `down_set_table` builds a down-set of N^m and
 `glued` glues two tables at zero,
 `random_positive_matrix` and `random_vector` draw seeded complex data,
-`state_of` makes the state with given rational values,
+`state_of` makes the state with given rational values, `triples` turns a
+{(i, j): k} dict into the triples AlgebraTable takes,
 `axiom_witnesses` lists the witnesses of one axiom in a report, and
 `assert_witness_set` recomputes a search's coverage from its states."""
 
@@ -294,6 +298,18 @@ def vector_state(rep: DiagonalRep, x: FiniteVector, a: int) -> Fraction:
                Fraction(0))
 
 
+def fraction_operators(rep: DiagonalRep) -> tuple[tuple[Fraction, ...], ...]:
+    """Every diagonal phi(a) as Fractions."""
+    return tuple(tuple(Fraction(p, rep.den) for p in diagonal) for diagonal in rep.diagonals)
+
+
+def reference_extract_states(rep: DiagonalRep) -> list[GeneralizedState]:
+    """One state per slot s, a -> <e_s, phi(a) e_s>: slot by slot the states
+    the representation was built from."""
+    return [state_of([vector_state(rep, FiniteVector.basis(rep.m, slot), a)
+                      for a in range(len(rep.diagonals))]) for slot in range(rep.m)]
+
+
 def bounded_by(rep: DiagonalRep, a: int, norm: Fraction, x: FiniteVector) -> bool:
     """Exact check of ||phi(a) x||^2 <= norm^2 ||x||^2 (squares avoid roots)."""
     return apply_operator(rep, a, x).norm_sq() <= norm * norm * x.norm_sq()
@@ -474,6 +490,11 @@ def reference_pair_row(table: AlgebraTable, lo: int, hi: int):
     return tuple(sorted((var_of[e], w) for e, w in ((lo, 1), (hi, -1)) if e != table.zero)), 1
 
 
+def fraction_values(state: GeneralizedState) -> tuple[Fraction, ...]:
+    """The state's values as Fractions."""
+    return tuple(Fraction(p, state.den) for p in state.nums)
+
+
 def state_of(values) -> GeneralizedState:
     """The state with these rational values (ints, Fractions or their
     strings), over the lcm of their denominators."""
@@ -635,7 +656,7 @@ def reference_table_from_effects(labels: list[str], mats: dict[str, EffectMatrix
     for label in labels:
         w = reference_eigenvalues(mats[label].mat)
         effect[label] = w[0] >= -PSD_TOL and w[-1] <= 1.0 + PSD_TOL
-    sums = {}
+    sums = []
     for i, la in enumerate(labels):
         for j, lb in enumerate(labels):
             da, db = mats[la].dim, mats[lb].dim
@@ -648,10 +669,15 @@ def reference_table_from_effects(labels: list[str], mats: dict[str, EffectMatrix
                 continue
             for k, lc in enumerate(labels):
                 if np.allclose(total, mats[lc].mat, atol=1e-12):
-                    sums[(i, j)] = k
+                    sums.append((i, j, k))
                     break
     unit_index = labels.index(unit) if unit is not None else None
     return AlgebraTable(tuple(labels), labels.index("0"), sums, unit_index)
+
+
+def triples(sums: dict) -> list[tuple[int, int, int]]:
+    """A {(i, j): k} dict of sums as the (i, j, k) triples AlgebraTable takes."""
+    return [(i, j, k) for (i, j), k in sums.items()]
 
 
 def write_table(table: AlgebraTable, path) -> None:
@@ -687,12 +713,12 @@ def down_set_table(points: list[tuple[int, ...]]) -> AlgebraTable:
     """The down-set points of N^m (points[0] = 0), with x + y defined iff
     the vector sum is in it; each element is labelled by its coordinates."""
     index = {p: i for i, p in enumerate(points)}
-    sums = {}
+    sums = []
     for i, x in enumerate(points):
         for j, y in enumerate(points):
             k = index.get(tuple(a + b for a, b in zip(x, y)))
             if k is not None:
-                sums[(i, j)] = k
+                sums.append((i, j, k))
     return AlgebraTable(tuple(".".join(map(str, p)) for p in points), 0, sums)
 
 
@@ -702,7 +728,7 @@ def glued(left: AlgebraTable, right: AlgebraTable) -> AlgebraTable:
     part."""
     n = left.n
     place = [0] + list(range(n, n + right.n - 1))
-    sums = dict(left.sums) | {(place[i], place[j]): place[k] for (i, j), k in right.sums.items()}
+    sums = [*left.triples(), *((place[i], place[j], place[k]) for i, j, k in right.triples())]
     return AlgebraTable(left.elements + right.elements[1:], 0, sums)
 
 

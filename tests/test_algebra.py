@@ -22,11 +22,12 @@ from gea.generate import random_gea, random_population
 from gea.represent import DiagonalRep
 from gea.states import GeneralizedState, StateWitnessSet
 from reference import (axiom_witnesses, leq, reference_classify_morphism, reference_ea_axioms,
-                       reference_gea_axioms, reference_induced_order, reference_kahn)
+                       reference_gea_axioms, reference_induced_order, reference_kahn, triples)
 
 
 def table(labels, sums, unit=None):
-    return AlgebraTable(tuple(labels), 0, sums, unit)
+    """The table with zero 0 and these sums, a {(i, j): k} dict."""
+    return AlgebraTable(tuple(labels), 0, triples(sums), unit)
 
 
 def with_zero_sums(n, extra):
@@ -54,14 +55,14 @@ class TestTableValidation:
     ])
     def test_bad_zero_or_unit_rejected(self, labels, zero, unit, message):
         with pytest.raises(InputError, match=f"^{message}$"):
-            AlgebraTable(labels, zero=zero, sums={}, unit=unit)
+            AlgebraTable(labels, zero=zero, sums=(), unit=unit)
 
     def test_unit_equal_to_zero_rejected(self):
         with pytest.raises(InputError, match="^unit must differ from zero$"):
-            AlgebraTable(("0", "a"), 0, with_zero_sums(2, {}), unit=0)
+            AlgebraTable(("0", "a"), 0, triples(with_zero_sums(2, {})), unit=0)
 
     def test_singleton_unit_may_be_zero(self):
-        AlgebraTable(("0",), 0, {(0, 0): 0}, unit=0)
+        AlgebraTable(("0",), 0, [(0, 0, 0)], unit=0)
 
     def test_sums_sorted_whatever_the_insertion_order(self):
         sums = with_zero_sums(3, {(1, 1): 2})
@@ -71,7 +72,7 @@ class TestTableValidation:
 
 def frozen_records():
     """One record of each frozen type, with the names of its fields."""
-    gea = require_gea(AlgebraTable(("0", "a"), 0, with_zero_sums(2, {})))
+    gea = require_gea(table(["0", "a"], with_zero_sums(2, {})))
     return [
         (gea.table, ("elements", "zero", "unit", "rows", "cols", "sums")),
         (Violation("GE1", (0, 1), "a+b"), ("axiom", "witness", "message")),
@@ -225,7 +226,7 @@ def partial_tables(draw):
         sums.update(draw(st.dictionaries(st.tuples(index, index), index, max_size=3)))
     else:
         sums = draw(st.dictionaries(st.tuples(index, index), index, max_size=n * n))
-    return AlgebraTable(tuple(f"e{i}" for i in range(n)), 0, sums, n - 1)
+    return AlgebraTable(tuple(f"e{i}" for i in range(n)), 0, triples(sums), n - 1)
 
 
 class TestAssociativityScan:
@@ -265,7 +266,7 @@ def damaged_random_tables(draw):
     for pair in draw(st.lists(st.sampled_from(sorted(sums)), max_size=4) if sums else st.just([])):
         sums.pop(pair, None)
     unit = draw(st.integers(min_value=1, max_value=n - 1)) if n > 1 else 0
-    return AlgebraTable(base.elements, base.zero, sums, unit)
+    return AlgebraTable(base.elements, base.zero, triples(sums), unit)
 
 
 @st.composite
@@ -292,7 +293,7 @@ def mutated_random_tables(draw):
         if kind == "change":
             sums[(i, j)] = sums[(j, i)] = draw(st.integers(0, n - 1).filter(
                 lambda k: k != old))
-    return AlgebraTable(base.elements, base.zero, sums)
+    return AlgebraTable(base.elements, base.zero, triples(sums))
 
 
 class TestScanMatchesReference:
@@ -367,7 +368,7 @@ def perfbench_tables():
         shown, _ = F.disguise(data, random.Random(seed))
         index = {label: i for i, label in enumerate(shown["elements"])}
         out[name] = AlgebraTable(tuple(shown["elements"]), index[shown["zero"]],
-                                 {(index[x], index[y]): index[z] for x, y, z in shown["sums"]},
+                                 [(index[x], index[y], index[z]) for x, y, z in shown["sums"]],
                                  index.get(shown.get("unit")))
     return out
 
@@ -499,7 +500,7 @@ class TestEaAxioms:
         sums = dict(diamond.sums)
         a, b, one = 1, 2, 3
         sums[(a, a)] = one  # a now has complements a and b
-        t = AlgebraTable(diamond.elements, 0, sums, unit=one)
+        t = AlgebraTable(diamond.elements, 0, triples(sums), unit=one)
         report = check_ea_axioms(t, check_gea_axioms(t))
         assert any(w[0] == a and len(w) == 3 for w in axiom_witnesses(report, "E3"))
 
@@ -507,7 +508,7 @@ class TestEaAxioms:
         sums = dict(chain_c3.sums)
         sums[(2, 1)] = 1  # nonsense entry 1+h = h
         sums[(1, 2)] = 1
-        t = AlgebraTable(chain_c3.elements, 0, sums, unit=2)
+        t = AlgebraTable(chain_c3.elements, 0, triples(sums), unit=2)
         report = check_ea_axioms(t, check_gea_axioms(t))
         assert axiom_witnesses(report, "E4")
 
@@ -519,7 +520,7 @@ class TestEaAxioms:
         for name in corpus.EFFECT_ALGEBRAS:
             t = valid_corpus[name]
             assert check_ea_axioms(t, check_gea_axioms(t)).passed
-            forgotten = AlgebraTable(t.elements, t.zero, t.sums, unit=None)
+            forgotten = AlgebraTable(t.elements, t.zero, t.triples(), unit=None)
             assert check_gea_axioms(forgotten).passed
 
 

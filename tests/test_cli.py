@@ -448,6 +448,13 @@ class TestUnwritableOut:
         assert captured.err == ""
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("argv", [["--out", ""], ["--out="]])
+    def test_empty_out_exits_two(self, capsys, argv):
+        # An empty path is a path that cannot be written, not a missing --out.
+        code, report = run_json(capsys, "represent", cpath("chain_c3"), *argv)
+        assert code == report["exit"] == 2
+        assert report["error"].startswith("cannot write : ")
+
     def test_error_report_keeps_the_first_error(self, capsys, tmp_path):
         out_file = tmp_path / "missing" / "report.json"
         code, report = run_json(capsys, "states", "/no/such.json", "--out", str(out_file))
@@ -909,13 +916,9 @@ class TestOneScanPerPipeline:
 # command comes to reach leaves the list.
 UNREACHED = {
     "AlgebraTable.sums": "perfbench and the tests read a table as a dict",
-    "extract_states": "the README reads states back off a representation",
-    "GeneralizedState.values": "the README prints a state's values",
-    "DiagonalRep.operators": "the README prints the operators",
     "random_gea": "tests and perfbench build random tables with it",
     "random_population": "the small-mix workload runs it and pins its digest",
     "gdh_sum": "the sum of G_D(H); the acceptance tests check it",
-    "is_positive": "the positivity of G_D(H); the acceptance tests check it",
 }
 
 

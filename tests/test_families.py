@@ -56,10 +56,10 @@ def down_set(rng: random.Random, m: int, n: int) -> list[tuple[int, ...]]:
 def mo_table(k: int) -> AlgebraTable:
     labels = ("0", "1") + tuple(f"{side}{i}" for i in range(k) for side in "ab")
     n = len(labels)
-    sums = {(0, x): x for x in range(n)} | {(x, 0): x for x in range(n)}
+    sums = [(0, x, x) for x in range(n)] + [(x, 0, x) for x in range(1, n)]
     for i in range(k):
         a, b = 2 + 2 * i, 3 + 2 * i
-        sums[(a, b)] = sums[(b, a)] = 1
+        sums += [(a, b, 1), (b, a, 1)]
     return AlgebraTable(labels, 0, sums, unit=1)
 
 

@@ -11,7 +11,7 @@ from gea.errors import InputError
 from gea.generate import random_gea, random_population
 from gea.states import order_determining_set, separating_set
 from reference import (assert_witness_set, checked_proofs, pairs_not_leq,
-                       reference_additivity_program, reference_pair_row)
+                       reference_additivity_program, reference_pair_row, triples)
 from test_lp import ReferenceEchelon, reference_lp_feasible
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -25,7 +25,7 @@ def reference_random_gea(rng, n):
         sums[(0, x)] = x
         sums[(x, 0)] = x
     if n == 1:
-        return AlgebraTable(labels, 0, sums)
+        return AlgebraTable(labels, 0, triples(sums))
     for _ in range(3 * n * n):
         x = rng.randrange(1, n)
         y = rng.randrange(1, n)
@@ -35,9 +35,9 @@ def reference_random_gea(rng, n):
         trial = dict(sums)
         trial[(x, y)] = z
         trial[(y, x)] = z
-        if check_gea_axioms(AlgebraTable(labels, 0, trial)).passed:
+        if check_gea_axioms(AlgebraTable(labels, 0, triples(trial))).passed:
             sums = trial
-    return AlgebraTable(labels, 0, sums)
+    return AlgebraTable(labels, 0, triples(sums))
 
 
 def defined(s, n):
@@ -55,7 +55,7 @@ class TestLocalCheck:
         labels = tuple(f"e{i}" for i in range(n))
         before = defined(s, n)
         trial = {**before, (x, y): z, (y, x): z}
-        expected = check_gea_axioms(AlgebraTable(labels, 0, trial)).passed
+        expected = check_gea_axioms(AlgebraTable(labels, 0, triples(trial))).passed
         assert generate._insert(s, to, x, y, z) == expected, (before, x, y, z)
         assert defined(s, n) == (trial if expected else before)
         assert [sorted(pairs) for pairs in to] == by_value(s, n)

@@ -142,21 +142,21 @@ def _cube(atoms):
     n = 2 ** atoms
     labels = tuple("".join("abcdefgh"[bit] for bit in range(atoms) if mask >> bit & 1) or "0"
                    for mask in range(n))
-    return AlgebraTable(labels, 0, {(a, b): a | b for a in range(n) for b in range(n)
-                                    if not a & b}, unit=n - 1)
+    return AlgebraTable(labels, 0, [(a, b, a | b) for a in range(n) for b in range(n)
+                                    if not a & b], unit=n - 1)
 
 
 def _chain(n):
     """The chain C_n = {0, ..., n-1}, with i + j defined when i + j < n."""
     return AlgebraTable(tuple(str(k) for k in range(n)), 0,
-                        {(i, j): i + j for i in range(n) for j in range(n - i)}, unit=n - 1)
+                        [(i, j, i + j) for i in range(n) for j in range(n - i)], unit=n - 1)
 
 
 def _antichain(atoms):
     """Zero and atoms atoms, with no sum of two nonzero elements."""
     n = atoms + 1
     return AlgebraTable(("0", *(f"a{k}" for k in range(atoms))), 0,
-                        {pair: k for k in range(n) for pair in ((0, k), (k, 0))})
+                        [(i, j, k) for k in range(n) for i, j in ((0, k), (k, 0))])
 
 
 def _product(left, right):
@@ -166,8 +166,8 @@ def _product(left, right):
     unit = None if None in (left.unit, right.unit) else left.unit * width + right.unit
     return AlgebraTable(tuple(f"{x}:{y}" for x in left.elements for y in right.elements),
                         left.zero * width + right.zero,
-                        {(i * width + j, k * width + l): s * width + t
-                         for (i, k), s in left.sums.items() for (j, l), t in right.sums.items()},
+                        [(i * width + j, k * width + l, s * width + t)
+                         for i, k, s in left.triples() for j, l, t in right.triples()],
                         unit)
 
 
@@ -177,7 +177,7 @@ def _disguise(table, rng):
     rng.shuffle(order)
     place = {old: new for new, old in enumerate(order)}
     return AlgebraTable(tuple(table.elements[old] for old in order), place[table.zero],
-                        {(place[i], place[j]): place[k] for (i, j), k in table.sums.items()},
+                        [(place[i], place[j], place[k]) for i, j, k in table.triples()],
                         None if table.unit is None else place[table.unit])
 
 

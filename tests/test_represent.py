@@ -10,12 +10,12 @@ from gea import corpus
 from gea.algebra import AlgebraTable, require_gea
 from gea.errors import InputError
 from gea.generate import random_population
-from gea.represent import (DiagonalRep, build_representation, extract_states, operator_norm,
-                           verify_bounded, verify_injective, verify_morphism,
-                           verify_order_reflecting)
+from gea.represent import (DiagonalRep, build_representation, operator_norm, verify_bounded,
+                           verify_injective, verify_morphism, verify_order_reflecting)
 from gea.states import additivity_program, order_determining_set, separating_set
 from gea.lp import lp_feasible
-from reference import (FiniteVector, apply_operator, bounded_by, leq, random_rational_vector,
+from reference import (FiniteVector, apply_operator, bounded_by, fraction_operators,
+                       fraction_values, leq, random_rational_vector, reference_extract_states,
                        sparse, state_of, vector_state)
 
 
@@ -48,7 +48,7 @@ def reference_verify_morphism(rep, table):
     """Every violation, the zero check first; verify_morphism returns the
     first."""
     violations = []
-    operators = rep.operators
+    operators = fraction_operators(rep)
     zero = table.zero
     if operators[zero] != tuple(Fraction(0) for _ in range(rep.m)):
         violations.append((zero, zero, zero))
@@ -65,7 +65,7 @@ def reference_first_violation(rep, table):
 
 
 def reference_verify_injective(rep):
-    operators = rep.operators
+    operators = fraction_operators(rep)
     n = len(operators)
     for a in range(n):
         for b in range(a + 1, n):
@@ -75,7 +75,8 @@ def reference_verify_injective(rep):
 
 
 def reference_entrywise_leq(rep, a, b):
-    return all(x <= y for x, y in zip(rep.operators[a], rep.operators[b]))
+    operators = fraction_operators(rep)
+    return all(x <= y for x, y in zip(operators[a], operators[b]))
 
 
 def reference_verify_order_reflecting(rep, table):
@@ -88,7 +89,7 @@ def reference_verify_order_reflecting(rep, table):
 
 
 def reference_operator_norm(rep, a):
-    entries = [abs(e) for e in rep.operators[a]]
+    entries = [abs(e) for e in fraction_operators(rep)[a]]
     if not entries:
         return Fraction(0)
     norm = max(entries)
@@ -101,12 +102,12 @@ def reference_operator_norm(rep, a):
 class TestBuild:
     def test_excd_operators(self, excd):
         rep = search_rep(excd)
-        assert rep.operators == (
+        assert fraction_operators(rep) == (
             (frac(0), frac(0)), (frac(1), frac(0)), (frac(0), frac(1)))
 
     def test_chain_single_witness(self, chain_c3):
         rep = state_rep(chain_c3, (0, 1, 2))
-        assert rep.operators == ((frac(0),), (frac(1),), (frac(2),))
+        assert fraction_operators(rep) == ((frac(0),), (frac(1),), (frac(2),))
 
     def test_zero_state_builds_but_separates_nothing(self, diamond):
         rep = state_rep(diamond, (0, 0, 0, 0))
@@ -133,11 +134,14 @@ class TestBuild:
         rep = state_rep(chain_c3, ("0", "1/2", "1"), ("0", "1/3", "2/3"))
         assert rep.den == 6
         assert rep.diagonals == ((0, 0), (3, 2), (6, 4))
-        assert rep.operators[2] == (Fraction(1), Fraction(2, 3))
+        assert fraction_operators(rep)[2] == (Fraction(1), Fraction(2, 3))
 
     def test_non_positive_denominator_rejected(self):
         with pytest.raises(InputError, match="^representation denominator must be positive$"):
             DiagonalRep(((),), den=0)
+        # The length check comes after this one.
+        with pytest.raises(InputError, match="^representation denominator must be positive$"):
+            DiagonalRep(((0, 0), (1,)), den=0)
 
     def test_no_diagonals_rejected(self):
         # m is the length of a diagonal, so a representation needs one.
@@ -146,6 +150,26 @@ class TestBuild:
             DiagonalRep(())
         with pytest.raises(InputError, match=message):
             DiagonalRep((), 1)
+
+    def test_diagonals_of_different_lengths_rejected(self):
+        with pytest.raises(InputError,
+                           match="^representation diagonals must all have the same length$"):
+            DiagonalRep(((0, 0), (1, 5), (2,)), 1)
+
+
+class TestShapeAgainstTheTable:
+    """The checks that read a representation beside its table take one
+    diagonal per element, as build_representation makes."""
+
+    # chain_c3 has three elements.
+    @pytest.mark.parametrize("diagonals", [((0,), (1,)), ((),) * 2, ((0,), (1,), (2,), (3,))])
+    def test_wrong_diagonal_count_rejected(self, chain_c3, diagonals):
+        message = "^a representation needs one diagonal per element$"
+        rep = DiagonalRep(diagonals, 1)
+        with pytest.raises(InputError, match=message):
+            verify_morphism(rep, chain_c3)
+        with pytest.raises(InputError, match=message):
+            verify_order_reflecting(rep, require_gea(chain_c3))
 
 
 class TestVerifyMorphism:
@@ -186,8 +210,8 @@ class TestVerifyInjective:
             sparse([((1, -1), 0), ((1, 0), 1)]))
         a, b = lp_feasible(program)
         state = state_of((0, a, b, a + b))
-        assert state.values == (frac(0), frac(1), frac(1), frac(2))
-        rep = state_rep(diamond, [str(v) for v in state.values])
+        assert fraction_values(state) == (frac(0), frac(1), frac(1), frac(2))
+        rep = state_rep(diamond, [str(v) for v in fraction_values(state)])
         ok, pair = verify_injective(rep)
         assert not ok and pair == (1, 2)
 
@@ -264,7 +288,7 @@ def rational_reps(draw):
         if states and draw(st.booleans()):
             state = draw(st.sampled_from(states))
             scale = Fraction(draw(st.integers(0, 5)), den)
-            columns.append([v * scale for v in state.values])
+            columns.append([v * scale for v in fraction_values(state)])
         else:
             columns.append([Fraction(draw(st.integers(-2, 6)), den) for _ in range(n)])
     rows = [[column[a] for column in columns] for a in range(n)]
@@ -276,7 +300,7 @@ def rational_reps(draw):
     den = lcm(*(v.denominator for row in rows for v in row)) * draw(st.sampled_from([1, 1, 2, 6]))
     rep = DiagonalRep(tuple(tuple(v.numerator * (den // v.denominator) for v in row)
                             for row in rows), den)
-    assert rep.operators == tuple(map(tuple, rows))
+    assert fraction_operators(rep) == tuple(map(tuple, rows))
     return table, gea, rep
 
 
@@ -331,7 +355,7 @@ class TestNormsAndVectorStates:
         for slot, state in enumerate(witnesses.states):
             basis = FiniteVector.basis(rep.m, slot)
             for a in range(diamond.n):
-                assert vector_state(rep, basis, a) == state.values[a]
+                assert vector_state(rep, basis, a) == fraction_values(state)[a]
 
     def test_vector_state_of_zero_vector(self, chain_c3):
         rep = state_rep(chain_c3, (0, 1, 2))
@@ -377,7 +401,7 @@ def fraction_norms(rep):
 def antichain(atoms):
     """Zero and `atoms` elements with no sum but those with zero."""
     n = atoms + 1
-    sums = {(0, x): x for x in range(n)} | {(x, 0): x for x in range(n)}
+    sums = [(0, x, x) for x in range(n)] + [(x, 0, x) for x in range(1, n)]
     return AlgebraTable(("0",) + tuple(f"a{i}" for i in range(atoms)), 0, sums)
 
 
@@ -469,18 +493,17 @@ class TestVerifyBounded:
 
 
 class TestRoundTrip:
-    def test_extract_states_round_trips_corpus(self, valid_corpus):
+    def test_slots_round_trip_the_corpus_witnesses(self, valid_corpus):
         for table in valid_corpus.values():
             gea = require_gea(table)
             for search in (order_determining_set, separating_set):
                 witnesses = search(gea)
                 rep = build_representation(gea, witnesses.states)
-                recovered = extract_states(rep)
-                assert [s.values for s in recovered] == [s.values for s in witnesses.states]
+                assert reference_extract_states(rep) == witnesses.states
 
     def test_zero_rep_recovers_zero_states(self, diamond):
         rep = state_rep(diamond, (0, 0, 0, 0))
-        assert [s.values for s in extract_states(rep)] == [(frac(0),) * 4]
+        assert [fraction_values(s) for s in reference_extract_states(rep)] == [(frac(0),) * 4]
 
 
 class TestPositivityAndDiagonalOrder:
@@ -489,7 +512,7 @@ class TestPositivityAndDiagonalOrder:
         for table in valid_corpus.values():
             rep = search_rep(table)
             for a in range(table.n):
-                assert all(entry >= 0 for entry in rep.operators[a])
+                assert all(entry >= 0 for entry in fraction_operators(rep)[a])
                 for _ in range(100):
                     x = random_rational_vector(rng, rep.m)
                     assert vector_state(rep, x, a) >= 0

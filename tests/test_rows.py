@@ -1,10 +1,10 @@
 """The table held once, as rows and each row's defined columns, and the one
 packed additivity pass over them.
 
-The loader and the mapping constructor fill the same rows and cols; the
-packed pass of algebra.first_nonadditive gives the verdict, the first
-violation and the message of the per-sum walks in tests/reference.py on
-damaged states and diagonals."""
+The loader and the constructor, given the same triples, fill the same rows
+and cols; the packed pass of algebra.first_nonadditive gives the verdict,
+the first violation and the message of the per-sum walks in
+tests/reference.py on damaged states and diagonals."""
 
 import copy
 import json
@@ -26,7 +26,7 @@ from gea.states import (GeneralizedState, assign_witnesses, order_determining_se
                         separating_set)
 from reference import (reference_assign_witnesses, reference_eigenvalues,
                        reference_first_nonadditive, reference_kahn, reference_validate,
-                       write_table)
+                       triples, write_table)
 from test_algebra import holds_calls
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -69,7 +69,7 @@ def disguised_files(tmp_path):
 class TestOneFill:
     def assert_one_table(self, table, n, sums):
         assert (table.rows, table.cols) == reference_rows(n, sums)
-        twin = AlgebraTable(table.elements, table.zero, sums, table.unit)
+        twin = AlgebraTable(table.elements, table.zero, triples(sums), table.unit)
         assert (twin.rows, twin.cols) == (table.rows, table.cols)
         assert table.sums == sums and list(table.sums) == sorted(sums)
         assert list(table.triples()) == [(i, j, k) for (i, j), k in sorted(sums.items())]
@@ -143,7 +143,7 @@ class TestLoaderMessages:
 
     @pytest.mark.parametrize("sums, message", [
         ([(0, 1, 1), (0, 1, 0)], r"conflicting entries for 0\+a"),
-        ({(0, 1): 1, (1, 2): 0}, r"sum entry \(1,2\)->0 out of range"),
+        ([(0, 1, 1), (1, 2, 0)], r"sum entry \(1,2\)->0 out of range"),
         ([(0, 0, 0), (-1, 0, 0)], r"sum entry \(-1,0\)->0 out of range"),
     ])
     def test_constructor_messages(self, sums, message):

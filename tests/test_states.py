@@ -20,13 +20,14 @@ from gea.states import (GeneralizedState, additivity_program, assign_witnesses,
                         order_determining_set, separating_set)
 from reference import (assert_witness_set, atom_pair_program, atom_state, checked_proofs,
                        down_set_table, glued, leq, pair_programs, pairs_not_leq,
-                       reference_assign_witnesses, reference_kahn, reference_pair_programs,
-                       reference_search, state_of, write_table, x0_phase_one)
+                       fraction_values, reference_assign_witnesses, reference_kahn,
+                       reference_pair_programs, reference_search, state_of, write_table,
+                       x0_phase_one)
 from test_families import down_set, mo_table
 
 
 def values(state):
-    return tuple(str(v) for v in state.values)
+    return tuple(str(v) for v in fraction_values(state))
 
 
 def witness_of(witnesses, pair):
@@ -46,7 +47,7 @@ class TestOrderWitness:
         assert witness_of(witnesses, (1, 2)) == ("0", "1", "0", "1")
         # a + b = 1 forces s(1) = s(a) + s(b)
         for state in witnesses.states:
-            assert state.values[3] == state.values[1] + state.values[2]
+            assert state.nums[3] == state.nums[1] + state.nums[2]
 
     def test_glued_atoms_have_no_witness(self, no_states):
         # a + a = b + b forces s(a) = s(b), so neither order pair of the atoms
@@ -127,7 +128,8 @@ class TestWitnessSets:
         # S separates points iff a -> (s(a))_s is injective
         for table in valid_corpus.values():
             witnesses = separating_set(require_gea(table))
-            vectors = [tuple(s.values[a] for s in witnesses.states) for a in range(table.n)]
+            vectors = [tuple(fraction_values(s)[a] for s in witnesses.states)
+                       for a in range(table.n)]
             injective = len(set(vectors)) == table.n
             assert witnesses.ok == injective
 
@@ -170,7 +172,7 @@ class TestStateInvariants:
                 for i in range(table.n):
                     for j in range(table.n):
                         if leq(order, i, j):
-                            assert state.values[i] <= state.values[j]
+                            assert state.nums[i] <= state.nums[j]
 
     @settings(max_examples=50, deadline=None)
     @given(st.fractions(min_value=0, max_value=50))
@@ -202,7 +204,7 @@ class TestIntegerStates:
     def test_stored_in_lowest_terms(self):
         state = GeneralizedState((0, 2, 4), 4)
         assert (state.nums, state.den) == ((0, 1, 2), 2)
-        assert state.values == (Fraction(0), Fraction(1, 2), Fraction(1))
+        assert fraction_values(state) == (Fraction(0), Fraction(1, 2), Fraction(1))
 
     def test_non_positive_denominator_rejected(self):
         for den in (0, -2):
@@ -271,7 +273,8 @@ class TestNormalizeAndBounds:
 
     def test_bound_constant_is_max_over_witnesses(self, diamond):
         witnesses, norms = self.norms(diamond)
-        assert norms == [max(s.values[a] for s in witnesses.states) for a in range(diamond.n)]
+        assert norms == [max(fraction_values(s)[a] for s in witnesses.states)
+                         for a in range(diamond.n)]
 
     def test_bound_at_zero_element_is_zero(self, diamond):
         assert self.norms(diamond)[1][0] == 0
@@ -291,12 +294,12 @@ def product(*parts: AlgebraTable) -> AlgebraTable:
     defined."""
     points = list(itertools.product(*(range(t.n) for t in parts)))
     index = {p: i for i, p in enumerate(points)}
-    sums = {}
+    sums = []
     for i, x in enumerate(points):
         for j, y in enumerate(points):
             k = tuple(t.sums.get(pair) for t, pair in zip(parts, zip(x, y)))
             if None not in k:
-                sums[(i, j)] = index[k]
+                sums.append((i, j, index[k]))
     labels = tuple(".".join(t.elements[c] for t, c in zip(parts, p)) for p in points)
     return AlgebraTable(labels, 0, sums)
 
@@ -391,7 +394,7 @@ def shuffled(table, seed):
     random.Random(seed).shuffle(order)
     new = {old: i for i, old in enumerate(order)}
     return AlgebraTable(tuple(table.elements[old] for old in order), new[table.zero],
-                        {(new[i], new[j]): new[k] for (i, j), k in table.sums.items()})
+                        [(new[i], new[j], new[k]) for i, j, k in table.triples()])
 
 
 class TestEveryNoIsProved:
@@ -585,8 +588,8 @@ class TestCycleGuard:
         # Kahn's order stops at the atom v.  No scan would pass this table
         # (GE2 fails), so its CheckedGEA is built by hand, with the
         # reference's short order.
-        sums = {(0, x): x for x in range(4)} | {(x, 0): x for x in range(4)}
-        sums |= {(1, 2): 3, (2, 1): 3, (3, 2): 1, (2, 3): 1}
+        sums = [(0, x, x) for x in range(4)] + [(x, 0, x) for x in range(1, 4)]
+        sums += [(1, 2, 3), (2, 1, 3), (3, 2, 1), (2, 3, 1)]
         table = AlgebraTable(("0", "u", "v", "w"), 0, sums)
         atoms, order = reference_kahn(table)
         assert order == (2,)
