@@ -135,7 +135,9 @@ def verify_bounded(rep: DiagonalRep, norms: Sequence[int]) -> tuple[bool, Option
     its int diagonal d has no negative entry and max(d) <= |norms[a]|.
     Both forms are sums over the slots weighted by x_s^2 >= 0, so this
     holds at every vector x iff at every basis vector; on failure the
-    first a."""
+    first a.  InputError unless there is one norm per diagonal."""
+    if len(norms) != len(rep.diagonals):
+        raise InputError("a representation needs one norm per diagonal")
     for a, (d, norm) in enumerate(zip(rep.diagonals, norms)):
         if d and (min(d) < 0 or max(d) > abs(norm)):
             return False, a

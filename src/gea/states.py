@@ -21,26 +21,30 @@ vec(x) - e_q - vec(y) for each other atom row q + y = x.
    s(k) = s(p) + s(i' + j) = s(p) + s(i') + s(j) = s(i) + s(j).
 So the state cone is {v >= 0 : C v = 0}, and the pair LP C v = 0,
 (vec(a) - vec(b))·v = 1, v >= 0 is feasible exactly when the LP over every
-element and every defined sum is.  C is empty on chains, cubes and down-sets
-of N^m.  A search builds C once, factored, and each pair LP extends it by one
-row.  The LP rechecks its point only against those rows, so after its walk
-a search checks all its states on every defined sum in one packed pass.  A
-search starts from no states: each slot holds a state that its LP found, and
-the search returns one immutable record of its goal, its states, the pair
-that made each slot and the pairs that failed.
+element and every defined sum is.  A search builds C once, factored, and
+each pair LP extends it by one row.  C is empty on chains, cubes, antichains
+and down-sets of N^m; there the cone is the orthant v >= 0 and a pair runs
+no LP: its state is vec(x)[j] / d_j for j the least positive column of
+d = vec(a) - vec(b), the vertex the LP would return, and with no such j the
+pair row is its own Farkas certificate.  The LP rechecks its point only
+against its rows, so after its walk a search checks all its states on every
+defined sum in one packed pass.  A search starts from no states: each slot
+holds a state that its pair's program gave, and the search returns one
+immutable record of its goal, its states, the pair that made each slot and
+the pairs that failed.
 
 The searches take a CheckedGEA, the table, order and atoms that one axiom
 scan produced, so they scan nothing themselves, and the atom program rests on
 the axioms that scan proved.  A state is stored as int numerators over one
-positive denominator, in lowest terms, into which _AtomProgram.witness reads
+positive denominator, in lowest terms, into which _AtomProgram._lp reads
 the LP's Fraction point.  Coverage is one int bit mask per element: want[a]
 holds the b to cover at a (each b not above a for the order goal, each b > a
 to separate), and a slot covers at a the b with s(b) < s(a), or
-s(b) != s(a), read off one sort of its values.  The LP is asked only about
+s(b) != s(a), read off one sort of its values.  A program is solved only for
 the lowest bit of want[a] that no slot covers, so pairs reach it in
-lexicographic order.  A pair fails with no LP when the state preorder ⊑
+lexicographic order.  A pair fails with no solve when the state preorder ⊑
 (s(a) <= s(b) on every state) already holds it: ⊑ starts as the induced
-order, and each failed LP adds its pair, and ⊑ stays transitively closed
+order, each failed pair adds itself, and ⊑ stays transitively closed
 (see _AtomProgram).
 """
 
@@ -138,8 +142,13 @@ class _AtomProgram(LinearProgram):
     its defining row, in topological order.  below[x] is the int mask of
     the y with x ⊑ y found so far, where x ⊑ y means s(x) <= s(y) on every
     state.  It starts as the induced order, since s(y) = s(x) + s(y - x) >=
-    s(x); each failed pair LP adds its pair, closing ⊑ transitively, and
-    witness runs no LP for a pair that ⊑ holds."""
+    s(x); each failed pair adds itself, closing ⊑ transitively, and
+    witness solves no program for a pair that ⊑ holds.
+
+    When C is empty, as on chains, cubes, antichains and down-sets of N^m,
+    the state cone is the whole orthant v >= 0, and each pair program is
+    its one pair row: _orthant reads its point off the signs of that row,
+    with no LP (see _orthant for why it is lp_feasible's point)."""
 
     def __init__(self, atoms: Sequence[int], chain: list[tuple[int, int, int]],
                  vecs: list[tuple[int, ...]], rows: Iterable[Row],
@@ -149,13 +158,42 @@ class _AtomProgram(LinearProgram):
         self.below = list(above)
 
     def witness(self, lo: int, hi: int) -> Optional[GeneralizedState]:
-        """A state with s(lo) - s(hi) = 1, from the LP point over the atoms
-        and the defining rows, or None.  The pair row (vec(lo) - vec(hi))·v
-        = 1 reads 0 = 1 when vec(lo) = vec(hi).  A row that reduces to 0 = c
-        proves s(lo) = s(hi), so it settles both orders of the pair."""
+        """A state with s(lo) - s(hi) = 1, or None: the point of the pair
+        program C v = 0, (vec(lo) - vec(hi))·v = 1, v >= 0, read by
+        _orthant when C is empty and by _lp otherwise.  Each settles the
+        pair when it has no point."""
         if self.below[lo] >> hi & 1:
             return None
-        program = self.extended([(_difference(self.vecs[lo], self.vecs[hi]), 1)])
+        row = _difference(self.vecs[lo], self.vecs[hi])
+        return (self._lp if self.rows else self._orthant)(lo, hi, row)
+
+    def _orthant(self, lo: int, hi: int, row: tuple[tuple[int, int], ...]
+                 ) -> Optional[GeneralizedState]:
+        """The pair program's point when C is empty, with no LP: for d =
+        vec(lo) - vec(hi) and j its least positive column, the state s(x) =
+        vec(x)[j] / d_j, or None when d has no positive entry.  This is
+        lp_feasible's own answer.  Its echelon pivots at d's least nonzero
+        column; if d is positive there the basis is feasible at once, and if
+        d is negative there the row leaves and Bland's entering column is
+        the least positive one.  Either way the basic point is e_j / d_j.
+        With no positive entry the pair row itself, d <= 0 against rhs 1, is
+        the Farkas certificate, and the sign test that found no positive
+        entry is its check.  d = 0 is the conflict 0 = 1, which settles both
+        orders of the pair."""
+        for j, d_j in row:
+            if d_j > 0:
+                return GeneralizedState(tuple(v[j] for v in self.vecs), d_j)
+        self._settle(lo, hi)
+        if not row:
+            self._settle(hi, lo)
+        return None
+
+    def _lp(self, lo: int, hi: int, row: tuple[tuple[int, int], ...]
+            ) -> Optional[GeneralizedState]:
+        """The pair program's point from lp_feasible, over the atoms and
+        then along the defining rows.  A pair row that reduces to 0 = c
+        proves s(lo) = s(hi), so it settles both orders of the pair."""
+        program = self.extended([(row, 1)])
         v = lp_feasible(program)
         if v is None:
             self._settle(lo, hi)
@@ -199,9 +237,10 @@ def assign_witnesses(table: AlgebraTable, goal: str, want: Sequence[int],
     asked for a new state, whose length, sign and zero are checked; it takes
     the next slot, with (a, b) at that slot of provenance (it covers (a, b),
     so it equals no state in the set), or the pair is a failure.  The LP
-    rechecked the states only against the atom program, so one packed pass
-    at the end checks them on every defined sum: InputError for the first
-    that fails, in slot order, with its own first failing sum."""
+    rechecks its states only against the atom program, and an orthant state
+    is not checked at all, so one packed pass at the end checks them on
+    every defined sum: InputError for the first that fails, in slot order,
+    with its own first failing sum."""
     states, provenance, failures = [], [], []  # failures and provenance hold (a, b) pairs
     order, todo = goal == "order", list(want)
     try:
@@ -238,7 +277,7 @@ def order_determining_set(gea: CheckedGEA) -> StateWitnessSet:
 def separating_set(gea: CheckedGEA) -> StateWitnessSet:
     """Per-pair separating witnesses over unordered pairs a < b: a state with
     s(a) - s(b) = 1 or, failing that, s(b) - s(a) = 1.  The first order
-    runs no LP when a ⊑ b, as whenever a <= b."""
+    is not solved when a ⊑ b, as whenever a <= b."""
     system = additivity_program(gea)
     n = gea.table.n
     later = [(1 << n) - (2 << a) for a in range(n)]  # the bits b > a, b < n

@@ -573,8 +573,12 @@ def reference_assign_witnesses(table: AlgebraTable, goal: str, pairs,
 
 def atom_state(program, x) -> GeneralizedState:
     """The state of an atom-program point x: s(e) = vec(e)·x for every
-    element e, a dot product per element."""
-    return state_of([sum(c * x[j] for j, c in enumerate(vec)) for vec in program.vecs])
+    element e, a dot product per element over the nonzero coordinates of x,
+    in ints over the lcm of their denominators."""
+    support = [(j, value.numerator, value.denominator) for j, value in enumerate(x) if value]
+    den = lcm(*(q for _, _, q in support))
+    return GeneralizedState(tuple(sum(vec[j] * p * (den // q) for j, p, q in support)
+                                  for vec in program.vecs), den)
 
 
 def atom_pair_program(program, lo: int, hi: int) -> LinearProgram:

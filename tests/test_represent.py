@@ -458,6 +458,15 @@ class TestVerifyBounded:
         assert self.agree(rep, norms) == (True, None)
         assert self.agree(rep, norms[:2] + [norms[2] - 1] + norms[3:]) == (False, 2)
 
+    @pytest.mark.parametrize("norms", [[0, 1], [], [0, 1, 5, 5]])
+    def test_one_norm_per_diagonal(self, norms):
+        # A norm list of another length is an input error: through a
+        # truncating zip, [0, 1] left the diagonal (5,) unchecked and passed.
+        rep = DiagonalRep(((0,), (1,), (5,)))
+        with pytest.raises(InputError, match="^a representation needs one norm per diagonal$"):
+            verify_bounded(rep, norms)
+        assert verify_bounded(rep, [0, 1, 4]) == (False, 2)
+
     def test_fractional_entries(self):
         rep = diagonal_rep((0, 0, 0), ("1/3", "2/7", "0"), ("2/3", "4/7", "5/11"),
                            ("1", "6/7", "5/11"))

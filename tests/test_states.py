@@ -582,6 +582,62 @@ class TestProgramSizes:
         assert additivity_program(require_gea(NS)).rows == ((((0, 2), (1, -2)), 0),)
 
 
+def empty_c_tables(valid_corpus):
+    """Tables whose atom program has no row, by name: C_2-C_14, the cubes
+    on 1-5 atoms, the antichains of 1-24 atoms, twelve random down-sets of
+    N^2-N^5 and the corpus tables with C empty."""
+    chains = {f"C_{n}": grid(n, 1) for n in range(2, 15)}
+    cubes = {f"cube{m}": grid(2, m) for m in range(1, 6)}
+    antichains = {f"antichain{k}": antichain(k) for k in range(1, 25)}
+    rngs = [random.Random(seed) for seed in range(12)]
+    down_sets = {f"down_set({seed})": down_set_table(down_set(rng, 2 + seed % 4,
+                                                              rng.randint(3, 30)))
+                 for seed, rng in enumerate(rngs)}
+    corpus_empty = {name: table for name, table in valid_corpus.items()
+                    if not additivity_program(require_gea(table)).rows}
+    assert set(corpus_empty) == {"singleton", "excd", "excd_ext", "diamond", "chain_c3",
+                                 "cube8"}
+    return {**chains, **cubes, **antichains, **down_sets, **corpus_empty}
+
+
+class TestOrthant:
+    """With C empty, the orthant's sign test against lp_feasible on the
+    pair program, for every ordered pair (a, b) from the same ⊑: the same
+    state or None, the same ⊑ afterwards, and a conflict exactly when
+    vec(a) = vec(b).  The searches on such tables then run no LP."""
+
+    def test_sign_test_is_the_lp_vertex(self, valid_corpus):
+        pairs = conflicts = states_found = 0
+        for name, table in empty_c_tables(valid_corpus).items():
+            program = additivity_program(require_gea(table))
+            assert program.rows == (), name
+            start = program.below
+            for a, b in itertools.product(range(table.n), repeat=2):
+                row = states._difference(program.vecs[a], program.vecs[b])
+                got = program._orthant(a, b, row)
+                got_below, program.below = program.below, start
+                pair = atom_pair_program(program, a, b)
+                x = lp_feasible(pair)
+                want = None if x is None else atom_state(program, x)
+                assert got == want == program._lp(a, b, row), (name, a, b)
+                assert got_below == program.below, (name, a, b)
+                assert (pair.conflict is not None) == (row == ()), (name, a, b)
+                program.below = start
+                pairs += 1
+                conflicts += row == ()
+                states_found += got is not None
+        assert (pairs, conflicts, states_found) == (12622, 728, 9856)
+
+    def test_searches_run_no_lp(self, valid_corpus, monkeypatch):
+        def no_lp(program):
+            raise AssertionError("an LP ran on a table with C empty")
+
+        monkeypatch.setattr(states, "lp_feasible", no_lp)
+        for name, table in empty_c_tables(valid_corpus).items():
+            gea = require_gea(table)
+            assert order_determining_set(gea).ok and separating_set(gea).ok, name
+
+
 class TestCycleGuard:
     def test_cycle_of_sums_raises(self):
         # u + v = w and w + v = u: the edges u -> w -> u make a cycle, so
@@ -600,26 +656,33 @@ class TestCycleGuard:
 
 
 def lp_pairs(monkeypatch):
-    """Record the pair (lo, hi) of every LP an atom program's witness runs,
-    with whether its pair row is in conflict."""
+    """Record the pair (lo, hi) of every pair program an atom program's
+    witness solves, by its LP or, when C is empty, by the orthant's sign
+    test, with whether its pair row is in conflict."""
     calls, asked = [], []
     witness, real = states._AtomProgram.witness, states.lp_feasible
+    orthant = states._AtomProgram._orthant
 
     def asking(program, lo, hi):
         asked.append((lo, hi))
         return witness(program, lo, hi)
 
+    def signs(program, lo, hi, row):
+        calls.append(((lo, hi), not row))
+        return orthant(program, lo, hi, row)
+
     monkeypatch.setattr(states._AtomProgram, "witness", asking)
+    monkeypatch.setattr(states._AtomProgram, "_orthant", signs)
     monkeypatch.setattr(states, "lp_feasible", lambda program: calls.append(
         (asked[-1], program.conflict is not None)) or real(program))
     return calls
 
 
-
 class TestStatePreorder:
-    """The search's state preorder: a failed pair LP settles its pair, a
+    """The search's state preorder: a failed pair settles itself, a
     conflict both orders, transitively closed over the induced order, and
-    witness runs no LP for a pair it already holds."""
+    witness solves nothing for a pair it already holds.  lp_pairs counts
+    the pairs solved by the orthant's sign test as well as by the LP."""
 
     def test_one_conflict_settles_both_orders_of_a_pair(self, no_states, monkeypatch):
         # s(a) - s(b) = 1 reduces to 0 = 1, which proves s(a) = s(b); the
@@ -660,8 +723,8 @@ class TestStatePreorder:
         ("C3xNS", 5, 5), ("C2xC3xNS", 9, 9),
     ])
     def test_lp_counts(self, name, order, separate, monkeypatch):
-        # One LP per slot and per failure that ⊑ did not yet hold: under the
-        # order goal, C2xC3xNS's 3 slots and 36 failures take 9 LPs.
+        # One solve per slot and per failure that ⊑ did not yet hold: under
+        # the order goal, C2xC3xNS's 3 slots and 36 failures take 9 LPs.
         calls = lp_pairs(monkeypatch)
         gea = require_gea(named_table(name))
         order_determining_set(gea)
