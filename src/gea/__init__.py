@@ -7,8 +7,8 @@ from .algebra import (AlgebraTable, AxiomReport, CheckedGEA, MorphismReport, Mor
                       induced_order, is_sub_gea, require_gea, scan_gea)
 from .errors import ContractError, InputError
 from .lp import LinearProgram, lp_feasible
-from .represent import (DiagonalRep, build_representation, operator_norm, verify_bounded,
-                        verify_injective, verify_morphism, verify_order_reflecting)
+from .represent import (DiagonalRep, build_representation, operator_norm, verify_injective,
+                        verify_morphism, verify_order_reflecting)
 from .states import GeneralizedState, StateWitnessSet, order_determining_set, separating_set
 
 __version__ = "0.1.0"
@@ -20,7 +20,7 @@ __all__ = [
     "ContractError", "InputError",
     "LinearProgram", "lp_feasible",
     "DiagonalRep", "build_representation", "operator_norm",
-    "verify_bounded", "verify_injective", "verify_morphism", "verify_order_reflecting",
+    "verify_injective", "verify_morphism", "verify_order_reflecting",
     "GeneralizedState", "StateWitnessSet", "order_determining_set", "separating_set",
     "__version__",
 ]

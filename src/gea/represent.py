@@ -13,8 +13,10 @@ the zero are the table's, which its checks and its report take beside it.
 
 The diagonals are stored as ints over one common denominator D, the lcm of
 the states' denominators, so the build and every self-check
-(additivity, injectivity, order reflection, positivity and norm bounds)
-compare and add ints, and the operator norms are int numerators over D.
+(additivity, injectivity, order reflection) compare and add ints, and the
+operator norms are int numerators over D.  Positivity and the norm bounds
+hold by construction: the build rejects a negative value, so each norm is
+the largest entry of its diagonal.
 The order check reads the induced order from the CheckedGEA of the
 pipeline's one axiom scan.  phi(a) <= phi(b) fails exactly when some slot
 has s(b) < s(a), so it rebuilds the witness search's masks from the built
@@ -128,18 +130,3 @@ def operator_norm(rep: DiagonalRep) -> list[int]:
     rep.den: its largest |entry|, attained at the basis vector of that
     slot, and 0 with no slot."""
     return [max(max(d), -min(d)) if d else 0 for d in rep.diagonals]
-
-
-def verify_bounded(rep: DiagonalRep, norms: Sequence[int]) -> tuple[bool, Optional[int]]:
-    """True iff every phi(a) is positive and bounded by norms[a] / rep.den:
-    its int diagonal d has no negative entry and max(d) <= |norms[a]|.
-    Both forms are sums over the slots weighted by x_s^2 >= 0, so this
-    holds at every vector x iff at every basis vector; on failure the
-    first a.  InputError unless there is one norm per diagonal."""
-    if len(norms) != len(rep.diagonals):
-        raise InputError("a representation needs one norm per diagonal")
-    for a, (d, norm) in enumerate(zip(rep.diagonals, norms)):
-        if d and (min(d) < 0 or max(d) > abs(norm)):
-            return False, a
-    return True, None
-

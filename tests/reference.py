@@ -4,7 +4,7 @@ queue-driven Kahn order, for `check_gea_axioms`,
 `check_ea_axioms` and `induced_order`, with `leq` and `pairs_not_leq` to
 read an order's masks pair by pair; the morphism classifier with its
 nested order loop, for `classify_morphism`; Fraction rational vectors over the
-witness slots, for `verify_bounded` and acceptance criterion 5, with a
+witness slots, for positivity, the norm bounds and criterion 5, with a
 representation's diagonals and a state's values as Fractions,
 `fraction_operators` and `fraction_values`, and the states read back off a
 representation's slots, `reference_extract_states`, for criterion 2; a

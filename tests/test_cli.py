@@ -1,5 +1,6 @@
 import builtins
 import contextlib
+import copy
 import gc
 import hashlib
 import importlib
@@ -250,10 +251,21 @@ class TestEffects:
         assert report["demo"]["embedding"] is False
 
     def test_demo_excd_exits_one_when_its_representation_fails(self, capsys, monkeypatch):
+        demo = gea.effects.demo_excd()
         monkeypatch.setattr(gea.effects, "verify_injective", lambda rep: (False, (0, 1)))
         code, report = run_json(capsys, "effects", "demo-excd")
         assert code == 1
         assert report["demo"]["representation"]["injective"] is False
+        # Each flag the exit code reads fails the demo on its own.
+        for flag in ("is_morphism", "order_reflecting", "embedding", "representation.morphism",
+                     "representation.injective", "representation.order_reflecting"):
+            flipped = copy.deepcopy(demo)
+            *outer, name = flag.split(".")
+            flags = flipped[outer[0]] if outer else flipped
+            flags[name] = not flags[name]
+            monkeypatch.setattr(gea.effects, "demo_excd", lambda: flipped)
+            code, report = run_json(capsys, "effects", "demo-excd")
+            assert code == 1 and report["exit"] == 1, flag
 
     def test_witness_inner_products(self, capsys):
         code, report = run_json(capsys, "effects", "witness",

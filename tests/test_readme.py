@@ -46,5 +46,5 @@ def test_star_import_binds_every_public_name_once():
     assert set(gea.__all__) <= namespace.keys()
     removed = {"FiniteVector", "vector_state", "basic_solution_feasible", "bound_constant",
                "find_order_witness", "find_separating_state", "normalize_state",
-               "extract_states"}
+               "extract_states", "verify_bounded"}
     assert not removed & set(gea.__all__)

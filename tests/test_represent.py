@@ -10,8 +10,8 @@ from gea import corpus
 from gea.algebra import AlgebraTable, require_gea
 from gea.errors import InputError
 from gea.generate import random_population
-from gea.represent import (DiagonalRep, build_representation, operator_norm, verify_bounded,
-                           verify_injective, verify_morphism, verify_order_reflecting)
+from gea.represent import (DiagonalRep, build_representation, operator_norm, verify_injective,
+                           verify_morphism, verify_order_reflecting)
 from gea.states import additivity_program, order_determining_set, separating_set
 from gea.lp import lp_feasible
 from reference import (FiniteVector, apply_operator, bounded_by, fraction_operators,
@@ -313,7 +313,10 @@ class TestIntegerChecksMatchFractionReference:
         assert verify_injective(rep) == reference_verify_injective(rep)
         assert verify_order_reflecting(rep, gea) == reference_verify_order_reflecting(rep, table)
         assert fraction_norms(rep) == [reference_operator_norm(rep, a) for a in range(table.n)]
-        assert verify_bounded(rep, operator_norm(rep)) == basis_bounded(rep, operator_norm(rep))
+        # The operator norm bounds every diagonal, signed or not, so only a
+        # negative entry fails: the first element that has one.
+        negative = next((a for a, d in enumerate(rep.diagonals) if d and min(d) < 0), None)
+        assert basis_bounded(rep, operator_norm(rep)) == (negative is None, negative)
 
     def test_corpus_and_population_reps(self):
         for table, gea, _ in CHECKED_TABLES:
@@ -365,6 +368,14 @@ class TestNormsAndVectorStates:
         rep = state_rep(chain_c3, (0, 1, 2))
         assert vector_state(rep, FiniteVector((frac(1),)), 2) == 2
 
+    def test_entries_above_two_to_the_64(self):
+        big = 2 ** 64
+        rep = diagonal_rep((0, 0, 0), (big + 3, 1, big), (2 * big + 6, 2, 2 * big),
+                           (Fraction(big, 3), Fraction(1, 3), 5))
+        assert rep.den == 3
+        assert operator_norm(rep) == [0, 3 * (big + 3), 3 * (2 * big + 6), big]
+        assert fraction_norms(rep) == [reference_operator_norm(rep, a) for a in range(4)]
+
     def test_length_mismatch_rejected(self, chain_c3):
         rep = state_rep(chain_c3, (0, 1, 2))
         with pytest.raises(InputError):
@@ -380,10 +391,10 @@ class TestNormsAndVectorStates:
 
 
 def basis_bounded(rep, norms):
-    """Reference for verify_bounded in Fractions: vector_state and bounded_by
-    at every basis vector, which for a diagonal operator decide both tests
-    at every vector, with the bounds norms[a] / rep.den.  On failure the
-    first element that fails either."""
+    """Positivity and the norm bounds norms[a] / rep.den in Fractions:
+    vector_state and bounded_by at every basis vector, which for a diagonal
+    operator decide both tests at every vector.  On failure the first
+    element that fails either."""
     for a in range(len(rep.diagonals)):
         for s in range(rep.m):
             x = FiniteVector.basis(rep.m, s)
@@ -405,100 +416,22 @@ def antichain(atoms):
     return AlgebraTable(("0",) + tuple(f"a{i}" for i in range(atoms)), 0, sums)
 
 
-@st.composite
-def signed_reps(draw):
-    """Random signed diagonals, each entry over its own denominator, with
-    random signed norms over their common denominator, or the operator
-    norms, or those less 1 over it."""
-    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 4))
-    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
-    rep = diagonal_rep(*(draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(n)))
-    kind = draw(st.sampled_from(["random", "operator", "below"]))
-    if kind == "random":
-        bound = 8 * rep.den
-        norms = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
-    else:
-        norms = [norm - (kind == "below") for norm in operator_norm(rep)]
-    return rep, norms
-
-
-class TestVerifyBounded:
-    def agree(self, rep, norms):
-        expected = basis_bounded(rep, norms)
-        assert verify_bounded(rep, norms) == expected
-        return expected
+class TestBoundedByConstruction:
+    """A built representation is positive and bounded by operator_norm:
+    the build rejects negative values, so each norm is the largest entry."""
 
     def test_antichain_representations(self):
         for atoms in (16, 24):
             for search in (order_determining_set, separating_set):
                 rep = search_rep(antichain(atoms), search)
                 assert rep.m >= 1
-                assert self.agree(rep, operator_norm(rep)) == (True, None)
+                assert basis_bounded(rep, operator_norm(rep)) == (True, None)
 
-    def test_corpus_representations(self, valid_corpus):
-        for table in valid_corpus.values():
+    def test_corpus_representations(self):
+        for _, gea, _ in CHECKED_TABLES:
             for search in (order_determining_set, separating_set):
-                rep = search_rep(table, search)
-                assert self.agree(rep, operator_norm(rep)) == (True, None)
-
-    def test_zero_slots(self, singleton):
-        rep = search_rep(singleton)
-        assert rep.m == 0
-        assert self.agree(rep, operator_norm(rep)) == (True, None)
-        # With no slot there is no vector to fail, whatever the norms.
-        rep = DiagonalRep(((),) * 3, 5)
-        assert self.agree(rep, [-5, 0, 2]) == (True, None)
-
-    def test_entries_above_two_to_the_64(self):
-        big = 2 ** 64
-        rep = diagonal_rep((0, 0, 0), (big + 3, 1, big), (2 * big + 6, 2, 2 * big),
-                           (Fraction(big, 3), Fraction(1, 3), 5))
-        norms = operator_norm(rep)
-        assert rep.den == 3 and norms[2] == 3 * (2 * big + 6)
-        assert self.agree(rep, norms) == (True, None)
-        assert self.agree(rep, norms[:2] + [norms[2] - 1] + norms[3:]) == (False, 2)
-
-    @pytest.mark.parametrize("norms", [[0, 1], [], [0, 1, 5, 5]])
-    def test_one_norm_per_diagonal(self, norms):
-        # A norm list of another length is an input error: through a
-        # truncating zip, [0, 1] left the diagonal (5,) unchecked and passed.
-        rep = DiagonalRep(((0,), (1,), (5,)))
-        with pytest.raises(InputError, match="^a representation needs one norm per diagonal$"):
-            verify_bounded(rep, norms)
-        assert verify_bounded(rep, [0, 1, 4]) == (False, 2)
-
-    def test_fractional_entries(self):
-        rep = diagonal_rep((0, 0, 0), ("1/3", "2/7", "0"), ("2/3", "4/7", "5/11"),
-                           ("1", "6/7", "5/11"))
-        assert self.agree(rep, operator_norm(rep)) == (True, None)
-
-    def test_negative_entry_fails(self):
-        # |-1/3| is below the norm 1/2, so only the positivity test fails.
-        rep = diagonal_rep((0, 0), ("1/3", "2/7"), ("-1/3", "1/2"))
-        assert self.agree(rep, operator_norm(rep)) == (False, 2)
-
-    def test_negative_entry_in_the_last_element_fails(self):
-        # Every earlier element passes; the last fails on its sign alone.
-        rep = diagonal_rep((0, 0, 0), ("1/3", "2/7", "1/5"), ("1/2", "1/7", "0"),
-                           ("1/5", "1/2", "-1/3"))
-        assert self.agree(rep, operator_norm(rep)) == (False, 3)
-
-    def test_norm_below_largest_entry_fails(self):
-        rep = diagonal_rep((0, 0), ("1/3", "2/7"))  # over 21
-        assert self.agree(rep, [0, 6]) == (False, 1)
-        assert self.agree(rep, [0, 7]) == (True, None)
-        assert self.agree(rep, [0, 8]) == (True, None)
-
-    def test_negative_norm_bounds_by_its_absolute_value(self):
-        # ||phi(a) x|| <= norm ||x|| is read as squares, so only |norm| counts.
-        rep = diagonal_rep((0, 0), ("1/3", "2/7"))  # over 21
-        assert self.agree(rep, [0, -7]) == (True, None)
-        assert self.agree(rep, [0, -6]) == (False, 1)
-
-    @settings(max_examples=300, deadline=None)
-    @given(signed_reps())
-    def test_signed_diagonals_and_norms(self, case):
-        self.agree(*case)
+                rep = build_representation(gea, search(gea).states)
+                assert basis_bounded(rep, operator_norm(rep)) == (True, None)
 
 
 class TestRoundTrip:
