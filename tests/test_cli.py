@@ -12,6 +12,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,26 @@ class TestRepresent:
         assert code == 3
         assert "representation" not in report
         assert "obstructing" in report["verdict"]
+
+    @pytest.mark.parametrize("goal", ["order", "separate"])
+    def test_reported_bounds_are_the_largest_operator_entries(self, capsys, goal):
+        # Every entry is nonnegative, so the bound of phi(a) is its largest.
+        built = 0
+        for name in corpus.VALID:
+            code, report = run_json(capsys, "represent", cpath(name), "--goal", goal)
+            if code == 3:
+                continue
+            assert code == 0, name
+            built += 1
+            rep = report["representation"]
+            bounds = rep["verification"]["bounds"]
+            assert rep["verification"]["sampled_ok"] is True
+            assert bounds.keys() == rep["operators"].keys()
+            for label, entries in rep["operators"].items():
+                entries = [Fraction(e) for e in entries]
+                assert min(entries, default=0) >= 0, (name, label)
+                assert Fraction(bounds[label]) == max(entries, default=0), (name, label)
+        assert built == len(corpus.VALID) - 1
 
     def test_out_writes_identical_payload(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"

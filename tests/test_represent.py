@@ -416,6 +416,16 @@ def antichain(atoms):
     return AlgebraTable(("0",) + tuple(f"a{i}" for i in range(atoms)), 0, sums)
 
 
+@st.composite
+def nonnegative_states(draw):
+    """A checked table and up to four states of nonnegative rational values,
+    each over its own denominator, additive or not."""
+    table, gea, _ = draw(st.sampled_from(CHECKED_TABLES))
+    entry = st.builds(Fraction, st.integers(0, 6), st.integers(1, 6))
+    rows = st.lists(entry, min_size=table.n, max_size=table.n)
+    return gea, [state_of(draw(rows)) for _ in range(draw(st.integers(0, 4)))]
+
+
 class TestBoundedByConstruction:
     """A built representation is positive and bounded by operator_norm:
     the build rejects negative values, so each norm is the largest entry."""
@@ -432,6 +442,57 @@ class TestBoundedByConstruction:
             for search in (order_determining_set, separating_set):
                 rep = build_representation(gea, search(gea).states)
                 assert basis_bounded(rep, operator_norm(rep)) == (True, None)
+
+    def test_zero_slots(self, chain_c3):
+        # No state: every operator is the empty diagonal, with norm 0.
+        rep = build_representation(require_gea(chain_c3), [])
+        assert rep.m == 0 and operator_norm(rep) == [0, 0, 0]
+        assert basis_bounded(rep, operator_norm(rep)) == (True, None)
+
+    def test_fractional_entries(self, diamond):
+        # The build need not be additive; over the lcm 231 each norm is
+        # still the largest entry.
+        rep = state_rep(diamond, ("0", "1/3", "2/7", "5/11"), ("0", "2/3", "4/7", "0"))
+        assert rep.den == 231
+        assert fraction_norms(rep) == [0, Fraction(2, 3), Fraction(4, 7), Fraction(5, 11)]
+        assert basis_bounded(rep, operator_norm(rep)) == (True, None)
+
+    @pytest.mark.parametrize("rows", [
+        [(0, 1, 1, -2)],
+        [(-1, 0, 0, 0)],
+        [(0, 1, 0, 1), (0, 0, "-1/7", 1)],
+        [(0, "1/2", "1/3", 1), (0, 1, 1, 2), (0, 1, 0, -1)],
+        [(0, "1/6", "1/10", "-1/15")],
+    ], ids=["last-element", "zero", "later-state", "last-of-three", "over-lcm-30"])
+    def test_a_negative_value_anywhere_is_rejected(self, diamond, rows):
+        with pytest.raises(InputError,
+                           match="^each state needs one nonnegative value per element$"):
+            state_rep(diamond, *rows)
+        # Its sign alone was at fault: with |value| the states build, bounded.
+        rep = state_rep(diamond, *([abs(Fraction(v)) for v in row] for row in rows))
+        assert basis_bounded(rep, operator_norm(rep)) == (True, None)
+
+    def test_operator_norm_is_the_least_bound(self):
+        # One unit over rep.den less than a nonzero norm fails at its element.
+        for _, gea, states in CHECKED_TABLES:
+            rep = build_representation(gea, states)
+            norms = operator_norm(rep)
+            for a, norm in enumerate(norms):
+                if norm:
+                    lowered = norms[:a] + [norm - 1] + norms[a + 1:]
+                    assert basis_bounded(rep, lowered) == (False, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(nonnegative_states())
+    def test_any_nonnegative_states(self, case):
+        gea, states = case
+        rep = build_representation(gea, states)
+        assert [list(column) for column in zip(*fraction_operators(rep))] == \
+            [list(fraction_values(s)) for s in states]
+        assert all(min(d, default=0) >= 0 for d in rep.diagonals)
+        norms = operator_norm(rep)
+        assert norms == [max(d, default=0) for d in rep.diagonals]
+        assert basis_bounded(rep, norms) == (True, None)
 
 
 class TestRoundTrip:
