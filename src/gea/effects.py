@@ -4,9 +4,9 @@ Positivity and the partial effect sum are decided spectrally, from the
 eigenvalues of the Hermitian matrix as LAPACK computes them through
 ``numpy.linalg.eigh``; each eigenvalue appears once, in ascending order.
 One routine, ``_spectra``, computes the spectra of a stack of matrices in one
-call: ``spectral_flags`` hands it one matrix, ``gdh_sum`` its two operands,
-and ``table_from_effects``, the one place E(H)'s partial sum is decided,
-every label, then every pair sum.  Each caller first checks with
+call: ``spectral_flags`` and ``vector_witness`` hand it one matrix, and
+``table_from_effects``, the one place E(H)'s partial sum is decided, every
+label, then every pair sum.  Each caller first checks with
 ``_require_hermitian`` that they are Hermitian; ``vector_witness`` checks A and
 B, and not B - A, whose defect can be the sum of theirs.  Matrix entries must
 be finite, so an overflowing sum or difference is rejected as input out of
@@ -106,18 +106,6 @@ def spectral_flags(a: EffectMatrix) -> tuple[bool, bool, float]:
     defect = _require_hermitian(a.mat)
     positive, below_identity = _bounds(_spectra(a.mat)[0])
     return bool(positive), bool(positive and below_identity), defect
-
-
-def gdh_sum(a: EffectMatrix, b: EffectMatrix) -> EffectMatrix:
-    """Total sum in the algebra of positive operators."""
-    _require_same_dim(a, b)
-    operands = np.stack([a.mat, b.mat])
-    _require_hermitian(operands)
-    if not _bounds(_spectra(operands)[0])[0].all():
-        raise InputError("gdh_sum needs two positive operators")
-    with np.errstate(over="ignore"):  # an infinite entry is rejected below
-        total = a.mat + b.mat
-    return EffectMatrix(total)
 
 
 def vector_witness(a: EffectMatrix, b: EffectMatrix,

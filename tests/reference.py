@@ -25,8 +25,8 @@ label, `reference_table_from_effects`, for `effects.table_from_effects`, with
 its checked spectrum of one matrix by `eigvalsh`, `reference_eigenvalues`,
 for `effects.spectral_flags`; the argparse parser the command line was read with,
 `reference_parser`, for `cli.parse`; and fixtures: `write_table` and `write_matrix` write
-the files the loaders read, `down_set_table` builds a down-set of N^m and
-`glued` glues two tables at zero,
+the files the loaders read, `down_set_table` builds a down-set of N^m,
+`product` the direct product of tables and `glued` glues two tables at zero,
 `random_positive_matrix` and `random_vector` draw seeded complex data,
 `state_of` makes the state with given rational values, `triples` turns a
 {(i, j): k} dict into the triples AlgebraTable takes,
@@ -734,6 +734,23 @@ def glued(left: AlgebraTable, right: AlgebraTable) -> AlgebraTable:
     place = [0] + list(range(n, n + right.n - 1))
     sums = [*left.triples(), *((place[i], place[j], place[k]) for i, j, k in right.triples())]
     return AlgebraTable(left.elements + right.elements[1:], 0, sums)
+
+
+def product(*parts: AlgebraTable) -> AlgebraTable:
+    """The direct product of tables whose zero is index 0: tuples of
+    elements, summed coordinatewise where every coordinate's sum is
+    defined."""
+    points = list(itertools.product(*(range(t.n) for t in parts)))
+    index = {p: i for i, p in enumerate(points)}
+    part_sums = [t.sums for t in parts]  # each read of sums builds the dict
+    sums = []
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            k = tuple(s.get(pair) for s, pair in zip(part_sums, zip(x, y)))
+            if None not in k:
+                sums.append((i, j, index[k]))
+    labels = tuple(".".join(t.elements[c] for t, c in zip(parts, p)) for p in points)
+    return AlgebraTable(labels, 0, sums)
 
 
 def reference_parser() -> argparse.ArgumentParser:

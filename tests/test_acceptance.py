@@ -14,8 +14,8 @@ import pytest
 
 from gea import corpus
 from gea.algebra import check_ea_axioms, check_gea_axioms, classify_morphism, require_gea
-from gea.effects import (EffectMatrix, demo_excd, gdh_sum, generalized_vector_state,
-                         spectral_flags, vector_witness)
+from gea.effects import (EffectMatrix, demo_excd, generalized_vector_state, spectral_flags,
+                         vector_witness)
 from gea.generate import random_population
 from gea.lp import lp_feasible
 from gea.represent import (build_representation, operator_norm, verify_injective,
@@ -178,7 +178,7 @@ def test_criterion_7_operator_model_consistency():
                 if not gap > 1e-9:
                     ok = False
             x = random_vector(rng, dim)
-            lhs = generalized_vector_state(x, gdh_sum(a, b))
+            lhs = generalized_vector_state(x, EffectMatrix(a.mat + b.mat))
             rhs = generalized_vector_state(x, a) + generalized_vector_state(x, b)
             if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs), abs(rhs)):
                 ok = False

@@ -9,7 +9,7 @@ import pytest
 
 from gea import cli, corpus, effects
 from gea.algebra import check_gea_axioms
-from gea.effects import (PSD_TOL, EffectMatrix, demo_excd, gdh_sum, generalized_vector_state,
+from gea.effects import (PSD_TOL, EffectMatrix, demo_excd, generalized_vector_state,
                          projector_demo_matrices, spectral_flags, table_from_effects,
                          vector_witness)
 from gea.errors import InputError
@@ -223,48 +223,13 @@ class TestPositivity:
 
 
 class TestGdhSum:
-    def test_zero_is_neutral(self):
-        rng = random.Random(41)
-        a = random_positive_matrix(rng, 3)
-        zero = EffectMatrix(np.zeros((3, 3)))
-        assert np.allclose(gdh_sum(a, zero).mat, a.mat)
-
-    def test_projector_sum(self):
-        mats = projector_demo_matrices()
-        assert np.allclose(gdh_sum(mats["pi1"], mats["pi2"]).mat, np.eye(2))
-
-    def test_overflowing_sum_rejected(self):
-        huge = diag(1e308, 1e308)
-        with pytest.raises(InputError, match="finite"):
-            gdh_sum(huge, huge)
-
-    @pytest.mark.parametrize("swap", [False, True])
-    def test_non_positive_operand_rejected(self, swap):
-        # Either operand of the one stacked spectrum decides the verdict.
-        operands = (diag(1.0, 0.0), diag(1.0, -0.5))
-        with pytest.raises(InputError, match="^gdh_sum needs two positive operators$"):
-            gdh_sum(*(operands[::-1] if swap else operands))
-
-    @pytest.mark.parametrize("swap", [False, True])
-    def test_non_hermitian_operand_rejected(self, swap):
-        operands = (diag(1.0, 0.0), EffectMatrix(np.array([[1.0, 1.0], [0.0, 1.0]])))
-        with pytest.raises(InputError, match=r"^matrix is not Hermitian \(defect 1\.000e\+00\)$"):
-            gdh_sum(*(operands[::-1] if swap else operands))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InputError, match="^dimension mismatch: A is 2 x 2, B is 3 x 3$"):
-            gdh_sum(diag(1.0, 0.0), diag(1.0, 0.0, 0.0))
-
-    def test_diagonal_sum(self):
-        total = gdh_sum(diag(2.0, 0.0), diag(0.0, 3.0))
-        assert np.allclose(total.mat, np.diag([2.0, 3.0]))
+    """G_D(H)'s sum of positive operators is operator addition."""
 
     def test_sum_of_positives_is_positive(self):
         rng = random.Random(43)
         for _ in range(20):
-            total = gdh_sum(random_positive_matrix(rng, 3),
-                            random_positive_matrix(rng, 3))
-            assert spectral_flags(total)[0]
+            a, b = random_positive_matrix(rng, 3), random_positive_matrix(rng, 3)
+            assert spectral_flags(EffectMatrix(a.mat + b.mat))[0]
 
 
 class TestVectorWitness:
@@ -351,7 +316,7 @@ class TestVectorWitness:
             a = random_positive_matrix(rng, 3)
             b = random_positive_matrix(rng, 3)
             x = random_vector(rng, 3)
-            lhs = generalized_vector_state(x, gdh_sum(a, b))
+            lhs = generalized_vector_state(x, EffectMatrix(a.mat + b.mat))
             rhs = generalized_vector_state(x, a) + generalized_vector_state(x, b)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
@@ -427,14 +392,14 @@ class TestSpectrumCount:
         # 16 ordered pairs; pi1 + pi2 is read off the table they made.
         assert eigh_calls == [4, 16]
 
-    def test_effects_check_takes_one_spectrum(self, eigh_calls, capsys):
-        assert cli.main(["effects", "check", str(corpus.path("mat_a")), "--json"]) == 0
+    @pytest.mark.parametrize("command, names", [("check", ["mat_a"]),
+                                                ("witness", ["mat_a", "mat_b"])],
+                             ids=["check", "witness"])
+    def test_effects_command_takes_one_spectrum(self, eigh_calls, capsys, command, names):
+        # witness takes the spectrum of B - A alone; A and B are only checked Hermitian.
+        paths = [str(corpus.path(name)) for name in names]
+        assert cli.main(["effects", command, *paths, "--json"]) == 0
         assert eigh_calls == [1]
-
-    def test_gdh_sum_decides_both_operands_in_one_call(self, eigh_calls):
-        mats = projector_demo_matrices()
-        gdh_sum(mats["pi1"], mats["pi2"])
-        assert eigh_calls == [2]
 
     def test_table_from_effects_rejects_a_non_effect_operand(self):
         mats = projector_demo_matrices()
@@ -580,6 +545,8 @@ class TestTableMatchesReference:
         mats = projector_demo_matrices()
         mats["id3"] = EffectMatrix(np.eye(3))
         self.assert_same_error(["0", "pi1", "id3", "id"], mats)
+        with pytest.raises(InputError, match="^dimension mismatch: A is 2 x 2, B is 3 x 3$"):
+            table_from_effects(["0", "pi1", "id3", "id"], mats)
 
     def test_labels_without_zero(self):
         self.assert_same_error(["pi1", "pi2"], projector_demo_matrices())

@@ -19,7 +19,7 @@ from gea.represent import build_representation, operator_norm
 from gea.states import (GeneralizedState, additivity_program, assign_witnesses,
                         order_determining_set, separating_set)
 from reference import (assert_witness_set, atom_pair_program, atom_state, checked_proofs,
-                       down_set_table, glued, leq, pair_programs, pairs_not_leq,
+                       down_set_table, glued, leq, pair_programs, pairs_not_leq, product,
                        fraction_values, reference_assign_witnesses, reference_kahn,
                        reference_pair_programs, reference_search, state_of, write_table,
                        x0_phase_one)
@@ -286,22 +286,6 @@ class TestNormalizeAndBounds:
 def grid(side, dims):
     """The product of dims chains C_side: the down-set {0, ..., side - 1}^dims."""
     return down_set_table(list(itertools.product(range(side), repeat=dims)))
-
-
-def product(*parts: AlgebraTable) -> AlgebraTable:
-    """The direct product of tables whose zero is index 0: tuples of
-    elements, summed coordinatewise where every coordinate's sum is
-    defined."""
-    points = list(itertools.product(*(range(t.n) for t in parts)))
-    index = {p: i for i, p in enumerate(points)}
-    sums = []
-    for i, x in enumerate(points):
-        for j, y in enumerate(points):
-            k = tuple(t.sums.get(pair) for t, pair in zip(parts, zip(x, y)))
-            if None not in k:
-                sums.append((i, j, index[k]))
-    labels = tuple(".".join(t.elements[c] for t, c in zip(parts, p)) for p in points)
-    return AlgebraTable(labels, 0, sums)
 
 
 NS = corpus.load("no_states")
@@ -745,3 +729,33 @@ class TestStatePreorder:
                    if program.below[a] >> b & 1}
         ordered = {(a, b) for a in range(table.n) for b in range(table.n) if leq(gea.above, a, b)}
         assert settled == ordered | set(witnesses.failures)
+
+
+class TestCompositionLaws:
+    """Products and glues of random tables against their parts.  E × F has
+    an order-determining (separating) set of states iff E and F both do:
+    x ↦ (x, 0) makes E a sub-GEA, on which a state restricts, and the states
+    of the parts composed with the projections cover the product's pairs.
+    On the glue, each part's states extend by zero.  The greedy slot count
+    is not bounded by the parts' counts, so no test reads it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(2, 9), st.integers(2, 9))
+    def test_searches_compose(self, seed, n, m):
+        rng = random.Random(seed)
+        left, right = random_gea(rng, n), random_gea(rng, m)
+        # Both name their nonzero elements e1, e2, ...; the glue needs
+        # distinct labels.
+        right = AlgebraTable(("0", *(f"f{k}" for k in range(1, m))), 0, right.triples())
+        for search in (order_determining_set, separating_set):
+            parts = [search(require_gea(table)) for table in (left, right)]
+            solved = not (parts[0].failures or parts[1].failures)
+            for name, composite in (("product", product(left, right)),
+                                    ("glue", glued(left, right))):
+                gea = require_gea(composite)
+                witnesses = search(gea)
+                assert_witness_set(gea, witnesses)
+                assert (not witnesses.failures) == solved, (search.__name__, name)
+                if name == "product":  # (a, 0) has index a * m
+                    lifted = {(a * m, b * m) for a, b in parts[0].failures}
+                    assert lifted <= set(witnesses.failures)
