@@ -239,11 +239,13 @@ class TestVectorWitness:
         assert abs(generalized_vector_state(witness, diag(2.0, 0.0)) - 2.0) < 1e-9
         assert abs(generalized_vector_state(witness, diag(1.0, 5.0)) - 1.0) < 1e-9
 
-    def test_overflowing_difference_rejected(self):
-        # At entries near the float maximum B - A overflows; a NaN spectrum
-        # must not pass for a witness.
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_overflowing_difference_rejected(self, swap):
+        # At entries near the float maximum B - A overflows, to -inf or to
+        # +inf; a NaN spectrum must not pass for a witness.
+        operands = (diag(1e308, 0.0), diag(-1e308, 0.0))
         with pytest.raises(InputError, match="finite"):
-            vector_witness(diag(1e308, 0.0), diag(-1e308, 0.0))
+            vector_witness(*(operands[::-1] if swap else operands))
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_non_hermitian_input_rejected(self, swap):
@@ -510,17 +512,28 @@ class TestTableMatchesReference:
         table = self.assert_same_table(list(mats), mats, unit="id")
         assert table.sums == {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 1): 2, (2, 0): 2}
 
-    def test_non_hermitian_label(self):
+    @pytest.mark.parametrize("labels", [["0", "pi1", "skew", "id"], ["0", "skew", "pi1", "id"]],
+                             ids=["after-pi1", "before-pi1"])
+    @pytest.mark.parametrize("skew, defect", [([[0.5, 0.1], [0.0, 0.5]], "1.000e-01"),
+                                              ([[1.0, 1.0], [0.0, 1.0]], "1.000e+00")],
+                             ids=["small", "unit"])
+    def test_non_hermitian_label(self, labels, skew, defect):
+        # Wherever it sits in the stack, the label is refused with its defect.
         mats = projector_demo_matrices()
-        mats["skew"] = EffectMatrix(np.array([[0.5, 0.1], [0.0, 0.5]]))
-        self.assert_same_error(["0", "pi1", "skew", "id"], mats)
+        mats["skew"] = EffectMatrix(np.array(skew))
+        self.assert_same_error(labels, mats)
+        message = f"matrix is not Hermitian (defect {defect})"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            table_from_effects(labels, mats)
 
+    @pytest.mark.parametrize("labels", [["0", "pi1", "bad"], ["0", "bad", "pi1"]],
+                             ids=["after-pi1", "before-pi1"])
     @pytest.mark.parametrize("entries", [(2.0, 0.0), (-0.5, 0.0)])
-    def test_non_effect_operand(self, entries):
-        # Above the identity, or not positive.
+    def test_non_effect_operand(self, entries, labels):
+        # Above the identity, or not positive, wherever it sits in the stack.
         mats = projector_demo_matrices()
         mats["bad"] = diag(*entries)
-        self.assert_same_error(["0", "pi1", "bad"], mats)
+        self.assert_same_error(labels, mats)
 
     def test_sum_defects_add_past_the_tolerance(self):
         # Each label is Hermitian within HERMITIAN_TOL; a + a (1.6e-9) is the
@@ -541,12 +554,28 @@ class TestTableMatchesReference:
         with pytest.raises(InputError, match="^matrix spectrum overflows double precision$"):
             table_from_effects(["0", "pi1", "huge"], mats)
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("labels, message", [
+        (["0", "pi1", "id3", "id"], "A is 2 x 2, B is 3 x 3"),
+        (["0", "pi1", "id", "id3"], "A is 2 x 2, B is 3 x 3"),
+        (["id3", "0", "pi1"], "A is 3 x 3, B is 2 x 2"),
+    ], ids=["inside", "last", "first"])
+    def test_dimension_mismatch(self, labels, message):
+        # The first label is A; the first label of another dimension is B.
         mats = projector_demo_matrices()
         mats["id3"] = EffectMatrix(np.eye(3))
-        self.assert_same_error(["0", "pi1", "id3", "id"], mats)
-        with pytest.raises(InputError, match="^dimension mismatch: A is 2 x 2, B is 3 x 3$"):
-            table_from_effects(["0", "pi1", "id3", "id"], mats)
+        self.assert_same_error(labels, mats)
+        with pytest.raises(InputError, match=f"^dimension mismatch: {message}$"):
+            table_from_effects(labels, mats)
+
+    @pytest.mark.parametrize("fragment", [projector_demo_matrices, lambda: diagonal_projectors(3),
+                                          rank_one_fragment], ids=["demo", "c3", "rank-one"])
+    def test_zero_is_neutral(self, fragment):
+        # The null operator adds to every label, on either side, and gives it back.
+        mats = fragment()
+        labels = list(mats)
+        table = self.assert_same_table(labels, mats)
+        for i in range(len(labels)):
+            assert table.sums[(table.zero, i)] == i and table.sums[(i, table.zero)] == i
 
     def test_labels_without_zero(self):
         self.assert_same_error(["pi1", "pi2"], projector_demo_matrices())
