@@ -31,17 +31,19 @@ Every row carries its weights on the original rows: row i enters with a
 weight of 1 at key n + 1 + i, past the rhs, and each step above acts on
 every key, so each reduced and tableau row is an exact int combination y of
 the original rows, with y at its keys past n.  That makes every "no" a
-checked proof.  A row that reduces to 0 = c with c != 0 is y with yᵀA = 0
-and yᵀb = c; a phase-one row with a negative rhs and no negative entry is a
-Farkas certificate, yᵀA >= 0 at every column and yᵀb < 0 (Schrijver,
-Theory of Linear and Integer Programming, 1986, ch. 7).  Before "no" is
-returned as None, y is rechecked in ints against the rows, just as a
-feasible point is rechecked against every row.  The reduced echelon form
-is also the start basis of phase one, with each pivot variable basic, and
-phase one is the dual simplex with zero cost under Bland's least-index rule
-(Lemke, Naval Research Logistics Quarterly 1, 1954; Bland, Mathematics of
-Operations Research 2(2), 1977); see `lp_feasible`.  A basic point that is
-already nonnegative takes no pivot.
+checked proof, in one form: a Farkas certificate, yᵀA >= 0 at every column
+and yᵀb < 0, which reads "nonnegative terms = a negative number"
+(Schrijver, Theory of Linear and Integer Programming, 1986, ch. 7).  A row
+that reduces to 0 = c with c != 0 is stored with its rhs made negative, so
+it is one, with yᵀA = 0; the phase-one row with a negative rhs and no
+negative entry is another.  Before "no" is returned as None, y is rechecked
+in ints against the rows, just as a feasible point is rechecked against
+every row.  The reduced echelon form is also the start basis of phase one,
+with each pivot variable basic, and phase one is the dual simplex with zero
+cost under Bland's least-index rule (Lemke, Naval Research Logistics
+Quarterly 1, 1954; Bland, Mathematics of Operations Research 2(2), 1977);
+see `lp_feasible`.  A basic point that is already nonnegative takes no
+pivot.
 
 The tests check this solver against a brute-force basic-solution enumerator
 and a Fraction copy of the same algorithm, both in tests/.
@@ -65,15 +67,16 @@ class LinearProgram:
 
     rows holds the rows in the order given, each as its nonzero
     (column, coefficient) pairs in increasing column order and its rhs; the
-    rechecks of a point or a certificate read those pairs.  The reduced rows
+    rechecks of a point or of row weights read those pairs.  The reduced rows
     stand for the rows that are independent of the rows before them, a
     maximal independent subset.  Each is a {column: coefficient} dict of its
     nonzero entries, with its rhs at column n_vars and its weight on row i
     at column n_vars + 1 + i, and a primitive positive multiple of the
     rational reduced row: positive at its pivot column (in pivots) and 0 at
-    every other pivot column.  A row
-    that reduces to 0 = c with c != 0 stops the elimination: conflict holds
-    its index, and `certificate` reads its weights.
+    every other pivot column.  A row that reduces to 0 = c with c != 0
+    stops the elimination: conflict holds it in the same form, primitive,
+    with c < 0 at column n_vars and no variable column; until then it is
+    None.
 
     Reduced rows are replaced, never changed in place, so `extended` can share
     them with the program it starts from.
@@ -84,8 +87,7 @@ class LinearProgram:
         self.rows: tuple[Row, ...] = ()
         self.pivots: list[int] = []
         self.reduced: list[dict[int, int]] = []
-        self.conflict: Optional[int] = None
-        self._conflict_row: dict[int, int] = {}  # the row that reduced to 0 = c
+        self.conflict: Optional[dict[int, int]] = None
         self._enter(rows)
 
     def __repr__(self) -> str:
@@ -97,7 +99,6 @@ class LinearProgram:
         out.rows = self.rows
         out.pivots = self.pivots[:]
         out.reduced, out.conflict = self.reduced[:], self.conflict
-        out._conflict_row = self._conflict_row
         out._enter(rows)
         return out
 
@@ -115,11 +116,14 @@ class LinearProgram:
             if p in v:
                 v = _reduce(v, p, row)
         col = min(v)  # v holds its own weight, past the rhs
-        if col >= self.n_vars:  # no variable is left, only the rhs if any
-            if col == self.n_vars:
-                self.conflict, self._conflict_row = index, v
-            return  # otherwise a combination of the independent rows before it
-        self.reduced.append(_primitive(v if v[col] > 0 else {j: -x for j, x in v.items()}))
+        if col > self.n_vars:  # a combination of the independent rows before it
+            return
+        # Positive at a pivot column; negative at the rhs of 0 = c.
+        v = _primitive(v if (v[col] > 0) == (col < self.n_vars) else {j: -x for j, x in v.items()})
+        if col == self.n_vars:
+            self.conflict = v
+            return
+        self.reduced.append(v)
         _eliminate(self.reduced, len(self.reduced) - 1, col)
         self.pivots.append(col)
 
@@ -133,20 +137,8 @@ class LinearProgram:
 
     def refuted_by(self, y: dict[int, int]) -> bool:
         """True iff the row combination y (row index -> weight) reads
-        0 = c with c != 0, which proves the equalities have no solution."""
-        total, b = self._combination(y)
-        return not any(total.values()) and b != 0
-
-    def _bounds_refuted_by(self, y: dict[int, int]) -> bool:
-        """True iff the row combination y reads "nonnegative terms = a
-        negative number", yᵀA >= 0 at every column and yᵀb < 0, which
-        proves no solution has x >= 0 (Farkas)."""
-        total, b = self._combination(y)
-        return min(total.values(), default=0) >= 0 and b < 0
-
-    def _combination(self, y: dict[int, int]) -> tuple[dict[int, int], int]:
-        """yᵀA as {column: value} over the columns of the weighted rows, and
-        yᵀb."""
+        "nonnegative terms = a negative number", yᵀA >= 0 at every column
+        and yᵀb < 0, which proves no x >= 0 holds the rows (Farkas)."""
         total: dict[int, int] = {}
         b = 0
         for i, w in y.items():
@@ -154,15 +146,7 @@ class LinearProgram:
             for j, c in pairs:
                 total[j] = total.get(j, 0) + w * c
             b += w * rhs
-        return total, b
-
-    def certificate(self) -> dict[int, int]:
-        """Int weights y on the rows (index -> weight) with yᵀA = 0 and
-        yᵀb != 0, for the row in conflict: the weights of the row it
-        reduced to, primitive and negative on the conflicting row."""
-        y = _weights(self._conflict_row, self.n_vars)
-        scale = gcd(*y.values()) * (1 if y.get(self.conflict, 0) < 0 else -1)
-        return {i: w // scale for i, w in y.items()}
+        return min(total.values(), default=0) >= 0 and b < 0
 
 
 def _entries(row: Row, n_vars: int) -> dict[int, int]:
@@ -231,22 +215,16 @@ def _eliminate(rows: list[dict[int, int]], r: int, col: int) -> None:
 def lp_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
     """Return an exact feasible point of {rows hold, x >= 0}, or None.
 
-    An inconsistent program returns None after its certificate is
-    rechecked.  Otherwise phase one is Lemke's dual simplex (1954) with zero
-    cost, from the program's echelon basis: while some row has a negative
-    rhs, the one whose basic variable is least leaves, and the least column
-    where it is negative enters; a row with no negative entry reads
-    "nonnegative terms = a negative number", and None is returned after its
-    weights are rechecked as that Farkas certificate.  With a
-    zero objective every basis is dual feasible and every dual ratio is 0,
-    so these two least-index choices are Bland's rule (1977) on the dual,
-    and no basis repeats: the loop is finite.
+    Phase one is Lemke's dual simplex (1954) with zero cost, from the
+    program's echelon basis: while some row has a negative rhs, the one
+    whose basic variable is least leaves, and the least column where it is
+    negative enters.  With a zero objective every basis is dual feasible
+    and every dual ratio is 0, so these two least-index choices are Bland's
+    rule (1977) on the dual, and no basis repeats: the loop is finite.
+    None is returned for one row with a negative rhs and no negative entry,
+    the program's conflict or else the leaving row that has no entering
+    column, after its weights are rechecked as a Farkas certificate.
     """
-    if program.conflict is not None:
-        if not program.refuted_by(program.certificate()):
-            raise AssertionError("inconsistency certificate does not refute the program")
-        return None
-
     # Tableau rows: the reduced rows, with the rhs at column n, each positive
     # in its basic (pivot) column.  The leaving row is negated into a new
     # dict, so it is positive at the entering column and the reduced rows,
@@ -254,7 +232,8 @@ def lp_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
     n = program.n_vars
     basis = program.pivots[:]
     tableau = program.reduced[:]
-    while True:
+    refuting = program.conflict
+    while refuting is None:
         leaving = min((i for i, row in enumerate(tableau) if row.get(n, 0) < 0),
                       key=basis.__getitem__, default=None)
         if leaving is None:
@@ -262,11 +241,14 @@ def lp_feasible(program: LinearProgram) -> Optional[list[Fraction]]:
         row = tableau[leaving]
         entering = min((j for j, v in row.items() if v < 0 and j < n), default=None)
         if entering is None:
-            if not program._bounds_refuted_by(_weights(row, n)):
-                raise AssertionError("Farkas certificate does not refute the sign bounds")
-            return None
-        tableau[leaving] = {j: -v for j, v in row.items()}
-        _pivot(tableau, basis, leaving, entering)
+            refuting = row
+        else:
+            tableau[leaving] = {j: -v for j, v in row.items()}
+            _pivot(tableau, basis, leaving, entering)
+    if refuting is not None:
+        if not program.refuted_by(_weights(refuting, n)):
+            raise AssertionError("row weights do not refute the program")
+        return None
 
     # The basic point over one denominator: x_var = b / d for each basic row.
     basic = [(var, row) for row, var in zip(tableau, basis) if n in row]

@@ -26,7 +26,8 @@ each pair LP extends it by one row.  C is empty on chains, cubes, antichains
 and down-sets of N^m; there the cone is the orthant v >= 0 and a pair runs
 no LP: its state is vec(x)[j] / d_j for j the least positive column of
 d = vec(a) - vec(b), the vertex the LP would return, and with no such j the
-pair row is its own Farkas certificate.  The LP rechecks its point only
+pair row is its own Farkas certificate, the one form of proof that
+lp_feasible rechecks for each None it returns.  The LP rechecks its point only
 against its rows, so after its walk a search checks all its states on every
 defined sum in one packed pass.  A search starts from no states: each slot
 holds a state that its pair's program gave, and the search returns one
@@ -176,10 +177,11 @@ class _AtomProgram(LinearProgram):
         column; if d is positive there the basis is feasible at once, and if
         d is negative there the row leaves and Bland's entering column is
         the least positive one.  Either way the basic point is e_j / d_j.
-        With no positive entry the pair row itself, d <= 0 against rhs 1, is
-        the Farkas certificate, and the sign test that found no positive
-        entry is its check.  d = 0 is the conflict 0 = 1, which settles both
-        orders of the pair."""
+        With no positive entry the pair row itself, d <= 0 against rhs 1,
+        with weight -1, is the Farkas certificate, and the sign test that
+        found no positive entry is its check.  d = 0 is the conflict 0 = 1,
+        whose certificate has yᵀA = 0 as well, so it settles both orders of
+        the pair."""
         for j, d_j in row:
             if d_j > 0:
                 return GeneralizedState(tuple(v[j] for v in self.vecs), d_j)
@@ -191,8 +193,11 @@ class _AtomProgram(LinearProgram):
     def _lp(self, lo: int, hi: int, row: tuple[tuple[int, int], ...]
             ) -> Optional[GeneralizedState]:
         """The pair program's point from lp_feasible, over the atoms and
-        then along the defining rows.  A pair row that reduces to 0 = c
-        proves s(lo) = s(hi), so it settles both orders of the pair."""
+        then along the defining rows.  With no point, lp_feasible has
+        rechecked a Farkas row, yᵀA >= 0 and yᵀb < 0, which settles the
+        pair.  A pair row that reduces to 0 = c is one with yᵀA = 0, the
+        program's conflict: it proves s(lo) = s(hi), so it settles both
+        orders of the pair."""
         program = self.extended([(row, 1)])
         v = lp_feasible(program)
         if v is None:

@@ -10,8 +10,11 @@ representation's diagonals and a state's values as Fractions,
 representation's slots, `reference_extract_states`, for criterion 2; a
 brute-force LP oracle with the witness LPs of a table to run it on, for
 `lp_feasible` and criterion 6, `satisfies` to recheck a Fraction point,
-`reference_refutes` to recheck the weights that prove an LP has no
-solution, with `checked_proofs` to run it on every None of `lp_feasible`,
+`reference_refutes` to recheck the Farkas weights that prove an LP has no
+solution, from the combination `reference_combination` forms, with
+`checked_proofs` to run it on every None of `lp_feasible`, `refutations`
+to record what `refuted_by` reads and `conflict_weights` to read the
+weights of a program's conflict row,
 `x0_phase_one`, the auxiliary-variable phase one whose points the witness
 searches' LPs keep, and a converter each way between rows of one
 coefficient per variable and a LinearProgram's sparse rows; the LP over
@@ -49,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from gea import states
+from gea import lp, states
 from gea.algebra import (AlgebraTable, AxiomReport, MorphismReport, MorphismSpec, Violation,
                          induced_order, is_sub_gea, require_gea)
 from gea.cli import (cmd_check, cmd_effects_check, cmd_effects_demo, cmd_effects_witness,
@@ -366,11 +369,9 @@ def satisfies(program: LinearProgram, x) -> bool:
     return program.satisfied_by([v.numerator * (den // v.denominator) for v in x], den)
 
 
-def reference_refutes(program: LinearProgram, y: dict[int, int], farkas: bool) -> bool:
-    """Whether the row weights y (row index -> weight) prove that program
-    has no solution, over its dense rows in Fractions: as a Farkas
-    certificate, yᵀA >= 0 at every column and yᵀb < 0, or else exactly,
-    yᵀA = 0 and yᵀb != 0."""
+def reference_combination(program: LinearProgram, y: dict[int, int]):
+    """yᵀA, one Fraction per column, and yᵀb, for the row weights y (row
+    index -> weight), over program's dense rows."""
     n = program.n_vars
     combo = [Fraction(0)] * (n + 1)
     for i, w in y.items():
@@ -378,33 +379,52 @@ def reference_refutes(program: LinearProgram, y: dict[int, int], farkas: bool) -
         for j, c in enumerate(dense(dict(pairs), n)[:-1] + [rhs]):
             combo[j] += w * c
     *coeffs, b = combo
-    if farkas:
-        return all(c >= 0 for c in coeffs) and b < 0
-    return not any(coeffs) and b != 0
+    return coeffs, b
+
+
+def conflict_weights(program: LinearProgram) -> dict[int, int]:
+    """The weights on program's rows (row index -> weight) of the row that
+    reduced to 0 = c, program.conflict."""
+    return lp._weights(program.conflict, program.n_vars)
+
+
+def reference_refutes(program: LinearProgram, y: dict[int, int]) -> bool:
+    """Whether the row weights y (row index -> weight) prove that program
+    has no solution, over its dense rows in Fractions, as a Farkas
+    certificate: yᵀA >= 0 at every column and yᵀb < 0."""
+    coeffs, b = reference_combination(program, y)
+    return all(c >= 0 for c in coeffs) and b < 0
+
+
+def refutations(monkeypatch) -> list:
+    """The (program, y) of every refuted_by call made while it is live."""
+    read: list[tuple[LinearProgram, dict[int, int]]] = []
+    real = LinearProgram.refuted_by
+    monkeypatch.setattr(LinearProgram, "refuted_by",
+                        lambda self, y: read.append((self, y)) or real(self, y))
+    return read
 
 
 def checked_proofs(monkeypatch):
     """lp_feasible, bound in gea.states as well, with every None it returns
-    checked by reference_refutes against the weights that its own recheck
-    read: Farkas for a failure on the sign bounds, exact for a conflict.
-    Returns that lp_feasible and a Counter of the proofs it checked, under
-    "farkas" and "exact"."""
-    read: list[tuple[LinearProgram, bool, dict[int, int]]] = []
-    for name, farkas in (("refuted_by", False), ("_bounds_refuted_by", True)):
-        real = getattr(LinearProgram, name)
-        monkeypatch.setattr(LinearProgram, name, lambda self, y, real=real, farkas=farkas:
-                            read.append((self, farkas, y)) or real(self, y))
+    checked by reference_refutes against the weights that its own recheck,
+    refuted_by, read.  Returns that lp_feasible and a Counter of the proofs
+    it checked: "exact" where yᵀA = 0, which is exactly where the program
+    has a conflict, and "farkas" for the rest."""
+    read = refutations(monkeypatch)
     proofs: Counter[str] = Counter()
 
     def checked(program: LinearProgram) -> Optional[list[Fraction]]:
         read.clear()
         x = lp_feasible(program)
         if x is None:
-            ((recheck_of, farkas, y),) = read
-            assert recheck_of is program and farkas == (program.conflict is None)
+            ((recheck_of, y),) = read
+            assert recheck_of is program
             assert all(type(w) is int for w in y.values())
-            assert reference_refutes(program, y, farkas), (program, y)
-            proofs["farkas" if farkas else "exact"] += 1
+            assert reference_refutes(program, y), (program, y)
+            exact = not any(reference_combination(program, y)[0])
+            assert exact == (program.conflict is not None), (program, y)
+            proofs["exact" if exact else "farkas"] += 1
         else:
             assert not read
         return x

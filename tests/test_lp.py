@@ -19,8 +19,9 @@ from gea.errors import InputError
 from gea.generate import random_gea
 from gea.lp import LinearProgram, lp_feasible
 from gea.states import additivity_program
-from reference import (atom_pair_program, basic_solution_feasible, checked_proofs, dense,
-                       pair_programs, reference_pair_programs, satisfies, sparse)
+from reference import (atom_pair_program, basic_solution_feasible, checked_proofs,
+                       conflict_weights, dense, pair_programs, reference_combination,
+                       reference_pair_programs, refutations, satisfies, sparse)
 
 
 def build_program(n_vars, rows):
@@ -116,6 +117,15 @@ class ReferenceEchelon:
         self.combos.append(combo)
 
 
+def farkas_ints(program, combo):
+    """The reference's conflict combination, weight 1 on the conflicting row
+    and reading 0 = c, as the weights of program.conflict: times the lcm of
+    its denominators, which makes it primitive, and negated where c > 0."""
+    scale = lcm(*(w.denominator for w in combo.values()))
+    sign = -1 if reference_combination(program, combo)[1] > 0 else 1
+    return {i: int(sign * w * scale) for i, w in combo.items()}
+
+
 def _ref_pivot(tableau, basis, row, col):
     pivot = tableau[row][col]
     tableau[row] = [v / pivot for v in tableau[row]]
@@ -136,7 +146,7 @@ def reference_lp_feasible(program, factored=None) -> Optional[list]:
         factored = ReferenceEchelon(n)
     echelon = factored.extended(program.rows[len(factored.source):])
     if echelon.conflict is not None:
-        assert program.refuted_by(echelon.conflict)
+        assert program.refuted_by(farkas_ints(program, echelon.conflict))
         return None
     # Each echelon row is 1 at its pivot, with its rhs last.
     basis = echelon.pivots[:]
@@ -285,7 +295,7 @@ def test_presolve_matches_oracle_on_redundant_rows(case):
     if inconsistent:
         assert program.conflict is not None
     if program.conflict is not None:
-        assert program.refuted_by(program.certificate())
+        assert program.refuted_by(conflict_weights(program))
     else:
         assert program.pivots == ReferenceEchelon.of(program.rows, program.n_vars).pivots
 
@@ -294,27 +304,43 @@ def test_inconsistent_pair_row_settled_by_elimination():
     # a + a = c and b + b = c force s(a) = s(b); s(a) - s(b) = 1 contradicts it.
     program = LinearProgram(3, sparse([((2, 0, -1), 0), ((0, 2, -1), 0), ((1, -1, 0), 1)]))
     assert program.pivots == [0, 1]
-    assert program.conflict == 2
-    assert program.certificate() == {0: 1, 1: -1, 2: -2}
+    # Row 0 less row 1 less twice row 2 reads 0 = -2: the conflict row is
+    # primitive, with its rhs at column 3 and its weights past it.
+    assert program.conflict == {3: -2, 4: 1, 5: -1, 6: -2}
+    assert conflict_weights(program) == {0: 1, 1: -1, 2: -2}
     assert lp_feasible(program) is None
 
 
-def test_refuted_by_checks_the_combination():
+def test_refuted_by_checks_the_signs():
+    # x0 + 2 x1 = -1 reads nonnegative terms = -1; x0 - x1 = -1 does not,
+    # and twice the first row less the second is x0 + 5 x1 = -1.
+    program = LinearProgram(2, sparse([((1, 2), -1), ((1, -1), -1)]))
+    assert program.refuted_by({0: 1})
+    assert not program.refuted_by({1: 1})
+    assert program.refuted_by({0: 2, 1: -1})
+    assert not program.refuted_by({0: -1})  # 1 on the right
+    assert not program.refuted_by({})  # 0 on the right
+    # A combination with no variable left, of Fraction weights as well:
+    # twice the first row less the second reads 0 = -1, and the other
+    # combinations read 0 = 1, 1 = x0 + x1 and -4 = -2 x0 - 2 x1.
     program = build_program(2, [((1, 1), 1), ((2, 2), 3)])
     assert program.refuted_by({0: Fraction(2), 1: Fraction(-1)})
+    assert not program.refuted_by({0: -2, 1: 1})
     assert not program.refuted_by({0: Fraction(1)})
     assert not program.refuted_by({0: Fraction(2), 1: Fraction(-2)})
 
 
-def test_bounds_refuted_by_checks_the_signs():
-    # x0 + 2 x1 = -1 reads nonnegative terms = -1; x0 - x1 = -1 does not,
-    # and twice the first row less the second is x0 + 5 x1 = -1.
-    program = LinearProgram(2, sparse([((1, 2), -1), ((1, -1), -1)]))
-    assert program._bounds_refuted_by({0: 1})
-    assert not program._bounds_refuted_by({1: 1})
-    assert program._bounds_refuted_by({0: 2, 1: -1})
-    assert not program._bounds_refuted_by({0: -1})  # 1 on the right
-    assert not program._bounds_refuted_by({})  # 0 on the right
+@pytest.mark.parametrize("rhs, y", [((1, 2), {0: 1, 1: -1}), ((2, 1), {0: -1, 1: 1})],
+                         ids=["c-positive", "c-negative"])
+def test_a_conflict_of_either_sign_is_one_farkas_row(rhs, y, monkeypatch):
+    # x = 1 then x = 2 reduces the second row to 0 = 1, which is stored
+    # negated, as 0 = -1; x = 2 then x = 1 reduces it to 0 = -1 itself.
+    read = refutations(monkeypatch)
+    program = LinearProgram(1, [(((0, 1),), b) for b in rhs])
+    assert lp_feasible(program) is None
+    assert read == [(program, y)]
+    coeffs, b = reference_combination(program, y)
+    assert coeffs == [0] and b < 0
 
 
 def test_satisfied_by_rechecks_every_row():
@@ -322,7 +348,7 @@ def test_satisfied_by_rechecks_every_row():
     # x satisfies.  Row 2 comes after the conflict and is never reduced.
     # Points are int numerators over one denominator.
     program = LinearProgram(2, sparse([((1, 0), 1), ((2, 0), 3), ((0, 1), 1)]))
-    assert program.pivots == [0] and program.conflict == 1
+    assert program.pivots == [0] and conflict_weights(program) == {0: 2, 1: -1}
     assert not program.satisfied_by([1, 1], 1)
     base = LinearProgram(2, sparse([((1, 0), 1)]))
     extended = base.extended(sparse([((0, 0), 0), ((0, 3), 2)]))
@@ -356,8 +382,10 @@ def test_satisfied_by_matches_fraction_evaluation(data, n_vars, den):
 
 
 def test_wrong_inconsistency_claim_is_caught():
+    # A forged conflict row claims that row 0 alone reads 0 = -1; row 0 is
+    # x0 = 1, consistent and kept.
     program = LinearProgram(2, sparse([((1, 0), 1), ((0, 1), 1)]))
-    program.conflict = 0  # row 0 is consistent and kept
+    program.conflict = {2: -1, 3: 1}
     with pytest.raises(AssertionError):
         lp_feasible(program)
 
@@ -372,7 +400,6 @@ if not sys.flags.optimize:
     sys.exit("assert statements are not stripped")
 LinearProgram.satisfied_by = lambda self, nums, den: False
 LinearProgram.refuted_by = lambda self, y: False
-LinearProgram._bounds_refuted_by = lambda self, y: False
 for rows in (((((0, 1),), 1),), ((((0, 1),), 1), (((0, 1),), 2)), ((((0, 1),), -1),)):
     try:
         result = lp_feasible(LinearProgram(1, rows))
@@ -462,7 +489,6 @@ def _assert_every_split_matches(program):
     program as it was."""
     n, rows = program.n_vars, program.rows
     x = lp_feasible(program)
-    certificate = program.certificate() if program.conflict is not None else None
     for k in range(len(rows) + 1):
         prefix = LinearProgram(n, rows[:k])
         before = (prefix.pivots[:], [dense(row, n) for row in prefix.reduced])
@@ -472,8 +498,6 @@ def _assert_every_split_matches(program):
         assert split.pivots == program.pivots
         assert split.reduced == program.reduced and split.conflict == program.conflict
         assert lp_feasible(split) == x
-        if certificate is not None:
-            assert split.certificate() == certificate
 
 
 @settings(max_examples=150, deadline=None)
@@ -483,7 +507,8 @@ def test_integer_solver_takes_the_reference_pivot_path(program):
     assert program.pivots == reference.pivots
     assert (program.conflict is None) == (reference.conflict is None)
     if program.conflict is not None:
-        assert program.refuted_by(program.certificate())
+        assert conflict_weights(program) == farkas_ints(program, reference.conflict)
+        assert program.refuted_by(conflict_weights(program))
     for reduced, ref_row in zip(program.reduced, reference.rows, strict=True):
         assert_reduced_row(reduced, ref_row, program.n_vars)
     x = lp_feasible(program)
@@ -548,9 +573,7 @@ def test_integer_solver_takes_the_reference_pivot_path_on_sparse_programs(pivots
         assert x == reference_lp_feasible(program), rows
         assert pivots == path, rows
         if program.conflict is not None:
-            combo = reference.conflict
-            scale = lcm(*(w.denominator for w in combo.values()))
-            assert program.certificate() == {i: int(-w * scale) for i, w in combo.items()}
+            assert conflict_weights(program) == farkas_ints(program, reference.conflict)
             conflicts += 1
         pivoted += len(pivots) > 1
         _assert_every_split_matches(program)
@@ -617,9 +640,8 @@ def test_scaled_rows_carry_their_scale_into_the_certificate():
     assert program.pivots == [0]
     (reduced,) = program.reduced
     assert_reduced_row(reduced, [1, 0], 1)
-    assert program.conflict == 2
-    assert program.certificate() == {0: 2, 2: -1}
-    assert program.refuted_by(program.certificate())
+    assert program.conflict == {1: -1, 2: 2, 4: -1}
+    assert program.refuted_by(conflict_weights(program))
     assert lp_feasible(program) is None
 
 
@@ -642,8 +664,10 @@ def test_int_and_fraction_rows_share_one_pivot_path():
     ints, fractions = LinearProgram(4, sparse(conflict)), build_program(4, two_thirds(conflict))
     for row, scaled in zip(ints.reduced, fractions.reduced, strict=True):
         assert_reduced_row(row, dense(scaled, 4), 4)
-    assert ints.conflict == fractions.conflict == 3
-    assert ints.certificate() == fractions.certificate()
+    # The fraction rows are twice the int rows: the conflict's rhs doubles,
+    # and its weights, twice row 0 less row 3, stay.
+    assert conflict_weights(ints) == conflict_weights(fractions) == {0: 2, 3: -1}
+    assert (ints.conflict[4], fractions.conflict[4]) == (-1, -2)
 
 
 def test_conflicting_corpus_pairs_get_int_certificates(valid_corpus):
@@ -652,19 +676,18 @@ def test_conflicting_corpus_pairs_get_int_certificates(valid_corpus):
         for program in corpus_pair_programs(table):
             if program.conflict is None:
                 continue
-            y = program.certificate()
+            y = conflict_weights(program)
             assert all(type(w) is int for w in y.values()), name
             assert program.refuted_by(y), name
             conflicts += 1
             if name == "no_states" and program.n_vars == 2:
                 # Over the atoms a and b, row 0 is C's 2a - 2b = 0 and row 1
                 # the pair row a - b = +-1: y is -+(2a - 2b = 0) - 2 (row 1).
-                assert program.conflict == 1 and abs(y[0]) == 1 and y[1] == -2
+                assert set(y) == {0, 1} and abs(y[0]) == 1 and y[1] == -2
             elif name == "no_states":
                 # Rows 0 and 1 are a + a = c and b + b = c; row 2 is the
                 # pair row s(a) - s(b) = +-1 or its reverse.
-                assert program.conflict == 2
-                assert y[0] == -y[1] != 0 and y[2] != 0 and len(y) == 3
+                assert set(y) == {0, 1, 2} and y[0] == -y[1] != 0 and y[2] < 0
     assert conflicts >= 4
 
 
@@ -680,9 +703,9 @@ def test_factored_conflict_with_fraction_rows_gets_a_certificate():
     assert program.rows[2] == sparse([((42, -49, 40), 84)])[0]
     factored = LinearProgram(3, program.rows[:2])
     extended = factored.extended(program.rows[2:])
-    assert factored.conflict is None and extended.conflict == 2
-    y = extended.certificate()
-    assert y == {0: 21, 1: -8, 2: -1}
+    # 21 times the first less 8 times the second less the third reads 0 = -84.
+    assert factored.conflict is None and extended.conflict == {3: -84, 4: 21, 5: -8, 6: -1}
+    y = conflict_weights(extended)
     assert program.refuted_by(y)
     assert lp_feasible(extended) is None
 
@@ -702,13 +725,15 @@ def test_conflicts_of_one_base_match_the_reference_combination():
             program = atom_pair_program(cone, a, b)
             if program.conflict is None:
                 continue
-            y = program.certificate()
+            y = conflict_weights(program)
             assert program.refuted_by(y)
             # The reference's combination has weight 1 on the conflicting
-            # row; y is the same combination times -lcm of its denominators.
+            # row, whose rhs is 1, and C's rows have rhs 0; y is the same
+            # combination times -lcm of its denominators.
             combo = reference.extended(program.rows[-1:]).conflict
             scale = lcm(*(w.denominator for w in combo.values()))
             assert y == {i: int(-w * scale) for i, w in combo.items()}
+            assert y == farkas_ints(program, combo)
             conflicts += 1
     assert conflicts > 50
 

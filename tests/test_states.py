@@ -19,10 +19,10 @@ from gea.represent import build_representation, operator_norm
 from gea.states import (GeneralizedState, additivity_program, assign_witnesses,
                         order_determining_set, separating_set)
 from reference import (assert_witness_set, atom_pair_program, atom_state, checked_proofs,
-                       down_set_table, glued, leq, pair_programs, pairs_not_leq, product,
-                       fraction_values, reference_assign_witnesses, reference_kahn,
-                       reference_pair_programs, reference_search, state_of, write_table,
-                       x0_phase_one)
+                       conflict_weights, down_set_table, glued, leq, pair_programs,
+                       pairs_not_leq, product, fraction_values, reference_assign_witnesses,
+                       reference_kahn, reference_pair_programs, reference_search,
+                       refutations, state_of, write_table, x0_phase_one)
 from test_families import down_set, mo_table
 
 
@@ -314,7 +314,7 @@ class TestAtomProgram:
                                    strict=True):
             assert (lp_feasible(atom) is None) == (lp_feasible(reference) is None), atom
             if atom.conflict is not None:
-                assert atom.refuted_by(atom.certificate())
+                assert atom.refuted_by(conflict_weights(atom))
         for goal, search in (("order", order_determining_set), ("separate", separating_set)):
             witnesses = search(gea)
             assert_witness_set(gea, witnesses)
@@ -382,18 +382,42 @@ def shuffled(table, seed):
 
 
 class TestEveryNoIsProved:
-    """Every pair LP without a solution is proved by row weights that
-    reference_refutes rechecks in Fractions (see checked_proofs): Farkas
-    weights for a failure on the sign bounds, exact ones for a conflict."""
+    """Every pair LP without a solution is proved by Farkas row weights that
+    reference_refutes rechecks in Fractions (see checked_proofs); the
+    weights of a conflict, "exact", also have yᵀA = 0."""
+
+    @staticmethod
+    def programs(valid_corpus):
+        for table in [*valid_corpus.values(), *FAMILIES.values(), PRODUCTS["C3xNS"]]:
+            yield from pair_programs(table)
 
     def test_pair_programs(self, valid_corpus, monkeypatch):
         # Whether a pair LP is infeasible, and whether it is inconsistent,
         # is a fact about the table, so these counts are fixed.
         checked, proofs = checked_proofs(monkeypatch)
-        for table in [*valid_corpus.values(), *FAMILIES.values(), PRODUCTS["C3xNS"]]:
-            for program in pair_programs(table):
-                checked(program)
+        for program in self.programs(valid_corpus):
+            checked(program)
         assert proofs == {"farkas": 326, "exact": 16}
+
+    def test_mutated_proofs_fail(self, valid_corpus, monkeypatch):
+        # The weights y that refuted_by read for each None hold, and two
+        # mutations of them fail: -y, and y without the pair row's weight,
+        # since C's rows have rhs 0 and only the pair row, rhs 1, makes
+        # yᵀb < 0.
+        read = refutations(monkeypatch)
+        refuted = 0
+        for program in self.programs(valid_corpus):
+            read.clear()
+            if lp_feasible(program) is not None:
+                continue
+            ((_, y),) = read
+            *cone, (_, rhs) = program.rows
+            assert rhs == 1 and all(b == 0 for _, b in cone)
+            assert program.refuted_by(y)
+            assert not program.refuted_by({i: -w for i, w in y.items()})
+            assert not program.refuted_by({i: w for i, w in y.items() if i != len(cone)})
+            refuted += 1
+        assert refuted == 326 + 16
 
     def test_searches_fail_on_the_sign_bounds(self, monkeypatch):
         # In this index order C3xNS's order search takes two failing LPs
@@ -695,11 +719,12 @@ class TestStatePreorder:
 
     def test_equal_vectors_give_an_empty_row_in_conflict(self, diamond):
         # vec(a) - vec(a) has no entry, so the pair row reads 0 = 1: the
-        # conflict path proves it with weight -1 on that row alone.
+        # conflict row proves it with weight -1 on that row alone.
         program = additivity_program(require_gea(diamond))
         pair = atom_pair_program(program, 1, 1)
-        assert pair.rows[-1] == ((), 1) and pair.conflict == len(pair.rows) - 1
-        assert pair.certificate() == {pair.conflict: -1}
+        last, n = len(pair.rows) - 1, pair.n_vars
+        assert pair.rows[-1] == ((), 1) and pair.conflict == {n: -1, n + 1 + last: -1}
+        assert conflict_weights(pair) == {last: -1}
 
     @pytest.mark.parametrize("name, order, separate", [
         ("singleton", 0, 0), ("excd", 2, 2), ("excd_ext", 2, 2), ("diamond", 2, 2),
