@@ -27,12 +27,14 @@ and down-sets of N^m; there the cone is the orthant v >= 0 and a pair runs
 no LP: its state is vec(x)[j] / d_j for j the least positive column of
 d = vec(a) - vec(b), the vertex the LP would return, and with no such j the
 pair row is its own Farkas certificate, the one form of proof that
-lp_feasible rechecks for each None it returns.  The LP rechecks its point only
-against its rows, so after its walk a search checks all its states on every
-defined sum in one packed pass.  A search starts from no states: each slot
-holds a state that its pair's program gave, and the search returns one
-immutable record of its goal, its states, the pair that made each slot and
-the pairs that failed.
+lp_feasible rechecks for each None it returns.  A state has one value per
+element by construction, each vec(x)[j] / d_j >= 0 or a sum along the chain
+of the LP's point, rechecked as nonnegative, and zero, neither an atom nor
+in the chain, gets 0.  The LP rechecks its point only against its rows, so
+after its walk a search checks its states on every defined sum in one
+packed pass, which fails only on a fault in the program (AssertionError).
+A search starts from no states and returns one immutable record of its
+goal, its states, the pair that made each slot and the pairs that failed.
 
 The searches take a CheckedGEA, the table, order and atoms that one axiom
 scan produced, so they scan nothing themselves, and the atom program rests on
@@ -54,9 +56,9 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, lcm
 from operator import add
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .algebra import AlgebraTable, CheckedGEA, first_nonadditive
+from .algebra import CheckedGEA, first_nonadditive
 from .errors import ContractError, InputError
 from .lp import LinearProgram, Row, lp_feasible
 
@@ -75,27 +77,12 @@ class GeneralizedState(namedtuple("GeneralizedState", "nums den")):
         common = gcd(den, *nums)
         return super().__new__(cls, tuple(p // common for p in nums), den // common)
 
-    def validate(self, table: AlgebraTable, additive: bool = True) -> None:
-        """Raise InputError unless this is a generalized state on the table:
-        one nonnegative value per element, zero at zero and, unless additive
-        is False, additive on every defined sum."""
-        nums = self.nums
-        if len(nums) != table.n:
-            raise InputError("state length does not match element count")
-        if min(nums) < 0:
-            raise InputError("state values must be nonnegative")
-        if nums[table.zero] != 0:
-            raise InputError("state must vanish at zero")
-        bad = first_nonadditive(table, [nums]) if additive else None
-        if bad is not None:
-            raise InputError(
-                f"state is not additive on {table.elements[bad[0]]}+{table.elements[bad[1]]}")
-
 
 class StateWitnessSet(namedtuple("StateWitnessSet", "goal states provenance failures")):
     """Finite witness set for goal ("order" or "separate"): provenance[slot]
-    is the pair whose LP produced states[slot], and failures lists the pairs
-    no state can witness; the search succeeded iff it is empty."""
+    is the pair whose pair program produced states[slot], and failures
+    lists the pairs no state can witness; the search succeeded iff it is
+    empty."""
 
     __slots__ = ()
 
@@ -234,37 +221,32 @@ def _cover(values: Sequence[int], order: bool) -> list[int]:
     return [mask_of[value] for value in values]
 
 
-def assign_witnesses(table: AlgebraTable, goal: str, want: Sequence[int],
-                     find: Callable[[int, int], Optional[GeneralizedState]]) -> StateWitnessSet:
-    """The witness set of one search for goal ("order" or "separate"): each
-    pair (a, b), b a bit of the mask want[a], is covered by a state of the
-    set, in lexicographic order.  For a pair no state covers, find(a, b) is
-    asked for a new state, whose length, sign and zero are checked; it takes
-    the next slot, with (a, b) at that slot of provenance (it covers (a, b),
-    so it equals no state in the set), or the pair is a failure.  The LP
-    rechecks its states only against the atom program, and an orthant state
-    is not checked at all, so one packed pass at the end checks them on
-    every defined sum: InputError for the first that fails, in slot order,
-    with its own first failing sum."""
+def _search(gea: CheckedGEA, goal: str) -> StateWitnessSet:
+    """The witness set for goal ("order" or "separate"), from no states, by
+    the coverage walk of the module docstring; to separate, a pair a < b
+    with no state for s(a) - s(b) = 1 asks for s(b) - s(a) = 1.
+    AssertionError names the first sum that the packed pass finds broken."""
+    table, program = gea.table, additivity_program(gea)
+    n, order = table.n, goal == "order"
+    todo = gea.not_above() if order else [(1 << n) - (2 << a) for a in range(n)]
     states, provenance, failures = [], [], []  # failures and provenance hold (a, b) pairs
-    order, todo = goal == "order", list(want)
-    try:
-        for a in range(len(todo)):
-            while todo[a]:
-                b = (todo[a] & -todo[a]).bit_length() - 1
-                todo[a] ^= 1 << b
-                state = find(a, b)
-                if state is None:
-                    failures.append((a, b))
-                    continue
-                state.validate(table, additive=False)
-                provenance.append((a, b))
-                states.append(state)
-                todo = [t & ~c for t, c in zip(todo, _cover(state.nums, order))]
-    finally:  # on a shape error too: an earlier slot's error comes first
-        if first_nonadditive(table, [s.nums for s in states]) is not None:
-            for state in states:
-                state.validate(table)
+    for a in range(n):
+        while todo[a]:
+            b = (todo[a] & -todo[a]).bit_length() - 1
+            todo[a] ^= 1 << b
+            state = program.witness(a, b)
+            if state is None and not order:
+                state = program.witness(b, a)
+            if state is None:
+                failures.append((a, b))
+                continue
+            provenance.append((a, b))
+            states.append(state)
+            todo = [t & ~c for t, c in zip(todo, _cover(state.nums, order))]
+    bad = first_nonadditive(table, [s.nums for s in states])
+    if bad is not None:
+        raise AssertionError("witness state is not additive on "
+                             f"{table.elements[bad[0]]}+{table.elements[bad[1]]}")
     return StateWitnessSet(goal, states, provenance, failures)
 
 
@@ -275,16 +257,11 @@ def order_determining_set(gea: CheckedGEA) -> StateWitnessSet:
     the current one, so the result stays small; pairs are scanned in index
     order, which makes the output deterministic.
     """
-    return assign_witnesses(gea.table, "order", gea.not_above(),
-                            additivity_program(gea).witness)
+    return _search(gea, "order")
 
 
 def separating_set(gea: CheckedGEA) -> StateWitnessSet:
     """Per-pair separating witnesses over unordered pairs a < b: a state with
     s(a) - s(b) = 1 or, failing that, s(b) - s(a) = 1.  The first order
     is not solved when a ⊑ b, as whenever a <= b."""
-    system = additivity_program(gea)
-    n = gea.table.n
-    later = [(1 << n) - (2 << a) for a in range(n)]  # the bits b > a, b < n
-    return assign_witnesses(gea.table, "separate", later,
-                            lambda a, b: system.witness(a, b) or system.witness(b, a))
+    return _search(gea, "separate")

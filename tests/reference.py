@@ -21,9 +21,11 @@ coefficient per variable and a LinearProgram's sparse rows; the LP over
 one variable per nonzero element and one additivity row per defined sum,
 with its states and its searches,
 for the atom program of `additivity_program`; the per-pair coverage walk
-`reference_assign_witnesses`, for the masks of `assign_witnesses`, with the
-per-sum walks `reference_validate` and `reference_first_nonadditive` for the
-packed additivity pass of `first_nonadditive`; the per-pair effect table, one `np.allclose` per candidate
+`reference_assign_witnesses`, with `reference_walk` to run it over a goal's
+pairs, for the masks of the witness searches, with the per-sum walks
+`reference_validate`, the generalized-state check, and
+`reference_first_nonadditive` for the packed additivity pass of
+`first_nonadditive`; the per-pair effect table, one `np.allclose` per candidate
 label, `reference_table_from_effects`, for `effects.table_from_effects`, with
 its checked spectrum of one matrix by `eigvalsh`, `reference_eigenvalues`,
 for `effects.spectral_flags`; the argparse parser the command line was read with,
@@ -538,6 +540,14 @@ def reference_search(gea, goal: str):
         x = lp_feasible(cone.extended([reference_pair_row(table, lo, hi)]))
         return None if x is None else reference_state(table, x)
 
+    return reference_walk(gea, goal, find)
+
+
+def reference_walk(gea, goal: str, find) -> StateWitnessSet:
+    """reference_assign_witnesses over the goal's pairs in lexicographic
+    order: each (a, b) with a not <= b for the order goal, find(a, b); each
+    a < b to separate, find(a, b) or, failing that, find(b, a)."""
+    table = gea.table
     if goal == "order":
         return reference_assign_witnesses(table, goal, pairs_not_leq(gea.above), find)
     pairs = ((a, b) for a in range(table.n) for b in range(a + 1, table.n))
@@ -545,8 +555,9 @@ def reference_search(gea, goal: str):
 
 
 def reference_validate(state: GeneralizedState, table: AlgebraTable) -> None:
-    """GeneralizedState.validate as a walk over the defined sums, one state
-    and one sum at a time: the oracle for the packed pass."""
+    """InputError unless the state is a generalized state on the table: one
+    nonnegative value per element, zero at zero, and additive on every
+    defined sum, walked one sum at a time."""
     nums = state.nums
     if len(nums) != table.n:
         raise InputError("state length does not match element count")
@@ -574,8 +585,8 @@ def reference_assign_witnesses(table: AlgebraTable, goal: str, pairs,
     no states: a pair that no state covers, s(a) > s(b) for the order goal
     and s(a) != s(b) to separate, asks find for a state, which is validated
     and takes the next slot, with the pair at that slot of provenance; a
-    pair find cannot witness is a failure.  The oracle for the masks of
-    assign_witnesses, as one record."""
+    pair find cannot witness is a failure.  The oracle for the coverage
+    masks of order_determining_set and separating_set, as one record."""
     covers = operator.gt if goal == "order" else operator.ne
     found, provenance, failures = [], [], []
     for a, b in pairs:

@@ -905,28 +905,20 @@ class TestOneScanPerPipeline:
         capsys.readouterr()
         assert [len(calls) for calls in walks] == [1, 1]
 
-    def test_represent_validates_each_witness_state_once(self, capsys, monkeypatch):
-        # The search checks each state's length, sign and zero as it takes a
-        # new slot, then every state it added in one packed additivity pass,
-        # because its LP rechecked the points only against the atom program;
-        # verify_morphism makes the one other pass, over the built diagonals.
+    def test_represent_makes_one_packed_pass_per_state_set(self, capsys, monkeypatch):
+        # Each witness state is a state's shape by construction, so nothing
+        # checks a state's length, sign or zero; the search checks its states
+        # on every sum in one packed pass, because its LP rechecked the points
+        # only against the atom program, and verify_morphism makes the one
+        # other pass, over the built diagonals.
+        witnesses = states.order_determining_set(algebra.require_gea(corpus.load("cube8")))
         passes = count_calls(monkeypatch, algebra.first_nonadditive)
-        shaped = []
-        validate = states.GeneralizedState.validate
-
-        def counted(state, table, additive=True):
-            shaped.append((state, additive))
-            validate(state, table, additive)
-
-        monkeypatch.setattr(states.GeneralizedState, "validate", counted)
         assert main(["represent", cpath("cube8"), "--goal", "order", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["representation"]["witnesses"] == 3
-        assert len(shaped) == len(set(shaped)) == 3
-        assert not any(additive for _, additive in shaped)
         (_, searched), (_, verified) = passes
-        assert searched == [state.nums for state, _ in shaped]
-        assert len(verified) == 3
+        assert searched == [state.nums for state in witnesses.states]
+        assert len(searched) == len(set(searched)) == len(verified) == 3
 
     def test_morphism_scans_each_table_once(self, capsys, monkeypatch):
         scans = count_calls(monkeypatch, algebra.check_gea_axioms)

@@ -34,7 +34,8 @@ from gea.cli import main
 from gea.represent import (build_representation, verify_injective, verify_morphism,
                            verify_order_reflecting)
 from gea.states import GeneralizedState, order_determining_set, separating_set
-from reference import checked_proofs, down_set_table, glued, leq, write_table
+from reference import (checked_proofs, down_set_table, glued, leq, reference_validate,
+                       write_table)
 
 
 def down_set(rng: random.Random, m: int, n: int) -> list[tuple[int, ...]]:
@@ -100,7 +101,7 @@ def test_mo_k_known_states_determine_the_order(k):
     s1 = GeneralizedState((0, 2 * k + 1, *(v for i in range(k) for v in (i + 1, 2 * k - i))))
     s2 = GeneralizedState((0, 2 * k + 1, *(v for i in range(k) for v in (2 * k - i, i + 1))))
     for state in (s1, s2):
-        state.validate(table)
+        reference_validate(state, table)
     rep = build_representation(gea, [s1, s2])
     assert verify_morphism(rep, table) == (True, None)
     assert verify_injective(rep) == (True, None)

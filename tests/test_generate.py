@@ -11,7 +11,8 @@ from gea.errors import InputError
 from gea.generate import random_gea, random_population
 from gea.states import order_determining_set, separating_set
 from reference import (assert_witness_set, checked_proofs, pairs_not_leq,
-                       reference_additivity_program, reference_pair_row, triples)
+                       reference_additivity_program, reference_pair_row, reference_validate,
+                       triples)
 from test_lp import ReferenceEchelon, reference_lp_feasible
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -175,7 +176,7 @@ class TestLargeTables:
         separate = separating_set(gea)
         for witnesses in (order, separate):
             for state in witnesses.states:
-                state.validate(table)
+                reference_validate(state, table)
             assert_witness_set(gea, witnesses)
         assert order.failures and separate.failures and sum(proofs.values()) >= 1
         for a, b in order.failures:

@@ -16,13 +16,15 @@ from gea.cli import main
 from gea.generate import random_gea, random_population
 from gea.lp import LinearProgram, lp_feasible
 from gea.represent import build_representation, operator_norm
-from gea.states import (GeneralizedState, additivity_program, assign_witnesses,
-                        order_determining_set, separating_set)
+from gea.states import (GeneralizedState, additivity_program, order_determining_set,
+                        separating_set)
 from reference import (assert_witness_set, atom_pair_program, atom_state, checked_proofs,
                        conflict_weights, down_set_table, glued, leq, pair_programs,
-                       pairs_not_leq, product, fraction_values, reference_assign_witnesses,
-                       reference_kahn, reference_pair_programs, reference_search,
-                       refutations, state_of, write_table, x0_phase_one)
+                       pairs_not_leq, product, fraction_values, reference_kahn,
+                       reference_first_nonadditive, reference_pair_programs,
+                       reference_search, reference_validate,
+                       reference_walk, refutations, state_of, witness_pairs, write_table,
+                       x0_phase_one)
 from test_families import down_set, mo_table
 
 
@@ -180,24 +182,24 @@ class TestStateInvariants:
         table = corpus.load("diamond")
         witnesses = order_determining_set(require_gea(table))
         for state in witnesses.states:
-            GeneralizedState(tuple(p * q.numerator for p in state.nums),
-                             state.den * q.denominator).validate(table)
+            reference_validate(GeneralizedState(tuple(p * q.numerator for p in state.nums),
+                                                state.den * q.denominator), table)
 
     def test_negative_scaling_rejected(self, diamond):
         state = order_determining_set(require_gea(diamond)).states[0]
         with pytest.raises(InputError):
-            GeneralizedState(tuple(-p for p in state.nums), state.den).validate(diamond)
+            reference_validate(GeneralizedState(tuple(-p for p in state.nums), state.den), diamond)
 
     def test_validate_rejects_non_additive_values(self, diamond):
         bogus = GeneralizedState((0, 1, 1, 3))
         with pytest.raises(InputError):
-            bogus.validate(diamond)
+            reference_validate(bogus, diamond)
 
     def test_random_population_witnesses_validate(self):
         for table in random_population(23, 30):
             witnesses = order_determining_set(require_gea(table))
             for state in witnesses.states:
-                state.validate(table)
+                reference_validate(state, table)
 
 
 class TestIntegerStates:
@@ -225,22 +227,17 @@ class TestIntegerStates:
             self, valid_corpus, monkeypatch):
         # A search asks for a new state only when no slot covers the pair,
         # so the state it gets, which covers the pair, equals no slot.  Each
-        # call of find records the pair, the state and the slot count before.
+        # call of the atom program's witness records the pair, the state and
+        # the count of states returned before it.
         asked = []
-        real = states.assign_witnesses
+        real = states._AtomProgram.witness
 
-        def recording(table, goal, want, find):
-            found = []  # the states find has returned so far
+        def recording(program, lo, hi):
+            state = real(program, lo, hi)
+            asked.append(((lo, hi), state, sum(s is not None for _, s, _ in asked)))
+            return state
 
-            def traced(a, b):
-                state = find(a, b)
-                asked.append(((a, b), state, len(found)))
-                if state is not None:
-                    found.append(state)
-                return state
-            return real(table, goal, want, traced)
-
-        monkeypatch.setattr(states, "assign_witnesses", recording)
+        monkeypatch.setattr(states._AtomProgram, "witness", recording)
         tables = list(valid_corpus.values()) + [random_gea(random.Random(seed), n)
                                                 for n in (8, 12, 16) for seed in range(3)]
         added = 0
@@ -254,7 +251,9 @@ class TestIntegerStates:
                 assert len(witnesses.states) == len(new)
                 for (a, b), state, slot in new:
                     assert witnesses.states[slot] is state
-                    assert witnesses.provenance[slot] == (a, b)
+                    # to separate, a state for s(b) - s(a) = 1 covers a < b
+                    assert witnesses.provenance[slot] == \
+                        ((a, b) if search is order_determining_set else (min(a, b), max(a, b)))
                     assert covers(state.nums[a], state.nums[b])
                     assert state not in witnesses.states[:slot]
                 added += len(new)
@@ -490,36 +489,15 @@ def antichain(atoms):
     return down_set_table([tuple(int(c == j) for j in range(atoms)) for c in range(-1, atoms)])
 
 
-def goal_inputs(gea, goal):
-    """The masks assign_witnesses takes and the pairs of the per-pair walk,
-    for one goal."""
-    n = gea.table.n
-    if goal == "order":
-        return gea.not_above(), pairs_not_leq(gea.above)
-    return ([(1 << n) - (2 << a) for a in range(n)],
-            [(a, b) for a in range(n) for b in range(a + 1, n)])
-
-
 class TestWalkOracle:
-    """assign_witnesses' coverage masks against reference_assign_witnesses,
-    the per-pair walk: the same states, failures and provenance, in order,
-    under both goals."""
+    """The searches' coverage masks against reference_assign_witnesses, the
+    per-pair walk, on a fresh atom program: the same states, failures and
+    provenance, in order, under both goals."""
 
     def check(self, table):
         gea = require_gea(table)
-        for goal in ("order", "separate"):
-            want, pairs = goal_inputs(gea, goal)
-            runs = []
-            for search, todo in ((assign_witnesses, want), (reference_assign_witnesses, pairs)):
-                program = additivity_program(gea)
-                if goal == "order":
-                    find = program.witness
-                else:
-                    find = lambda a, b, p=program: p.witness(a, b) or p.witness(b, a)  # noqa: E731
-                runs.append(search(table, goal, todo, find))
-            assert runs[0] == runs[1], goal
-            search = order_determining_set if goal == "order" else separating_set
-            assert search(gea) == runs[0]
+        for goal, search in (("order", order_determining_set), ("separate", separating_set)):
+            assert search(gea) == reference_walk(gea, goal, additivity_program(gea).witness), goal
 
     def test_corpus(self, valid_corpus):
         for table in valid_corpus.values():
@@ -542,6 +520,92 @@ class TestWalkOracle:
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_families_glued_to_no_states(self, name):
         self.check(glued(FAMILIES[name], NS))
+
+
+class TestValidByConstruction:
+    """Every state the atom program returns is a generalized state with no
+    check of its own: it has one value per element; an orthant value
+    vec(x)[j] / d_j has vec(x)[j] >= 0 and d_j > 0; an LP state sums, along
+    the chain, a point lp_feasible rechecked as nonnegative; and zero,
+    neither an atom nor in the chain, gets 0."""
+
+    @staticmethod
+    def check(table):
+        program = additivity_program(require_gea(table))
+        for lo, hi in witness_pairs(table):
+            state = program.witness(lo, hi)
+            if state is not None:
+                reference_validate(state, table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(2, 12))
+    def test_random_tables(self, seed, n):
+        self.check(random_gea(random.Random(seed), n))
+
+    def test_corpus_and_products_with_no_states(self, valid_corpus):
+        for table in [*valid_corpus.values(), *PRODUCTS.values()]:
+            self.check(table)
+
+
+def first_sum_of_nonzeros(table):
+    """The first defined i + j = k, in row order, with i and j nonzero."""
+    return next((i, j, row[j]) for i, (row, cols) in enumerate(zip(table.rows, table.cols))
+                if i != table.zero for j in cols if j != table.zero)
+
+
+class TestSearchSelfCheck:
+    """The search's one check of its states, the packed pass over every
+    defined sum, fails only on a fault in the program.  With the first
+    state the atom program returns raised by 1 at k, for the first sum
+    i + j = k of nonzero elements, the searches raise AssertionError
+    naming the first sum that the per-sum walk finds broken, and represent
+    exits 1 with an error report."""
+
+    @staticmethod
+    def damage(table, monkeypatch):
+        """Patch the atom program to raise the first state it returns at k;
+        the list of every state it returns."""
+        _, _, k = first_sum_of_nonzeros(table)
+        real, returned = states._AtomProgram.witness, []
+
+        def damaged(program, lo, hi):
+            state = real(program, lo, hi)
+            if state is not None:
+                if not returned:
+                    nums = list(state.nums)
+                    nums[k] += state.den
+                    state = GeneralizedState(tuple(nums), state.den)
+                returned.append(state)
+            return state
+
+        monkeypatch.setattr(states._AtomProgram, "witness", damaged)
+        return returned
+
+    @staticmethod
+    def message(table, returned):
+        bad = reference_first_nonadditive(table, [state.nums for state in returned])
+        assert bad is not None
+        return f"witness state is not additive on {table.elements[bad[0]]}+{table.elements[bad[1]]}"
+
+    @pytest.mark.parametrize("name", ["diamond", "cube8", "no_states", "C3xNS"])
+    @pytest.mark.parametrize("search", [order_determining_set, separating_set],
+                             ids=["order", "separate"])
+    def test_searches_raise_assertion_error(self, name, search, monkeypatch):
+        table = named_table(name)
+        returned = self.damage(table, monkeypatch)
+        with pytest.raises(AssertionError) as caught:
+            search(require_gea(table))
+        assert str(caught.value) == self.message(table, returned)
+
+    @pytest.mark.parametrize("goal", ["order", "separate"])
+    def test_represent_exits_one_with_a_report(self, goal, capsys, monkeypatch):
+        table = corpus.load("cube8")
+        returned = self.damage(table, monkeypatch)
+        code = main(["represent", str(corpus.path("cube8")), "--goal", goal, "--json"])
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (code, report["exit"], err) == (1, 1, "")
+        assert report["error"] == self.message(table, returned)
 
 
 class TestProgramSizes:
@@ -749,7 +813,8 @@ class TestStatePreorder:
         table = named_table(name)
         gea = require_gea(table)
         program = additivity_program(gea)
-        witnesses = assign_witnesses(table, "order", gea.not_above(), program.witness)
+        witnesses = reference_walk(gea, "order", program.witness)
+        assert witnesses == order_determining_set(gea)
         settled = {(a, b) for a in range(table.n) for b in range(table.n)
                    if program.below[a] >> b & 1}
         ordered = {(a, b) for a in range(table.n) for b in range(table.n) if leq(gea.above, a, b)}
