@@ -398,7 +398,8 @@ class MorphismReport(namedtuple("MorphismReport",
                                  defaults=(None,))):
     """The four verdicts of classify_morphism (bool each) and its failure
     (Optional[tuple[int, ...]]): the first sum that breaks additivity, else
-    the first pair that breaks order reflection, else None."""
+    the first pair that breaks order reflection, else None.  An embedding is
+    an isomorphism onto a sub-GEA: an order-reflecting morphism onto a closed image."""
 
     __slots__ = ()
 
@@ -406,7 +407,10 @@ class MorphismReport(namedtuple("MorphismReport",
 def classify_morphism(spec: MorphismSpec) -> MorphismReport:
     """Classify a total map between two checked tables: additivity on
     defined sums, injectivity, order reflection (f(a) <= f(b) forces a <= b)
-    and embedding (injective morphism whose image is two-out-of-three closed)."""
+    and embedding, an order-reflecting morphism onto a two-out-of-three
+    closed image: an isomorphism onto a sub-GEA.  Antisymmetry makes f
+    injective; if f(a) + t = f(b), closure gives t = f(c), order reflection
+    a + c' = b, then cancellation and injectivity c' = c, so a + c = b."""
     f = spec.map
     src, tgt = spec.source.table, spec.target.table
 
@@ -426,14 +430,5 @@ def classify_morphism(spec: MorphismSpec) -> MorphismReport:
     if failure is None:
         failure = breach
 
-    image = sorted(set(f))
-    closed, _ = is_sub_gea(image, tgt)
-    embedding = is_morphism and injective and closed
-
-    # Embeddings reflect order and order reflection forces injectivity; a
-    # breach here means the classifier itself is inconsistent.
-    if embedding and not order_reflecting:
-        raise AssertionError("embedding that does not reflect order")
-    if order_reflecting and not injective:
-        raise AssertionError("order reflecting but not injective")
+    embedding = is_morphism and order_reflecting and is_sub_gea(sorted(set(f)), tgt)[0]
     return MorphismReport(is_morphism, injective, order_reflecting, embedding, failure)

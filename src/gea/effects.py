@@ -13,8 +13,9 @@ be finite, so an overflowing sum or difference is rejected as input out of
 range instead of yielding a NaN verdict.
 
 The projector demo decides each fact once, in two ``eigh`` calls: it reads
-pi1 + pi2 off the effect table, and whether its vector states determine the
-order off the order check of the representation on them, the same fact.
+pi1 + pi2 off the effect table, its vector states at e1 and e2 through
+``generalized_vector_state``, and whether they determine the order off the
+order check of the representation on them, the same fact.
 """
 
 from __future__ import annotations
@@ -140,14 +141,6 @@ def generalized_vector_state(x: np.ndarray, a: EffectMatrix) -> float:
     return float(np.real(np.vdot(x, a.mat @ x)))
 
 
-def _exact_diag_value(mat: np.ndarray, k: int) -> int:
-    value = float(mat[k, k].real)
-    nearest = round(value)
-    if abs(value - nearest) >= 1e-12:
-        raise AssertionError(f"diagonal entry {value!r} is not an integer")
-    return nearest
-
-
 def projector_demo_matrices() -> dict[str, EffectMatrix]:
     zero = EffectMatrix(np.zeros((2, 2)))
     pi1 = EffectMatrix(np.diag([1.0, 0.0]).astype(complex))
@@ -215,8 +208,8 @@ def demo_excd() -> dict:
 
     basis_states = []
     inner_products: dict[str, dict[str, str]] = {}
-    for k, name in ((0, "e1"), (1, "e2")):
-        values = tuple(_exact_diag_value(mats[lab].mat, k) for lab in table.elements)
+    for name, e in zip(("e1", "e2"), np.eye(2)):  # each <e, A e> is 0 or 1
+        values = tuple(round(generalized_vector_state(e, mats[lab])) for lab in table.elements)
         basis_states.append(GeneralizedState(values))
         inner_products[name] = {lab: str(v) for lab, v in zip(table.elements, values)}
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from gea import lp, states
 from gea.algebra import (AlgebraTable, AxiomReport, MorphismReport, MorphismSpec, Violation,
-                         induced_order, is_sub_gea, require_gea)
+                         induced_order, require_gea)
 from gea.cli import (cmd_check, cmd_effects_check, cmd_effects_demo, cmd_effects_witness,
                      cmd_morphism, cmd_order, cmd_represent, cmd_states)
 from gea.effects import PSD_TOL, EffectMatrix
@@ -223,7 +223,10 @@ def pairs_not_leq(above: tuple[int, ...]) -> list[tuple[int, int]]:
 
 def reference_classify_morphism(spec: MorphismSpec) -> MorphismReport:
     """classify_morphism as a walk over the defined sums through sums.get
-    and a nested loop over all n^2 pairs for order reflection."""
+    and a nested loop over all n^2 pairs for order reflection.  Its
+    embedding is the textbook one, not the program's expression: an
+    injective morphism onto a two-out-of-three closed image whose inverse
+    is additive, f(a) + f(b) defined only when a + b is."""
     f = spec.map
     src, tgt = spec.source.table, spec.target.table
 
@@ -250,8 +253,12 @@ def reference_classify_morphism(spec: MorphismSpec) -> MorphismReport:
         if not order_reflecting:
             break
 
-    closed, _ = is_sub_gea(sorted(set(f)), tgt)
-    embedding = is_morphism and injective and closed
+    image = set(f)
+    closed = tgt.zero in image and all((x in image) + (y in image) + (z in image) != 2
+                                       for (x, y), z in tgt.sums.items())
+    inverse_additive = all((a, b) in src.sums for a in range(src.n) for b in range(src.n)
+                           if (f[a], f[b]) in tgt.sums)
+    embedding = is_morphism and injective and closed and inverse_additive
     return MorphismReport(is_morphism, injective, order_reflecting, embedding, failure)
 
 
@@ -713,6 +720,16 @@ def reference_table_from_effects(labels: list[str], mats: dict[str, EffectMatrix
 def triples(sums: dict) -> list[tuple[int, int, int]]:
     """A {(i, j): k} dict of sums as the (i, j, k) triples AlgebraTable takes."""
     return [(i, j, k) for (i, j), k in sums.items()]
+
+
+def order_breach_tables() -> tuple[AlgebraTable, AlgebraTable, tuple[int, ...]]:
+    """The antichain {0, a, b, c}, the table {0, x, y, z} with x + y = z,
+    and the map a -> x, b -> z, c -> y: an injective morphism onto a closed
+    image, yet f(a) <= f(b) with a not below b, so not an embedding."""
+    zero_sums = [(0, i, i) for i in range(4)] + [(i, 0, i) for i in range(1, 4)]
+    source = AlgebraTable(("0", "a", "b", "c"), 0, zero_sums)
+    target = AlgebraTable(("0", "x", "y", "z"), 0, zero_sums + [(1, 2, 3), (2, 1, 3)])
+    return source, target, (0, 1, 3, 2)
 
 
 def write_table(table: AlgebraTable, path) -> None:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gea import algebra, corpus
@@ -21,8 +21,9 @@ from gea.errors import ContractError, InputError
 from gea.generate import random_gea, random_population
 from gea.represent import DiagonalRep
 from gea.states import GeneralizedState, StateWitnessSet
-from reference import (axiom_witnesses, leq, reference_classify_morphism, reference_ea_axioms,
-                       reference_gea_axioms, reference_induced_order, reference_kahn, triples)
+from reference import (axiom_witnesses, leq, order_breach_tables, reference_classify_morphism,
+                       reference_ea_axioms, reference_gea_axioms, reference_induced_order,
+                       reference_kahn, triples)
 
 
 def table(labels, sums, unit=None):
@@ -614,6 +615,29 @@ def checked_spec(source, target, images):
     return MorphismSpec(require_gea(source), require_gea(target), images)
 
 
+@st.composite
+def injective_specs(draw):
+    """An injective map fixing zero from a random_gea table on m <= 7
+    elements into one on m to 7 elements, or into itself."""
+    m = draw(st.integers(1, 7))
+    source = random_gea(random.Random(draw(st.integers(0, 2**32 - 1))), m)
+    target = source
+    if draw(st.booleans()):
+        n = draw(st.integers(m, 7))
+        target = random_gea(random.Random(draw(st.integers(0, 2**32 - 1))), n)
+    images = draw(st.permutations(range(1, target.n)))[:m - 1]
+    return checked_spec(source, target, (0, *images))
+
+
+def assert_classified_as_reference(spec):
+    """All five fields match the oracle, and embedding => order_reflecting
+    => injective."""
+    report = classify_morphism(spec)
+    assert report == reference_classify_morphism(spec)
+    assert not report.embedding or report.order_reflecting
+    assert not report.order_reflecting or report.injective
+
+
 class TestClassifyMorphism:
     def test_identity_on_diamond(self, diamond):
         report = classify_morphism(checked_spec(diamond, diamond, (0, 1, 2, 3)))
@@ -656,8 +680,16 @@ class TestClassifyMorphism:
         f = data.draw(st.lists(images, min_size=source.n, max_size=source.n))
         if fix_zero:
             f[0] = 0
-        spec = checked_spec(source, target, tuple(f))
-        assert classify_morphism(spec) == reference_classify_morphism(spec)
+        assert_classified_as_reference(checked_spec(source, target, tuple(f)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=injective_specs())
+    @example(spec=checked_spec(*order_breach_tables()))
+    def test_matches_reference_on_injective_maps(self, spec):
+        """The oracle's textbook embedding over injective maps that fix zero,
+        which reach the closure and the order-reflection verdict far more
+        often than arbitrary maps do."""
+        assert_classified_as_reference(spec)
 
     def test_corpus_morphisms_satisfy_implication_chain(self):
         for name in corpus.MORPHISMS:

@@ -25,7 +25,8 @@ from gea import algebra, corpus, fileio, states
 from gea import cli
 from gea.cli import main
 from gea.effects import EffectMatrix
-from reference import down_set_table, reference_parser, write_matrix, write_table
+from reference import (down_set_table, order_breach_tables, reference_parser, write_matrix,
+                       write_table)
 from test_readme import COMMANDS as README_COMMANDS
 
 
@@ -220,6 +221,21 @@ class TestMorphism:
         code, report = run_json(capsys, "morphism", cpath("incl_excd"))
         assert code == 0
         assert not report["morphism"]["embedding"]
+
+    def test_injective_morphism_onto_closed_image_that_breaks_order(self, capsys, tmp_path):
+        # a -> x, b -> z, c -> y is an injective morphism onto all of the
+        # target, but x <= z while a is not below b: a verdict, not a crash.
+        source, target, images = order_breach_tables()
+        write_table(source, tmp_path / "antichain.json")
+        write_table(target, tmp_path / "sum.json")
+        spec = {"source": "antichain.json", "target": "sum.json",
+                "map": {source.elements[a]: target.elements[i] for a, i in enumerate(images)}}
+        (tmp_path / "m.json").write_text(json.dumps(spec), encoding="utf-8")
+        code, report = run_json(capsys, "morphism", str(tmp_path / "m.json"))
+        assert code == 0
+        assert report["morphism"] == {"is_morphism": True, "injective": True,
+                                      "order_reflecting": False, "embedding": False,
+                                      "failure": ["a", "b"]}
 
     @pytest.mark.parametrize("change", [
         {"source": 5},

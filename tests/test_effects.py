@@ -363,8 +363,9 @@ class TestDemo:
         # It gives pi2 the value of 0, though pi2 is not below 0, so the
         # representation on it does not reflect the order, and the demo
         # reports that its states do not determine the order.
-        real = effects._exact_diag_value
-        monkeypatch.setattr(effects, "_exact_diag_value", lambda mat, k: real(mat, 0))
+        real = effects.generalized_vector_state
+        monkeypatch.setattr(effects, "generalized_vector_state",
+                            lambda x, a: real(np.eye(2)[0], a))
         demo = demo_excd()
         assert demo["vector_states"]["e1"] == demo["vector_states"]["e2"]
         assert demo["order_determining_found"] is False

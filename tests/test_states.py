@@ -15,7 +15,7 @@ from gea import lp, states
 from gea.cli import main
 from gea.generate import random_gea, random_population
 from gea.lp import LinearProgram, lp_feasible
-from gea.represent import build_representation, operator_norm
+from gea.represent import build_representation, operator_norm, verify_morphism
 from gea.states import (GeneralizedState, additivity_program, order_determining_set,
                         separating_set)
 from reference import (assert_witness_set, atom_pair_program, atom_state, checked_proofs,
@@ -186,14 +186,24 @@ class TestStateInvariants:
                                                 state.den * q.denominator), table)
 
     def test_negative_scaling_rejected(self, diamond):
-        state = order_determining_set(require_gea(diamond)).states[0]
+        gea = require_gea(diamond)
+        state = order_determining_set(gea).states[0]
+        negated = GeneralizedState(tuple(-p for p in state.nums), state.den)
         with pytest.raises(InputError):
-            reference_validate(GeneralizedState(tuple(-p for p in state.nums), state.den), diamond)
+            reference_validate(negated, diamond)
+        with pytest.raises(InputError, match="nonnegative"):
+            build_representation(gea, [negated])
 
     def test_validate_rejects_non_additive_values(self, diamond):
+        # a + b = 1 in the diamond, but 1 + 1 != 3: the oracle rejects the
+        # state, and the build's self-check names that sum.
         bogus = GeneralizedState((0, 1, 1, 3))
         with pytest.raises(InputError):
             reference_validate(bogus, diamond)
+        rep = build_representation(require_gea(diamond), [bogus])
+        broken = reference_first_nonadditive(diamond, [bogus.nums])
+        assert broken == (1, 2, 3)
+        assert verify_morphism(rep, diamond) == (False, broken)
 
     def test_random_population_witnesses_validate(self):
         for table in random_population(23, 30):
