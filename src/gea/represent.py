@@ -19,10 +19,11 @@ hold by construction: the build rejects a negative value, so each norm is
 the largest entry of its diagonal.
 The order check reads the induced order from the CheckedGEA of the
 pipeline's one axiom scan.  phi(a) <= phi(b) fails exactly when some slot
-has s(b) < s(a), so it rebuilds the witness search's masks from the built
-diagonals, one sort per slot: phi reflects the order iff the slots cover,
-at each a, every b not above a.  The reports write the numerators over D,
-and the Fraction forms of the vector checks live in tests/reference.py.
+has s(b) < s(a), so it clears the order search's masks again from the
+built diagonals, one sort and one walk per slot: phi reflects the order iff
+the slots cover, at each a, every b not above a.  The reports write the
+numerators over D, and the Fraction forms of the vector checks live in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraTable, CheckedGEA, first_nonadditive
 from .errors import InputError
-from .states import GeneralizedState, _cover
+from .states import GeneralizedState, _clear_covered
 
 
 class DiagonalRep(namedtuple("DiagonalRep", "diagonals den")):
@@ -71,7 +72,7 @@ def build_representation(gea: CheckedGEA,
     if any(len(s.nums) != table.n or min(s.nums, default=0) < 0 for s in states):
         raise InputError("each state needs one nonnegative value per element")
     den = lcm(*(s.den for s in states))
-    columns = [[p * (den // s.den) for p in s.nums] for s in states]
+    columns = [s.nums if s.den == den else [p * (den // s.den) for p in s.nums] for s in states]
     diagonals = tuple(zip(*columns)) if columns else ((),) * table.n
     return DiagonalRep(diagonals, den)
 
@@ -118,7 +119,7 @@ def verify_order_reflecting(rep: DiagonalRep,
     _require_shape(rep, gea.table)
     todo = gea.not_above()
     for column in zip(*rep.diagonals):
-        todo = [t & ~c for t, c in zip(todo, _cover(column, True))]
+        _clear_covered(todo, column, True)
     for a, missing in enumerate(todo):
         if missing:
             return False, (a, (missing & -missing).bit_length() - 1)

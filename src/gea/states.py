@@ -40,11 +40,14 @@ The searches take a CheckedGEA, the table, order and atoms that one axiom
 scan produced, so they scan nothing themselves, and the atom program rests on
 the axioms that scan proved.  A state is stored as int numerators over one
 positive denominator, in lowest terms, into which _AtomProgram._lp reads
-the LP's Fraction point.  Coverage is one int bit mask per element: want[a]
-holds the b to cover at a (each b not above a for the order goal, each b > a
-to separate), and a slot covers at a the b with s(b) < s(a), or
-s(b) != s(a), read off one sort of its values.  A program is solved only for
-the lowest bit of want[a] that no slot covers, so pairs reach it in
+the LP's Fraction point.  Coverage is one int bit mask per element: todo[a]
+holds the b still to cover at a (each b not above a for the order goal, each
+b > a to separate), and each new slot clears in place the b with s(b) < s(a),
+or s(b) != s(a).  For the order goal that costs one sort of its values and a
+walk up it that clears only at the elements above the least level; to
+separate, no sort: one pass groups the elements by value, and one over every
+element keeps in todo[a] only a's own level.
+A program is solved only for the lowest bit of todo[a], so pairs reach it in
 lexicographic order.  A pair fails with no solve when the state preorder ⊑
 (s(a) <= s(b) on every state) already holds it: ⊑ starts as the induced
 order, each failed pair adds itself, and ⊑ stays transitively closed
@@ -75,7 +78,9 @@ class GeneralizedState(namedtuple("GeneralizedState", "nums den")):
         if den <= 0:
             raise InputError("state denominator must be positive")
         common = gcd(den, *nums)
-        return super().__new__(cls, tuple(p // common for p in nums), den // common)
+        if common > 1:
+            nums, den = [p // common for p in nums], den // common
+        return super().__new__(cls, tuple(nums), den)
 
 
 class StateWitnessSet(namedtuple("StateWitnessSet", "goal states provenance failures")):
@@ -171,7 +176,7 @@ class _AtomProgram(LinearProgram):
         the pair."""
         for j, d_j in row:
             if d_j > 0:
-                return GeneralizedState(tuple(v[j] for v in self.vecs), d_j)
+                return GeneralizedState([v[j] for v in self.vecs], d_j)
         self._settle(lo, hi)
         if not row:
             self._settle(hi, lo)
@@ -199,7 +204,7 @@ class _AtomProgram(LinearProgram):
             nums[p] = value.numerator * (den // value.denominator)
         for x, p, rest in self.chain:
             nums[x] = nums[p] + nums[rest]
-        return GeneralizedState(tuple(nums), den)
+        return GeneralizedState(nums, den)
 
     def _settle(self, lo: int, hi: int) -> None:
         """Add lo ⊑ hi: every x ⊑ lo gets every y with hi ⊑ y, which keeps ⊑
@@ -208,17 +213,26 @@ class _AtomProgram(LinearProgram):
         self.below = [mask | up if mask & bit else mask for mask in self.below]
 
 
-def _cover(values: Sequence[int], order: bool) -> list[int]:
-    """Per element a, the mask of the b that a state with these values
-    covers at a: s(b) < s(a) for the order goal, s(b) != s(a) to separate."""
-    level: dict[int, int] = {}  # value -> mask of the elements that take it
-    for b, value in enumerate(values):
-        level[value] = level.get(value, 0) | 1 << b
-    full, below, mask_of = (1 << len(values)) - 1, 0, {}
-    for value in sorted(level):
-        mask_of[value] = below if order else full ^ level[value]
-        below |= level[value]
-    return [mask_of[value] for value in values]
+def _clear_covered(todo: list[int], values: Sequence[int], order: bool) -> None:
+    """Clear from each todo[a], in place, the b that a state with these
+    values covers at a.  For the order goal, s(b) < s(a): a walk up one sort
+    of the elements clears every lower level from each todo[a] it passes.
+    To separate, s(b) != s(a): todo[a] keeps only a's own level."""
+    if not order:
+        level: dict[int, int] = {}  # value -> mask of the elements that take it
+        for b, value in enumerate(values):
+            level[value] = level.get(value, 0) | 1 << b
+        for a, value in enumerate(values):
+            todo[a] &= level[value]
+        return
+    last, below, seen = None, 0, 0
+    for a in sorted(range(len(values)), key=values.__getitem__):
+        value = values[a]
+        if value != last:
+            last, below = value, seen
+        if below:
+            todo[a] &= ~below
+        seen |= 1 << a
 
 
 def _search(gea: CheckedGEA, goal: str) -> StateWitnessSet:
@@ -242,7 +256,7 @@ def _search(gea: CheckedGEA, goal: str) -> StateWitnessSet:
                 continue
             provenance.append((a, b))
             states.append(state)
-            todo = [t & ~c for t, c in zip(todo, _cover(state.nums, order))]
+            _clear_covered(todo, state.nums, order)
     bad = first_nonadditive(table, [s.nums for s in states])
     if bad is not None:
         raise AssertionError("witness state is not additive on "

@@ -274,14 +274,15 @@ CHECKED_TABLES = _checked_tables()
 
 @st.composite
 def rational_reps(draw):
-    """A table with random rational diagonals: each slot has its own
-    denominator and is either a scaled witness state (additive) or random
-    entries, some of them negative; then rows may be copied onto others, the
-    zero operator may become nonzero, and the common denominator may carry a
+    """A table with random rational diagonals: each of up to 20 slots has
+    its own denominator and is either a scaled witness state (additive) or
+    random entries, some of them negative, drawn from one to three levels
+    or from nine values; then rows may be copied onto others, the zero
+    operator may become nonzero, and the common denominator may carry a
     spare factor."""
     table, gea, states = draw(st.sampled_from(CHECKED_TABLES))
     n = table.n
-    m = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 20))
     columns = []
     for _ in range(m):
         den = draw(st.integers(1, 6))
@@ -290,7 +291,9 @@ def rational_reps(draw):
             scale = Fraction(draw(st.integers(0, 5)), den)
             columns.append([v * scale for v in fraction_values(state)])
         else:
-            columns.append([Fraction(draw(st.integers(-2, 6)), den) for _ in range(n)])
+            levels = draw(st.sampled_from([range(-2, 7)]) |
+                          st.lists(st.integers(-2, 6), min_size=1, max_size=3, unique=True))
+            columns.append([Fraction(draw(st.sampled_from(levels)), den) for _ in range(n)])
     rows = [[column[a] for column in columns] for a in range(n)]
     for _ in range(draw(st.integers(0, 2))):
         a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))

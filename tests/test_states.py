@@ -270,6 +270,36 @@ class TestIntegerStates:
         assert added > 30
 
 
+@st.composite
+def cover_cases(draw):
+    """Values with ties, drawn from a few levels (negative, or past 2**64),
+    and one random todo mask per element."""
+    levels = draw(st.lists(st.integers(-3, 3) | st.integers(-2**70, 2**70),
+                           min_size=1, max_size=6, unique=True))
+    values = draw(st.lists(st.sampled_from(levels), max_size=12))
+    todo = draw(st.lists(st.integers(0, (1 << len(values)) - 1),
+                         min_size=len(values), max_size=len(values)))
+    return values, todo
+
+
+class TestClearCovered:
+    @settings(max_examples=400, deadline=None)
+    @given(cover_cases(), st.booleans())
+    @example(([5] * 7, [0b1111111] * 7), True)                    # a single level
+    @example(([5] * 7, [0b1111111] * 7), False)
+    @example(([3, -1, 2**65, 0, -2**66], [0b11111] * 5), True)     # all distinct
+    @example(([3, -1, 2**65, 0, -2**66], [0b11111] * 5), False)
+    @example(([], []), True)
+    def test_matches_definition(self, case, order):
+        values, todo = case
+        covers = operator.lt if order else operator.ne
+        covered = [sum(1 << b for b, v in enumerate(values) if covers(v, u)) for u in values]
+        # In place: an entry with nothing to clear keeps its mask.
+        cleared = list(todo)
+        assert states._clear_covered(cleared, tuple(values), order) is None
+        assert cleared == [t & ~c for t, c in zip(todo, covered)]
+
+
 class TestNormalizeAndBounds:
     """The least bound c_a of a witness set, the largest s(a) over its
     states, is the operator norm of phi(a) in the representation it builds."""
