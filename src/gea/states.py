@@ -22,12 +22,21 @@ vec(x) - e_q - vec(y) for each other atom row q + y = x.
 So the state cone is {v >= 0 : C v = 0}, and the pair LP C v = 0,
 (vec(a) - vec(b))·v = 1, v >= 0 is feasible exactly when the LP over every
 element and every defined sum is.  A search builds C once, factored, and
-each pair LP extends it by one row.  C is empty on chains, cubes, antichains
-and down-sets of N^m; there the cone is the orthant v >= 0 and a pair runs
-no LP: its state is vec(x)[j] / d_j for j the least positive column of
-d = vec(a) - vec(b), the vertex the LP would return, and with no such j the
-pair row is its own Farkas certificate, the one form of proof that
-lp_feasible rechecks for each None it returns.  A state has one value per
+each pair LP extends it by one row.  When C is empty the cone is the
+orthant v >= 0, and each pair that ⊑ does not hold has a state, with no LP:
+ * In any table, if vec(y)[p] >= 1 for an atom p, then y = p or y has an
+   atom row p + y' = y.  Along the order: with q + y'' = y the defining row
+   and q != p, vec(y'')[p] >= 1, and y'' = p or y'' = p + z gives
+   y = p + (q + z) by GE2 and GE1, where q + z != 0 by GE4.
+ * With C empty, vec(x) <= vec(y) implies x <= y.  Along the order: with
+   p + x' = x the defining row, y = p + y' (y = p would make x' zero), and
+   C empty gives vec(y') = vec(y) - e_p >= vec(x'), so x' + t = y' and GE2
+   gives x + t = y.
+So vec maps such a table (a chain, a cube, an antichain) onto a down-set
+of N^m, and a pair (a, b) that ⊑ does not hold has a least column j with
+d_j = vec(a)[j] - vec(b)[j] > 0: its state, the LP's vertex, is
+vec(x)[j] / d_j.  Only an LP refutes a pair, with a Farkas row that
+lp_feasible rechecks.  A state has one value per
 element by construction, each vec(x)[j] / d_j >= 0 or a sum along the chain
 of the LP's point, rechecked as nonnegative, and zero, neither an atom nor
 in the chain, gets 0.  The LP rechecks its point only against its rows, so
@@ -138,10 +147,10 @@ class _AtomProgram(LinearProgram):
     s(x); each failed pair adds itself, closing ⊑ transitively, and
     witness solves no program for a pair that ⊑ holds.
 
-    When C is empty, as on chains, cubes, antichains and down-sets of N^m,
-    the state cone is the whole orthant v >= 0, and each pair program is
-    its one pair row: _orthant reads its point off the signs of that row,
-    with no LP (see _orthant for why it is lp_feasible's point)."""
+    When C is empty the state cone is the orthant v >= 0, and vec(x) <=
+    vec(y) exactly when x <= y (module docstring), so ⊑ holds from the start
+    every pair with no state, and _orthant reads each other pair's point off
+    its two vectors, with no LP."""
 
     def __init__(self, atoms: Sequence[int], chain: list[tuple[int, int, int]],
                  vecs: list[tuple[int, ...]], rows: Iterable[Row],
@@ -153,44 +162,34 @@ class _AtomProgram(LinearProgram):
     def witness(self, lo: int, hi: int) -> Optional[GeneralizedState]:
         """A state with s(lo) - s(hi) = 1, or None: the point of the pair
         program C v = 0, (vec(lo) - vec(hi))·v = 1, v >= 0, read by
-        _orthant when C is empty and by _lp otherwise.  Each settles the
-        pair when it has no point."""
+        _orthant when C is empty and by _lp otherwise.  Only _lp can find
+        no point, and it settles the pair."""
         if self.below[lo] >> hi & 1:
             return None
-        row = _difference(self.vecs[lo], self.vecs[hi])
-        return (self._lp if self.rows else self._orthant)(lo, hi, row)
+        return (self._lp if self.rows else self._orthant)(lo, hi)
 
-    def _orthant(self, lo: int, hi: int, row: tuple[tuple[int, int], ...]
-                 ) -> Optional[GeneralizedState]:
-        """The pair program's point when C is empty, with no LP: for d =
-        vec(lo) - vec(hi) and j its least positive column, the state s(x) =
-        vec(x)[j] / d_j, or None when d has no positive entry.  This is
-        lp_feasible's own answer.  Its echelon pivots at d's least nonzero
-        column; if d is positive there the basis is feasible at once, and if
-        d is negative there the row leaves and Bland's entering column is
-        the least positive one.  Either way the basic point is e_j / d_j.
-        With no positive entry the pair row itself, d <= 0 against rhs 1,
-        with weight -1, is the Farkas certificate, and the sign test that
-        found no positive entry is its check.  d = 0 is the conflict 0 = 1,
-        whose certificate has yᵀA = 0 as well, so it settles both orders of
-        the pair."""
-        for j, d_j in row:
-            if d_j > 0:
-                return GeneralizedState([v[j] for v in self.vecs], d_j)
-        self._settle(lo, hi)
-        if not row:
-            self._settle(hi, lo)
-        return None
+    def _orthant(self, lo: int, hi: int) -> GeneralizedState:
+        """The pair program's point when C is empty, with no LP: for j the
+        least column with vec(lo)[j] > vec(hi)[j] and d_j their difference,
+        the state s(x) = vec(x)[j] / d_j.  Such a j exists: with none,
+        vec(lo) <= vec(hi) gives lo <= hi (module docstring), which ⊑ holds
+        from the start.  This is lp_feasible's own answer.  Its echelon
+        pivots at d = vec(lo) - vec(hi)'s least nonzero column; if d is
+        positive there the basis is feasible at once, and if d is negative
+        there the row leaves and Bland's entering column is the least
+        positive one.  Either way the basic point is e_j / d_j."""
+        vecs = self.vecs
+        j, d_j = next((j, x - y) for j, (x, y) in enumerate(zip(vecs[lo], vecs[hi])) if x > y)
+        return GeneralizedState([v[j] for v in vecs], d_j)
 
-    def _lp(self, lo: int, hi: int, row: tuple[tuple[int, int], ...]
-            ) -> Optional[GeneralizedState]:
+    def _lp(self, lo: int, hi: int) -> Optional[GeneralizedState]:
         """The pair program's point from lp_feasible, over the atoms and
         then along the defining rows.  With no point, lp_feasible has
         rechecked a Farkas row, yᵀA >= 0 and yᵀb < 0, which settles the
         pair.  A pair row that reduces to 0 = c is one with yᵀA = 0, the
         program's conflict: it proves s(lo) = s(hi), so it settles both
         orders of the pair."""
-        program = self.extended([(row, 1)])
+        program = self.extended([(_difference(self.vecs[lo], self.vecs[hi]), 1)])
         v = lp_feasible(program)
         if v is None:
             self._settle(lo, hi)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gea import corpus
@@ -712,42 +712,70 @@ def empty_c_tables(valid_corpus):
     return {**chains, **cubes, **antichains, **down_sets, **corpus_empty}
 
 
+def check_down_set_image(table):
+    """A table whose atom program has no row, through vec: vec is
+    injective, vec(x) <= vec(y) iff x <= y, vec's image is a down-set of
+    N^m, x + y is defined iff vec(x) + vec(y) is in the image, and then it
+    is vec(x + y); both searches are ok and run no LP."""
+    gea = require_gea(table)
+    vecs = additivity_program(gea).vecs
+    image = {v: x for x, v in enumerate(vecs)}
+    assert len(image) == table.n
+    sums = {(i, j): k for i, j, k in table.triples()}
+    for x, y in itertools.product(range(table.n), repeat=2):
+        assert all(map(operator.le, vecs[x], vecs[y])) == leq(gea.above, x, y), (x, y)
+        assert sums.get((x, y)) == image.get(tuple(map(operator.add, vecs[x], vecs[y]))), (x, y)
+    for v in image:
+        assert all(v[:j] + (c - 1,) + v[j + 1:] in image for j, c in enumerate(v) if c), v
+
+    def no_lp(program):
+        raise AssertionError("an LP ran on a table with C empty")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(states, "lp_feasible", no_lp)
+        assert order_determining_set(gea).ok and separating_set(gea).ok
+
+
 class TestOrthant:
-    """With C empty, the orthant's sign test against lp_feasible on the
-    pair program, for every ordered pair (a, b) from the same ⊑: the same
-    state or None, the same ⊑ afterwards, and a conflict exactly when
-    vec(a) = vec(b).  The searches on such tables then run no LP."""
+    """With C empty, the orthant's point against lp_feasible on the pair
+    program for every pair (a, b) with a not <= b, and for every a <= b an
+    LP with no point, a conflict exactly when a = b, and ⊑ unchanged: the
+    induced order already holds each pair the LP refutes, so _orthant is
+    never asked one.  Such a table is a down-set of N^m through vec."""
 
     def test_sign_test_is_the_lp_vertex(self, valid_corpus):
-        pairs = conflicts = states_found = 0
-        for name, table in empty_c_tables(valid_corpus).items():
-            program = additivity_program(require_gea(table))
-            assert program.rows == (), name
-            start = program.below
-            for a, b in itertools.product(range(table.n), repeat=2):
-                row = states._difference(program.vecs[a], program.vecs[b])
-                got = program._orthant(a, b, row)
-                got_below, program.below = program.below, start
-                pair = atom_pair_program(program, a, b)
-                x = lp_feasible(pair)
-                want = None if x is None else atom_state(program, x)
-                assert got == want == program._lp(a, b, row), (name, a, b)
-                assert got_below == program.below, (name, a, b)
-                assert (pair.conflict is not None) == (row == ()), (name, a, b)
-                program.below = start
-                pairs += 1
-                conflicts += row == ()
-                states_found += got is not None
-        assert (pairs, conflicts, states_found) == (12622, 728, 9856)
-
-    def test_searches_run_no_lp(self, valid_corpus, monkeypatch):
-        def no_lp(program):
-            raise AssertionError("an LP ran on a table with C empty")
-
-        monkeypatch.setattr(states, "lp_feasible", no_lp)
+        pairs = conflicts = states_found = refuted = 0
         for name, table in empty_c_tables(valid_corpus).items():
             gea = require_gea(table)
-            assert order_determining_set(gea).ok and separating_set(gea).ok, name
+            program = additivity_program(gea)
+            assert program.rows == (), name
+            start = list(program.below)
+            for a, b in itertools.product(range(table.n), repeat=2):
+                pair = atom_pair_program(program, a, b)
+                x = lp_feasible(pair)
+                got = program._lp(a, b)
+                assert program.below == start, (name, a, b)
+                if leq(gea.above, a, b):
+                    assert x is None and got is None, (name, a, b)
+                    refuted += 1
+                else:
+                    assert program._orthant(a, b) == atom_state(program, x) == got, (name, a, b)
+                    states_found += 1
+                assert (pair.conflict is not None) == (a == b), (name, a, b)
+                pairs += 1
+                conflicts += a == b
+        assert (pairs, conflicts, states_found, refuted) == (12622, 728, 9856, 2766)
+
+    def test_empty_c_tables_are_down_sets(self, valid_corpus):
+        for name, table in empty_c_tables(valid_corpus).items():
+            check_down_set_image(table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(2, 12))
+    def test_random_tables_with_empty_c_are_down_sets(self, seed, n):
+        table = random_gea(random.Random(seed), n)
+        assume(not additivity_program(require_gea(table)).rows)
+        check_down_set_image(table)
 
 
 class TestCycleGuard:
@@ -769,8 +797,9 @@ class TestCycleGuard:
 
 def lp_pairs(monkeypatch):
     """Record the pair (lo, hi) of every pair program an atom program's
-    witness solves, by its LP or, when C is empty, by the orthant's sign
-    test, with whether its pair row is in conflict."""
+    witness solves, by its LP or, when C is empty, by the orthant, with
+    whether its pair row is in conflict: for the orthant, whether vec(lo)
+    = vec(hi)."""
     calls, asked = [], []
     witness, real = states._AtomProgram.witness, states.lp_feasible
     orthant = states._AtomProgram._orthant
@@ -779,9 +808,9 @@ def lp_pairs(monkeypatch):
         asked.append((lo, hi))
         return witness(program, lo, hi)
 
-    def signs(program, lo, hi, row):
-        calls.append(((lo, hi), not row))
-        return orthant(program, lo, hi, row)
+    def signs(program, lo, hi):
+        calls.append(((lo, hi), program.vecs[lo] == program.vecs[hi]))
+        return orthant(program, lo, hi)
 
     monkeypatch.setattr(states._AtomProgram, "witness", asking)
     monkeypatch.setattr(states._AtomProgram, "_orthant", signs)
@@ -794,7 +823,7 @@ class TestStatePreorder:
     """The search's state preorder: a failed pair settles itself, a
     conflict both orders, transitively closed over the induced order, and
     witness solves nothing for a pair it already holds.  lp_pairs counts
-    the pairs solved by the orthant's sign test as well as by the LP."""
+    the pairs solved by the orthant as well as by the LP."""
 
     def test_one_conflict_settles_both_orders_of_a_pair(self, no_states, monkeypatch):
         # s(a) - s(b) = 1 reduces to 0 = 1, which proves s(a) = s(b); the
